@@ -417,7 +417,10 @@ def iterate_map_check(params: GadcParams, t: float, n_steps: int) -> DensityOper
 
     Each step uses the exact per-step probability ``p = gamma_rate t / n``,
     so the composed damping factor is ``(1 - gamma_rate t / n)^n`` and the
-    result converges to :func:`system_state` at rate ``O(1/n)``.
+    result converges to :func:`system_state` at rate ``O(1/n)``. The steps
+    run on plain matrices with the arithmetic of :func:`apply_channel`
+    (Kraus sum, then the Hermitian average of :class:`DensityOperator`),
+    and only the final state is validated.
     """
     if n_steps < 1:
         raise InputError(f"n_steps must be at least 1, got {n_steps}")
@@ -431,10 +434,12 @@ def iterate_map_check(params: GadcParams, t: float, n_steps: int) -> DensityOper
                                    gamma_rate=params.gamma_rate, p=p_step,
                                    e_g=params.e_g, e_e=params.e_e,
                                    e_0=params.e_0, e_1=params.e_1))
-    rho = system_initial_state(params)
+    pairs = [(k, k.conj().T) for k in step.operators]
+    m = system_initial_state(params).matrix
     for _ in range(n_steps):
-        rho = apply_channel(step, rho)
-    return rho
+        out = sum(k @ m @ k_adj for k, k_adj in pairs)
+        m = (out + out.conj().T) / 2
+    return DensityOperator(m)
 
 
 def system_hamiltonian(params: GadcParams) -> np.ndarray:

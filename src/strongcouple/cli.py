@@ -464,10 +464,10 @@ def _suite_first_law():
 def _suite_closure_refinement():
     pr = ExperimentConfig().params
     h = ch.environment_hamiltonian(pr)
+    states = functools.partial(ch.environment_states, pr)
     residuals = []
     for n in (1001, 2001):
-        traj = thermo_trajectory(h, lambda t: ch.environment_state(pr, t),
-                                 np.linspace(0.0, 10.0, n))
+        traj = thermo_trajectory(h, states, np.linspace(0.0, 10.0, n))
         residuals.append(traj.max_closure_residual)
     ratio = residuals[0] / residuals[1]
     return 3.0 <= ratio <= 5.0, (
@@ -500,7 +500,7 @@ def _suite_closure_gate():
     pr = ExperimentConfig().params
     h = ch.environment_hamiltonian(pr)
     try:
-        thermo_trajectory(h, lambda t: ch.environment_state(pr, t),
+        thermo_trajectory(h, functools.partial(ch.environment_states, pr),
                           np.linspace(0.0, 10.0, 101),
                           closure_tolerance=1e-8)
     except NumericalError as exc:

@@ -15,7 +15,9 @@ stays visible in outputs.
 
 from __future__ import annotations
 
+import functools
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,12 +133,12 @@ def _route_consistency(params: ch.GadcParams, n_triples: int = 20,
     matching time. Deterministic for a fixed seed so repeated runs of the
     same configuration produce identical diagnostics.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = 0.0
     for _ in range(n_triples):
-        a = float(rng.uniform(0.0, 1.0))
-        w0 = float(rng.uniform(0.0, 1.0))
-        p = float(rng.uniform(0.0, 0.999))
+        a = rng.uniform(0.0, 1.0)
+        w0 = rng.uniform(0.0, 1.0)
+        p = rng.uniform(0.0, 0.999)
         pr = ch.GadcParams(alpha=a, w0=w0, gamma_rate=params.gamma_rate, p=p)
         t = -math.log1p(-p) / params.gamma_rate
         via_kraus = ch.apply_channel(ch.system_kraus(pr),
@@ -210,11 +212,11 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     h_e = ch.environment_hamiltonian(params)
 
     thermo_s = thermo_trajectory(
-        h_s, lambda t: ch.system_state(params, t), times,
+        h_s, functools.partial(ch.system_states, params), times,
         endpoint_subdivision=config.integrator.endpoint_subdivision,
         closure_tolerance=config.integrator.closure_tolerance)
     thermo_e = thermo_trajectory(
-        h_e, lambda t: ch.environment_state(params, t), times,
+        h_e, functools.partial(ch.environment_states, params), times,
         endpoint_subdivision=config.integrator.endpoint_subdivision,
         closure_tolerance=config.integrator.closure_tolerance)
 

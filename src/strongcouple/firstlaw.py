@@ -16,20 +16,37 @@ spectrum changes of the Hamiltonian (zero when it is static), the heat
 term tracks population changes, and the coherent term tracks rotation of
 the state eigenbasis relative to the energy eigenbasis.
 
-Branch identification across time steps uses greedy eigenvector overlap
-matching; derivatives use second-order central differences on the
-interior (``numpy.gradient``) and the cumulative integrals use the
-trapezoid rule on the same grid.
+Time is an array axis. :func:`thermo_trajectory` calls a state builder
+once on its whole grid, validates the ``(T, n, n)`` stack once with
+:func:`~strongcouple.spectra.density_stack`, diagonalizes it in one
+:func:`~strongcouple.spectra.eigh_stack` call and integrates on the
+stacked spectra. :func:`sample_trajectory` stacks per-instant states and
+runs the same core, then wraps its rows in :class:`TrajectorySample`.
+
+Branches are identified across time steps by greedy eigenvector overlap
+matching, for all steps at once: the moduli of the overlaps between
+consecutive untracked eigenbases come from one batched product, the
+greedy pass runs over the ``n`` branches for every step together, and
+the per-step permutations are composed by a prefix scan. This equals a
+step-by-step pass over the already tracked basis. The modulus matrix of
+a unitary has unit rows and columns, so an entry above ``1/sqrt(2)`` is
+the only such entry in its row and its column; the greedy pass picks the
+same set of entries whatever the order of the rows, and fails at the same
+step with the same best overlap. Derivatives use second-order central
+differences on the interior (``numpy.gradient``) and the cumulative
+integrals use the trapezoid rule on the same grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError, NumericalError, TrackingError
-from .spectra import DensityOperator, SpectralDecomposition, eig_hermitian
+from .spectra import (SpectralDecomposition, density_stack, eigh_stack,
+                      hermitian_stack)
 
 _TRACK_MIN_OVERLAP = 1.0 / np.sqrt(2.0)
 
@@ -73,6 +90,56 @@ class ThermoTrajectory:
         return float(np.max(self.closure_residual))
 
 
+def _branch_permutations(vectors, times=None) -> np.ndarray:
+    """Column order that makes eigenbranches continuous along a stack.
+
+    ``vectors`` has shape ``(T, n, n)``. Row ``t`` of the result lists,
+    for each branch, its column in ``vectors[t]``; row 0 is the identity.
+    Raises :class:`TrackingError` at the first step whose greedy matching
+    finds no overlap above ``1/sqrt(2)`` for some branch.
+    """
+    steps, dim = vectors.shape[0], vectors.shape[-1]
+    pairs = steps - 1
+    rows = np.arange(pairs)
+    work = np.abs(vectors[:-1].conj().swapaxes(-1, -2) @ vectors[1:])
+    # matched[s, a] = b: column a at step s continues as column b at s + 1
+    matched = np.empty((pairs, dim), dtype=int)
+    best = np.full(pairs, np.inf)
+    for _ in range(dim):
+        flat = np.argmax(work.reshape(pairs, dim * dim), axis=1)
+        i, j = np.divmod(flat, dim)
+        top = work[rows, i, j]
+        best = np.where(np.isinf(best) & (top <= _TRACK_MIN_OVERLAP),
+                        top, best)
+        matched[rows, i] = j
+        work[rows, i, :] = -1.0
+        work[rows, :, j] = -1.0
+    failed = np.flatnonzero(np.isfinite(best))
+    if failed.size:
+        step = int(failed[0]) + 1
+        where = f" (t = {times[step]:.6g})" if times is not None else ""
+        raise TrackingError(
+            f"branch matching ambiguous at step {step}{where}: best overlap "
+            f"{best[step - 1]:.4f} <= {_TRACK_MIN_OVERLAP:.4f}; "
+            "refine the time grid")
+    # perm[t] = matched[t - 1][perm[t - 1]], composed by a prefix scan
+    perm = np.empty((steps, dim), dtype=int)
+    perm[0] = np.arange(dim)
+    perm[1:] = matched
+    shift = 1
+    while shift < steps:
+        perm[shift:] = np.take_along_axis(perm[shift:], perm[:-shift], axis=1)
+        shift *= 2
+    return perm
+
+
+def _track(eigenvalues, eigenvectors, times=None):
+    """Eigenvalue and eigenvector stacks reordered for branch continuity."""
+    perm = _branch_permutations(eigenvectors, times)
+    return (np.take_along_axis(eigenvalues, perm, axis=1),
+            np.take_along_axis(eigenvectors, perm[:, None, :], axis=2))
+
+
 def eigen_track(decompositions) -> list:
     """Reorder eigenbranches for continuity along a sequence.
 
@@ -86,35 +153,59 @@ def eigen_track(decompositions) -> list:
     decomps = list(decompositions)
     if not decomps:
         raise InputError("eigen_track needs at least one decomposition")
-    tracked = [decomps[0]]
-    for step, cur in enumerate(decomps[1:], start=1):
-        prev = tracked[-1]
-        overlap = np.abs(prev.eigenvectors.conj().T @ cur.eigenvectors)
-        dim = overlap.shape[0]
-        perm = np.full(dim, -1, dtype=int)
-        work = overlap.copy()
-        for _ in range(dim):
-            flat = np.argmax(work)
-            i, j = np.unravel_index(flat, work.shape)
-            if work[i, j] <= _TRACK_MIN_OVERLAP:
-                raise TrackingError(
-                    f"branch matching ambiguous at step {step} "
-                    f"(t index {step}): best overlap {work[i, j]:.4f} "
-                    f"<= {_TRACK_MIN_OVERLAP:.4f}; refine the time grid")
-            perm[i] = j
-            work[i, :] = -1.0
-            work[:, j] = -1.0
-        tracked.append(SpectralDecomposition(
-            eigenvalues=cur.eigenvalues[perm],
-            eigenvectors=cur.eigenvectors[:, perm]))
-    return tracked
+    lam, vec = _track(np.stack([d.eigenvalues for d in decomps]),
+                      np.stack([d.eigenvectors for d in decomps]))
+    return [SpectralDecomposition(eigenvalues=l, eigenvectors=v)
+            for l, v in zip(lam, vec)]
 
 
-def _as_hamiltonian_fn(hamiltonian):
-    if callable(hamiltonian):
-        return hamiltonian, False
-    h = np.asarray(hamiltonian, dtype=complex)
-    return (lambda t: h), True
+class _Spectra(NamedTuple):
+    """Tracked spectra of ``H`` and ``rho`` on a grid, time leading."""
+
+    energies: np.ndarray
+    energy_vectors: np.ndarray
+    populations: np.ndarray
+    state_vectors: np.ndarray
+    overlaps: np.ndarray
+
+
+def _check_grid(times) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 2:
+        raise InputError("times must be a 1-d grid with at least two points")
+    if np.any(np.diff(times) <= 0.0):
+        raise InputError("times must be strictly increasing")
+    return times
+
+
+def _spectra(hamiltonian, states, times) -> _Spectra:
+    """Validate, diagonalize and track a trajectory given as stacks.
+
+    ``hamiltonian`` is one matrix (static) or a stack aligned with
+    ``times``; ``states`` is a stack of density matrices aligned with
+    ``times``. A static Hamiltonian is diagonalized once and its spectrum
+    repeated along the grid.
+    """
+    rho = density_stack(states)
+    if rho.ndim != 3 or rho.shape[0] != times.size:
+        raise InputError(f"got states of shape {rho.shape} for "
+                         f"{times.size} time points")
+    h = hermitian_stack(hamiltonian)
+    if h.shape[-1] != rho.shape[-1]:
+        raise InputError(f"dimension mismatch: hamiltonian {h.shape}, "
+                         f"states {rho.shape}")
+    if h.ndim == 2:
+        energies, h_vec = eigh_stack(h)
+        energies = np.broadcast_to(energies, rho.shape[:2])
+    elif h.ndim == 3 and h.shape[0] == times.size:
+        energies, h_vec = _track(*eigh_stack(h), times)
+    else:
+        raise InputError(f"got a hamiltonian of shape {h.shape} for "
+                         f"{times.size} time points")
+    populations, s_vec = _track(*eigh_stack(rho), times)
+    overlaps = np.abs(h_vec.conj().swapaxes(-1, -2) @ s_vec) ** 2
+    return _Spectra(energies, np.broadcast_to(h_vec, rho.shape),
+                    populations, s_vec, overlaps)
 
 
 def sample_trajectory(hamiltonian, state_fn, times) -> list:
@@ -125,13 +216,7 @@ def sample_trajectory(hamiltonian, state_fn, times) -> list:
     states aligned with ``times``. Branches of both operators are tracked
     for continuity before the overlaps are formed.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 2:
-        raise InputError("times must be a 1-d grid with at least two points")
-    if np.any(np.diff(times) <= 0.0):
-        raise InputError("times must be strictly increasing")
-
-    h_fn, h_static = _as_hamiltonian_fn(hamiltonian)
+    times = _check_grid(times)
     if callable(state_fn):
         states = [state_fn(t) for t in times]
     else:
@@ -139,23 +224,19 @@ def sample_trajectory(hamiltonian, state_fn, times) -> list:
         if len(states) != times.size:
             raise InputError(
                 f"got {len(states)} states for {times.size} time points")
-
-    if h_static:
-        h_dec = eig_hermitian(h_fn(times[0]))
-        h_decs = [h_dec] * times.size
-    else:
-        h_decs = eigen_track([eig_hermitian(h_fn(t)) for t in times])
-    s_decs = eigen_track([eig_hermitian(s) for s in states])
-
-    samples = []
-    for t, hd, sd in zip(times, h_decs, s_decs):
-        c = hd.eigenvectors.conj().T @ sd.eigenvectors
-        samples.append(TrajectorySample(
-            t=float(t),
-            hamiltonian_spectrum=hd,
-            state_spectrum=sd,
-            overlaps=np.abs(c) ** 2))
-    return samples
+    if callable(hamiltonian):
+        hamiltonian = np.stack([np.asarray(hamiltonian(t), dtype=complex)
+                                for t in times])
+    sp = _spectra(hamiltonian, np.stack([np.asarray(s, dtype=complex)
+                                         for s in states]), times)
+    return [TrajectorySample(
+                t=float(t),
+                hamiltonian_spectrum=SpectralDecomposition(eigenvalues=e,
+                                                           eigenvectors=u),
+                state_spectrum=SpectralDecomposition(eigenvalues=r,
+                                                     eigenvectors=v),
+                overlaps=p)
+            for t, e, u, r, v, p in zip(times, *sp)]
 
 
 def _stack(samples):
@@ -172,20 +253,38 @@ def _cumtrapz(y, x):
     return out
 
 
-def work_integral(samples) -> np.ndarray:
-    """Cumulative work ``sum_nk int r_k P_nk dE_n`` on the sample grid."""
-    times, energies, populations, overlaps = _stack(samples)
+def _work(times, energies, populations, overlaps):
     de = np.gradient(energies, times, axis=0)
     integrand = np.einsum("tk,tnk,tn->t", populations, overlaps, de)
     return _cumtrapz(integrand, times)
 
 
-def heat_integral(samples) -> np.ndarray:
-    """Cumulative heat ``sum_nk int E_n P_nk dr_k`` on the sample grid."""
-    times, energies, populations, overlaps = _stack(samples)
+def _heat(times, energies, populations, overlaps):
     dr = np.gradient(populations, times, axis=0)
     integrand = np.einsum("tn,tnk,tk->t", energies, overlaps, dr)
     return _cumtrapz(integrand, times)
+
+
+def _coherent(times, energies, populations, overlaps):
+    dp = np.gradient(overlaps, times, axis=0)
+    integrand = np.einsum("tn,tk,tnk->t", energies, populations, dp)
+    return _cumtrapz(integrand, times)
+
+
+def _internal_energy_series(energies, populations, overlaps):
+    """``tr(H rho) - tr(H(0) rho(0))`` pointwise on the grid."""
+    u = np.einsum("tn,tk,tnk->t", energies, populations, overlaps)
+    return u - u[0]
+
+
+def work_integral(samples) -> np.ndarray:
+    """Cumulative work ``sum_nk int r_k P_nk dE_n`` on the sample grid."""
+    return _work(*_stack(samples))
+
+
+def heat_integral(samples) -> np.ndarray:
+    """Cumulative heat ``sum_nk int E_n P_nk dr_k`` on the sample grid."""
+    return _heat(*_stack(samples))
 
 
 def coherent_energy_integral(samples) -> np.ndarray:
@@ -194,10 +293,7 @@ def coherent_energy_integral(samples) -> np.ndarray:
     Nonzero only while the state eigenbasis rotates relative to the
     energy eigenbasis, i.e. while energy-basis coherences change.
     """
-    times, energies, populations, overlaps = _stack(samples)
-    dp = np.gradient(overlaps, times, axis=0)
-    integrand = np.einsum("tn,tk,tnk->t", energies, populations, dp)
-    return _cumtrapz(integrand, times)
+    return _coherent(*_stack(samples))
 
 
 def internal_energy_change(hamiltonian, rho_t, rho_0) -> float:
@@ -216,34 +312,27 @@ def internal_energy_change(hamiltonian, rho_t, rho_0) -> float:
     return float(np.real(np.trace(h @ (a - b))))
 
 
-def _internal_energy_series(samples) -> np.ndarray:
-    """``tr(H rho) - tr(H(0) rho(0))`` pointwise on the sample grid."""
-    _, energies, populations, overlaps = _stack(samples)
-    u = np.einsum("tn,tk,tnk->t", energies, populations, overlaps)
-    return u - u[0]
-
-
-def first_law_closure(traj: ThermoTrajectory) -> float:
-    """Largest closure residual along the trajectory."""
-    return traj.max_closure_residual
-
-
-def thermo_trajectory(hamiltonian, state_fn, times,
+def thermo_trajectory(hamiltonian, state_builder, times,
                       endpoint_subdivision: int = 32,
                       closure_tolerance: float = 1e-4) -> ThermoTrajectory:
     """Integrate the first-law split and verify closure on a time grid.
 
-    ``state_fn`` must be callable because the integrator works on an
-    internal grid finer than ``times``: the first interval is subdivided
-    ``endpoint_subdivision`` times to resolve the square-root-in-time
-    growth of coherences near ``t = 0``, where one-sided endpoint
-    differences are least accurate. Results are reported at the points of
-    ``times``; a closure residual above ``closure_tolerance`` raises
-    :class:`NumericalError` since it indicates the grid is too coarse for
+    ``state_builder`` maps a 1-d array of times to a ``(T, n, n)`` stack
+    of density matrices, e.g. ``functools.partial(system_states,
+    params)``; ``hamiltonian`` is a static matrix or a callable with the
+    same time-array contract. The builder must be callable because the
+    integrator works on an internal grid finer than ``times``: the first
+    interval is subdivided ``endpoint_subdivision`` times to resolve the
+    square-root-in-time growth of coherences near ``t = 0``, where
+    one-sided endpoint differences are least accurate. The builder is
+    called once on that grid and its stack validated once. Results are
+    reported at the points of ``times``; a closure residual above
+    ``closure_tolerance`` raises :class:`NumericalError` naming the time
+    of the worst residual, since it indicates the grid is too coarse for
     the requested accuracy.
     """
-    if not callable(state_fn):
-        raise InputError("state_fn must be callable on this route; "
+    if not callable(state_builder):
+        raise InputError("state_builder must be callable on this route; "
                          "use sample_trajectory for precomputed states")
     if endpoint_subdivision < 1:
         raise InputError(
@@ -251,26 +340,26 @@ def thermo_trajectory(hamiltonian, state_fn, times,
     if not closure_tolerance > 0.0:
         raise InputError(
             f"closure_tolerance must be positive, got {closure_tolerance}")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 2:
-        raise InputError("times must be a 1-d grid with at least two points")
-    if np.any(np.diff(times) <= 0.0):
-        raise InputError("times must be strictly increasing")
+    times = _check_grid(times)
 
     head = np.linspace(times[0], times[1], endpoint_subdivision + 1)
     merged = np.unique(np.concatenate([head, times]))
     public = np.searchsorted(merged, times)
 
-    samples = sample_trajectory(hamiltonian, state_fn, merged)
-    work = work_integral(samples)[public]
-    heat = heat_integral(samples)[public]
-    coherent = coherent_energy_integral(samples)[public]
-    du = _internal_energy_series(samples)[public]
+    if callable(hamiltonian):
+        hamiltonian = hamiltonian(merged)
+    sp = _spectra(hamiltonian, state_builder(merged), merged)
+    stacks = (merged, sp.energies, sp.populations, sp.overlaps)
+    work = _work(*stacks)[public]
+    heat = _heat(*stacks)[public]
+    coherent = _coherent(*stacks)[public]
+    du = _internal_energy_series(*stacks[1:])[public]
     residual = np.abs(du - work - heat - coherent)
-    worst = float(np.max(residual))
-    if worst > closure_tolerance:
+    worst = int(np.argmax(residual))
+    if residual[worst] > closure_tolerance:
         raise NumericalError(
-            f"first-law closure residual {worst:.3e} exceeds tolerance "
+            f"first-law closure residual {residual[worst]:.3e} at "
+            f"t = {times[worst]:.6g} exceeds tolerance "
             f"{closure_tolerance:.1e}; refine the time grid")
     return ThermoTrajectory(times=times, work=work, heat=heat,
                             coherent_energy=coherent,

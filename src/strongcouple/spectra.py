@@ -7,10 +7,12 @@ diagonalize a whole stack of matrices in one call. Operators are
 validated at construction so that downstream code can assume Hermiticity,
 unit trace, and positive semidefiniteness without re-checking.
 
-The checks work on stacks: :func:`density_stack` validates an array of
-shape ``(..., n, n)`` at once, such as the states of a trajectory with
-time as the leading axis, and :class:`HermitianOperator` and
-:class:`DensityOperator` apply the same checks to a single matrix.
+The checks work on stacks: :func:`hermitian_stack` and
+:func:`density_stack` validate an array of shape ``(..., n, n)`` at once,
+such as the states of a trajectory with time as the leading axis, and
+:class:`HermitianOperator` and :class:`DensityOperator` apply the same
+checks to a single matrix. :func:`eigh_stack` diagonalizes a validated
+stack in one call with the eigenvector gauge of :func:`eig_hermitian`.
 
 Composite indices follow the convention that the first tensor factor is
 the slow index: for a two-qubit operator the basis ordering is
@@ -30,7 +32,7 @@ TRACE_TOL = 1e-12
 PSD_FLOOR = -1e-10
 
 
-def _hermitian_stack(matrices) -> np.ndarray:
+def hermitian_stack(matrices) -> np.ndarray:
     """Validate a stack of Hermitian matrices and return it symmetrized.
 
     ``matrices`` has shape ``(..., n, n)``. Every matrix must be Hermitian
@@ -74,7 +76,7 @@ def density_stack(matrices) -> np.ndarray:
     ``PSD_FLOOR``; the limits leave room for accumulated round-off
     without admitting genuinely unphysical states.
     """
-    m = _hermitian_stack(matrices)
+    m = hermitian_stack(matrices)
     _check_density(m)
     return m
 
@@ -93,7 +95,7 @@ class HermitianOperator:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2:
             raise InputError(f"expected a square matrix, got shape {m.shape}")
-        self._matrix = _hermitian_stack(m)
+        self._matrix = hermitian_stack(m)
         self._matrix.setflags(write=False)
 
     @property
@@ -162,12 +164,24 @@ def eig_hermitian(operator) -> SpectralDecomposition:
     """
     if not isinstance(operator, HermitianOperator):
         operator = HermitianOperator(operator)
-    lam, v = np.linalg.eigh(operator.matrix)
-    # deterministic gauge: make the largest component of each column real positive
-    rows = np.argmax(np.abs(v), axis=0)
-    pivots = v[rows, np.arange(v.shape[1])]
-    v = v * (pivots.conj() / np.abs(pivots))
+    lam, v = eigh_stack(operator.matrix)
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=v)
+
+
+def eigh_stack(matrices):
+    """Diagonalize a validated Hermitian stack in one LAPACK call.
+
+    ``matrices`` has shape ``(..., n, n)`` and comes from
+    :func:`hermitian_stack`, :func:`density_stack` or a
+    :class:`HermitianOperator`; it is not checked again. Returns
+    ascending eigenvalues of shape ``(..., n)`` and eigenvector columns of
+    shape ``(..., n, n)`` in the gauge of :func:`eig_hermitian`: the
+    largest component of each column is real and positive.
+    """
+    lam, v = np.linalg.eigh(matrices)
+    rows = np.argmax(np.abs(v), axis=-2)
+    pivots = np.take_along_axis(v, rows[..., None, :], axis=-2)
+    return lam, v * (pivots.conj() / np.abs(pivots))
 
 
 def tensor_product(a, b) -> np.ndarray:

@@ -16,9 +16,10 @@ from strongcouple.channels import (GadcParams, apply_channel,
                                    environment_hamiltonian,
                                    environment_initial_state,
                                    environment_kraus, environment_state,
-                                   system_hamiltonian, system_initial_state,
-                                   system_kraus, system_state,
-                                   system_state_from_dilation)
+                                   environment_states, system_hamiltonian,
+                                   system_initial_state, system_kraus,
+                                   system_state, system_state_from_dilation,
+                                   system_states)
 from strongcouple.experiment import ExperimentConfig, markov_convergence, run
 from strongcouple.firstlaw import eigen_track, thermo_trajectory
 from strongcouple.infomeasures import von_neumann_entropy
@@ -85,9 +86,9 @@ def test_criterion_05_first_law_closure(default_run):
     pr = result.params
     coarse = np.linspace(0.0, 10.0, 1001)
     coarse_s = thermo_trajectory(system_hamiltonian(pr),
-                                 lambda t: system_state(pr, t), coarse)
+                                 lambda t: system_states(pr, t), coarse)
     coarse_e = thermo_trajectory(environment_hamiltonian(pr),
-                                 lambda t: environment_state(pr, t), coarse)
+                                 lambda t: environment_states(pr, t), coarse)
     ratio_s = coarse_s.max_closure_residual / res_s
     ratio_e = coarse_e.max_closure_residual / res_e
     ok = (res_s <= 1e-4 and res_e <= 1e-4

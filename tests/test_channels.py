@@ -233,6 +233,17 @@ class TestIterateMap:
                             system_initial_state(pr)).matrix
         assert np.max(np.abs(single - ref)) < 1e-14
 
+    @pytest.mark.parametrize("n_steps", [1, 10])
+    def test_equals_channel_composition_bitwise(self, n_steps):
+        pr = default_params()
+        step = system_kraus(GadcParams(alpha=pr.alpha, w0=pr.w0,
+                                       p=pr.gamma_rate * 1.0 / n_steps))
+        rho = system_initial_state(pr)
+        for _ in range(n_steps):
+            rho = apply_channel(step, rho)
+        assert np.array_equal(iterate_map_check(pr, 1.0, n_steps).matrix,
+                              rho.matrix)
+
     def test_first_order_convergence(self):
         pr = default_params()
         target = system_state(pr, 1.0).matrix

@@ -7,13 +7,14 @@ import pytest
 
 import oracles
 from strongcouple.channels import (GadcParams, environment_hamiltonian,
-                                   environment_state, system_hamiltonian,
-                                   system_state)
+                                   environment_state, environment_states,
+                                   system_hamiltonian, system_state,
+                                   system_states)
 from strongcouple.errors import InputError, NumericalError, TrackingError
 from strongcouple.firstlaw import (coherent_energy_integral, eigen_track,
-                                   first_law_closure, heat_integral,
-                                   internal_energy_change, sample_trajectory,
-                                   thermo_trajectory, work_integral)
+                                   heat_integral, internal_energy_change,
+                                   sample_trajectory, thermo_trajectory,
+                                   work_integral)
 from strongcouple.spectra import DensityOperator, eig_hermitian
 
 
@@ -179,7 +180,7 @@ class TestInternalEnergyChange:
         pr = default_params()
         times = np.linspace(0.0, 2.0, 201)
         traj = thermo_trajectory(system_hamiltonian(pr),
-                                 lambda t: system_state(pr, t), times)
+                                 lambda t: system_states(pr, t), times)
         du = internal_energy_change(system_hamiltonian(pr),
                                     system_state(pr, 2.0).matrix,
                                     system_state(pr, 0.0).matrix)
@@ -195,7 +196,7 @@ class TestAgainstOracle:
         pr = default_params()
         times = np.linspace(0.0, 10.0, 2001)
         traj = thermo_trajectory(system_hamiltonian(pr),
-                                 lambda t: system_state(pr, t), times)
+                                 lambda t: system_states(pr, t), times)
         for t_ref in (0.5, 2.0, 10.0):
             i = int(round(t_ref / 10.0 * 2000))
             q_ref, c_ref = oracles.FROZEN[("system", t_ref)]
@@ -206,7 +207,7 @@ class TestAgainstOracle:
         pr = default_params()
         times = np.linspace(0.0, 10.0, 2001)
         traj = thermo_trajectory(environment_hamiltonian(pr),
-                                 lambda t: environment_state(pr, t), times)
+                                 lambda t: environment_states(pr, t), times)
         for t_ref in (0.5, 2.0, 10.0):
             i = int(round(t_ref / 10.0 * 2000))
             q_ref, c_ref = oracles.FROZEN[("environment", t_ref)]
@@ -219,7 +220,7 @@ class TestAgainstOracle:
         pr = default_params()
         times = np.linspace(0.0, 0.5, 4001)
         traj = thermo_trajectory(environment_hamiltonian(pr),
-                                 lambda t: environment_state(pr, t), times)
+                                 lambda t: environment_states(pr, t), times)
         q_ref, c_ref = oracles.heat_and_coherent("environment", 0.5)
         assert abs(traj.heat[-1] - q_ref) < 1e-6
         assert abs(traj.coherent_energy[-1] - c_ref) < 1e-6
@@ -229,7 +230,7 @@ class TestAgainstOracle:
         pr = default_params()
         times = np.linspace(0.0, 2.0, 2001)
         traj = thermo_trajectory(system_hamiltonian(pr),
-                                 lambda t: system_state(pr, t), times)
+                                 lambda t: system_states(pr, t), times)
         q_ref, c_ref = oracles.heat_and_coherent("system", 2.0)
         assert abs(traj.heat[-1] - q_ref) < 1e-6
         assert abs(traj.coherent_energy[-1] - c_ref) < 1e-6
@@ -240,7 +241,7 @@ class TestThermoTrajectory:
         pr = default_params()
         times = np.linspace(0.0, 4.0, 101)
         traj = thermo_trajectory(system_hamiltonian(pr),
-                                 lambda t: system_state(pr, t), times)
+                                 lambda t: system_states(pr, t), times)
         assert np.array_equal(traj.times, times)
         assert traj.work.shape == times.shape
 
@@ -248,18 +249,18 @@ class TestThermoTrajectory:
         pr = default_params()
         with pytest.raises(NumericalError):
             thermo_trajectory(environment_hamiltonian(pr),
-                              lambda t: environment_state(pr, t),
+                              lambda t: environment_states(pr, t),
                               np.linspace(0.0, 10.0, 101),
                               closure_tolerance=1e-8)
 
     def test_closure_improves_with_refinement(self):
         pr = default_params()
         h = environment_hamiltonian(pr)
-        coarse = thermo_trajectory(h, lambda t: environment_state(pr, t),
+        coarse = thermo_trajectory(h, lambda t: environment_states(pr, t),
                                    np.linspace(0.0, 10.0, 1001))
-        fine = thermo_trajectory(h, lambda t: environment_state(pr, t),
+        fine = thermo_trajectory(h, lambda t: environment_states(pr, t),
                                  np.linspace(0.0, 10.0, 2001))
-        ratio = first_law_closure(coarse) / first_law_closure(fine)
+        ratio = coarse.max_closure_residual / fine.max_closure_residual
         assert 3.0 <= ratio <= 5.0
 
     def test_requires_callable(self):
@@ -277,5 +278,142 @@ class TestThermoTrajectory:
         pr = default_params()
         with pytest.raises(InputError):
             thermo_trajectory(system_hamiltonian(pr),
-                              lambda t: system_state(pr, t),
+                              lambda t: system_states(pr, t),
                               np.linspace(0.0, 1.0, 11), **kwargs)
+
+
+def _greedy_loop(decomps):
+    """Step-by-step greedy matching against the tracked previous basis.
+
+    Reference for the stacked tracker: returns the tracked eigenvalue and
+    eigenvector stacks, or ``(step, best overlap)`` of the first step
+    whose matching is ambiguous.
+    """
+    tracked = [decomps[0]]
+    for step, cur in enumerate(decomps[1:], start=1):
+        overlap = np.abs(tracked[-1].eigenvectors.conj().T @ cur.eigenvectors)
+        dim = overlap.shape[0]
+        perm = np.full(dim, -1, dtype=int)
+        for _ in range(dim):
+            i, j = np.unravel_index(np.argmax(overlap), overlap.shape)
+            if overlap[i, j] <= 1.0 / math.sqrt(2.0):
+                return step, overlap[i, j]
+            perm[i] = j
+            overlap[i, :] = -1.0
+            overlap[:, j] = -1.0
+        tracked.append(type(cur)(eigenvalues=cur.eigenvalues[perm],
+                                 eigenvectors=cur.eigenvectors[:, perm]))
+    return (np.stack([d.eigenvalues for d in tracked]),
+            np.stack([d.eigenvectors for d in tracked]))
+
+
+def _rotation(a, b=0.0):
+    """Rotation by ``a`` in the (0, 1) plane after ``b`` in the (1, 2)
+    plane of three dimensions."""
+    first, second = np.eye(3), np.eye(3)
+    first[:2, :2] = [[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]]
+    second[1:, 1:] = [[math.cos(b), -math.sin(b)], [math.sin(b), math.cos(b)]]
+    return first @ second
+
+
+class TestStackTracking:
+    """The stacked tracker against the step-by-step greedy loop."""
+
+    def test_forced_swap_matches_loop(self):
+        # a rising level of a slowly rotating operator crosses the other
+        # two, between steps 6 and 7 and between steps 11 and 12
+        steps = np.arange(15)
+        rising = 0.32 + 0.05 * steps
+        decs = [eig_hermitian(_rotation(0.05 * k)
+                              @ np.diag([rising[k], 0.65, 0.9])
+                              @ _rotation(0.05 * k).T) for k in steps]
+        lam, vec = _greedy_loop(decs)
+        tracked = eigen_track(decs)
+        assert np.array_equal(np.stack([d.eigenvalues for d in tracked]), lam)
+        assert np.array_equal(np.stack([d.eigenvectors for d in tracked]),
+                              vec)
+        # branch 0 follows the rising level through both swaps
+        assert np.max(np.abs(lam[:, 0] - rising)) < 1e-12
+
+    def test_ambiguous_step_matches_loop(self):
+        # the turned basis matches two branches, then none above 1/sqrt(2)
+        h = np.diag([0.1, 0.4, 0.8])
+        turned = _rotation(0.7, 0.9)
+        decs = [eig_hermitian(h)] * 4 \
+            + [eig_hermitian(turned @ h @ turned.T)] \
+            + [eig_hermitian(h)] * 2
+        step, best = _greedy_loop(decs)
+        assert step == 4 and 0.5 < best < 1.0 / math.sqrt(2.0)
+        with pytest.raises(TrackingError) as info:
+            eigen_track(decs)
+        message = str(info.value)
+        assert "branch matching ambiguous" in message
+        assert f"step {step}:" in message
+        assert f"best overlap {best:.4f}" in message
+
+    def test_trajectory_error_names_time(self):
+        times = np.linspace(0.0, 1.0, 11)
+        h = np.diag([0.1, 0.4, 0.8])
+        turned = _rotation(0.7, 0.9)
+
+        def hamiltonian(t):
+            return np.stack([turned @ h @ turned.T if u > 0.55 else h
+                             for u in t])
+
+        with pytest.raises(TrackingError,
+                           match=r"branch matching ambiguous at step 6 "
+                                 r"\(t = 0\.6\)"):
+            thermo_trajectory(hamiltonian,
+                              lambda t: np.broadcast_to(np.eye(3) / 3.0,
+                                                        (t.size, 3, 3)),
+                              times, endpoint_subdivision=1)
+
+
+class TestStateBuilder:
+    @pytest.mark.parametrize("member", [
+        np.diag([1.2, -0.2]),
+        np.diag([0.6, 0.5]),
+    ], ids=["non_psd", "trace_1.1"])
+    def test_rejects_one_bad_member(self, member):
+        pr = default_params()
+
+        def builder(t):
+            stack = system_states(pr, t).copy()
+            stack[t.size // 2] = member
+            return stack
+
+        with pytest.raises(InputError):
+            thermo_trajectory(system_hamiltonian(pr), builder,
+                              np.linspace(0.0, 2.0, 21))
+
+    @pytest.mark.parametrize("side", ["system", "environment"])
+    def test_agrees_with_sample_trajectory(self, side):
+        """The stacked route against per-instant states on the default
+        grid, including the subdivided first interval."""
+        pr = default_params()
+        if side == "system":
+            h, state, states = system_hamiltonian(pr), system_state, \
+                system_states
+        else:
+            h, state, states = environment_hamiltonian(pr), \
+                environment_state, environment_states
+        times = np.linspace(0.0, 10.0, 2001)
+        traj = thermo_trajectory(h, lambda t: states(pr, t), times)
+        merged = np.unique(np.concatenate(
+            [np.linspace(times[0], times[1], 33), times]))
+        public = np.searchsorted(merged, times)
+        samples = sample_trajectory(h, lambda t: state(pr, t), merged)
+        for integral, series in ((work_integral, traj.work),
+                                 (heat_integral, traj.heat),
+                                 (coherent_energy_integral,
+                                  traj.coherent_energy)):
+            assert np.max(np.abs(integral(samples)[public] - series)) < 1e-13
+
+    def test_closure_gate_names_time(self):
+        pr = default_params()
+        with pytest.raises(NumericalError,
+                           match=r"first-law closure residual .* at t = "):
+            thermo_trajectory(environment_hamiltonian(pr),
+                              lambda t: environment_states(pr, t),
+                              np.linspace(0.0, 10.0, 101),
+                              closure_tolerance=1e-8)
