@@ -20,8 +20,7 @@ from .channels import (GadcParams, KrausChannel, apply_channel,
 from .errors import (InputError, NumericalError, StrongcoupleError,
                      TrackingError)
 from .experiment import (ExperimentConfig, ExperimentResult,
-                         IntegratorSettings, OutputSelection, SweepSummary,
-                         markov_convergence, run, sweep)
+                         IntegratorSettings, SweepSummary, run, sweep)
 from .firstlaw import (ThermoTrajectory, TrajectorySample,
                        coherent_energy_integral, eigen_track, heat_integral,
                        internal_energy_change, sample_trajectory,
@@ -34,6 +33,7 @@ from .spectra import (DensityOperator, HermitianOperator,
                       SpectralDecomposition, density_stack, eig_hermitian,
                       partial_trace, partial_transpose,
                       partial_transpose_stack, tensor_product, trace_norm)
+from .validation import markov_convergence
 
 __version__ = "0.1.0"
 
@@ -48,7 +48,6 @@ __all__ = [
     "IntegratorSettings",
     "KrausChannel",
     "NumericalError",
-    "OutputSelection",
     "ProportionalityReport",
     "SpectralDecomposition",
     "StrongcoupleError",

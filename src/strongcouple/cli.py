@@ -8,8 +8,8 @@ validation suites).
 ``run`` writes CSV tables, a pair of plotting scripts, and a manifest
 with row counts and content hashes into the output directory. The CSV
 files are deterministic: re-running the same configuration reproduces
-them byte for byte. ``validate`` executes the built-in consistency
-suites and prints one [PASS]/[FAIL] line per suite. ``sweep`` expands a
+them byte for byte. ``validate`` prints one [PASS]/[FAIL] line per
+suite of :mod:`strongcouple.validation`. ``sweep`` expands a
 parameter grid into configurations and writes one summary row per run.
 """
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import hashlib
 import json
 import math
@@ -28,13 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import channels as ch
-from .errors import InputError, NumericalError, StrongcoupleError
+from .errors import InputError, NumericalError
 from .experiment import (ExperimentConfig, IntegratorSettings, SweepSummary,
-                         markov_convergence, run, sweep)
-from .firstlaw import thermo_trajectory
-from .infomeasures import proportionality_report
-from .spectra import DensityOperator, eig_hermitian, partial_trace
+                         run, sweep)
+from .validation import run_suites
 
 _CONFIG_KEYS = {"alpha", "beta", "gamma", "t_max", "n_samples", "integrator"}
 _INTEGRATOR_KEYS = {"endpoint_subdivision", "closure_tolerance"}
@@ -234,28 +230,25 @@ def _cmd_run(args) -> int:
     result = run(config)
     outputs = {}
 
-    if result.thermo_s is not None:
-        for name, traj in (("thermo_system.csv", result.thermo_s),
-                           ("thermo_environment.csv", result.thermo_e)):
-            rows = zip(traj.times, traj.work, traj.heat,
-                       traj.coherent_energy, traj.internal_energy_change)
-            outputs[name] = _write_csv(out_dir / name,
-                                       ("t", "W", "Q", "C", "dU"), rows)
-    if result.info is not None:
-        info = result.info
-        rows = zip(info.times, info.entropy_s, info.entropy_e,
-                   info.coherence_s, info.coherence_e,
-                   info.negativity, info.mutual_information,
-                   info.heat_asymmetry)
-        outputs["info_measures.csv"] = _write_csv(
-            out_dir / "info_measures.csv",
-            ("t", "entropy_system", "entropy_environment",
-             "coherence_system", "coherence_environment", "negativity",
-             "mutual_information", "heat_asymmetry"), rows)
-    if result.diagnostics:
-        rows = sorted(result.diagnostics.items())
-        outputs["diagnostics.csv"] = _write_csv(
-            out_dir / "diagnostics.csv", ("metric", "value"), rows)
+    for name, traj in (("thermo_system.csv", result.thermo_s),
+                       ("thermo_environment.csv", result.thermo_e)):
+        rows = zip(traj.times, traj.work, traj.heat,
+                   traj.coherent_energy, traj.internal_energy_change)
+        outputs[name] = _write_csv(out_dir / name,
+                                   ("t", "W", "Q", "C", "dU"), rows)
+    info = result.info
+    rows = zip(info.times, info.entropy_s, info.entropy_e,
+               info.coherence_s, info.coherence_e,
+               info.negativity, info.mutual_information,
+               info.heat_asymmetry)
+    outputs["info_measures.csv"] = _write_csv(
+        out_dir / "info_measures.csv",
+        ("t", "entropy_system", "entropy_environment",
+         "coherence_system", "coherence_environment", "negativity",
+         "mutual_information", "heat_asymmetry"), rows)
+    outputs["diagnostics.csv"] = _write_csv(
+        out_dir / "diagnostics.csv", ("metric", "value"),
+        sorted(result.diagnostics.items()))
 
     (out_dir / "plot_thermo.py").write_text(_PLOT_THERMO)
     (out_dir / "plot_info.py").write_text(_PLOT_INFO)
@@ -371,229 +364,12 @@ def _cmd_sweep(args) -> int:
     return 3 if failed and len(failed) == len(rows) else 0
 
 
-def _suite_kraus_completeness():
-    worst = 0.0
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        pr = ch.GadcParams(alpha=float(rng.uniform(0, 1)),
-                           w0=float(rng.uniform(0, 1)),
-                           p=float(rng.uniform(0, 1)))
-        for channel in (ch.system_kraus(pr), ch.environment_kraus(pr)):
-            total = sum(k.conj().T @ k for k in channel.operators)
-            worst = max(worst, float(np.max(np.abs(total - np.eye(2)))))
-    return worst <= 1e-12, f"max |sum K^+K - I| = {worst:.2e}"
-
-
-def _suite_channel_preserves_states():
-    rng = np.random.default_rng(11)
-    worst_trace, worst_eig = 0.0, 0.0
-    for _ in range(50):
-        pr = ch.GadcParams(alpha=float(rng.uniform(0, 1)),
-                           w0=float(rng.uniform(0, 1)),
-                           p=float(rng.uniform(0, 1)))
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        rho = m @ m.conj().T
-        rho /= np.trace(rho).real
-        out = ch.apply_channel(ch.system_kraus(pr), DensityOperator(rho))
-        worst_trace = max(worst_trace,
-                          abs(float(np.trace(out.matrix).real) - 1.0))
-        worst_eig = max(worst_eig,
-                        max(0.0, -float(eig_hermitian(out).eigenvalues[0])))
-    ok = worst_trace <= 1e-12 and worst_eig <= 1e-12
-    return ok, f"trace dev {worst_trace:.2e}, negative part {worst_eig:.2e}"
-
-
-def _suite_route_consistency():
-    from .experiment import _route_consistency
-    worst = _route_consistency(ch.GadcParams(alpha=0.5, w0=0.7), n_triples=20)
-    return worst <= 1e-12, f"max route deviation {worst:.2e}"
-
-
-def _suite_marginals():
-    pr = ExperimentConfig().params
-    worst = 0.0
-    for t in np.linspace(0.0, 10.0, 41):
-        joint = ch.joint_state_closed_form(pr, t)
-        ds = partial_trace(joint, keep=0, dims=(2, 2)).matrix \
-            - ch.system_state(pr, t).matrix
-        de = partial_trace(joint, keep=1, dims=(2, 2)).matrix \
-            - ch.environment_state(pr, t).matrix
-        worst = max(worst, float(np.max(np.abs(ds))),
-                    float(np.max(np.abs(de))))
-    return worst <= 1e-12, f"max marginal deviation {worst:.2e}"
-
-
-def _suite_unitarity():
-    worst_u = 0.0
-    for p in np.linspace(0.0, 1.0, 100):
-        u = ch.gadc_unitary(p)
-        worst_u = max(worst_u,
-                      float(np.max(np.abs(u @ u.conj().T - np.eye(4)))))
-    pr = ExperimentConfig().params
-    lam0 = eig_hermitian(ch.joint_state(pr, 0.0)).eigenvalues
-    drift = max(float(np.max(np.abs(
-        eig_hermitian(ch.joint_state(pr, t)).eigenvalues - lam0)))
-        for t in np.linspace(0.0, 10.0, 41))
-    ok = worst_u <= 1e-12 and drift <= 1e-12
-    return ok, f"unitarity dev {worst_u:.2e}, joint spectrum drift {drift:.2e}"
-
-
-@functools.lru_cache(maxsize=1)
-def _default_run():
-    """One shared default run for the suites that inspect it.
-
-    The run is deterministic, so sharing it between suites changes
-    nothing but the wall time.
-    """
-    return run(ExperimentConfig())
-
-
-def _suite_first_law():
-    result = _default_run()
-    d = result.diagnostics
-    ok = (d["closure_system_max"] <= 1e-6
-          and d["closure_environment_max"] <= 1e-4
-          and d["work_system_max_abs"] <= 1e-12
-          and d["energy_balance_max"] <= 1e-10)
-    return ok, (f"closure {d['closure_system_max']:.2e}/"
-                f"{d['closure_environment_max']:.2e}, "
-                f"work {d['work_system_max_abs']:.2e}, "
-                f"balance {d['energy_balance_max']:.2e}")
-
-
-def _suite_closure_refinement():
-    pr = ExperimentConfig().params
-    h = ch.environment_hamiltonian(pr)
-    states = functools.partial(ch.environment_states, pr)
-    residuals = []
-    for n in (1001, 2001):
-        traj = thermo_trajectory(h, states, np.linspace(0.0, 10.0, n))
-        residuals.append(traj.max_closure_residual)
-    ratio = residuals[0] / residuals[1]
-    return 3.0 <= ratio <= 5.0, (
-        f"residual ratio {ratio:.2f} on grid halving "
-        f"({residuals[0]:.2e} -> {residuals[1]:.2e})")
-
-
-def _suite_mutation_control():
-    """Negative control: a deliberately mismatched dilation must be caught.
-
-    Replacing the decay probability by its complement keeps the dilation
-    unitary but breaks agreement with the Kraus route, so the route
-    comparison must report a large deviation. Passing here means the
-    consistency checks have teeth.
-    """
-    pr = ch.GadcParams(alpha=0.6, w0=0.7, p=0.3)
-    u = ch.gadc_unitary(1.0 - pr.p)
-    unitary_dev = float(np.max(np.abs(u @ u.conj().T - np.eye(4))))
-    joint = u @ ch.joint_initial_state(pr).matrix @ u.conj().T
-    mutated = partial_trace(DensityOperator(joint), keep=0, dims=(2, 2))
-    honest = ch.apply_channel(ch.system_kraus(pr), ch.system_initial_state(pr))
-    dev = float(np.max(np.abs(mutated.matrix - honest.matrix)))
-    ok = unitary_dev <= 1e-12 and dev > 1e-2
-    return ok, (f"mutated route still unitary ({unitary_dev:.2e}) "
-                f"but deviates by {dev:.3f} as required")
-
-
-def _suite_closure_gate():
-    """Negative control: a coarse grid must trip the closure tolerance."""
-    pr = ExperimentConfig().params
-    h = ch.environment_hamiltonian(pr)
-    try:
-        thermo_trajectory(h, functools.partial(ch.environment_states, pr),
-                          np.linspace(0.0, 10.0, 101),
-                          closure_tolerance=1e-8)
-    except NumericalError as exc:
-        return True, f"coarse grid rejected as expected ({exc})"
-    return False, "coarse grid with tight tolerance was not rejected"
-
-
-def _suite_reference_values():
-    """Characteristic numbers of the default configuration.
-
-    Anchors: the thermal ground population ``1/(1 + e^-1)``, its binary
-    entropy as the conserved joint entropy, and the long-time system
-    heat, which the closed forms put near ``0.1035`` for this setup.
-    """
-    result = _default_run()
-    d = result.diagnostics
-    w0 = result.params.w0
-    q_final = d["heat_system_final"]
-    s_joint = d["joint_entropy_unitary_family"]
-    ok = (abs(w0 - 0.7310585786) <= 1e-9
-          and abs(q_final - 0.1035) <= 1e-3
-          and abs(s_joint - 0.8399) <= 1e-3)
-    return ok, (f"w0 = {w0:.8f}, final Q_S = {q_final:.4f}, "
-                f"joint entropy = {s_joint:.4f} bits")
-
-
-def _suite_negativity_shape():
-    result = _default_run()
-    d = result.diagnostics
-    neg0 = float(result.info.negativity[0])
-    ok = (neg0 <= 1e-12
-          and d["negativity_peak_count"] == 1.0
-          and d["negativity_final"] <= 1e-3
-          and 0.0 < d["negativity_peak_time"] < result.config.t_max)
-    return ok, (f"N(0) = {neg0:.1e}, single peak {d['negativity_peak']:.4f} "
-                f"at t = {d['negativity_peak_time']:.3f}, "
-                f"N(t_max) = {d['negativity_final']:.1e}")
-
-
-def _suite_proportionality():
-    result = _default_run()
-    info = result.info
-    report = proportionality_report(info.heat_asymmetry, info.negativity,
-                                    5e-3)
-    ok = report.max_relative_spread <= 0.05
-    return ok, (f"ratio mean {report.ratio_mean:.4f}, spread "
-                f"{100 * report.max_relative_spread:.2f}% over "
-                f"{report.mask_count} points")
-
-
-def _suite_markov():
-    rows = markov_convergence(ExperimentConfig().params)
-    devs = [dev for _, dev in rows]
-    monotone = all(d1 > d2 for d1, d2 in zip(devs, devs[1:]))
-    ok = monotone and devs[-1] <= 1e-3
-    detail = ", ".join(f"n={n}: {dev:.2e}" for n, dev in rows)
-    return ok, detail
-
-
-_SUITES = [
-    ("kraus completeness", _suite_kraus_completeness),
-    ("channel preserves states", _suite_channel_preserves_states),
-    ("route consistency", _suite_route_consistency),
-    ("closed-form marginals", _suite_marginals),
-    ("dilation unitarity and spectrum", _suite_unitarity),
-    ("first-law closure", _suite_first_law),
-    ("closure refinement rate", _suite_closure_refinement),
-    ("mutation control", _suite_mutation_control),
-    ("closure gate control", _suite_closure_gate),
-    ("reference values", _suite_reference_values),
-]
-
-_STRICT_SUITES = [
-    ("negativity shape", _suite_negativity_shape),
-    ("asymmetry-negativity proportionality", _suite_proportionality),
-    ("markov limit", _suite_markov),
-]
-
-
 def _cmd_validate(args) -> int:
-    suites = list(_SUITES)
-    if args.strict:
-        suites += _STRICT_SUITES
-    failures = 0
-    for name, fn in suites:
-        try:
-            ok, detail = fn()
-        except StrongcoupleError as exc:
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        tag = "PASS" if ok else "FAIL"
-        print(f"[{tag}] {name}: {detail}")
-        failures += 0 if ok else 1
-    total = len(suites)
+    total = failures = 0
+    for name, ok, detail in run_suites(strict=args.strict):
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        total += 1
+        failures += not ok
     print(f"{total - failures}/{total} suites passed")
     return 0 if failures == 0 else 3
 

@@ -3,7 +3,10 @@
 A run evolves one system-environment pair from a product initial state,
 integrates the first-law split for both subsystems, evaluates the
 information measures on the same grid, and collects a dictionary of
-scalar diagnostics that double as regression probes. Two joint-state
+scalar diagnostics that double as regression probes. Every diagnostic is
+derived from the run's own series; the self-checks that do not depend on
+the grid, such as route consistency and the Markov limit, live in
+:mod:`strongcouple.validation` and run in ``validate``. Two joint-state
 families enter the bookkeeping (see :mod:`strongcouple.channels`): the
 negativity series comes from the closed-form family whose marginals are
 exact, while the joint entropy comes from the unitary family whose
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,15 +59,6 @@ class IntegratorSettings:
 
 
 @dataclass(frozen=True)
-class OutputSelection:
-    """Which result blocks a run should produce."""
-
-    thermo: bool = True
-    info: bool = True
-    diagnostics: bool = True
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Physical and numerical parameters of one run.
 
@@ -81,7 +74,6 @@ class ExperimentConfig:
     t_max: float = 10.0
     n_samples: int = 2001
     integrator: IntegratorSettings = field(default_factory=IntegratorSettings)
-    outputs: OutputSelection = field(default_factory=OutputSelection)
 
     def validate(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -109,69 +101,15 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Everything one run produces.
-
-    Blocks deselected in the configuration are ``None`` (``diagnostics``
-    is then empty); all contained arrays share the grid ``times``.
-    """
+    """Everything one run produces; all arrays share the grid ``times``."""
 
     config: ExperimentConfig
     params: ch.GadcParams
     times: np.ndarray
-    thermo_s: ThermoTrajectory | None
-    thermo_e: ThermoTrajectory | None
-    info: InfoSeries | None
+    thermo_s: ThermoTrajectory
+    thermo_e: ThermoTrajectory
+    info: InfoSeries
     diagnostics: dict
-
-
-def _route_consistency(params: ch.GadcParams, n_triples: int = 20,
-                       seed: int = 0) -> float:
-    """Largest pairwise deviation between the three single-step routes.
-
-    Draws random ``(alpha, w0, p)`` triples and compares the Kraus map,
-    the unitary dilation plus partial trace, and the closed form at the
-    matching time. Deterministic for a fixed seed so repeated runs of the
-    same configuration produce identical diagnostics.
-    """
-    rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(n_triples):
-        a = rng.uniform(0.0, 1.0)
-        w0 = rng.uniform(0.0, 1.0)
-        p = rng.uniform(0.0, 0.999)
-        pr = ch.GadcParams(alpha=a, w0=w0, gamma_rate=params.gamma_rate, p=p)
-        t = -math.log1p(-p) / params.gamma_rate
-        via_kraus = ch.apply_channel(ch.system_kraus(pr),
-                                     ch.system_initial_state(pr)).matrix
-        via_dilation = ch.system_state_from_dilation(pr, p).matrix
-        via_closed = ch.system_state(pr, t).matrix
-        worst = max(worst,
-                    float(np.max(np.abs(via_kraus - via_dilation))),
-                    float(np.max(np.abs(via_kraus - via_closed))),
-                    float(np.max(np.abs(via_dilation - via_closed))))
-    return worst
-
-
-def markov_convergence(params: ch.GadcParams, t: float = 1.0,
-                       step_counts=(10, 100, 1000)) -> list:
-    """Deviation of the composed single-step channel from the closed form.
-
-    Returns ``(n, deviation)`` pairs; the deviation shrinks as ``1/n``
-    because the per-step probability ``gamma t / n`` linearizes the
-    exponential decay factor.
-    """
-    counts = list(step_counts)
-    if not counts:
-        raise InputError("step_counts must not be empty")
-    for n in counts:
-        if int(n) != n or n < 1:
-            raise InputError(f"step counts must be positive integers, got {n}")
-    target = ch.system_state(params, t).matrix
-    rows = []
-    for n in counts:
-        approx = ch.iterate_map_check(params, t, int(n)).matrix
-        rows.append((int(n), float(np.max(np.abs(approx - target)))))
-    return rows
 
 
 def _count_peaks(values: np.ndarray, floor: float) -> int:
@@ -235,71 +173,58 @@ def run(config: ExperimentConfig) -> ExperimentResult:
 
     asym = heat_asymmetry(thermo_s.heat, thermo_e.heat)
 
-    info = None
-    diagnostics = {}
-    neg = None
-    if config.outputs.info or config.outputs.diagnostics:
-        blocks = np.array_split(times, -(-times.size // _INFO_BLOCK))
-        (ent_s, ent_e, coh_s, coh_e, neg, ent_joint_unitary,
-         ent_joint_closed) = np.concatenate(
-             [_info_block(params, block) for block in blocks], axis=1)
-        mi = ent_s + ent_e - ent_joint_unitary
-        if config.outputs.info:
-            info = InfoSeries(times=times, entropy_s=ent_s, entropy_e=ent_e,
-                              coherence_s=coh_s, coherence_e=coh_e,
-                              negativity=neg, mutual_information=mi,
-                              heat_asymmetry=asym)
-        if config.outputs.diagnostics:
-            drift_closed = np.append(ent_joint_closed[::_DRIFT_SUBSAMPLE],
-                                     ent_joint_closed[-1])
-            peak_idx = int(np.argmax(neg))
-            diagnostics = {
-                "closure_system_max": thermo_s.max_closure_residual,
-                "closure_environment_max": thermo_e.max_closure_residual,
-                "work_system_max_abs": float(np.max(np.abs(thermo_s.work))),
-                "work_environment_max_abs": float(np.max(np.abs(thermo_e.work))),
-                "energy_balance_max": balance,
-                "heat_system_final": float(thermo_s.heat[-1]),
-                "heat_environment_final": float(thermo_e.heat[-1]),
-                "heat_asymmetry_max": float(np.max(asym)),
-                "route_consistency_max": _route_consistency(params),
-                "joint_entropy_unitary_family": float(ent_joint_unitary[0]),
-                "entropy_drift_unitary_family": float(
-                    np.max(np.abs(ent_joint_unitary - ent_joint_unitary[0]))),
-                "entropy_drift_closed_form_family": float(
-                    np.max(np.abs(drift_closed - drift_closed[0]))),
-                "negativity_peak": float(neg[peak_idx]),
-                "negativity_peak_time": float(times[peak_idx]),
-                "negativity_final": float(neg[-1]),
-                "negativity_peak_count": float(
-                    _count_peaks(neg, _NEGATIVITY_PEAK_FLOOR)),
-                "negativity_unitary_family_final": negativity(
-                    ch.joint_state(params, times[-1])),
-                "entropy_rate_system_max": float(
-                    np.max(np.abs(np.gradient(ent_s, times)))),
-                "entropy_rate_mismatch_max": float(
-                    np.max(np.abs(np.gradient(ent_s, times)
-                                  + np.gradient(ent_e, times)))),
-            }
-            for n, dev in markov_convergence(params):
-                diagnostics[f"markov_dev_n{n}"] = dev
-            try:
-                report = proportionality_report(
-                    asym, neg, RATIO_DENOMINATOR_THRESHOLD)
-                diagnostics["ratio_points"] = float(report.mask_count)
-                diagnostics["ratio_mean"] = report.ratio_mean
-                diagnostics["ratio_max_relative_spread"] = \
-                    report.max_relative_spread
-            except InputError:
-                diagnostics["ratio_points"] = 0.0
-                diagnostics["ratio_mean"] = float("nan")
-                diagnostics["ratio_max_relative_spread"] = float("nan")
+    blocks = np.array_split(times, -(-times.size // _INFO_BLOCK))
+    (ent_s, ent_e, coh_s, coh_e, neg, ent_joint_unitary,
+     ent_joint_closed) = np.concatenate(
+         [_info_block(params, block) for block in blocks], axis=1)
+    info = InfoSeries(times=times, entropy_s=ent_s, entropy_e=ent_e,
+                      coherence_s=coh_s, coherence_e=coh_e, negativity=neg,
+                      mutual_information=ent_s + ent_e - ent_joint_unitary,
+                      heat_asymmetry=asym)
 
-    return ExperimentResult(
-        config=config, params=params, times=times,
-        thermo_s=thermo_s if config.outputs.thermo else None,
-        thermo_e=thermo_e if config.outputs.thermo else None,
-        info=info, diagnostics=diagnostics)
+    drift_closed = np.append(ent_joint_closed[::_DRIFT_SUBSAMPLE],
+                             ent_joint_closed[-1])
+    peak_idx = int(np.argmax(neg))
+    diagnostics = {
+        "closure_system_max": thermo_s.max_closure_residual,
+        "closure_environment_max": thermo_e.max_closure_residual,
+        "work_system_max_abs": float(np.max(np.abs(thermo_s.work))),
+        "work_environment_max_abs": float(np.max(np.abs(thermo_e.work))),
+        "energy_balance_max": balance,
+        "heat_system_final": float(thermo_s.heat[-1]),
+        "heat_environment_final": float(thermo_e.heat[-1]),
+        "heat_asymmetry_max": float(np.max(asym)),
+        "joint_entropy_unitary_family": float(ent_joint_unitary[0]),
+        "entropy_drift_unitary_family": float(
+            np.max(np.abs(ent_joint_unitary - ent_joint_unitary[0]))),
+        "entropy_drift_closed_form_family": float(
+            np.max(np.abs(drift_closed - drift_closed[0]))),
+        "negativity_peak": float(neg[peak_idx]),
+        "negativity_peak_time": float(times[peak_idx]),
+        "negativity_final": float(neg[-1]),
+        "negativity_peak_count": float(
+            _count_peaks(neg, _NEGATIVITY_PEAK_FLOOR)),
+        "negativity_unitary_family_final": negativity(
+            ch.joint_state(params, times[-1])),
+        "entropy_rate_system_max": float(
+            np.max(np.abs(np.gradient(ent_s, times)))),
+        "entropy_rate_mismatch_max": float(
+            np.max(np.abs(np.gradient(ent_s, times)
+                          + np.gradient(ent_e, times)))),
+    }
+    try:
+        report = proportionality_report(asym, neg, RATIO_DENOMINATOR_THRESHOLD)
+        diagnostics["ratio_points"] = float(report.mask_count)
+        diagnostics["ratio_mean"] = report.ratio_mean
+        diagnostics["ratio_max_relative_spread"] = report.max_relative_spread
+    except InputError:
+        diagnostics["ratio_points"] = 0.0
+        diagnostics["ratio_mean"] = float("nan")
+        diagnostics["ratio_max_relative_spread"] = float("nan")
+
+    return ExperimentResult(config=config, params=params, times=times,
+                            thermo_s=thermo_s, thermo_e=thermo_e, info=info,
+                            diagnostics=diagnostics)
 
 
 @dataclass(frozen=True)

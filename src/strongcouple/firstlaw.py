@@ -328,8 +328,9 @@ def thermo_trajectory(hamiltonian, state_builder, times,
     called once on that grid and its stack validated once. Results are
     reported at the points of ``times``; a closure residual above
     ``closure_tolerance`` raises :class:`NumericalError` naming the time
-    of the worst residual, since it indicates the grid is too coarse for
-    the requested accuracy.
+    of the worst residual and the grid step where the residual grows
+    most, since it indicates the grid is too coarse for the requested
+    accuracy.
     """
     if not callable(state_builder):
         raise InputError("state_builder must be callable on this route; "
@@ -357,10 +358,16 @@ def thermo_trajectory(hamiltonian, state_builder, times,
     residual = np.abs(du - work - heat - coherent)
     worst = int(np.argmax(residual))
     if residual[worst] > closure_tolerance:
+        # the residual accumulates, so its worst point says little about
+        # where the error arises; the step where it grows most does
+        growth = np.abs(np.diff(residual))
+        step = int(np.argmax(growth))
         raise NumericalError(
             f"first-law closure residual {residual[worst]:.3e} at "
             f"t = {times[worst]:.6g} exceeds tolerance "
-            f"{closure_tolerance:.1e}; refine the time grid")
+            f"{closure_tolerance:.1e}; it grows most, by "
+            f"{growth[step]:.3e}, between t = {times[step]:.6g} and "
+            f"t = {times[step + 1]:.6g}; refine the time grid")
     return ThermoTrajectory(times=times, work=work, heat=heat,
                             coherent_energy=coherent,
                             internal_energy_change=du,

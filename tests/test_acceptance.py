@@ -20,10 +20,11 @@ from strongcouple.channels import (GadcParams, apply_channel,
                                    system_initial_state, system_kraus,
                                    system_state, system_state_from_dilation,
                                    system_states)
-from strongcouple.experiment import ExperimentConfig, markov_convergence, run
+from strongcouple.experiment import ExperimentConfig, run
 from strongcouple.firstlaw import eigen_track, thermo_trajectory
 from strongcouple.infomeasures import von_neumann_entropy
 from strongcouple.spectra import DensityOperator, eig_hermitian
+from strongcouple.validation import markov_convergence
 
 
 @pytest.fixture(scope="module")

@@ -182,12 +182,12 @@ class TestValidateCommand:
         assert main(["validate"]) == 0
         out = capsys.readouterr().out
         assert "[FAIL]" not in out
-        assert out.count("[PASS]") >= 10
+        assert out.count("[PASS]") == 10
 
     def test_strict_suites_pass(self, capsys):
         assert main(["validate", "--strict"]) == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") >= 13
+        assert out.count("[PASS]") == 13
 
 
 class TestParser:

@@ -8,8 +8,8 @@ import pytest
 
 from strongcouple.errors import InputError
 from strongcouple.experiment import (ExperimentConfig, IntegratorSettings,
-                                     OutputSelection, markov_convergence,
                                      run, sweep)
+from strongcouple.validation import markov_convergence
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +57,6 @@ class TestRun:
         assert d["work_system_max_abs"] <= 1e-12
         assert d["work_environment_max_abs"] <= 1e-12
         assert d["energy_balance_max"] <= 1e-10
-        assert d["route_consistency_max"] <= 1e-12
         assert d["entropy_drift_unitary_family"] <= 1e-10
 
     def test_two_family_bookkeeping(self, quick_result):
@@ -102,15 +101,6 @@ class TestRun:
         b = run(config)
         assert a.diagnostics == b.diagnostics
         assert np.array_equal(a.info.negativity, b.info.negativity)
-
-    def test_output_selection(self):
-        config = ExperimentConfig(
-            t_max=2.0, n_samples=401,
-            outputs=OutputSelection(info=False, diagnostics=False))
-        result = run(config)
-        assert result.info is None
-        assert result.diagnostics == {}
-        assert result.thermo_s is not None
 
 
 class TestMarkov:

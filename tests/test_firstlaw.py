@@ -411,9 +411,19 @@ class TestStateBuilder:
 
     def test_closure_gate_names_time(self):
         pr = default_params()
+        h = environment_hamiltonian(pr)
+        times = np.linspace(0.0, 10.0, 101)
+        residual = thermo_trajectory(h, lambda t: environment_states(pr, t),
+                                     times, closure_tolerance=1.0
+                                     ).closure_residual
+        # the residual accumulates; the step where it grows most is early,
+        # far from the worst point at the end of the grid
+        step = int(np.argmax(np.abs(np.diff(residual))))
+        assert times[step + 1] < 1.0 < times[int(np.argmax(residual))]
         with pytest.raises(NumericalError,
-                           match=r"first-law closure residual .* at t = "):
-            thermo_trajectory(environment_hamiltonian(pr),
-                              lambda t: environment_states(pr, t),
-                              np.linspace(0.0, 10.0, 101),
+                           match=r"first-law closure residual .* at t = ") \
+                as exc:
+            thermo_trajectory(h, lambda t: environment_states(pr, t), times,
                               closure_tolerance=1e-8)
+        assert (f"between t = {times[step]:.6g} and "
+                f"t = {times[step + 1]:.6g}") in str(exc.value)
