@@ -36,6 +36,7 @@ _CONFIG_KEYS = {"alpha", "beta", "gamma", "t_max", "n_samples", "integrator"}
 _INTEGRATOR_KEYS = {"endpoint_subdivision", "closure_tolerance"}
 _GRID_KEYS = {"alpha", "beta", "gamma", "t_max", "gamma_t_max",
               "n_samples", "integrator"}
+_CSV_BLOCK = 256
 
 
 def _float_field(value, name):
@@ -102,21 +103,39 @@ def _load_json(path: Path):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value.replace(",", ";")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".12g")
+def _csv_column(values):
+    """The ``%`` format of one CSV column and its values as an array.
+
+    Floats get 12 significant digits, integers and booleans are written
+    as integers, and anything else as text with commas replaced by
+    semicolons.
+    """
+    col = np.asarray(values)
+    if col.dtype.kind == "f":
+        return "%.12g", col
+    if col.dtype.kind in "biu":
+        return "%d", col
+    return "%s", np.array([str(v).replace(",", ";") for v in col.tolist()])
 
 
-def _write_csv(path: Path, header, rows) -> dict:
-    lines = [",".join(header)]
-    count = 0
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-        count += 1
-    blob = ("\n".join(lines) + "\n").encode()
+def _write_csv(path: Path, header, columns) -> dict:
+    """Write equal-length columns under ``header``; return rows and hash.
+
+    Each row is formatted with one ``%`` on a format string built from
+    the column kinds. Rows become Python values and then text
+    ``_CSV_BLOCK`` at a time, and each block is joined into one string,
+    so no whole table is ever held as one Python object per value or
+    per row.
+    """
+    formats, cols = zip(*map(_csv_column, columns))
+    row_format = ",".join(formats)
+    count = len(cols[0])
+    chunks = [",".join(header)]
+    for start in range(0, count, _CSV_BLOCK):
+        stop = start + _CSV_BLOCK
+        chunks.append("\n".join(row_format % row for row in
+                                zip(*(c[start:stop].tolist() for c in cols))))
+    blob = ("\n".join(chunks) + "\n").encode()
     path.write_bytes(blob)
     return {"rows": count, "sha256": hashlib.sha256(blob).hexdigest()}
 
@@ -232,23 +251,23 @@ def _cmd_run(args) -> int:
 
     for name, traj in (("thermo_system.csv", result.thermo_s),
                        ("thermo_environment.csv", result.thermo_e)):
-        rows = zip(traj.times, traj.work, traj.heat,
-                   traj.coherent_energy, traj.internal_energy_change)
-        outputs[name] = _write_csv(out_dir / name,
-                                   ("t", "W", "Q", "C", "dU"), rows)
+        outputs[name] = _write_csv(
+            out_dir / name, ("t", "W", "Q", "C", "dU"),
+            (traj.times, traj.work, traj.heat, traj.coherent_energy,
+             traj.internal_energy_change))
     info = result.info
-    rows = zip(info.times, info.entropy_s, info.entropy_e,
-               info.coherence_s, info.coherence_e,
-               info.negativity, info.mutual_information,
-               info.heat_asymmetry)
     outputs["info_measures.csv"] = _write_csv(
         out_dir / "info_measures.csv",
         ("t", "entropy_system", "entropy_environment",
          "coherence_system", "coherence_environment", "negativity",
-         "mutual_information", "heat_asymmetry"), rows)
+         "mutual_information", "heat_asymmetry"),
+        (info.times, info.entropy_s, info.entropy_e, info.coherence_s,
+         info.coherence_e, info.negativity, info.mutual_information,
+         info.heat_asymmetry))
+    metrics = sorted(result.diagnostics)
     outputs["diagnostics.csv"] = _write_csv(
         out_dir / "diagnostics.csv", ("metric", "value"),
-        sorted(result.diagnostics.items()))
+        (metrics, [result.diagnostics[m] for m in metrics]))
 
     (out_dir / "plot_thermo.py").write_text(_PLOT_THERMO)
     (out_dir / "plot_info.py").write_text(_PLOT_INFO)
@@ -340,7 +359,7 @@ def _cmd_sweep(args) -> int:
     header = tuple(f.name for f in dataclasses.fields(SweepSummary))
     outputs = {"summary.csv": _write_csv(
         out_dir / "summary.csv", header,
-        (tuple(getattr(r, name) for name in header) for r in rows))}
+        [[getattr(r, name) for r in rows] for name in header])}
 
     extra = None
     if "gamma_t_max" in grid_block:

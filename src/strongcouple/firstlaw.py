@@ -17,11 +17,11 @@ term tracks population changes, and the coherent term tracks rotation of
 the state eigenbasis relative to the energy eigenbasis.
 
 Time is an array axis. :func:`thermo_trajectory` calls a state builder
-once on its whole grid, validates the ``(T, n, n)`` stack once with
-:func:`~strongcouple.spectra.density_stack`, diagonalizes it in one
-:func:`~strongcouple.spectra.eigh_stack` call and integrates on the
-stacked spectra. :func:`sample_trajectory` stacks per-instant states and
-runs the same core, then wraps its rows in :class:`TrajectorySample`.
+once on its whole grid, validates and diagonalizes the ``(T, n, n)``
+stack with one :func:`~strongcouple.spectra.density_eigh` call and
+integrates on the stacked spectra. :func:`sample_trajectory` stacks
+per-instant states and runs the same core, then wraps its rows in
+:class:`TrajectorySample`.
 
 Branches are identified across time steps by greedy eigenvector overlap
 matching, for all steps at once: the moduli of the overlaps between
@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, NumericalError, TrackingError
-from .spectra import (SpectralDecomposition, density_stack, eigh_stack,
+from .spectra import (SpectralDecomposition, density_eigh, eigh_stack,
                       hermitian_stack)
 
 _TRACK_MIN_OVERLAP = 1.0 / np.sqrt(2.0)
@@ -183,28 +183,29 @@ def _spectra(hamiltonian, states, times) -> _Spectra:
 
     ``hamiltonian`` is one matrix (static) or a stack aligned with
     ``times``; ``states`` is a stack of density matrices aligned with
-    ``times``. A static Hamiltonian is diagonalized once and its spectrum
-    repeated along the grid.
+    ``times``. The states are validated and diagonalized in one call. A
+    static Hamiltonian is diagonalized once and its spectrum repeated
+    along the grid.
     """
-    rho = density_stack(states)
-    if rho.ndim != 3 or rho.shape[0] != times.size:
-        raise InputError(f"got states of shape {rho.shape} for "
+    rho_lam, rho_vec = density_eigh(states)
+    if rho_vec.ndim != 3 or rho_vec.shape[0] != times.size:
+        raise InputError(f"got states of shape {rho_vec.shape} for "
                          f"{times.size} time points")
     h = hermitian_stack(hamiltonian)
-    if h.shape[-1] != rho.shape[-1]:
+    if h.shape[-1] != rho_vec.shape[-1]:
         raise InputError(f"dimension mismatch: hamiltonian {h.shape}, "
-                         f"states {rho.shape}")
+                         f"states {rho_vec.shape}")
     if h.ndim == 2:
         energies, h_vec = eigh_stack(h)
-        energies = np.broadcast_to(energies, rho.shape[:2])
+        energies = np.broadcast_to(energies, rho_lam.shape)
     elif h.ndim == 3 and h.shape[0] == times.size:
         energies, h_vec = _track(*eigh_stack(h), times)
     else:
         raise InputError(f"got a hamiltonian of shape {h.shape} for "
                          f"{times.size} time points")
-    populations, s_vec = _track(*eigh_stack(rho), times)
+    populations, s_vec = _track(rho_lam, rho_vec, times)
     overlaps = np.abs(h_vec.conj().swapaxes(-1, -2) @ s_vec) ** 2
-    return _Spectra(energies, np.broadcast_to(h_vec, rho.shape),
+    return _Spectra(energies, np.broadcast_to(h_vec, rho_vec.shape),
                     populations, s_vec, overlaps)
 
 

@@ -12,7 +12,9 @@ The checks work on stacks: :func:`hermitian_stack` and
 such as the states of a trajectory with time as the leading axis, and
 :class:`HermitianOperator` and :class:`DensityOperator` apply the same
 checks to a single matrix. :func:`eigh_stack` diagonalizes a validated
-stack in one call with the eigenvector gauge of :func:`eig_hermitian`.
+stack in one call with the eigenvector gauge of :func:`eig_hermitian`,
+and :func:`density_eigh` validates a density stack and diagonalizes it
+with that one call.
 
 Composite indices follow the convention that the first tensor factor is
 the slow index: for a two-qubit operator the basis ordering is
@@ -54,17 +56,27 @@ def hermitian_stack(matrices) -> np.ndarray:
     return (m + adjoint) / 2
 
 
-def _check_density(m) -> None:
-    """Unit trace and nonnegative spectrum of a Hermitian stack."""
+def _check_trace(m) -> None:
+    """Unit trace of every matrix of a Hermitian stack."""
     tr = np.trace(m, axis1=-2, axis2=-1)
     dev = np.abs(tr - 1.0)
     if np.any(dev > TRACE_TOL):
         worst = tr.flat[np.argmax(dev)]
         raise InputError(
             f"trace {worst.real:.15g} differs from 1 by more than {TRACE_TOL:.0e}")
-    low = float(np.min(np.linalg.eigvalsh(m)[..., 0]))
+
+
+def _check_spectrum(eigenvalues) -> None:
+    """Ascending eigenvalues of a stack, all above ``PSD_FLOOR``."""
+    low = float(np.min(eigenvalues[..., 0]))
     if low < PSD_FLOOR:
         raise InputError(f"matrix has eigenvalue {low:.3e} below {PSD_FLOOR:.0e}")
+
+
+def _check_density(m) -> None:
+    """Unit trace and nonnegative spectrum of a Hermitian stack."""
+    _check_trace(m)
+    _check_spectrum(np.linalg.eigvalsh(m))
 
 
 def density_stack(matrices) -> np.ndarray:
@@ -79,6 +91,21 @@ def density_stack(matrices) -> np.ndarray:
     m = hermitian_stack(matrices)
     _check_density(m)
     return m
+
+
+def density_eigh(matrices):
+    """Validate a stack of density matrices and diagonalize it.
+
+    Applies the checks of :func:`density_stack`, but reads the spectrum
+    floor from the eigenvalues of one :func:`eigh_stack` call instead of
+    a separate eigensolve. Returns what :func:`eigh_stack` returns for
+    the symmetrized stack.
+    """
+    m = hermitian_stack(matrices)
+    _check_trace(m)
+    lam, v = eigh_stack(m)
+    _check_spectrum(lam)
+    return lam, v
 
 
 class HermitianOperator:

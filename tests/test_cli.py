@@ -3,9 +3,10 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from strongcouple.cli import main
+from strongcouple.cli import _write_csv, main
 
 QUICK = {"t_max": 2.0, "n_samples": 401}
 
@@ -58,6 +59,43 @@ class TestRunCommand:
     def test_plot_scripts_compile(self, run_dir):
         for name in ("plot_thermo.py", "plot_info.py"):
             compile((run_dir / name).read_text(), name, "exec")
+
+
+def _reference_fmt(value) -> str:
+    """Per-value CSV formatting, the rule the table writer must keep."""
+    if isinstance(value, str):
+        return value.replace(",", ";")
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".12g")
+
+
+class TestCsvWriter:
+    def test_bytes_match_per_value_formatting(self, tmp_path):
+        edges = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324,
+                 2.2250738585072014e-308, 1e16, -1e16, 1e16 + 2.0,
+                 0.1, 1.0 / 3.0, 123456789012.5, 1e-300, 1.7976931348623157e308]
+        bits = np.random.default_rng(3).integers(
+            0, 2 ** 63, size=700 - len(edges), dtype=np.int64)
+        floats = np.concatenate([edges, bits.view(np.float64)])
+        ints = np.arange(-350, 350, dtype=np.int64) * 10 ** 15
+        small = list(range(700))
+        text = [f"row {i}, part {i % 3},," if i % 2 else "" for i in range(700)]
+        columns = (floats, ints, small, text)
+        header = ("x", "n", "k", "error")
+        meta = _write_csv(tmp_path / "t.csv", header, columns)
+        expected = ",".join(header) + "\n" + "".join(
+            ",".join(_reference_fmt(v) for v in row) + "\n"
+            for row in zip(*columns))
+        blob = (tmp_path / "t.csv").read_bytes()
+        assert blob == expected.encode()
+        assert meta == {"rows": 700,
+                        "sha256": hashlib.sha256(blob).hexdigest()}
+
+    def test_empty_table_writes_header(self, tmp_path):
+        meta = _write_csv(tmp_path / "e.csv", ("a", "b"), ([], []))
+        assert (tmp_path / "e.csv").read_text() == "a,b\n"
+        assert meta["rows"] == 0
 
 
 class TestRunErrors:

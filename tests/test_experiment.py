@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from strongcouple import channels as ch
 from strongcouple.errors import InputError
 from strongcouple.experiment import (ExperimentConfig, IntegratorSettings,
                                      run, sweep)
@@ -57,7 +58,6 @@ class TestRun:
         assert d["work_system_max_abs"] <= 1e-12
         assert d["work_environment_max_abs"] <= 1e-12
         assert d["energy_balance_max"] <= 1e-10
-        assert d["entropy_drift_unitary_family"] <= 1e-10
 
     def test_two_family_bookkeeping(self, quick_result):
         d = quick_result.diagnostics
@@ -94,6 +94,16 @@ class TestRun:
         # dS_s/dt = -dS_e/dt would make the pair weakly coupled; here the
         # mismatch must be transiently large
         assert quick_result.diagnostics["entropy_rate_mismatch_max"] > 0.1
+
+    def test_unitary_family_stack_not_built(self, monkeypatch):
+        # the unitary family's joint entropy has a closed form; only the
+        # single-instant negativity diagnostic still builds that family
+        def forbidden(*args, **kwargs):
+            raise AssertionError("run() must not build the unitary stack")
+
+        monkeypatch.setattr(ch, "joint_states", forbidden)
+        result = run(ExperimentConfig(t_max=2.0, n_samples=401))
+        assert result.diagnostics["negativity_unitary_family_final"] >= 0.0
 
     def test_deterministic(self):
         config = ExperimentConfig(t_max=2.0, n_samples=401)

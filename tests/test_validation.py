@@ -28,7 +28,7 @@ RUN_DIAGNOSTICS = {
     "work_system_max_abs", "work_environment_max_abs",
     "energy_balance_max", "heat_system_final", "heat_environment_final",
     "heat_asymmetry_max", "joint_entropy_unitary_family",
-    "entropy_drift_unitary_family", "entropy_drift_closed_form_family",
+    "entropy_drift_closed_form_family",
     "negativity_peak", "negativity_peak_time", "negativity_final",
     "negativity_peak_count", "negativity_unitary_family_final",
     "entropy_rate_system_max", "entropy_rate_mismatch_max",
