@@ -31,18 +31,30 @@ initial spectrum cannot have these exact marginals at intermediate times
 (the marginal spectra would violate the two-qubit spectral compatibility
 inequalities). The library therefore exposes both families and documents
 which one each derived quantity uses.
+
+Bloch form of the marginals
+---------------------------
+Each closed-form marginal is ``(1 + x sigma_x + z sigma_z) / 2`` with
+real ``x``. With ``g = exp(-gamma_rate t)``, both ``z`` and ``x^2`` are
+affine in ``g``: the square root in time of the coherence cancels in
+``x^2``. :func:`system_bloch` and :func:`environment_bloch` give these
+lines and their values on a time grid as a :class:`BlochSeries`, which
+carries everything a run needs of a marginal: the Bloch radius for the
+spectrum, ``|x|`` for the coherence, and the coefficients for the exact
+first-law split of :func:`strongcouple.firstlaw.qubit_thermo_trajectory`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError
-from .spectra import (DensityOperator, density_stack, partial_trace,
-                      tensor_product)
+from .spectra import (PSD_FLOOR, DensityOperator, density_stack,
+                      partial_trace, tensor_product, unit_trace_stack)
 
 KRAUS_COMPLETENESS_TOL = 1e-10
 
@@ -366,6 +378,75 @@ def environment_states(params: GadcParams, times) -> np.ndarray:
     return density_stack(_qubit_matrices(params, d, g))
 
 
+class BlochSeries(NamedTuple):
+    """A closed-form marginal on a time grid, in Bloch form.
+
+    ``coefficients = (z0, z1, c0, c1)`` give ``z = z0 + z1 g`` and
+    ``x^2 = c0 + c1 g`` in the decay factor ``g = exp(-gamma_rate t)``,
+    whose values on ``times`` are ``decay``. ``x2`` and ``radius =
+    sqrt(z^2 + x^2)`` are evaluated on the grid, and ``matrices`` is the
+    ``(T, 2, 2)`` stack of the same states from the matrix closed forms,
+    checked for Hermiticity and unit trace.
+    """
+
+    times: np.ndarray
+    decay: np.ndarray
+    coefficients: tuple
+    x2: np.ndarray
+    radius: np.ndarray
+    matrices: np.ndarray
+
+
+def _bloch(params: GadcParams, times, keep_is_decay: bool) -> BlochSeries:
+    """Bloch series of the marginal whose coherence decays as ``sqrt(keep)``.
+
+    For the matrices of :func:`_qubit_matrices`, ``rho_gg - rho_ee =
+    (w0 - w1) - 2 keep (b^2 w0 - a^2 w1)`` and ``(2 rho_ge)^2 = 4 a^2 b^2
+    keep``. The state is positive when ``radius <= 1 - 2 PSD_FLOOR``, the
+    eigenvalue floor of :func:`~strongcouple.spectra.density_stack`.
+    """
+    times = np.asarray(times, dtype=float)
+    g, d = _decay(params, times)
+    a2 = params.alpha ** 2
+    b2 = 1.0 - a2
+    lead = params.w0 - params.w1
+    slope = -2.0 * (b2 * params.w0 - a2 * params.w1)
+    coh = 4.0 * a2 * b2
+    if keep_is_decay:
+        coefficients = (lead, slope, 0.0, coh)
+        matrices = _qubit_matrices(params, g, d)
+    else:
+        coefficients = (lead + slope, -slope, coh, -coh)
+        matrices = _qubit_matrices(params, d, g)
+    z0, z1, c0, c1 = coefficients
+    z = z0 + z1 * g
+    x2 = np.maximum(c0 + c1 * g, 0.0)
+    radius = np.sqrt(z * z + x2)
+    if np.any(radius > 1.0 - 2.0 * PSD_FLOOR):
+        worst = float(np.max(radius))
+        raise InputError(f"Bloch radius {worst:.15g} exceeds one by more "
+                         f"than {-2.0 * PSD_FLOOR:.0e}; not a density operator")
+    return BlochSeries(times=times, decay=g, coefficients=coefficients,
+                       x2=x2, radius=radius,
+                       matrices=unit_trace_stack(matrices))
+
+
+def system_bloch(params: GadcParams, times) -> BlochSeries:
+    """:func:`system_state` at every time, in Bloch form.
+
+    ``z = (w0 - w1) - 2 (b^2 w0 - a^2 w1) g`` and ``x^2 = 4 a^2 b^2 g``.
+    """
+    return _bloch(params, times, keep_is_decay=True)
+
+
+def environment_bloch(params: GadcParams, times) -> BlochSeries:
+    """:func:`environment_state` at every time, in Bloch form.
+
+    The system's lines with ``g`` replaced by ``1 - g``.
+    """
+    return _bloch(params, times, keep_is_decay=False)
+
+
 def joint_state(params: GadcParams, t: float) -> DensityOperator:
     """Joint state evolved with the exact unitary dilation.
 
@@ -407,9 +488,32 @@ def joint_state_closed_form(params: GadcParams, t: float) -> DensityOperator:
 
 
 def joint_states_closed_form(params: GadcParams, times) -> np.ndarray:
-    """:func:`joint_state_closed_form` at every time, a ``(T, 4, 4)`` stack."""
+    """:func:`joint_state_closed_form` at every time, a ``(T, 4, 4)`` stack.
+
+    The family is the congruence ``M rho_0 M^T`` of the positive initial
+    product state with the real matrix of :func:`gadc_coupling_matrix`,
+    so it is positive by construction; the stack is checked for
+    Hermiticity and unit trace only. ``validate`` checks the congruence
+    identity entrywise.
+    """
     g, d = _decay(params, times)
-    return density_stack(_closed_form_joint_matrices(params, g, d))
+    return unit_trace_stack(_closed_form_joint_matrices(params, g, d))
+
+
+def joint_radii_closed_form(params: GadcParams, times) -> np.ndarray:
+    """Spectrum of :func:`joint_state_closed_form` as a Bloch radius.
+
+    With a pure initial system, the family ``M rho_0 M^T`` has rank two:
+    it is ``w0 |v0><v0| + w1 |v1><v1|`` with ``v_k = M |psi, k>``, unit
+    vectors with overlap ``2 a b sqrt(g d)``. Its nonzero eigenvalues are
+    those of the Gram matrix ``[[w0, s], [s, w1]]``, ``s = 2 a b sqrt(w0
+    w1 g d)``, that is ``(1 +- R)/2`` with ``R^2 = (w0 - w1)^2 + 16 a^2
+    b^2 w0 w1 g d``. Returns ``R`` at every time.
+    """
+    g, d = _decay(params, times)
+    a2 = params.alpha ** 2
+    w0, w1 = params.w0, params.w1
+    return np.sqrt((w0 - w1) ** 2 + 16.0 * a2 * (1.0 - a2) * w0 * w1 * g * d)
 
 
 def iterate_map_check(params: GadcParams, t: float, n_steps: int) -> DensityOperator:

@@ -33,7 +33,7 @@ from .experiment import (ExperimentConfig, IntegratorSettings, SweepSummary,
 from .validation import run_suites
 
 _CONFIG_KEYS = {"alpha", "beta", "gamma", "t_max", "n_samples", "integrator"}
-_INTEGRATOR_KEYS = {"endpoint_subdivision", "closure_tolerance"}
+_INTEGRATOR_KEYS = {"closure_tolerance"}
 _GRID_KEYS = {"alpha", "beta", "gamma", "t_max", "gamma_t_max",
               "n_samples", "integrator"}
 _CSV_BLOCK = 256
@@ -62,9 +62,6 @@ def _integrator_from_dict(data) -> IntegratorSettings:
             f"unknown integrator field '{sorted(unknown)[0]}'; "
             f"allowed: {sorted(_INTEGRATOR_KEYS)}")
     kwargs = {}
-    if "endpoint_subdivision" in data:
-        kwargs["endpoint_subdivision"] = _int_field(
-            data["endpoint_subdivision"], "endpoint_subdivision")
     if "closure_tolerance" in data:
         kwargs["closure_tolerance"] = _float_field(
             data["closure_tolerance"], "closure_tolerance")
@@ -148,7 +145,6 @@ def _config_as_dict(config: ExperimentConfig) -> dict:
         "t_max": config.t_max,
         "n_samples": int(config.n_samples),
         "integrator": {
-            "endpoint_subdivision": int(config.integrator.endpoint_subdivision),
             "closure_tolerance": config.integrator.closure_tolerance,
         },
     }

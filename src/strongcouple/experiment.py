@@ -3,7 +3,12 @@
 A run evolves one system-environment pair from a product initial state,
 integrates the first-law split for both subsystems, evaluates the
 information measures on the same grid, and collects a dictionary of
-scalar diagnostics that double as regression probes. Every diagnostic is
+scalar diagnostics that double as regression probes. Both marginals come
+from one Bloch series each (:class:`strongcouple.channels.BlochSeries`),
+which feeds their exact first-law split
+(:func:`strongcouple.firstlaw.qubit_thermo_trajectory`), their entropies
+and their coherences; the only eigensolve per time point is that of the
+partial transposes behind the negativity. Every diagnostic is
 derived from the run's own series; the self-checks that do not depend on
 the grid, such as route consistency and the Markov limit, live in
 :mod:`strongcouple.validation` and run in ``validate``. Two joint-state
@@ -15,12 +20,13 @@ spectrum ``{w0, w1, 0, 0}``, so a run takes ``S_se = S[rho_e(0)]`` in
 closed form. Mutual information combines the two accordingly,
 ``S_s + S_e - S_se``, with the marginal entropies from the closed forms.
 The diagnostics record ``S_se`` and the entropy drift of the closed-form
-family; ``validate`` and the tests check that ``S_se`` is constant.
+family, whose rank-two spectrum is also closed-form
+(:func:`strongcouple.channels.joint_radii_closed_form`); ``validate`` and
+the tests check that ``S_se`` is constant.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -28,33 +34,31 @@ import numpy as np
 
 from . import channels as ch
 from .errors import InputError, NumericalError
-from .firstlaw import ThermoTrajectory, thermo_trajectory
-from .infomeasures import (InfoSeries, heat_asymmetry, l1_coherences,
+# thermo_trajectory, the generic route, is not called here; it stays bound
+# because benchmarks/tests/test_bench_tracer.py checks that the layer
+# tracer wraps it in this module
+from .firstlaw import (ThermoTrajectory, qubit_thermo_trajectory,  # noqa: F401
+                       thermo_trajectory)
+from .infomeasures import (InfoSeries, bloch_entropies, heat_asymmetry,
                            negativities, negativity, proportionality_report,
-                           von_neumann_entropies, von_neumann_entropy)
+                           von_neumann_entropy)
 
 RATIO_DENOMINATOR_THRESHOLD = 5e-3
 WORK_STATIC_TOL = 1e-12
 ENERGY_BALANCE_TOL = 1e-10
-_DRIFT_SUBSAMPLE = 10
-# Time points per block of the information series: the stacks of one block
-# stay small, so the run's memory does not grow with n_samples.
+# Time points per block of the negativity series: the 4x4 stacks of one
+# block stay small, so the run's memory does not grow with n_samples.
 _INFO_BLOCK = 256
 _NEGATIVITY_PEAK_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
 class IntegratorSettings:
-    """Grid refinement and closure policy for the first-law integrals."""
+    """Closure policy for the first-law integrals."""
 
-    endpoint_subdivision: int = 32
     closure_tolerance: float = 1e-4
 
     def validate(self):
-        if int(self.endpoint_subdivision) != self.endpoint_subdivision \
-                or self.endpoint_subdivision < 1:
-            raise InputError("endpoint_subdivision must be a positive integer, "
-                             f"got {self.endpoint_subdivision}")
         if not self.closure_tolerance > 0.0:
             raise InputError("closure_tolerance must be positive, "
                              f"got {self.closure_tolerance}")
@@ -120,20 +124,6 @@ def _count_peaks(values: np.ndarray, floor: float) -> int:
         (inner > values[:-2]) & (inner > values[2:]) & (inner > floor)))
 
 
-def _info_block(params: ch.GadcParams, times: np.ndarray) -> np.ndarray:
-    """Per-point information measures on a block of times.
-
-    Rows: system and environment entropies, system and environment l1
-    coherences, and the negativity of the closed-form family.
-    """
-    rho_s = ch.system_states(params, times)
-    rho_e = ch.environment_states(params, times)
-    return np.stack([
-        von_neumann_entropies(rho_s), von_neumann_entropies(rho_e),
-        l1_coherences(rho_s), l1_coherences(rho_e),
-        negativities(ch.joint_states_closed_form(params, times))])
-
-
 def run(config: ExperimentConfig) -> ExperimentResult:
     """Execute one configured run and verify its invariants.
 
@@ -144,17 +134,14 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     config.validate()
     params = config.params
     times = config.times
-    h_s = ch.system_hamiltonian(params)
-    h_e = ch.environment_hamiltonian(params)
+    bloch_s = ch.system_bloch(params, times)
+    bloch_e = ch.environment_bloch(params, times)
 
-    thermo_s = thermo_trajectory(
-        h_s, functools.partial(ch.system_states, params), times,
-        endpoint_subdivision=config.integrator.endpoint_subdivision,
-        closure_tolerance=config.integrator.closure_tolerance)
-    thermo_e = thermo_trajectory(
-        h_e, functools.partial(ch.environment_states, params), times,
-        endpoint_subdivision=config.integrator.endpoint_subdivision,
-        closure_tolerance=config.integrator.closure_tolerance)
+    tolerance = config.integrator.closure_tolerance
+    thermo_s = qubit_thermo_trajectory(ch.system_hamiltonian(params), bloch_s,
+                                       closure_tolerance=tolerance)
+    thermo_e = qubit_thermo_trajectory(ch.environment_hamiltonian(params),
+                                       bloch_e, closure_tolerance=tolerance)
 
     work_max = max(float(np.max(np.abs(thermo_s.work))),
                    float(np.max(np.abs(thermo_e.work))))
@@ -171,17 +158,21 @@ def run(config: ExperimentConfig) -> ExperimentResult:
 
     asym = heat_asymmetry(thermo_s.heat, thermo_e.heat)
 
+    ent_s = bloch_entropies(bloch_s.radius)
+    ent_e = bloch_entropies(bloch_e.radius)
+    coh_s = np.sqrt(bloch_s.x2)
+    coh_e = np.sqrt(bloch_e.x2)
     blocks = np.array_split(times, -(-times.size // _INFO_BLOCK))
-    ent_s, ent_e, coh_s, coh_e, neg = np.concatenate(
-        [_info_block(params, block) for block in blocks], axis=1)
+    neg = np.concatenate(
+        [negativities(ch.joint_states_closed_form(params, block))
+         for block in blocks])
     ent_joint = von_neumann_entropy(ch.environment_initial_state(params))
     info = InfoSeries(times=times, entropy_s=ent_s, entropy_e=ent_e,
                       coherence_s=coh_s, coherence_e=coh_e, negativity=neg,
                       mutual_information=ent_s + ent_e - ent_joint,
                       heat_asymmetry=asym)
 
-    drift_closed = von_neumann_entropies(ch.joint_states_closed_form(
-        params, np.append(times[::_DRIFT_SUBSAMPLE], times[-1])))
+    drift_closed = bloch_entropies(ch.joint_radii_closed_form(params, times))
     peak_idx = int(np.argmax(neg))
     diagnostics = {
         "closure_system_max": thermo_s.max_closure_residual,

@@ -35,10 +35,31 @@ same set of entries whatever the order of the rows, and fails at the same
 step with the same best overlap. Derivatives use second-order central
 differences on the interior (``numpy.gradient``) and the cumulative
 integrals use the trapezoid rule on the same grid.
+
+Qubit route
+-----------
+For a qubit ``rho = (1 + r . sigma)/2`` with a static ``H = diag(E0,
+E1)``, the populations are ``(1 +- |r|)/2`` and the overlaps of their
+eigenvectors with the levels follow from ``n_z = z / |r|``, so
+
+* ``dQ = (E0 - E1)/2 n_z d|r| = (E0 - E1)/2 z dq / (2 q)``, ``q = |r|^2``
+* ``dC = (E0 - E1)/2 |r| dn_z``, and ``dQ + dC = dU = (E0 - E1)/2 dz``
+
+with no eigensolve and no branch to track. When ``z`` and ``x^2`` are
+affine in a parameter ``g`` (see :class:`strongcouple.channels.BlochSeries`),
+``q`` is quadratic in ``g`` and the heat integral has an elementary
+antiderivative: with ``r_i`` the roots of ``q``, partial fractions give
+``I(g) = z1 g + 1/2 sum_i Re[z(r_i) log(g - r_i)]``, a log plus an arctan
+for a complex pair. :func:`qubit_thermo_trajectory` evaluates it exactly
+on the grid; ``C`` is the rest of ``Delta U``. Since ``Q + C = Delta U``
+holds by construction there, its closure residual cannot see an error in
+the split itself; the tests and ``validate`` check the split against
+adaptive quadrature, frozen high-precision values and the generic route.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -73,8 +94,10 @@ class ThermoTrajectory:
 
     All arrays share the grid ``times``; energy arrays start at zero.
     ``closure_residual[i] = |internal_energy_change[i] - work[i] -
-    heat[i] - coherent_energy[i]|`` is the discretization error of the
-    split.
+    heat[i] - coherent_energy[i]|``. On the generic route of
+    :func:`thermo_trajectory` it is the discretization error of the
+    split; on :func:`qubit_thermo_trajectory` it compares the Bloch
+    coefficients with the state matrices.
     """
 
     times: np.ndarray
@@ -313,6 +336,28 @@ def internal_energy_change(hamiltonian, rho_t, rho_0) -> float:
     return float(np.real(np.trace(h @ (a - b))))
 
 
+def _check_closure(residual, times, tolerance, advice) -> None:
+    """Raise :class:`NumericalError` if the closure residual tops ``tolerance``.
+
+    The message names the time of the worst residual and, since the
+    residual accumulates, the grid step where it grows most, then
+    ``advice``.
+    """
+    worst = int(np.argmax(residual))
+    # written so that a NaN residual fails too
+    if not residual[worst] <= tolerance:
+        # the residual accumulates, so its worst point says little about
+        # where the error arises; the step where it grows most does
+        growth = np.abs(np.diff(residual))
+        step = int(np.argmax(growth))
+        raise NumericalError(
+            f"first-law closure residual {residual[worst]:.3e} at "
+            f"t = {times[worst]:.6g} exceeds tolerance "
+            f"{tolerance:.1e}; it grows most, by "
+            f"{growth[step]:.3e}, between t = {times[step]:.6g} and "
+            f"t = {times[step + 1]:.6g}; {advice}")
+
+
 def thermo_trajectory(hamiltonian, state_builder, times,
                       endpoint_subdivision: int = 32,
                       closure_tolerance: float = 1e-4) -> ThermoTrajectory:
@@ -357,18 +402,127 @@ def thermo_trajectory(hamiltonian, state_builder, times,
     coherent = _coherent(*stacks)[public]
     du = _internal_energy_series(*stacks[1:])[public]
     residual = np.abs(du - work - heat - coherent)
-    worst = int(np.argmax(residual))
-    if residual[worst] > closure_tolerance:
-        # the residual accumulates, so its worst point says little about
-        # where the error arises; the step where it grows most does
-        growth = np.abs(np.diff(residual))
-        step = int(np.argmax(growth))
-        raise NumericalError(
-            f"first-law closure residual {residual[worst]:.3e} at "
-            f"t = {times[worst]:.6g} exceeds tolerance "
-            f"{closure_tolerance:.1e}; it grows most, by "
-            f"{growth[step]:.3e}, between t = {times[step]:.6g} and "
-            f"t = {times[step + 1]:.6g}; refine the time grid")
+    _check_closure(residual, times, closure_tolerance,
+                   "refine the time grid")
+    return ThermoTrajectory(times=times, work=work, heat=heat,
+                            coherent_energy=coherent,
+                            internal_energy_change=du,
+                            closure_residual=residual,
+                            closure_tolerance=closure_tolerance)
+
+
+def _real_roots(a, b, c, disc):
+    """Ascending roots of ``a x^2 + b x + c``, ``a > 0``, ``disc = b^2 -
+    4 a c >= 0``, each in the form without cancellation."""
+    big = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    if big == 0.0:
+        # b = c = 0
+        return 0.0, 0.0
+    return tuple(sorted((big / a, c / big)))
+
+
+def _bloch_heat(coefficients, g) -> np.ndarray:
+    """``I(g) - I(g[0])`` for ``I' = z q' / (2 q)`` on the points ``g``.
+
+    ``coefficients = (z0, z1, c0, c1)`` give ``z = z0 + z1 g`` and
+    ``q = z^2 + c0 + c1 g``. Each real root ``r``, or complex pair
+    ``p +- i m``, of ``q`` enters through ``log((x - r) / (x0 - r))``,
+    and each is taken in the coordinate that knows it to more absolute
+    digits. That is ``u = g - g[0]`` by default. A root inside ``|g| <
+    g[0]`` and nearer ``g = 0`` than the start is taken in ``g``: a
+    marginal that ends nearly maximally mixed has one there, and ``u``
+    has lost the low digits of small ``g``. The log of a root at least
+    one away from the start, such as the far root of a nearly linear
+    ``q``, is a ``log1p`` of a small argument; the others are differences
+    of logs of ``hypot``, which neither underflow nor overflow. ``g``
+    must lie in ``[0, 1]``.
+    """
+    z0, z1, c0, c1 = coefficients
+    g0 = g[0]
+    u = g - g0
+    out = z1 * u
+    if c0 == 0.0 and c1 == 0.0:
+        # no coherence: q = z^2, and z q' / (2 q) = z'
+        return out
+    za = z0 + z1 * g0
+    # q = a x^2 + b x + c in x = g and in x = u
+    a = z1 * z1
+    bg, cg = 2.0 * z0 * z1 + c1, z0 * z0 + c0
+    bu, cu = 2.0 * za * z1 + c1, za * za + max(c0 + c1 * g0, 0.0)
+    # (root in g, root in u, m, share): a real root carries half its
+    # weight, a complex pair stands for both of its roots
+    if z1 == 0.0:
+        # z is constant and q linear
+        if c1 == 0.0:
+            return out
+        roots = [(-cg / c1, -cu / c1, 0.0, 0.5)]
+    else:
+        # b^2 - 4 a c without the cancelling 4 z^2 z1^2 terms
+        disc = c1 * c1 + 4.0 * z1 * (z0 * c1 - z1 * c0)
+        if disc < 0.0:
+            roots = [(-bg / (2.0 * a), -bu / (2.0 * a),
+                      math.sqrt(-disc) / (2.0 * a), 1.0)]
+        else:
+            roots = [(root_g, root_u, 0.0, 0.5) for root_g, root_u in zip(
+                _real_roots(a, bg, cg, disc), _real_roots(a, bu, cu, disc))]
+    for root_g, root_u, m, share in roots:
+        near_zero = abs(root_g) < min(abs(root_u), g0)
+        weight = z0 + z1 * root_g if near_zero else za + z1 * root_u
+        if weight == 0.0 and m == 0.0:
+            # a real root where z vanishes carries no log: u = 0 when the
+            # state starts maximally mixed, g = 0 when it ends so
+            continue
+        x, x0, r = (g, g0, root_g) if near_zero else (u, 0.0, root_u)
+        rho = math.hypot(x0 - r, m)
+        if near_zero or rho < 1.0:
+            modulus = np.log(np.hypot(x - r, m)) - np.log(rho)
+        else:
+            # |u - r|^2 / rho^2 = 1 + u (u - 2 r) / rho^2 with |u| <= 1:
+            # log1p keeps the digits of a far root's small log
+            modulus = 0.5 * np.log1p(u / rho * ((u - 2.0 * r) / rho))
+        # Re[z(r) log(...)] with z(r) = weight + i z1 m for r = root + i m
+        out = out + share * weight * modulus
+        if m:
+            out = out - z1 * m * np.arctan2(m * u, (x - r) * (x0 - r) + m * m)
+    return out
+
+
+def qubit_thermo_trajectory(hamiltonian, bloch,
+                            closure_tolerance: float = 1e-4
+                            ) -> ThermoTrajectory:
+    """Exact first-law split of a qubit given in Bloch form.
+
+    ``hamiltonian`` is a static diagonal 2x2 matrix and ``bloch`` a
+    :class:`strongcouple.channels.BlochSeries`. Work is zero, the heat is
+    the closed-form integral of the module docstring, and the coherent
+    energy is ``(E0 - E1)/2 Delta z`` minus the heat, so neither needs a
+    derivative, a quadrature rule or an eigensolve, and the grid may be
+    as coarse as the caller likes. The internal energy change is read
+    from the diagonals of ``bloch.matrices``; the closure residual
+    therefore compares the Bloch coefficients with the matrix closed
+    forms, and a residual above ``closure_tolerance`` raises
+    :class:`NumericalError`. It cannot see an error in the split of
+    ``Delta U`` between heat and coherent energy.
+    """
+    if not closure_tolerance > 0.0:
+        raise InputError(
+            f"closure_tolerance must be positive, got {closure_tolerance}")
+    times = _check_grid(bloch.times)
+    h = hermitian_stack(hamiltonian)
+    if h.shape != (2, 2) or h[0, 1] != 0.0:
+        raise InputError("the qubit route needs a static diagonal 2x2 "
+                         f"hamiltonian, got {h.tolist()}")
+    energies = h.real.diagonal()
+    half_gap = 0.5 * (energies[0] - energies[1])
+    g = bloch.decay
+    heat = half_gap * _bloch_heat(bloch.coefficients, g)
+    coherent = half_gap * bloch.coefficients[1] * (g - g[0]) - heat
+    u = np.einsum("n,tnn->t", energies, bloch.matrices.real)
+    du = u - u[0]
+    work = np.zeros_like(times)
+    residual = np.abs(du - work - heat - coherent)
+    _check_closure(residual, times, closure_tolerance,
+                   "the Bloch coefficients disagree with the state matrices")
     return ThermoTrajectory(times=times, work=work, heat=heat,
                             coherent_energy=coherent,
                             internal_energy_change=du,

@@ -12,11 +12,14 @@ Each measure has a stack form (:func:`von_neumann_entropies`,
 ``(..., n, n)`` array of states, such as a trajectory, with one batched
 eigensolve. The stack forms take states already validated, for instance
 by :func:`strongcouple.spectra.density_stack`; the single-state functions
-validate their input and then call the stack form.
+validate their input and then call the stack form. A qubit needs no
+eigensolve: :func:`bloch_entropies` reads its entropy from the Bloch
+radius, and its l1 coherence is ``|x|``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +46,25 @@ def von_neumann_entropies(states) -> np.ndarray:
     lam = np.where(lam < _ENTROPY_CLIP, 0.0, lam)
     terms = np.where(lam > 0.0, lam * np.log2(np.where(lam > 0.0, lam, 1.0)), 0.0)
     return -np.sum(terms, axis=-1) + 0.0
+
+
+def bloch_entropies(radii) -> np.ndarray:
+    """Entropies in bits of qubit states with Bloch radii ``radii``.
+
+    The eigenvalues are ``(1 -+ r)/2``. The smaller one gets the
+    treatment of :func:`von_neumann_entropy`: values in ``[-1e-10,
+    1e-12]`` count as zero and lower ones raise :class:`InputError`; the
+    larger one is one minus the smaller.
+    """
+    low = 0.5 * (1.0 - np.asarray(radii, dtype=float))
+    if np.any(low < ENTROPY_EIGENVALUE_FLOOR):
+        raise InputError(
+            f"eigenvalue {low.min():.3e} below {ENTROPY_EIGENVALUE_FLOOR:.0e}; "
+            "not a density operator")
+    low = np.where(low < _ENTROPY_CLIP, 0.0, low)
+    terms = np.where(low > 0.0, low * np.log2(np.where(low > 0.0, low, 1.0)),
+                     0.0) + (1.0 - low) * np.log1p(-low) / math.log(2.0)
+    return -terms + 0.0
 
 
 def von_neumann_entropy(rho) -> float:

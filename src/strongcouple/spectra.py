@@ -14,7 +14,8 @@ such as the states of a trajectory with time as the leading axis, and
 checks to a single matrix. :func:`eigh_stack` diagonalizes a validated
 stack in one call with the eigenvector gauge of :func:`eig_hermitian`,
 and :func:`density_eigh` validates a density stack and diagonalizes it
-with that one call.
+with that one call. :func:`unit_trace_stack` applies the Hermiticity and
+trace checks alone, for stacks that are positive by construction.
 
 Composite indices follow the convention that the first tensor factor is
 the slow index: for a two-qubit operator the basis ordering is
@@ -79,6 +80,18 @@ def _check_density(m) -> None:
     _check_spectrum(np.linalg.eigvalsh(m))
 
 
+def unit_trace_stack(matrices) -> np.ndarray:
+    """Validate a Hermitian stack with unit traces and return it symmetrized.
+
+    The checks of :func:`density_stack` without the eigensolve, for
+    stacks whose positivity holds by construction or is checked in
+    closed form by the caller.
+    """
+    m = hermitian_stack(matrices)
+    _check_trace(m)
+    return m
+
+
 def density_stack(matrices) -> np.ndarray:
     """Validate a stack of density matrices and return it symmetrized.
 
@@ -88,8 +101,8 @@ def density_stack(matrices) -> np.ndarray:
     ``PSD_FLOOR``; the limits leave room for accumulated round-off
     without admitting genuinely unphysical states.
     """
-    m = hermitian_stack(matrices)
-    _check_density(m)
+    m = unit_trace_stack(matrices)
+    _check_spectrum(np.linalg.eigvalsh(m))
     return m
 
 
@@ -101,9 +114,7 @@ def density_eigh(matrices):
     a separate eigensolve. Returns what :func:`eigh_stack` returns for
     the symmetrized stack.
     """
-    m = hermitian_stack(matrices)
-    _check_trace(m)
-    lam, v = eigh_stack(m)
+    lam, v = eigh_stack(unit_trace_stack(matrices))
     _check_spectrum(lam)
     return lam, v
 

@@ -15,6 +15,12 @@ high-precision mpmath route; regenerate them with
 which requires mpmath and prints the table at 40 working digits.
 ``heat_and_coherent`` is the fast scipy route used inside the tests to
 cross-check the package at a few time points without any frozen data.
+``bloch_heat`` integrates the qubit heat ``(E0 - E1)/2 z dq / (2 q)``,
+``q = z^2 + x^2``, in time with scipy for any ``alpha``, ``w0`` and decay
+rate, from the matrix entries and their time derivatives.
+``bloch_heat_exact`` evaluates the same heat from its antiderivative in
+``g = exp(-gamma t)`` at 60 digits with mpmath, where the cancellations
+that double precision must avoid do not matter.
 """
 
 import math
@@ -88,6 +94,95 @@ def heat_and_coherent(side, t_final):
     coh, _ = quad(lambda t: _integrands(side, t)[1], 0.0, t_final,
                   epsabs=1e-11, epsrel=1e-11, limit=200)
     return heat, coh
+
+
+def _entries(side, t, alpha, w0, gamma):
+    """(z, x^2) of the closed-form marginal and their time derivatives."""
+    g = math.exp(-gamma * t)
+    keep, dkeep = (g, -gamma * g) if side == "system" else \
+        (-math.expm1(-gamma * t), gamma * g)
+    a2 = alpha * alpha
+    b2 = 1.0 - a2
+    w1 = 1.0 - w0
+    top = (a2 + b2 * (1.0 - keep)) * w0 + a2 * keep * w1
+    bot = b2 * keep * w0 + (b2 + a2 * (1.0 - keep)) * w1
+    dtop = (-b2 * w0 + a2 * w1) * dkeep
+    dbot = (b2 * w0 - a2 * w1) * dkeep
+    x2 = 4.0 * a2 * b2 * keep
+    return top - bot, x2, dtop - dbot, 4.0 * a2 * b2 * dkeep
+
+
+def bloch_heat(side, t_final, alpha, w0, gamma=1.0):
+    """Qubit heat from 0 to ``t_final`` for the gap-one Hamiltonian
+    ``diag(0, 1)``, by adaptive quadrature in time.
+
+    The integrand is smooth but has steep steps where ``q`` is small: near
+    ``t = 0`` on the environment side at high temperature, and where ``z``
+    crosses zero when the initial coherence is small. Breakpoints at
+    geometric times and at the zero of ``z`` let quad resolve them.
+    """
+    from scipy.integrate import quad
+
+    def integrand(t):
+        z, x2, dz, dx2 = _entries(side, t, alpha, w0, gamma)
+        return -0.5 * z * (2.0 * z * dz + dx2) / (2.0 * (z * z + x2))
+
+    points = [t_final * 10.0 ** -k for k in range(1, 20)]
+    z0, _, _, _ = _entries(side, 0.0, alpha, w0, gamma)
+    z_end, _, _, _ = _entries(side, 1e3 / gamma, alpha, w0, gamma)
+    if z0 * z_end < 0.0:
+        # z is monotone in t: find its zero by bisection
+        lo, hi = 0.0, 1e3 / gamma
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if _entries(side, mid, alpha, w0, gamma)[0] * z0 > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        if lo < t_final:
+            points.append(lo)
+    heat, _ = quad(integrand, 0.0, t_final, points=sorted(points),
+                   epsabs=1e-12, epsrel=1e-12, limit=500)
+    return heat
+
+
+def bloch_heat_exact(side, times, alpha, w0, gamma=1.0):
+    """The heat of ``bloch_heat`` at each of ``times``, from 60 digits.
+
+    ``I(g) = z1 g + 1/2 sum_i z(r_i) log(g - r_i)`` over the roots ``r_i``
+    of ``q = z^2 + x^2`` (partial fractions of ``z q' / (2 q)``), with the
+    lines of ``z`` and ``x^2`` in ``g`` from ``_entries`` written out.
+    Needs mpmath.
+    """
+    import mpmath as mp
+
+    with mp.workdps(60):
+        a2 = mp.mpf(alpha) ** 2
+        b2 = 1 - a2
+        w0 = mp.mpf(w0)
+        w1 = 1 - w0
+        lead = w0 - w1
+        slope = -2 * (b2 * w0 - a2 * w1)
+        if side == "system":
+            z0, z1, c0, c1 = lead, slope, 0, 4 * a2 * b2
+        else:
+            z0, z1, c0, c1 = lead + slope, -slope, 4 * a2 * b2, -4 * a2 * b2
+        if c0 == 0 and c1 == 0:
+            def primitive(g):
+                return z1 * g
+        elif z1 == 0:
+            def primitive(g):
+                return z0 / 2 * mp.log(z0 * z0 + c0 + c1 * g)
+        else:
+            roots = mp.polyroots([z1 * z1, 2 * z0 * z1 + c1, z0 * z0 + c0],
+                                 maxsteps=200, extraprec=200)
+
+            def primitive(g):
+                return z1 * g + sum(mp.re((z0 + z1 * r) * mp.log(g - r))
+                                    for r in roots if z0 + z1 * r != 0) / 2
+        start = primitive(mp.mpf(1))
+        return [float(-(primitive(mp.exp(-gamma * mp.mpf(t))) - start) / 2)
+                for t in times]
 
 
 def _regenerate():

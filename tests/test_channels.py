@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from strongcouple.channels import (GadcParams, KrausChannel, apply_channel,
+                                   environment_bloch,
                                    environment_hamiltonian,
                                    environment_initial_state,
                                    environment_kraus, environment_state,
                                    environment_states, gadc_coupling_matrix,
                                    gadc_unitary, iterate_map_check,
-                                   joint_initial_state, joint_state,
+                                   joint_initial_state,
+                                   joint_radii_closed_form, joint_state,
                                    joint_state_closed_form, joint_states,
                                    joint_states_closed_form, p_of_t,
-                                   system_hamiltonian, system_initial_state,
+                                   system_bloch, system_hamiltonian,
+                                   system_initial_state,
                                    system_kraus, system_state,
                                    system_state_from_dilation, system_states)
 from strongcouple.errors import InputError
@@ -222,6 +225,74 @@ class TestJointFamilies:
         a = joint_state(pr, 1.3).matrix
         b = joint_state_closed_form(pr, 1.3).matrix
         assert np.max(np.abs(np.diag(a) - np.diag(b))) < 1e-14
+
+
+class TestBlochSeries:
+    @pytest.mark.parametrize("bloch, states", [
+        (system_bloch, system_states),
+        (environment_bloch, environment_states),
+    ], ids=["system", "environment"])
+    def test_components_match_matrices(self, rng, bloch, states):
+        grid = np.linspace(0.0, 6.0, 25)
+        for _ in range(20):
+            pr = GadcParams(alpha=float(rng.uniform(0, 1)),
+                            w0=float(rng.uniform(0, 1)),
+                            gamma_rate=float(rng.uniform(0.1, 3.0)))
+            series = bloch(pr, grid)
+            z0, z1, _, _ = series.coefficients
+            m = states(pr, grid)
+            z = (m[:, 0, 0] - m[:, 1, 1]).real
+            x = 2.0 * m[:, 0, 1].real
+            assert np.max(np.abs(z0 + z1 * series.decay - z)) < 1e-14
+            assert np.max(np.abs(series.x2 - x * x)) < 1e-14
+            assert np.max(np.abs(series.radius
+                                 - np.hypot(z, x))) < 1e-14
+            assert np.array_equal(series.decay, np.exp(-pr.gamma_rate * grid))
+            assert np.max(np.abs(series.matrices - m)) == 0.0
+
+    def test_lines_in_decay_factor(self):
+        pr = default_params()
+        series = environment_bloch(pr, np.linspace(0.0, 3.0, 7))
+        z0, z1, c0, c1 = series.coefficients
+        z = z0 + z1 * series.decay
+        assert np.max(np.abs(series.radius
+                             - np.sqrt(z * z + c0 + c1 * series.decay))) \
+            < 1e-15
+        # the environment starts thermal and without coherence
+        assert series.x2[0] == 0.0
+        assert abs(z[0] - (2.0 * pr.w0 - 1.0)) < 1e-15
+
+    def test_no_eigensolve(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the Bloch series must not diagonalize")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        pr = default_params()
+        grid = np.linspace(0.0, 5.0, 11)
+        system_bloch(pr, grid)
+        environment_bloch(pr, grid)
+        joint_states_closed_form(pr, grid)
+
+    def test_rejects_negative_time(self):
+        with pytest.raises(InputError):
+            system_bloch(default_params(), np.array([0.0, -1.0]))
+
+
+class TestJointRadii:
+    def test_match_joint_spectrum(self, rng):
+        grid = np.linspace(0.0, 8.0, 33)
+        for _ in range(20):
+            pr = GadcParams(alpha=float(rng.uniform(0, 1)),
+                            w0=float(rng.uniform(0, 1)))
+            lam = np.linalg.eigvalsh(joint_states_closed_form(pr, grid))
+            radius = joint_radii_closed_form(pr, grid)
+            expected = np.column_stack([np.zeros_like(grid),
+                                        np.zeros_like(grid),
+                                        0.5 * (1.0 - radius),
+                                        0.5 * (1.0 + radius)])
+            assert np.max(np.abs(np.sort(lam, axis=1)
+                                 - np.sort(expected, axis=1))) < 1e-14
 
 
 class TestIterateMap:

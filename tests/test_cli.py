@@ -125,10 +125,21 @@ class TestRunErrors:
         assert main(["run", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
 
-    def test_closure_violation(self, tmp_path):
+    def test_removed_endpoint_subdivision_rejected(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json",
+                         {"integrator": {"endpoint_subdivision": 32}})
+        assert main(["run", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "unknown integrator field 'endpoint_subdivision'" \
+            in capsys.readouterr().err
+
+    def test_closure_violation(self, tmp_path, capsys, broken_system_bloch):
         cfg = write_json(tmp_path / "cfg.json", {"n_samples": 101})
         assert main(["run", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "first-law closure residual" in err
+        assert "refine the time grid" not in err
 
 
 class TestSweepCommand:
@@ -158,8 +169,9 @@ class TestSweepCommand:
         assert manifest["scaled_horizon_spread"] <= 1e-9
         assert "collapse across gamma" in capsys.readouterr().out
 
-    def test_all_runs_failing_exits_nonzero(self, tmp_path):
-        # a grid too coarse for closure fails every run
+    def test_all_runs_failing_exits_nonzero(self, tmp_path,
+                                            broken_system_bloch):
+        # a wrong Bloch line fails the closure gate of every run
         grid = write_json(tmp_path / "grid.json",
                           {"alpha": [0.3, 0.7], "n_samples": 101})
         out = tmp_path / "sw"
@@ -167,12 +179,14 @@ class TestSweepCommand:
         lines = (out / "summary.csv").read_text().splitlines()
         assert len(lines) == 3
 
-    def test_partial_failure_still_succeeds(self, tmp_path):
+    def test_partial_failure_still_succeeds(self, tmp_path,
+                                            break_system_bloch_when):
         grid = write_json(tmp_path / "grid.json",
                           {"alpha": [0.5], "gamma": [1.0, 40.0],
                            "t_max": 2.0, "n_samples": 401})
         out = tmp_path / "sw"
-        # gamma = 40 needs a much finer grid, so that row fails closure
+        # a wrong Bloch line on the gamma = 40 row fails its closure gate
+        break_system_bloch_when(lambda params: params.gamma_rate == 40.0)
         assert main(["sweep", "--grid", grid, "--out", str(out)]) == 0
         rows = (out / "summary.csv").read_text().splitlines()[1:]
         assert len(rows) == 2

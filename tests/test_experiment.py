@@ -15,7 +15,7 @@ from strongcouple.validation import markov_convergence
 
 @pytest.fixture(scope="module")
 def quick_result():
-    """Shared run on a grid just fine enough to pass closure."""
+    """Shared run on the default horizon with half the default points."""
     return run(ExperimentConfig(n_samples=1001))
 
 
@@ -26,7 +26,7 @@ class TestConfig:
         {"gamma": 0.0},
         {"t_max": 0.0},
         {"n_samples": 2}, {"n_samples": 10.5},
-        {"integrator": IntegratorSettings(endpoint_subdivision=0)},
+        {"integrator": IntegratorSettings(closure_tolerance=math.nan)},
         {"integrator": IntegratorSettings(closure_tolerance=0.0)},
     ])
     def test_rejects_invalid(self, kwargs):
@@ -105,6 +105,27 @@ class TestRun:
         result = run(ExperimentConfig(t_max=2.0, n_samples=401))
         assert result.diagnostics["negativity_unitary_family_final"] >= 0.0
 
+    def test_no_eigh(self, monkeypatch):
+        # neither marginal is diagonalized; the negativity needs only
+        # eigenvalues
+        def forbidden(*args, **kwargs):
+            raise AssertionError("run() must not call numpy.linalg.eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        result = run(ExperimentConfig())
+        assert result.diagnostics["closure_system_max"] <= 1e-12
+
+    @pytest.mark.parametrize("kwargs", [
+        {"beta": 0.01}, {"beta": 0.05}, {"beta": 0.1}, {"beta": 0.2},
+        {"gamma": 50.0}, {"n_samples": 101},
+    ])
+    def test_formerly_failing_configurations_pass(self, kwargs):
+        # these failed the closure gate when the split came from
+        # finite differences on the grid
+        d = run(ExperimentConfig(t_max=10.0, **kwargs)).diagnostics
+        assert max(d["closure_system_max"],
+                   d["closure_environment_max"]) <= 1e-12
+
     def test_deterministic(self):
         config = ExperimentConfig(t_max=2.0, n_samples=401)
         a = run(config)
@@ -153,7 +174,7 @@ class TestSweep:
         # entanglement still forms without initial coherence
         assert rows[0].peak_negativity > 0.1
 
-    def test_failed_run_recorded(self):
+    def test_failed_run_recorded(self, broken_system_bloch):
         rows = sweep([ExperimentConfig(n_samples=101)])
         assert len(rows) == 1
         assert "closure" in rows[0].error

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 import oracles
-from strongcouple.channels import (GadcParams, environment_hamiltonian,
+from strongcouple.channels import (GadcParams, environment_bloch,
+                                   environment_hamiltonian,
                                    environment_state, environment_states,
-                                   system_hamiltonian, system_state,
-                                   system_states)
+                                   system_bloch, system_hamiltonian,
+                                   system_state, system_states)
 from strongcouple.errors import InputError, NumericalError, TrackingError
+from strongcouple.experiment import ExperimentConfig
 from strongcouple.firstlaw import (coherent_energy_integral, eigen_track,
                                    heat_integral, internal_energy_change,
+                                   qubit_thermo_trajectory,
                                    sample_trajectory, thermo_trajectory,
                                    work_integral)
 from strongcouple.spectra import DensityOperator, eig_hermitian
@@ -427,3 +430,130 @@ class TestStateBuilder:
                               closure_tolerance=1e-8)
         assert (f"between t = {times[step]:.6g} and "
                 f"t = {times[step + 1]:.6g}") in str(exc.value)
+
+
+SIDES = {"system": (system_hamiltonian, system_bloch),
+         "environment": (environment_hamiltonian, environment_bloch)}
+W0_DEFAULT = oracles.W0_DEFAULT
+
+
+def qubit_route(config, side):
+    pr = config.params
+    hamiltonian, bloch = SIDES[side]
+    return qubit_thermo_trajectory(hamiltonian(pr), bloch(pr, config.times))
+
+
+class TestQubitRoute:
+    """The closed-form split, checked against references that do not
+    rest on its closure residual."""
+
+    @pytest.mark.parametrize("side", ["system", "environment"])
+    def test_matches_frozen_oracle(self, side):
+        traj = qubit_route(ExperimentConfig(), side)
+        for t_ref in (0.5, 2.0, 10.0):
+            i = int(round(t_ref / 10.0 * 2000))
+            q_ref, c_ref = oracles.FROZEN[(side, t_ref)]
+            assert abs(traj.heat[i] - q_ref) <= 1e-11
+            assert abs(traj.coherent_energy[i] - c_ref) <= 1e-11
+
+    @pytest.mark.parametrize("kwargs", [
+        {"beta": 0.01}, {"beta": 0.05}, {"beta": 0.1}, {"beta": 0.2},
+        {"gamma": 50.0}, {"n_samples": 101},
+        {"alpha": 0.0}, {"alpha": 1.0},
+        {"alpha": math.sqrt(W0_DEFAULT + 1e-8)},
+        {"alpha": math.sqrt(W0_DEFAULT - 1e-8)},
+        {"alpha": math.sqrt(W0_DEFAULT + 1e-12)},
+        {"alpha": 0.3}, {"alpha": 0.3, "beta": math.inf},
+        {"alpha": 0.3, "beta": 1e-8, "t_max": 40.0},
+        {"alpha": 1e-8, "beta": 1e-8, "t_max": 40.0},
+    ], ids=["beta0.01", "beta0.05", "beta0.1", "beta0.2", "gamma50",
+            "n101", "alpha0", "alpha1", "alpha2_w0_plus", "alpha2_w0_minus",
+            "alpha2_w0_closer", "complex_roots", "complex_roots_cold",
+            "mixed_end", "mixed_end_complex_roots"])
+    @pytest.mark.parametrize("side", ["system", "environment"])
+    def test_matches_live_quadrature(self, kwargs, side):
+        """Adaptive quadrature of the Bloch integrand in time, including
+        the steep start at high temperature, the near-linear q at
+        alpha^2 = w0, the incoherent states, and a system that ends
+        nearly maximally mixed, where q has a root, or a pair, near
+        g = 0."""
+        pytest.importorskip("scipy")
+        config = ExperimentConfig(**kwargs)
+        pr = config.params
+        traj = qubit_route(config, side)
+        for i in np.linspace(1, config.times.size - 1, 5).astype(int):
+            ref = oracles.bloch_heat(side, config.times[i], pr.alpha, pr.w0,
+                                     pr.gamma_rate)
+            assert abs(traj.heat[i] - ref) <= 1e-9
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"beta": 0.01},
+        {"alpha": math.sqrt(W0_DEFAULT + 1e-8)},
+        {"alpha": math.sqrt(W0_DEFAULT - 1e-8)},
+        {"alpha": 0.3}, {"alpha": 0.3, "beta": math.inf},
+        {"alpha": 0.3, "beta": 1e-8, "t_max": 40.0},
+        {"alpha": 1e-8, "beta": 1e-8, "t_max": 40.0},
+    ], ids=["default", "beta0.01", "alpha2_w0_plus", "alpha2_w0_minus",
+            "complex_roots", "complex_roots_cold", "mixed_end",
+            "mixed_end_complex_roots"])
+    @pytest.mark.parametrize("side", ["system", "environment"])
+    def test_matches_exact_antiderivative(self, kwargs, side):
+        """The double-precision evaluation against 60 digits, at every
+        point: each root form keeps all the digits of the heat."""
+        pytest.importorskip("mpmath")
+        config = ExperimentConfig(n_samples=41, **kwargs)
+        pr = config.params
+        ref = oracles.bloch_heat_exact(side, config.times, pr.alpha, pr.w0,
+                                       pr.gamma_rate)
+        traj = qubit_route(config, side)
+        assert np.max(np.abs(traj.heat - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("side", ["system", "environment"])
+    def test_generic_route_converges_to_it(self, side):
+        config = ExperimentConfig()
+        pr = config.params
+        hamiltonian, _ = SIDES[side]
+        states = system_states if side == "system" else environment_states
+        generic = thermo_trajectory(hamiltonian(pr),
+                                    lambda t: states(pr, t), config.times)
+        exact = qubit_route(config, side)
+        assert np.max(np.abs(generic.heat - exact.heat)) <= 1e-5
+        assert np.max(np.abs(generic.coherent_energy
+                             - exact.coherent_energy)) <= 1e-4
+
+    def test_split_sums_to_energy_change(self):
+        traj = qubit_route(ExperimentConfig(alpha=0.3, beta=math.inf),
+                           "environment")
+        assert np.array_equal(traj.work, np.zeros_like(traj.times))
+        assert traj.max_closure_residual <= 1e-15
+        assert traj.heat[0] == traj.coherent_energy[0] == 0.0
+
+    def test_wrong_coefficients_trip_closure(self):
+        pr = default_params()
+        times = np.linspace(0.0, 10.0, 101)
+        series = system_bloch(pr, times)
+        z0, z1, c0, c1 = series.coefficients
+        tilted = series._replace(coefficients=(z0, z1 + 1e-3, c0, c1))
+        with pytest.raises(NumericalError,
+                           match=r"first-law closure residual .* at t = ") \
+                as exc:
+            qubit_thermo_trajectory(system_hamiltonian(pr), tilted)
+        assert "Bloch coefficients disagree" in str(exc.value)
+        assert "refine the time grid" not in str(exc.value)
+
+    @pytest.mark.parametrize("hamiltonian", [
+        np.array([[0.0, 0.1], [0.1, 1.0]]),
+        np.diag([0.0, 1.0, 2.0]),
+    ], ids=["off_diagonal", "three_levels"])
+    def test_rejects_other_hamiltonians(self, hamiltonian):
+        pr = default_params()
+        with pytest.raises(InputError):
+            qubit_thermo_trajectory(hamiltonian,
+                                    system_bloch(pr, np.linspace(0, 1, 5)))
+
+    def test_rejects_bad_tolerance(self):
+        pr = default_params()
+        with pytest.raises(InputError):
+            qubit_thermo_trajectory(system_hamiltonian(pr),
+                                    system_bloch(pr, np.linspace(0, 1, 5)),
+                                    closure_tolerance=0.0)

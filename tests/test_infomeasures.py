@@ -10,7 +10,8 @@ from strongcouple.channels import (GadcParams, environment_state, joint_state,
                                    joint_states_closed_form, system_state,
                                    system_states)
 from strongcouple.errors import InputError, NumericalError
-from strongcouple.infomeasures import (heat_asymmetry, l1_coherence,
+from strongcouple.infomeasures import (bloch_entropies, heat_asymmetry,
+                                       l1_coherence,
                                        l1_coherences, mutual_information,
                                        negativities, negativity,
                                        proportionality_report,
@@ -57,6 +58,24 @@ class TestEntropy:
         conjugated = u @ rho @ u.conj().T
         dev = abs(von_neumann_entropy(conjugated) - von_neumann_entropy(rho))
         assert dev < 1e-10
+
+
+class TestBlochEntropies:
+    def test_match_eigensolver(self, random_density):
+        states = np.stack([random_density(2) for _ in range(50)])
+        z = (states[:, 0, 0] - states[:, 1, 1]).real
+        radius = np.sqrt(z * z + 4.0 * np.abs(states[:, 0, 1]) ** 2)
+        assert np.max(np.abs(bloch_entropies(radius)
+                             - von_neumann_entropies(states))) < 1e-13
+
+    def test_pure_and_mixed(self):
+        out = bloch_entropies(np.array([1.0, 1.0 + 1e-13, 0.0]))
+        assert out[0] == 0.0 and out[1] == 0.0
+        assert abs(out[2] - 1.0) < 1e-15
+
+    def test_unphysical_radius_rejected(self):
+        with pytest.raises(InputError):
+            bloch_entropies(np.array([0.5, 1.0 + 1e-9]))
 
 
 class TestCoherence:

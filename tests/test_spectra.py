@@ -8,7 +8,7 @@ from strongcouple.spectra import (DensityOperator, HermitianOperator,
                                   density_stack, eig_hermitian,
                                   partial_trace, partial_transpose,
                                   partial_transpose_stack, tensor_product,
-                                  trace_norm)
+                                  trace_norm, unit_trace_stack)
 
 BELL = 0.5 * np.array([[1, 0, 0, 1],
                        [0, 0, 0, 0],
@@ -76,6 +76,24 @@ class TestDensityStack:
     def test_one_bad_member_rejects_stack(self, bad):
         with pytest.raises(InputError):
             density_stack(np.stack([np.diag([0.3, 0.7]), bad]))
+
+
+class TestUnitTraceStack:
+    def test_skips_positivity_only(self):
+        # Hermitian with unit trace but a negative eigenvalue
+        stack = np.stack([np.diag([0.3, 0.7]), np.diag([1.5, -0.5])])
+        assert np.array_equal(unit_trace_stack(stack), stack)
+        with pytest.raises(InputError):
+            density_stack(stack)
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[0.0, 1.0], [0.0, 1.0]]),
+        np.diag([0.5, 0.6]),
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    ], ids=["non_hermitian", "trace_1.1", "nan"])
+    def test_rejects_bad_member(self, bad):
+        with pytest.raises(InputError):
+            unit_trace_stack(np.stack([np.diag([0.3, 0.7]), bad]))
 
 
 class TestEigHermitian:
