@@ -15,9 +15,9 @@ Run from the repository root after installing the package:
 """
 import numpy as np
 
-from strongcouple import (ExperimentConfig, GadcParams, run,
-                          sample_trajectory, coherent_energy_integral,
-                          system_hamiltonian, system_state)
+from strongcouple import (ExperimentConfig, GadcParams,
+                          qubit_thermo_trajectory, run, system_bloch,
+                          system_hamiltonian)
 
 result = run(ExperimentConfig())
 t = result.times
@@ -51,8 +51,7 @@ print()
 print("coherent energy needs initial coherence:")
 for alpha in (0.0, 1.0 / np.sqrt(2.0), 1.0):
     pr = GadcParams(alpha=alpha, w0=result.params.w0)
-    samples = sample_trajectory(system_hamiltonian(pr),
-                                lambda u: system_state(pr, u),
-                                np.linspace(0.0, 10.0, 2001))
-    c_max = float(np.max(np.abs(coherent_energy_integral(samples))))
+    ledger = qubit_thermo_trajectory(
+        system_hamiltonian(pr), system_bloch(pr, np.linspace(0.0, 10.0, 2001)))
+    c_max = float(np.max(np.abs(ledger.coherent_energy)))
     print(f"  alpha = {alpha:.4f}: max |C_S| = {c_max:.3e}")

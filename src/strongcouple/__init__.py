@@ -22,12 +22,10 @@ from .channels import (BlochSeries, GadcParams, KrausChannel, apply_channel,
                        system_states)
 from .errors import (InputError, NumericalError, StrongcoupleError,
                      TrackingError)
-from .experiment import (ExperimentConfig, ExperimentResult,
-                         IntegratorSettings, SweepSummary, run, sweep)
-from .firstlaw import (ThermoTrajectory, TrajectorySample,
-                       coherent_energy_integral, eigen_track, heat_integral,
-                       internal_energy_change, qubit_thermo_trajectory,
-                       sample_trajectory, thermo_trajectory, work_integral)
+from .experiment import (ExperimentConfig, ExperimentResult, SweepSummary,
+                         run, sweep)
+from .firstlaw import (ThermoTrajectory, qubit_thermo_trajectory,
+                       thermo_trajectory)
 from .infomeasures import (InfoSeries, ProportionalityReport, bloch_entropies,
                            heat_asymmetry,
                            l1_coherence, l1_coherences, mutual_information,
@@ -50,7 +48,6 @@ __all__ = [
     "HermitianOperator",
     "InfoSeries",
     "InputError",
-    "IntegratorSettings",
     "KrausChannel",
     "NumericalError",
     "ProportionalityReport",
@@ -59,13 +56,10 @@ __all__ = [
     "SweepSummary",
     "ThermoTrajectory",
     "TrackingError",
-    "TrajectorySample",
     "apply_channel",
     "bloch_entropies",
-    "coherent_energy_integral",
     "density_stack",
     "eig_hermitian",
-    "eigen_track",
     "environment_bloch",
     "environment_hamiltonian",
     "environment_initial_state",
@@ -75,8 +69,6 @@ __all__ = [
     "gadc_coupling_matrix",
     "gadc_unitary",
     "heat_asymmetry",
-    "heat_integral",
-    "internal_energy_change",
     "iterate_map_check",
     "joint_initial_state",
     "joint_radii_closed_form",
@@ -97,7 +89,6 @@ __all__ = [
     "proportionality_report",
     "qubit_thermo_trajectory",
     "run",
-    "sample_trajectory",
     "sweep",
     "system_bloch",
     "system_hamiltonian",
@@ -111,5 +102,4 @@ __all__ = [
     "trace_norm",
     "von_neumann_entropies",
     "von_neumann_entropy",
-    "work_integral",
 ]

@@ -98,11 +98,17 @@ class GadcParams:
             raise InputError(f"w0 must lie in [0, 1], got {self.w0}")
         if not 0.0 <= self.p <= 1.0:
             raise InputError(f"p must lie in [0, 1], got {self.p}")
-        if not self.gamma_rate > 0.0:
-            raise InputError(f"gamma_rate must be positive, got {self.gamma_rate}")
+        if not 0.0 < self.gamma_rate < math.inf:
+            raise InputError("gamma_rate must be positive and finite, "
+                             f"got {self.gamma_rate}")
+        levels = (self.e_g, self.e_e, self.e_0, self.e_1)
+        if not all(map(math.isfinite, levels)):
+            raise InputError(f"energy levels must be finite, got {levels}")
         gap_s = self.e_e - self.e_g
         gap_e = self.e_1 - self.e_0
-        if abs(gap_s - gap_e) > 1e-12:
+        # finite levels can still overflow to gaps inf - inf = NaN; written
+        # so that a NaN difference fails too
+        if not abs(gap_s - gap_e) <= 1e-12:
             raise InputError(
                 f"system gap {gap_s} and environment gap {gap_e} must match")
         if not gap_s > 0.0:

@@ -28,14 +28,11 @@ import numpy as np
 
 from . import __version__
 from .errors import InputError, NumericalError
-from .experiment import (ExperimentConfig, IntegratorSettings, SweepSummary,
-                         run, sweep)
+from .experiment import ExperimentConfig, SweepSummary, run, sweep
 from .validation import run_suites
 
-_CONFIG_KEYS = {"alpha", "beta", "gamma", "t_max", "n_samples", "integrator"}
-_INTEGRATOR_KEYS = {"closure_tolerance"}
-_GRID_KEYS = {"alpha", "beta", "gamma", "t_max", "gamma_t_max",
-              "n_samples", "integrator"}
+_CONFIG_KEYS = {"alpha", "beta", "gamma", "t_max", "n_samples"}
+_GRID_KEYS = {"alpha", "beta", "gamma", "t_max", "gamma_t_max", "n_samples"}
 _CSV_BLOCK = 256
 
 
@@ -53,21 +50,6 @@ def _int_field(value, name):
     return value
 
 
-def _integrator_from_dict(data) -> IntegratorSettings:
-    if not isinstance(data, dict):
-        raise InputError("field 'integrator' must be an object")
-    unknown = set(data) - _INTEGRATOR_KEYS
-    if unknown:
-        raise InputError(
-            f"unknown integrator field '{sorted(unknown)[0]}'; "
-            f"allowed: {sorted(_INTEGRATOR_KEYS)}")
-    kwargs = {}
-    if "closure_tolerance" in data:
-        kwargs["closure_tolerance"] = _float_field(
-            data["closure_tolerance"], "closure_tolerance")
-    return IntegratorSettings(**kwargs)
-
-
 def config_from_dict(data) -> ExperimentConfig:
     """Build a validated run configuration from parsed JSON."""
     if not isinstance(data, dict):
@@ -82,8 +64,6 @@ def config_from_dict(data) -> ExperimentConfig:
             kwargs[name] = _float_field(data[name], name)
     if "n_samples" in data:
         kwargs["n_samples"] = _int_field(data["n_samples"], "n_samples")
-    if "integrator" in data:
-        kwargs["integrator"] = _integrator_from_dict(data["integrator"])
     config = ExperimentConfig(**kwargs)
     config.validate()
     return config
@@ -144,9 +124,6 @@ def _config_as_dict(config: ExperimentConfig) -> dict:
         "gamma": config.gamma,
         "t_max": config.t_max,
         "n_samples": int(config.n_samples),
-        "integrator": {
-            "closure_tolerance": config.integrator.closure_tolerance,
-        },
     }
 
 
@@ -298,8 +275,6 @@ def _expand_grid(data) -> list:
     betas = axis("beta", base.beta)
     gammas = axis("gamma", base.gamma)
     n_samples = _int_field(data.get("n_samples", base.n_samples), "n_samples")
-    integrator = _integrator_from_dict(data["integrator"]) \
-        if "integrator" in data else base.integrator
 
     configs = []
     for a in alphas:
@@ -312,8 +287,7 @@ def _expand_grid(data) -> list:
                     t_max = _float_field(data.get("t_max", base.t_max),
                                          "t_max")
                 cfg = ExperimentConfig(alpha=a, beta=b, gamma=g, t_max=t_max,
-                                       n_samples=n_samples,
-                                       integrator=integrator)
+                                       n_samples=n_samples)
                 cfg.validate()
                 configs.append(cfg)
     return configs

@@ -19,9 +19,9 @@ the state eigenbasis relative to the energy eigenbasis.
 Time is an array axis. :func:`thermo_trajectory` calls a state builder
 once on its whole grid, validates and diagonalizes the ``(T, n, n)``
 stack with one :func:`~strongcouple.spectra.density_eigh` call and
-integrates on the stacked spectra. :func:`sample_trajectory` stacks
-per-instant states and runs the same core, then wraps its rows in
-:class:`TrajectorySample`.
+integrates on the stacked spectra. :func:`qubit_thermo_trajectory` takes
+a qubit's Bloch series instead (see below). Both return a
+:class:`ThermoTrajectory`.
 
 Branches are identified across time steps by greedy eigenvector overlap
 matching, for all steps at once: the moduli of the overlaps between
@@ -66,26 +66,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, NumericalError, TrackingError
-from .spectra import (SpectralDecomposition, density_eigh, eigh_stack,
-                      hermitian_stack)
+from .spectra import density_eigh, eigh_stack, hermitian_stack
 
 _TRACK_MIN_OVERLAP = 1.0 / np.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class TrajectorySample:
-    """Spectral data of Hamiltonian and state at one instant.
-
-    Both spectra are full :class:`SpectralDecomposition` objects so the
-    branches stay inspectable; ``overlaps[n, k]`` is ``|<n|k>|^2``
-    between energy branch ``n`` and population branch ``k``, and its
-    rows and columns each sum to one.
-    """
-
-    t: float
-    hamiltonian_spectrum: SpectralDecomposition
-    state_spectrum: SpectralDecomposition
-    overlaps: np.ndarray
+# The qubit route's closure bound, and the generic route's default one
+CLOSURE_TOLERANCE = 1e-4
+# Subintervals of the generic route's first public interval
+_ENDPOINT_SUBDIVISION = 32
 
 
 @dataclass(frozen=True)
@@ -163,32 +150,11 @@ def _track(eigenvalues, eigenvectors, times=None):
             np.take_along_axis(eigenvectors, perm[:, None, :], axis=2))
 
 
-def eigen_track(decompositions) -> list:
-    """Reorder eigenbranches for continuity along a sequence.
-
-    Takes a sequence of :class:`SpectralDecomposition` and returns a new
-    list in which branch ``k`` at every step is the continuation of
-    branch ``k`` at the previous step, found by greedy maximum
-    eigenvector overlap. Raises :class:`TrackingError` when the best
-    available overlap for some branch drops to ``1/sqrt(2)`` or below,
-    which signals a genuinely ambiguous crossing on too coarse a grid.
-    """
-    decomps = list(decompositions)
-    if not decomps:
-        raise InputError("eigen_track needs at least one decomposition")
-    lam, vec = _track(np.stack([d.eigenvalues for d in decomps]),
-                      np.stack([d.eigenvectors for d in decomps]))
-    return [SpectralDecomposition(eigenvalues=l, eigenvectors=v)
-            for l, v in zip(lam, vec)]
-
-
 class _Spectra(NamedTuple):
     """Tracked spectra of ``H`` and ``rho`` on a grid, time leading."""
 
     energies: np.ndarray
-    energy_vectors: np.ndarray
     populations: np.ndarray
-    state_vectors: np.ndarray
     overlaps: np.ndarray
 
 
@@ -228,47 +194,7 @@ def _spectra(hamiltonian, states, times) -> _Spectra:
                          f"{times.size} time points")
     populations, s_vec = _track(rho_lam, rho_vec, times)
     overlaps = np.abs(h_vec.conj().swapaxes(-1, -2) @ s_vec) ** 2
-    return _Spectra(energies, np.broadcast_to(h_vec, rho_vec.shape),
-                    populations, s_vec, overlaps)
-
-
-def sample_trajectory(hamiltonian, state_fn, times) -> list:
-    """Evaluate spectra and overlaps on a time grid.
-
-    ``hamiltonian`` is a static matrix or a callable ``t -> matrix``;
-    ``state_fn`` is a callable ``t -> DensityOperator`` or a sequence of
-    states aligned with ``times``. Branches of both operators are tracked
-    for continuity before the overlaps are formed.
-    """
-    times = _check_grid(times)
-    if callable(state_fn):
-        states = [state_fn(t) for t in times]
-    else:
-        states = list(state_fn)
-        if len(states) != times.size:
-            raise InputError(
-                f"got {len(states)} states for {times.size} time points")
-    if callable(hamiltonian):
-        hamiltonian = np.stack([np.asarray(hamiltonian(t), dtype=complex)
-                                for t in times])
-    sp = _spectra(hamiltonian, np.stack([np.asarray(s, dtype=complex)
-                                         for s in states]), times)
-    return [TrajectorySample(
-                t=float(t),
-                hamiltonian_spectrum=SpectralDecomposition(eigenvalues=e,
-                                                           eigenvectors=u),
-                state_spectrum=SpectralDecomposition(eigenvalues=r,
-                                                     eigenvectors=v),
-                overlaps=p)
-            for t, e, u, r, v, p in zip(times, *sp)]
-
-
-def _stack(samples):
-    times = np.array([s.t for s in samples])
-    energies = np.stack([s.hamiltonian_spectrum.eigenvalues for s in samples])
-    populations = np.stack([s.state_spectrum.eigenvalues for s in samples])
-    overlaps = np.stack([s.overlaps for s in samples])
-    return times, energies, populations, overlaps
+    return _Spectra(energies, populations, overlaps)
 
 
 def _cumtrapz(y, x):
@@ -301,41 +227,6 @@ def _internal_energy_series(energies, populations, overlaps):
     return u - u[0]
 
 
-def work_integral(samples) -> np.ndarray:
-    """Cumulative work ``sum_nk int r_k P_nk dE_n`` on the sample grid."""
-    return _work(*_stack(samples))
-
-
-def heat_integral(samples) -> np.ndarray:
-    """Cumulative heat ``sum_nk int E_n P_nk dr_k`` on the sample grid."""
-    return _heat(*_stack(samples))
-
-
-def coherent_energy_integral(samples) -> np.ndarray:
-    """Cumulative coherent energy ``sum_nk int E_n r_k dP_nk``.
-
-    Nonzero only while the state eigenbasis rotates relative to the
-    energy eigenbasis, i.e. while energy-basis coherences change.
-    """
-    return _coherent(*_stack(samples))
-
-
-def internal_energy_change(hamiltonian, rho_t, rho_0) -> float:
-    """Exact ``tr(H (rho_t - rho_0))`` between two states.
-
-    Carries no integration error, so it anchors closure checks against
-    the integrated work, heat, and coherent-energy pieces.
-    """
-    h = np.asarray(hamiltonian, dtype=complex)
-    a = np.asarray(rho_t, dtype=complex)
-    b = np.asarray(rho_0, dtype=complex)
-    if not (h.shape == a.shape == b.shape) or h.ndim != 2:
-        raise InputError(
-            f"dimension mismatch: hamiltonian {h.shape}, rho_t {a.shape}, "
-            f"rho_0 {b.shape}")
-    return float(np.real(np.trace(h @ (a - b))))
-
-
 def _check_closure(residual, times, tolerance, advice) -> None:
     """Raise :class:`NumericalError` if the closure residual tops ``tolerance``.
 
@@ -359,8 +250,8 @@ def _check_closure(residual, times, tolerance, advice) -> None:
 
 
 def thermo_trajectory(hamiltonian, state_builder, times,
-                      endpoint_subdivision: int = 32,
-                      closure_tolerance: float = 1e-4) -> ThermoTrajectory:
+                      closure_tolerance: float = CLOSURE_TOLERANCE
+                      ) -> ThermoTrajectory:
     """Integrate the first-law split and verify closure on a time grid.
 
     ``state_builder`` maps a 1-d array of times to a ``(T, n, n)`` stack
@@ -368,9 +259,9 @@ def thermo_trajectory(hamiltonian, state_builder, times,
     params)``; ``hamiltonian`` is a static matrix or a callable with the
     same time-array contract. The builder must be callable because the
     integrator works on an internal grid finer than ``times``: the first
-    interval is subdivided ``endpoint_subdivision`` times to resolve the
-    square-root-in-time growth of coherences near ``t = 0``, where
-    one-sided endpoint differences are least accurate. The builder is
+    interval is subdivided 32 times to resolve the square-root-in-time
+    growth of coherences near ``t = 0``, where one-sided endpoint
+    differences are least accurate. The builder is
     called once on that grid and its stack validated once. Results are
     reported at the points of ``times``; a closure residual above
     ``closure_tolerance`` raises :class:`NumericalError` naming the time
@@ -379,24 +270,21 @@ def thermo_trajectory(hamiltonian, state_builder, times,
     accuracy.
     """
     if not callable(state_builder):
-        raise InputError("state_builder must be callable on this route; "
-                         "use sample_trajectory for precomputed states")
-    if endpoint_subdivision < 1:
-        raise InputError(
-            f"endpoint_subdivision must be >= 1, got {endpoint_subdivision}")
+        raise InputError("state_builder must be callable: it is called on "
+                         "an internal grid finer than times")
     if not closure_tolerance > 0.0:
         raise InputError(
             f"closure_tolerance must be positive, got {closure_tolerance}")
     times = _check_grid(times)
 
-    head = np.linspace(times[0], times[1], endpoint_subdivision + 1)
+    head = np.linspace(times[0], times[1], _ENDPOINT_SUBDIVISION + 1)
     merged = np.unique(np.concatenate([head, times]))
     public = np.searchsorted(merged, times)
 
     if callable(hamiltonian):
         hamiltonian = hamiltonian(merged)
     sp = _spectra(hamiltonian, state_builder(merged), merged)
-    stacks = (merged, sp.energies, sp.populations, sp.overlaps)
+    stacks = (merged, *sp)
     work = _work(*stacks)[public]
     heat = _heat(*stacks)[public]
     coherent = _coherent(*stacks)[public]
@@ -487,9 +375,7 @@ def _bloch_heat(coefficients, g) -> np.ndarray:
     return out
 
 
-def qubit_thermo_trajectory(hamiltonian, bloch,
-                            closure_tolerance: float = 1e-4
-                            ) -> ThermoTrajectory:
+def qubit_thermo_trajectory(hamiltonian, bloch) -> ThermoTrajectory:
     """Exact first-law split of a qubit given in Bloch form.
 
     ``hamiltonian`` is a static diagonal 2x2 matrix and ``bloch`` a
@@ -500,13 +386,10 @@ def qubit_thermo_trajectory(hamiltonian, bloch,
     as coarse as the caller likes. The internal energy change is read
     from the diagonals of ``bloch.matrices``; the closure residual
     therefore compares the Bloch coefficients with the matrix closed
-    forms, and a residual above ``closure_tolerance`` raises
+    forms, and a residual above :data:`CLOSURE_TOLERANCE` raises
     :class:`NumericalError`. It cannot see an error in the split of
     ``Delta U`` between heat and coherent energy.
     """
-    if not closure_tolerance > 0.0:
-        raise InputError(
-            f"closure_tolerance must be positive, got {closure_tolerance}")
     times = _check_grid(bloch.times)
     h = hermitian_stack(hamiltonian)
     if h.shape != (2, 2) or h[0, 1] != 0.0:
@@ -521,10 +404,10 @@ def qubit_thermo_trajectory(hamiltonian, bloch,
     du = u - u[0]
     work = np.zeros_like(times)
     residual = np.abs(du - work - heat - coherent)
-    _check_closure(residual, times, closure_tolerance,
+    _check_closure(residual, times, CLOSURE_TOLERANCE,
                    "the Bloch coefficients disagree with the state matrices")
     return ThermoTrajectory(times=times, work=work, heat=heat,
                             coherent_energy=coherent,
                             internal_energy_change=du,
                             closure_residual=residual,
-                            closure_tolerance=closure_tolerance)
+                            closure_tolerance=CLOSURE_TOLERANCE)

@@ -15,17 +15,17 @@ import pytest
 from strongcouple.channels import (GadcParams, apply_channel,
                                    environment_hamiltonian,
                                    environment_initial_state,
-                                   environment_kraus, environment_state,
-                                   environment_states, joint_states,
+                                   environment_kraus, environment_states,
+                                   joint_states,
                                    system_hamiltonian,
                                    system_initial_state, system_kraus,
                                    system_state, system_state_from_dilation,
                                    system_states)
 from strongcouple.experiment import ExperimentConfig, run
-from strongcouple.firstlaw import eigen_track, thermo_trajectory
+from strongcouple.firstlaw import _track, thermo_trajectory
 from strongcouple.infomeasures import (von_neumann_entropies,
                                       von_neumann_entropy)
-from strongcouple.spectra import DensityOperator, eig_hermitian
+from strongcouple.spectra import DensityOperator, eigh_stack
 from strongcouple.validation import markov_convergence
 
 
@@ -145,10 +145,8 @@ def test_criterion_08_eigenvalue_closed_forms(default_run):
                                    1.0 + np.sqrt(k * k * d * d + g)])
     lam_e = 0.5 * np.column_stack([1.0 - np.sqrt(k * k * g * g + d),
                                    1.0 + np.sqrt(k * k * g * g + d)])
-    tracked_s = np.stack([dec.eigenvalues for dec in eigen_track(
-        [eig_hermitian(system_state(pr, t)) for t in times])])
-    tracked_e = np.stack([dec.eigenvalues for dec in eigen_track(
-        [eig_hermitian(environment_state(pr, t)) for t in times])])
+    tracked_s, _ = _track(*eigh_stack(system_states(pr, times)))
+    tracked_e, _ = _track(*eigh_stack(environment_states(pr, times)))
     dev_s = float(np.max(np.abs(tracked_s - lam_s)))
     dev_e = float(np.max(np.abs(tracked_e - lam_e)))
     ok = dev_s <= 1e-8 and dev_e <= 1e-8

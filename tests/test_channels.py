@@ -55,6 +55,20 @@ class TestGadcParams:
         with pytest.raises(InputError):
             default_params(e_g=1.0, e_e=0.0, e_0=1.0, e_1=0.0)
 
+    @pytest.mark.parametrize("overrides", [
+        {"e_e": math.inf, "e_1": math.inf},
+        {"e_g": -math.inf, "e_0": -math.inf},
+        {"e_e": math.nan},
+        {"gamma_rate": math.inf},
+        {"gamma_rate": math.nan},
+        # finite levels whose gaps overflow: inf - inf is NaN
+        {"e_g": -1e308, "e_e": 1e308, "e_0": -1e308, "e_1": 1e308},
+    ], ids=["excited_inf", "ground_minus_inf", "level_nan", "rate_inf",
+            "rate_nan", "gaps_overflow"])
+    def test_rejects_non_finite(self, overrides):
+        with pytest.raises(InputError):
+            default_params(**overrides)
+
     def test_thermal_weight(self):
         pr = GadcParams.from_inverse_temperature(alpha=0.5, beta=1.0)
         assert abs(pr.w0 - 1.0 / (1.0 + math.exp(-1.0))) < 1e-15

@@ -104,11 +104,13 @@ class TestRunErrors:
         assert main(["run", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
 
-    def test_unknown_integrator_key(self, tmp_path):
+    def test_unknown_integrator_key(self, tmp_path, capsys):
+        # the integrator block is gone: any content fails on its name
         cfg = write_json(tmp_path / "cfg.json",
-                         {"integrator": {"order": 4}})
+                         {"integrator": {"closure_tolerance": 1e-4}})
         assert main(["run", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
+        assert "unknown config field 'integrator'" in capsys.readouterr().err
 
     def test_bad_json(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -130,8 +132,15 @@ class TestRunErrors:
                          {"integrator": {"endpoint_subdivision": 32}})
         assert main(["run", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
-        assert "unknown integrator field 'endpoint_subdivision'" \
-            in capsys.readouterr().err
+        assert "unknown config field 'integrator'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["t_max", "gamma"])
+    def test_non_finite_field_named(self, tmp_path, capsys, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"{field}": Infinity}}')
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert field in capsys.readouterr().err
 
     def test_closure_violation(self, tmp_path, capsys, broken_system_bloch):
         cfg = write_json(tmp_path / "cfg.json", {"n_samples": 101})

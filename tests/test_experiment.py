@@ -8,8 +8,7 @@ import pytest
 
 from strongcouple import channels as ch
 from strongcouple.errors import InputError
-from strongcouple.experiment import (ExperimentConfig, IntegratorSettings,
-                                     run, sweep)
+from strongcouple.experiment import ExperimentConfig, run, sweep
 from strongcouple.validation import markov_convergence
 
 
@@ -26,11 +25,14 @@ class TestConfig:
         {"gamma": 0.0},
         {"t_max": 0.0},
         {"n_samples": 2}, {"n_samples": 10.5},
-        {"integrator": IntegratorSettings(closure_tolerance=math.nan)},
-        {"integrator": IntegratorSettings(closure_tolerance=0.0)},
+        {"n_samples": math.nan}, {"n_samples": math.inf},
+        {"t_max": math.inf}, {"t_max": math.nan},
+        {"gamma": math.inf}, {"gamma": math.nan},
+        {"alpha": math.nan}, {"beta": math.nan},
     ])
     def test_rejects_invalid(self, kwargs):
-        with pytest.raises(InputError):
+        # the message names the offending field
+        with pytest.raises(InputError, match=next(iter(kwargs))):
             ExperimentConfig(**kwargs).validate()
 
     def test_defaults_are_valid(self):
@@ -179,6 +181,16 @@ class TestSweep:
         assert len(rows) == 1
         assert "closure" in rows[0].error
         assert math.isnan(rows[0].peak_negativity)
+
+    def test_invalid_row_recorded(self):
+        # a non-finite field fails its own row only, naming the field
+        rows = sweep([ExperimentConfig(n_samples=math.nan),
+                      ExperimentConfig(t_max=2.0, n_samples=401)])
+        assert "n_samples must be an integer" in rows[0].error
+        assert math.isnan(rows[0].n_samples)
+        assert math.isnan(rows[0].peak_negativity)
+        assert rows[1].error == ""
+        assert rows[1].peak_negativity > 0.08
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):

@@ -8,118 +8,112 @@ import pytest
 import oracles
 from strongcouple.channels import (GadcParams, environment_bloch,
                                    environment_hamiltonian,
-                                   environment_state, environment_states,
-                                   system_bloch, system_hamiltonian,
-                                   system_state, system_states)
+                                   environment_states, system_bloch,
+                                   system_hamiltonian, system_state,
+                                   system_states)
 from strongcouple.errors import InputError, NumericalError, TrackingError
 from strongcouple.experiment import ExperimentConfig
-from strongcouple.firstlaw import (coherent_energy_integral, eigen_track,
-                                   heat_integral, internal_energy_change,
-                                   qubit_thermo_trajectory,
-                                   sample_trajectory, thermo_trajectory,
-                                   work_integral)
-from strongcouple.spectra import DensityOperator, eig_hermitian
+from strongcouple.firstlaw import (_spectra, _track, qubit_thermo_trajectory,
+                                   thermo_trajectory)
+from strongcouple.spectra import eig_hermitian, eigh_stack
 
 
 def default_params():
     return GadcParams(alpha=1.0 / math.sqrt(2.0), w0=oracles.W0_DEFAULT)
 
 
+def tracked(decomps):
+    """The stacked tracker on a sequence of eigendecompositions."""
+    return _track(np.stack([d.eigenvalues for d in decomps]),
+                  np.stack([d.eigenvectors for d in decomps]))
+
+
+def constant(matrix):
+    """A state builder that returns ``matrix`` at every time."""
+    return lambda t: np.broadcast_to(matrix, (t.size,) + matrix.shape)
+
+
 class TestEigenTrack:
     def test_fixes_branch_swap(self):
-        decs = [eig_hermitian(np.diag([0.2, 0.8])),
-                eig_hermitian(np.diag([0.8, 0.2]))]
-        tracked = eigen_track(decs)
+        lam, vec = tracked([eig_hermitian(np.diag([0.2, 0.8])),
+                            eig_hermitian(np.diag([0.8, 0.2]))])
         # branch 0 starts on the first basis vector and must stay there
-        assert abs(tracked[1].eigenvalues[0] - 0.8) < 1e-15
-        assert abs(tracked[1].eigenvectors[0, 0]) > 0.99
+        assert abs(lam[1, 0] - 0.8) < 1e-15
+        assert abs(vec[1, 0, 0]) > 0.99
 
     def test_identity_when_continuous(self):
-        times = np.linspace(0.0, 1.0, 11)
         pr = default_params()
-        decs = [eig_hermitian(system_state(pr, t)) for t in times]
-        tracked = eigen_track(decs)
-        for dec, ref in zip(tracked, decs):
-            assert np.array_equal(dec.eigenvalues, ref.eigenvalues)
+        lam, vec = eigh_stack(system_states(pr, np.linspace(0.0, 1.0, 11)))
+        lam_t, vec_t = _track(lam, vec)
+        assert np.array_equal(lam_t, lam)
+        assert np.array_equal(vec_t, vec)
 
     def test_ambiguous_overlap_raises(self):
-        decs = [eig_hermitian(np.diag([-1.0, 1.0])),
-                eig_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))]
         with pytest.raises(TrackingError):
-            eigen_track(decs)
-
-    def test_empty_input_raises(self):
-        with pytest.raises(InputError):
-            eigen_track([])
+            tracked([eig_hermitian(np.diag([-1.0, 1.0])),
+                     eig_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))])
 
 
 class TestSampleTrajectory:
+    """A sampled trajectory: the grid, the stack a state builder returns
+    on it, and the overlaps of their tracked spectra."""
+
     def test_overlap_rows_and_columns_sum_to_one(self):
         pr = default_params()
-        samples = sample_trajectory(system_hamiltonian(pr),
-                                    lambda t: system_state(pr, t),
-                                    np.linspace(0.0, 2.0, 5))
-        for s in samples:
-            assert np.max(np.abs(s.overlaps.sum(axis=0) - 1.0)) < 1e-12
-            assert np.max(np.abs(s.overlaps.sum(axis=1) - 1.0)) < 1e-12
-
-    def test_accepts_precomputed_states(self):
-        pr = default_params()
-        times = np.linspace(0.0, 1.0, 4)
-        states = [system_state(pr, t) for t in times]
-        samples = sample_trajectory(system_hamiltonian(pr), states, times)
-        assert len(samples) == 4
+        times = np.linspace(0.0, 2.0, 5)
+        overlaps = _spectra(system_hamiltonian(pr), system_states(pr, times),
+                            times).overlaps
+        assert np.max(np.abs(overlaps.sum(axis=1) - 1.0)) < 1e-12
+        assert np.max(np.abs(overlaps.sum(axis=2) - 1.0)) < 1e-12
 
     def test_state_count_mismatch(self):
         pr = default_params()
-        with pytest.raises(InputError):
-            sample_trajectory(system_hamiltonian(pr),
-                              [system_state(pr, 0.0)],
+        with pytest.raises(InputError, match="got states of shape"):
+            thermo_trajectory(system_hamiltonian(pr),
+                              lambda t: system_states(pr, t[:1]),
                               np.linspace(0.0, 1.0, 4))
 
     @pytest.mark.parametrize("times", [[0.0], [[0.0, 1.0]], [1.0, 0.5]])
     def test_bad_grids(self, times):
         pr = default_params()
         with pytest.raises(InputError):
-            sample_trajectory(system_hamiltonian(pr),
-                              lambda t: system_state(pr, t), times)
+            thermo_trajectory(system_hamiltonian(pr),
+                              lambda t: system_states(pr, t), times)
 
 
 class TestIntegralsExactCases:
     def test_driven_spectrum_pure_work(self):
         """Linear level drift on a stationary diagonal state: all work."""
-        rho = DensityOperator(np.diag([0.3, 0.7]))
         times = np.linspace(0.0, 2.0, 21)
-        samples = sample_trajectory(
-            lambda t: np.diag([0.0, 1.0 + 0.1 * t]),
-            lambda t: rho, times)
-        assert np.max(np.abs(work_integral(samples) - 0.7 * 0.1 * times)) \
-            < 1e-13
-        assert np.max(np.abs(heat_integral(samples))) < 1e-13
-        assert np.max(np.abs(coherent_energy_integral(samples))) < 1e-13
+        traj = thermo_trajectory(
+            lambda t: np.stack([np.diag([0.0, 1.0 + 0.1 * u]) for u in t]),
+            constant(np.diag([0.3, 0.7])), times)
+        assert np.max(np.abs(traj.work - 0.7 * 0.1 * times)) < 1e-13
+        assert np.max(np.abs(traj.heat)) < 1e-13
+        assert np.max(np.abs(traj.coherent_energy)) < 1e-13
 
     def test_static_hamiltonian_zero_work(self):
         pr = default_params()
-        samples = sample_trajectory(system_hamiltonian(pr),
-                                    lambda t: system_state(pr, t),
-                                    np.linspace(0.0, 5.0, 101))
-        assert np.max(np.abs(work_integral(samples))) < 1e-13
+        traj = thermo_trajectory(system_hamiltonian(pr),
+                                 lambda t: system_states(pr, t),
+                                 np.linspace(0.0, 5.0, 101))
+        assert np.max(np.abs(traj.work)) < 1e-13
 
     def test_pure_rotation_all_coherent(self):
         """Constant spectrum rotating in a static field: no heat, no work."""
         h = np.diag([0.0, 1.0])
 
-        def state(t):
+        def states(t):
             c, s = np.cos(t), np.sin(t)
-            u = np.array([[c, -s], [s, c]])
-            return DensityOperator(u @ np.diag([0.3, 0.7]) @ u.T)
+            u = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+            return u @ np.diag([0.3, 0.7]) @ u.swapaxes(-1, -2)
 
         times = np.linspace(0.0, 1.2, 241)
-        samples = sample_trajectory(h, state, times)
-        assert np.max(np.abs(work_integral(samples))) < 1e-12
-        assert np.max(np.abs(heat_integral(samples))) < 1e-12
+        traj = thermo_trajectory(h, states, times)
+        assert np.max(np.abs(traj.work)) < 1e-12
+        assert np.max(np.abs(traj.heat)) < 1e-12
         ref = -0.4 * np.sin(times) ** 2
-        assert np.max(np.abs(coherent_energy_integral(samples) - ref)) < 1e-4
+        assert np.max(np.abs(traj.coherent_energy - ref)) < 1e-4
 
     def test_phase_gauge_invariance(self):
         """Conjugating the state by phases that commute with H changes
@@ -127,71 +121,75 @@ class TestIntegralsExactCases:
         pr = default_params()
         d = np.diag([np.exp(0.71j), np.exp(-1.3j)])
         times = np.linspace(0.0, 2.0, 41)
-        base = sample_trajectory(system_hamiltonian(pr),
-                                 lambda t: system_state(pr, t), times)
-        phased = sample_trajectory(
+        base = thermo_trajectory(system_hamiltonian(pr),
+                                 lambda t: system_states(pr, t), times)
+        phased = thermo_trajectory(
             system_hamiltonian(pr),
-            lambda t: DensityOperator(
-                d @ system_state(pr, t).matrix @ d.conj().T), times)
-        for integral in (work_integral, heat_integral,
-                         coherent_energy_integral):
-            assert np.max(np.abs(integral(base) - integral(phased))) < 1e-12
+            lambda t: d @ system_states(pr, t) @ d.conj().T, times)
+        for name in ("work", "heat", "coherent_energy"):
+            assert np.max(np.abs(getattr(base, name)
+                                 - getattr(phased, name))) < 1e-12
 
     def test_energy_shift_changes_neither_heat_nor_coherent(self):
         """H -> H + cI shifts only the work ledger, which is zero here."""
         pr = default_params()
         times = np.linspace(0.0, 3.0, 61)
-        base = sample_trajectory(system_hamiltonian(pr),
-                                 lambda t: system_state(pr, t), times)
-        shifted = sample_trajectory(system_hamiltonian(pr) + 2.5 * np.eye(2),
-                                    lambda t: system_state(pr, t), times)
-        for integral in (heat_integral, coherent_energy_integral):
-            assert np.max(np.abs(integral(base) - integral(shifted))) < 1e-12
+        base = thermo_trajectory(system_hamiltonian(pr),
+                                 lambda t: system_states(pr, t), times)
+        shifted = thermo_trajectory(system_hamiltonian(pr) + 2.5 * np.eye(2),
+                                    lambda t: system_states(pr, t), times)
+        for name in ("heat", "coherent_energy"):
+            assert np.max(np.abs(getattr(base, name)
+                                 - getattr(shifted, name))) < 1e-12
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_incoherent_initial_state_no_coherent_energy(self, alpha):
         pr = GadcParams(alpha=alpha, w0=oracles.W0_DEFAULT)
         times = np.linspace(0.0, 5.0, 201)
-        for h, state in ((system_hamiltonian(pr), system_state),
-                         (environment_hamiltonian(pr), environment_state)):
-            samples = sample_trajectory(h, lambda t: state(pr, t), times)
-            assert np.max(np.abs(coherent_energy_integral(samples))) < 1e-12
+        for h, states in ((system_hamiltonian(pr), system_states),
+                          (environment_hamiltonian(pr), environment_states)):
+            # the closure gate is not under test: at alpha = 0 this grid
+            # leaves a residual near 1e-4
+            traj = thermo_trajectory(h, lambda t: states(pr, t), times,
+                                     closure_tolerance=1.0)
+            assert np.max(np.abs(traj.coherent_energy)) < 1e-12
+
+
+def trace_change(hamiltonian, states):
+    """``tr(H (rho_t - rho_0))`` along a stack of states."""
+    return np.einsum("ij,tji->t", hamiltonian, states - states[0]).real
 
 
 class TestInternalEnergyChange:
     def test_matches_trace_difference(self):
+        """The qubit route reads Delta U off its Bloch matrices."""
         pr = default_params()
+        times = np.linspace(0.0, 3.0, 31)
         h = system_hamiltonian(pr)
-        rho0 = system_state(pr, 0.0).matrix
-        rho1 = system_state(pr, 3.0).matrix
-        du = internal_energy_change(h, rho1, rho0)
-        assert abs(du - np.trace(h @ (rho1 - rho0)).real) < 1e-15
-        assert internal_energy_change(h, rho0, rho0) == 0.0
+        traj = qubit_thermo_trajectory(h, system_bloch(pr, times))
+        du = trace_change(h, system_states(pr, times))
+        assert np.max(np.abs(traj.internal_energy_change - du)) < 1e-15
 
     def test_total_energy_conserved_pointwise(self):
         pr = default_params()
-        h_s, h_e = system_hamiltonian(pr), environment_hamiltonian(pr)
-        s0 = system_state(pr, 0.0).matrix
-        e0 = environment_state(pr, 0.0).matrix
-        for t in np.linspace(0.0, 8.0, 17):
-            du_s = internal_energy_change(h_s, system_state(pr, t).matrix, s0)
-            du_e = internal_energy_change(h_e,
-                                          environment_state(pr, t).matrix, e0)
-            assert abs(du_s + du_e) < 1e-10
+        times = np.linspace(0.0, 8.0, 17)
+        du_s = trace_change(system_hamiltonian(pr), system_states(pr, times))
+        du_e = trace_change(environment_hamiltonian(pr),
+                            environment_states(pr, times))
+        assert np.max(np.abs(du_s + du_e)) < 1e-10
 
     def test_matches_trajectory_series(self):
         pr = default_params()
         times = np.linspace(0.0, 2.0, 201)
-        traj = thermo_trajectory(system_hamiltonian(pr),
-                                 lambda t: system_states(pr, t), times)
-        du = internal_energy_change(system_hamiltonian(pr),
-                                    system_state(pr, 2.0).matrix,
-                                    system_state(pr, 0.0).matrix)
-        assert abs(du - traj.internal_energy_change[-1]) < 1e-12
+        h = system_hamiltonian(pr)
+        traj = thermo_trajectory(h, lambda t: system_states(pr, t), times)
+        du = trace_change(h, system_states(pr, np.array([0.0, 2.0])))
+        assert abs(du[-1] - traj.internal_energy_change[-1]) < 1e-12
 
     def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            internal_energy_change(np.eye(2), np.eye(4) / 4.0, np.eye(4) / 4.0)
+        with pytest.raises(InputError, match="dimension mismatch"):
+            thermo_trajectory(np.eye(2), constant(np.eye(4) / 4.0),
+                              np.linspace(0.0, 1.0, 3))
 
 
 class TestAgainstOracle:
@@ -274,7 +272,7 @@ class TestThermoTrajectory:
                               np.linspace(0.0, 1.0, 3))
 
     @pytest.mark.parametrize("kwargs", [
-        {"endpoint_subdivision": 0},
+        {"closure_tolerance": math.nan},
         {"closure_tolerance": 0.0},
     ])
     def test_rejects_bad_settings(self, kwargs):
@@ -331,10 +329,9 @@ class TestStackTracking:
                               @ np.diag([rising[k], 0.65, 0.9])
                               @ _rotation(0.05 * k).T) for k in steps]
         lam, vec = _greedy_loop(decs)
-        tracked = eigen_track(decs)
-        assert np.array_equal(np.stack([d.eigenvalues for d in tracked]), lam)
-        assert np.array_equal(np.stack([d.eigenvectors for d in tracked]),
-                              vec)
+        lam_t, vec_t = tracked(decs)
+        assert np.array_equal(lam_t, lam)
+        assert np.array_equal(vec_t, vec)
         # branch 0 follows the rising level through both swaps
         assert np.max(np.abs(lam[:, 0] - rising)) < 1e-12
 
@@ -348,7 +345,7 @@ class TestStackTracking:
         step, best = _greedy_loop(decs)
         assert step == 4 and 0.5 < best < 1.0 / math.sqrt(2.0)
         with pytest.raises(TrackingError) as info:
-            eigen_track(decs)
+            tracked(decs)
         message = str(info.value)
         assert "branch matching ambiguous" in message
         assert f"step {step}:" in message
@@ -363,13 +360,12 @@ class TestStackTracking:
             return np.stack([turned @ h @ turned.T if u > 0.55 else h
                              for u in t])
 
+        # the internal grid splits the first interval in 32, so the step
+        # to t = 0.6 is step 6 + 31
         with pytest.raises(TrackingError,
-                           match=r"branch matching ambiguous at step 6 "
+                           match=r"branch matching ambiguous at step 37 "
                                  r"\(t = 0\.6\)"):
-            thermo_trajectory(hamiltonian,
-                              lambda t: np.broadcast_to(np.eye(3) / 3.0,
-                                                        (t.size, 3, 3)),
-                              times, endpoint_subdivision=1)
+            thermo_trajectory(hamiltonian, constant(np.eye(3) / 3.0), times)
 
 
 class TestStateBuilder:
@@ -388,29 +384,6 @@ class TestStateBuilder:
         with pytest.raises(InputError):
             thermo_trajectory(system_hamiltonian(pr), builder,
                               np.linspace(0.0, 2.0, 21))
-
-    @pytest.mark.parametrize("side", ["system", "environment"])
-    def test_agrees_with_sample_trajectory(self, side):
-        """The stacked route against per-instant states on the default
-        grid, including the subdivided first interval."""
-        pr = default_params()
-        if side == "system":
-            h, state, states = system_hamiltonian(pr), system_state, \
-                system_states
-        else:
-            h, state, states = environment_hamiltonian(pr), \
-                environment_state, environment_states
-        times = np.linspace(0.0, 10.0, 2001)
-        traj = thermo_trajectory(h, lambda t: states(pr, t), times)
-        merged = np.unique(np.concatenate(
-            [np.linspace(times[0], times[1], 33), times]))
-        public = np.searchsorted(merged, times)
-        samples = sample_trajectory(h, lambda t: state(pr, t), merged)
-        for integral, series in ((work_integral, traj.work),
-                                 (heat_integral, traj.heat),
-                                 (coherent_energy_integral,
-                                  traj.coherent_energy)):
-            assert np.max(np.abs(integral(samples)[public] - series)) < 1e-13
 
     def test_closure_gate_names_time(self):
         pr = default_params()
@@ -550,10 +523,3 @@ class TestQubitRoute:
         with pytest.raises(InputError):
             qubit_thermo_trajectory(hamiltonian,
                                     system_bloch(pr, np.linspace(0, 1, 5)))
-
-    def test_rejects_bad_tolerance(self):
-        pr = default_params()
-        with pytest.raises(InputError):
-            qubit_thermo_trajectory(system_hamiltonian(pr),
-                                    system_bloch(pr, np.linspace(0, 1, 5)),
-                                    closure_tolerance=0.0)

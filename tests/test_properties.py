@@ -19,6 +19,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from strongcouple.experiment import ExperimentConfig, run  # noqa: E402
+from strongcouple.firstlaw import CLOSURE_TOLERANCE  # noqa: E402
 
 ALPHA_DEFAULT = 1.0 / math.sqrt(2.0)
 
@@ -64,7 +65,7 @@ def test_every_configuration_passes_every_gate(alpha, beta, gamma,
     result = run(config)
     d = result.diagnostics
     assert max(d["closure_system_max"], d["closure_environment_max"]) \
-        <= config.integrator.closure_tolerance
+        <= CLOSURE_TOLERANCE
     for traj in (result.thermo_s, result.thermo_e):
         assert np.all(np.isfinite(traj.heat))
         assert np.all(np.isfinite(traj.coherent_energy))
