@@ -14,6 +14,7 @@ from .channels import (BlochSeries, GadcParams, KrausChannel, apply_channel,
                        environment_kraus, environment_state,
                        environment_states, gadc_coupling_matrix,
                        gadc_unitary, iterate_map_check, joint_initial_state,
+                       joint_negativities_closed_form,
                        joint_radii_closed_form, joint_state,
                        joint_state_closed_form, joint_states,
                        joint_states_closed_form, p_of_t, system_hamiltonian,
@@ -71,6 +72,7 @@ __all__ = [
     "heat_asymmetry",
     "iterate_map_check",
     "joint_initial_state",
+    "joint_negativities_closed_form",
     "joint_radii_closed_form",
     "joint_state",
     "joint_state_closed_form",

@@ -42,6 +42,17 @@ lines and their values on a time grid as a :class:`BlochSeries`, which
 carries everything a run needs of a marginal: the Bloch radius for the
 spectrum, ``|x|`` for the coherence, and the coefficients for the exact
 first-law split of :func:`strongcouple.firstlaw.qubit_thermo_trajectory`.
+
+Closed-form joint spectra
+-------------------------
+The closed-form joint family needs no eigensolve either. With a pure
+initial system it has rank two, and :func:`joint_radii_closed_form`
+gives its spectrum as a Bloch radius. Its partial transpose has a
+characteristic quartic whose coefficients depend on ``g`` only through
+``u = g (1 - g)``; :func:`joint_negativities_closed_form` takes the
+negativity from the quartic's one negative root by Newton's method.
+:func:`joint_states_closed_form` stays as the eigensolve route that
+``validate`` and the tests compare it against.
 """
 
 from __future__ import annotations
@@ -52,11 +63,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .spectra import (PSD_FLOOR, DensityOperator, density_stack,
                       partial_trace, tensor_product, unit_trace_stack)
 
 KRAUS_COMPLETENESS_TOL = 1e-10
+# Bound on the last Newton step of the closed-form negativity, relative to
+# the root; eight steps from the start reach round-off, about 3e-16.
+NEGATIVITY_NEWTON_TOL = 1e-12
+_NEGATIVITY_NEWTON_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -294,12 +309,16 @@ def joint_initial_state(params: GadcParams) -> DensityOperator:
 
 
 def _decay(params: GadcParams, times):
-    """``gamma = exp(-gamma_rate t)`` and ``delta = 1 - gamma`` at ``times``."""
+    """``gamma = exp(-gamma_rate t)`` and ``delta = 1 - gamma`` at ``times``.
+
+    ``delta`` is taken as ``-expm1(-gamma_rate t)``, which keeps its
+    relative precision at small ``gamma_rate t``.
+    """
     t = np.asarray(times, dtype=float)
     if np.any(t < 0.0):
         raise InputError(f"time must be nonnegative, got {float(np.min(t))}")
-    g = np.exp(-params.gamma_rate * t)
-    return g, 1.0 - g
+    x = -params.gamma_rate * t
+    return np.exp(x), -np.expm1(x)
 
 
 def _qubit_matrices(params: GadcParams, keep, lose) -> np.ndarray:
@@ -520,6 +539,82 @@ def joint_radii_closed_form(params: GadcParams, times) -> np.ndarray:
     a2 = params.alpha ** 2
     w0, w1 = params.w0, params.w1
     return np.sqrt((w0 - w1) ** 2 + 16.0 * a2 * (1.0 - a2) * w0 * w1 * g * d)
+
+
+def joint_negativities_closed_form(params: GadcParams, times) -> np.ndarray:
+    """Negativity of :func:`joint_state_closed_form` at every time.
+
+    With ``u = g (1 - g)``, ``X = a^2 w1``, ``Y = b^2 w0`` and ``D = Y^2
+    - X^2``, the partial transpose has the characteristic polynomial
+    ``p = lam^4 - lam^3 + c2 lam^2 + c1 lam + c0`` with ``c2 = w0 w1 -
+    4 X Y u``, ``c1 = u D (w0 - w1)`` and ``c0 = -(u D)^2``. A two-qubit
+    partial transpose has at most one negative eigenvalue (Sanpera,
+    Tarrach and Vidal, Phys. Rev. A 58, 826 (1998)), and ``c0 <
+    0`` whenever ``u D != 0``, so there is then exactly one; ``u D = 0``
+    gives zero. The negativity is minus that root.
+
+    All four roots are real, so ``p`` is convex and decreasing below its
+    smallest root, and Newton's method started below that root rises
+    monotonically to it. The start is the largest of three lower bounds:
+    the negative root of ``c2 lam^2 + c1 lam + c0`` (``p`` exceeds it by
+    ``lam^3 (lam - 1) >= 0`` for ``lam <= 0``), ``-(sqrt(max(c1, 0)) +
+    (-c0)^(1/3))``, and ``-1/2``. The iteration runs on ``lam / sigma``,
+    with ``sigma`` the magnitude of the start, so that ``(u D)^2`` never
+    underflows. The result depends on ``g`` only through ``u``.
+
+    Raises :class:`NumericalError` when the last Newton step, relative to
+    the root, exceeds ``NEGATIVITY_NEWTON_TOL`` at some time.
+    """
+    times = np.asarray(times, dtype=float)
+    a2 = params.alpha ** 2
+    w0, w1 = params.w0, params.w1
+    x, y = a2 * w1, (1.0 - a2) * w0
+    u = np.multiply(*_decay(params, times))
+    c2 = w0 * w1 - 4.0 * x * y * u
+    # u D, with Y - X = w0 - a^2 exactly
+    v = u * ((w0 - a2) * (x + y))
+    live = v != 0.0
+    v, c2 = v[live], c2[live]
+    sigma = _negativity_start(v, c2, w0 - w1)
+    # p(sigma nu) / sigma^2 = sigma^2 nu^4 - sigma nu^3 + c2 nu^2
+    #                         + r (w0 - w1) nu - r^2,  r = u D / sigma
+    r = v / sigma
+    re, rr, s2 = r * (w0 - w1), r * r, sigma * sigma
+    nu = np.full_like(v, -1.0)
+    step = nu
+    for _ in range(_NEGATIVITY_NEWTON_STEPS):
+        step = ((((s2 * nu - sigma) * nu + c2) * nu + re) * nu - rr) \
+            / (((4.0 * s2 * nu - 3.0 * sigma) * nu + 2.0 * c2) * nu + re)
+        nu -= step
+    last = np.abs(step / nu)
+    # written so that a NaN step trips the gate too
+    if not np.all(last <= NEGATIVITY_NEWTON_TOL):
+        worst = int(np.argmax(np.nan_to_num(last, nan=np.inf)))
+        raise NumericalError(
+            f"negativity Newton convergence: last step {last[worst]:.3e} "
+            f"of the root exceeds {NEGATIVITY_NEWTON_TOL:.0e} relative "
+            f"at t = {times[live][worst]:.6g}")
+    neg = np.zeros(times.shape)
+    neg[live] = -sigma * nu
+    return neg
+
+
+def _negativity_start(v, c2, e) -> np.ndarray:
+    """Magnitude of the largest lower bound on the quartic's negative root.
+
+    ``v = u D`` is nonzero and ``e = w0 - w1``. The negative root of
+    ``c2 lam^2 + v e lam - v^2`` is written without cancellation for
+    either sign of ``sign(v) e``; it is infinite (there is no such root)
+    where ``c2 = 0 < sign(v) e``.
+    """
+    ev = np.where(v > 0.0, e, -e)
+    k = np.sqrt(e * e + 4.0 * c2)
+    av = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quadratic = np.where(ev > 0.0, av * (k + ev) / (2.0 * c2),
+                             2.0 * av / (k - ev))
+    coarse = np.sqrt(np.maximum(v * e, 0.0)) + av ** (2.0 / 3.0)
+    return np.minimum(np.minimum(quadratic, coarse), 0.5)
 
 
 def iterate_map_check(params: GadcParams, t: float, n_steps: int) -> DensityOperator:

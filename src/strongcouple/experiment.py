@@ -7,14 +7,17 @@ scalar diagnostics that double as regression probes. Both marginals come
 from one Bloch series each (:class:`strongcouple.channels.BlochSeries`),
 which feeds their exact first-law split
 (:func:`strongcouple.firstlaw.qubit_thermo_trajectory`), their entropies
-and their coherences; the only eigensolve per time point is that of the
-partial transposes behind the negativity. Every diagnostic is
-derived from the run's own series; the self-checks that do not depend on
-the grid, such as route consistency and the Markov limit, live in
-:mod:`strongcouple.validation` and run in ``validate``. Two joint-state
-families enter the bookkeeping (see :mod:`strongcouple.channels`): the
-negativity series comes from the closed-form family whose marginals are
-exact, while the joint entropy comes from the unitary family. With a
+and their coherences. A run does no eigensolve per time point: the
+negativity series is the closed-form root of the partial transpose's
+quartic (:func:`strongcouple.channels.joint_negativities_closed_form`),
+spot-checked against an eigensolve of the single state at its peak.
+Every diagnostic is derived from the run's own series; the self-checks
+that do not depend on the grid, such as route consistency and the Markov
+limit, live in :mod:`strongcouple.validation` and run in ``validate``.
+Two joint-state families enter the bookkeeping (see
+:mod:`strongcouple.channels`): the negativity series comes from the
+closed-form family whose marginals are exact, while the joint entropy
+comes from the unitary family. With a
 pure initial system and a unitary dilation, that family keeps the joint
 spectrum ``{w0, w1, 0, 0}``, so a run takes ``S_se = S[rho_e(0)]`` in
 closed form. Mutual information combines the two accordingly,
@@ -40,15 +43,13 @@ from .errors import InputError, NumericalError
 from .firstlaw import (ThermoTrajectory, qubit_thermo_trajectory,  # noqa: F401
                        thermo_trajectory)
 from .infomeasures import (InfoSeries, bloch_entropies, heat_asymmetry,
-                           negativities, negativity, proportionality_report,
+                           negativity, proportionality_report,
                            von_neumann_entropy)
 
 RATIO_DENOMINATOR_THRESHOLD = 5e-3
 WORK_STATIC_TOL = 1e-12
 ENERGY_BALANCE_TOL = 1e-10
-# Time points per block of the negativity series: the 4x4 stacks of one
-# block stay small, so the run's memory does not grow with n_samples.
-_INFO_BLOCK = 256
+NEGATIVITY_SPOT_TOL = 1e-10
 _NEGATIVITY_PEAK_FLOOR = 1e-6
 
 
@@ -119,8 +120,10 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     """Execute one configured run and verify its invariants.
 
     Raises :class:`NumericalError` if the static-Hamiltonian work bound,
-    the global energy balance, or the first-law closure tolerance is
-    violated; these are integrity checks, not physics outputs.
+    the global energy balance, the first-law closure tolerance, the
+    convergence of the closed-form negativity, or its agreement with the
+    eigensolve at the peak is violated; these are integrity checks, not
+    physics outputs.
     """
     config.validate()
     params = config.params
@@ -151,10 +154,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     ent_e = bloch_entropies(bloch_e.radius)
     coh_s = np.sqrt(bloch_s.x2)
     coh_e = np.sqrt(bloch_e.x2)
-    blocks = np.array_split(times, -(-times.size // _INFO_BLOCK))
-    neg = np.concatenate(
-        [negativities(ch.joint_states_closed_form(params, block))
-         for block in blocks])
+    neg = ch.joint_negativities_closed_form(params, times)
     ent_joint = von_neumann_entropy(ch.environment_initial_state(params))
     info = InfoSeries(times=times, entropy_s=ent_s, entropy_e=ent_e,
                       coherence_s=coh_s, coherence_e=coh_e, negativity=neg,
@@ -163,6 +163,15 @@ def run(config: ExperimentConfig) -> ExperimentResult:
 
     drift_closed = bloch_entropies(ch.joint_radii_closed_form(params, times))
     peak_idx = int(np.argmax(neg))
+    # spot check of the closed form against the eigensolve route, at the
+    # one point where the negativity matters most
+    spot = negativity(ch.joint_state_closed_form(params, times[peak_idx]))
+    if abs(spot - neg[peak_idx]) > NEGATIVITY_SPOT_TOL:
+        raise NumericalError(
+            f"negativity routes disagree by {abs(spot - neg[peak_idx]):.3e} "
+            f"at the peak t = {times[peak_idx]:.6g} (closed form "
+            f"{neg[peak_idx]:.6e}, eigensolve {spot:.6e}); bound "
+            f"{NEGATIVITY_SPOT_TOL:.0e}")
     diagnostics = {
         "closure_system_max": thermo_s.max_closure_residual,
         "closure_environment_max": thermo_e.max_closure_residual,

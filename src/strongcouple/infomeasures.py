@@ -14,7 +14,11 @@ eigensolve. The stack forms take states already validated, for instance
 by :func:`strongcouple.spectra.density_stack`; the single-state functions
 validate their input and then call the stack form. A qubit needs no
 eigensolve: :func:`bloch_entropies` reads its entropy from the Bloch
-radius, and its l1 coherence is ``|x|``.
+radius, and its l1 coherence is ``|x|``. Nor does the negativity of the
+closed-form joint family, which a run takes from
+:func:`strongcouple.channels.joint_negativities_closed_form`;
+:func:`negativities` is the general eigensolve route that ``validate``
+and the tests compare it against.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from . import channels as ch
 from .errors import InputError, NumericalError, StrongcoupleError
 from .experiment import ExperimentConfig, run
 from .firstlaw import qubit_thermo_trajectory, thermo_trajectory
-from .infomeasures import proportionality_report
+from .infomeasures import negativities, proportionality_report
 from .spectra import DensityOperator, eig_hermitian, partial_trace
 
 
@@ -113,13 +113,18 @@ def _suite_route_consistency():
 
 
 def _suite_marginals():
-    """Exact marginals of the closed-form family, and its positivity.
+    """Exact marginals of the closed-form family, its positivity, and its
+    closed-form negativity.
 
     A run checks the family's stacks for Hermiticity and unit trace only:
     it is the congruence ``M rho_0 M^T`` of a positive state, checked
-    here entrywise over random ``(alpha, w0, p)`` triples.
+    here entrywise over random ``(alpha, w0, p)`` triples. A run takes
+    the family's negativity from the partial transpose's quartic; it is
+    compared here with the eigensolve route on the default grid and at
+    the same triples.
     """
-    pr = ExperimentConfig().params
+    config = ExperimentConfig()
+    pr, times = config.params, config.times
     worst = 0.0
     for t in np.linspace(0.0, 10.0, 41):
         joint = ch.joint_state_closed_form(pr, t)
@@ -129,6 +134,9 @@ def _suite_marginals():
             - ch.environment_state(pr, t).matrix
         worst = max(worst, float(np.max(np.abs(ds))),
                     float(np.max(np.abs(de))))
+    eigen = negativities(ch.joint_states_closed_form(pr, times))
+    worst_negativity = float(np.max(np.abs(
+        ch.joint_negativities_closed_form(pr, times) - eigen)))
     rng = random.Random(13)
     worst_congruence = 0.0
     for _ in range(25):
@@ -138,9 +146,15 @@ def _suite_marginals():
         closed = ch._closed_form_joint_matrices(pr, 1.0 - pr.p, pr.p)
         worst_congruence = max(worst_congruence,
                                float(np.max(np.abs(direct - closed))))
-    ok = worst <= 1e-12 and worst_congruence <= 1e-12
+        at_p = ch.joint_negativities_closed_form(pr, [-math.log1p(-pr.p)])
+        worst_negativity = max(worst_negativity,
+                               abs(float(at_p[0] - negativities(closed))))
+    ok = (worst <= 1e-12 and worst_congruence <= 1e-12
+          and worst_negativity <= 1e-14)
     return ok, (f"max marginal deviation {worst:.2e}, "
-                f"max |M rho_0 M^T - closed form| {worst_congruence:.2e}")
+                f"max |M rho_0 M^T - closed form| {worst_congruence:.2e}, "
+                f"max negativity gap to the eigensolve "
+                f"{worst_negativity:.2e}")
 
 
 def _suite_unitarity():

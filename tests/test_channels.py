@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from strongcouple import channels
 from strongcouple.channels import (GadcParams, KrausChannel, apply_channel,
                                    environment_bloch,
                                    environment_hamiltonian,
@@ -13,6 +15,7 @@ from strongcouple.channels import (GadcParams, KrausChannel, apply_channel,
                                    environment_states, gadc_coupling_matrix,
                                    gadc_unitary, iterate_map_check,
                                    joint_initial_state,
+                                   joint_negativities_closed_form,
                                    joint_radii_closed_form, joint_state,
                                    joint_state_closed_form, joint_states,
                                    joint_states_closed_form, p_of_t,
@@ -20,7 +23,8 @@ from strongcouple.channels import (GadcParams, KrausChannel, apply_channel,
                                    system_initial_state,
                                    system_kraus, system_state,
                                    system_state_from_dilation, system_states)
-from strongcouple.errors import InputError
+from strongcouple.errors import InputError, NumericalError
+from strongcouple.infomeasures import negativities
 from strongcouple.spectra import (DensityOperator, eig_hermitian,
                                   partial_trace)
 
@@ -307,6 +311,112 @@ class TestJointRadii:
                                         0.5 * (1.0 + radius)])
             assert np.max(np.abs(np.sort(lam, axis=1)
                                  - np.sort(expected, axis=1))) < 1e-14
+
+
+class TestJointNegativities:
+    """The closed-form root of the partial transpose's quartic."""
+
+    def test_matches_eigensolve_route(self, rng):
+        grid = np.linspace(0.0, 8.0, 161)
+        cases = [default_params(), default_params(w0=1.0),
+                 default_params(gamma_rate=50.0), default_params(alpha=0.0),
+                 default_params(alpha=1.0)]
+        cases += [GadcParams(alpha=float(rng.uniform(0, 1)),
+                             w0=float(rng.uniform(0, 1)),
+                             gamma_rate=float(rng.uniform(0.1, 5.0)))
+                  for _ in range(20)]
+        for pr in cases:
+            eigen = negativities(joint_states_closed_form(pr, grid))
+            closed = joint_negativities_closed_form(pr, grid)
+            assert np.max(np.abs(closed - eigen)) <= 1e-14
+
+    @pytest.mark.parametrize("overrides,t", [
+        # zero temperature: N grows as sqrt(u) from t = 0
+        ({"w0": 1.0}, 1e-12), ({"w0": 1.0}, 0.3), ({"w0": 1.0}, 5.0),
+        ({"gamma_rate": 50.0}, 0.001), ({"gamma_rate": 50.0}, 0.2),
+        ({"alpha": 0.0}, 0.1), ({"alpha": 0.0}, 1.0),
+        ({"alpha": 1.0}, 0.1), ({"alpha": 1.0}, 1.0),
+        # alpha^2 = w0 to round-off: D = 0, so N is zero to 1e-17
+        ({"alpha": math.sqrt(0.7310585786300049)}, 0.5),
+        ({}, math.log(2.0)),
+    ])
+    def test_absolute_accuracy(self, overrides, t):
+        pytest.importorskip("mpmath")
+        pr = default_params(**overrides)
+        exact = oracles.negativity_exact(pr.alpha, pr.w0, pr.gamma_rate, t)
+        closed = joint_negativities_closed_form(pr, [t])[0]
+        assert abs(closed - exact) <= 1e-15
+
+    @pytest.mark.parametrize("t", [40.0, 1e-9])
+    def test_relative_accuracy_where_tiny(self, t):
+        # at t = 40 the negativity is 1.8e-18, below the eigensolve's
+        # absolute round-off; at gamma t = 1e-9 it needs 1 - exp(-gamma t)
+        # to full relative precision
+        pytest.importorskip("mpmath")
+        pr = default_params()
+        exact = oracles.negativity_exact(pr.alpha, pr.w0, pr.gamma_rate, t)
+        closed = joint_negativities_closed_form(pr, [t])[0]
+        assert exact > 0.0
+        assert abs(closed - exact) <= 1e-12 * exact
+
+    def test_zero_where_u_d_vanishes(self):
+        # D = 0 at alpha^2 = w0 and at alpha = 1 with w0 = 1; u = 0 at t = 0
+        grid = np.linspace(0.0, 5.0, 21)
+        for pr in (default_params(alpha=0.5, w0=0.25),
+                   default_params(alpha=1.0, w0=1.0)):
+            assert np.all(joint_negativities_closed_form(pr, grid) == 0.0)
+        assert joint_negativities_closed_form(default_params(), [0.0])[0] \
+            == 0.0
+
+    def test_symmetric_under_g_to_one_minus_g(self, rng):
+        grid = np.linspace(0.01, 6.0, 200)
+        for _ in range(10):
+            pr = GadcParams(alpha=float(rng.uniform(0, 1)),
+                            w0=float(rng.uniform(0, 1)),
+                            gamma_rate=float(rng.uniform(0.1, 5.0)))
+            # exp(-gamma t') = 1 - exp(-gamma t)
+            mirror = -np.log(-np.expm1(-pr.gamma_rate * grid)) / pr.gamma_rate
+            assert np.max(np.abs(joint_negativities_closed_form(pr, grid)
+                                 - joint_negativities_closed_form(pr, mirror))
+                          ) <= 1e-14
+
+    def test_nondecreasing_in_u_and_peaks_at_ln2(self, rng):
+        # u = g (1 - g) rises from 0 to 1/4 as gamma t goes from 0 to ln 2
+        for _ in range(200):
+            pr = GadcParams(alpha=float(rng.uniform(0, 1)),
+                            w0=float(rng.uniform(0, 1)))
+            rising = joint_negativities_closed_form(
+                pr, np.linspace(0.0, math.log(2.0), 101))
+            assert np.all(np.diff(rising) >= 0.0)
+            grid = np.linspace(0.0, 4.0 * math.log(2.0), 401)
+            neg = joint_negativities_closed_form(pr, grid)
+            if neg[100] > 0.0:
+                assert neg[100] == np.max(neg)
+
+    def test_no_eigensolve(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the closed form must not diagonalize")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        joint_negativities_closed_form(default_params(),
+                                       np.linspace(0.0, 5.0, 11))
+
+    def test_convergence_gate_names_itself(self, monkeypatch):
+        # one Newton step from the lower bound is far from the root
+        monkeypatch.setattr(channels, "_NEGATIVITY_NEWTON_STEPS", 1)
+        grid = np.linspace(0.0, 5.0, 11)
+        with pytest.raises(NumericalError,
+                           match=r"negativity Newton convergence: last step "
+                                 r"\S+ of the root exceeds 1e-12 relative "
+                                 r"at t = \S+") as info:
+            joint_negativities_closed_form(default_params(), grid)
+        t = float(str(info.value).rsplit("= ", 1)[1])
+        assert t in grid
+
+    def test_rejects_negative_time(self):
+        with pytest.raises(InputError):
+            joint_negativities_closed_form(default_params(), [0.0, -1.0])
 
 
 class TestIterateMap:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from strongcouple import channels as ch
-from strongcouple.errors import InputError
+from strongcouple.errors import InputError, NumericalError
 from strongcouple.experiment import ExperimentConfig, run, sweep
 from strongcouple.validation import markov_convergence
 
@@ -108,14 +108,42 @@ class TestRun:
         assert result.diagnostics["negativity_unitary_family_final"] >= 0.0
 
     def test_no_eigh(self, monkeypatch):
-        # neither marginal is diagonalized; the negativity needs only
-        # eigenvalues
+        # neither marginal is diagonalized, and the negativity series is
+        # a closed form: only single states (the spot check at the peak,
+        # the unitary family at t_max) see an eigensolve
         def forbidden(*args, **kwargs):
             raise AssertionError("run() must not call numpy.linalg.eigh")
 
+        single_only = np.linalg.eigvalsh
+
+        def eigvalsh(a, *args, **kwargs):
+            if np.ndim(a) > 2:
+                raise AssertionError("run() must not call a batched eigvalsh")
+            return single_only(a, *args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         result = run(ExperimentConfig())
         assert result.diagnostics["closure_system_max"] <= 1e-12
+
+    def test_negativity_convergence_gate(self, monkeypatch):
+        monkeypatch.setattr(ch, "_NEGATIVITY_NEWTON_STEPS", 2)
+        with pytest.raises(NumericalError,
+                           match="negativity Newton convergence.*exceeds "
+                                 "1e-12 relative at t = "):
+            run(ExperimentConfig(n_samples=101))
+
+    def test_negativity_spot_check(self, monkeypatch):
+        # a closed form off by one part in 1e8 must disagree with the
+        # eigensolve at the peak
+        closed_form = ch.joint_negativities_closed_form
+        monkeypatch.setattr(
+            ch, "joint_negativities_closed_form",
+            lambda params, times: closed_form(params, times) * (1.0 + 1e-8))
+        with pytest.raises(NumericalError,
+                           match=r"negativity routes disagree by \S+ at the "
+                                 r"peak t = 0\.7 .*bound 1e-10"):
+            run(ExperimentConfig(n_samples=101))
 
     @pytest.mark.parametrize("kwargs", [
         {"beta": 0.01}, {"beta": 0.05}, {"beta": 0.1}, {"beta": 0.2},
