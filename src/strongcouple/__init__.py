@@ -9,18 +9,16 @@ model and :mod:`strongcouple.firstlaw` for the decomposition itself.
 """
 
 from .channels import (BlochSeries, GadcParams, KrausChannel, apply_channel,
-                       environment_bloch, environment_hamiltonian,
-                       environment_initial_state,
+                       environment_bloch, environment_initial_state,
                        environment_kraus, environment_state,
                        environment_states, gadc_coupling_matrix,
                        gadc_unitary, iterate_map_check, joint_initial_state,
                        joint_negativities_closed_form,
                        joint_radii_closed_form, joint_state,
                        joint_state_closed_form, joint_states,
-                       joint_states_closed_form, p_of_t, system_hamiltonian,
-                       system_bloch, system_initial_state, system_kraus,
-                       system_state, system_state_from_dilation,
-                       system_states)
+                       joint_states_closed_form, p_of_t, system_bloch,
+                       system_initial_state, system_kraus, system_state,
+                       system_state_from_dilation, system_states)
 from .errors import (InputError, NumericalError, StrongcoupleError,
                      TrackingError)
 from .experiment import (ExperimentConfig, ExperimentResult, SweepSummary,
@@ -62,7 +60,6 @@ __all__ = [
     "density_stack",
     "eig_hermitian",
     "environment_bloch",
-    "environment_hamiltonian",
     "environment_initial_state",
     "environment_kraus",
     "environment_state",
@@ -93,7 +90,6 @@ __all__ = [
     "run",
     "sweep",
     "system_bloch",
-    "system_hamiltonian",
     "system_initial_state",
     "system_kraus",
     "system_state",

@@ -1,12 +1,17 @@
 """Generalized amplitude damping for a qubit exchanging one excitation
 with a single-qubit thermal environment.
 
-The channel is parameterized by a decay probability ``p`` and the thermal
-ground weight ``w0`` of the environment. Three equivalent computational
-routes to the evolved system state are provided and cross-checked in the
-test suite: Kraus operators acting on the system alone, a unitary dilation
-on the joint space followed by a partial trace, and closed-form matrix
-entries with ``p`` replaced by ``1 - exp(-gamma t)``.
+The channel is set by a decay probability ``p`` and the thermal ground
+weight ``w0`` of the environment. :class:`GadcParams` holds ``w0``, the
+system's initial amplitude and the decay rate; ``p`` is an argument of
+the single-step builders. Both qubits are resonant with the Hamiltonian
+:data:`QUBIT_HAMILTONIAN`, ``diag(0, 1)``: the level gap is the energy
+unit, and a level offset changes none of heat, coherent energy or
+internal energy change. Three equivalent computational routes to the
+evolved system state are provided and cross-checked in the test suite:
+Kraus operators acting on the system alone, a unitary dilation on the
+joint space followed by a partial trace, and closed-form matrix entries
+with ``p`` replaced by ``1 - exp(-gamma t)``.
 
 Two joint-state families
 ------------------------
@@ -58,7 +63,7 @@ negativity from the quartic's one negative root by Newton's method.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -73,10 +78,20 @@ KRAUS_COMPLETENESS_TOL = 1e-10
 NEGATIVITY_NEWTON_TOL = 1e-12
 _NEGATIVITY_NEWTON_STEPS = 8
 
+# Hamiltonian of the system and of the environment in the ``|g>, |e>``
+# and ``|E0>, |E1>`` bases: resonant levels, the gap as the energy unit.
+QUBIT_HAMILTONIAN = np.diag([0.0, 1.0]).astype(complex)
+QUBIT_HAMILTONIAN.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class GadcParams:
-    """Channel and trajectory parameters.
+    """Initial states and decay rate of the system-environment pair.
+
+    Energies are in units of the level gap of :data:`QUBIT_HAMILTONIAN`.
+    The decay probability of a single channel step is not a parameter
+    here but an argument of :func:`system_kraus`, :func:`environment_kraus`
+    and the dilation builders.
 
     Attributes
     ----------
@@ -87,47 +102,20 @@ class GadcParams:
         Thermal weight of the environment ground level; ``w1 = 1 - w0``.
     gamma_rate : float
         Decay rate entering ``p(t) = 1 - exp(-gamma_rate t)``.
-    p : float
-        Decay probability for single-shot channel applications.
-    e_g, e_e : float
-        System energy levels. The defaults put the gap at one energy unit
-        with the ground level at zero.
-    e_0, e_1 : float
-        Environment energy levels; the gap must equal the system gap for
-        the excitation exchange to be resonant.
     """
 
     alpha: float
     w0: float
     gamma_rate: float = 1.0
-    p: float = 0.0
-    e_g: float = 0.0
-    e_e: float = 1.0
-    e_0: float = 0.0
-    e_1: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise InputError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not 0.0 <= self.w0 <= 1.0:
             raise InputError(f"w0 must lie in [0, 1], got {self.w0}")
-        if not 0.0 <= self.p <= 1.0:
-            raise InputError(f"p must lie in [0, 1], got {self.p}")
         if not 0.0 < self.gamma_rate < math.inf:
             raise InputError("gamma_rate must be positive and finite, "
                              f"got {self.gamma_rate}")
-        levels = (self.e_g, self.e_e, self.e_0, self.e_1)
-        if not all(map(math.isfinite, levels)):
-            raise InputError(f"energy levels must be finite, got {levels}")
-        gap_s = self.e_e - self.e_g
-        gap_e = self.e_1 - self.e_0
-        # finite levels can still overflow to gaps inf - inf = NaN; written
-        # so that a NaN difference fails too
-        if not abs(gap_s - gap_e) <= 1e-12:
-            raise InputError(
-                f"system gap {gap_s} and environment gap {gap_e} must match")
-        if not gap_s > 0.0:
-            raise InputError(f"energy gap must be positive, got {gap_s}")
 
     @property
     def w1(self) -> float:
@@ -139,20 +127,17 @@ class GadcParams:
         return math.sqrt(max(0.0, 1.0 - self.alpha * self.alpha))
 
     @classmethod
-    def from_inverse_temperature(cls, alpha, beta, gamma_rate=1.0, p=0.0,
-                                 e_g=0.0, e_e=1.0, e_0=0.0, e_1=1.0):
+    def from_inverse_temperature(cls, alpha, beta, gamma_rate=1.0):
         """Build parameters with ``w0`` fixed by a thermal environment.
 
         ``beta`` is the inverse temperature in units of the energy gap, so
-        ``w0 = 1 / (1 + exp(-beta (e_1 - e_0)))``. ``beta = inf`` is the
-        zero-temperature limit ``w0 = 1``.
+        ``w0 = 1 / (1 + exp(-beta))``. ``beta = inf`` is the zero-temperature
+        limit ``w0 = 1``.
         """
         if not beta > 0.0:
             raise InputError(f"beta must be positive, got {beta}")
-        gap = e_1 - e_0
-        w0 = 1.0 / (1.0 + math.exp(-beta * gap)) if math.isfinite(beta) else 1.0
-        return cls(alpha=alpha, w0=w0, gamma_rate=gamma_rate, p=p,
-                   e_g=e_g, e_e=e_e, e_0=e_0, e_1=e_1)
+        w0 = 1.0 / (1.0 + math.exp(-beta)) if math.isfinite(beta) else 1.0
+        return cls(alpha=alpha, w0=w0, gamma_rate=gamma_rate)
 
 
 @dataclass(frozen=True)
@@ -161,7 +146,6 @@ class KrausChannel:
 
     operators: tuple
     label: str = ""
-    completeness_tol: float = field(default=KRAUS_COMPLETENESS_TOL, repr=False)
 
     def __post_init__(self):
         ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
@@ -173,7 +157,7 @@ class KrausChannel:
                 raise InputError(f"Kraus operators must share shape ({dim},{dim})")
         total = sum(k.conj().T @ k for k in ops)
         dev = float(np.max(np.abs(total - np.eye(dim))))
-        if dev > self.completeness_tol:
+        if dev > KRAUS_COMPLETENESS_TOL:
             raise InputError(
                 f"Kraus completeness violated for {self.label or 'channel'}: "
                 f"max |sum K^+ K - I| = {dev:.3e}")
@@ -188,9 +172,20 @@ def p_of_t(gamma_rate: float, t: float) -> float:
     """Decay probability accumulated after time ``t``."""
     if not gamma_rate > 0.0:
         raise InputError(f"gamma_rate must be positive, got {gamma_rate}")
-    if t < 0.0:
+    if not t >= 0.0:
         raise InputError(f"time must be nonnegative, got {t}")
     return -math.expm1(-gamma_rate * t)
+
+
+def _probability(p) -> np.ndarray:
+    """``p`` as a float array whose entries are checked to lie in [0, 1].
+
+    Written so that a NaN entry fails the check too.
+    """
+    p = np.asarray(p, dtype=float)
+    if not np.all((0.0 <= p) & (p <= 1.0)):
+        raise InputError(f"p must lie in [0, 1], got {p}")
+    return p
 
 
 def gadc_unitary(p: float) -> np.ndarray:
@@ -203,9 +198,7 @@ def gadc_unitary(p: float) -> np.ndarray:
     ``p = 1`` the entry magnitudes are those of the SWAP gate. An array of
     probabilities gives a stack of shape ``p.shape + (4, 4)``.
     """
-    p = np.asarray(p, dtype=float)
-    if not np.all((0.0 <= p) & (p <= 1.0)):
-        raise InputError(f"p must lie in [0, 1], got {p}")
+    p = _probability(p)
     c = np.sqrt(1.0 - p)
     s = np.sqrt(p)
     u = np.zeros(p.shape + (4, 4), dtype=complex)
@@ -223,21 +216,20 @@ def gadc_coupling_matrix(p: float) -> np.ndarray:
     ``p = 0`` and the SWAP gate exactly at ``p = 1``; in between its middle
     block has non-orthogonal rows, so it is not unitary. Conjugating the
     initial product state with it nevertheless yields the valid family
-    :func:`joint_state_closed_form`.
+    :func:`joint_state_closed_form`. An array of probabilities gives a
+    stack, as for :func:`gadc_unitary`.
     """
-    if not 0.0 <= p <= 1.0:
-        raise InputError(f"p must lie in [0, 1], got {p}")
     u = gadc_unitary(p)
     m = u.real.copy()
-    m[1, 2] = u[1, 2].imag
-    m[2, 1] = u[2, 1].imag
+    m[..., 1, 2] = u[..., 1, 2].imag
+    m[..., 2, 1] = u[..., 2, 1].imag
     return m.astype(complex)
 
 
-def system_kraus(params: GadcParams) -> KrausChannel:
+def system_kraus(params: GadcParams, p: float) -> KrausChannel:
     """Four Kraus operators of the thermal damping channel on the system.
 
-    In the ``|g>, |e>`` basis, with ``p = params.p``:
+    In the ``|g>, |e>`` basis, for the decay probability ``p`` in [0, 1]:
 
     * ``K00 = sqrt(w0) (|g><g| + sqrt(1-p) |e><e|)``
     * ``K01 = sqrt(w0) sqrt(p) |g><e|``
@@ -246,7 +238,8 @@ def system_kraus(params: GadcParams) -> KrausChannel:
 
     They satisfy the completeness relation exactly for every ``p, w0``.
     """
-    p, w0, w1 = params.p, params.w0, params.w1
+    p = float(_probability(p))
+    w0, w1 = params.w0, params.w1
     sp = math.sqrt(p)
     sq = math.sqrt(1.0 - p)
     k00 = math.sqrt(w0) * np.array([[1, 0], [0, sq]], dtype=complex)
@@ -256,7 +249,7 @@ def system_kraus(params: GadcParams) -> KrausChannel:
     return KrausChannel(operators=(k00, k01, k10, k11), label="system damping")
 
 
-def environment_kraus(params: GadcParams) -> KrausChannel:
+def environment_kraus(params: GadcParams, p: float) -> KrausChannel:
     """Two Kraus operators for the environment side of the exchange.
 
     Obtained by sandwiching the unitary dilation between the system's
@@ -267,8 +260,8 @@ def environment_kraus(params: GadcParams) -> KrausChannel:
     closed-form environment populations but not the closed-form coherence,
     which belongs to the symmetric coupling family (see module docstring).
     """
-    p, a = params.p, params.alpha
-    b = params.beta_amp
+    p = float(_probability(p))
+    a, b = params.alpha, params.beta_amp
     sp = math.sqrt(p)
     sq = math.sqrt(1.0 - p)
     l0 = np.array([[a, 0.0],
@@ -315,7 +308,8 @@ def _decay(params: GadcParams, times):
     relative precision at small ``gamma_rate t``.
     """
     t = np.asarray(times, dtype=float)
-    if np.any(t < 0.0):
+    # written so that a NaN time fails too; t = inf is the thermal limit
+    if not np.all(t >= 0.0):
         raise InputError(f"time must be nonnegative, got {float(np.min(t))}")
     x = -params.gamma_rate * t
     return np.exp(x), -np.expm1(x)
@@ -629,32 +623,19 @@ def iterate_map_check(params: GadcParams, t: float, n_steps: int) -> DensityOper
     """
     if n_steps < 1:
         raise InputError(f"n_steps must be at least 1, got {n_steps}")
-    if t < 0.0:
+    if not t >= 0.0:
         raise InputError(f"time must be nonnegative, got {t}")
     p_step = params.gamma_rate * t / n_steps
     if p_step > 1.0:
         raise InputError(
             f"per-step probability {p_step:.3g} exceeds 1; increase n_steps")
-    step = system_kraus(GadcParams(alpha=params.alpha, w0=params.w0,
-                                   gamma_rate=params.gamma_rate, p=p_step,
-                                   e_g=params.e_g, e_e=params.e_e,
-                                   e_0=params.e_0, e_1=params.e_1))
+    step = system_kraus(params, p_step)
     pairs = [(k, k.conj().T) for k in step.operators]
     m = system_initial_state(params).matrix
     for _ in range(n_steps):
         out = sum(k @ m @ k_adj for k, k_adj in pairs)
         m = (out + out.conj().T) / 2
     return DensityOperator(m)
-
-
-def system_hamiltonian(params: GadcParams) -> np.ndarray:
-    """Static system Hamiltonian ``diag(e_g, e_e)`` in the ``|g>, |e>`` basis."""
-    return np.diag([params.e_g, params.e_e]).astype(complex)
-
-
-def environment_hamiltonian(params: GadcParams) -> np.ndarray:
-    """Static environment Hamiltonian ``diag(e_0, e_1)``."""
-    return np.diag([params.e_0, params.e_1]).astype(complex)
 
 
 def system_state_from_dilation(params: GadcParams, p: float) -> DensityOperator:

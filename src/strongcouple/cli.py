@@ -275,17 +275,26 @@ def _expand_grid(data) -> list:
     betas = axis("beta", base.beta)
     gammas = axis("gamma", base.gamma)
     n_samples = _int_field(data.get("n_samples", base.n_samples), "n_samples")
+    if "gamma_t_max" in data:
+        # checked by name here: the horizon divides by each gamma, and a
+        # bad t_max would name a field the grid does not have
+        horizon = _float_field(data["gamma_t_max"], "gamma_t_max")
+        if not 0.0 < horizon < math.inf:
+            raise InputError("gamma_t_max must be positive and finite, "
+                             f"got {horizon}")
+        for g in gammas:
+            if not 0.0 < g < math.inf:
+                raise InputError(
+                    f"gamma must be positive and finite, got {g}")
+        t_maxes = [horizon / g for g in gammas]
+    else:
+        t_max = _float_field(data.get("t_max", base.t_max), "t_max")
+        t_maxes = [t_max] * len(gammas)
 
     configs = []
     for a in alphas:
         for b in betas:
-            for g in gammas:
-                if "gamma_t_max" in data:
-                    t_max = _float_field(data["gamma_t_max"],
-                                         "gamma_t_max") / g
-                else:
-                    t_max = _float_field(data.get("t_max", base.t_max),
-                                         "t_max")
+            for g, t_max in zip(gammas, t_maxes):
                 cfg = ExperimentConfig(alpha=a, beta=b, gamma=g, t_max=t_max,
                                        n_samples=n_samples)
                 cfg.validate()

@@ -131,9 +131,8 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     bloch_s = ch.system_bloch(params, times)
     bloch_e = ch.environment_bloch(params, times)
 
-    thermo_s = qubit_thermo_trajectory(ch.system_hamiltonian(params), bloch_s)
-    thermo_e = qubit_thermo_trajectory(ch.environment_hamiltonian(params),
-                                       bloch_e)
+    thermo_s = qubit_thermo_trajectory(ch.QUBIT_HAMILTONIAN, bloch_s)
+    thermo_e = qubit_thermo_trajectory(ch.QUBIT_HAMILTONIAN, bloch_e)
 
     work_max = max(float(np.max(np.abs(thermo_s.work))),
                    float(np.max(np.abs(thermo_e.work))))

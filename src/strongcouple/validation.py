@@ -37,9 +37,9 @@ def route_consistency(n_triples: int = 20, seed: int = 0) -> float:
         a = rng.uniform(0.0, 1.0)
         w0 = rng.uniform(0.0, 1.0)
         p = rng.uniform(0.0, 0.999)
-        pr = ch.GadcParams(alpha=a, w0=w0, gamma_rate=1.0, p=p)
+        pr = ch.GadcParams(alpha=a, w0=w0, gamma_rate=1.0)
         t = -math.log1p(-p)
-        via_kraus = ch.apply_channel(ch.system_kraus(pr),
+        via_kraus = ch.apply_channel(ch.system_kraus(pr, p),
                                      ch.system_initial_state(pr)).matrix
         via_dilation = ch.system_state_from_dilation(pr, p).matrix
         via_closed = ch.system_state(pr, t).matrix
@@ -62,7 +62,8 @@ def markov_convergence(params: ch.GadcParams, t: float = 1.0,
     if not counts:
         raise InputError("step_counts must not be empty")
     for n in counts:
-        if int(n) != n or n < 1:
+        # isfinite first: int() of nan or inf raises
+        if not (math.isfinite(n) and int(n) == n and n >= 1):
             raise InputError(f"step counts must be positive integers, got {n}")
     target = ch.system_state(params, t).matrix
     rows = []
@@ -72,18 +73,19 @@ def markov_convergence(params: ch.GadcParams, t: float = 1.0,
     return rows
 
 
-def _random_params(rng: random.Random) -> ch.GadcParams:
-    return ch.GadcParams(alpha=rng.uniform(0.0, 1.0),
-                         w0=rng.uniform(0.0, 1.0),
-                         p=rng.uniform(0.0, 1.0))
+def _random_params(rng: random.Random) -> tuple:
+    """Random parameters and a decay probability ``p`` in [0, 1]."""
+    params = ch.GadcParams(alpha=rng.uniform(0.0, 1.0),
+                           w0=rng.uniform(0.0, 1.0))
+    return params, rng.uniform(0.0, 1.0)
 
 
 def _suite_kraus_completeness():
     worst = 0.0
     rng = random.Random(7)
     for _ in range(25):
-        pr = _random_params(rng)
-        for channel in (ch.system_kraus(pr), ch.environment_kraus(pr)):
+        pr, p = _random_params(rng)
+        for channel in (ch.system_kraus(pr, p), ch.environment_kraus(pr, p)):
             total = sum(k.conj().T @ k for k in channel.operators)
             worst = max(worst, float(np.max(np.abs(total - np.eye(2)))))
     return worst <= 1e-12, f"max |sum K^+K - I| = {worst:.2e}"
@@ -93,12 +95,12 @@ def _suite_channel_preserves_states():
     rng = random.Random(11)
     worst_trace, worst_eig = 0.0, 0.0
     for _ in range(50):
-        pr = _random_params(rng)
+        pr, p = _random_params(rng)
         m = np.array([[complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
                        for _ in range(2)] for _ in range(2)])
         rho = m @ m.conj().T
         rho /= np.trace(rho).real
-        out = ch.apply_channel(ch.system_kraus(pr), DensityOperator(rho))
+        out = ch.apply_channel(ch.system_kraus(pr, p), DensityOperator(rho))
         worst_trace = max(worst_trace,
                           abs(float(np.trace(out.matrix).real) - 1.0))
         worst_eig = max(worst_eig,
@@ -140,13 +142,13 @@ def _suite_marginals():
     rng = random.Random(13)
     worst_congruence = 0.0
     for _ in range(25):
-        pr = _random_params(rng)
-        m = ch.gadc_coupling_matrix(pr.p)
+        pr, p = _random_params(rng)
+        m = ch.gadc_coupling_matrix(p)
         direct = m @ ch.joint_initial_state(pr).matrix @ m.T
-        closed = ch._closed_form_joint_matrices(pr, 1.0 - pr.p, pr.p)
+        closed = ch._closed_form_joint_matrices(pr, 1.0 - p, p)
         worst_congruence = max(worst_congruence,
                                float(np.max(np.abs(direct - closed))))
-        at_p = ch.joint_negativities_closed_form(pr, [-math.log1p(-pr.p)])
+        at_p = ch.joint_negativities_closed_form(pr, [-math.log1p(-p)])
         worst_negativity = max(worst_negativity,
                                abs(float(at_p[0] - negativities(closed))))
     ok = (worst <= 1e-12 and worst_congruence <= 1e-12
@@ -203,7 +205,7 @@ def _suite_closure_refinement():
     fourfold when the grid is halved.
     """
     pr = ExperimentConfig().params
-    h = ch.environment_hamiltonian(pr)
+    h = ch.QUBIT_HAMILTONIAN
     states = functools.partial(ch.environment_states, pr)
     residuals, gaps = [], []
     for n in (1001, 2001):
@@ -229,12 +231,13 @@ def _suite_mutation_control():
     comparison must report a large deviation. Passing here means the
     consistency checks have teeth.
     """
-    pr = ch.GadcParams(alpha=0.6, w0=0.7, p=0.3)
-    u = ch.gadc_unitary(1.0 - pr.p)
+    pr, p = ch.GadcParams(alpha=0.6, w0=0.7), 0.3
+    u = ch.gadc_unitary(1.0 - p)
     unitary_dev = float(np.max(np.abs(u @ u.conj().T - np.eye(4))))
     joint = u @ ch.joint_initial_state(pr).matrix @ u.conj().T
     mutated = partial_trace(DensityOperator(joint), keep=0, dims=(2, 2))
-    honest = ch.apply_channel(ch.system_kraus(pr), ch.system_initial_state(pr))
+    honest = ch.apply_channel(ch.system_kraus(pr, p),
+                              ch.system_initial_state(pr))
     dev = float(np.max(np.abs(mutated.matrix - honest.matrix)))
     ok = unitary_dev <= 1e-12 and dev > 1e-2
     return ok, (f"mutated route still unitary ({unitary_dev:.2e}) "
@@ -244,9 +247,9 @@ def _suite_mutation_control():
 def _suite_closure_gate():
     """Negative control: a coarse grid must trip the closure tolerance."""
     pr = ExperimentConfig().params
-    h = ch.environment_hamiltonian(pr)
     try:
-        thermo_trajectory(h, functools.partial(ch.environment_states, pr),
+        thermo_trajectory(ch.QUBIT_HAMILTONIAN,
+                          functools.partial(ch.environment_states, pr),
                           np.linspace(0.0, 10.0, 101),
                           closure_tolerance=1e-8)
     except NumericalError as exc:

@@ -12,12 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from strongcouple.channels import (GadcParams, apply_channel,
-                                   environment_hamiltonian,
+from strongcouple.channels import (QUBIT_HAMILTONIAN, GadcParams,
+                                   apply_channel,
                                    environment_initial_state,
                                    environment_kraus, environment_states,
                                    joint_states,
-                                   system_hamiltonian,
                                    system_initial_state, system_kraus,
                                    system_state, system_state_from_dilation,
                                    system_states)
@@ -94,10 +93,10 @@ def test_criterion_05_first_law_closure(default_run):
                                  np.linspace(0.0, 10.0, n)
                                  ).max_closure_residual
 
-    ratio_s = generic(system_hamiltonian(pr), system_states, 1001) \
-        / generic(system_hamiltonian(pr), system_states, 2001)
-    ratio_e = generic(environment_hamiltonian(pr), environment_states, 1001) \
-        / generic(environment_hamiltonian(pr), environment_states, 2001)
+    ratio_s = generic(QUBIT_HAMILTONIAN, system_states, 1001) \
+        / generic(QUBIT_HAMILTONIAN, system_states, 2001)
+    ratio_e = generic(QUBIT_HAMILTONIAN, environment_states, 1001) \
+        / generic(QUBIT_HAMILTONIAN, environment_states, 2001)
     ok = (res_s <= 1e-4 and res_e <= 1e-4
           and 3.0 <= ratio_s <= 5.0 and 3.0 <= ratio_e <= 5.0)
     report(5, ok, f"closure {res_s:.2e} (system), {res_e:.2e} "
@@ -199,12 +198,12 @@ def test_criterion_12_channel_property_suite(rng):
     worst_complete = 0.0
     for _ in range(1000):
         pr = GadcParams(alpha=float(rng.uniform(0, 1)),
-                        w0=float(rng.uniform(0, 1)),
-                        p=float(rng.uniform(0, 1)))
+                        w0=float(rng.uniform(0, 1)))
+        p = float(rng.uniform(0, 1))
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         rho = m @ m.conj().T
         rho /= np.trace(rho).real
-        for channel in (system_kraus(pr), environment_kraus(pr)):
+        for channel in (system_kraus(pr, p), environment_kraus(pr, p)):
             total = sum(k.conj().T @ k for k in channel.operators)
             worst_complete = max(worst_complete, float(
                 np.max(np.abs(total - np.eye(2)))))
@@ -224,12 +223,12 @@ def test_criterion_13_consistency_triangle(rng):
     worst = 0.0
     for _ in range(20):
         pr = GadcParams(alpha=float(rng.uniform(0, 1)),
-                        w0=float(rng.uniform(0, 1)),
-                        p=float(rng.uniform(0, 0.999)))
-        t = -math.log1p(-pr.p)
-        via_kraus = apply_channel(system_kraus(pr),
+                        w0=float(rng.uniform(0, 1)))
+        p = float(rng.uniform(0, 0.999))
+        t = -math.log1p(-p)
+        via_kraus = apply_channel(system_kraus(pr, p),
                                   system_initial_state(pr)).matrix
-        via_dilation = system_state_from_dilation(pr, pr.p).matrix
+        via_dilation = system_state_from_dilation(pr, p).matrix
         via_closed = system_state(pr, t).matrix
         worst = max(worst,
                     float(np.max(np.abs(via_kraus - via_dilation))),

@@ -1,15 +1,17 @@
 """Channel construction, closed-form states, and route consistency."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import oracles
+import strongcouple
 from strongcouple import channels
-from strongcouple.channels import (GadcParams, KrausChannel, apply_channel,
+from strongcouple.channels import (QUBIT_HAMILTONIAN, GadcParams,
+                                   KrausChannel, apply_channel,
                                    environment_bloch,
-                                   environment_hamiltonian,
                                    environment_initial_state,
                                    environment_kraus, environment_state,
                                    environment_states, gadc_coupling_matrix,
@@ -19,8 +21,7 @@ from strongcouple.channels import (GadcParams, KrausChannel, apply_channel,
                                    joint_radii_closed_form, joint_state,
                                    joint_state_closed_form, joint_states,
                                    joint_states_closed_form, p_of_t,
-                                   system_bloch, system_hamiltonian,
-                                   system_initial_state,
+                                   system_bloch, system_initial_state,
                                    system_kraus, system_state,
                                    system_state_from_dilation, system_states)
 from strongcouple.errors import InputError, NumericalError
@@ -44,31 +45,16 @@ class TestGadcParams:
     @pytest.mark.parametrize("field,value", [
         ("alpha", -0.1), ("alpha", 1.1),
         ("w0", -0.1), ("w0", 1.0001),
-        ("p", -0.2), ("p", 2.0),
         ("gamma_rate", 0.0), ("gamma_rate", -1.0),
     ])
     def test_rejects_out_of_range(self, field, value):
         with pytest.raises(InputError):
             default_params(**{field: value})
 
-    def test_rejects_gap_mismatch(self):
-        with pytest.raises(InputError):
-            default_params(e_e=2.0)
-
-    def test_rejects_nonpositive_gap(self):
-        with pytest.raises(InputError):
-            default_params(e_g=1.0, e_e=0.0, e_0=1.0, e_1=0.0)
-
     @pytest.mark.parametrize("overrides", [
-        {"e_e": math.inf, "e_1": math.inf},
-        {"e_g": -math.inf, "e_0": -math.inf},
-        {"e_e": math.nan},
         {"gamma_rate": math.inf},
         {"gamma_rate": math.nan},
-        # finite levels whose gaps overflow: inf - inf is NaN
-        {"e_g": -1e308, "e_e": 1e308, "e_0": -1e308, "e_1": 1e308},
-    ], ids=["excited_inf", "ground_minus_inf", "level_nan", "rate_inf",
-            "rate_nan", "gaps_overflow"])
+    ], ids=["rate_inf", "rate_nan"])
     def test_rejects_non_finite(self, overrides):
         with pytest.raises(InputError):
             default_params(**overrides)
@@ -77,6 +63,10 @@ class TestGadcParams:
         pr = GadcParams.from_inverse_temperature(alpha=0.5, beta=1.0)
         assert abs(pr.w0 - 1.0 / (1.0 + math.exp(-1.0))) < 1e-15
         assert pr.w1 == 1.0 - pr.w0
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(GadcParams)] \
+            == ["alpha", "w0", "gamma_rate"]
 
     def test_zero_temperature(self):
         pr = GadcParams.from_inverse_temperature(alpha=0.5, beta=math.inf)
@@ -100,14 +90,24 @@ class TestKrausChannel:
         with pytest.raises(InputError):
             KrausChannel(operators=())
 
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(KrausChannel)] \
+            == ["operators", "label"]
+
     def test_completeness_random_params(self, rng):
         for _ in range(25):
             pr = GadcParams(alpha=float(rng.uniform(0, 1)),
-                            w0=float(rng.uniform(0, 1)),
-                            p=float(rng.uniform(0, 1)))
-            for channel in (system_kraus(pr), environment_kraus(pr)):
+                            w0=float(rng.uniform(0, 1)))
+            p = float(rng.uniform(0, 1))
+            for channel in (system_kraus(pr, p), environment_kraus(pr, p)):
                 total = sum(k.conj().T @ k for k in channel.operators)
                 assert np.max(np.abs(total - np.eye(2))) < 1e-14
+
+    @pytest.mark.parametrize("builder", [system_kraus, environment_kraus])
+    @pytest.mark.parametrize("p", [-0.2, 2.0, math.nan])
+    def test_builders_reject_bad_p(self, builder, p):
+        with pytest.raises(InputError, match="p must lie in"):
+            builder(default_params(), p)
 
 
 class TestDilationMatrices:
@@ -130,6 +130,11 @@ class TestDilationMatrices:
         assert abs(dev - 1.0) < 1e-12
         assert np.max(np.abs(m - m.T)) == 0.0
 
+    def test_coupling_matrix_stack(self):
+        stack = gadc_coupling_matrix(np.array([0.0, 0.5, 1.0]))
+        assert np.array_equal(stack, [gadc_coupling_matrix(p)
+                                      for p in (0.0, 0.5, 1.0)])
+
     @pytest.mark.parametrize("p", [-0.1, 1.1])
     def test_rejects_bad_p(self, p):
         with pytest.raises(InputError):
@@ -147,6 +152,10 @@ class TestDecayProbability:
     def test_rejects_negative_time(self):
         with pytest.raises(InputError):
             p_of_t(1.0, -0.5)
+
+    def test_rejects_nan_time(self):
+        with pytest.raises(InputError, match="nan"):
+            p_of_t(1.0, math.nan)
 
 
 class TestClosedFormStates:
@@ -170,12 +179,12 @@ class TestClosedFormStates:
     def test_three_routes_agree(self, rng):
         for _ in range(20):
             pr = GadcParams(alpha=float(rng.uniform(0, 1)),
-                            w0=float(rng.uniform(0, 1)),
-                            p=float(rng.uniform(0, 0.999)))
-            t = -math.log1p(-pr.p)
-            via_kraus = apply_channel(system_kraus(pr),
+                            w0=float(rng.uniform(0, 1)))
+            p = float(rng.uniform(0, 0.999))
+            t = -math.log1p(-p)
+            via_kraus = apply_channel(system_kraus(pr, p),
                                       system_initial_state(pr)).matrix
-            via_dilation = system_state_from_dilation(pr, pr.p).matrix
+            via_dilation = system_state_from_dilation(pr, p).matrix
             via_closed = system_state(pr, t).matrix
             assert np.max(np.abs(via_kraus - via_dilation)) < 1e-12
             assert np.max(np.abs(via_kraus - via_closed)) < 1e-12
@@ -197,10 +206,10 @@ class TestClosedFormStates:
             stack(pr, np.array([0.0, -1.0]))
 
     def test_environment_kraus_populations(self):
-        pr = default_params(p=0.4)
-        out = apply_channel(environment_kraus(pr),
+        pr = default_params()
+        out = apply_channel(environment_kraus(pr, 0.4),
                             environment_initial_state(pr)).matrix
-        ref = environment_state(default_params(), -math.log1p(-0.4)).matrix
+        ref = environment_state(pr, -math.log1p(-0.4)).matrix
         assert abs(out[0, 0] - ref[0, 0]) < 1e-12
         assert abs(out[1, 1] - ref[1, 1]) < 1e-12
 
@@ -418,21 +427,43 @@ class TestJointNegativities:
         with pytest.raises(InputError):
             joint_negativities_closed_form(default_params(), [0.0, -1.0])
 
+    def test_rejects_nan_time(self):
+        # a NaN time is an input error, not a failed Newton iteration
+        with pytest.raises(InputError, match="time must be nonnegative, "
+                                             "got nan"):
+            joint_negativities_closed_form(default_params(), [math.nan])
+
+
+class TestDecayInput:
+    """Times enter every closed form through one NaN-safe check."""
+
+    def test_joint_radii_reject_nan_time(self):
+        with pytest.raises(InputError, match="time must be nonnegative, "
+                                             "got nan"):
+            joint_radii_closed_form(default_params(), [math.nan, 1.0])
+
+    @pytest.mark.parametrize("closed_form", [
+        system_states, joint_states_closed_form, joint_radii_closed_form,
+        joint_negativities_closed_form,
+    ])
+    def test_infinite_time_is_the_thermal_limit(self, closed_form):
+        pr = default_params()
+        assert np.array_equal(closed_form(pr, [math.inf]),
+                              closed_form(pr, [1e3]))
+
 
 class TestIterateMap:
     def test_single_step_matches_channel(self):
         pr = default_params()
         single = iterate_map_check(pr, 0.5, 1).matrix
-        step = GadcParams(alpha=pr.alpha, w0=pr.w0, p=0.5)
-        ref = apply_channel(system_kraus(step),
+        ref = apply_channel(system_kraus(pr, 0.5),
                             system_initial_state(pr)).matrix
         assert np.max(np.abs(single - ref)) < 1e-14
 
     @pytest.mark.parametrize("n_steps", [1, 10])
     def test_equals_channel_composition_bitwise(self, n_steps):
         pr = default_params()
-        step = system_kraus(GadcParams(alpha=pr.alpha, w0=pr.w0,
-                                       p=pr.gamma_rate * 1.0 / n_steps))
+        step = system_kraus(pr, pr.gamma_rate * 1.0 / n_steps)
         rho = system_initial_state(pr)
         for _ in range(n_steps):
             rho = apply_channel(step, rho)
@@ -454,15 +485,22 @@ class TestIterateMap:
         with pytest.raises(InputError):
             iterate_map_check(default_params(gamma_rate=3.0), 1.0, 2)
 
+    def test_rejects_nan_time(self):
+        # named as a time, not as a bad per-step probability
+        with pytest.raises(InputError, match="time must be nonnegative"):
+            iterate_map_check(default_params(), math.nan, 10)
+
 
 class TestOperators:
     def test_hamiltonians(self):
-        pr = default_params()
-        assert np.array_equal(system_hamiltonian(pr), np.diag([0.0, 1.0]))
-        assert np.array_equal(environment_hamiltonian(pr),
-                              np.diag([0.0, 1.0]))
+        assert np.array_equal(QUBIT_HAMILTONIAN, np.diag([0.0, 1.0]))
+        assert QUBIT_HAMILTONIAN.dtype == complex
+        with pytest.raises(ValueError):
+            QUBIT_HAMILTONIAN[1, 1] = 2.0
+        # the package namespace lists functions and classes only
+        assert "QUBIT_HAMILTONIAN" not in strongcouple.__all__
 
     def test_apply_channel_dimension_mismatch(self):
-        channel = system_kraus(default_params())
+        channel = system_kraus(default_params(), 0.0)
         with pytest.raises(InputError):
             apply_channel(channel, DensityOperator(np.eye(4) / 4.0))

@@ -207,6 +207,23 @@ class TestSweepCommand:
         assert main(["sweep", "--grid", grid,
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("grid, field", [
+        ({"gamma": [0.0, 1.0], "gamma_t_max": 5}, "gamma"),
+        ({"gamma": [1.0, -2.0], "gamma_t_max": 5}, "gamma"),
+        ({"gamma": "inf", "gamma_t_max": 5}, "gamma"),
+        ({"gamma_t_max": 0}, "gamma_t_max"),
+        ({"gamma_t_max": -1}, "gamma_t_max"),
+        ({"gamma_t_max": "inf"}, "gamma_t_max"),
+    ], ids=["gamma_zero", "gamma_negative", "gamma_inf", "horizon_zero",
+            "horizon_negative", "horizon_inf"])
+    def test_bad_scaled_horizon_named(self, tmp_path, capsys, grid, field):
+        # checked before the horizon is divided by each gamma
+        path = write_json(tmp_path / "grid.json", grid)
+        assert main(["sweep", "--grid", path,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {field} must be positive and finite" in err
+
     def test_unknown_grid_key(self, tmp_path):
         grid = write_json(tmp_path / "grid.json", {"p": [0.1]})
         assert main(["sweep", "--grid", grid,

@@ -189,6 +189,15 @@ class TestMarkov:
         with pytest.raises(InputError):
             markov_convergence(ExperimentConfig().params, step_counts=counts)
 
+    @pytest.mark.parametrize("count", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "minus_inf"])
+    def test_non_finite_step_count(self, count):
+        # an input error, not the ValueError or OverflowError of int()
+        with pytest.raises(InputError, match="step counts must be positive "
+                                             "integers"):
+            markov_convergence(ExperimentConfig().params,
+                               step_counts=(10, count))
+
 
 class TestSweep:
     def test_rows_and_edge_cases(self):

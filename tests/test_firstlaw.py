@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 import oracles
-from strongcouple.channels import (GadcParams, environment_bloch,
-                                   environment_hamiltonian,
-                                   environment_states, system_bloch,
-                                   system_hamiltonian, system_state,
-                                   system_states)
+from strongcouple.channels import (QUBIT_HAMILTONIAN, GadcParams,
+                                   environment_bloch, environment_states,
+                                   system_bloch, system_state, system_states)
 from strongcouple.errors import InputError, NumericalError, TrackingError
 from strongcouple.experiment import ExperimentConfig
 from strongcouple.firstlaw import (_spectra, _track, qubit_thermo_trajectory,
@@ -61,7 +59,7 @@ class TestSampleTrajectory:
     def test_overlap_rows_and_columns_sum_to_one(self):
         pr = default_params()
         times = np.linspace(0.0, 2.0, 5)
-        overlaps = _spectra(system_hamiltonian(pr), system_states(pr, times),
+        overlaps = _spectra(QUBIT_HAMILTONIAN, system_states(pr, times),
                             times).overlaps
         assert np.max(np.abs(overlaps.sum(axis=1) - 1.0)) < 1e-12
         assert np.max(np.abs(overlaps.sum(axis=2) - 1.0)) < 1e-12
@@ -69,7 +67,7 @@ class TestSampleTrajectory:
     def test_state_count_mismatch(self):
         pr = default_params()
         with pytest.raises(InputError, match="got states of shape"):
-            thermo_trajectory(system_hamiltonian(pr),
+            thermo_trajectory(QUBIT_HAMILTONIAN,
                               lambda t: system_states(pr, t[:1]),
                               np.linspace(0.0, 1.0, 4))
 
@@ -77,7 +75,7 @@ class TestSampleTrajectory:
     def test_bad_grids(self, times):
         pr = default_params()
         with pytest.raises(InputError):
-            thermo_trajectory(system_hamiltonian(pr),
+            thermo_trajectory(QUBIT_HAMILTONIAN,
                               lambda t: system_states(pr, t), times)
 
 
@@ -94,7 +92,7 @@ class TestIntegralsExactCases:
 
     def test_static_hamiltonian_zero_work(self):
         pr = default_params()
-        traj = thermo_trajectory(system_hamiltonian(pr),
+        traj = thermo_trajectory(QUBIT_HAMILTONIAN,
                                  lambda t: system_states(pr, t),
                                  np.linspace(0.0, 5.0, 101))
         assert np.max(np.abs(traj.work)) < 1e-13
@@ -121,10 +119,10 @@ class TestIntegralsExactCases:
         pr = default_params()
         d = np.diag([np.exp(0.71j), np.exp(-1.3j)])
         times = np.linspace(0.0, 2.0, 41)
-        base = thermo_trajectory(system_hamiltonian(pr),
+        base = thermo_trajectory(QUBIT_HAMILTONIAN,
                                  lambda t: system_states(pr, t), times)
         phased = thermo_trajectory(
-            system_hamiltonian(pr),
+            QUBIT_HAMILTONIAN,
             lambda t: d @ system_states(pr, t) @ d.conj().T, times)
         for name in ("work", "heat", "coherent_energy"):
             assert np.max(np.abs(getattr(base, name)
@@ -134,9 +132,9 @@ class TestIntegralsExactCases:
         """H -> H + cI shifts only the work ledger, which is zero here."""
         pr = default_params()
         times = np.linspace(0.0, 3.0, 61)
-        base = thermo_trajectory(system_hamiltonian(pr),
+        base = thermo_trajectory(QUBIT_HAMILTONIAN,
                                  lambda t: system_states(pr, t), times)
-        shifted = thermo_trajectory(system_hamiltonian(pr) + 2.5 * np.eye(2),
+        shifted = thermo_trajectory(QUBIT_HAMILTONIAN + 2.5 * np.eye(2),
                                     lambda t: system_states(pr, t), times)
         for name in ("heat", "coherent_energy"):
             assert np.max(np.abs(getattr(base, name)
@@ -146,11 +144,11 @@ class TestIntegralsExactCases:
     def test_incoherent_initial_state_no_coherent_energy(self, alpha):
         pr = GadcParams(alpha=alpha, w0=oracles.W0_DEFAULT)
         times = np.linspace(0.0, 5.0, 201)
-        for h, states in ((system_hamiltonian(pr), system_states),
-                          (environment_hamiltonian(pr), environment_states)):
+        for states in (system_states, environment_states):
             # the closure gate is not under test: at alpha = 0 this grid
             # leaves a residual near 1e-4
-            traj = thermo_trajectory(h, lambda t: states(pr, t), times,
+            traj = thermo_trajectory(QUBIT_HAMILTONIAN,
+                                     lambda t: states(pr, t), times,
                                      closure_tolerance=1.0)
             assert np.max(np.abs(traj.coherent_energy)) < 1e-12
 
@@ -165,7 +163,7 @@ class TestInternalEnergyChange:
         """The qubit route reads Delta U off its Bloch matrices."""
         pr = default_params()
         times = np.linspace(0.0, 3.0, 31)
-        h = system_hamiltonian(pr)
+        h = QUBIT_HAMILTONIAN
         traj = qubit_thermo_trajectory(h, system_bloch(pr, times))
         du = trace_change(h, system_states(pr, times))
         assert np.max(np.abs(traj.internal_energy_change - du)) < 1e-15
@@ -173,15 +171,15 @@ class TestInternalEnergyChange:
     def test_total_energy_conserved_pointwise(self):
         pr = default_params()
         times = np.linspace(0.0, 8.0, 17)
-        du_s = trace_change(system_hamiltonian(pr), system_states(pr, times))
-        du_e = trace_change(environment_hamiltonian(pr),
+        du_s = trace_change(QUBIT_HAMILTONIAN, system_states(pr, times))
+        du_e = trace_change(QUBIT_HAMILTONIAN,
                             environment_states(pr, times))
         assert np.max(np.abs(du_s + du_e)) < 1e-10
 
     def test_matches_trajectory_series(self):
         pr = default_params()
         times = np.linspace(0.0, 2.0, 201)
-        h = system_hamiltonian(pr)
+        h = QUBIT_HAMILTONIAN
         traj = thermo_trajectory(h, lambda t: system_states(pr, t), times)
         du = trace_change(h, system_states(pr, np.array([0.0, 2.0])))
         assert abs(du[-1] - traj.internal_energy_change[-1]) < 1e-12
@@ -196,7 +194,7 @@ class TestAgainstOracle:
     def test_system_integrals(self):
         pr = default_params()
         times = np.linspace(0.0, 10.0, 2001)
-        traj = thermo_trajectory(system_hamiltonian(pr),
+        traj = thermo_trajectory(QUBIT_HAMILTONIAN,
                                  lambda t: system_states(pr, t), times)
         for t_ref in (0.5, 2.0, 10.0):
             i = int(round(t_ref / 10.0 * 2000))
@@ -207,7 +205,7 @@ class TestAgainstOracle:
     def test_environment_integrals_frozen(self):
         pr = default_params()
         times = np.linspace(0.0, 10.0, 2001)
-        traj = thermo_trajectory(environment_hamiltonian(pr),
+        traj = thermo_trajectory(QUBIT_HAMILTONIAN,
                                  lambda t: environment_states(pr, t), times)
         for t_ref in (0.5, 2.0, 10.0):
             i = int(round(t_ref / 10.0 * 2000))
@@ -220,7 +218,7 @@ class TestAgainstOracle:
         pytest.importorskip("scipy")
         pr = default_params()
         times = np.linspace(0.0, 0.5, 4001)
-        traj = thermo_trajectory(environment_hamiltonian(pr),
+        traj = thermo_trajectory(QUBIT_HAMILTONIAN,
                                  lambda t: environment_states(pr, t), times)
         q_ref, c_ref = oracles.heat_and_coherent("environment", 0.5)
         assert abs(traj.heat[-1] - q_ref) < 1e-6
@@ -230,7 +228,7 @@ class TestAgainstOracle:
         pytest.importorskip("scipy")
         pr = default_params()
         times = np.linspace(0.0, 2.0, 2001)
-        traj = thermo_trajectory(system_hamiltonian(pr),
+        traj = thermo_trajectory(QUBIT_HAMILTONIAN,
                                  lambda t: system_states(pr, t), times)
         q_ref, c_ref = oracles.heat_and_coherent("system", 2.0)
         assert abs(traj.heat[-1] - q_ref) < 1e-6
@@ -241,7 +239,7 @@ class TestThermoTrajectory:
     def test_times_preserved(self):
         pr = default_params()
         times = np.linspace(0.0, 4.0, 101)
-        traj = thermo_trajectory(system_hamiltonian(pr),
+        traj = thermo_trajectory(QUBIT_HAMILTONIAN,
                                  lambda t: system_states(pr, t), times)
         assert np.array_equal(traj.times, times)
         assert traj.work.shape == times.shape
@@ -249,14 +247,14 @@ class TestThermoTrajectory:
     def test_closure_gate(self):
         pr = default_params()
         with pytest.raises(NumericalError):
-            thermo_trajectory(environment_hamiltonian(pr),
+            thermo_trajectory(QUBIT_HAMILTONIAN,
                               lambda t: environment_states(pr, t),
                               np.linspace(0.0, 10.0, 101),
                               closure_tolerance=1e-8)
 
     def test_closure_improves_with_refinement(self):
         pr = default_params()
-        h = environment_hamiltonian(pr)
+        h = QUBIT_HAMILTONIAN
         coarse = thermo_trajectory(h, lambda t: environment_states(pr, t),
                                    np.linspace(0.0, 10.0, 1001))
         fine = thermo_trajectory(h, lambda t: environment_states(pr, t),
@@ -267,7 +265,7 @@ class TestThermoTrajectory:
     def test_requires_callable(self):
         pr = default_params()
         with pytest.raises(InputError):
-            thermo_trajectory(system_hamiltonian(pr),
+            thermo_trajectory(QUBIT_HAMILTONIAN,
                               [system_state(pr, 0.0)],
                               np.linspace(0.0, 1.0, 3))
 
@@ -278,7 +276,7 @@ class TestThermoTrajectory:
     def test_rejects_bad_settings(self, kwargs):
         pr = default_params()
         with pytest.raises(InputError):
-            thermo_trajectory(system_hamiltonian(pr),
+            thermo_trajectory(QUBIT_HAMILTONIAN,
                               lambda t: system_states(pr, t),
                               np.linspace(0.0, 1.0, 11), **kwargs)
 
@@ -382,12 +380,12 @@ class TestStateBuilder:
             return stack
 
         with pytest.raises(InputError):
-            thermo_trajectory(system_hamiltonian(pr), builder,
+            thermo_trajectory(QUBIT_HAMILTONIAN, builder,
                               np.linspace(0.0, 2.0, 21))
 
     def test_closure_gate_names_time(self):
         pr = default_params()
-        h = environment_hamiltonian(pr)
+        h = QUBIT_HAMILTONIAN
         times = np.linspace(0.0, 10.0, 101)
         residual = thermo_trajectory(h, lambda t: environment_states(pr, t),
                                      times, closure_tolerance=1.0
@@ -405,15 +403,14 @@ class TestStateBuilder:
                 f"t = {times[step + 1]:.6g}") in str(exc.value)
 
 
-SIDES = {"system": (system_hamiltonian, system_bloch),
-         "environment": (environment_hamiltonian, environment_bloch)}
+SIDES = {"system": system_bloch, "environment": environment_bloch}
 W0_DEFAULT = oracles.W0_DEFAULT
 
 
 def qubit_route(config, side):
     pr = config.params
-    hamiltonian, bloch = SIDES[side]
-    return qubit_thermo_trajectory(hamiltonian(pr), bloch(pr, config.times))
+    return qubit_thermo_trajectory(QUBIT_HAMILTONIAN,
+                                   SIDES[side](pr, config.times))
 
 
 class TestQubitRoute:
@@ -485,9 +482,8 @@ class TestQubitRoute:
     def test_generic_route_converges_to_it(self, side):
         config = ExperimentConfig()
         pr = config.params
-        hamiltonian, _ = SIDES[side]
         states = system_states if side == "system" else environment_states
-        generic = thermo_trajectory(hamiltonian(pr),
+        generic = thermo_trajectory(QUBIT_HAMILTONIAN,
                                     lambda t: states(pr, t), config.times)
         exact = qubit_route(config, side)
         assert np.max(np.abs(generic.heat - exact.heat)) <= 1e-5
@@ -510,7 +506,7 @@ class TestQubitRoute:
         with pytest.raises(NumericalError,
                            match=r"first-law closure residual .* at t = ") \
                 as exc:
-            qubit_thermo_trajectory(system_hamiltonian(pr), tilted)
+            qubit_thermo_trajectory(QUBIT_HAMILTONIAN, tilted)
         assert "Bloch coefficients disagree" in str(exc.value)
         assert "refine the time grid" not in str(exc.value)
 
