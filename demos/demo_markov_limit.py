@@ -10,7 +10,7 @@ probability, which is what the repeated interactions converge to.
 """
 import numpy as np
 
-from strongcouple import ExperimentConfig, iterate_map_check, markov_convergence, system_state
+from strongcouple import ExperimentConfig, iterate_map_check, markov_convergence, system_states
 
 params = ExperimentConfig().params
 
@@ -32,6 +32,6 @@ for n in (50, 100, 200, 400):
 print()
 print("single step at short times:")
 for t in (0.001, 0.01, 0.1, 1.0):
-    exact = system_state(params, t).matrix
+    exact = system_states(params, t)
     one = iterate_map_check(params, t, 1).matrix
     print(f"  t = {t:6.3f}: deviation {np.max(np.abs(one - exact)):.2e}")

@@ -10,14 +10,12 @@ model and :mod:`strongcouple.firstlaw` for the decomposition itself.
 
 from .channels import (BlochSeries, GadcParams, KrausChannel, apply_channel,
                        environment_bloch, environment_initial_state,
-                       environment_kraus, environment_state,
-                       environment_states, gadc_coupling_matrix,
-                       gadc_unitary, iterate_map_check, joint_initial_state,
-                       joint_negativities_closed_form,
-                       joint_radii_closed_form, joint_state,
-                       joint_state_closed_form, joint_states,
+                       environment_kraus, environment_states,
+                       gadc_coupling_matrix, gadc_unitary, iterate_map_check,
+                       joint_initial_state, joint_negativities_closed_form,
+                       joint_radii_closed_form, joint_states,
                        joint_states_closed_form, p_of_t, system_bloch,
-                       system_initial_state, system_kraus, system_state,
+                       system_initial_state, system_kraus,
                        system_state_from_dilation, system_states)
 from .errors import (InputError, NumericalError, StrongcoupleError,
                      TrackingError)
@@ -26,14 +24,11 @@ from .experiment import (ExperimentConfig, ExperimentResult, SweepSummary,
 from .firstlaw import (ThermoTrajectory, qubit_thermo_trajectory,
                        thermo_trajectory)
 from .infomeasures import (InfoSeries, ProportionalityReport, bloch_entropies,
-                           heat_asymmetry,
-                           l1_coherence, l1_coherences, mutual_information,
-                           negativities, negativity, proportionality_report,
-                           von_neumann_entropies, von_neumann_entropy)
+                           heat_asymmetry, negativities,
+                           proportionality_report, von_neumann_entropies)
 from .spectra import (DensityOperator, HermitianOperator,
                       SpectralDecomposition, density_stack, eig_hermitian,
-                      partial_trace, partial_transpose,
-                      partial_transpose_stack, tensor_product, trace_norm)
+                      partial_trace, partial_transpose_stack)
 from .validation import markov_convergence
 
 __version__ = "0.1.0"
@@ -62,7 +57,6 @@ __all__ = [
     "environment_bloch",
     "environment_initial_state",
     "environment_kraus",
-    "environment_state",
     "environment_states",
     "gadc_coupling_matrix",
     "gadc_unitary",
@@ -71,19 +65,12 @@ __all__ = [
     "joint_initial_state",
     "joint_negativities_closed_form",
     "joint_radii_closed_form",
-    "joint_state",
-    "joint_state_closed_form",
     "joint_states",
     "joint_states_closed_form",
-    "l1_coherence",
-    "l1_coherences",
     "markov_convergence",
-    "mutual_information",
     "negativities",
-    "negativity",
     "p_of_t",
     "partial_trace",
-    "partial_transpose",
     "partial_transpose_stack",
     "proportionality_report",
     "qubit_thermo_trajectory",
@@ -92,12 +79,8 @@ __all__ = [
     "system_bloch",
     "system_initial_state",
     "system_kraus",
-    "system_state",
     "system_state_from_dilation",
     "system_states",
-    "tensor_product",
     "thermo_trajectory",
-    "trace_norm",
     "von_neumann_entropies",
-    "von_neumann_entropy",
 ]

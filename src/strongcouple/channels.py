@@ -13,6 +13,9 @@ Kraus operators acting on the system alone, a unitary dilation on the
 joint space followed by a partial trace, and closed-form matrix entries
 with ``p`` replaced by ``1 - exp(-gamma t)``.
 
+Each closed-form family has one builder; it takes ``times`` of any
+shape, a scalar included, and returns ``np.shape(times) + (n, n)``.
+
 Two joint-state families
 ------------------------
 The single-excitation exchange block can be written with or without a
@@ -21,13 +24,13 @@ equivalent:
 
 * :func:`gadc_unitary` carries a factor ``i`` on the exchange amplitudes
   and is exactly unitary for every ``p``. Conjugation with it preserves
-  the joint spectrum, so :func:`joint_state` has a time-independent joint
+  the joint spectrum, so :func:`joint_states` has a time-independent joint
   entropy.
 * :func:`gadc_coupling_matrix` is the symmetric all-positive variant. It
   is unitary only at ``p = 0`` and ``p = 1`` (where it is the identity and
   the SWAP gate), yet conjugating the initial product state with it still
   produces a valid density operator family,
-  :func:`joint_state_closed_form`, whose partial traces reproduce the
+  :func:`joint_states_closed_form`, whose partial traces reproduce the
   closed-form marginals of both subsystems exactly, including the
   environment coherence growing as ``sqrt(1 - exp(-gamma t))``.
 
@@ -70,7 +73,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .spectra import (PSD_FLOOR, DensityOperator, density_stack,
-                      partial_trace, tensor_product, unit_trace_stack)
+                      partial_trace, unit_trace_stack)
 
 KRAUS_COMPLETENESS_TOL = 1e-10
 # Bound on the last Newton step of the closed-form negativity, relative to
@@ -216,7 +219,7 @@ def gadc_coupling_matrix(p: float) -> np.ndarray:
     ``p = 0`` and the SWAP gate exactly at ``p = 1``; in between its middle
     block has non-orthogonal rows, so it is not unitary. Conjugating the
     initial product state with it nevertheless yields the valid family
-    :func:`joint_state_closed_form`. An array of probabilities gives a
+    :func:`joint_states_closed_form`. An array of probabilities gives a
     stack, as for :func:`gadc_unitary`.
     """
     u = gadc_unitary(p)
@@ -296,9 +299,8 @@ def environment_initial_state(params: GadcParams) -> DensityOperator:
 
 def joint_initial_state(params: GadcParams) -> DensityOperator:
     """Product of the initial system and environment states."""
-    joint = tensor_product(system_initial_state(params),
-                           environment_initial_state(params))
-    return DensityOperator(joint)
+    return DensityOperator(np.kron(system_initial_state(params).matrix,
+                                   environment_initial_state(params).matrix))
 
 
 def _decay(params: GadcParams, times):
@@ -338,7 +340,7 @@ def _dilated_matrices(params: GadcParams, p) -> np.ndarray:
 
 
 def _closed_form_joint_matrices(params: GadcParams, g, d) -> np.ndarray:
-    """Matrices of :func:`joint_state_closed_form`, entry by entry."""
+    """Matrices of :func:`joint_states_closed_form`, entry by entry."""
     sg, sd = np.sqrt(g), np.sqrt(d)
     a = params.alpha
     b = params.beta_amp
@@ -357,8 +359,8 @@ def _closed_form_joint_matrices(params: GadcParams, g, d) -> np.ndarray:
     return m
 
 
-def system_state(params: GadcParams, t: float) -> DensityOperator:
-    """Closed-form system state at time ``t``.
+def system_states(params: GadcParams, times) -> np.ndarray:
+    """Closed-form system states at ``times``, validated.
 
     With ``gamma = exp(-gamma_rate t)`` and ``delta = 1 - gamma``, the
     matrix in the ``|g>, |e>`` basis is
@@ -370,29 +372,17 @@ def system_state(params: GadcParams, t: float) -> DensityOperator:
     The populations relax toward ``diag(w0, w1)`` while the coherence
     decays as ``sqrt(gamma)``.
     """
-    g, d = _decay(params, t)
-    return DensityOperator(_qubit_matrices(params, g, d))
-
-
-def system_states(params: GadcParams, times) -> np.ndarray:
-    """:func:`system_state` at every time, a validated ``(T, 2, 2)`` stack."""
     g, d = _decay(params, times)
     return density_stack(_qubit_matrices(params, g, d))
 
 
-def environment_state(params: GadcParams, t: float) -> DensityOperator:
-    """Closed-form environment state at time ``t``.
+def environment_states(params: GadcParams, times) -> np.ndarray:
+    """Closed-form environment states at ``times``, validated.
 
-    Mirror image of :func:`system_state` with the roles of ``gamma`` and
+    Mirror image of :func:`system_states` with the roles of ``gamma`` and
     ``delta`` exchanged; the coherence grows as ``sqrt(delta)``, i.e. as
     ``sqrt(1 - exp(-gamma_rate t))``.
     """
-    g, d = _decay(params, t)
-    return DensityOperator(_qubit_matrices(params, d, g))
-
-
-def environment_states(params: GadcParams, times) -> np.ndarray:
-    """:func:`environment_state` at every time, a ``(T, 2, 2)`` stack."""
     g, d = _decay(params, times)
     return density_stack(_qubit_matrices(params, d, g))
 
@@ -451,7 +441,7 @@ def _bloch(params: GadcParams, times, keep_is_decay: bool) -> BlochSeries:
 
 
 def system_bloch(params: GadcParams, times) -> BlochSeries:
-    """:func:`system_state` at every time, in Bloch form.
+    """The states of :func:`system_states`, in Bloch form.
 
     ``z = (w0 - w1) - 2 (b^2 w0 - a^2 w1) g`` and ``x^2 = 4 a^2 b^2 g``.
     """
@@ -459,34 +449,28 @@ def system_bloch(params: GadcParams, times) -> BlochSeries:
 
 
 def environment_bloch(params: GadcParams, times) -> BlochSeries:
-    """:func:`environment_state` at every time, in Bloch form.
+    """The states of :func:`environment_states`, in Bloch form.
 
     The system's lines with ``g`` replaced by ``1 - g``.
     """
     return _bloch(params, times, keep_is_decay=False)
 
 
-def joint_state(params: GadcParams, t: float) -> DensityOperator:
-    """Joint state evolved with the exact unitary dilation.
+def joint_states(params: GadcParams, times) -> np.ndarray:
+    """Joint states evolved with the exact unitary dilation, validated.
 
     ``U(p(t))`` conjugation of the initial product state, so the joint
     spectrum, and hence the joint entropy, is constant in time. The
-    partial trace over the environment reproduces :func:`system_state`
+    partial trace over the environment reproduces :func:`system_states`
     exactly; the trace over the system reproduces the closed-form
     environment populations but a reduced coherence (see module
     docstring).
     """
-    _, d = _decay(params, t)
-    return DensityOperator(_dilated_matrices(params, d))
-
-
-def joint_states(params: GadcParams, times) -> np.ndarray:
-    """:func:`joint_state` at every time, a validated ``(T, 4, 4)`` stack."""
     _, d = _decay(params, times)
     return density_stack(_dilated_matrices(params, d))
 
 
-def joint_state_closed_form(params: GadcParams, t: float) -> DensityOperator:
+def joint_states_closed_form(params: GadcParams, times) -> np.ndarray:
     """Joint state family generated by the symmetric coupling matrix.
 
     With ``g = exp(-gamma_rate t)``, ``d = 1 - g``, ``sg = sqrt(g)``,
@@ -501,13 +485,6 @@ def joint_state_closed_form(params: GadcParams, t: float) -> DensityOperator:
     Both partial traces of this family equal the closed-form marginals
     entrywise, at the cost of a time-dependent joint spectrum. This is
     the family whose partial transpose feeds the negativity.
-    """
-    g, d = _decay(params, t)
-    return DensityOperator(_closed_form_joint_matrices(params, g, d))
-
-
-def joint_states_closed_form(params: GadcParams, times) -> np.ndarray:
-    """:func:`joint_state_closed_form` at every time, a ``(T, 4, 4)`` stack.
 
     The family is the congruence ``M rho_0 M^T`` of the positive initial
     product state with the real matrix of :func:`gadc_coupling_matrix`,
@@ -520,7 +497,7 @@ def joint_states_closed_form(params: GadcParams, times) -> np.ndarray:
 
 
 def joint_radii_closed_form(params: GadcParams, times) -> np.ndarray:
-    """Spectrum of :func:`joint_state_closed_form` as a Bloch radius.
+    """Spectrum of :func:`joint_states_closed_form` as a Bloch radius.
 
     With a pure initial system, the family ``M rho_0 M^T`` has rank two:
     it is ``w0 |v0><v0| + w1 |v1><v1|`` with ``v_k = M |psi, k>``, unit
@@ -536,7 +513,7 @@ def joint_radii_closed_form(params: GadcParams, times) -> np.ndarray:
 
 
 def joint_negativities_closed_form(params: GadcParams, times) -> np.ndarray:
-    """Negativity of :func:`joint_state_closed_form` at every time.
+    """Negativity of :func:`joint_states_closed_form` at every time.
 
     With ``u = g (1 - g)``, ``X = a^2 w1``, ``Y = b^2 w0`` and ``D = Y^2
     - X^2``, the partial transpose has the characteristic polynomial
@@ -616,13 +593,16 @@ def iterate_map_check(params: GadcParams, t: float, n_steps: int) -> DensityOper
 
     Each step uses the exact per-step probability ``p = gamma_rate t / n``,
     so the composed damping factor is ``(1 - gamma_rate t / n)^n`` and the
-    result converges to :func:`system_state` at rate ``O(1/n)``. The steps
+    result converges to :func:`system_states` at rate ``O(1/n)``. The steps
     run on plain matrices with the arithmetic of :func:`apply_channel`
     (Kraus sum, then the Hermitian average of :class:`DensityOperator`),
     and only the final state is validated.
     """
-    if n_steps < 1:
-        raise InputError(f"n_steps must be at least 1, got {n_steps}")
+    # isfinite first: int() of nan or inf raises
+    if not (math.isfinite(n_steps) and int(n_steps) == n_steps
+            and n_steps >= 1):
+        raise InputError(f"n_steps must be a positive integer, got {n_steps}")
+    n_steps = int(n_steps)
     if not t >= 0.0:
         raise InputError(f"time must be nonnegative, got {t}")
     p_step = params.gamma_rate * t / n_steps

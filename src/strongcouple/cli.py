@@ -287,6 +287,12 @@ def _expand_grid(data) -> list:
                 raise InputError(
                     f"gamma must be positive and finite, got {g}")
         t_maxes = [horizon / g for g in gammas]
+        for g, t_max in zip(gammas, t_maxes):
+            if not 0.0 < t_max < math.inf:
+                raise InputError(
+                    f"the horizon gamma_t_max / gamma = {horizon} / {g} = "
+                    f"{t_max} is not positive and finite; gamma and "
+                    "gamma_t_max are too far apart in scale")
     else:
         t_max = _float_field(data.get("t_max", base.t_max), "t_max")
         t_maxes = [t_max] * len(gammas)

@@ -20,8 +20,9 @@ closed-form family whose marginals are exact, while the joint entropy
 comes from the unitary family. With a
 pure initial system and a unitary dilation, that family keeps the joint
 spectrum ``{w0, w1, 0, 0}``, so a run takes ``S_se = S[rho_e(0)]`` in
-closed form. Mutual information combines the two accordingly,
-``S_s + S_e - S_se``, with the marginal entropies from the closed forms.
+closed form, as the entropy of a qubit with Bloch radius ``|w0 - w1|``.
+Mutual information combines the two accordingly, ``S_s + S_e - S_se``,
+with the marginal entropies from the closed forms.
 The diagnostics record ``S_se`` and the entropy drift of the closed-form
 family, whose rank-two spectrum is also closed-form
 (:func:`strongcouple.channels.joint_radii_closed_form`); ``validate`` and
@@ -43,8 +44,7 @@ from .errors import InputError, NumericalError
 from .firstlaw import (ThermoTrajectory, qubit_thermo_trajectory,  # noqa: F401
                        thermo_trajectory)
 from .infomeasures import (InfoSeries, bloch_entropies, heat_asymmetry,
-                           negativity, proportionality_report,
-                           von_neumann_entropy)
+                           negativities, proportionality_report)
 
 RATIO_DENOMINATOR_THRESHOLD = 5e-3
 WORK_STATIC_TOL = 1e-12
@@ -154,7 +154,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     coh_s = np.sqrt(bloch_s.x2)
     coh_e = np.sqrt(bloch_e.x2)
     neg = ch.joint_negativities_closed_form(params, times)
-    ent_joint = von_neumann_entropy(ch.environment_initial_state(params))
+    ent_joint = float(bloch_entropies(abs(params.w0 - params.w1)))
     info = InfoSeries(times=times, entropy_s=ent_s, entropy_e=ent_e,
                       coherence_s=coh_s, coherence_e=coh_e, negativity=neg,
                       mutual_information=ent_s + ent_e - ent_joint,
@@ -164,7 +164,8 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     peak_idx = int(np.argmax(neg))
     # spot check of the closed form against the eigensolve route, at the
     # one point where the negativity matters most
-    spot = negativity(ch.joint_state_closed_form(params, times[peak_idx]))
+    spot = float(negativities(
+        ch.joint_states_closed_form(params, times[peak_idx])))
     if abs(spot - neg[peak_idx]) > NEGATIVITY_SPOT_TOL:
         raise NumericalError(
             f"negativity routes disagree by {abs(spot - neg[peak_idx]):.3e} "
@@ -188,8 +189,8 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         "negativity_final": float(neg[-1]),
         "negativity_peak_count": float(
             _count_peaks(neg, _NEGATIVITY_PEAK_FLOOR)),
-        "negativity_unitary_family_final": negativity(
-            ch.joint_state(params, times[-1])),
+        "negativity_unitary_family_final": float(negativities(
+            ch.joint_states(params, times[-1]))),
         "entropy_rate_system_max": float(
             np.max(np.abs(np.gradient(ent_s, times)))),
         "entropy_rate_mismatch_max": float(

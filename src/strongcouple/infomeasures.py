@@ -7,15 +7,13 @@ negative eigenvalues of the partial transpose; both are read from one
 spectrum and compared on every call, which checks that the partial
 transpose kept unit trace.
 
-Each measure has a stack form (:func:`von_neumann_entropies`,
-:func:`l1_coherences`, :func:`negativities`) that evaluates a whole
-``(..., n, n)`` array of states, such as a trajectory, with one batched
-eigensolve. The stack forms take states already validated, for instance
-by :func:`strongcouple.spectra.density_stack`; the single-state functions
-validate their input and then call the stack form. A qubit needs no
-eigensolve: :func:`bloch_entropies` reads its entropy from the Bloch
-radius, and its l1 coherence is ``|x|``. Nor does the negativity of the
-closed-form joint family, which a run takes from
+:func:`von_neumann_entropies` and :func:`negativities` take a
+``(..., n, n)`` array of states, a trajectory or a single state,
+validate it once at entry and evaluate it with one batched eigensolve;
+a single state gives a 0-d array. A qubit needs no eigensolve:
+:func:`bloch_entropies` reads its entropy from the Bloch radius, and its
+l1 coherence is ``|x|``. Nor does the negativity of the closed-form
+joint family, which a run takes from
 :func:`strongcouple.channels.joint_negativities_closed_form`;
 :func:`negativities` is the general eigensolve route that ``validate``
 and the tests compare it against.
@@ -29,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .spectra import DensityOperator, partial_trace, partial_transpose_stack
+from .spectra import density_stack, partial_transpose_stack, unit_trace_stack
 
 ENTROPY_EIGENVALUE_FLOOR = -1e-10
 _ENTROPY_CLIP = 1e-12
@@ -37,12 +35,15 @@ _NEGATIVITY_ROUTE_TOL = 1e-10
 
 
 def von_neumann_entropies(states) -> np.ndarray:
-    """Entropies in bits of a validated ``(..., n, n)`` stack of states.
+    """Entropies ``-sum r log2 r`` in bits of a ``(..., n, n)`` stack.
 
-    See :func:`von_neumann_entropy` for the treatment of round-off
-    eigenvalues.
+    The states must be Hermitian with unit trace. Eigenvalues in
+    ``[-1e-10, 1e-12]`` are treated as exact zeros, which absorbs
+    roundoff from rank-deficient states. An eigenvalue below ``-1e-10``
+    means the input is not a physical state and raises
+    :class:`InputError`.
     """
-    lam = np.linalg.eigvalsh(states)
+    lam = np.linalg.eigvalsh(unit_trace_stack(states))
     if np.any(lam < ENTROPY_EIGENVALUE_FLOOR):
         raise InputError(
             f"eigenvalue {lam.min():.3e} below {ENTROPY_EIGENVALUE_FLOOR:.0e}; "
@@ -56,7 +57,7 @@ def bloch_entropies(radii) -> np.ndarray:
     """Entropies in bits of qubit states with Bloch radii ``radii``.
 
     The eigenvalues are ``(1 -+ r)/2``. The smaller one gets the
-    treatment of :func:`von_neumann_entropy`: values in ``[-1e-10,
+    treatment of :func:`von_neumann_entropies`: values in ``[-1e-10,
     1e-12]`` count as zero and lower ones raise :class:`InputError`; the
     larger one is one minus the smaller.
     """
@@ -71,40 +72,18 @@ def bloch_entropies(radii) -> np.ndarray:
     return -terms + 0.0
 
 
-def von_neumann_entropy(rho) -> float:
-    """Entropy ``-sum r log2 r`` of a density operator, in bits.
-
-    Eigenvalues in ``[-1e-10, 1e-12]`` are treated as exact zeros, which
-    absorbs roundoff from rank-deficient states. An eigenvalue below
-    ``-1e-10`` means the input is not a physical state and raises
-    :class:`InputError`.
-    """
-    if not isinstance(rho, DensityOperator):
-        rho = DensityOperator(rho)
-    return float(von_neumann_entropies(rho.matrix))
-
-
-def l1_coherences(states) -> np.ndarray:
-    """l1 coherences of a validated ``(..., n, n)`` stack of states."""
-    m = np.asarray(states)
-    diagonal = np.diagonal(m, axis1=-2, axis2=-1)
-    return np.sum(np.abs(m), axis=(-2, -1)) - np.sum(np.abs(diagonal), axis=-1)
-
-
-def l1_coherence(rho) -> float:
-    """Sum of the moduli of the off-diagonal entries, ``sum_{i != j} |rho_ij|``."""
-    if not isinstance(rho, DensityOperator):
-        rho = DensityOperator(rho)
-    return float(l1_coherences(rho.matrix))
-
-
 def negativities(joints, dims=(2, 2), subsystem: int = 0) -> np.ndarray:
-    """Negativities of a validated ``(..., n, n)`` stack of bipartite states.
+    """Negativities of a ``(..., n, n)`` stack of bipartite states.
 
-    One batched eigensolve of the partial transposes feeds both routes;
-    see :func:`negativity`.
+    Validates the stack with :func:`~strongcouple.spectra.density_stack`,
+    partially transposes ``subsystem``, diagonalizes the result once,
+    and evaluates both the trace-norm route and the negative-eigenvalue
+    route from that spectrum. The two must agree to ``1e-10``; a larger
+    gap means the partial transpose lost unit trace and raises
+    :class:`NumericalError`. Separable states give zero.
     """
-    lam = np.linalg.eigvalsh(partial_transpose_stack(joints, subsystem, dims))
+    pt = partial_transpose_stack(density_stack(joints), subsystem, dims)
+    lam = np.linalg.eigvalsh(pt)
     from_trace_norm = 0.5 * (np.sum(np.abs(lam), axis=-1) - 1.0)
     from_eigenvalues = np.sum(np.where(lam < 0.0, -lam, 0.0), axis=-1)
     gap = np.abs(from_trace_norm - from_eigenvalues)
@@ -115,30 +94,6 @@ def negativities(joints, dims=(2, 2), subsystem: int = 0) -> np.ndarray:
             f"(trace norm {from_trace_norm.flat[worst]:.6e}, "
             f"eigenvalue sum {from_eigenvalues.flat[worst]:.6e})")
     return np.maximum(0.0, from_eigenvalues)
-
-
-def negativity(joint, dims=(2, 2), subsystem: int = 0) -> float:
-    """Entanglement negativity of a bipartite state.
-
-    Partially transposes ``subsystem``, diagonalizes the result once,
-    and evaluates both the trace-norm route and the negative-eigenvalue
-    route from that spectrum. The two must agree to ``1e-10``; a larger
-    gap means the partial transpose lost unit trace and raises
-    :class:`NumericalError`. Separable states give zero.
-    """
-    if not isinstance(joint, DensityOperator):
-        joint = DensityOperator(joint)
-    return float(negativities(joint.matrix, dims, subsystem))
-
-
-def mutual_information(joint, dims=(2, 2)) -> float:
-    """Quantum mutual information ``S(A) + S(B) - S(AB)`` in bits."""
-    if not isinstance(joint, DensityOperator):
-        joint = DensityOperator(joint)
-    s_a = von_neumann_entropy(partial_trace(joint, keep=0, dims=dims))
-    s_b = von_neumann_entropy(partial_trace(joint, keep=1, dims=dims))
-    s_ab = von_neumann_entropy(joint)
-    return s_a + s_b - s_ab
 
 
 def heat_asymmetry(heat_system, heat_environment) -> np.ndarray:

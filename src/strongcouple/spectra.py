@@ -20,6 +20,7 @@ trace checks alone, for stacks that are positive by construction.
 Composite indices follow the convention that the first tensor factor is
 the slow index: for a two-qubit operator the basis ordering is
 ``|0,0>, |0,1>, |1,0>, |1,1>``, matching ``numpy.kron``.
+:func:`partial_transpose_stack` takes a stack or a single matrix.
 """
 
 from __future__ import annotations
@@ -72,12 +73,6 @@ def _check_spectrum(eigenvalues) -> None:
     low = float(np.min(eigenvalues[..., 0]))
     if low < PSD_FLOOR:
         raise InputError(f"matrix has eigenvalue {low:.3e} below {PSD_FLOOR:.0e}")
-
-
-def _check_density(m) -> None:
-    """Unit trace and nonnegative spectrum of a Hermitian stack."""
-    _check_trace(m)
-    _check_spectrum(np.linalg.eigvalsh(m))
 
 
 def unit_trace_stack(matrices) -> np.ndarray:
@@ -163,7 +158,8 @@ class DensityOperator(HermitianOperator):
 
     def __init__(self, matrix):
         super().__init__(matrix)
-        _check_density(self._matrix)
+        _check_trace(self._matrix)
+        _check_spectrum(np.linalg.eigvalsh(self._matrix))
 
 
 @dataclass(frozen=True)
@@ -178,12 +174,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-
-def _as_matrix(operator) -> np.ndarray:
-    if isinstance(operator, HermitianOperator):
-        return operator.matrix
-    return np.asarray(operator, dtype=complex)
 
 
 def eig_hermitian(operator) -> SpectralDecomposition:
@@ -220,11 +210,6 @@ def eigh_stack(matrices):
     rows = np.argmax(np.abs(v), axis=-2)
     pivots = np.take_along_axis(v, rows[..., None, :], axis=-2)
     return lam, v * (pivots.conj() / np.abs(pivots))
-
-
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product with the first factor as the slow index."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
 
 
 def _bipartite_dims(matrix, dims):
@@ -268,7 +253,8 @@ def partial_transpose_stack(matrices, subsystem: int = 0,
 
     ``matrices`` has shape ``(..., n, n)`` and is taken as given: the
     transpose only permutes entries, so a Hermitian stack stays exactly
-    Hermitian.
+    Hermitian, but in general not positive, which is exactly what
+    entanglement witnesses exploit.
     """
     m = np.asarray(matrices, dtype=complex)
     if subsystem not in (0, 1):
@@ -283,22 +269,3 @@ def partial_transpose_stack(matrices, subsystem: int = 0,
     else:
         axes[k + 1], axes[k + 3] = k + 3, k + 1
     return r.transpose(axes).reshape(m.shape)
-
-
-def partial_transpose(rho, subsystem: int = 0, dims=None) -> HermitianOperator:
-    """Transpose one tensor factor of a bipartite operator.
-
-    The result is Hermitian but in general not positive, which is exactly
-    what entanglement witnesses exploit. Applying the same transpose twice
-    returns the original operator.
-    """
-    if not isinstance(rho, HermitianOperator):
-        rho = HermitianOperator(rho)
-    return HermitianOperator(partial_transpose_stack(rho.matrix, subsystem, dims))
-
-
-def trace_norm(operator) -> float:
-    """Sum of absolute eigenvalues of a Hermitian operator."""
-    if not isinstance(operator, HermitianOperator):
-        operator = HermitianOperator(operator)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(operator.matrix))))

@@ -13,17 +13,15 @@ from strongcouple.channels import (QUBIT_HAMILTONIAN, GadcParams,
                                    KrausChannel, apply_channel,
                                    environment_bloch,
                                    environment_initial_state,
-                                   environment_kraus, environment_state,
-                                   environment_states, gadc_coupling_matrix,
-                                   gadc_unitary, iterate_map_check,
-                                   joint_initial_state,
+                                   environment_kraus, environment_states,
+                                   gadc_coupling_matrix, gadc_unitary,
+                                   iterate_map_check, joint_initial_state,
                                    joint_negativities_closed_form,
-                                   joint_radii_closed_form, joint_state,
-                                   joint_state_closed_form, joint_states,
+                                   joint_radii_closed_form, joint_states,
                                    joint_states_closed_form, p_of_t,
                                    system_bloch, system_initial_state,
-                                   system_kraus, system_state,
-                                   system_state_from_dilation, system_states)
+                                   system_kraus, system_state_from_dilation,
+                                   system_states)
 from strongcouple.errors import InputError, NumericalError
 from strongcouple.infomeasures import negativities
 from strongcouple.spectra import (DensityOperator, eig_hermitian,
@@ -161,20 +159,20 @@ class TestDecayProbability:
 class TestClosedFormStates:
     def test_initial_states(self):
         pr = default_params()
-        rho_s = system_state(pr, 0.0).matrix
+        rho_s = system_states(pr, 0.0)
         assert np.max(np.abs(rho_s - system_initial_state(pr).matrix)) < 1e-15
-        rho_e = environment_state(pr, 0.0).matrix
+        rho_e = environment_states(pr, 0.0)
         assert np.max(np.abs(rho_e
                              - environment_initial_state(pr).matrix)) < 1e-15
 
     def test_system_relaxes_to_thermal(self):
         pr = default_params()
-        rho = system_state(pr, 60.0).matrix
+        rho = system_states(pr, 60.0)
         assert np.max(np.abs(rho - np.diag([pr.w0, pr.w1]))) < 1e-12
 
     def test_rejects_negative_time(self):
         with pytest.raises(InputError):
-            system_state(default_params(), -1.0)
+            system_states(default_params(), -1.0)
 
     def test_three_routes_agree(self, rng):
         for _ in range(20):
@@ -185,31 +183,15 @@ class TestClosedFormStates:
             via_kraus = apply_channel(system_kraus(pr, p),
                                       system_initial_state(pr)).matrix
             via_dilation = system_state_from_dilation(pr, p).matrix
-            via_closed = system_state(pr, t).matrix
+            via_closed = system_states(pr, t)
             assert np.max(np.abs(via_kraus - via_dilation)) < 1e-12
             assert np.max(np.abs(via_kraus - via_closed)) < 1e-12
-
-    @pytest.mark.parametrize("single, stack", [
-        (system_state, system_states),
-        (environment_state, environment_states),
-        (joint_state, joint_states),
-        (joint_state_closed_form, joint_states_closed_form),
-    ])
-    def test_stacks_match_single_instants(self, single, stack):
-        pr = default_params()
-        grid = np.linspace(0.0, 8.0, 17)
-        states = stack(pr, grid)
-        assert states.shape[0] == grid.size
-        for t, m in zip(grid, states):
-            assert np.array_equal(m, single(pr, t).matrix)
-        with pytest.raises(InputError):
-            stack(pr, np.array([0.0, -1.0]))
 
     def test_environment_kraus_populations(self):
         pr = default_params()
         out = apply_channel(environment_kraus(pr, 0.4),
                             environment_initial_state(pr)).matrix
-        ref = environment_state(pr, -math.log1p(-0.4)).matrix
+        ref = environment_states(pr, -math.log1p(-0.4))
         assert abs(out[0, 0] - ref[0, 0]) < 1e-12
         assert abs(out[1, 1] - ref[1, 1]) < 1e-12
 
@@ -219,38 +201,37 @@ class TestJointFamilies:
         pr = default_params()
         lam0 = eig_hermitian(joint_initial_state(pr)).eigenvalues
         for t in (0.1, 1.0, 5.0, 10.0):
-            lam = eig_hermitian(joint_state(pr, t)).eigenvalues
+            lam = eig_hermitian(joint_states(pr, t)).eigenvalues
             assert np.max(np.abs(lam - lam0)) < 1e-13
 
     def test_unitary_family_system_marginal(self):
         pr = default_params()
         for t in (0.0, 0.3, 2.0, 8.0):
-            red = partial_trace(joint_state(pr, t), keep=0, dims=(2, 2))
-            ref = system_state(pr, t).matrix
+            red = partial_trace(joint_states(pr, t), keep=0, dims=(2, 2))
+            ref = system_states(pr, t)
             assert np.max(np.abs(red.matrix - ref)) < 1e-13
 
     def test_closed_form_family_both_marginals(self):
         pr = default_params()
         for t in (0.0, 0.3, 2.0, 8.0):
-            joint = joint_state_closed_form(pr, t)
+            joint = joint_states_closed_form(pr, t)
             red_s = partial_trace(joint, keep=0, dims=(2, 2)).matrix
             red_e = partial_trace(joint, keep=1, dims=(2, 2)).matrix
-            assert np.max(np.abs(red_s - system_state(pr, t).matrix)) < 1e-13
-            assert np.max(np.abs(red_e
-                                 - environment_state(pr, t).matrix)) < 1e-13
+            assert np.max(np.abs(red_s - system_states(pr, t))) < 1e-13
+            assert np.max(np.abs(red_e - environment_states(pr, t))) < 1e-13
 
     def test_closed_form_family_is_coupling_conjugation(self):
         pr = default_params()
         for t in (0.2, 1.0, 4.0):
             m = gadc_coupling_matrix(p_of_t(pr.gamma_rate, t))
             direct = m @ joint_initial_state(pr).matrix @ m.conj().T
-            ref = joint_state_closed_form(pr, t).matrix
+            ref = joint_states_closed_form(pr, t)
             assert np.max(np.abs(direct - ref)) < 1e-14
 
     def test_families_share_diagonal(self):
         pr = default_params()
-        a = joint_state(pr, 1.3).matrix
-        b = joint_state_closed_form(pr, 1.3).matrix
+        a = joint_states(pr, 1.3)
+        b = joint_states_closed_form(pr, 1.3)
         assert np.max(np.abs(np.diag(a) - np.diag(b))) < 1e-14
 
 
@@ -472,7 +453,7 @@ class TestIterateMap:
 
     def test_first_order_convergence(self):
         pr = default_params()
-        target = system_state(pr, 1.0).matrix
+        target = system_states(pr, 1.0)
         devs = [np.max(np.abs(iterate_map_check(pr, 1.0, n).matrix - target))
                 for n in (10, 100, 1000)]
         assert devs[0] > devs[1] > devs[2]
@@ -480,10 +461,18 @@ class TestIterateMap:
         assert 8.0 < devs[1] / devs[2] < 13.0
 
     def test_rejects_bad_steps(self):
-        with pytest.raises(InputError):
-            iterate_map_check(default_params(), 1.0, 0)
+        # the step count is named, not reported as a bad probability or
+        # left to a TypeError of range()
+        for n_steps in (0, -3, math.nan, math.inf, 2.5):
+            with pytest.raises(InputError, match="n_steps must be a "
+                                                 "positive integer"):
+                iterate_map_check(default_params(), 1.0, n_steps)
         with pytest.raises(InputError):
             iterate_map_check(default_params(gamma_rate=3.0), 1.0, 2)
+        assert np.array_equal(iterate_map_check(default_params(), 1.0,
+                                                10.0).matrix,
+                              iterate_map_check(default_params(), 1.0,
+                                                10).matrix)
 
     def test_rejects_nan_time(self):
         # named as a time, not as a bad per-step probability

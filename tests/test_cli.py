@@ -224,6 +224,20 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert f"error: {field} must be positive and finite" in err
 
+    @pytest.mark.parametrize("grid", [
+        {"gamma": [1e-320], "gamma_t_max": 5},
+        {"gamma": [1.0, 1e300], "gamma_t_max": 1e-300},
+    ], ids=["overflow", "underflow"])
+    def test_scaled_horizon_out_of_range_named(self, tmp_path, capsys, grid):
+        # each factor is valid, their quotient is not; the grid has no
+        # t_max field to blame
+        path = write_json(tmp_path / "grid.json", grid)
+        assert main(["sweep", "--grid", path,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "gamma and gamma_t_max are too far apart" in err
+        assert "t_max must" not in err
+
     def test_unknown_grid_key(self, tmp_path):
         grid = write_json(tmp_path / "grid.json", {"p": [0.1]})
         assert main(["sweep", "--grid", grid,

@@ -9,6 +9,7 @@ import pytest
 from strongcouple import channels as ch
 from strongcouple.errors import InputError, NumericalError
 from strongcouple.experiment import ExperimentConfig, run, sweep
+from strongcouple.infomeasures import bloch_entropies, von_neumann_entropies
 from strongcouple.validation import markov_convergence
 
 
@@ -100,12 +101,41 @@ class TestRun:
     def test_unitary_family_stack_not_built(self, monkeypatch):
         # the unitary family's joint entropy has a closed form; only the
         # single-instant negativity diagnostic still builds that family
-        def forbidden(*args, **kwargs):
-            raise AssertionError("run() must not build the unitary stack")
+        built = []
+        joint_states = ch.joint_states
 
-        monkeypatch.setattr(ch, "joint_states", forbidden)
+        def recording(params, times):
+            built.append(np.shape(times))
+            return joint_states(params, times)
+
+        monkeypatch.setattr(ch, "joint_states", recording)
         result = run(ExperimentConfig(t_max=2.0, n_samples=401))
         assert result.diagnostics["negativity_unitary_family_final"] >= 0.0
+        assert all(math.prod(shape) == 1 for shape in built)
+
+    def test_joint_entropy_without_eigensolve(self, rng):
+        # S[diag(w0, w1)] from the Bloch radius |w0 - w1|; it agrees with
+        # the eigensolve to round-off wherever the smaller weight w1 clears
+        # the entropy clip of 1e-12, that is for beta below about 27.6
+        betas = np.concatenate([np.exp(rng.uniform(math.log(1e-3),
+                                                   math.log(27.0), 200)),
+                                [0.05, 0.3, 1.0, 2.0, 5.0, 10.0, math.inf]])
+        for beta in betas:
+            pr = ExperimentConfig(beta=float(beta)).params
+            closed = float(bloch_entropies(abs(pr.w0 - pr.w1)))
+            eigen = float(von_neumann_entropies(np.diag([pr.w0, pr.w1])))
+            assert abs(closed - eigen) <= 1e-15
+        # inside the clip both count w1 as zero; the eigensolve keeps the
+        # -w0 log2 w0 term of the larger weight, about w1 / ln 2
+        for beta in np.linspace(28.0, 40.0, 25):
+            pr = ExperimentConfig(beta=float(beta)).params
+            eigen = float(von_neumann_entropies(np.diag([pr.w0, pr.w1])))
+            assert float(bloch_entropies(abs(pr.w0 - pr.w1))) == 0.0
+            assert 0.0 <= eigen <= 1.5e-12
+        config = ExperimentConfig(t_max=2.0, n_samples=101)
+        pr = config.params
+        assert run(config).diagnostics["joint_entropy_unitary_family"] \
+            == float(bloch_entropies(abs(pr.w0 - pr.w1)))
 
     def test_no_eigh(self, monkeypatch):
         # neither marginal is diagonalized, and the negativity series is
@@ -193,8 +223,8 @@ class TestMarkov:
                              ids=["nan", "inf", "minus_inf"])
     def test_non_finite_step_count(self, count):
         # an input error, not the ValueError or OverflowError of int()
-        with pytest.raises(InputError, match="step counts must be positive "
-                                             "integers"):
+        with pytest.raises(InputError, match="n_steps must be a positive "
+                                             "integer"):
             markov_convergence(ExperimentConfig().params,
                                step_counts=(10, count))
 

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from strongcouple.channels import (QUBIT_HAMILTONIAN, GadcParams,
                                    environment_bloch, environment_states,
-                                   system_bloch, system_state, system_states)
+                                   system_bloch, system_states)
 from strongcouple.errors import InputError, NumericalError, TrackingError
 from strongcouple.experiment import ExperimentConfig
 from strongcouple.firstlaw import (_spectra, _track, qubit_thermo_trajectory,
@@ -266,7 +266,7 @@ class TestThermoTrajectory:
         pr = default_params()
         with pytest.raises(InputError):
             thermo_trajectory(QUBIT_HAMILTONIAN,
-                              [system_state(pr, 0.0)],
+                              [system_states(pr, 0.0)],
                               np.linspace(0.0, 1.0, 3))
 
     @pytest.mark.parametrize("kwargs", [

@@ -5,18 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from strongcouple.channels import (GadcParams, environment_state, joint_state,
-                                   joint_state_closed_form,
-                                   joint_states_closed_form, system_state,
+from strongcouple import infomeasures
+from strongcouple.channels import (GadcParams, environment_bloch,
+                                   environment_states, joint_states,
+                                   joint_states_closed_form, system_bloch,
                                    system_states)
 from strongcouple.errors import InputError, NumericalError
+from strongcouple.experiment import ExperimentConfig, run
 from strongcouple.infomeasures import (bloch_entropies, heat_asymmetry,
-                                       l1_coherence,
-                                       l1_coherences, mutual_information,
-                                       negativities, negativity,
-                                       proportionality_report,
-                                       von_neumann_entropies,
-                                       von_neumann_entropy)
+                                       negativities, proportionality_report,
+                                       von_neumann_entropies)
 from strongcouple.spectra import DensityOperator
 
 BELL = 0.5 * np.array([[1, 0, 0, 1],
@@ -32,23 +30,24 @@ def default_params():
 
 class TestEntropy:
     def test_pure_state(self):
-        assert von_neumann_entropy(np.diag([1.0, 0.0])) == 0.0
+        assert float(von_neumann_entropies(np.diag([1.0, 0.0]))) == 0.0
 
     def test_maximally_mixed(self):
-        assert abs(von_neumann_entropy(0.5 * np.eye(2)) - 1.0) < 1e-14
+        assert abs(float(von_neumann_entropies(0.5 * np.eye(2))) - 1.0) < 1e-14
 
     def test_thermal_value(self):
         w0 = 1.0 / (1.0 + math.exp(-1.0))
         ref = -(w0 * math.log2(w0) + (1 - w0) * math.log2(1 - w0))
-        assert abs(von_neumann_entropy(np.diag([w0, 1 - w0])) - ref) < 1e-13
+        s = float(von_neumann_entropies(np.diag([w0, 1 - w0])))
+        assert abs(s - ref) < 1e-13
 
     def test_roundoff_negative_eigenvalue_clipped(self):
         rho = DensityOperator(np.diag([1.0 + 1e-11, -1e-11]))
-        assert abs(von_neumann_entropy(rho)) < 1e-10
+        assert abs(float(von_neumann_entropies(rho))) < 1e-10
 
     def test_invalid_state_rejected(self):
         with pytest.raises(InputError):
-            von_neumann_entropy(np.diag([1.5, -0.5]))
+            von_neumann_entropies(np.diag([1.5, -0.5]))
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_unitary_invariance(self, rng, random_density, dim):
@@ -56,7 +55,8 @@ class TestEntropy:
         m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         u, _ = np.linalg.qr(m)
         conjugated = u @ rho @ u.conj().T
-        dev = abs(von_neumann_entropy(conjugated) - von_neumann_entropy(rho))
+        dev = abs(float(von_neumann_entropies(conjugated)
+                        - von_neumann_entropies(rho)))
         assert dev < 1e-10
 
 
@@ -79,54 +79,61 @@ class TestBlochEntropies:
 
 
 class TestCoherence:
-    def test_diagonal_state(self):
-        assert l1_coherence(np.diag([0.4, 0.6])) == 0.0
+    """The l1 coherence of a qubit marginal, ``2 |rho_ge| = |x|``, as a run
+    takes it from the Bloch series."""
 
-    def test_known_value(self):
-        rho = np.array([[0.5, 0.3], [0.3, 0.5]])
-        assert abs(l1_coherence(rho) - 0.6) < 1e-14
+    def test_diagonal_state(self):
+        # alpha = 1 starts the system in |g>: both marginals stay diagonal
+        pr = GadcParams(alpha=1.0, w0=0.4)
+        grid = np.linspace(0.0, 6.0, 13)
+        assert np.all(system_bloch(pr, grid).x2 == 0.0)
+        assert np.all(environment_bloch(pr, grid).x2 == 0.0)
 
     def test_equal_superposition(self):
-        plus = 0.5 * np.ones((2, 2))
-        assert abs(l1_coherence(plus) - 1.0) < 1e-14
+        # alpha = 1/sqrt(2) starts the system in |+>, of coherence one
+        x2 = system_bloch(GadcParams(alpha=math.sqrt(0.5), w0=0.4), 0.0).x2
+        assert abs(math.sqrt(x2) - 1.0) < 1e-14
 
     def test_monotone_along_decay(self):
         pr = default_params()
         grid = np.linspace(0.0, 6.0, 61)
-        c_s = np.array([l1_coherence(system_state(pr, t)) for t in grid])
-        c_e = np.array([l1_coherence(environment_state(pr, t)) for t in grid])
+        c_s = np.sqrt(system_bloch(pr, grid).x2)
+        c_e = np.sqrt(environment_bloch(pr, grid).x2)
         assert np.all(np.diff(c_s) < 0.0)
         assert np.all(np.diff(c_e) > 0.0)
 
     def test_closed_forms_at_default_parameters(self):
         pr = default_params()
-        for t in (0.0, 0.4, 1.7, 6.0):
-            c_s = l1_coherence(system_state(pr, t))
-            c_e = l1_coherence(environment_state(pr, t))
-            assert abs(c_s - math.exp(-t / 2.0)) < 1e-12
-            assert abs(c_e - math.sqrt(1.0 - math.exp(-t))) < 1e-12
+        grid = np.array([0.0, 0.4, 1.7, 6.0])
+        for bloch, ref in ((system_bloch(pr, grid), np.exp(-grid / 2.0)),
+                           (environment_bloch(pr, grid),
+                            np.sqrt(1.0 - np.exp(-grid)))):
+            coherence = np.sqrt(bloch.x2)
+            off_diagonal = 2.0 * np.abs(bloch.matrices[:, 0, 1])
+            assert np.max(np.abs(coherence - off_diagonal)) < 1e-14
+            assert np.max(np.abs(coherence - ref)) < 1e-12
 
 
 class TestNegativity:
     def test_bell_state(self):
-        assert abs(negativity(BELL) - 0.5) < 1e-12
+        assert abs(float(negativities(BELL)) - 0.5) < 1e-12
 
     def test_product_state(self, random_density):
         joint = np.kron(random_density(), random_density())
-        assert negativity(joint) < 1e-12
+        assert float(negativities(joint)) < 1e-12
 
     def test_werner_state(self):
         """p Bell + (1-p) I/4 has negativity max(0, (3p-1)/4)."""
         for p in (0.2, 1.0 / 3.0, 0.6, 0.9):
             rho = p * BELL + (1.0 - p) * np.eye(4) / 4.0
             ref = max(0.0, (3.0 * p - 1.0) / 4.0)
-            assert abs(negativity(rho) - ref) < 1e-12
+            assert abs(float(negativities(rho)) - ref) < 1e-12
 
     def test_subsystem_symmetry(self):
         pr = default_params()
-        joint = joint_state_closed_form(pr, 0.7)
-        n0 = negativity(joint, subsystem=0)
-        n1 = negativity(joint, subsystem=1)
+        joint = joint_states_closed_form(pr, 0.7)
+        n0 = float(negativities(joint, subsystem=0))
+        n1 = float(negativities(joint, subsystem=1))
         assert abs(n0 - n1) < 1e-12
 
     def test_agrees_with_reference_eigensolver(self, random_density):
@@ -136,58 +143,54 @@ class TestNegativity:
                 .reshape(4, 4)
             lam = np.linalg.eigvalsh(pt)
             ref = float(-np.sum(lam[lam < 0.0]))
-            assert abs(negativity(joint) - ref) < 1e-12
+            assert abs(float(negativities(joint)) - ref) < 1e-12
 
+    def test_route_gate_catches_lost_trace(self, monkeypatch):
+        """Both routes read one spectrum, so they differ by (tr - 1) / 2.
 
-    def test_route_gate_catches_lost_trace(self):
-        """Both routes read one spectrum, so they differ by (tr - 1) / 2."""
-        with pytest.raises(NumericalError, match="negativity routes disagree"):
-            negativities(np.stack([BELL, 1.1 * BELL]))
-
-
-class TestStackForms:
-    def test_match_single_state_functions(self):
-        pr = default_params()
-        grid = np.linspace(0.0, 8.0, 17)
-        marginals = system_states(pr, grid)
-        joints = joint_states_closed_form(pr, grid)
-        ent = von_neumann_entropies(joints)
-        coh = l1_coherences(marginals)
-        neg = negativities(joints)
-        for i, t in enumerate(grid):
-            assert ent[i] == von_neumann_entropy(joint_state_closed_form(pr, t))
-            assert coh[i] == l1_coherence(system_state(pr, t))
-            assert neg[i] == negativity(joint_state_closed_form(pr, t))
+        Validated input cannot lose trace, so the fault is injected into
+        the partial transpose.
+        """
+        transpose = infomeasures.partial_transpose_stack
+        monkeypatch.setattr(infomeasures, "partial_transpose_stack",
+                            lambda *args: 1.1 * transpose(*args))
+        with pytest.raises(NumericalError, match="negativity routes disagree "
+                                                 r"by 5\.000e-02"):
+            negativities(np.stack([BELL, BELL]))
 
 
 class TestMutualInformation:
-    def test_product_state(self, random_density):
-        joint = np.kron(random_density(), random_density())
-        assert abs(mutual_information(joint)) < 1e-11
+    """The series ``S_s + S_e - S_se`` that a run records."""
 
-    def test_bell_state(self):
-        assert abs(mutual_information(BELL) - 2.0) < 1e-12
+    def test_product_state(self):
+        # the initial state is a product for every configuration
+        for alpha, beta in ((0.3, 0.5), (0.7, 1.0), (0.95, 4.0)):
+            info = run(ExperimentConfig(alpha=alpha, beta=beta, t_max=2.0,
+                                        n_samples=101)).info
+            assert abs(info.mutual_information[0]) < 1e-11
 
     def test_positive_along_decay(self):
-        pr = default_params()
-        assert abs(mutual_information(joint_state(pr, 0.0))) < 1e-11
-        for t in (0.3, 1.0, 3.0):
-            assert mutual_information(joint_state(pr, t)) > 0.01
+        info = run(ExperimentConfig(t_max=3.0, n_samples=301)).info
+        assert abs(info.mutual_information[0]) < 1e-11
+        for i in (30, 100, 300):
+            assert info.mutual_information[i] > 0.01
 
     def test_two_route_agreement(self):
-        """Package pipeline against a plain eigvalsh computation."""
-        pr = default_params()
-        joint = joint_state(pr, 1.0).matrix
+        """Run's closed forms against a plain eigvalsh computation."""
+        result = run(ExperimentConfig(t_max=2.0, n_samples=401))
+        pr, t = result.params, result.times[200]
 
         def entropy(m):
             lam = np.linalg.eigvalsh(m)
             lam = lam[lam > 1e-12]
             return float(-np.sum(lam * np.log2(lam)))
 
-        reduced_s = np.trace(joint.reshape(2, 2, 2, 2), axis1=1, axis2=3)
-        reduced_e = np.trace(joint.reshape(2, 2, 2, 2), axis1=0, axis2=2)
-        ref = entropy(reduced_s) + entropy(reduced_e) - entropy(joint)
-        assert abs(mutual_information(joint) - ref) < 1e-10
+        # marginals of the closed-form family, joint entropy of the
+        # unitary family, which keeps the initial spectrum
+        ref = (entropy(system_states(pr, t))
+               + entropy(environment_states(pr, t))
+               - entropy(joint_states(pr, t)))
+        assert abs(result.info.mutual_information[200] - ref) < 1e-10
 
 
 class TestHeatAsymmetry:

@@ -1,0 +1,125 @@
+"""The public surface: one array-in function per closed-form state family
+and per eigensolve measure, and the exported names."""
+
+import math
+
+import numpy as np
+import pytest
+
+import strongcouple
+from strongcouple import channels
+from strongcouple.errors import InputError
+from strongcouple.infomeasures import negativities, von_neumann_entropies
+
+# Every name strongcouple exports. A name added to or removed from
+# __all__ must be added to or removed from this list too.
+PUBLIC_NAMES = [
+    "BlochSeries",
+    "DensityOperator",
+    "ExperimentConfig",
+    "ExperimentResult",
+    "GadcParams",
+    "HermitianOperator",
+    "InfoSeries",
+    "InputError",
+    "KrausChannel",
+    "NumericalError",
+    "ProportionalityReport",
+    "SpectralDecomposition",
+    "StrongcoupleError",
+    "SweepSummary",
+    "ThermoTrajectory",
+    "TrackingError",
+    "apply_channel",
+    "bloch_entropies",
+    "density_stack",
+    "eig_hermitian",
+    "environment_bloch",
+    "environment_initial_state",
+    "environment_kraus",
+    "environment_states",
+    "gadc_coupling_matrix",
+    "gadc_unitary",
+    "heat_asymmetry",
+    "iterate_map_check",
+    "joint_initial_state",
+    "joint_negativities_closed_form",
+    "joint_radii_closed_form",
+    "joint_states",
+    "joint_states_closed_form",
+    "markov_convergence",
+    "negativities",
+    "p_of_t",
+    "partial_trace",
+    "partial_transpose_stack",
+    "proportionality_report",
+    "qubit_thermo_trajectory",
+    "run",
+    "sweep",
+    "system_bloch",
+    "system_initial_state",
+    "system_kraus",
+    "system_state_from_dilation",
+    "system_states",
+    "thermo_trajectory",
+    "von_neumann_entropies",
+]
+
+BUILDERS = [channels.system_states, channels.environment_states,
+            channels.joint_states, channels.joint_states_closed_form]
+
+MEASURES = [von_neumann_entropies, negativities]
+
+# one bad two-qubit state per check a density operator must pass
+BAD_STATES = {
+    "non_hermitian": np.eye(4) / 4.0 + np.diag([0.1, 0.1, 0.1], k=1),
+    "trace": np.eye(4) * 0.3,
+    "negative_eigenvalue": np.diag([0.6, 0.3, 0.3, -0.2]),
+}
+BAD_MESSAGES = {"non_hermitian": "not Hermitian", "trace": "trace",
+                "negative_eigenvalue": "eigenvalue"}
+
+
+def test_all_is_the_pinned_list():
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert strongcouple.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        getattr(strongcouple, name)
+
+
+@pytest.mark.parametrize("builder", BUILDERS, ids=lambda f: f.__name__)
+def test_scalar_time_is_the_array_row(builder):
+    pr = channels.GadcParams(alpha=0.6, w0=0.8, gamma_rate=1.3)
+    grid = np.linspace(0.0, 8.0, 17)
+    stack = builder(pr, grid)
+    n = stack.shape[-1]
+    assert stack.shape == (17, n, n)
+    assert np.array_equal(builder(pr, grid.reshape(1, 17)), stack[None])
+    for t, row in zip(grid, stack):
+        single = builder(pr, float(t))
+        assert single.shape == (n, n)
+        assert np.array_equal(single, row)
+    with pytest.raises(InputError, match="time must be nonnegative, got nan"):
+        builder(pr, math.nan)
+
+
+@pytest.mark.parametrize("measure", MEASURES, ids=lambda f: f.__name__)
+def test_single_state_is_the_stack_element(measure):
+    pr = channels.GadcParams(alpha=0.6, w0=0.8)
+    joints = channels.joint_states_closed_form(pr, np.linspace(0.0, 8.0, 17))
+    values = measure(joints)
+    assert values.shape == (17,)
+    for joint, value in zip(joints, values):
+        single = measure(joint)
+        assert single.shape == ()
+        assert float(single) == value
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_STATES))
+@pytest.mark.parametrize("measure", MEASURES, ids=lambda f: f.__name__)
+def test_measure_rejects_what_a_density_check_rejects(measure, bad):
+    state = BAD_STATES[bad]
+    with pytest.raises(InputError, match=BAD_MESSAGES[bad]):
+        measure(state)
+    with pytest.raises(InputError, match=BAD_MESSAGES[bad]):
+        measure(np.stack([np.eye(4) / 4.0, state]))
