@@ -10,6 +10,10 @@ constant ratio wherever the negativity is resolvably nonzero.
 import numpy as np
 
 from strongcouple import ExperimentConfig, proportionality_report, run
+from strongcouple.infomeasures import RATIO_DENOMINATOR_THRESHOLD
+
+# "5e-3", the threshold as the text below prints it
+THRESHOLD = f"{RATIO_DENOMINATOR_THRESHOLD:.0e}".replace("e-0", "e-")
 
 result = run(ExperimentConfig())
 info = result.info
@@ -23,9 +27,9 @@ print(f"negativity at t = 0 and t = {t[-1]:g}: "
       f"{info.negativity[0]:.1e}, {info.negativity[-1]:.1e}")
 print()
 
-report = proportionality_report(info.heat_asymmetry, info.negativity,
-                                threshold=5e-3)
-print(f"|Q_S + Q_E| / N over {report.mask_count} points with N > 5e-3:")
+report = proportionality_report(info.heat_asymmetry, info.negativity)
+print(f"|Q_S + Q_E| / N over {report.mask_count} points "
+      f"with N > {THRESHOLD}:")
 print(f"  mean ratio          {report.ratio_mean:.4f}")
 print(f"  max relative spread {100.0 * report.max_relative_spread:.2f}%")
 print()
@@ -34,7 +38,8 @@ print("      t       N(t)     |Q_S+Q_E|   ratio")
 for t_ref in (0.2, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0):
     i = int(np.argmin(np.abs(t - t_ref)))
     n, a = info.negativity[i], info.heat_asymmetry[i]
-    ratio = f"{a / n:7.4f}" if n > 5e-3 else "   (below threshold)"
+    ratio = (f"{a / n:7.4f}" if n > RATIO_DENOMINATOR_THRESHOLD
+             else "   (below threshold)")
     print(f"  {t[i]:6.2f}  {n:8.5f}  {a:9.5f}  {ratio}")
 
 # Contrast: without initial coherence the pair still entangles through

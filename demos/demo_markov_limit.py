@@ -33,5 +33,5 @@ print()
 print("single step at short times:")
 for t in (0.001, 0.01, 0.1, 1.0):
     exact = system_states(params, t)
-    one = iterate_map_check(params, t, 1).matrix
+    one = iterate_map_check(params, t, 1)
     print(f"  t = {t:6.3f}: deviation {np.max(np.abs(one - exact)):.2e}")

@@ -13,8 +13,9 @@ Kraus operators acting on the system alone, a unitary dilation on the
 joint space followed by a partial trace, and closed-form matrix entries
 with ``p`` replaced by ``1 - exp(-gamma t)``.
 
-Each closed-form family has one builder; it takes ``times`` of any
-shape, a scalar included, and returns ``np.shape(times) + (n, n)``.
+Every state is a plain validated array. Each closed-form family has one
+builder; it takes ``times`` of any shape, a scalar included, and returns
+``np.shape(times) + (n, n)``.
 
 Two joint-state families
 ------------------------
@@ -72,8 +73,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .spectra import (PSD_FLOOR, DensityOperator, density_stack,
-                      partial_trace, unit_trace_stack)
+from .spectra import PSD_FLOOR, density_stack, partial_trace, unit_trace_stack
 
 KRAUS_COMPLETENESS_TOL = 1e-10
 # Bound on the last Newton step of the closed-form negativity, relative to
@@ -154,10 +154,11 @@ class KrausChannel:
         ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
         if not ops:
             raise InputError("a channel needs at least one Kraus operator")
-        dim = ops[0].shape[0]
+        dim = ops[0].shape[-1] if ops[0].ndim else 0
         for k in ops:
             if k.shape != (dim, dim):
-                raise InputError(f"Kraus operators must share shape ({dim},{dim})")
+                raise InputError("Kraus operators must be square matrices of "
+                                 f"one shape, got shape {k.shape}")
         total = sum(k.conj().T @ k for k in ops)
         dev = float(np.max(np.abs(total - np.eye(dim))))
         if dev > KRAUS_COMPLETENESS_TOL:
@@ -274,33 +275,30 @@ def environment_kraus(params: GadcParams, p: float) -> KrausChannel:
     return KrausChannel(operators=(l0, l1), label="environment exchange")
 
 
-def apply_channel(channel: KrausChannel, rho) -> DensityOperator:
-    """Apply a Kraus channel to a density operator."""
-    if not isinstance(rho, DensityOperator):
-        rho = DensityOperator(rho)
-    if rho.dim != channel.dim:
-        raise InputError(
-            f"state dimension {rho.dim} does not match channel dimension {channel.dim}")
-    m = rho.matrix
-    out = sum(k @ m @ k.conj().T for k in channel.operators)
-    return DensityOperator(out)
+def apply_channel(channel: KrausChannel, states) -> np.ndarray:
+    """Apply a Kraus channel to a ``(..., n, n)`` stack of states."""
+    m = density_stack(states)
+    if m.shape[-1] != channel.dim:
+        raise InputError(f"state dimension {m.shape[-1]} does not match "
+                         f"channel dimension {channel.dim}")
+    return density_stack(sum(k @ m @ k.conj().T for k in channel.operators))
 
 
-def system_initial_state(params: GadcParams) -> DensityOperator:
+def system_initial_state(params: GadcParams) -> np.ndarray:
     """Pure initial system state ``alpha |g> + sqrt(1 - alpha^2) |e>``."""
     psi = np.array([params.alpha, params.beta_amp], dtype=complex)
-    return DensityOperator(np.outer(psi, psi.conj()))
+    return density_stack(np.outer(psi, psi.conj()))
 
 
-def environment_initial_state(params: GadcParams) -> DensityOperator:
+def environment_initial_state(params: GadcParams) -> np.ndarray:
     """Thermal initial environment state ``diag(w0, w1)``."""
-    return DensityOperator(np.diag([params.w0, params.w1]).astype(complex))
+    return density_stack(np.diag([params.w0, params.w1]).astype(complex))
 
 
-def joint_initial_state(params: GadcParams) -> DensityOperator:
+def joint_initial_state(params: GadcParams) -> np.ndarray:
     """Product of the initial system and environment states."""
-    return DensityOperator(np.kron(system_initial_state(params).matrix,
-                                   environment_initial_state(params).matrix))
+    return density_stack(np.kron(system_initial_state(params),
+                                 environment_initial_state(params)))
 
 
 def _decay(params: GadcParams, times):
@@ -336,7 +334,7 @@ def _qubit_matrices(params: GadcParams, keep, lose) -> np.ndarray:
 def _dilated_matrices(params: GadcParams, p) -> np.ndarray:
     """Initial product state conjugated with :func:`gadc_unitary` at ``p``."""
     u = gadc_unitary(p)
-    return u @ joint_initial_state(params).matrix @ u.conj().swapaxes(-1, -2)
+    return u @ joint_initial_state(params) @ u.conj().swapaxes(-1, -2)
 
 
 def _closed_form_joint_matrices(params: GadcParams, g, d) -> np.ndarray:
@@ -588,14 +586,15 @@ def _negativity_start(v, c2, e) -> np.ndarray:
     return np.minimum(np.minimum(quadratic, coarse), 0.5)
 
 
-def iterate_map_check(params: GadcParams, t: float, n_steps: int) -> DensityOperator:
+def iterate_map_check(params: GadcParams, t: float,
+                      n_steps: int) -> np.ndarray:
     """Compose the single-step system channel ``n_steps`` times.
 
     Each step uses the exact per-step probability ``p = gamma_rate t / n``,
     so the composed damping factor is ``(1 - gamma_rate t / n)^n`` and the
     result converges to :func:`system_states` at rate ``O(1/n)``. The steps
-    run on plain matrices with the arithmetic of :func:`apply_channel`
-    (Kraus sum, then the Hermitian average of :class:`DensityOperator`),
+    run with the arithmetic of :func:`apply_channel` (Kraus sum, then the
+    Hermitian average of :func:`~strongcouple.spectra.density_stack`),
     and only the final state is validated.
     """
     # isfinite first: int() of nan or inf raises
@@ -611,20 +610,19 @@ def iterate_map_check(params: GadcParams, t: float, n_steps: int) -> DensityOper
             f"per-step probability {p_step:.3g} exceeds 1; increase n_steps")
     step = system_kraus(params, p_step)
     pairs = [(k, k.conj().T) for k in step.operators]
-    m = system_initial_state(params).matrix
+    m = system_initial_state(params)
     for _ in range(n_steps):
         out = sum(k @ m @ k_adj for k, k_adj in pairs)
         m = (out + out.conj().T) / 2
-    return DensityOperator(m)
+    return density_stack(m)
 
 
-def system_state_from_dilation(params: GadcParams, p: float) -> DensityOperator:
-    """System state after one damping step via the unitary dilation route.
+def system_state_from_dilation(params: GadcParams, p) -> np.ndarray:
+    """System states after one damping step via the unitary dilation route.
 
-    Conjugates the joint initial state with :func:`gadc_unitary` at the
-    given ``p`` and traces out the environment. Used as an independent
-    route for consistency checks against :func:`system_kraus` and the
-    closed forms.
+    Conjugates the joint initial state with :func:`gadc_unitary` at each
+    ``p`` and traces out the environment; an array of ``p`` gives a
+    ``p.shape + (2, 2)`` stack. Used as an independent route for
+    consistency checks against :func:`system_kraus` and the closed forms.
     """
-    joint = DensityOperator(_dilated_matrices(params, p))
-    return partial_trace(joint, keep=0, dims=(2, 2))
+    return partial_trace(_dilated_matrices(params, p), keep=0)

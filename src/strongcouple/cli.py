@@ -80,6 +80,19 @@ def _load_json(path: Path):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _output_dir(path) -> Path:
+    """Create the output directory ``path``; a path that cannot be a
+    directory, such as an existing file or a path under one, is bad input.
+    """
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create output directory {out_dir}: "
+                         f"{exc.strerror}") from exc
+    return out_dir
+
+
 def _csv_column(values):
     """The ``%`` format of one CSV column and its values as an array.
 
@@ -215,8 +228,7 @@ print("wrote", here / "info.png")
 def _cmd_run(args) -> int:
     config = config_from_dict(_load_json(Path(args.config))) \
         if args.config else ExperimentConfig()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args.out)
 
     started = time.perf_counter()
     result = run(config)
@@ -336,8 +348,7 @@ def _collapse_spread(rows) -> float | None:
 def _cmd_sweep(args) -> int:
     grid_block = _load_json(Path(args.grid))
     configs = _expand_grid(grid_block)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args.out)
 
     started = time.perf_counter()
     rows = sweep(configs)

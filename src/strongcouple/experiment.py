@@ -46,7 +46,6 @@ from .firstlaw import (ThermoTrajectory, qubit_thermo_trajectory,  # noqa: F401
 from .infomeasures import (InfoSeries, bloch_entropies, heat_asymmetry,
                            negativities, proportionality_report)
 
-RATIO_DENOMINATOR_THRESHOLD = 5e-3
 WORK_STATIC_TOL = 1e-12
 ENERGY_BALANCE_TOL = 1e-10
 NEGATIVITY_SPOT_TOL = 1e-10
@@ -198,7 +197,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
                           + np.gradient(ent_e, times)))),
     }
     try:
-        report = proportionality_report(asym, neg, RATIO_DENOMINATOR_THRESHOLD)
+        report = proportionality_report(asym, neg)
         diagnostics["ratio_points"] = float(report.mask_count)
         diagnostics["ratio_mean"] = report.ratio_mean
         diagnostics["ratio_max_relative_spread"] = report.max_relative_spread

@@ -12,15 +12,17 @@ eigenbases, ``H = sum_n E_n |n><n|`` and ``rho = sum_k r_k |k><k|``, with
 The product rule gives ``dU = dW + dQ + dC`` identically, so the numerical
 closure residual ``|Delta U - (W + Q + C)|`` measures only discretization
 error and must shrink as the grid is refined. The work term tracks
-spectrum changes of the Hamiltonian (zero when it is static), the heat
-term tracks population changes, and the coherent term tracks rotation of
-the state eigenbasis relative to the energy eigenbasis.
+spectrum changes of the Hamiltonian, the heat term tracks population
+changes, and the coherent term tracks rotation of the state eigenbasis
+relative to the energy eigenbasis. Both qubits of the model have static
+Hamiltonians, and both routes below take one: their work is zero.
 
 Time is an array axis. :func:`thermo_trajectory` calls a state builder
 once on its whole grid, validates and diagonalizes the ``(T, n, n)``
-stack with one :func:`~strongcouple.spectra.density_eigh` call and
-integrates on the stacked spectra. :func:`qubit_thermo_trajectory` takes
-a qubit's Bloch series instead (see below). Both return a
+stack with one :func:`~strongcouple.spectra.density_eigh` call,
+diagonalizes the static ``(n, n)`` Hamiltonian once, and integrates on
+the stacked spectra. :func:`qubit_thermo_trajectory` takes a qubit's
+Bloch series instead (see below). Both return a
 :class:`ThermoTrajectory`.
 
 Branches are identified across time steps by greedy eigenvector overlap
@@ -168,13 +170,12 @@ def _check_grid(times) -> np.ndarray:
 
 
 def _spectra(hamiltonian, states, times) -> _Spectra:
-    """Validate, diagonalize and track a trajectory given as stacks.
+    """Validate, diagonalize and track a trajectory given as a stack.
 
-    ``hamiltonian`` is one matrix (static) or a stack aligned with
-    ``times``; ``states`` is a stack of density matrices aligned with
-    ``times``. The states are validated and diagonalized in one call. A
-    static Hamiltonian is diagonalized once and its spectrum repeated
-    along the grid.
+    ``hamiltonian`` is one static ``(n, n)`` matrix, diagonalized once
+    with its spectrum repeated along the grid; ``states`` is a stack of
+    density matrices aligned with ``times``, validated and diagonalized
+    in one call.
     """
     rho_lam, rho_vec = density_eigh(states)
     if rho_vec.ndim != 3 or rho_vec.shape[0] != times.size:
@@ -184,14 +185,8 @@ def _spectra(hamiltonian, states, times) -> _Spectra:
     if h.shape[-1] != rho_vec.shape[-1]:
         raise InputError(f"dimension mismatch: hamiltonian {h.shape}, "
                          f"states {rho_vec.shape}")
-    if h.ndim == 2:
-        energies, h_vec = eigh_stack(h)
-        energies = np.broadcast_to(energies, rho_lam.shape)
-    elif h.ndim == 3 and h.shape[0] == times.size:
-        energies, h_vec = _track(*eigh_stack(h), times)
-    else:
-        raise InputError(f"got a hamiltonian of shape {h.shape} for "
-                         f"{times.size} time points")
+    energies, h_vec = eigh_stack(h)
+    energies = np.broadcast_to(energies, rho_lam.shape)
     populations, s_vec = _track(rho_lam, rho_vec, times)
     overlaps = np.abs(h_vec.conj().swapaxes(-1, -2) @ s_vec) ** 2
     return _Spectra(energies, populations, overlaps)
@@ -201,12 +196,6 @@ def _cumtrapz(y, x):
     out = np.zeros_like(y)
     out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
     return out
-
-
-def _work(times, energies, populations, overlaps):
-    de = np.gradient(energies, times, axis=0)
-    integrand = np.einsum("tk,tnk,tn->t", populations, overlaps, de)
-    return _cumtrapz(integrand, times)
 
 
 def _heat(times, energies, populations, overlaps):
@@ -256,13 +245,14 @@ def thermo_trajectory(hamiltonian, state_builder, times,
 
     ``state_builder`` maps a 1-d array of times to a ``(T, n, n)`` stack
     of density matrices, e.g. ``functools.partial(system_states,
-    params)``; ``hamiltonian`` is a static matrix or a callable with the
-    same time-array contract. The builder must be callable because the
-    integrator works on an internal grid finer than ``times``: the first
-    interval is subdivided 32 times to resolve the square-root-in-time
-    growth of coherences near ``t = 0``, where one-sided endpoint
-    differences are least accurate. The builder is
-    called once on that grid and its stack validated once. Results are
+    params)``; ``hamiltonian`` is one static ``(n, n)`` matrix, so the
+    work is zero, and a callable or a stack raises :class:`InputError`.
+    The builder must be callable because the integrator works on an
+    internal grid finer than ``times``: the first interval is subdivided
+    32 times to resolve the square-root-in-time growth of coherences
+    near ``t = 0``, where one-sided endpoint differences are least
+    accurate. The builder is called once on that grid and its stack
+    validated once. Results are
     reported at the points of ``times``; a closure residual above
     ``closure_tolerance`` raises :class:`NumericalError` naming the time
     of the worst residual and the grid step where the residual grows
@@ -272,6 +262,10 @@ def thermo_trajectory(hamiltonian, state_builder, times,
     if not callable(state_builder):
         raise InputError("state_builder must be callable: it is called on "
                          "an internal grid finer than times")
+    if np.ndim(hamiltonian) != 2:
+        raise InputError("the hamiltonian must be one static (n, n) matrix, "
+                         "got " + ("a callable" if callable(hamiltonian)
+                                   else f"shape {np.shape(hamiltonian)}"))
     if not closure_tolerance > 0.0:
         raise InputError(
             f"closure_tolerance must be positive, got {closure_tolerance}")
@@ -281,11 +275,9 @@ def thermo_trajectory(hamiltonian, state_builder, times,
     merged = np.unique(np.concatenate([head, times]))
     public = np.searchsorted(merged, times)
 
-    if callable(hamiltonian):
-        hamiltonian = hamiltonian(merged)
     sp = _spectra(hamiltonian, state_builder(merged), merged)
     stacks = (merged, *sp)
-    work = _work(*stacks)[public]
+    work = np.zeros_like(times)
     heat = _heat(*stacks)[public]
     coherent = _coherent(*stacks)[public]
     du = _internal_energy_series(*stacks[1:])[public]

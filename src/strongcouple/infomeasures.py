@@ -3,17 +3,17 @@
 All entropies are in bits. The negativity is computed by two routes that
 are algebraically identical for a unit-trace Hermitian matrix, the
 trace-norm form ``(||rho^T_A||_1 - 1) / 2`` and the absolute sum of the
-negative eigenvalues of the partial transpose; both are read from one
-spectrum and compared on every call, which checks that the partial
-transpose kept unit trace.
+negative eigenvalues of the partial transpose of the first qubit; both
+are read from one spectrum and compared on every call, which checks that
+the partial transpose kept unit trace.
 
 :func:`von_neumann_entropies` and :func:`negativities` take a
-``(..., n, n)`` array of states, a trajectory or a single state,
-validate it once at entry and evaluate it with one batched eigensolve;
-a single state gives a 0-d array. A qubit needs no eigensolve:
-:func:`bloch_entropies` reads its entropy from the Bloch radius, and its
-l1 coherence is ``|x|``. Nor does the negativity of the closed-form
-joint family, which a run takes from
+``(..., n, n)`` array of states (``n = 4`` for the negativity), a
+trajectory or a single state, validate it once at entry and evaluate it
+with one batched eigensolve; a single state gives a 0-d array. A qubit
+needs no eigensolve: :func:`bloch_entropies` reads its entropy from the
+Bloch radius, and its l1 coherence is ``|x|``. Nor does the negativity of
+the closed-form joint family, which a run takes from
 :func:`strongcouple.channels.joint_negativities_closed_form`;
 :func:`negativities` is the general eigensolve route that ``validate``
 and the tests compare it against.
@@ -30,6 +30,8 @@ from .errors import InputError, NumericalError
 from .spectra import density_stack, partial_transpose_stack, unit_trace_stack
 
 ENTROPY_EIGENVALUE_FLOOR = -1e-10
+# Denominator magnitude at or below which proportionality_report drops a point
+RATIO_DENOMINATOR_THRESHOLD = 5e-3
 _ENTROPY_CLIP = 1e-12
 _NEGATIVITY_ROUTE_TOL = 1e-10
 
@@ -56,10 +58,11 @@ def von_neumann_entropies(states) -> np.ndarray:
 def bloch_entropies(radii) -> np.ndarray:
     """Entropies in bits of qubit states with Bloch radii ``radii``.
 
-    The eigenvalues are ``(1 -+ r)/2``. The smaller one gets the
-    treatment of :func:`von_neumann_entropies`: values in ``[-1e-10,
-    1e-12]`` count as zero and lower ones raise :class:`InputError`; the
-    larger one is one minus the smaller.
+    The eigenvalues are ``(1 -+ r)/2``. The smaller one raises
+    :class:`InputError` below ``-1e-10`` and counts as zero up to
+    ``1e-12``, and the larger one is one minus the smaller, so a clipped
+    state has entropy zero; :func:`von_neumann_entropies` keeps the
+    larger eigenvalue's term there, up to ``1e-12 / ln 2`` bits.
     """
     low = 0.5 * (1.0 - np.asarray(radii, dtype=float))
     if np.any(low < ENTROPY_EIGENVALUE_FLOOR):
@@ -72,17 +75,17 @@ def bloch_entropies(radii) -> np.ndarray:
     return -terms + 0.0
 
 
-def negativities(joints, dims=(2, 2), subsystem: int = 0) -> np.ndarray:
-    """Negativities of a ``(..., n, n)`` stack of bipartite states.
+def negativities(joints) -> np.ndarray:
+    """Negativities of a ``(..., 4, 4)`` stack of two-qubit states.
 
     Validates the stack with :func:`~strongcouple.spectra.density_stack`,
-    partially transposes ``subsystem``, diagonalizes the result once,
+    partially transposes the first qubit, diagonalizes the result once,
     and evaluates both the trace-norm route and the negative-eigenvalue
     route from that spectrum. The two must agree to ``1e-10``; a larger
     gap means the partial transpose lost unit trace and raises
     :class:`NumericalError`. Separable states give zero.
     """
-    pt = partial_transpose_stack(density_stack(joints), subsystem, dims)
+    pt = partial_transpose_stack(density_stack(joints))
     lam = np.linalg.eigvalsh(pt)
     from_trace_norm = 0.5 * (np.sum(np.abs(lam), axis=-1) - 1.0)
     from_eigenvalues = np.sum(np.where(lam < 0.0, -lam, 0.0), axis=-1)
@@ -115,42 +118,37 @@ def heat_asymmetry(heat_system, heat_environment) -> np.ndarray:
 class ProportionalityReport:
     """Summary of how nearly one series is a constant multiple of another.
 
-    Points where the denominator magnitude is at or below ``threshold``
-    are excluded; ``mask_count`` is the number kept, ``ratio_mean`` the
-    mean ratio there, and ``max_relative_spread`` the largest relative
+    Points with ``|denominator| <= RATIO_DENOMINATOR_THRESHOLD`` are
+    excluded; ``mask_count`` is the number kept, ``ratio_mean`` the mean
+    ratio there, and ``max_relative_spread`` the largest relative
     deviation of the pointwise ratio from the mean.
     """
 
     mask_count: int
     ratio_mean: float
     max_relative_spread: float
-    threshold: float
 
 
-def proportionality_report(numerator, denominator,
-                           threshold: float) -> ProportionalityReport:
+def proportionality_report(numerator, denominator) -> ProportionalityReport:
     """Measure proportionality of two series away from small denominators."""
     num = np.asarray(numerator, dtype=float)
     den = np.asarray(denominator, dtype=float)
     if num.shape != den.shape:
         raise InputError(
             f"series must share a shape, got {num.shape} and {den.shape}")
-    if not threshold >= 0.0:
-        raise InputError(f"threshold must be nonnegative, got {threshold}")
-    mask = np.abs(den) > threshold
+    mask = np.abs(den) > RATIO_DENOMINATOR_THRESHOLD
     count = int(np.count_nonzero(mask))
     if count == 0:
         raise InputError(
-            f"no points with |denominator| > {threshold:.3e}; "
-            "nothing to compare")
+            f"no points with |denominator| > "
+            f"{RATIO_DENOMINATOR_THRESHOLD:.3e}; nothing to compare")
     ratio = num[mask] / den[mask]
     mean = float(np.mean(ratio))
     if mean == 0.0:
         raise InputError("mean ratio is zero; spread is undefined")
     spread = float(np.max(np.abs(ratio - mean)) / abs(mean))
     return ProportionalityReport(mask_count=count, ratio_mean=mean,
-                                 max_relative_spread=spread,
-                                 threshold=threshold)
+                                 max_relative_spread=spread)
 
 
 @dataclass(frozen=True)

@@ -1,26 +1,23 @@
-"""Dense Hermitian spectral tools for small matrices.
+"""Dense Hermitian spectral tools for the operators of one or two qubits.
 
-Everything in this module targets operators of dimension 8 or below, the
-sizes that occur for one or two qubits. Eigenvalues and eigenvectors come
-from LAPACK through ``numpy.linalg.eigh`` and ``eigvalsh``, which also
-diagonalize a whole stack of matrices in one call. Operators are
-validated at construction so that downstream code can assume Hermiticity,
-unit trace, and positive semidefiniteness without re-checking.
+Eigenvalues and eigenvectors come from LAPACK through
+``numpy.linalg.eigh`` and ``eigvalsh``, which also diagonalize a whole
+stack of matrices in one call. States are plain arrays:
+:func:`hermitian_stack` and :func:`density_stack` validate an array of
+shape ``(..., n, n)`` at once, such as the states of a trajectory with
+time as the leading axis, and return it symmetrized, so that downstream
+code can assume Hermiticity, unit trace, and positive semidefiniteness
+without re-checking. :func:`unit_trace_stack` applies the Hermiticity
+and trace checks alone, for stacks that are positive by construction.
+:func:`eigh_stack` diagonalizes a validated stack in one call with a
+fixed eigenvector gauge, and :func:`density_eigh` validates a density
+stack and diagonalizes it with that one call. :class:`HermitianOperator`,
+:class:`DensityOperator` and :func:`eig_hermitian` apply the same checks
+and gauge to a single matrix; no other module of the package uses them.
 
-The checks work on stacks: :func:`hermitian_stack` and
-:func:`density_stack` validate an array of shape ``(..., n, n)`` at once,
-such as the states of a trajectory with time as the leading axis, and
-:class:`HermitianOperator` and :class:`DensityOperator` apply the same
-checks to a single matrix. :func:`eigh_stack` diagonalizes a validated
-stack in one call with the eigenvector gauge of :func:`eig_hermitian`,
-and :func:`density_eigh` validates a density stack and diagonalizes it
-with that one call. :func:`unit_trace_stack` applies the Hermiticity and
-trace checks alone, for stacks that are positive by construction.
-
-Composite indices follow the convention that the first tensor factor is
-the slow index: for a two-qubit operator the basis ordering is
-``|0,0>, |0,1>, |1,0>, |1,1>``, matching ``numpy.kron``.
-:func:`partial_transpose_stack` takes a stack or a single matrix.
+Two-qubit indices put the first qubit on the slow index, ``|0,0>,
+|0,1>, |1,0>, |1,1>``, as ``numpy.kron`` does. :func:`partial_trace` and
+:func:`partial_transpose_stack` take ``(..., 4, 4)`` stacks.
 """
 
 from __future__ import annotations
@@ -139,13 +136,6 @@ class HermitianOperator:
     def dim(self) -> int:
         return self._matrix.shape[0]
 
-    def __array__(self, dtype=None, copy=None):
-        arr = np.asarray(self._matrix, dtype=dtype)
-        return arr.copy() if copy else arr
-
-    def __repr__(self):
-        return f"{type(self).__name__}(dim={self.dim})"
-
 
 class DensityOperator(HermitianOperator):
     """Hermitian operator with unit trace and nonnegative spectrum.
@@ -166,10 +156,8 @@ class DensityOperator(HermitianOperator):
 class SpectralDecomposition:
     """Eigenvalues with matching orthonormal eigenvector columns.
 
-    ``eigenvalues[k]`` belongs to column ``eigenvectors[:, k]``. Fresh
-    decompositions from :func:`eig_hermitian` are in ascending eigenvalue
-    order; trajectory tracking may permute that order to keep branches
-    continuous in time.
+    ``eigenvalues[k]`` belongs to column ``eigenvectors[:, k]``, in the
+    ascending eigenvalue order of :func:`eig_hermitian`.
     """
 
     eigenvalues: np.ndarray
@@ -212,60 +200,37 @@ def eigh_stack(matrices):
     return lam, v * (pivots.conj() / np.abs(pivots))
 
 
-def _bipartite_dims(matrix, dims):
-    n = matrix.shape[-1]
-    if dims is None:
-        root = int(round(np.sqrt(n)))
-        if root * root != n:
-            raise InputError(f"cannot infer factor dimensions of a {n}x{n} matrix, pass dims")
-        dims = (root, root)
-    da, db = dims
-    if da * db != n:
-        raise InputError(f"dims {dims} incompatible with matrix dimension {n}")
-    return da, db
+def _two_qubit(m) -> None:
+    """Reject a stack whose matrices are not two-qubit operators."""
+    if m.shape[-2:] != (4, 4):
+        raise InputError(f"expected two-qubit operators of shape "
+                         f"(..., 4, 4), got {m.shape}")
 
 
-def partial_trace(rho, keep: int, dims=None) -> DensityOperator:
-    """Trace out one tensor factor of a bipartite density operator.
+def partial_trace(states, keep: int) -> np.ndarray:
+    """Trace out one qubit of a ``(..., 4, 4)`` stack of two-qubit states.
 
-    Parameters
-    ----------
-    rho : DensityOperator or array_like
-        State on the composite space.
-    keep : int
-        0 keeps the first factor, 1 keeps the second.
-    dims : tuple of int, optional
-        Factor dimensions; square dimensions are inferred when omitted.
+    ``keep`` is 0 to keep the first qubit and 1 to keep the second. The
+    input and the ``(..., 2, 2)`` result are validated with
+    :func:`density_stack`.
     """
-    if not isinstance(rho, DensityOperator):
-        rho = DensityOperator(rho)
+    m = density_stack(states)
+    _two_qubit(m)
     if keep not in (0, 1):
         raise InputError(f"keep must be 0 or 1, got {keep!r}")
-    da, db = _bipartite_dims(rho.matrix, dims)
-    r = rho.matrix.reshape(da, db, da, db)
-    reduced = np.einsum("ikjk->ij", r) if keep == 0 else np.einsum("kikj->ij", r)
-    return DensityOperator(reduced)
+    r = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
+    return density_stack(np.einsum("...ikjk->...ij", r) if keep == 0
+                         else np.einsum("...kikj->...ij", r))
 
 
-def partial_transpose_stack(matrices, subsystem: int = 0,
-                            dims=None) -> np.ndarray:
-    """Transpose one tensor factor of every matrix in a stack.
+def partial_transpose_stack(matrices) -> np.ndarray:
+    """Transpose the first qubit of every matrix in a ``(..., 4, 4)`` stack.
 
-    ``matrices`` has shape ``(..., n, n)`` and is taken as given: the
-    transpose only permutes entries, so a Hermitian stack stays exactly
-    Hermitian, but in general not positive, which is exactly what
-    entanglement witnesses exploit.
+    The stack is taken as given: the transpose only permutes entries, so
+    a Hermitian stack stays exactly Hermitian, but in general not
+    positive, which is exactly what entanglement witnesses exploit.
     """
     m = np.asarray(matrices, dtype=complex)
-    if subsystem not in (0, 1):
-        raise InputError(f"subsystem must be 0 or 1, got {subsystem!r}")
-    da, db = _bipartite_dims(m, dims)
-    lead = m.shape[:-2]
-    r = m.reshape(lead + (da, db, da, db))
-    k = len(lead)
-    axes = list(range(k + 4))
-    if subsystem == 0:
-        axes[k], axes[k + 2] = k + 2, k
-    else:
-        axes[k + 1], axes[k + 3] = k + 3, k + 1
-    return r.transpose(axes).reshape(m.shape)
+    _two_qubit(m)
+    r = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
+    return r.swapaxes(-4, -2).reshape(m.shape)

@@ -20,28 +20,28 @@ from .errors import InputError, NumericalError, StrongcoupleError
 from .experiment import ExperimentConfig, run
 from .firstlaw import qubit_thermo_trajectory, thermo_trajectory
 from .infomeasures import negativities, proportionality_report
-from .spectra import DensityOperator, eig_hermitian, partial_trace
+from .spectra import partial_trace
 
 
-def route_consistency(n_triples: int = 20, seed: int = 0) -> float:
+def route_consistency() -> float:
     """Largest pairwise deviation between the three single-step routes.
 
-    Draws random ``(alpha, w0, p)`` triples and compares the Kraus map,
-    the unitary dilation plus partial trace, and the closed form at the
-    matching time ``t = -log(1 - p)`` (decay rate one). Deterministic for
-    a fixed seed.
+    Draws 20 random ``(alpha, w0, p)`` triples from a fixed seed and
+    compares the Kraus map, the unitary dilation plus partial trace, and
+    the closed form at the matching time ``t = -log(1 - p)`` (decay rate
+    one).
     """
-    rng = random.Random(seed)
+    rng = random.Random(0)
     worst = 0.0
-    for _ in range(n_triples):
+    for _ in range(20):
         a = rng.uniform(0.0, 1.0)
         w0 = rng.uniform(0.0, 1.0)
         p = rng.uniform(0.0, 0.999)
         pr = ch.GadcParams(alpha=a, w0=w0, gamma_rate=1.0)
         t = -math.log1p(-p)
         via_kraus = ch.apply_channel(ch.system_kraus(pr, p),
-                                     ch.system_initial_state(pr)).matrix
-        via_dilation = ch.system_state_from_dilation(pr, p).matrix
+                                     ch.system_initial_state(pr))
+        via_dilation = ch.system_state_from_dilation(pr, p)
         via_closed = ch.system_states(pr, t)
         worst = max(worst,
                     float(np.max(np.abs(via_kraus - via_dilation))),
@@ -65,7 +65,7 @@ def markov_convergence(params: ch.GadcParams, t: float = 1.0,
     rows = []
     for n in counts:
         # iterate_map_check owns the check of each count
-        approx = ch.iterate_map_check(params, t, n).matrix
+        approx = ch.iterate_map_check(params, t, n)
         rows.append((int(n), float(np.max(np.abs(approx - target)))))
     return rows
 
@@ -97,11 +97,10 @@ def _suite_channel_preserves_states():
                        for _ in range(2)] for _ in range(2)])
         rho = m @ m.conj().T
         rho /= np.trace(rho).real
-        out = ch.apply_channel(ch.system_kraus(pr, p), DensityOperator(rho))
-        worst_trace = max(worst_trace,
-                          abs(float(np.trace(out.matrix).real) - 1.0))
+        out = ch.apply_channel(ch.system_kraus(pr, p), rho)
+        worst_trace = max(worst_trace, abs(float(np.trace(out).real) - 1.0))
         worst_eig = max(worst_eig,
-                        max(0.0, -float(eig_hermitian(out).eigenvalues[0])))
+                        max(0.0, -float(np.linalg.eigvalsh(out)[0])))
     ok = worst_trace <= 1e-12 and worst_eig <= 1e-12
     return ok, f"trace dev {worst_trace:.2e}, negative part {worst_eig:.2e}"
 
@@ -124,15 +123,11 @@ def _suite_marginals():
     """
     config = ExperimentConfig()
     pr, times = config.params, config.times
-    worst = 0.0
-    for t in np.linspace(0.0, 10.0, 41):
-        joint = ch.joint_states_closed_form(pr, t)
-        ds = partial_trace(joint, keep=0, dims=(2, 2)).matrix \
-            - ch.system_states(pr, t)
-        de = partial_trace(joint, keep=1, dims=(2, 2)).matrix \
-            - ch.environment_states(pr, t)
-        worst = max(worst, float(np.max(np.abs(ds))),
-                    float(np.max(np.abs(de))))
+    grid = np.linspace(0.0, 10.0, 41)
+    joint = ch.joint_states_closed_form(pr, grid)
+    ds = partial_trace(joint, keep=0) - ch.system_states(pr, grid)
+    de = partial_trace(joint, keep=1) - ch.environment_states(pr, grid)
+    worst = max(float(np.max(np.abs(ds))), float(np.max(np.abs(de))))
     eigen = negativities(ch.joint_states_closed_form(pr, times))
     worst_negativity = float(np.max(np.abs(
         ch.joint_negativities_closed_form(pr, times) - eigen)))
@@ -141,7 +136,7 @@ def _suite_marginals():
     for _ in range(25):
         pr, p = _random_params(rng)
         m = ch.gadc_coupling_matrix(p)
-        direct = m @ ch.joint_initial_state(pr).matrix @ m.T
+        direct = m @ ch.joint_initial_state(pr) @ m.T
         closed = ch._closed_form_joint_matrices(pr, 1.0 - p, p)
         worst_congruence = max(worst_congruence,
                                float(np.max(np.abs(direct - closed))))
@@ -157,16 +152,11 @@ def _suite_marginals():
 
 
 def _suite_unitarity():
-    worst_u = 0.0
-    for p in np.linspace(0.0, 1.0, 100):
-        u = ch.gadc_unitary(p)
-        worst_u = max(worst_u,
-                      float(np.max(np.abs(u @ u.conj().T - np.eye(4)))))
+    u = ch.gadc_unitary(np.linspace(0.0, 1.0, 100))
+    worst_u = float(np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(4))))
     pr = ExperimentConfig().params
-    lam0 = eig_hermitian(ch.joint_states(pr, 0.0)).eigenvalues
-    drift = max(float(np.max(np.abs(
-        eig_hermitian(ch.joint_states(pr, t)).eigenvalues - lam0)))
-        for t in np.linspace(0.0, 10.0, 41))
+    lam = np.linalg.eigvalsh(ch.joint_states(pr, np.linspace(0.0, 10.0, 41)))
+    drift = float(np.max(np.abs(lam - lam[0])))
     ok = worst_u <= 1e-12 and drift <= 1e-12
     return ok, f"unitarity dev {worst_u:.2e}, joint spectrum drift {drift:.2e}"
 
@@ -231,11 +221,11 @@ def _suite_mutation_control():
     pr, p = ch.GadcParams(alpha=0.6, w0=0.7), 0.3
     u = ch.gadc_unitary(1.0 - p)
     unitary_dev = float(np.max(np.abs(u @ u.conj().T - np.eye(4))))
-    joint = u @ ch.joint_initial_state(pr).matrix @ u.conj().T
-    mutated = partial_trace(DensityOperator(joint), keep=0, dims=(2, 2))
+    joint = u @ ch.joint_initial_state(pr) @ u.conj().T
+    mutated = partial_trace(joint, keep=0)
     honest = ch.apply_channel(ch.system_kraus(pr, p),
                               ch.system_initial_state(pr))
-    dev = float(np.max(np.abs(mutated.matrix - honest.matrix)))
+    dev = float(np.max(np.abs(mutated - honest)))
     ok = unitary_dev <= 1e-12 and dev > 1e-2
     return ok, (f"mutated route still unitary ({unitary_dev:.2e}) "
                 f"but deviates by {dev:.3f} as required")
@@ -289,8 +279,7 @@ def _suite_negativity_shape():
 def _suite_proportionality():
     result = _default_run()
     info = result.info
-    report = proportionality_report(info.heat_asymmetry, info.negativity,
-                                    5e-3)
+    report = proportionality_report(info.heat_asymmetry, info.negativity)
     ok = report.max_relative_spread <= 0.05
     return ok, (f"ratio mean {report.ratio_mean:.4f}, spread "
                 f"{100 * report.max_relative_spread:.2f}% over "

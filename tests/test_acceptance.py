@@ -22,7 +22,7 @@ from strongcouple.channels import (QUBIT_HAMILTONIAN, GadcParams,
 from strongcouple.experiment import ExperimentConfig, run
 from strongcouple.firstlaw import _track, thermo_trajectory
 from strongcouple.infomeasures import von_neumann_entropies
-from strongcouple.spectra import DensityOperator, eigh_stack
+from strongcouple.spectra import eigh_stack
 from strongcouple.validation import markov_convergence
 
 
@@ -205,7 +205,7 @@ def test_criterion_12_channel_property_suite(rng):
             total = sum(k.conj().T @ k for k in channel.operators)
             worst_complete = max(worst_complete, float(
                 np.max(np.abs(total - np.eye(2)))))
-            out = apply_channel(channel, DensityOperator(rho)).matrix
+            out = apply_channel(channel, rho)
             worst_trace = max(worst_trace,
                               abs(float(np.trace(out).real) - 1.0))
             worst_psd = max(worst_psd,
@@ -225,8 +225,8 @@ def test_criterion_13_consistency_triangle(rng):
         p = float(rng.uniform(0, 0.999))
         t = -math.log1p(-p)
         via_kraus = apply_channel(system_kraus(pr, p),
-                                  system_initial_state(pr)).matrix
-        via_dilation = system_state_from_dilation(pr, p).matrix
+                                  system_initial_state(pr))
+        via_dilation = system_state_from_dilation(pr, p)
         via_closed = system_states(pr, t)
         worst = max(worst,
                     float(np.max(np.abs(via_kraus - via_dilation))),

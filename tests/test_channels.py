@@ -24,8 +24,7 @@ from strongcouple.channels import (QUBIT_HAMILTONIAN, GadcParams,
                                    system_states)
 from strongcouple.errors import InputError, NumericalError
 from strongcouple.infomeasures import negativities
-from strongcouple.spectra import (DensityOperator, eig_hermitian,
-                                  partial_trace)
+from strongcouple.spectra import eig_hermitian, partial_trace
 
 SWAP = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0],
@@ -87,6 +86,14 @@ class TestKrausChannel:
     def test_rejects_empty(self):
         with pytest.raises(InputError):
             KrausChannel(operators=())
+
+    @pytest.mark.parametrize("operator", [1.0, np.array([1.0, 0.0]),
+                                          np.ones((2, 3))],
+                             ids=["scalar", "1d", "non_square"])
+    def test_rejects_non_square_operator(self, operator):
+        # named as a shape problem, not an IndexError from the shape tuple
+        with pytest.raises(InputError, match="square matrices"):
+            KrausChannel(operators=(operator,))
 
     def test_fields(self):
         assert [f.name for f in dataclasses.fields(KrausChannel)] \
@@ -160,10 +167,9 @@ class TestClosedFormStates:
     def test_initial_states(self):
         pr = default_params()
         rho_s = system_states(pr, 0.0)
-        assert np.max(np.abs(rho_s - system_initial_state(pr).matrix)) < 1e-15
+        assert np.max(np.abs(rho_s - system_initial_state(pr))) < 1e-15
         rho_e = environment_states(pr, 0.0)
-        assert np.max(np.abs(rho_e
-                             - environment_initial_state(pr).matrix)) < 1e-15
+        assert np.max(np.abs(rho_e - environment_initial_state(pr))) < 1e-15
 
     def test_system_relaxes_to_thermal(self):
         pr = default_params()
@@ -181,8 +187,8 @@ class TestClosedFormStates:
             p = float(rng.uniform(0, 0.999))
             t = -math.log1p(-p)
             via_kraus = apply_channel(system_kraus(pr, p),
-                                      system_initial_state(pr)).matrix
-            via_dilation = system_state_from_dilation(pr, p).matrix
+                                      system_initial_state(pr))
+            via_dilation = system_state_from_dilation(pr, p)
             via_closed = system_states(pr, t)
             assert np.max(np.abs(via_kraus - via_dilation)) < 1e-12
             assert np.max(np.abs(via_kraus - via_closed)) < 1e-12
@@ -190,7 +196,7 @@ class TestClosedFormStates:
     def test_environment_kraus_populations(self):
         pr = default_params()
         out = apply_channel(environment_kraus(pr, 0.4),
-                            environment_initial_state(pr)).matrix
+                            environment_initial_state(pr))
         ref = environment_states(pr, -math.log1p(-0.4))
         assert abs(out[0, 0] - ref[0, 0]) < 1e-12
         assert abs(out[1, 1] - ref[1, 1]) < 1e-12
@@ -207,16 +213,16 @@ class TestJointFamilies:
     def test_unitary_family_system_marginal(self):
         pr = default_params()
         for t in (0.0, 0.3, 2.0, 8.0):
-            red = partial_trace(joint_states(pr, t), keep=0, dims=(2, 2))
+            red = partial_trace(joint_states(pr, t), keep=0)
             ref = system_states(pr, t)
-            assert np.max(np.abs(red.matrix - ref)) < 1e-13
+            assert np.max(np.abs(red - ref)) < 1e-13
 
     def test_closed_form_family_both_marginals(self):
         pr = default_params()
         for t in (0.0, 0.3, 2.0, 8.0):
             joint = joint_states_closed_form(pr, t)
-            red_s = partial_trace(joint, keep=0, dims=(2, 2)).matrix
-            red_e = partial_trace(joint, keep=1, dims=(2, 2)).matrix
+            red_s = partial_trace(joint, keep=0)
+            red_e = partial_trace(joint, keep=1)
             assert np.max(np.abs(red_s - system_states(pr, t))) < 1e-13
             assert np.max(np.abs(red_e - environment_states(pr, t))) < 1e-13
 
@@ -224,7 +230,7 @@ class TestJointFamilies:
         pr = default_params()
         for t in (0.2, 1.0, 4.0):
             m = gadc_coupling_matrix(p_of_t(pr.gamma_rate, t))
-            direct = m @ joint_initial_state(pr).matrix @ m.conj().T
+            direct = m @ joint_initial_state(pr) @ m.conj().T
             ref = joint_states_closed_form(pr, t)
             assert np.max(np.abs(direct - ref)) < 1e-14
 
@@ -436,9 +442,8 @@ class TestDecayInput:
 class TestIterateMap:
     def test_single_step_matches_channel(self):
         pr = default_params()
-        single = iterate_map_check(pr, 0.5, 1).matrix
-        ref = apply_channel(system_kraus(pr, 0.5),
-                            system_initial_state(pr)).matrix
+        single = iterate_map_check(pr, 0.5, 1)
+        ref = apply_channel(system_kraus(pr, 0.5), system_initial_state(pr))
         assert np.max(np.abs(single - ref)) < 1e-14
 
     @pytest.mark.parametrize("n_steps", [1, 10])
@@ -448,13 +453,12 @@ class TestIterateMap:
         rho = system_initial_state(pr)
         for _ in range(n_steps):
             rho = apply_channel(step, rho)
-        assert np.array_equal(iterate_map_check(pr, 1.0, n_steps).matrix,
-                              rho.matrix)
+        assert np.array_equal(iterate_map_check(pr, 1.0, n_steps), rho)
 
     def test_first_order_convergence(self):
         pr = default_params()
         target = system_states(pr, 1.0)
-        devs = [np.max(np.abs(iterate_map_check(pr, 1.0, n).matrix - target))
+        devs = [np.max(np.abs(iterate_map_check(pr, 1.0, n) - target))
                 for n in (10, 100, 1000)]
         assert devs[0] > devs[1] > devs[2]
         assert 8.0 < devs[0] / devs[1] < 13.0
@@ -469,10 +473,8 @@ class TestIterateMap:
                 iterate_map_check(default_params(), 1.0, n_steps)
         with pytest.raises(InputError):
             iterate_map_check(default_params(gamma_rate=3.0), 1.0, 2)
-        assert np.array_equal(iterate_map_check(default_params(), 1.0,
-                                                10.0).matrix,
-                              iterate_map_check(default_params(), 1.0,
-                                                10).matrix)
+        assert np.array_equal(iterate_map_check(default_params(), 1.0, 10.0),
+                              iterate_map_check(default_params(), 1.0, 10))
 
     def test_rejects_nan_time(self):
         # named as a time, not as a bad per-step probability
@@ -492,4 +494,4 @@ class TestOperators:
     def test_apply_channel_dimension_mismatch(self):
         channel = system_kraus(default_params(), 0.0)
         with pytest.raises(InputError):
-            apply_channel(channel, DensityOperator(np.eye(4) / 4.0))
+            apply_channel(channel, np.eye(4) / 4.0)

@@ -151,6 +151,28 @@ class TestRunErrors:
         assert "refine the time grid" not in err
 
 
+class TestUnusableOutputPath:
+    """An --out path that cannot be a directory is bad input, exit 2."""
+
+    @pytest.mark.parametrize("under", [False, True],
+                             ids=["existing_file", "under_a_file"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_named_without_traceback(self, tmp_path, capsys, command,
+                                     under):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        out = blocker / "out" if under else blocker
+        args = [command, "--out", str(out)]
+        if command == "sweep":
+            args += ["--grid", write_json(tmp_path / "grid.json",
+                                          {"t_max": 2.0, "n_samples": 11})]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"cannot create output directory {out}" in err
+        assert "Traceback" not in err
+        assert blocker.read_text() == "not a directory"
+
+
 class TestSweepCommand:
     def test_grid_run(self, tmp_path):
         grid = write_json(tmp_path / "grid.json",

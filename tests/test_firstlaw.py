@@ -13,6 +13,7 @@ from strongcouple.errors import InputError, NumericalError, TrackingError
 from strongcouple.experiment import ExperimentConfig
 from strongcouple.firstlaw import (_spectra, _track, qubit_thermo_trajectory,
                                    thermo_trajectory)
+from strongcouple.infomeasures import bloch_entropies
 from strongcouple.spectra import eig_hermitian, eigh_stack
 
 
@@ -80,15 +81,17 @@ class TestSampleTrajectory:
 
 
 class TestIntegralsExactCases:
-    def test_driven_spectrum_pure_work(self):
-        """Linear level drift on a stationary diagonal state: all work."""
-        times = np.linspace(0.0, 2.0, 21)
-        traj = thermo_trajectory(
-            lambda t: np.stack([np.diag([0.0, 1.0 + 0.1 * u]) for u in t]),
-            constant(np.diag([0.3, 0.7])), times)
-        assert np.max(np.abs(traj.work - 0.7 * 0.1 * times)) < 1e-13
-        assert np.max(np.abs(traj.heat)) < 1e-13
-        assert np.max(np.abs(traj.coherent_energy)) < 1e-13
+    @pytest.mark.parametrize("hamiltonian", [
+        lambda t: np.stack([np.diag([0.0, 1.0 + 0.1 * u]) for u in t]),
+        np.stack([np.diag([0.0, 1.0 + 0.1 * u])
+                  for u in np.linspace(0.0, 2.0, 21)]),
+    ], ids=["callable", "stack"])
+    def test_time_dependent_hamiltonian_rejected(self, hamiltonian):
+        """Only a static Hamiltonian is accepted, as an InputError and
+        not a TypeError, even a stack aligned with the grid."""
+        with pytest.raises(InputError, match="one static"):
+            thermo_trajectory(hamiltonian, constant(np.diag([0.3, 0.7])),
+                              np.linspace(0.0, 2.0, 21))
 
     def test_static_hamiltonian_zero_work(self):
         pr = default_params()
@@ -351,11 +354,11 @@ class TestStackTracking:
 
     def test_trajectory_error_names_time(self):
         times = np.linspace(0.0, 1.0, 11)
-        h = np.diag([0.1, 0.4, 0.8])
+        rho = np.diag([0.1, 0.4, 0.8]) / 1.3
         turned = _rotation(0.7, 0.9)
 
-        def hamiltonian(t):
-            return np.stack([turned @ h @ turned.T if u > 0.55 else h
+        def states(t):
+            return np.stack([turned @ rho @ turned.T if u > 0.55 else rho
                              for u in t])
 
         # the internal grid splits the first interval in 32, so the step
@@ -363,7 +366,7 @@ class TestStackTracking:
         with pytest.raises(TrackingError,
                            match=r"branch matching ambiguous at step 37 "
                                  r"\(t = 0\.6\)"):
-            thermo_trajectory(hamiltonian, constant(np.eye(3) / 3.0), times)
+            thermo_trajectory(np.diag([0.0, 1.0, 2.0]), states, times)
 
 
 class TestStateBuilder:
@@ -519,3 +522,44 @@ class TestQubitRoute:
         with pytest.raises(InputError):
             qubit_thermo_trajectory(hamiltonian,
                                     system_bloch(pr, np.linspace(0, 1, 5)))
+
+
+def _sums_after_start(params, times):
+    """``Q_S + Q_E`` and ``S_S + S_E`` on ``times`` without ``t = 0``."""
+    bloch_s = system_bloch(params, times)
+    bloch_e = environment_bloch(params, times)
+    heat = (qubit_thermo_trajectory(QUBIT_HAMILTONIAN, bloch_s).heat
+            + qubit_thermo_trajectory(QUBIT_HAMILTONIAN, bloch_e).heat)
+    entropy = bloch_entropies(bloch_s.radius) + bloch_entropies(bloch_e.radius)
+    return heat[1:], entropy[1:]
+
+
+class TestDecaySymmetry:
+    """The environment's Bloch lines are the system's with g -> 1 - g,
+    g = exp(-gamma t). So the heat asymmetry A(g) = Q_S + Q_E, the
+    integral of an integrand odd about g = 1/2 from g = 1, and the
+    entropy sum S_S + S_E both take the same value at g and at 1 - g:
+    they depend on g only through u = g (1 - g), as the negativity
+    does."""
+
+    def test_heat_and_entropy_sums_symmetric(self, rng):
+        configs = [(rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-3.0, 2.0))
+                   for _ in range(300)]
+        w0 = 1.0 / (1.0 + math.exp(-1.0))
+        configs += [(0.3, math.inf), (0.0, 1.0), (1.0, 1.0),
+                    (math.sqrt(w0), 1.0), (1.0, math.inf)]
+        worst_heat = worst_entropy = 0.0
+        for alpha, beta in configs:
+            pr = GadcParams.from_inverse_temperature(alpha, beta)
+            g = np.sort(rng.uniform(0.0, 1.0, 50))[::-1]
+            # each grid starts at t = 0, g = 1, where the heat is zero
+            heat, entropy = _sums_after_start(
+                pr, np.concatenate([[0.0], -np.log(g)]))
+            mirror_heat, mirror_entropy = _sums_after_start(
+                pr, np.concatenate([[0.0], -np.log1p(-g[::-1])]))
+            worst_heat = max(worst_heat, float(np.max(np.abs(
+                heat - mirror_heat[::-1]))))
+            worst_entropy = max(worst_entropy, float(np.max(np.abs(
+                entropy - mirror_entropy[::-1]))))
+        assert worst_heat <= 1e-14
+        assert worst_entropy <= 1e-13

@@ -1,5 +1,6 @@
 """Entropies, coherence, negativity, and the proportionality report."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,10 +13,11 @@ from strongcouple.channels import (GadcParams, environment_bloch,
                                    system_states)
 from strongcouple.errors import InputError, NumericalError
 from strongcouple.experiment import ExperimentConfig, run
-from strongcouple.infomeasures import (bloch_entropies, heat_asymmetry,
-                                       negativities, proportionality_report,
+from strongcouple.infomeasures import (RATIO_DENOMINATOR_THRESHOLD,
+                                       ProportionalityReport, bloch_entropies,
+                                       heat_asymmetry, negativities,
+                                       proportionality_report,
                                        von_neumann_entropies)
-from strongcouple.spectra import DensityOperator
 
 BELL = 0.5 * np.array([[1, 0, 0, 1],
                        [0, 0, 0, 0],
@@ -42,7 +44,7 @@ class TestEntropy:
         assert abs(s - ref) < 1e-13
 
     def test_roundoff_negative_eigenvalue_clipped(self):
-        rho = DensityOperator(np.diag([1.0 + 1e-11, -1e-11]))
+        rho = np.diag([1.0 + 1e-11, -1e-11])
         assert abs(float(von_neumann_entropies(rho))) < 1e-10
 
     def test_invalid_state_rejected(self):
@@ -130,11 +132,14 @@ class TestNegativity:
             assert abs(float(negativities(rho)) - ref) < 1e-12
 
     def test_subsystem_symmetry(self):
-        pr = default_params()
-        joint = joint_states_closed_form(pr, 0.7)
-        n0 = float(negativities(joint, subsystem=0))
-        n1 = float(negativities(joint, subsystem=1))
-        assert abs(n0 - n1) < 1e-12
+        """negativities transposes the first qubit; a plain numpy
+        transpose of the second gives the same negativity."""
+        joint = joint_states_closed_form(default_params(), 0.7)
+        pt = joint.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+        lam = np.linalg.eigvalsh(pt)
+        other = float(-np.sum(lam[lam < 0.0]))
+        assert other > 0.05
+        assert abs(float(negativities(joint)) - other) < 1e-12
 
     def test_agrees_with_reference_eigensolver(self, random_density):
         for _ in range(10):
@@ -206,33 +211,36 @@ class TestHeatAsymmetry:
 class TestProportionalityReport:
     def test_exact_proportionality(self):
         x = np.linspace(0.1, 1.0, 50)
-        report = proportionality_report(0.73 * x, x, threshold=0.0)
+        report = proportionality_report(0.73 * x, x)
         assert report.mask_count == 50
         assert abs(report.ratio_mean - 0.73) < 1e-14
         assert report.max_relative_spread < 1e-12
 
     def test_threshold_masks_small_denominators(self):
-        den = np.array([1e-6, 0.5, 1.0])
-        num = np.array([100.0, 0.5, 1.0])
-        report = proportionality_report(num, den, threshold=1e-3)
-        assert report.mask_count == 2
+        # the fixed threshold 5e-3 drops denominators at or below it
+        assert RATIO_DENOMINATOR_THRESHOLD == 5e-3
+        above = np.nextafter(5e-3, 1.0)
+        den = np.array([1e-6, -5e-3, 5e-3, above, 0.5, 1.0])
+        num = np.array([100.0, 100.0, 100.0, above, 0.5, 1.0])
+        report = proportionality_report(num, den)
+        assert report.mask_count == 3
         assert abs(report.ratio_mean - 1.0) < 1e-14
 
     def test_empty_mask_rejected(self):
-        with pytest.raises(InputError):
-            proportionality_report([1.0, 2.0], [0.0, 0.0], threshold=1.0)
+        with pytest.raises(InputError, match=r"\|denominator\| > 5\.000e-03"):
+            proportionality_report([1.0, 2.0], [5e-3, -1e-3])
 
     def test_shape_mismatch(self):
         with pytest.raises(InputError):
-            proportionality_report([1.0], [1.0, 2.0], threshold=0.0)
+            proportionality_report([1.0], [1.0, 2.0])
 
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(InputError):
-            proportionality_report([1.0], [1.0], threshold=-1.0)
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(ProportionalityReport)] \
+            == ["mask_count", "ratio_mean", "max_relative_spread"]
 
     def test_uncorrelated_noise_has_large_spread(self, rng):
         """Negative control: the spread statistic must expose non-ratios."""
         num = rng.uniform(0.5, 1.5, size=200)
         den = rng.uniform(0.5, 1.5, size=200)
-        report = proportionality_report(num, den, threshold=0.0)
+        report = proportionality_report(num, den)
         assert report.max_relative_spread > 0.3

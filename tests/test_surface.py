@@ -1,7 +1,10 @@
 """The public surface: one array-in function per closed-form state family
-and per eigensolve measure, and the exported names."""
+and per eigensolve measure, plain-array states, the exported names, and
+the modules that may use the single-matrix object layer of ``spectra``."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ import strongcouple
 from strongcouple import channels
 from strongcouple.errors import InputError
 from strongcouple.infomeasures import negativities, von_neumann_entropies
+from strongcouple.spectra import partial_trace
 
 # Every name strongcouple exports. A name added to or removed from
 # __all__ must be added to or removed from this list too.
@@ -123,3 +127,81 @@ def test_measure_rejects_what_a_density_check_rejects(measure, bad):
         measure(state)
     with pytest.raises(InputError, match=BAD_MESSAGES[bad]):
         measure(np.stack([np.eye(4) / 4.0, state]))
+
+
+PARAMS = channels.GadcParams(alpha=0.6, w0=0.8, gamma_rate=1.3)
+
+# every library function that returns a state
+STATE_FUNCTIONS = {
+    "apply_channel": lambda: channels.apply_channel(
+        channels.system_kraus(PARAMS, 0.3),
+        channels.system_initial_state(PARAMS)),
+    "system_initial_state": lambda: channels.system_initial_state(PARAMS),
+    "environment_initial_state":
+        lambda: channels.environment_initial_state(PARAMS),
+    "joint_initial_state": lambda: channels.joint_initial_state(PARAMS),
+    "iterate_map_check": lambda: channels.iterate_map_check(PARAMS, 1.0, 10),
+    "system_state_from_dilation":
+        lambda: channels.system_state_from_dilation(PARAMS, 0.3),
+    "partial_trace": lambda: partial_trace(
+        channels.joint_initial_state(PARAMS), keep=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATE_FUNCTIONS))
+def test_states_are_plain_arrays(name):
+    state = STATE_FUNCTIONS[name]()
+    assert type(state) is np.ndarray
+    assert state.shape in ((2, 2), (4, 4))
+
+
+GRID = np.linspace(0.0, 1.0, 9)
+
+# the functions that map a stack, and a stack to map: times for the
+# state builders, decay probabilities for the dilation
+STACK_CALLS = {
+    "apply_channel": (
+        lambda x: channels.apply_channel(
+            channels.environment_kraus(PARAMS, 0.3), x),
+        channels.system_states(PARAMS, GRID)),
+    "partial_trace_keep_0": (
+        lambda x: partial_trace(x, keep=0),
+        channels.joint_states_closed_form(PARAMS, GRID)),
+    "partial_trace_keep_1": (
+        lambda x: partial_trace(x, keep=1),
+        channels.joint_states_closed_form(PARAMS, GRID)),
+    "system_state_from_dilation": (
+        lambda x: channels.system_state_from_dilation(PARAMS, x), GRID),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACK_CALLS))
+def test_stack_is_the_single_calls(name):
+    call, inputs = STACK_CALLS[name]
+    stack = call(inputs)
+    assert type(stack) is np.ndarray
+    assert stack.shape == (9, 2, 2)
+    for x, row in zip(inputs, stack):
+        assert np.array_equal(call(x), row)
+
+
+# the single-matrix object layer, which only spectra itself may use
+OBJECT_LAYER = {"DensityOperator", "HermitianOperator",
+                "SpectralDecomposition", "eig_hermitian"}
+PACKAGE = Path(strongcouple.__file__).parent
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in PACKAGE.glob("*.py")
+    if p.name not in ("spectra.py", "__init__.py")))
+def test_modules_use_plain_arrays(module):
+    tree = ast.parse((PACKAGE / module).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert names & OBJECT_LAYER == set()
