@@ -49,8 +49,12 @@ affine in ``g``: the square root in time of the coherence cancels in
 ``x^2``. :func:`system_bloch` and :func:`environment_bloch` give these
 lines and their values on a time grid as a :class:`BlochSeries`, which
 carries everything a run needs of a marginal: the Bloch radius for the
-spectrum, ``|x|`` for the coherence, and the coefficients for the exact
-first-law split of :func:`strongcouple.firstlaw.qubit_thermo_trajectory`.
+spectrum, ``|x|`` for the coherence, the coefficients for the exact
+first-law split of :func:`strongcouple.firstlaw.qubit_thermo_trajectory`,
+and the real closed-form populations from which that split reads the
+internal energy change. No ``(T, 2, 2)`` matrix stack is built: the
+populations are checked to be finite and to sum to one, and the Bloch
+radius bounds positivity.
 
 Closed-form joint spectra
 -------------------------
@@ -73,7 +77,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .spectra import PSD_FLOOR, density_stack, partial_trace, unit_trace_stack
+from .spectra import (PSD_FLOOR, check_unit_traces, density_stack,
+                      partial_trace, unit_trace_stack)
 
 KRAUS_COMPLETENESS_TOL = 1e-10
 # Bound on the last Newton step of the closed-form negativity, relative to
@@ -315,18 +320,30 @@ def _decay(params: GadcParams, times):
     return np.exp(x), -np.expm1(x)
 
 
+def _qubit_populations(params: GadcParams, keep, lose) -> np.ndarray:
+    """Ground and excited populations of :func:`_qubit_matrices`.
+
+    Real, of shape ``np.shape(keep) + (2,)``.
+    """
+    a2 = params.alpha ** 2
+    b2 = 1.0 - a2
+    w0, w1 = params.w0, params.w1
+    pops = np.empty(np.shape(keep) + (2,))
+    pops[..., 0] = (a2 + b2 * lose) * w0 + a2 * keep * w1
+    pops[..., 1] = b2 * keep * w0 + (b2 + a2 * lose) * w1
+    return pops
+
+
 def _qubit_matrices(params: GadcParams, keep, lose) -> np.ndarray:
     """Closed-form marginal whose coherence decays as ``sqrt(keep)``.
 
     ``keep, lose = gamma, delta`` gives the system state and the exchanged
     pair ``delta, gamma`` gives the environment state.
     """
-    a2 = params.alpha ** 2
-    b2 = 1.0 - a2
-    w0, w1 = params.w0, params.w1
+    pops = _qubit_populations(params, keep, lose)
     m = np.empty(np.shape(keep) + (2, 2), dtype=complex)
-    m[..., 0, 0] = (a2 + b2 * lose) * w0 + a2 * keep * w1
-    m[..., 1, 1] = b2 * keep * w0 + (b2 + a2 * lose) * w1
+    m[..., 0, 0] = pops[..., 0]
+    m[..., 1, 1] = pops[..., 1]
     m[..., 0, 1] = m[..., 1, 0] = params.alpha * params.beta_amp * np.sqrt(keep)
     return m
 
@@ -391,9 +408,10 @@ class BlochSeries(NamedTuple):
     ``coefficients = (z0, z1, c0, c1)`` give ``z = z0 + z1 g`` and
     ``x^2 = c0 + c1 g`` in the decay factor ``g = exp(-gamma_rate t)``,
     whose values on ``times`` are ``decay``. ``x2`` and ``radius =
-    sqrt(z^2 + x^2)`` are evaluated on the grid, and ``matrices`` is the
-    ``(T, 2, 2)`` stack of the same states from the matrix closed forms,
-    checked for Hermiticity and unit trace.
+    sqrt(z^2 + x^2)`` are evaluated on the grid, and ``populations`` is
+    the real ``(T, 2)`` array of the ground and excited populations from
+    the closed forms that give the diagonals of :func:`system_states` and
+    :func:`environment_states`, checked to be finite and to sum to one.
     """
 
     times: np.ndarray
@@ -401,13 +419,14 @@ class BlochSeries(NamedTuple):
     coefficients: tuple
     x2: np.ndarray
     radius: np.ndarray
-    matrices: np.ndarray
+    populations: np.ndarray
 
 
 def _bloch(params: GadcParams, times, keep_is_decay: bool) -> BlochSeries:
     """Bloch series of the marginal whose coherence decays as ``sqrt(keep)``.
 
-    For the matrices of :func:`_qubit_matrices`, ``rho_gg - rho_ee =
+    For the populations of :func:`_qubit_populations` and the coherence of
+    :func:`_qubit_matrices`, ``rho_gg - rho_ee =
     (w0 - w1) - 2 keep (b^2 w0 - a^2 w1)`` and ``(2 rho_ge)^2 = 4 a^2 b^2
     keep``. The state is positive when ``radius <= 1 - 2 PSD_FLOOR``, the
     eigenvalue floor of :func:`~strongcouple.spectra.density_stack`.
@@ -421,10 +440,13 @@ def _bloch(params: GadcParams, times, keep_is_decay: bool) -> BlochSeries:
     coh = 4.0 * a2 * b2
     if keep_is_decay:
         coefficients = (lead, slope, 0.0, coh)
-        matrices = _qubit_matrices(params, g, d)
+        pops = _qubit_populations(params, g, d)
     else:
         coefficients = (lead + slope, -slope, coh, -coh)
-        matrices = _qubit_matrices(params, d, g)
+        pops = _qubit_populations(params, d, g)
+    if not np.isfinite(pops).all():
+        raise InputError("populations have non-finite entries")
+    check_unit_traces(pops.sum(axis=-1))
     z0, z1, c0, c1 = coefficients
     z = z0 + z1 * g
     x2 = np.maximum(c0 + c1 * g, 0.0)
@@ -434,8 +456,7 @@ def _bloch(params: GadcParams, times, keep_is_decay: bool) -> BlochSeries:
         raise InputError(f"Bloch radius {worst:.15g} exceeds one by more "
                          f"than {-2.0 * PSD_FLOOR:.0e}; not a density operator")
     return BlochSeries(times=times, decay=g, coefficients=coefficients,
-                       x2=x2, radius=radius,
-                       matrices=unit_trace_stack(matrices))
+                       x2=x2, radius=radius, populations=pops)
 
 
 def system_bloch(params: GadcParams, times) -> BlochSeries:

@@ -86,7 +86,7 @@ class ThermoTrajectory:
     heat[i] - coherent_energy[i]|``. On the generic route of
     :func:`thermo_trajectory` it is the discretization error of the
     split; on :func:`qubit_thermo_trajectory` it compares the Bloch
-    coefficients with the state matrices.
+    coefficients with the closed-form populations.
     """
 
     times: np.ndarray
@@ -375,10 +375,10 @@ def qubit_thermo_trajectory(hamiltonian, bloch) -> ThermoTrajectory:
     the closed-form integral of the module docstring, and the coherent
     energy is ``(E0 - E1)/2 Delta z`` minus the heat, so neither needs a
     derivative, a quadrature rule or an eigensolve, and the grid may be
-    as coarse as the caller likes. The internal energy change is read
-    from the diagonals of ``bloch.matrices``; the closure residual
-    therefore compares the Bloch coefficients with the matrix closed
-    forms, and a residual above :data:`CLOSURE_TOLERANCE` raises
+    as coarse as the caller likes. The internal energy change is
+    ``bloch.populations @ energies``, from the closed-form populations;
+    the closure residual therefore compares the Bloch coefficients with
+    those populations, and a residual above :data:`CLOSURE_TOLERANCE` raises
     :class:`NumericalError`. It cannot see an error in the split of
     ``Delta U`` between heat and coherent energy.
     """
@@ -392,7 +392,7 @@ def qubit_thermo_trajectory(hamiltonian, bloch) -> ThermoTrajectory:
     g = bloch.decay
     heat = half_gap * _bloch_heat(bloch.coefficients, g)
     coherent = half_gap * bloch.coefficients[1] * (g - g[0]) - heat
-    u = np.einsum("n,tnn->t", energies, bloch.matrices.real)
+    u = bloch.populations @ energies
     du = u - u[0]
     work = np.zeros_like(times)
     residual = np.abs(du - work - heat - coherent)

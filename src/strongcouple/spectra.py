@@ -8,7 +8,9 @@ shape ``(..., n, n)`` at once, such as the states of a trajectory with
 time as the leading axis, and return it symmetrized, so that downstream
 code can assume Hermiticity, unit trace, and positive semidefiniteness
 without re-checking. :func:`unit_trace_stack` applies the Hermiticity
-and trace checks alone, for stacks that are positive by construction.
+and trace checks alone, for stacks that are positive by construction,
+and :func:`check_unit_traces` the trace check alone, for states whose
+trace is known without their matrix, such as a qubit's populations.
 :func:`eigh_stack` diagonalizes a validated stack in one call with a
 fixed eigenvector gauge, and :func:`density_eigh` validates a density
 stack and diagonalizes it with that one call. :class:`HermitianOperator`,
@@ -55,9 +57,11 @@ def hermitian_stack(matrices) -> np.ndarray:
     return (m + adjoint) / 2
 
 
-def _check_trace(m) -> None:
-    """Unit trace of every matrix of a Hermitian stack."""
-    tr = np.trace(m, axis1=-2, axis2=-1)
+def check_unit_traces(tr) -> None:
+    """Every entry of ``tr``, the traces of a stack of states, is one.
+
+    To within ``TRACE_TOL``; raises :class:`InputError` naming the worst.
+    """
     dev = np.abs(tr - 1.0)
     if np.any(dev > TRACE_TOL):
         worst = tr.flat[np.argmax(dev)]
@@ -80,7 +84,7 @@ def unit_trace_stack(matrices) -> np.ndarray:
     closed form by the caller.
     """
     m = hermitian_stack(matrices)
-    _check_trace(m)
+    check_unit_traces(np.trace(m, axis1=-2, axis2=-1))
     return m
 
 
@@ -148,7 +152,7 @@ class DensityOperator(HermitianOperator):
 
     def __init__(self, matrix):
         super().__init__(matrix)
-        _check_trace(self._matrix)
+        check_unit_traces(np.trace(self._matrix))
         _check_spectrum(np.linalg.eigvalsh(self._matrix))
 
 

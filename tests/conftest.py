@@ -34,7 +34,7 @@ def _tilt(series):
 
 @pytest.fixture
 def broken_system_bloch(monkeypatch):
-    """Make every run's system Bloch line disagree with its matrices."""
+    """Make every run's system Bloch line disagree with its populations."""
     original = channels.system_bloch
     monkeypatch.setattr(channels, "system_bloch",
                         lambda params, times: _tilt(original(params, times)))

@@ -262,7 +262,8 @@ class TestBlochSeries:
             assert np.max(np.abs(series.radius
                                  - np.hypot(z, x))) < 1e-14
             assert np.array_equal(series.decay, np.exp(-pr.gamma_rate * grid))
-            assert np.max(np.abs(series.matrices - m)) == 0.0
+            diagonal = np.diagonal(m, axis1=1, axis2=2)
+            assert np.max(np.abs(series.populations - diagonal)) == 0.0
 
     def test_lines_in_decay_factor(self):
         pr = default_params()
@@ -291,6 +292,15 @@ class TestBlochSeries:
     def test_rejects_negative_time(self):
         with pytest.raises(InputError):
             system_bloch(default_params(), np.array([0.0, -1.0]))
+
+    def test_populations_checked_for_unit_trace(self, monkeypatch):
+        populations = channels._qubit_populations
+        monkeypatch.setattr(
+            channels, "_qubit_populations",
+            lambda params, keep, lose: 1.1 * populations(params, keep, lose))
+        with pytest.raises(InputError, match=r"trace 1\.1 differs from 1 by "
+                                             "more than 1e-12"):
+            system_bloch(default_params(), np.linspace(0.0, 5.0, 11))
 
 
 class TestJointRadii:

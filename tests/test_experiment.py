@@ -2,11 +2,14 @@
 
 import dataclasses
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from strongcouple import channels as ch
+from strongcouple import spectra
 from strongcouple.errors import InputError, NumericalError
 from strongcouple.experiment import ExperimentConfig, run, sweep
 from strongcouple.infomeasures import bloch_entropies, von_neumann_entropies
@@ -155,6 +158,40 @@ class TestRun:
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         result = run(ExperimentConfig())
         assert result.diagnostics["closure_system_max"] <= 1e-12
+
+    def test_marginals_not_validated_as_stacks(self, monkeypatch):
+        # the marginals enter a run as closed-form populations; only
+        # single matrices (the Hamiltonian, the states at the negativity
+        # peak and at t_max) pass through the Hermiticity check
+        shapes = []
+        original = spectra.hermitian_stack
+
+        def recording(matrices):
+            shapes.append(np.shape(matrices))
+            return original(matrices)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("strongcouple.")
+                    and getattr(module, "hermitian_stack", None) is original):
+                monkeypatch.setattr(module, "hermitian_stack", recording)
+        run(ExperimentConfig(n_samples=4001))
+        assert shapes
+        assert all(math.prod(shape[:-2]) == 1 for shape in shapes), shapes
+
+    def test_entropy_rates_at_extreme_gamma(self):
+        # the default problem in units where gamma t_max is still 10: the
+        # rates scale with gamma, and differentiating in t would underflow
+        # (gamma = 1e160) or overflow (gamma = 1e-300) the step products
+        keys = ("entropy_rate_system_max", "entropy_rate_mismatch_max")
+        reference = run(ExperimentConfig()).diagnostics
+        for gamma in (1e160, 1e-300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                d = run(ExperimentConfig(gamma=gamma,
+                                         t_max=10.0 / gamma)).diagnostics
+            for key in keys:
+                assert abs(d[key] / gamma - reference[key]) \
+                    <= 1e-12 * reference[key]
 
     def test_negativity_convergence_gate(self, monkeypatch):
         monkeypatch.setattr(ch, "_NEGATIVITY_NEWTON_STEPS", 2)

@@ -163,7 +163,7 @@ def trace_change(hamiltonian, states):
 
 class TestInternalEnergyChange:
     def test_matches_trace_difference(self):
-        """The qubit route reads Delta U off its Bloch matrices."""
+        """The qubit route reads Delta U off its closed-form populations."""
         pr = default_params()
         times = np.linspace(0.0, 3.0, 31)
         h = QUBIT_HAMILTONIAN
@@ -563,3 +563,27 @@ class TestDecaySymmetry:
                 entropy - mirror_entropy[::-1]))))
         assert worst_heat <= 1e-14
         assert worst_entropy <= 1e-13
+
+    def test_heat_asymmetry_stationary_at_half_decay(self, rng):
+        # dA/dg = f_S + f_E vanishes at g = 1/2, gamma t = ln 2, where the
+        # negativity peaks: f = (E0 - E1)/2 z q' / (2 q) with q = z^2 +
+        # c0 + c1 g, from each marginal's Bloch coefficients
+        e0, e1 = QUBIT_HAMILTONIAN.real.diagonal()
+
+        def integrand(coefficients, g):
+            z0, z1, c0, c1 = coefficients
+            z = z0 + z1 * g
+            q = z * z + c0 + c1 * g
+            return 0.5 * (e0 - e1) * z * (2.0 * z * z1 + c1) / (2.0 * q)
+
+        configs = [(rng.uniform(0.0, 1.0), rng.uniform(0.5, 1.0))
+                   for _ in range(2000)]
+        configs += [(rng.uniform(0.0, 1.0), 1.0) for _ in range(20)]
+        configs += [(alpha, rng.uniform(0.5, 1.0))
+                    for alpha in (0.0, 1.0) for _ in range(20)]
+        configs += [(math.sqrt(w0), w0) for w0 in rng.uniform(0.5, 1.0, 20)]
+        for alpha, w0 in configs:
+            pr = GadcParams(alpha=float(alpha), w0=float(w0))
+            f_s = integrand(system_bloch(pr, 0.0).coefficients, 0.5)
+            f_e = integrand(environment_bloch(pr, 0.0).coefficients, 0.5)
+            assert abs(f_s + f_e) <= 1e-14 * (abs(f_s) + abs(f_e))

@@ -107,11 +107,12 @@ class TestCoherence:
     def test_closed_forms_at_default_parameters(self):
         pr = default_params()
         grid = np.array([0.0, 0.4, 1.7, 6.0])
-        for bloch, ref in ((system_bloch(pr, grid), np.exp(-grid / 2.0)),
-                           (environment_bloch(pr, grid),
-                            np.sqrt(1.0 - np.exp(-grid)))):
-            coherence = np.sqrt(bloch.x2)
-            off_diagonal = 2.0 * np.abs(bloch.matrices[:, 0, 1])
+        for bloch, states, ref in (
+                (system_bloch, system_states, np.exp(-grid / 2.0)),
+                (environment_bloch, environment_states,
+                 np.sqrt(1.0 - np.exp(-grid)))):
+            coherence = np.sqrt(bloch(pr, grid).x2)
+            off_diagonal = 2.0 * np.abs(states(pr, grid)[:, 0, 1])
             assert np.max(np.abs(coherence - off_diagonal)) < 1e-14
             assert np.max(np.abs(coherence - ref)) < 1e-12
 
