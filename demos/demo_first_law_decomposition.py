@@ -17,7 +17,6 @@ import numpy as np
 
 from strongcouple import (ExperimentConfig, GadcParams,
                           qubit_thermo_trajectory, run, system_bloch)
-from strongcouple.channels import QUBIT_HAMILTONIAN
 
 result = run(ExperimentConfig())
 t = result.times
@@ -52,6 +51,6 @@ print("coherent energy needs initial coherence:")
 for alpha in (0.0, 1.0 / np.sqrt(2.0), 1.0):
     pr = GadcParams(alpha=alpha, w0=result.params.w0)
     ledger = qubit_thermo_trajectory(
-        QUBIT_HAMILTONIAN, system_bloch(pr, np.linspace(0.0, 10.0, 2001)))
+        system_bloch(pr, np.linspace(0.0, 10.0, 2001)))
     c_max = float(np.max(np.abs(ledger.coherent_energy)))
     print(f"  alpha = {alpha:.4f}: max |C_S| = {c_max:.3e}")

@@ -14,7 +14,7 @@ from .channels import (BlochSeries, GadcParams, KrausChannel, apply_channel,
                        gadc_coupling_matrix, gadc_unitary, iterate_map_check,
                        joint_initial_state, joint_negativities_closed_form,
                        joint_radii_closed_form, joint_states,
-                       joint_states_closed_form, p_of_t, system_bloch,
+                       joint_states_closed_form, system_bloch,
                        system_initial_state, system_kraus,
                        system_state_from_dilation, system_states)
 from .errors import (InputError, NumericalError, StrongcoupleError,
@@ -69,7 +69,6 @@ __all__ = [
     "joint_states_closed_form",
     "markov_convergence",
     "negativities",
-    "p_of_t",
     "partial_trace",
     "partial_transpose_stack",
     "proportionality_report",

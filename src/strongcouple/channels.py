@@ -177,15 +177,6 @@ class KrausChannel:
         return self.operators[0].shape[0]
 
 
-def p_of_t(gamma_rate: float, t: float) -> float:
-    """Decay probability accumulated after time ``t``."""
-    if not gamma_rate > 0.0:
-        raise InputError(f"gamma_rate must be positive, got {gamma_rate}")
-    if not t >= 0.0:
-        raise InputError(f"time must be nonnegative, got {t}")
-    return -math.expm1(-gamma_rate * t)
-
-
 def _probability(p) -> np.ndarray:
     """``p`` as a float array whose entries are checked to lie in [0, 1].
 

@@ -130,8 +130,8 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     bloch_s = ch.system_bloch(params, times)
     bloch_e = ch.environment_bloch(params, times)
 
-    thermo_s = qubit_thermo_trajectory(ch.QUBIT_HAMILTONIAN, bloch_s)
-    thermo_e = qubit_thermo_trajectory(ch.QUBIT_HAMILTONIAN, bloch_e)
+    thermo_s = qubit_thermo_trajectory(bloch_s)
+    thermo_e = qubit_thermo_trajectory(bloch_e)
 
     work_max = max(float(np.max(np.abs(thermo_s.work))),
                    float(np.max(np.abs(thermo_e.work))))
@@ -150,12 +150,11 @@ def run(config: ExperimentConfig) -> ExperimentResult:
 
     ent_s = bloch_entropies(bloch_s.radius)
     ent_e = bloch_entropies(bloch_e.radius)
-    # differentiated in gamma t, whose grid steps are of order one: in t,
-    # the non-uniform formula of np.gradient multiplies two steps, which
-    # underflows at large gamma and overflows at small gamma
-    gamma = params.gamma_rate
-    rate_s = np.gradient(ent_s, gamma * times) * gamma
-    rate_e = np.gradient(ent_e, gamma * times) * gamma
+    # the grid is a linspace, so its step goes in: np.gradient's formula
+    # for a grid multiplies two steps, which underflows or overflows at
+    # extreme horizons
+    rate_s = np.gradient(ent_s, times[1] - times[0])
+    rate_e = np.gradient(ent_e, times[1] - times[0])
     coh_s = np.sqrt(bloch_s.x2)
     coh_e = np.sqrt(bloch_e.x2)
     neg = ch.joint_negativities_closed_form(params, times)
@@ -216,28 +215,23 @@ def run(config: ExperimentConfig) -> ExperimentResult:
 
 @dataclass(frozen=True)
 class SweepSummary:
-    """One row of a parameter sweep."""
+    """One row of a parameter sweep; a failed run keeps the NaN results
+    and its error message."""
 
     alpha: float
     beta: float
     gamma: float
     t_max: float
     n_samples: int
-    peak_negativity: float
-    peak_negativity_time: float
-    peak_heat_asymmetry: float
-    heat_system_final: float
-    heat_environment_final: float
-    coherent_energy_max_abs: float
-    ratio_mean: float
-    ratio_max_relative_spread: float
+    peak_negativity: float = math.nan
+    peak_negativity_time: float = math.nan
+    peak_heat_asymmetry: float = math.nan
+    heat_system_final: float = math.nan
+    heat_environment_final: float = math.nan
+    coherent_energy_max_abs: float = math.nan
+    ratio_mean: float = math.nan
+    ratio_max_relative_spread: float = math.nan
     error: str = ""
-
-
-_NAN_ROW_FIELDS = ("peak_negativity", "peak_negativity_time",
-                   "peak_heat_asymmetry", "heat_system_final",
-                   "heat_environment_final", "coherent_energy_max_abs",
-                   "ratio_mean", "ratio_max_relative_spread")
 
 
 def sweep(configs) -> list:
@@ -256,10 +250,7 @@ def sweep(configs) -> list:
         try:
             result = run(config)
         except (InputError, NumericalError) as exc:
-            nan = float("nan")
-            rows.append(SweepSummary(**base,
-                                     **{f: nan for f in _NAN_ROW_FIELDS},
-                                     error=str(exc)))
+            rows.append(SweepSummary(**base, error=str(exc)))
             continue
         d = result.diagnostics
         rows.append(SweepSummary(

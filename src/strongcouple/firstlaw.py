@@ -14,29 +14,28 @@ closure residual ``|Delta U - (W + Q + C)|`` measures only discretization
 error and must shrink as the grid is refined. The work term tracks
 spectrum changes of the Hamiltonian, the heat term tracks population
 changes, and the coherent term tracks rotation of the state eigenbasis
-relative to the energy eigenbasis. Both qubits of the model have static
-Hamiltonians, and both routes below take one: their work is zero.
+relative to the energy eigenbasis. Both routes below read the model's
+static Hamiltonian :data:`strongcouple.channels.QUBIT_HAMILTONIAN`,
+``diag(0, 1)``, whose eigenbasis is the computational basis: their work
+is zero, and ``P_nk`` is the squared modulus of entry ``n`` of the
+state eigenvector ``k``.
 
 Time is an array axis. :func:`thermo_trajectory` calls a state builder
-once on its whole grid, validates and diagonalizes the ``(T, n, n)``
-stack with one :func:`~strongcouple.spectra.density_eigh` call,
-diagonalizes the static ``(n, n)`` Hamiltonian once, and integrates on
-the stacked spectra. :func:`qubit_thermo_trajectory` takes a qubit's
-Bloch series instead (see below). Both return a
+once on its whole grid, validates and diagonalizes the ``(T, 2, 2)``
+stack with one :func:`~strongcouple.spectra.density_eigh` call, and
+integrates on the stacked spectra. :func:`qubit_thermo_trajectory` takes
+a qubit's Bloch series instead (see below). Both return a
 :class:`ThermoTrajectory`.
 
-Branches are identified across time steps by greedy eigenvector overlap
-matching, for all steps at once: the moduli of the overlaps between
-consecutive untracked eigenbases come from one batched product, the
-greedy pass runs over the ``n`` branches for every step together, and
-the per-step permutations are composed by a prefix scan. This equals a
-step-by-step pass over the already tracked basis. The modulus matrix of
-a unitary has unit rows and columns, so an entry above ``1/sqrt(2)`` is
-the only such entry in its row and its column; the greedy pass picks the
-same set of entries whatever the order of the rows, and fails at the same
-step with the same best overlap. Derivatives use second-order central
-differences on the interior (``numpy.gradient``) and the cumulative
-integrals use the trapezoid rule on the same grid.
+Branches are identified across time steps by eigenvector overlap, for
+all steps at once. The overlap moduli ``O`` of two consecutive
+eigenbases form the modulus matrix of a 2x2 unitary, so ``|O00| =
+|O11|`` and ``|O01| = |O10|``: a step swaps the two branches iff
+``|O01| > |O00|``, and it is ambiguous iff neither exceeds
+``1/sqrt(2)``. The order at each point is the parity of the swaps up to
+it. Derivatives use second-order central differences on the interior
+(``numpy.gradient``) and the cumulative integrals use the trapezoid rule
+on the same grid.
 
 Qubit route
 -----------
@@ -67,9 +66,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .channels import QUBIT_HAMILTONIAN
 from .errors import InputError, NumericalError, TrackingError
-from .spectra import density_eigh, eigh_stack, hermitian_stack
+from .spectra import density_eigh
 
+# Levels E0, E1 of the model's qubit Hamiltonian
+_ENERGIES = QUBIT_HAMILTONIAN.real.diagonal()
 _TRACK_MIN_OVERLAP = 1.0 / np.sqrt(2.0)
 # The qubit route's closure bound, and the generic route's default one
 CLOSURE_TOLERANCE = 1e-4
@@ -95,38 +97,27 @@ class ThermoTrajectory:
     coherent_energy: np.ndarray
     internal_energy_change: np.ndarray
     closure_residual: np.ndarray
-    closure_tolerance: float
 
     @property
     def max_closure_residual(self) -> float:
         return float(np.max(self.closure_residual))
 
 
-def _branch_permutations(vectors, times=None) -> np.ndarray:
-    """Column order that makes eigenbranches continuous along a stack.
+def _track(eigenvalues, eigenvectors, times=None):
+    """Eigenvalue and eigenvector stacks reordered for branch continuity.
 
-    ``vectors`` has shape ``(T, n, n)``. Row ``t`` of the result lists,
-    for each branch, its column in ``vectors[t]``; row 0 is the identity.
-    Raises :class:`TrackingError` at the first step whose greedy matching
-    finds no overlap above ``1/sqrt(2)`` for some branch.
+    ``eigenvectors`` has shape ``(T, 2, 2)``; a point's two columns are
+    swapped iff the parity of the swaps up to it is odd. Raises
+    :class:`TrackingError` at the first step where neither column of the
+    next basis overlaps the first column of the previous one by more
+    than ``1/sqrt(2)``.
     """
-    steps, dim = vectors.shape[0], vectors.shape[-1]
-    pairs = steps - 1
-    rows = np.arange(pairs)
-    work = np.abs(vectors[:-1].conj().swapaxes(-1, -2) @ vectors[1:])
-    # matched[s, a] = b: column a at step s continues as column b at s + 1
-    matched = np.empty((pairs, dim), dtype=int)
-    best = np.full(pairs, np.inf)
-    for _ in range(dim):
-        flat = np.argmax(work.reshape(pairs, dim * dim), axis=1)
-        i, j = np.divmod(flat, dim)
-        top = work[rows, i, j]
-        best = np.where(np.isinf(best) & (top <= _TRACK_MIN_OVERLAP),
-                        top, best)
-        matched[rows, i] = j
-        work[rows, i, :] = -1.0
-        work[rows, :, j] = -1.0
-    failed = np.flatnonzero(np.isfinite(best))
+    # first row of |O|, O = V[t]^+ V[t + 1]; the other row repeats it
+    stay, swap = np.abs(np.einsum("ti,tik->kt",
+                                  eigenvectors[:-1, :, 0].conj(),
+                                  eigenvectors[1:]))
+    best = np.maximum(stay, swap)
+    failed = np.flatnonzero(best <= _TRACK_MIN_OVERLAP)
     if failed.size:
         step = int(failed[0]) + 1
         where = f" (t = {times[step]:.6g})" if times is not None else ""
@@ -134,28 +125,17 @@ def _branch_permutations(vectors, times=None) -> np.ndarray:
             f"branch matching ambiguous at step {step}{where}: best overlap "
             f"{best[step - 1]:.4f} <= {_TRACK_MIN_OVERLAP:.4f}; "
             "refine the time grid")
-    # perm[t] = matched[t - 1][perm[t - 1]], composed by a prefix scan
-    perm = np.empty((steps, dim), dtype=int)
-    perm[0] = np.arange(dim)
-    perm[1:] = matched
-    shift = 1
-    while shift < steps:
-        perm[shift:] = np.take_along_axis(perm[shift:], perm[:-shift], axis=1)
-        shift *= 2
-    return perm
-
-
-def _track(eigenvalues, eigenvectors, times=None):
-    """Eigenvalue and eigenvector stacks reordered for branch continuity."""
-    perm = _branch_permutations(eigenvectors, times)
-    return (np.take_along_axis(eigenvalues, perm, axis=1),
-            np.take_along_axis(eigenvectors, perm[:, None, :], axis=2))
+    swapped = np.zeros(eigenvectors.shape[0], dtype=bool)
+    swapped[1:] = np.logical_xor.accumulate(swap > stay)
+    return (np.where(swapped[:, None], eigenvalues[:, ::-1], eigenvalues),
+            np.where(swapped[:, None, None], eigenvectors[..., ::-1],
+                     eigenvectors))
 
 
 class _Spectra(NamedTuple):
-    """Tracked spectra of ``H`` and ``rho`` on a grid, time leading."""
+    """Tracked populations of ``rho`` and their level overlaps on a grid,
+    time leading."""
 
-    energies: np.ndarray
     populations: np.ndarray
     overlaps: np.ndarray
 
@@ -169,27 +149,21 @@ def _check_grid(times) -> np.ndarray:
     return times
 
 
-def _spectra(hamiltonian, states, times) -> _Spectra:
-    """Validate, diagonalize and track a trajectory given as a stack.
+def _spectra(states, times) -> _Spectra:
+    """Validate, diagonalize and track a qubit trajectory given as a stack.
 
-    ``hamiltonian`` is one static ``(n, n)`` matrix, diagonalized once
-    with its spectrum repeated along the grid; ``states`` is a stack of
-    density matrices aligned with ``times``, validated and diagonalized
-    in one call.
+    ``states`` is a ``(T, 2, 2)`` stack of density matrices aligned with
+    ``times``, validated and diagonalized in one call. The levels are
+    the computational basis, so the overlaps are the squared moduli of
+    the tracked eigenvector entries.
     """
     rho_lam, rho_vec = density_eigh(states)
-    if rho_vec.ndim != 3 or rho_vec.shape[0] != times.size:
+    if rho_vec.shape != (times.size, 2, 2):
         raise InputError(f"got states of shape {rho_vec.shape} for "
-                         f"{times.size} time points")
-    h = hermitian_stack(hamiltonian)
-    if h.shape[-1] != rho_vec.shape[-1]:
-        raise InputError(f"dimension mismatch: hamiltonian {h.shape}, "
-                         f"states {rho_vec.shape}")
-    energies, h_vec = eigh_stack(h)
-    energies = np.broadcast_to(energies, rho_lam.shape)
+                         f"{times.size} time points; the states must be "
+                         f"a ({times.size}, 2, 2) stack")
     populations, s_vec = _track(rho_lam, rho_vec, times)
-    overlaps = np.abs(h_vec.conj().swapaxes(-1, -2) @ s_vec) ** 2
-    return _Spectra(energies, populations, overlaps)
+    return _Spectra(populations, np.abs(s_vec) ** 2)
 
 
 def _cumtrapz(y, x):
@@ -198,21 +172,21 @@ def _cumtrapz(y, x):
     return out
 
 
-def _heat(times, energies, populations, overlaps):
+def _heat(times, populations, overlaps):
     dr = np.gradient(populations, times, axis=0)
-    integrand = np.einsum("tn,tnk,tk->t", energies, overlaps, dr)
+    integrand = np.einsum("n,tnk,tk->t", _ENERGIES, overlaps, dr)
     return _cumtrapz(integrand, times)
 
 
-def _coherent(times, energies, populations, overlaps):
+def _coherent(times, populations, overlaps):
     dp = np.gradient(overlaps, times, axis=0)
-    integrand = np.einsum("tn,tk,tnk->t", energies, populations, dp)
+    integrand = np.einsum("n,tk,tnk->t", _ENERGIES, populations, dp)
     return _cumtrapz(integrand, times)
 
 
-def _internal_energy_series(energies, populations, overlaps):
-    """``tr(H rho) - tr(H(0) rho(0))`` pointwise on the grid."""
-    u = np.einsum("tn,tk,tnk->t", energies, populations, overlaps)
+def _internal_energy_series(populations, overlaps):
+    """``tr(H rho) - tr(H rho(0))`` pointwise on the grid."""
+    u = np.einsum("n,tk,tnk->t", _ENERGIES, populations, overlaps)
     return u - u[0]
 
 
@@ -238,15 +212,15 @@ def _check_closure(residual, times, tolerance, advice) -> None:
             f"t = {times[step + 1]:.6g}; {advice}")
 
 
-def thermo_trajectory(hamiltonian, state_builder, times,
+def thermo_trajectory(state_builder, times,
                       closure_tolerance: float = CLOSURE_TOLERANCE
                       ) -> ThermoTrajectory:
     """Integrate the first-law split and verify closure on a time grid.
 
-    ``state_builder`` maps a 1-d array of times to a ``(T, n, n)`` stack
-    of density matrices, e.g. ``functools.partial(system_states,
-    params)``; ``hamiltonian`` is one static ``(n, n)`` matrix, so the
-    work is zero, and a callable or a stack raises :class:`InputError`.
+    ``state_builder`` maps a 1-d array of times to a ``(T, 2, 2)`` stack
+    of density matrices of a qubit under the model's static Hamiltonian,
+    e.g. ``functools.partial(system_states, params)``, so the work is
+    zero; any other shape raises :class:`InputError`.
     The builder must be callable because the integrator works on an
     internal grid finer than ``times``: the first interval is subdivided
     32 times to resolve the square-root-in-time growth of coherences
@@ -262,10 +236,6 @@ def thermo_trajectory(hamiltonian, state_builder, times,
     if not callable(state_builder):
         raise InputError("state_builder must be callable: it is called on "
                          "an internal grid finer than times")
-    if np.ndim(hamiltonian) != 2:
-        raise InputError("the hamiltonian must be one static (n, n) matrix, "
-                         "got " + ("a callable" if callable(hamiltonian)
-                                   else f"shape {np.shape(hamiltonian)}"))
     if not closure_tolerance > 0.0:
         raise InputError(
             f"closure_tolerance must be positive, got {closure_tolerance}")
@@ -275,20 +245,18 @@ def thermo_trajectory(hamiltonian, state_builder, times,
     merged = np.unique(np.concatenate([head, times]))
     public = np.searchsorted(merged, times)
 
-    sp = _spectra(hamiltonian, state_builder(merged), merged)
-    stacks = (merged, *sp)
+    sp = _spectra(state_builder(merged), merged)
     work = np.zeros_like(times)
-    heat = _heat(*stacks)[public]
-    coherent = _coherent(*stacks)[public]
-    du = _internal_energy_series(*stacks[1:])[public]
+    heat = _heat(merged, *sp)[public]
+    coherent = _coherent(merged, *sp)[public]
+    du = _internal_energy_series(*sp)[public]
     residual = np.abs(du - work - heat - coherent)
     _check_closure(residual, times, closure_tolerance,
                    "refine the time grid")
     return ThermoTrajectory(times=times, work=work, heat=heat,
                             coherent_energy=coherent,
                             internal_energy_change=du,
-                            closure_residual=residual,
-                            closure_tolerance=closure_tolerance)
+                            closure_residual=residual)
 
 
 def _real_roots(a, b, c, disc):
@@ -367,11 +335,11 @@ def _bloch_heat(coefficients, g) -> np.ndarray:
     return out
 
 
-def qubit_thermo_trajectory(hamiltonian, bloch) -> ThermoTrajectory:
+def qubit_thermo_trajectory(bloch) -> ThermoTrajectory:
     """Exact first-law split of a qubit given in Bloch form.
 
-    ``hamiltonian`` is a static diagonal 2x2 matrix and ``bloch`` a
-    :class:`strongcouple.channels.BlochSeries`. Work is zero, the heat is
+    ``bloch`` is a :class:`strongcouple.channels.BlochSeries` of a qubit
+    under the model's static Hamiltonian. Work is zero, the heat is
     the closed-form integral of the module docstring, and the coherent
     energy is ``(E0 - E1)/2 Delta z`` minus the heat, so neither needs a
     derivative, a quadrature rule or an eigensolve, and the grid may be
@@ -383,16 +351,11 @@ def qubit_thermo_trajectory(hamiltonian, bloch) -> ThermoTrajectory:
     ``Delta U`` between heat and coherent energy.
     """
     times = _check_grid(bloch.times)
-    h = hermitian_stack(hamiltonian)
-    if h.shape != (2, 2) or h[0, 1] != 0.0:
-        raise InputError("the qubit route needs a static diagonal 2x2 "
-                         f"hamiltonian, got {h.tolist()}")
-    energies = h.real.diagonal()
-    half_gap = 0.5 * (energies[0] - energies[1])
+    half_gap = 0.5 * (_ENERGIES[0] - _ENERGIES[1])
     g = bloch.decay
     heat = half_gap * _bloch_heat(bloch.coefficients, g)
     coherent = half_gap * bloch.coefficients[1] * (g - g[0]) - heat
-    u = bloch.populations @ energies
+    u = bloch.populations @ _ENERGIES
     du = u - u[0]
     work = np.zeros_like(times)
     residual = np.abs(du - work - heat - coherent)
@@ -401,5 +364,4 @@ def qubit_thermo_trajectory(hamiltonian, bloch) -> ThermoTrajectory:
     return ThermoTrajectory(times=times, work=work, heat=heat,
                             coherent_energy=coherent,
                             internal_energy_change=du,
-                            closure_residual=residual,
-                            closure_tolerance=CLOSURE_TOLERANCE)
+                            closure_residual=residual)

@@ -192,13 +192,12 @@ def _suite_closure_refinement():
     fourfold when the grid is halved.
     """
     pr = ExperimentConfig().params
-    h = ch.QUBIT_HAMILTONIAN
     states = functools.partial(ch.environment_states, pr)
     residuals, gaps = [], []
     for n in (1001, 2001):
         times = np.linspace(0.0, 10.0, n)
-        traj = thermo_trajectory(h, states, times)
-        exact = qubit_thermo_trajectory(h, ch.environment_bloch(pr, times))
+        traj = thermo_trajectory(states, times)
+        exact = qubit_thermo_trajectory(ch.environment_bloch(pr, times))
         residuals.append(traj.max_closure_residual)
         gaps.append(float(np.max(np.abs(traj.heat - exact.heat))))
     ratio = residuals[0] / residuals[1]
@@ -235,8 +234,7 @@ def _suite_closure_gate():
     """Negative control: a coarse grid must trip the closure tolerance."""
     pr = ExperimentConfig().params
     try:
-        thermo_trajectory(ch.QUBIT_HAMILTONIAN,
-                          functools.partial(ch.environment_states, pr),
+        thermo_trajectory(functools.partial(ch.environment_states, pr),
                           np.linspace(0.0, 10.0, 101),
                           closure_tolerance=1e-8)
     except NumericalError as exc:

@@ -12,8 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from strongcouple.channels import (QUBIT_HAMILTONIAN, GadcParams,
-                                   apply_channel,
+from strongcouple.channels import (GadcParams, apply_channel,
                                    environment_initial_state,
                                    environment_kraus, environment_states,
                                    joint_states,
@@ -86,15 +85,14 @@ def test_criterion_05_first_law_closure(default_run):
     res_e = result.thermo_e.max_closure_residual
     pr = result.params
 
-    def generic(h, states, n):
-        return thermo_trajectory(h, lambda t: states(pr, t),
+    def generic(states, n):
+        return thermo_trajectory(lambda t: states(pr, t),
                                  np.linspace(0.0, 10.0, n)
                                  ).max_closure_residual
 
-    ratio_s = generic(QUBIT_HAMILTONIAN, system_states, 1001) \
-        / generic(QUBIT_HAMILTONIAN, system_states, 2001)
-    ratio_e = generic(QUBIT_HAMILTONIAN, environment_states, 1001) \
-        / generic(QUBIT_HAMILTONIAN, environment_states, 2001)
+    ratio_s = generic(system_states, 1001) / generic(system_states, 2001)
+    ratio_e = generic(environment_states, 1001) \
+        / generic(environment_states, 2001)
     ok = (res_s <= 1e-4 and res_e <= 1e-4
           and 3.0 <= ratio_s <= 5.0 and 3.0 <= ratio_e <= 5.0)
     report(5, ok, f"closure {res_s:.2e} (system), {res_e:.2e} "

@@ -18,10 +18,9 @@ from strongcouple.channels import (QUBIT_HAMILTONIAN, GadcParams,
                                    iterate_map_check, joint_initial_state,
                                    joint_negativities_closed_form,
                                    joint_radii_closed_form, joint_states,
-                                   joint_states_closed_form, p_of_t,
-                                   system_bloch, system_initial_state,
-                                   system_kraus, system_state_from_dilation,
-                                   system_states)
+                                   joint_states_closed_form, system_bloch,
+                                   system_initial_state, system_kraus,
+                                   system_state_from_dilation, system_states)
 from strongcouple.errors import InputError, NumericalError
 from strongcouple.infomeasures import negativities
 from strongcouple.spectra import eig_hermitian, partial_trace
@@ -148,21 +147,6 @@ class TestDilationMatrices:
             gadc_coupling_matrix(p)
 
 
-class TestDecayProbability:
-    def test_values(self):
-        assert p_of_t(1.0, 0.0) == 0.0
-        assert abs(p_of_t(1.0, 1.0) - (1.0 - math.exp(-1.0))) < 1e-15
-        assert abs(p_of_t(2.0, 0.5) - p_of_t(1.0, 1.0)) < 1e-15
-
-    def test_rejects_negative_time(self):
-        with pytest.raises(InputError):
-            p_of_t(1.0, -0.5)
-
-    def test_rejects_nan_time(self):
-        with pytest.raises(InputError, match="nan"):
-            p_of_t(1.0, math.nan)
-
-
 class TestClosedFormStates:
     def test_initial_states(self):
         pr = default_params()
@@ -229,7 +213,7 @@ class TestJointFamilies:
     def test_closed_form_family_is_coupling_conjugation(self):
         pr = default_params()
         for t in (0.2, 1.0, 4.0):
-            m = gadc_coupling_matrix(p_of_t(pr.gamma_rate, t))
+            m = gadc_coupling_matrix(-math.expm1(-pr.gamma_rate * t))
             direct = m @ joint_initial_state(pr) @ m.conj().T
             ref = joint_states_closed_form(pr, t)
             assert np.max(np.abs(direct - ref)) < 1e-14

@@ -193,6 +193,24 @@ class TestRun:
                 assert abs(d[key] / gamma - reference[key]) \
                     <= 1e-12 * reference[key]
 
+    @pytest.mark.parametrize("t_max", [1e-300, 1e-160, 1e-150, 1e300])
+    def test_entropy_rates_at_extreme_horizons(self, t_max):
+        # a difference quotient of the entropies is no steeper than their
+        # largest step over the grid spacing; np.gradient's non-uniform
+        # formula multiplies two steps, which underflows or overflows here
+        config = ExperimentConfig(t_max=t_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = run(config).diagnostics
+        times, pr = config.times, config.params
+        steepest = [float(np.max(np.abs(np.diff(bloch_entropies(
+            bloch(pr, times).radius))))) / (times[1] - times[0])
+            for bloch in (ch.system_bloch, ch.environment_bloch)]
+        slack = 1.0 + 1e-12
+        assert 0.0 <= d["entropy_rate_system_max"] <= steepest[0] * slack
+        assert 0.0 <= d["entropy_rate_mismatch_max"] \
+            <= (steepest[0] + steepest[1]) * slack
+
     def test_negativity_convergence_gate(self, monkeypatch):
         monkeypatch.setattr(ch, "_NEGATIVITY_NEWTON_STEPS", 2)
         with pytest.raises(NumericalError,

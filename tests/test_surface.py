@@ -53,7 +53,6 @@ PUBLIC_NAMES = [
     "joint_states_closed_form",
     "markov_convergence",
     "negativities",
-    "p_of_t",
     "partial_trace",
     "partial_transpose_stack",
     "proportionality_report",
