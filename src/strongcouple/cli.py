@@ -31,7 +31,7 @@ from .errors import InputError, NumericalError
 from .experiment import ExperimentConfig, SweepSummary, run, sweep
 from .validation import run_suites
 
-_CONFIG_KEYS = {"alpha", "beta", "gamma", "t_max", "n_samples"}
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 _GRID_KEYS = {"alpha", "beta", "gamma", "t_max", "gamma_t_max", "n_samples"}
 _CSV_BLOCK = 256
 
@@ -51,22 +51,17 @@ def _int_field(value, name):
 
 
 def config_from_dict(data) -> ExperimentConfig:
-    """Build a validated run configuration from parsed JSON."""
+    """Build a run configuration from parsed JSON; the configuration
+    checks its values as it is built."""
     if not isinstance(data, dict):
         raise InputError("configuration must be a JSON object")
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise InputError(f"unknown config field '{sorted(unknown)[0]}'; "
                          f"allowed: {sorted(_CONFIG_KEYS)}")
-    kwargs = {}
-    for name in ("alpha", "beta", "gamma", "t_max"):
-        if name in data:
-            kwargs[name] = _float_field(data[name], name)
-    if "n_samples" in data:
-        kwargs["n_samples"] = _int_field(data["n_samples"], "n_samples")
-    config = ExperimentConfig(**kwargs)
-    config.validate()
-    return config
+    return ExperimentConfig(**{
+        name: (_int_field if name == "n_samples" else _float_field)(value, name)
+        for name, value in data.items()})
 
 
 def _load_json(path: Path):
@@ -131,13 +126,8 @@ def _write_csv(path: Path, header, columns) -> dict:
 
 
 def _config_as_dict(config: ExperimentConfig) -> dict:
-    return {
-        "alpha": config.alpha,
-        "beta": "inf" if math.isinf(config.beta) else config.beta,
-        "gamma": config.gamma,
-        "t_max": config.t_max,
-        "n_samples": int(config.n_samples),
-    }
+    return {name: "inf" if math.isinf(value) else value
+            for name, value in dataclasses.asdict(config).items()}
 
 
 def _write_manifest(out_dir: Path, command, config_block, outputs, elapsed,
@@ -313,10 +303,9 @@ def _expand_grid(data) -> list:
     for a in alphas:
         for b in betas:
             for g, t_max in zip(gammas, t_maxes):
-                cfg = ExperimentConfig(alpha=a, beta=b, gamma=g, t_max=t_max,
-                                       n_samples=n_samples)
-                cfg.validate()
-                configs.append(cfg)
+                configs.append(ExperimentConfig(
+                    alpha=a, beta=b, gamma=g, t_max=t_max,
+                    n_samples=n_samples))
     return configs
 
 

@@ -32,7 +32,7 @@ the tests check that ``S_se`` is constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,7 +59,8 @@ class ExperimentConfig:
     ``alpha`` is the initial ground amplitude, ``beta`` the environment
     inverse temperature in gap units (``inf`` for zero temperature),
     ``gamma`` the decay rate, and the grid is ``n_samples`` points on
-    ``[0, t_max]``.
+    ``[0, t_max]``. The fields are checked once, at construction, and
+    a bad one raises :class:`InputError`.
     """
 
     alpha: float = 1.0 / math.sqrt(2.0)
@@ -68,7 +69,7 @@ class ExperimentConfig:
     t_max: float = 10.0
     n_samples: int = 2001
 
-    def validate(self):
+    def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise InputError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not self.beta > 0.0:
@@ -124,7 +125,6 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     eigensolve at the peak is violated; these are integrity checks, not
     physics outputs.
     """
-    config.validate()
     params = config.params
     times = config.times
     bloch_s = ch.system_bloch(params, times)
@@ -245,8 +245,7 @@ def sweep(configs) -> list:
         raise InputError("sweep needs at least one configuration")
     rows = []
     for config in configs:
-        base = dict(alpha=config.alpha, beta=config.beta, gamma=config.gamma,
-                    t_max=config.t_max, n_samples=config.n_samples)
+        base = asdict(config)
         try:
             result = run(config)
         except (InputError, NumericalError) as exc:

@@ -20,12 +20,11 @@ static Hamiltonian :data:`strongcouple.channels.QUBIT_HAMILTONIAN`,
 is zero, and ``P_nk`` is the squared modulus of entry ``n`` of the
 state eigenvector ``k``.
 
-Time is an array axis. :func:`thermo_trajectory` calls a state builder
-once on its whole grid, validates and diagonalizes the ``(T, 2, 2)``
-stack with one :func:`~strongcouple.spectra.density_eigh` call, and
-integrates on the stacked spectra. :func:`qubit_thermo_trajectory` takes
-a qubit's Bloch series instead (see below). Both return a
-:class:`ThermoTrajectory`.
+Time is an array axis. :func:`thermo_trajectory` takes the stack of
+states on the caller's grid, validates and diagonalizes it with one
+:func:`~strongcouple.spectra.density_eigh` call, and integrates on the
+stacked spectra. :func:`qubit_thermo_trajectory` takes a qubit's Bloch
+series instead (see below). Both return a :class:`ThermoTrajectory`.
 
 Branches are identified across time steps by eigenvector overlap, for
 all steps at once. The overlap moduli ``O`` of two consecutive
@@ -75,8 +74,6 @@ _ENERGIES = QUBIT_HAMILTONIAN.real.diagonal()
 _TRACK_MIN_OVERLAP = 1.0 / np.sqrt(2.0)
 # The qubit route's closure bound, and the generic route's default one
 CLOSURE_TOLERANCE = 1e-4
-# Subintervals of the generic route's first public interval
-_ENDPOINT_SUBDIVISION = 32
 
 
 @dataclass(frozen=True)
@@ -103,14 +100,14 @@ class ThermoTrajectory:
         return float(np.max(self.closure_residual))
 
 
-def _track(eigenvalues, eigenvectors, times=None):
+def _track(eigenvalues, eigenvectors, times):
     """Eigenvalue and eigenvector stacks reordered for branch continuity.
 
-    ``eigenvectors`` has shape ``(T, 2, 2)``; a point's two columns are
-    swapped iff the parity of the swaps up to it is odd. Raises
-    :class:`TrackingError` at the first step where neither column of the
-    next basis overlaps the first column of the previous one by more
-    than ``1/sqrt(2)``.
+    ``eigenvectors`` has shape ``(T, 2, 2)`` on the grid ``times``; a
+    point's two columns are swapped iff the parity of the swaps up to it
+    is odd. Raises :class:`TrackingError` naming the step and its time at
+    the first step where neither column of the next basis overlaps the
+    first column of the previous one by more than ``1/sqrt(2)``.
     """
     # first row of |O|, O = V[t]^+ V[t + 1]; the other row repeats it
     stay, swap = np.abs(np.einsum("ti,tik->kt",
@@ -120,9 +117,9 @@ def _track(eigenvalues, eigenvectors, times=None):
     failed = np.flatnonzero(best <= _TRACK_MIN_OVERLAP)
     if failed.size:
         step = int(failed[0]) + 1
-        where = f" (t = {times[step]:.6g})" if times is not None else ""
         raise TrackingError(
-            f"branch matching ambiguous at step {step}{where}: best overlap "
+            f"branch matching ambiguous at step {step} "
+            f"(t = {times[step]:.6g}): best overlap "
             f"{best[step - 1]:.4f} <= {_TRACK_MIN_OVERLAP:.4f}; "
             "refine the time grid")
     swapped = np.zeros(eigenvectors.shape[0], dtype=bool)
@@ -141,7 +138,10 @@ class _Spectra(NamedTuple):
 
 
 def _check_grid(times) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
+    try:
+        times = np.asarray(times, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"times must be a numeric 1-d grid: {exc}") from exc
     if times.ndim != 1 or times.size < 2:
         raise InputError("times must be a 1-d grid with at least two points")
     if np.any(np.diff(times) <= 0.0):
@@ -212,44 +212,30 @@ def _check_closure(residual, times, tolerance, advice) -> None:
             f"t = {times[step + 1]:.6g}; {advice}")
 
 
-def thermo_trajectory(state_builder, times,
+def thermo_trajectory(states, times,
                       closure_tolerance: float = CLOSURE_TOLERANCE
                       ) -> ThermoTrajectory:
     """Integrate the first-law split and verify closure on a time grid.
 
-    ``state_builder`` maps a 1-d array of times to a ``(T, 2, 2)`` stack
-    of density matrices of a qubit under the model's static Hamiltonian,
-    e.g. ``functools.partial(system_states, params)``, so the work is
-    zero; any other shape raises :class:`InputError`.
-    The builder must be callable because the integrator works on an
-    internal grid finer than ``times``: the first interval is subdivided
-    32 times to resolve the square-root-in-time growth of coherences
-    near ``t = 0``, where one-sided endpoint differences are least
-    accurate. The builder is called once on that grid and its stack
-    validated once. Results are
-    reported at the points of ``times``; a closure residual above
+    ``states`` is the ``(T, 2, 2)`` stack of density matrices of a qubit
+    under the model's static Hamiltonian on the grid ``times``, e.g.
+    ``system_states(params, times)``, so the work is zero; any other
+    shape raises :class:`InputError`. The stack is validated once and
+    the results are reported on ``times``. A closure residual above
     ``closure_tolerance`` raises :class:`NumericalError` naming the time
     of the worst residual and the grid step where the residual grows
     most, since it indicates the grid is too coarse for the requested
     accuracy.
     """
-    if not callable(state_builder):
-        raise InputError("state_builder must be callable: it is called on "
-                         "an internal grid finer than times")
     if not closure_tolerance > 0.0:
         raise InputError(
             f"closure_tolerance must be positive, got {closure_tolerance}")
     times = _check_grid(times)
-
-    head = np.linspace(times[0], times[1], _ENDPOINT_SUBDIVISION + 1)
-    merged = np.unique(np.concatenate([head, times]))
-    public = np.searchsorted(merged, times)
-
-    sp = _spectra(state_builder(merged), merged)
+    sp = _spectra(states, times)
     work = np.zeros_like(times)
-    heat = _heat(merged, *sp)[public]
-    coherent = _coherent(merged, *sp)[public]
-    du = _internal_energy_series(*sp)[public]
+    heat = _heat(times, *sp)
+    coherent = _coherent(times, *sp)
+    du = _internal_energy_series(*sp)
     residual = np.abs(du - work - heat - coherent)
     _check_closure(residual, times, closure_tolerance,
                    "refine the time grid")

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .spectra import density_stack, partial_transpose_stack, unit_trace_stack
+from .spectra import (PSD_FLOOR, density_stack, partial_transpose_stack,
+                      unit_trace_stack)
 
-ENTROPY_EIGENVALUE_FLOOR = -1e-10
 # Denominator magnitude at or below which proportionality_report drops a point
 RATIO_DENOMINATOR_THRESHOLD = 5e-3
 _ENTROPY_CLIP = 1e-12
@@ -46,9 +46,9 @@ def von_neumann_entropies(states) -> np.ndarray:
     :class:`InputError`.
     """
     lam = np.linalg.eigvalsh(unit_trace_stack(states))
-    if np.any(lam < ENTROPY_EIGENVALUE_FLOOR):
+    if np.any(lam < PSD_FLOOR):
         raise InputError(
-            f"eigenvalue {lam.min():.3e} below {ENTROPY_EIGENVALUE_FLOOR:.0e}; "
+            f"eigenvalue {lam.min():.3e} below {PSD_FLOOR:.0e}; "
             "not a density operator")
     lam = np.where(lam < _ENTROPY_CLIP, 0.0, lam)
     terms = np.where(lam > 0.0, lam * np.log2(np.where(lam > 0.0, lam, 1.0)), 0.0)
@@ -65,9 +65,9 @@ def bloch_entropies(radii) -> np.ndarray:
     larger eigenvalue's term there, up to ``1e-12 / ln 2`` bits.
     """
     low = 0.5 * (1.0 - np.asarray(radii, dtype=float))
-    if np.any(low < ENTROPY_EIGENVALUE_FLOOR):
+    if np.any(low < PSD_FLOOR):
         raise InputError(
-            f"eigenvalue {low.min():.3e} below {ENTROPY_EIGENVALUE_FLOOR:.0e}; "
+            f"eigenvalue {low.min():.3e} below {PSD_FLOOR:.0e}; "
             "not a density operator")
     low = np.where(low < _ENTROPY_CLIP, 0.0, low)
     terms = np.where(low > 0.0, low * np.log2(np.where(low > 0.0, low, 1.0)),

@@ -43,7 +43,10 @@ def hermitian_stack(matrices) -> np.ndarray:
     averages ``(M + M^+)/2`` so later algebra never sees a residual
     anti-Hermitian part.
     """
-    m = np.asarray(matrices, dtype=complex)
+    try:
+        m = np.asarray(matrices, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"expected a numeric array of matrices: {exc}") from exc
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InputError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():

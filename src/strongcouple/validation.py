@@ -192,11 +192,10 @@ def _suite_closure_refinement():
     fourfold when the grid is halved.
     """
     pr = ExperimentConfig().params
-    states = functools.partial(ch.environment_states, pr)
     residuals, gaps = [], []
     for n in (1001, 2001):
         times = np.linspace(0.0, 10.0, n)
-        traj = thermo_trajectory(states, times)
+        traj = thermo_trajectory(ch.environment_states(pr, times), times)
         exact = qubit_thermo_trajectory(ch.environment_bloch(pr, times))
         residuals.append(traj.max_closure_residual)
         gaps.append(float(np.max(np.abs(traj.heat - exact.heat))))
@@ -233,9 +232,9 @@ def _suite_mutation_control():
 def _suite_closure_gate():
     """Negative control: a coarse grid must trip the closure tolerance."""
     pr = ExperimentConfig().params
+    times = np.linspace(0.0, 10.0, 101)
     try:
-        thermo_trajectory(functools.partial(ch.environment_states, pr),
-                          np.linspace(0.0, 10.0, 101),
+        thermo_trajectory(ch.environment_states(pr, times), times,
                           closure_tolerance=1e-8)
     except NumericalError as exc:
         return True, f"coarse grid rejected as expected ({exc})"

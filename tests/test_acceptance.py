@@ -86,8 +86,8 @@ def test_criterion_05_first_law_closure(default_run):
     pr = result.params
 
     def generic(states, n):
-        return thermo_trajectory(lambda t: states(pr, t),
-                                 np.linspace(0.0, 10.0, n)
+        times = np.linspace(0.0, 10.0, n)
+        return thermo_trajectory(states(pr, times), times
                                  ).max_closure_residual
 
     ratio_s = generic(system_states, 1001) / generic(system_states, 2001)
@@ -140,8 +140,8 @@ def test_criterion_08_eigenvalue_closed_forms(default_run):
                                    1.0 + np.sqrt(k * k * d * d + g)])
     lam_e = 0.5 * np.column_stack([1.0 - np.sqrt(k * k * g * g + d),
                                    1.0 + np.sqrt(k * k * g * g + d)])
-    tracked_s, _ = _track(*eigh_stack(system_states(pr, times)))
-    tracked_e, _ = _track(*eigh_stack(environment_states(pr, times)))
+    tracked_s, _ = _track(*eigh_stack(system_states(pr, times)), times)
+    tracked_e, _ = _track(*eigh_stack(environment_states(pr, times)), times)
     dev_s = float(np.max(np.abs(tracked_s - lam_s)))
     dev_e = float(np.max(np.abs(tracked_e - lam_e)))
     ok = dev_s <= 1e-8 and dev_e <= 1e-8

@@ -22,14 +22,16 @@ def default_params():
 
 
 def tracked(decomps):
-    """The stacked tracker on a sequence of eigendecompositions."""
+    """The stacked tracker on a sequence of eigendecompositions, one per
+    unit of time."""
     return _track(np.stack([d.eigenvalues for d in decomps]),
-                  np.stack([d.eigenvectors for d in decomps]))
+                  np.stack([d.eigenvectors for d in decomps]),
+                  np.arange(len(decomps), dtype=float))
 
 
-def constant(matrix):
-    """A state builder that returns ``matrix`` at every time."""
-    return lambda t: np.broadcast_to(matrix, (t.size,) + matrix.shape)
+def constant(matrix, times):
+    """The stack that holds ``matrix`` at every point of ``times``."""
+    return np.broadcast_to(matrix, (times.size,) + matrix.shape)
 
 
 class TestEigenTrack:
@@ -42,8 +44,9 @@ class TestEigenTrack:
 
     def test_identity_when_continuous(self):
         pr = default_params()
-        lam, vec = eigh_stack(system_states(pr, np.linspace(0.0, 1.0, 11)))
-        lam_t, vec_t = _track(lam, vec)
+        times = np.linspace(0.0, 1.0, 11)
+        lam, vec = eigh_stack(system_states(pr, times))
+        lam_t, vec_t = _track(lam, vec, times)
         assert np.array_equal(lam_t, lam)
         assert np.array_equal(vec_t, vec)
 
@@ -54,8 +57,8 @@ class TestEigenTrack:
 
 
 class TestSampleTrajectory:
-    """A sampled trajectory: the grid, the stack a state builder returns
-    on it, and the overlaps of their tracked spectra."""
+    """A sampled trajectory: the grid, the stack of states on it, and the
+    overlaps of their tracked spectra."""
 
     def test_overlap_rows_and_columns_sum_to_one(self):
         pr = default_params()
@@ -66,33 +69,33 @@ class TestSampleTrajectory:
 
     def test_state_count_mismatch(self):
         pr = default_params()
+        times = np.linspace(0.0, 1.0, 4)
         with pytest.raises(InputError, match="got states of shape"):
-            thermo_trajectory(lambda t: system_states(pr, t[:1]),
-                              np.linspace(0.0, 1.0, 4))
+            thermo_trajectory(system_states(pr, times[:1]), times)
 
-    @pytest.mark.parametrize("times", [[0.0], [[0.0, 1.0]], [1.0, 0.5]])
+    @pytest.mark.parametrize("times", [[0.0], [[0.0, 1.0]], [1.0, 0.5],
+                                       "abc"])
     def test_bad_grids(self, times):
         pr = default_params()
+        states = system_states(pr, np.linspace(0.0, 1.0, 2))
         with pytest.raises(InputError):
-            thermo_trajectory(lambda t: system_states(pr, t), times)
+            thermo_trajectory(states, times)
 
 
 class TestIntegralsExactCases:
     def test_static_hamiltonian_zero_work(self):
         pr = default_params()
-        traj = thermo_trajectory(lambda t: system_states(pr, t),
-                                 np.linspace(0.0, 5.0, 101))
+        times = np.linspace(0.0, 5.0, 101)
+        traj = thermo_trajectory(system_states(pr, times), times)
         assert np.max(np.abs(traj.work)) < 1e-13
 
     def test_pure_rotation_all_coherent(self):
         """Constant spectrum rotating in a static field: no heat, no work."""
 
-        def states(t):
-            c, s = np.cos(t), np.sin(t)
-            u = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
-            return u @ np.diag([0.3, 0.7]) @ u.swapaxes(-1, -2)
-
         times = np.linspace(0.0, 1.2, 241)
+        c, s = np.cos(times), np.sin(times)
+        u = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+        states = u @ np.diag([0.3, 0.7]) @ u.swapaxes(-1, -2)
         traj = thermo_trajectory(states, times)
         assert np.max(np.abs(traj.work)) < 1e-12
         assert np.max(np.abs(traj.heat)) < 1e-12
@@ -105,9 +108,9 @@ class TestIntegralsExactCases:
         pr = default_params()
         d = np.diag([np.exp(0.71j), np.exp(-1.3j)])
         times = np.linspace(0.0, 2.0, 41)
-        base = thermo_trajectory(lambda t: system_states(pr, t), times)
+        base = thermo_trajectory(system_states(pr, times), times)
         phased = thermo_trajectory(
-            lambda t: d @ system_states(pr, t) @ d.conj().T, times)
+            d @ system_states(pr, times) @ d.conj().T, times)
         for name in ("work", "heat", "coherent_energy"):
             assert np.max(np.abs(getattr(base, name)
                                  - getattr(phased, name))) < 1e-12
@@ -119,7 +122,7 @@ class TestIntegralsExactCases:
         for states in (system_states, environment_states):
             # the closure gate is not under test: at alpha = 0 this grid
             # leaves a residual near 1e-4
-            traj = thermo_trajectory(lambda t: states(pr, t), times,
+            traj = thermo_trajectory(states(pr, times), times,
                                      closure_tolerance=1.0)
             assert np.max(np.abs(traj.coherent_energy)) < 1e-12
 
@@ -150,7 +153,7 @@ class TestInternalEnergyChange:
     def test_matches_trajectory_series(self):
         pr = default_params()
         times = np.linspace(0.0, 2.0, 201)
-        traj = thermo_trajectory(lambda t: system_states(pr, t), times)
+        traj = thermo_trajectory(system_states(pr, times), times)
         du = trace_change(QUBIT_HAMILTONIAN,
                           system_states(pr, np.array([0.0, 2.0])))
         assert abs(du[-1] - traj.internal_energy_change[-1]) < 1e-12
@@ -158,18 +161,18 @@ class TestInternalEnergyChange:
     def test_dimension_mismatch(self):
         """Only qubit states: a valid stack of another size names its
         shape."""
+        times = np.linspace(0.0, 1.0, 3)
         for dim in (4, 3):
             with pytest.raises(InputError, match=rf"states of shape "
                                                  rf"\(\d+, {dim}, {dim}\)"):
-                thermo_trajectory(constant(np.eye(dim) / dim),
-                                  np.linspace(0.0, 1.0, 3))
+                thermo_trajectory(constant(np.eye(dim) / dim, times), times)
 
 
 class TestAgainstOracle:
     def test_system_integrals(self):
         pr = default_params()
         times = np.linspace(0.0, 10.0, 2001)
-        traj = thermo_trajectory(lambda t: system_states(pr, t), times)
+        traj = thermo_trajectory(system_states(pr, times), times)
         for t_ref in (0.5, 2.0, 10.0):
             i = int(round(t_ref / 10.0 * 2000))
             q_ref, c_ref = oracles.FROZEN[("system", t_ref)]
@@ -179,7 +182,7 @@ class TestAgainstOracle:
     def test_environment_integrals_frozen(self):
         pr = default_params()
         times = np.linspace(0.0, 10.0, 2001)
-        traj = thermo_trajectory(lambda t: environment_states(pr, t), times)
+        traj = thermo_trajectory(environment_states(pr, times), times)
         for t_ref in (0.5, 2.0, 10.0):
             i = int(round(t_ref / 10.0 * 2000))
             q_ref, c_ref = oracles.FROZEN[("environment", t_ref)]
@@ -191,7 +194,7 @@ class TestAgainstOracle:
         pytest.importorskip("scipy")
         pr = default_params()
         times = np.linspace(0.0, 0.5, 4001)
-        traj = thermo_trajectory(lambda t: environment_states(pr, t), times)
+        traj = thermo_trajectory(environment_states(pr, times), times)
         q_ref, c_ref = oracles.heat_and_coherent("environment", 0.5)
         assert abs(traj.heat[-1] - q_ref) < 1e-6
         assert abs(traj.coherent_energy[-1] - c_ref) < 1e-6
@@ -200,7 +203,7 @@ class TestAgainstOracle:
         pytest.importorskip("scipy")
         pr = default_params()
         times = np.linspace(0.0, 2.0, 2001)
-        traj = thermo_trajectory(lambda t: system_states(pr, t), times)
+        traj = thermo_trajectory(system_states(pr, times), times)
         q_ref, c_ref = oracles.heat_and_coherent("system", 2.0)
         assert abs(traj.heat[-1] - q_ref) < 1e-6
         assert abs(traj.coherent_energy[-1] - c_ref) < 1e-6
@@ -210,31 +213,25 @@ class TestThermoTrajectory:
     def test_times_preserved(self):
         pr = default_params()
         times = np.linspace(0.0, 4.0, 101)
-        traj = thermo_trajectory(lambda t: system_states(pr, t), times)
+        traj = thermo_trajectory(system_states(pr, times), times)
         assert np.array_equal(traj.times, times)
         assert traj.work.shape == times.shape
 
     def test_closure_gate(self):
         pr = default_params()
+        times = np.linspace(0.0, 10.0, 101)
         with pytest.raises(NumericalError):
-            thermo_trajectory(lambda t: environment_states(pr, t),
-                              np.linspace(0.0, 10.0, 101),
+            thermo_trajectory(environment_states(pr, times), times,
                               closure_tolerance=1e-8)
 
     def test_closure_improves_with_refinement(self):
         pr = default_params()
-        coarse = thermo_trajectory(lambda t: environment_states(pr, t),
-                                   np.linspace(0.0, 10.0, 1001))
-        fine = thermo_trajectory(lambda t: environment_states(pr, t),
-                                 np.linspace(0.0, 10.0, 2001))
+        coarse, fine = (
+            thermo_trajectory(environment_states(pr, times), times)
+            for times in (np.linspace(0.0, 10.0, 1001),
+                          np.linspace(0.0, 10.0, 2001)))
         ratio = coarse.max_closure_residual / fine.max_closure_residual
         assert 3.0 <= ratio <= 5.0
-
-    def test_requires_callable(self):
-        pr = default_params()
-        with pytest.raises(InputError):
-            thermo_trajectory([system_states(pr, 0.0)],
-                              np.linspace(0.0, 1.0, 3))
 
     @pytest.mark.parametrize("kwargs", [
         {"closure_tolerance": math.nan},
@@ -242,9 +239,9 @@ class TestThermoTrajectory:
     ])
     def test_rejects_bad_settings(self, kwargs):
         pr = default_params()
+        times = np.linspace(0.0, 1.0, 11)
         with pytest.raises(InputError):
-            thermo_trajectory(lambda t: system_states(pr, t),
-                              np.linspace(0.0, 1.0, 11), **kwargs)
+            thermo_trajectory(system_states(pr, times), times, **kwargs)
 
 
 def _greedy_loop(decomps):
@@ -311,7 +308,7 @@ class TestStackTracking:
             tracked(decs)
         message = str(info.value)
         assert "branch matching ambiguous" in message
-        assert f"step {step}:" in message
+        assert f"step {step} (t = {step}):" in message
         assert f"best overlap {best:.4f}" in message
 
     def test_trajectory_error_names_time(self):
@@ -319,13 +316,9 @@ class TestStackTracking:
         rho = np.diag([0.2, 0.8])
         turned = _TURN @ rho @ _TURN.T
 
-        def states(t):
-            return np.stack([turned if u > 0.55 else rho for u in t])
-
-        # the internal grid splits the first interval in 32, so the step
-        # to t = 0.6 is step 6 + 31
+        states = np.stack([turned if u > 0.55 else rho for u in times])
         with pytest.raises(TrackingError,
-                           match=r"branch matching ambiguous at step 37 "
+                           match=r"branch matching ambiguous at step 6 "
                                  r"\(t = 0\.6\)"):
             thermo_trajectory(states, times)
 
@@ -337,30 +330,26 @@ class TestStateBuilder:
     ], ids=["non_psd", "trace_1.1"])
     def test_rejects_one_bad_member(self, member):
         pr = default_params()
-
-        def builder(t):
-            stack = system_states(pr, t).copy()
-            stack[t.size // 2] = member
-            return stack
-
+        times = np.linspace(0.0, 2.0, 21)
+        stack = system_states(pr, times).copy()
+        stack[times.size // 2] = member
         with pytest.raises(InputError):
-            thermo_trajectory(builder, np.linspace(0.0, 2.0, 21))
+            thermo_trajectory(stack, times)
 
     def test_closure_gate_names_time(self):
         pr = default_params()
         times = np.linspace(0.0, 10.0, 101)
-        residual = thermo_trajectory(lambda t: environment_states(pr, t),
-                                     times, closure_tolerance=1.0
+        states = system_states(pr, times)
+        residual = thermo_trajectory(states, times, closure_tolerance=1.0
                                      ).closure_residual
-        # the residual accumulates; the step where it grows most is early,
-        # far from the worst point at the end of the grid
+        # the residual accumulates; the step where it grows most, between
+        # t = 0.7 and 0.8, is apart from the worst point, at t = 1.8
         step = int(np.argmax(np.abs(np.diff(residual))))
         assert times[step + 1] < 1.0 < times[int(np.argmax(residual))]
         with pytest.raises(NumericalError,
                            match=r"first-law closure residual .* at t = ") \
                 as exc:
-            thermo_trajectory(lambda t: environment_states(pr, t), times,
-                              closure_tolerance=1e-8)
+            thermo_trajectory(states, times, closure_tolerance=1e-8)
         assert (f"between t = {times[step]:.6g} and "
                 f"t = {times[step + 1]:.6g}") in str(exc.value)
 
@@ -444,7 +433,7 @@ class TestQubitRoute:
         config = ExperimentConfig()
         pr = config.params
         states = system_states if side == "system" else environment_states
-        generic = thermo_trajectory(lambda t: states(pr, t), config.times)
+        generic = thermo_trajectory(states(pr, config.times), config.times)
         exact = qubit_route(config, side)
         assert np.max(np.abs(generic.heat - exact.heat)) <= 1e-5
         assert np.max(np.abs(generic.coherent_energy

@@ -128,6 +128,30 @@ def test_measure_rejects_what_a_density_check_rejects(measure, bad):
         measure(np.stack([np.eye(4) / 4.0, state]))
 
 
+# every function that takes states, applied to one argument
+STATE_INPUTS = {
+    "density_stack": strongcouple.density_stack,
+    "negativities": negativities,
+    "von_neumann_entropies": von_neumann_entropies,
+    "partial_trace": lambda states: partial_trace(states, keep=0),
+    "apply_channel": lambda states: channels.apply_channel(
+        channels.system_kraus(channels.GadcParams(alpha=0.6, w0=0.8), 0.3),
+        states),
+    "thermo_trajectory": lambda states: strongcouple.thermo_trajectory(
+        states, np.linspace(0.0, 1.0, 3)),
+}
+NOT_NUMERIC = {"text": "abc", "callable": lambda t: t,
+               "ragged": [[1, 0], [0]]}
+
+
+@pytest.mark.parametrize("bad", sorted(NOT_NUMERIC))
+@pytest.mark.parametrize("name", sorted(STATE_INPUTS))
+def test_state_input_must_be_numeric(name, bad):
+    """Input that is no numeric array is bad input, whatever numpy says."""
+    with pytest.raises(InputError, match="expected a numeric array"):
+        STATE_INPUTS[name](NOT_NUMERIC[bad])
+
+
 PARAMS = channels.GadcParams(alpha=0.6, w0=0.8, gamma_rate=1.3)
 
 # every library function that returns a state
