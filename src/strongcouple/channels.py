@@ -13,9 +13,13 @@ Kraus operators acting on the system alone, a unitary dilation on the
 joint space followed by a partial trace, and closed-form matrix entries
 with ``p`` replaced by ``1 - exp(-gamma t)``.
 
-Every state is a plain validated array. Each closed-form family has one
-builder; it takes ``times`` of any shape, a scalar included, and returns
-``np.shape(times) + (n, n)``.
+Every state is a plain array. Each closed-form family has one builder;
+it takes ``times`` of any shape, a scalar included, and returns
+``np.shape(times) + (n, n)``. The builders follow the rule of
+:mod:`strongcouple.spectra`: their output is positive by construction
+and is checked for Hermiticity and unit trace only, while
+:func:`apply_channel` runs the full density check on the states it
+takes. No builder diagonalizes its own output.
 
 Two joint-state families
 ------------------------
@@ -272,29 +276,34 @@ def environment_kraus(params: GadcParams, p: float) -> KrausChannel:
 
 
 def apply_channel(channel: KrausChannel, states) -> np.ndarray:
-    """Apply a Kraus channel to a ``(..., n, n)`` stack of states."""
+    """Apply a Kraus channel to a ``(..., n, n)`` stack of states.
+
+    The input is validated with :func:`~strongcouple.spectra.density_stack`;
+    a Kraus sum of a positive state is positive, so the result is checked
+    for Hermiticity and unit trace only.
+    """
     m = density_stack(states)
     if m.shape[-1] != channel.dim:
         raise InputError(f"state dimension {m.shape[-1]} does not match "
                          f"channel dimension {channel.dim}")
-    return density_stack(sum(k @ m @ k.conj().T for k in channel.operators))
+    return unit_trace_stack(sum(k @ m @ k.conj().T for k in channel.operators))
 
 
 def system_initial_state(params: GadcParams) -> np.ndarray:
     """Pure initial system state ``alpha |g> + sqrt(1 - alpha^2) |e>``."""
     psi = np.array([params.alpha, params.beta_amp], dtype=complex)
-    return density_stack(np.outer(psi, psi.conj()))
+    return unit_trace_stack(np.outer(psi, psi.conj()))
 
 
 def environment_initial_state(params: GadcParams) -> np.ndarray:
     """Thermal initial environment state ``diag(w0, w1)``."""
-    return density_stack(np.diag([params.w0, params.w1]).astype(complex))
+    return unit_trace_stack(np.diag([params.w0, params.w1]).astype(complex))
 
 
 def joint_initial_state(params: GadcParams) -> np.ndarray:
     """Product of the initial system and environment states."""
-    return density_stack(np.kron(system_initial_state(params),
-                                 environment_initial_state(params)))
+    return unit_trace_stack(np.kron(system_initial_state(params),
+                                    environment_initial_state(params)))
 
 
 def _decay(params: GadcParams, times):
@@ -366,7 +375,7 @@ def _closed_form_joint_matrices(params: GadcParams, g, d) -> np.ndarray:
 
 
 def system_states(params: GadcParams, times) -> np.ndarray:
-    """Closed-form system states at ``times``, validated.
+    """Closed-form system states at ``times``.
 
     With ``gamma = exp(-gamma_rate t)`` and ``delta = 1 - gamma``, the
     matrix in the ``|g>, |e>`` basis is
@@ -379,18 +388,18 @@ def system_states(params: GadcParams, times) -> np.ndarray:
     decays as ``sqrt(gamma)``.
     """
     g, d = _decay(params, times)
-    return density_stack(_qubit_matrices(params, g, d))
+    return unit_trace_stack(_qubit_matrices(params, g, d))
 
 
 def environment_states(params: GadcParams, times) -> np.ndarray:
-    """Closed-form environment states at ``times``, validated.
+    """Closed-form environment states at ``times``.
 
     Mirror image of :func:`system_states` with the roles of ``gamma`` and
     ``delta`` exchanged; the coherence grows as ``sqrt(delta)``, i.e. as
     ``sqrt(1 - exp(-gamma_rate t))``.
     """
     g, d = _decay(params, times)
-    return density_stack(_qubit_matrices(params, d, g))
+    return unit_trace_stack(_qubit_matrices(params, d, g))
 
 
 class BlochSeries(NamedTuple):
@@ -467,7 +476,7 @@ def environment_bloch(params: GadcParams, times) -> BlochSeries:
 
 
 def joint_states(params: GadcParams, times) -> np.ndarray:
-    """Joint states evolved with the exact unitary dilation, validated.
+    """Joint states evolved with the exact unitary dilation.
 
     ``U(p(t))`` conjugation of the initial product state, so the joint
     spectrum, and hence the joint entropy, is constant in time. The
@@ -477,7 +486,7 @@ def joint_states(params: GadcParams, times) -> np.ndarray:
     docstring).
     """
     _, d = _decay(params, times)
-    return density_stack(_dilated_matrices(params, d))
+    return unit_trace_stack(_dilated_matrices(params, d))
 
 
 def joint_states_closed_form(params: GadcParams, times) -> np.ndarray:
@@ -606,8 +615,8 @@ def iterate_map_check(params: GadcParams, t: float,
     so the composed damping factor is ``(1 - gamma_rate t / n)^n`` and the
     result converges to :func:`system_states` at rate ``O(1/n)``. The steps
     run with the arithmetic of :func:`apply_channel` (Kraus sum, then the
-    Hermitian average of :func:`~strongcouple.spectra.density_stack`),
-    and only the final state is validated.
+    Hermitian average of :func:`~strongcouple.spectra.unit_trace_stack`),
+    and only the final state is checked, for Hermiticity and unit trace.
     """
     # isfinite first: int() of nan or inf raises
     if not (math.isfinite(n_steps) and int(n_steps) == n_steps
@@ -626,7 +635,7 @@ def iterate_map_check(params: GadcParams, t: float,
     for _ in range(n_steps):
         out = sum(k @ m @ k_adj for k, k_adj in pairs)
         m = (out + out.conj().T) / 2
-    return density_stack(m)
+    return unit_trace_stack(m)
 
 
 def system_state_from_dilation(params: GadcParams, p) -> np.ndarray:

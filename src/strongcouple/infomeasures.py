@@ -10,13 +10,19 @@ the partial transpose kept unit trace.
 :func:`von_neumann_entropies` and :func:`negativities` take a
 ``(..., n, n)`` array of states (``n = 4`` for the negativity), a
 trajectory or a single state, validate it once at entry and evaluate it
-with one batched eigensolve; a single state gives a 0-d array. A qubit
-needs no eigensolve: :func:`bloch_entropies` reads its entropy from the
-Bloch radius, and its l1 coherence is ``|x|``. Nor does the negativity of
-the closed-form joint family, which a run takes from
+with one batched eigensolve; a single state gives a 0-d array. They are
+the consumers of the state-check rule of :mod:`strongcouple.spectra`.
+A qubit needs no eigensolve: :func:`bloch_entropies` reads its entropy
+from the Bloch radius, and its l1 coherence is ``|x|``. Nor does the
+negativity of the closed-form joint family, which a run takes from
 :func:`strongcouple.channels.joint_negativities_closed_form`;
 :func:`negativities` is the general eigensolve route that ``validate``
 and the tests compare it against.
+
+Both entropy functions share the eigenvalue floor of
+:func:`~strongcouple.spectra.check_spectrum` and one clip rule: an
+eigenvalue up to ``1e-12`` counts as zero and its weight goes to the
+others, so the two agree to round-off on every qubit state.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .spectra import (PSD_FLOOR, density_stack, partial_transpose_stack,
+from .spectra import (check_spectrum, density_stack, partial_transpose_stack,
                       unit_trace_stack)
 
 # Denominator magnitude at or below which proportionality_report drops a point
@@ -41,16 +47,15 @@ def von_neumann_entropies(states) -> np.ndarray:
 
     The states must be Hermitian with unit trace. Eigenvalues in
     ``[-1e-10, 1e-12]`` are treated as exact zeros, which absorbs
-    roundoff from rank-deficient states. An eigenvalue below ``-1e-10``
-    means the input is not a physical state and raises
-    :class:`InputError`.
+    roundoff from rank-deficient states, and their weight goes to the
+    others: the spectrum is renormalised after the clip, the rule of
+    :func:`bloch_entropies`. An eigenvalue below ``-1e-10`` means the
+    input is not a physical state and raises :class:`InputError`.
     """
     lam = np.linalg.eigvalsh(unit_trace_stack(states))
-    if np.any(lam < PSD_FLOOR):
-        raise InputError(
-            f"eigenvalue {lam.min():.3e} below {PSD_FLOOR:.0e}; "
-            "not a density operator")
+    check_spectrum(lam[..., 0])
     lam = np.where(lam < _ENTROPY_CLIP, 0.0, lam)
+    lam = lam / np.sum(lam, axis=-1, keepdims=True)
     terms = np.where(lam > 0.0, lam * np.log2(np.where(lam > 0.0, lam, 1.0)), 0.0)
     return -np.sum(terms, axis=-1) + 0.0
 
@@ -61,14 +66,16 @@ def bloch_entropies(radii) -> np.ndarray:
     The eigenvalues are ``(1 -+ r)/2``. The smaller one raises
     :class:`InputError` below ``-1e-10`` and counts as zero up to
     ``1e-12``, and the larger one is one minus the smaller, so a clipped
-    state has entropy zero; :func:`von_neumann_entropies` keeps the
-    larger eigenvalue's term there, up to ``1e-12 / ln 2`` bits.
+    state has entropy zero; this is the clip rule of
+    :func:`von_neumann_entropies`.
     """
-    low = 0.5 * (1.0 - np.asarray(radii, dtype=float))
-    if np.any(low < PSD_FLOOR):
+    try:
+        r = np.asarray(radii, dtype=float)
+    except (TypeError, ValueError) as exc:
         raise InputError(
-            f"eigenvalue {low.min():.3e} below {PSD_FLOOR:.0e}; "
-            "not a density operator")
+            f"expected a numeric array of Bloch radii: {exc}") from exc
+    low = 0.5 * (1.0 - r)
+    check_spectrum(low)
     low = np.where(low < _ENTROPY_CLIP, 0.0, low)
     terms = np.where(low > 0.0, low * np.log2(np.where(low > 0.0, low, 1.0)),
                      0.0) + (1.0 - low) * np.log1p(-low) / math.log(2.0)

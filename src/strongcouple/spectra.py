@@ -2,20 +2,30 @@
 
 Eigenvalues and eigenvectors come from LAPACK through
 ``numpy.linalg.eigh`` and ``eigvalsh``, which also diagonalize a whole
-stack of matrices in one call. States are plain arrays:
+stack of matrices in one call. States are plain arrays, and
 :func:`hermitian_stack` and :func:`density_stack` validate an array of
 shape ``(..., n, n)`` at once, such as the states of a trajectory with
-time as the leading axis, and return it symmetrized, so that downstream
-code can assume Hermiticity, unit trace, and positive semidefiniteness
-without re-checking. :func:`unit_trace_stack` applies the Hermiticity
-and trace checks alone, for stacks that are positive by construction,
-and :func:`check_unit_traces` the trace check alone, for states whose
-trace is known without their matrix, such as a qubit's populations.
-:func:`eigh_stack` diagonalizes a validated stack in one call with a
-fixed eigenvector gauge, and :func:`density_eigh` validates a density
-stack and diagonalizes it with that one call. :class:`HermitianOperator`,
-:class:`DensityOperator` and :func:`eig_hermitian` apply the same checks
-and gauge to a single matrix; no other module of the package uses them.
+time as the leading axis, and return it symmetrized.
+
+Each state is checked once, by one rule:
+
+* A builder, a function that returns states, checks its output with
+  :func:`unit_trace_stack`, the Hermiticity and trace checks alone. Its
+  output is positive by construction: a closed form, a Kraus sum of a
+  positive state, or a partial trace of one.
+* A consumer, a function that takes states, runs the full check on its
+  input: :func:`density_stack`, or :func:`density_eigh` where it needs
+  the eigenvectors too.
+
+The eigenvalue floor ``PSD_FLOOR`` is one check, :func:`check_spectrum`,
+on the smallest eigenvalue of each state; the entropy measures of
+:mod:`strongcouple.infomeasures` use it too. :func:`check_unit_traces`
+is the trace check alone, for states whose trace is known without their
+matrix, such as a qubit's populations. :func:`eigh_stack` diagonalizes
+a validated stack in one call with a fixed eigenvector gauge.
+:class:`HermitianOperator`, :class:`DensityOperator` and
+:func:`eig_hermitian` apply the same checks and gauge to a single
+matrix; no other module of the package uses them.
 
 Two-qubit indices put the first qubit on the slow index, ``|0,0>,
 |0,1>, |1,0>, |1,1>``, as ``numpy.kron`` does. :func:`partial_trace` and
@@ -35,6 +45,14 @@ TRACE_TOL = 1e-12
 PSD_FLOOR = -1e-10
 
 
+def _complex_array(matrices) -> np.ndarray:
+    """``matrices`` as a complex array; non-numeric input is an InputError."""
+    try:
+        return np.asarray(matrices, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"expected a numeric array of matrices: {exc}") from exc
+
+
 def hermitian_stack(matrices) -> np.ndarray:
     """Validate a stack of Hermitian matrices and return it symmetrized.
 
@@ -43,10 +61,7 @@ def hermitian_stack(matrices) -> np.ndarray:
     averages ``(M + M^+)/2`` so later algebra never sees a residual
     anti-Hermitian part.
     """
-    try:
-        m = np.asarray(matrices, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"expected a numeric array of matrices: {exc}") from exc
+    m = _complex_array(matrices)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InputError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -72,11 +87,14 @@ def check_unit_traces(tr) -> None:
             f"trace {worst.real:.15g} differs from 1 by more than {TRACE_TOL:.0e}")
 
 
-def _check_spectrum(eigenvalues) -> None:
-    """Ascending eigenvalues of a stack, all above ``PSD_FLOOR``."""
-    low = float(np.min(eigenvalues[..., 0]))
-    if low < PSD_FLOOR:
-        raise InputError(f"matrix has eigenvalue {low:.3e} below {PSD_FLOOR:.0e}")
+def check_spectrum(lowest) -> None:
+    """Every entry of ``lowest``, the smallest eigenvalue of each state of
+    a stack, lies above ``PSD_FLOOR``; raises :class:`InputError` naming
+    the worst.
+    """
+    if np.any(lowest < PSD_FLOOR):
+        raise InputError(f"eigenvalue {np.min(lowest):.3e} below "
+                         f"{PSD_FLOOR:.0e}; not a density operator")
 
 
 def unit_trace_stack(matrices) -> np.ndarray:
@@ -101,7 +119,7 @@ def density_stack(matrices) -> np.ndarray:
     without admitting genuinely unphysical states.
     """
     m = unit_trace_stack(matrices)
-    _check_spectrum(np.linalg.eigvalsh(m))
+    check_spectrum(np.linalg.eigvalsh(m)[..., 0])
     return m
 
 
@@ -114,7 +132,7 @@ def density_eigh(matrices):
     the symmetrized stack.
     """
     lam, v = eigh_stack(unit_trace_stack(matrices))
-    _check_spectrum(lam)
+    check_spectrum(lam[..., 0])
     return lam, v
 
 
@@ -129,10 +147,10 @@ class HermitianOperator:
     __slots__ = ("_matrix",)
 
     def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=complex)
+        m = hermitian_stack(matrix)
         if m.ndim != 2:
             raise InputError(f"expected a square matrix, got shape {m.shape}")
-        self._matrix = hermitian_stack(m)
+        self._matrix = m
         self._matrix.setflags(write=False)
 
     @property
@@ -156,7 +174,7 @@ class DensityOperator(HermitianOperator):
     def __init__(self, matrix):
         super().__init__(matrix)
         check_unit_traces(np.trace(self._matrix))
-        _check_spectrum(np.linalg.eigvalsh(self._matrix))
+        check_spectrum(np.linalg.eigvalsh(self._matrix)[0])
 
 
 @dataclass(frozen=True)
@@ -218,16 +236,17 @@ def partial_trace(states, keep: int) -> np.ndarray:
     """Trace out one qubit of a ``(..., 4, 4)`` stack of two-qubit states.
 
     ``keep`` is 0 to keep the first qubit and 1 to keep the second. The
-    input and the ``(..., 2, 2)`` result are validated with
-    :func:`density_stack`.
+    input is validated with :func:`density_stack`; the ``(..., 2, 2)``
+    result is positive by construction and checked with
+    :func:`unit_trace_stack`.
     """
     m = density_stack(states)
     _two_qubit(m)
     if keep not in (0, 1):
         raise InputError(f"keep must be 0 or 1, got {keep!r}")
     r = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
-    return density_stack(np.einsum("...ikjk->...ij", r) if keep == 0
-                         else np.einsum("...kikj->...ij", r))
+    return unit_trace_stack(np.einsum("...ikjk->...ij", r) if keep == 0
+                            else np.einsum("...kikj->...ij", r))
 
 
 def partial_transpose_stack(matrices) -> np.ndarray:
@@ -237,7 +256,7 @@ def partial_transpose_stack(matrices) -> np.ndarray:
     a Hermitian stack stays exactly Hermitian, but in general not
     positive, which is exactly what entanglement witnesses exploit.
     """
-    m = np.asarray(matrices, dtype=complex)
+    m = _complex_array(matrices)
     _two_qubit(m)
     r = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
     return r.swapaxes(-4, -2).reshape(m.shape)

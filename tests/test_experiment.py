@@ -115,24 +115,19 @@ class TestRun:
         assert all(math.prod(shape) == 1 for shape in built)
 
     def test_joint_entropy_without_eigensolve(self, rng):
-        # S[diag(w0, w1)] from the Bloch radius |w0 - w1|; it agrees with
-        # the eigensolve to round-off wherever the smaller weight w1 clears
-        # the entropy clip of 1e-12, that is for beta below about 27.6
+        # S[diag(w0, w1)] from the Bloch radius |w0 - w1| agrees with the
+        # eigensolve to round-off, also where the smaller weight w1 falls
+        # under the entropy clip of 1e-12 (beta above about 27.6): both
+        # routes give the clipped weight to the larger eigenvalue
         betas = np.concatenate([np.exp(rng.uniform(math.log(1e-3),
-                                                   math.log(27.0), 200)),
-                                [0.05, 0.3, 1.0, 2.0, 5.0, 10.0, math.inf]])
+                                                   math.log(50.0), 400)),
+                                [0.05, 0.3, 1.0, 2.0, 5.0, 10.0, 27.6, 30.65,
+                                 37.0, math.inf]])
         for beta in betas:
             pr = ExperimentConfig(beta=float(beta)).params
             closed = float(bloch_entropies(abs(pr.w0 - pr.w1)))
             eigen = float(von_neumann_entropies(np.diag([pr.w0, pr.w1])))
-            assert abs(closed - eigen) <= 1e-15
-        # inside the clip both count w1 as zero; the eigensolve keeps the
-        # -w0 log2 w0 term of the larger weight, about w1 / ln 2
-        for beta in np.linspace(28.0, 40.0, 25):
-            pr = ExperimentConfig(beta=float(beta)).params
-            eigen = float(von_neumann_entropies(np.diag([pr.w0, pr.w1])))
-            assert float(bloch_entropies(abs(pr.w0 - pr.w1))) == 0.0
-            assert 0.0 <= eigen <= 1.5e-12
+            assert abs(closed - eigen) <= 1e-15, beta
         config = ExperimentConfig(t_max=2.0, n_samples=101)
         pr = config.params
         assert run(config).diagnostics["joint_entropy_unitary_family"] \
@@ -141,21 +136,27 @@ class TestRun:
     def test_no_eigh(self, monkeypatch):
         # neither marginal is diagonalized, and the negativity series is
         # a closed form: only single states (the spot check at the peak,
-        # the unitary family at t_max) see an eigensolve
+        # the unitary family at t_max) see an eigensolve, two each: the
+        # entry check of negativities and its partial transpose. The
+        # builders of those states are positive by construction and do
+        # not diagonalize their output.
         def forbidden(*args, **kwargs):
             raise AssertionError("run() must not call numpy.linalg.eigh")
 
         single_only = np.linalg.eigvalsh
+        calls = []
 
         def eigvalsh(a, *args, **kwargs):
             if np.ndim(a) > 2:
                 raise AssertionError("run() must not call a batched eigvalsh")
+            calls.append(np.shape(a))
             return single_only(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         result = run(ExperimentConfig())
         assert result.diagnostics["closure_system_max"] <= 1e-12
+        assert len(calls) <= 4, calls
 
     def test_marginals_not_validated_as_stacks(self, monkeypatch):
         # the marginals enter a run as closed-form populations; only

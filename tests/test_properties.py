@@ -1,4 +1,4 @@
-"""Property test over the physical domain of run().
+"""Property tests over the physical domain of run() and the state builders.
 
 Every configuration with ``alpha`` in [0, 1], ``beta`` in (0, inf], any
 decay rate and horizon, and a small grid passes every gate of
@@ -7,6 +7,11 @@ would be an acceptable failure, but across the domain none trips, so any
 error fails the test with its message; in particular no physical
 configuration is sent back with "refine the time grid", and no series
 turns NaN at the extremes of double precision.
+
+The state builders do not diagonalize their output: the closed forms,
+the Kraus sums and the partial traces are positive by construction, and
+only their consumers run the eigenvalue floor. The second test checks
+that every builder's output passes that floor across the same domain.
 """
 
 import math
@@ -18,8 +23,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from strongcouple import channels as ch  # noqa: E402
 from strongcouple.experiment import ExperimentConfig, run  # noqa: E402
 from strongcouple.firstlaw import CLOSURE_TOLERANCE  # noqa: E402
+from strongcouple.spectra import density_stack, partial_trace  # noqa: E402
 
 ALPHA_DEFAULT = 1.0 / math.sqrt(2.0)
 
@@ -73,3 +80,58 @@ def test_every_configuration_passes_every_gate(alpha, beta, gamma,
     for series in (info.entropy_s, info.entropy_e, info.coherence_s,
                    info.coherence_e, info.negativity):
         assert np.all(np.isfinite(series))
+
+
+ALPHA_EXTREMES = [0.0, 1e-300, 1.0 - 1e-17, math.nextafter(1.0, 0.0), 1.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(alpha=st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                       st.sampled_from(ALPHA_EXTREMES)),
+       beta=st.floats(min_value=0.0, max_value=math.inf, exclude_min=True),
+       gamma=st.floats(min_value=1e-200, max_value=1e200),
+       gamma_t_max=st.floats(min_value=0.0, max_value=1e3),
+       n_samples=st.integers(min_value=2, max_value=16))
+@example(alpha=ALPHA_DEFAULT, beta=1.0, gamma=1.0, gamma_t_max=10.0,
+         n_samples=16)
+@example(alpha=0.3, beta=5e-324, gamma=1.0, gamma_t_max=10.0, n_samples=5)
+@example(alpha=0.8417368221127677, beta=2.220446049250313e-16, gamma=1.0,
+         gamma_t_max=36.0, n_samples=3)
+@example(alpha=1e-8, beta=1e-8, gamma=1.0, gamma_t_max=18.0, n_samples=3)
+@example(alpha=6.771510516134501e-127, beta=6.771510516134501e-127,
+         gamma=1.0, gamma_t_max=373.0, n_samples=3)
+@example(alpha=2.735651053751712e-156, beta=2.735651053751712e-156,
+         gamma=1.0, gamma_t_max=1.0, n_samples=3)
+@example(alpha=1e-300, beta=math.inf, gamma=1e-200, gamma_t_max=1e3,
+         n_samples=16)
+@example(alpha=1.0 - 1e-17, beta=5e-324, gamma=1e200, gamma_t_max=1e-3,
+         n_samples=16)
+@example(alpha=math.nextafter(1.0, 0.0), beta=50.0, gamma=1e200,
+         gamma_t_max=0.0, n_samples=2)
+def test_every_builder_output_is_a_density_stack(alpha, beta, gamma,
+                                                 gamma_t_max, n_samples):
+    params = ch.GadcParams.from_inverse_temperature(alpha, beta, gamma)
+    # the grid, and t = inf, the thermal limit
+    times = np.append(np.linspace(0.0, gamma_t_max / gamma, n_samples),
+                      math.inf)
+    p = -math.expm1(-gamma_t_max)
+    joints = [ch.joint_initial_state(params), ch.joint_states(params, times),
+              ch.joint_states_closed_form(params, times)]
+    outputs = [
+        ch.system_initial_state(params),
+        ch.environment_initial_state(params),
+        ch.system_states(params, times),
+        ch.environment_states(params, times),
+        *joints,
+        ch.apply_channel(ch.system_kraus(params, p),
+                         ch.system_states(params, times)),
+        ch.apply_channel(ch.environment_kraus(params, p),
+                         ch.environment_states(params, times)),
+        # at most half a decay per step, so that round-off in gamma t
+        # cannot push the step probability past one
+        ch.iterate_map_check(params, min(gamma_t_max, n_samples / 2) / gamma,
+                             n_samples),
+        *(partial_trace(joint, keep) for joint in joints for keep in (0, 1)),
+    ]
+    for states in outputs:
+        density_stack(states)

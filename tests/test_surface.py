@@ -139,17 +139,23 @@ STATE_INPUTS = {
         states),
     "thermo_trajectory": lambda states: strongcouple.thermo_trajectory(
         states, np.linspace(0.0, 1.0, 3)),
+    "partial_transpose_stack": strongcouple.partial_transpose_stack,
+    "HermitianOperator": strongcouple.HermitianOperator,
+    "DensityOperator": strongcouple.DensityOperator,
+    "eig_hermitian": strongcouple.eig_hermitian,
 }
+# every function that takes the Bloch radii of qubit states
+RADII_INPUTS = {"bloch_entropies": strongcouple.bloch_entropies}
 NOT_NUMERIC = {"text": "abc", "callable": lambda t: t,
                "ragged": [[1, 0], [0]]}
 
 
 @pytest.mark.parametrize("bad", sorted(NOT_NUMERIC))
-@pytest.mark.parametrize("name", sorted(STATE_INPUTS))
+@pytest.mark.parametrize("name", sorted(STATE_INPUTS) + sorted(RADII_INPUTS))
 def test_state_input_must_be_numeric(name, bad):
     """Input that is no numeric array is bad input, whatever numpy says."""
     with pytest.raises(InputError, match="expected a numeric array"):
-        STATE_INPUTS[name](NOT_NUMERIC[bad])
+        {**STATE_INPUTS, **RADII_INPUTS}[name](NOT_NUMERIC[bad])
 
 
 PARAMS = channels.GadcParams(alpha=0.6, w0=0.8, gamma_rate=1.3)
