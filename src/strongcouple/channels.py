@@ -19,7 +19,11 @@ it takes ``times`` of any shape, a scalar included, and returns
 :mod:`strongcouple.spectra`: their output is positive by construction
 and is checked for Hermiticity and unit trace only, while
 :func:`apply_channel` runs the full density check on the states it
-takes. No builder diagonalizes its own output.
+takes. No builder diagonalizes its own output. Each public builder
+checks its own output once; a composite builder is assembled from
+unchecked private helpers, so the initial states inside
+:func:`joint_initial_state` and :func:`joint_states` are not checked a
+second time.
 
 Two joint-state families
 ------------------------
@@ -187,7 +191,7 @@ def _probability(p) -> np.ndarray:
     Written so that a NaN entry fails the check too.
     """
     p = np.asarray(p, dtype=float)
-    if not np.all((0.0 <= p) & (p <= 1.0)):
+    if not ((0.0 <= p) & (p <= 1.0)).all():
         raise InputError(f"p must lie in [0, 1], got {p}")
     return p
 
@@ -289,21 +293,41 @@ def apply_channel(channel: KrausChannel, states) -> np.ndarray:
     return unit_trace_stack(sum(k @ m @ k.conj().T for k in channel.operators))
 
 
+def _system_initial_matrix(params: GadcParams) -> np.ndarray:
+    """Matrix of :func:`system_initial_state`, unchecked."""
+    psi = np.array([params.alpha, params.beta_amp], dtype=complex)
+    return np.outer(psi, psi.conj())
+
+
+def _environment_initial_matrix(params: GadcParams) -> np.ndarray:
+    """Matrix of :func:`environment_initial_state`, unchecked."""
+    return np.diag([params.w0, params.w1]).astype(complex)
+
+
+def _joint_initial_matrix(params: GadcParams) -> np.ndarray:
+    """Matrix of :func:`joint_initial_state`, unchecked.
+
+    The entries ``s[i, k] e[j, l]`` at row ``2 i + j``, column ``2 k + l``:
+    the products ``numpy.kron`` forms, without its dispatch.
+    """
+    s = _system_initial_matrix(params)
+    e = _environment_initial_matrix(params)
+    return (s[:, None, :, None] * e[None, :, None, :]).reshape(4, 4)
+
+
 def system_initial_state(params: GadcParams) -> np.ndarray:
     """Pure initial system state ``alpha |g> + sqrt(1 - alpha^2) |e>``."""
-    psi = np.array([params.alpha, params.beta_amp], dtype=complex)
-    return unit_trace_stack(np.outer(psi, psi.conj()))
+    return unit_trace_stack(_system_initial_matrix(params))
 
 
 def environment_initial_state(params: GadcParams) -> np.ndarray:
     """Thermal initial environment state ``diag(w0, w1)``."""
-    return unit_trace_stack(np.diag([params.w0, params.w1]).astype(complex))
+    return unit_trace_stack(_environment_initial_matrix(params))
 
 
 def joint_initial_state(params: GadcParams) -> np.ndarray:
     """Product of the initial system and environment states."""
-    return unit_trace_stack(np.kron(system_initial_state(params),
-                                    environment_initial_state(params)))
+    return unit_trace_stack(_joint_initial_matrix(params))
 
 
 def _decay(params: GadcParams, times):
@@ -314,8 +338,8 @@ def _decay(params: GadcParams, times):
     """
     t = np.asarray(times, dtype=float)
     # written so that a NaN time fails too; t = inf is the thermal limit
-    if not np.all(t >= 0.0):
-        raise InputError(f"time must be nonnegative, got {float(np.min(t))}")
+    if not (t >= 0.0).all():
+        raise InputError(f"time must be nonnegative, got {float(t.min())}")
     x = -params.gamma_rate * t
     return np.exp(x), -np.expm1(x)
 
@@ -349,9 +373,14 @@ def _qubit_matrices(params: GadcParams, keep, lose) -> np.ndarray:
 
 
 def _dilated_matrices(params: GadcParams, p) -> np.ndarray:
-    """Initial product state conjugated with :func:`gadc_unitary` at ``p``."""
+    """Initial product state conjugated with :func:`gadc_unitary` at ``p``.
+
+    Unchecked: :func:`joint_states` checks the result as a builder, and
+    :func:`system_state_from_dilation` hands it to
+    :func:`~strongcouple.spectra.partial_trace`, which checks its input.
+    """
     u = gadc_unitary(p)
-    return u @ joint_initial_state(params) @ u.conj().swapaxes(-1, -2)
+    return u @ _joint_initial_matrix(params) @ u.conj().swapaxes(-1, -2)
 
 
 def _closed_form_joint_matrices(params: GadcParams, g, d) -> np.ndarray:
@@ -451,8 +480,8 @@ def _bloch(params: GadcParams, times, keep_is_decay: bool) -> BlochSeries:
     z = z0 + z1 * g
     x2 = np.maximum(c0 + c1 * g, 0.0)
     radius = np.sqrt(z * z + x2)
-    if np.any(radius > 1.0 - 2.0 * PSD_FLOOR):
-        worst = float(np.max(radius))
+    if (radius > 1.0 - 2.0 * PSD_FLOOR).any():
+        worst = float(radius.max())
         raise InputError(f"Bloch radius {worst:.15g} exceeds one by more "
                          f"than {-2.0 * PSD_FLOOR:.0e}; not a density operator")
     return BlochSeries(times=times, decay=g, coefficients=coefficients,
@@ -570,15 +599,17 @@ def joint_negativities_closed_form(params: GadcParams, times) -> np.ndarray:
     #                         + r (w0 - w1) nu - r^2,  r = u D / sigma
     r = v / sigma
     re, rr, s2 = r * (w0 - w1), r * r, sigma * sigma
+    # the derivative's constant coefficients, formed once
+    s2_4, sigma_3, c2_2 = 4.0 * s2, 3.0 * sigma, 2.0 * c2
     nu = np.full_like(v, -1.0)
     step = nu
     for _ in range(_NEGATIVITY_NEWTON_STEPS):
         step = ((((s2 * nu - sigma) * nu + c2) * nu + re) * nu - rr) \
-            / (((4.0 * s2 * nu - 3.0 * sigma) * nu + 2.0 * c2) * nu + re)
+            / (((s2_4 * nu - sigma_3) * nu + c2_2) * nu + re)
         nu -= step
     last = np.abs(step / nu)
     # written so that a NaN step trips the gate too
-    if not np.all(last <= NEGATIVITY_NEWTON_TOL):
+    if not (last <= NEGATIVITY_NEWTON_TOL).all():
         worst = int(np.argmax(np.nan_to_num(last, nan=np.inf)))
         raise NumericalError(
             f"negativity Newton convergence: last step {last[worst]:.3e} "

@@ -32,7 +32,7 @@ the tests check that ``S_se`` is constant.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,14 +133,15 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     thermo_s = qubit_thermo_trajectory(bloch_s)
     thermo_e = qubit_thermo_trajectory(bloch_e)
 
-    work_max = max(float(np.max(np.abs(thermo_s.work))),
-                   float(np.max(np.abs(thermo_e.work))))
+    work_s = float(abs(thermo_s.work).max())
+    work_e = float(abs(thermo_e.work).max())
+    work_max = max(work_s, work_e)
     if work_max > WORK_STATIC_TOL:
         raise NumericalError(
             f"work {work_max:.3e} on a static Hamiltonian exceeds "
             f"{WORK_STATIC_TOL:.0e}")
-    balance = float(np.max(np.abs(thermo_s.internal_energy_change
-                                  + thermo_e.internal_energy_change)))
+    balance = float(abs(thermo_s.internal_energy_change
+                        + thermo_e.internal_energy_change).max())
     if balance > ENERGY_BALANCE_TOL:
         raise NumericalError(
             f"system plus environment energy change {balance:.3e} exceeds "
@@ -179,15 +180,15 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     diagnostics = {
         "closure_system_max": thermo_s.max_closure_residual,
         "closure_environment_max": thermo_e.max_closure_residual,
-        "work_system_max_abs": float(np.max(np.abs(thermo_s.work))),
-        "work_environment_max_abs": float(np.max(np.abs(thermo_e.work))),
+        "work_system_max_abs": work_s,
+        "work_environment_max_abs": work_e,
         "energy_balance_max": balance,
         "heat_system_final": float(thermo_s.heat[-1]),
         "heat_environment_final": float(thermo_e.heat[-1]),
-        "heat_asymmetry_max": float(np.max(asym)),
+        "heat_asymmetry_max": float(asym.max()),
         "joint_entropy_unitary_family": ent_joint,
         "entropy_drift_closed_form_family": float(
-            np.max(np.abs(drift_closed - drift_closed[0]))),
+            abs(drift_closed - drift_closed[0]).max()),
         "negativity_peak": float(neg[peak_idx]),
         "negativity_peak_time": float(times[peak_idx]),
         "negativity_final": float(neg[-1]),
@@ -195,8 +196,8 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             _count_peaks(neg, _NEGATIVITY_PEAK_FLOOR)),
         "negativity_unitary_family_final": float(negativities(
             ch.joint_states(params, times[-1]))),
-        "entropy_rate_system_max": float(np.max(np.abs(rate_s))),
-        "entropy_rate_mismatch_max": float(np.max(np.abs(rate_s + rate_e))),
+        "entropy_rate_system_max": float(abs(rate_s).max()),
+        "entropy_rate_mismatch_max": float(abs(rate_s + rate_e).max()),
     }
     try:
         report = proportionality_report(asym, neg)
@@ -245,7 +246,10 @@ def sweep(configs) -> list:
         raise InputError("sweep needs at least one configuration")
     rows = []
     for config in configs:
-        base = asdict(config)
+        # the config's fields, read directly: asdict deep-copies each row
+        base = {"alpha": config.alpha, "beta": config.beta,
+                "gamma": config.gamma, "t_max": config.t_max,
+                "n_samples": config.n_samples}
         try:
             result = run(config)
         except (InputError, NumericalError) as exc:
@@ -260,7 +264,7 @@ def sweep(configs) -> list:
             heat_system_final=d["heat_system_final"],
             heat_environment_final=d["heat_environment_final"],
             coherent_energy_max_abs=float(
-                np.max(np.abs(result.thermo_s.coherent_energy))),
+                abs(result.thermo_s.coherent_energy).max()),
             ratio_mean=d["ratio_mean"],
             ratio_max_relative_spread=d["ratio_max_relative_spread"]))
     return rows

@@ -97,7 +97,7 @@ class ThermoTrajectory:
 
     @property
     def max_closure_residual(self) -> float:
-        return float(np.max(self.closure_residual))
+        return float(self.closure_residual.max())
 
 
 def _track(eigenvalues, eigenvectors, times):
@@ -144,7 +144,7 @@ def _check_grid(times) -> np.ndarray:
         raise InputError(f"times must be a numeric 1-d grid: {exc}") from exc
     if times.ndim != 1 or times.size < 2:
         raise InputError("times must be a 1-d grid with at least two points")
-    if np.any(np.diff(times) <= 0.0):
+    if (np.diff(times) <= 0.0).any():
         raise InputError("times must be strictly increasing")
     return times
 

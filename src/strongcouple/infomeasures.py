@@ -96,8 +96,8 @@ def negativities(joints) -> np.ndarray:
     lam = np.linalg.eigvalsh(pt)
     from_trace_norm = 0.5 * (np.sum(np.abs(lam), axis=-1) - 1.0)
     from_eigenvalues = np.sum(np.where(lam < 0.0, -lam, 0.0), axis=-1)
-    gap = np.abs(from_trace_norm - from_eigenvalues)
-    if np.any(gap > _NEGATIVITY_ROUTE_TOL):
+    gap = abs(from_trace_norm - from_eigenvalues)
+    if (gap > _NEGATIVITY_ROUTE_TOL).any():
         worst = np.argmax(gap)
         raise NumericalError(
             f"negativity routes disagree by {gap.flat[worst]:.3e} "
@@ -153,7 +153,7 @@ def proportionality_report(numerator, denominator) -> ProportionalityReport:
     mean = float(np.mean(ratio))
     if mean == 0.0:
         raise InputError("mean ratio is zero; spread is undefined")
-    spread = float(np.max(np.abs(ratio - mean)) / abs(mean))
+    spread = float(abs(ratio - mean).max() / abs(mean))
     return ProportionalityReport(mask_count=count, ratio_mean=mean,
                                  max_relative_spread=spread)
 

@@ -15,7 +15,9 @@ Each state is checked once, by one rule:
   positive state, or a partial trace of one.
 * A consumer, a function that takes states, runs the full check on its
   input: :func:`density_stack`, or :func:`density_eigh` where it needs
-  the eigenvectors too.
+  the eigenvectors too. :func:`partial_trace` halves the eigenvalue
+  floor for its input, so that its output, which it checks as a
+  builder, clears the floor too.
 
 The eigenvalue floor ``PSD_FLOOR`` is one check, :func:`check_spectrum`,
 on the smallest eigenvalue of each state; the entropy measures of
@@ -67,7 +69,7 @@ def hermitian_stack(matrices) -> np.ndarray:
     if not np.isfinite(m).all():
         raise InputError("matrix has non-finite entries")
     adjoint = m.conj().swapaxes(-1, -2)
-    dev = float(np.max(np.abs(m - adjoint)))
+    dev = float(abs(m - adjoint).max())
     if dev > HERMITICITY_TOL:
         raise InputError(
             f"matrix is not Hermitian, max |M - M^+| = {dev:.3e} "
@@ -80,8 +82,8 @@ def check_unit_traces(tr) -> None:
 
     To within ``TRACE_TOL``; raises :class:`InputError` naming the worst.
     """
-    dev = np.abs(tr - 1.0)
-    if np.any(dev > TRACE_TOL):
+    dev = abs(tr - 1.0)
+    if (dev > TRACE_TOL).any():
         worst = tr.flat[np.argmax(dev)]
         raise InputError(
             f"trace {worst.real:.15g} differs from 1 by more than {TRACE_TOL:.0e}")
@@ -91,9 +93,12 @@ def check_spectrum(lowest) -> None:
     """Every entry of ``lowest``, the smallest eigenvalue of each state of
     a stack, lies above ``PSD_FLOOR``; raises :class:`InputError` naming
     the worst.
+
+    ``lowest`` is a numpy array or a numpy scalar, as eigensolves and
+    their indexing return.
     """
-    if np.any(lowest < PSD_FLOOR):
-        raise InputError(f"eigenvalue {np.min(lowest):.3e} below "
+    if (lowest < PSD_FLOOR).any():
+        raise InputError(f"eigenvalue {lowest.min():.3e} below "
                          f"{PSD_FLOOR:.0e}; not a density operator")
 
 
@@ -236,14 +241,23 @@ def partial_trace(states, keep: int) -> np.ndarray:
     """Trace out one qubit of a ``(..., 4, 4)`` stack of two-qubit states.
 
     ``keep`` is 0 to keep the first qubit and 1 to keep the second. The
-    input is validated with :func:`density_stack`; the ``(..., 2, 2)``
-    result is positive by construction and checked with
+    input is validated as by :func:`density_stack`, with the eigenvalue
+    floor halved: a marginal's lowest eigenvalue is bounded below only by
+    the traced-out dimension, 2, times the input's, so an input above
+    ``PSD_FLOOR / 2`` has a marginal above ``PSD_FLOOR``. The ``(..., 2,
+    2)`` result is positive by construction and checked with
     :func:`unit_trace_stack`.
     """
-    m = density_stack(states)
+    m = unit_trace_stack(states)
     _two_qubit(m)
     if keep not in (0, 1):
         raise InputError(f"keep must be 0 or 1, got {keep!r}")
+    lowest = np.linalg.eigvalsh(m)[..., 0]
+    if (2.0 * lowest < PSD_FLOOR).any():
+        raise InputError(
+            f"eigenvalue {lowest.min():.3e} below {PSD_FLOOR / 2.0:.0e}, the "
+            f"floor {PSD_FLOOR:.0e} over the traced-out dimension 2; its "
+            f"marginal may not be a density operator")
     r = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
     return unit_trace_stack(np.einsum("...ikjk->...ij", r) if keep == 0
                             else np.einsum("...kikj->...ij", r))

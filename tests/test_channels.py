@@ -218,6 +218,29 @@ class TestJointFamilies:
             ref = joint_states_closed_form(pr, t)
             assert np.max(np.abs(direct - ref)) < 1e-14
 
+    def test_builders_are_the_textbook_products_bitwise(self, rng):
+        # the product state is formed without numpy.kron and the dilated
+        # state from the unchecked product: both give the bits of the
+        # plain constructions, at the edges p in {0, 1} and alpha in
+        # {0, 1} and at random interior points
+        cases = [(alpha, w0, p) for alpha in (0.0, 1.0)
+                 for w0 in (0.0, 0.3, 1.0) for p in (0.0, 1.0)]
+        cases += [tuple(rng.uniform(0.0, 1.0, 3)) for _ in range(100)]
+        cases += [(float(rng.uniform(0.0, 1.0)), 0.6, p) for p in (0.0, 1.0)]
+        cases += [(alpha, float(rng.uniform(0.0, 1.0)), 0.4)
+                  for alpha in (0.0, 1.0)]
+        for alpha, w0, p in cases:
+            pr = GadcParams(alpha=float(alpha), w0=float(w0), gamma_rate=1.7)
+            rho0 = np.kron(system_initial_state(pr),
+                           environment_initial_state(pr))
+            assert np.array_equal(joint_initial_state(pr), rho0)
+            t = math.inf if p == 1.0 else -math.log1p(-p) / pr.gamma_rate
+            # the decay probability as joint_states forms it from t
+            u = gadc_unitary(-np.expm1(-pr.gamma_rate * np.asarray(t)))
+            m = u @ rho0 @ u.conj().T
+            # the builder returns the Hermitian average of its matrix
+            assert np.array_equal(joint_states(pr, t), (m + m.conj().T) / 2)
+
     def test_families_share_diagonal(self):
         pr = default_params()
         a = joint_states(pr, 1.3)

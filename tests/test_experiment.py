@@ -158,10 +158,33 @@ class TestRun:
         assert result.diagnostics["closure_system_max"] <= 1e-12
         assert len(calls) <= 4, calls
 
+    def test_check_budget(self, monkeypatch):
+        # each single-instant state (the closed-form family at the peak,
+        # the unitary family at t_max) passes the Hermiticity check twice:
+        # once as its builder's output, once at the entry of negativities;
+        # the initial states inside the builder are not checked again
+        calls = []
+        original = spectra.hermitian_stack
+
+        def counting(matrices):
+            calls.append(np.shape(matrices))
+            return original(matrices)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("run() must not call numpy.kron")
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("strongcouple.")
+                    and getattr(module, "hermitian_stack", None) is original):
+                monkeypatch.setattr(module, "hermitian_stack", counting)
+        monkeypatch.setattr(np, "kron", forbidden)
+        run(ExperimentConfig())
+        assert len(calls) <= 4, calls
+
     def test_marginals_not_validated_as_stacks(self, monkeypatch):
         # the marginals enter a run as closed-form populations; only
-        # single matrices (the Hamiltonian, the states at the negativity
-        # peak and at t_max) pass through the Hermiticity check
+        # single matrices (the states at the negativity peak and at
+        # t_max) pass through the Hermiticity check
         shapes = []
         original = spectra.hermitian_stack
 

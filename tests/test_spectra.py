@@ -5,10 +5,10 @@ import pytest
 
 from strongcouple.channels import GadcParams, joint_initial_state
 from strongcouple.errors import InputError
-from strongcouple.spectra import (DensityOperator, HermitianOperator,
-                                  density_stack, eig_hermitian,
-                                  partial_trace, partial_transpose_stack,
-                                  unit_trace_stack)
+from strongcouple.spectra import (PSD_FLOOR, DensityOperator,
+                                  HermitianOperator, density_stack,
+                                  eig_hermitian, partial_trace,
+                                  partial_transpose_stack, unit_trace_stack)
 
 BELL = 0.5 * np.array([[1, 0, 0, 1],
                        [0, 0, 0, 0],
@@ -159,6 +159,25 @@ class TestTensorAndTraces:
         for keep in (0, 1):
             red = partial_trace(BELL, keep=keep)
             assert np.max(np.abs(red - 0.5 * np.eye(2))) < 1e-14
+
+    def test_partial_trace_floor_covers_the_marginal(self):
+        # a marginal's lowest eigenvalue is bounded only by twice the
+        # input's, so the input floor is PSD_FLOOR / 2: this input clears
+        # PSD_FLOOR itself, but its first marginal has eigenvalue -1.8e-10
+        state = np.diag([-0.9e-10, -0.9e-10, 0.5, 0.5 + 1.8e-10])
+        assert np.linalg.eigvalsh(state)[0] > PSD_FLOOR
+        marginal = np.diag([-1.8e-10, 1.0 + 1.8e-10])
+        with pytest.raises(InputError, match="eigenvalue"):
+            density_stack(marginal)
+        for keep in (0, 1):
+            with pytest.raises(InputError, match=(
+                    r"eigenvalue -9\.000e-11 below -5e-11, the floor -1e-10 "
+                    r"over the traced-out dimension 2")):
+                partial_trace(state, keep=keep)
+        # just above the halved floor, both marginals are density operators
+        state = np.diag([-0.49e-10, -0.49e-10, 0.5, 0.5 + 0.98e-10])
+        for keep in (0, 1):
+            density_stack(partial_trace(state, keep=keep))
 
     def test_partial_trace_keep_validation(self):
         with pytest.raises(InputError):
