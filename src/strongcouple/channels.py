@@ -74,6 +74,17 @@ characteristic quartic whose coefficients depend on ``g`` only through
 negativity from the quartic's one negative root by Newton's method.
 :func:`joint_states_closed_form` stays as the eigensolve route that
 ``validate`` and the tests compare it against.
+
+Blocks of parameter sets
+------------------------
+A sweep evaluates parameter sets that share a grid as one block. The
+private :class:`_Columns` holds the numbers of ``R`` sets as ``(R, 1)``
+columns, and with ``(R, T)`` times the decay factor, the Bloch series,
+the joint radii and negativities and the two joint-state builders
+broadcast over the rows. The private forms :func:`_bloch`,
+:func:`_joint_radii` and :func:`_joint_negativities` take the decay
+pair ``g, d`` of :func:`_decay`, so that a block evaluates it once; each
+public function is its private form applied to ``_decay`` of its times.
 """
 
 from __future__ import annotations
@@ -154,6 +165,49 @@ class GadcParams:
             raise InputError(f"beta must be positive, got {beta}")
         w0 = 1.0 / (1.0 + math.exp(-beta)) if math.isfinite(beta) else 1.0
         return cls(alpha=alpha, w0=w0, gamma_rate=gamma_rate)
+
+
+class _Columns(NamedTuple):
+    """The numbers of :class:`GadcParams` that the closed forms read.
+
+    Floats for one parameter set, or ``(R, 1)`` columns for a block of
+    ``R`` sets, which broadcast against ``(R, T)`` times. Every entry is
+    computed from its own set in float arithmetic, so a row of a block
+    equals that set alone bit for bit. The squares are stored because
+    ``x ** 2`` of a float and of an array can differ in the last place.
+    """
+
+    alpha: float
+    alpha_sq: float
+    beta_amp: float
+    w0: float
+    w1: float
+    gamma_rate: float
+    # (w0 - w1) ** 2
+    bias_sq: float
+
+
+def _row_numbers(params: GadcParams) -> _Columns:
+    """The :class:`_Columns` of one parameter set, as floats."""
+    return _Columns(params.alpha, params.alpha ** 2, params.beta_amp,
+                    params.w0, params.w1, params.gamma_rate,
+                    (params.w0 - params.w1) ** 2)
+
+
+def _columns(params) -> _Columns:
+    """``params`` as :class:`_Columns`; columns pass through.
+
+    A :class:`GadcParams`, or a sequence of one, gives floats, which
+    broadcast like one row; a longer sequence gives ``(R, 1)`` columns.
+    """
+    if isinstance(params, _Columns):
+        return params
+    if isinstance(params, GadcParams):
+        return _row_numbers(params)
+    if len(params) == 1:
+        return _row_numbers(params[0])
+    table = np.array([_row_numbers(p) for p in params])
+    return _Columns(*table.T.copy()[:, :, None])
 
 
 @dataclass(frozen=True)
@@ -293,18 +347,28 @@ def apply_channel(channel: KrausChannel, states) -> np.ndarray:
     return unit_trace_stack(sum(k @ m @ k.conj().T for k in channel.operators))
 
 
-def _system_initial_matrix(params: GadcParams) -> np.ndarray:
-    """Matrix of :func:`system_initial_state`, unchecked."""
-    psi = np.array([params.alpha, params.beta_amp], dtype=complex)
-    return np.outer(psi, psi.conj())
+def _system_initial_matrix(params) -> np.ndarray:
+    """Matrix of :func:`system_initial_state`, unchecked.
+
+    ``params`` is a :class:`GadcParams` or :class:`_Columns`; columns
+    give a stack of shape ``np.shape(params.alpha) + (2, 2)``, and so do
+    the other initial matrices.
+    """
+    psi = np.empty(np.shape(params.alpha) + (2,), dtype=complex)
+    psi[..., 0] = params.alpha
+    psi[..., 1] = params.beta_amp
+    return psi[..., :, None] * psi.conj()[..., None, :]
 
 
-def _environment_initial_matrix(params: GadcParams) -> np.ndarray:
+def _environment_initial_matrix(params) -> np.ndarray:
     """Matrix of :func:`environment_initial_state`, unchecked."""
-    return np.diag([params.w0, params.w1]).astype(complex)
+    m = np.zeros(np.shape(params.w0) + (2, 2), dtype=complex)
+    m[..., 0, 0] = params.w0
+    m[..., 1, 1] = params.w1
+    return m
 
 
-def _joint_initial_matrix(params: GadcParams) -> np.ndarray:
+def _joint_initial_matrix(params) -> np.ndarray:
     """Matrix of :func:`joint_initial_state`, unchecked.
 
     The entries ``s[i, k] e[j, l]`` at row ``2 i + j``, column ``2 k + l``:
@@ -312,7 +376,8 @@ def _joint_initial_matrix(params: GadcParams) -> np.ndarray:
     """
     s = _system_initial_matrix(params)
     e = _environment_initial_matrix(params)
-    return (s[:, None, :, None] * e[None, :, None, :]).reshape(4, 4)
+    return (s[..., :, None, :, None] * e[..., None, :, None, :]).reshape(
+        s.shape[:-2] + (4, 4))
 
 
 def system_initial_state(params: GadcParams) -> np.ndarray:
@@ -330,7 +395,7 @@ def joint_initial_state(params: GadcParams) -> np.ndarray:
     return unit_trace_stack(_joint_initial_matrix(params))
 
 
-def _decay(params: GadcParams, times):
+def _decay(params, times):
     """``gamma = exp(-gamma_rate t)`` and ``delta = 1 - gamma`` at ``times``.
 
     ``delta`` is taken as ``-expm1(-gamma_rate t)``, which keeps its
@@ -344,21 +409,22 @@ def _decay(params: GadcParams, times):
     return np.exp(x), -np.expm1(x)
 
 
-def _qubit_populations(params: GadcParams, keep, lose) -> np.ndarray:
+def _qubit_populations(params, keep, lose) -> np.ndarray:
     """Ground and excited populations of :func:`_qubit_matrices`.
 
     Real, of shape ``np.shape(keep) + (2,)``.
     """
-    a2 = params.alpha ** 2
+    c = _columns(params)
+    a2 = c.alpha_sq
     b2 = 1.0 - a2
-    w0, w1 = params.w0, params.w1
+    w0, w1 = c.w0, c.w1
     pops = np.empty(np.shape(keep) + (2,))
     pops[..., 0] = (a2 + b2 * lose) * w0 + a2 * keep * w1
     pops[..., 1] = b2 * keep * w0 + (b2 + a2 * lose) * w1
     return pops
 
 
-def _qubit_matrices(params: GadcParams, keep, lose) -> np.ndarray:
+def _qubit_matrices(params, keep, lose) -> np.ndarray:
     """Closed-form marginal whose coherence decays as ``sqrt(keep)``.
 
     ``keep, lose = gamma, delta`` gives the system state and the exchanged
@@ -372,7 +438,7 @@ def _qubit_matrices(params: GadcParams, keep, lose) -> np.ndarray:
     return m
 
 
-def _dilated_matrices(params: GadcParams, p) -> np.ndarray:
+def _dilated_matrices(params, p) -> np.ndarray:
     """Initial product state conjugated with :func:`gadc_unitary` at ``p``.
 
     Unchecked: :func:`joint_states` checks the result as a builder, and
@@ -383,7 +449,7 @@ def _dilated_matrices(params: GadcParams, p) -> np.ndarray:
     return u @ _joint_initial_matrix(params) @ u.conj().swapaxes(-1, -2)
 
 
-def _closed_form_joint_matrices(params: GadcParams, g, d) -> np.ndarray:
+def _closed_form_joint_matrices(params, g, d) -> np.ndarray:
     """Matrices of :func:`joint_states_closed_form`, entry by entry."""
     sg, sd = np.sqrt(g), np.sqrt(d)
     a = params.alpha
@@ -451,28 +517,28 @@ class BlochSeries(NamedTuple):
     populations: np.ndarray
 
 
-def _bloch(params: GadcParams, times, keep_is_decay: bool) -> BlochSeries:
+def _bloch(params, times, g, d, keep_is_decay: bool) -> BlochSeries:
     """Bloch series of the marginal whose coherence decays as ``sqrt(keep)``.
 
-    For the populations of :func:`_qubit_populations` and the coherence of
+    ``g, d`` are :func:`_decay` at ``times``. For the populations of
+    :func:`_qubit_populations` and the coherence of
     :func:`_qubit_matrices`, ``rho_gg - rho_ee =
     (w0 - w1) - 2 keep (b^2 w0 - a^2 w1)`` and ``(2 rho_ge)^2 = 4 a^2 b^2
     keep``. The state is positive when ``radius <= 1 - 2 PSD_FLOOR``, the
     eigenvalue floor of :func:`~strongcouple.spectra.density_stack`.
     """
-    times = np.asarray(times, dtype=float)
-    g, d = _decay(params, times)
-    a2 = params.alpha ** 2
+    c = _columns(params)
+    a2 = c.alpha_sq
     b2 = 1.0 - a2
-    lead = params.w0 - params.w1
-    slope = -2.0 * (b2 * params.w0 - a2 * params.w1)
+    lead = c.w0 - c.w1
+    slope = -2.0 * (b2 * c.w0 - a2 * c.w1)
     coh = 4.0 * a2 * b2
     if keep_is_decay:
         coefficients = (lead, slope, 0.0, coh)
-        pops = _qubit_populations(params, g, d)
+        pops = _qubit_populations(c, g, d)
     else:
         coefficients = (lead + slope, -slope, coh, -coh)
-        pops = _qubit_populations(params, d, g)
+        pops = _qubit_populations(c, d, g)
     if not np.isfinite(pops).all():
         raise InputError("populations have non-finite entries")
     check_unit_traces(pops.sum(axis=-1))
@@ -493,7 +559,8 @@ def system_bloch(params: GadcParams, times) -> BlochSeries:
 
     ``z = (w0 - w1) - 2 (b^2 w0 - a^2 w1) g`` and ``x^2 = 4 a^2 b^2 g``.
     """
-    return _bloch(params, times, keep_is_decay=True)
+    times = np.asarray(times, dtype=float)
+    return _bloch(params, times, *_decay(params, times), keep_is_decay=True)
 
 
 def environment_bloch(params: GadcParams, times) -> BlochSeries:
@@ -501,7 +568,8 @@ def environment_bloch(params: GadcParams, times) -> BlochSeries:
 
     The system's lines with ``g`` replaced by ``1 - g``.
     """
-    return _bloch(params, times, keep_is_decay=False)
+    times = np.asarray(times, dtype=float)
+    return _bloch(params, times, *_decay(params, times), keep_is_decay=False)
 
 
 def joint_states(params: GadcParams, times) -> np.ndarray:
@@ -554,10 +622,14 @@ def joint_radii_closed_form(params: GadcParams, times) -> np.ndarray:
     w1 g d)``, that is ``(1 +- R)/2`` with ``R^2 = (w0 - w1)^2 + 16 a^2
     b^2 w0 w1 g d``. Returns ``R`` at every time.
     """
-    g, d = _decay(params, times)
-    a2 = params.alpha ** 2
-    w0, w1 = params.w0, params.w1
-    return np.sqrt((w0 - w1) ** 2 + 16.0 * a2 * (1.0 - a2) * w0 * w1 * g * d)
+    return _joint_radii(params, *_decay(params, times))
+
+
+def _joint_radii(params, g, d) -> np.ndarray:
+    """:func:`joint_radii_closed_form` from :func:`_decay`'s ``g, d``."""
+    c = _columns(params)
+    a2 = c.alpha_sq
+    return np.sqrt(c.bias_sq + 16.0 * a2 * (1.0 - a2) * c.w0 * c.w1 * g * d)
 
 
 def joint_negativities_closed_form(params: GadcParams, times) -> np.ndarray:
@@ -585,20 +657,29 @@ def joint_negativities_closed_form(params: GadcParams, times) -> np.ndarray:
     the root, exceeds ``NEGATIVITY_NEWTON_TOL`` at some time.
     """
     times = np.asarray(times, dtype=float)
-    a2 = params.alpha ** 2
-    w0, w1 = params.w0, params.w1
+    return _joint_negativities(params, times, *_decay(params, times))
+
+
+def _joint_negativities(params, times, g, d) -> np.ndarray:
+    """:func:`joint_negativities_closed_form` from :func:`_decay`'s ``g, d``
+    at ``times``, which name the time of a failed step."""
+    c = _columns(params)
+    a2 = c.alpha_sq
+    w0, w1 = c.w0, c.w1
     x, y = a2 * w1, (1.0 - a2) * w0
-    u = np.multiply(*_decay(params, times))
+    u = g * d
     c2 = w0 * w1 - 4.0 * x * y * u
     # u D, with Y - X = w0 - a^2 exactly
     v = u * ((w0 - a2) * (x + y))
     live = v != 0.0
+    # w0 - w1 at each live point, from its row
+    e = np.where(live, w0 - w1, 0.0)[live]
     v, c2 = v[live], c2[live]
-    sigma = _negativity_start(v, c2, w0 - w1)
+    sigma = _negativity_start(v, c2, e)
     # p(sigma nu) / sigma^2 = sigma^2 nu^4 - sigma nu^3 + c2 nu^2
     #                         + r (w0 - w1) nu - r^2,  r = u D / sigma
     r = v / sigma
-    re, rr, s2 = r * (w0 - w1), r * r, sigma * sigma
+    re, rr, s2 = r * e, r * r, sigma * sigma
     # the derivative's constant coefficients, formed once
     s2_4, sigma_3, c2_2 = 4.0 * s2, 3.0 * sigma, 2.0 * c2
     nu = np.full_like(v, -1.0)

@@ -27,6 +27,15 @@ The diagnostics record ``S_se`` and the entropy drift of the closed-form
 family, whose rank-two spectrum is also closed-form
 (:func:`strongcouple.channels.joint_radii_closed_form`); ``validate`` and
 the tests check that ``S_se`` is constant.
+
+Runs are evaluated in blocks, with the configuration as a leading array
+axis. A block holds configurations with one grid length: the parameters
+are ``(R, 1)`` columns, the times an ``(R, T)`` array, and each closed
+form runs once for the block, from one evaluation of the decay factor.
+Only the first-law split runs per row. The spot checks of all rows go
+to one eigensolve call. :func:`run` is a block of one, and
+:func:`sweep` cuts its configurations into blocks of at most
+:data:`BLOCK_POINTS` grid points; both give the same numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -50,6 +59,9 @@ WORK_STATIC_TOL = 1e-12
 ENERGY_BALANCE_TOL = 1e-10
 NEGATIVITY_SPOT_TOL = 1e-10
 _NEGATIVITY_PEAK_FLOOR = 1e-6
+# Grid points a sweep evaluates at once: blocks of 8 rows at 501 points
+# keep the peak memory of a sweep near that of one run of this length
+BLOCK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -110,108 +122,175 @@ class ExperimentResult:
     diagnostics: dict
 
 
-def _count_peaks(values: np.ndarray, floor: float) -> int:
-    inner = values[1:-1]
-    return int(np.count_nonzero(
-        (inner > values[:-2]) & (inner > values[2:]) & (inner > floor)))
+def _count_peaks(values: np.ndarray, floor: float) -> np.ndarray:
+    """Interior local maxima above ``floor`` of each row of ``values``."""
+    inner = values[..., 1:-1]
+    return np.count_nonzero((inner > values[..., :-2])
+                            & (inner > values[..., 2:]) & (inner > floor),
+                            axis=-1)
+
+
+def _rates(values: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """``numpy.gradient`` of each row of ``values`` for its own grid step.
+
+    The step goes in, as a column: the formula for a grid multiplies two
+    steps, which underflows or overflows at extreme horizons. The
+    arithmetic is ``numpy.gradient``'s for a scalar spacing.
+    """
+    out = np.empty_like(values)
+    out[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * step)
+    out[:, :1] = (values[:, 1:2] - values[:, :1]) / step
+    out[:, -1:] = (values[:, -1:] - values[:, -2:-1]) / step
+    return out
+
+
+def _bloch_rows(series: ch.BlochSeries) -> list:
+    """The rows of a block's Bloch series, each with float coefficients."""
+    n = len(series.times)
+    # a coefficient is an (R, 1) column, or a float that every row shares
+    coefficients = zip(*(c.ravel().tolist() if isinstance(c, np.ndarray)
+                         else [c] * n for c in series.coefficients))
+    return [ch.BlochSeries(times=series.times[i], decay=series.decay[i],
+                           coefficients=c, x2=series.x2[i],
+                           radius=series.radius[i],
+                           populations=series.populations[i])
+            for i, c in enumerate(coefficients)]
+
+
+def _stack(trajectories, field: str) -> np.ndarray:
+    return np.array([getattr(t, field) for t in trajectories])
+
+
+def _run_block(configs) -> list:
+    """Run configurations that share ``n_samples`` as one block.
+
+    The parameters are ``(R, 1)`` columns and the grids an ``(R, T)``
+    array, so each closed form is evaluated once for the block. The
+    first-law split runs per row, since its root choice depends on each
+    row's coefficients. Every gate reduces over the whole block, so the
+    block raises where any of its rows would; its message is that of a
+    single run only for a block of one. Returns one
+    :class:`ExperimentResult` per configuration.
+    """
+    params = [config.params for config in configs]
+    cols = ch._columns(params)
+    times = np.array([config.times for config in configs])
+    n = len(configs)
+    g, d = ch._decay(cols, times)
+    bloch_s = ch._bloch(cols, times, g, d, keep_is_decay=True)
+    bloch_e = ch._bloch(cols, times, g, d, keep_is_decay=False)
+
+    thermo_s = [qubit_thermo_trajectory(row) for row in _bloch_rows(bloch_s)]
+    thermo_e = [qubit_thermo_trajectory(row) for row in _bloch_rows(bloch_e)]
+
+    # the system's rows, then the environment's
+    work = abs(_stack(thermo_s + thermo_e, "work")).max(axis=1)
+    work_max = float(work.max())
+    if work_max > WORK_STATIC_TOL:
+        raise NumericalError(
+            f"work {work_max:.3e} on a static Hamiltonian exceeds "
+            f"{WORK_STATIC_TOL:.0e}")
+    balance = abs(_stack(thermo_s, "internal_energy_change")
+                  + _stack(thermo_e, "internal_energy_change")).max(axis=1)
+    if balance.max() > ENERGY_BALANCE_TOL:
+        raise NumericalError(
+            f"system plus environment energy change {balance.max():.3e} "
+            f"exceeds {ENERGY_BALANCE_TOL:.0e}; total energy must be "
+            "conserved")
+
+    asym = heat_asymmetry(_stack(thermo_s, "heat"), _stack(thermo_e, "heat"))
+
+    ent_s = bloch_entropies(bloch_s.radius)
+    ent_e = bloch_entropies(bloch_e.radius)
+    step = times[:, 1:2] - times[:, :1]
+    rate_s = _rates(ent_s, step)
+    rate_e = _rates(ent_e, step)
+    coh_s = np.sqrt(bloch_s.x2)
+    coh_e = np.sqrt(bloch_e.x2)
+    neg = ch._joint_negativities(cols, times, g, d)
+    ent_joint = bloch_entropies(abs(cols.w0 - cols.w1))
+    mutual = ent_s + ent_e - ent_joint
+
+    drift_closed = bloch_entropies(ch._joint_radii(cols, g, d))
+    rows = np.arange(n)
+    peak_idx = np.argmax(neg, axis=1)
+    t_peak = times[rows, peak_idx][:, None]
+    neg_peak = neg[rows, peak_idx]
+    # spot check of the closed form against the eigensolve route, at the
+    # one point where the negativity matters most, in one call with the
+    # unitary family at t_max
+    spot, unitary_final = negativities(np.concatenate([
+        ch.joint_states_closed_form(cols, t_peak),
+        ch.joint_states(cols, times[:, -1:])]))[:, 0].reshape(2, n)
+    gap = abs(spot - neg_peak)
+    if (gap > NEGATIVITY_SPOT_TOL).any():
+        i = int(np.argmax(gap))
+        raise NumericalError(
+            f"negativity routes disagree by {gap[i]:.3e} "
+            f"at the peak t = {t_peak[i, 0]:.6g} (closed form "
+            f"{neg_peak[i]:.6e}, eigensolve {spot[i]:.6e}); bound "
+            f"{NEGATIVITY_SPOT_TOL:.0e}")
+
+    # per-row scalars, as Python floats
+    columns = {
+        "closure_system_max": [t.max_closure_residual for t in thermo_s],
+        "closure_environment_max": [t.max_closure_residual
+                                    for t in thermo_e],
+        "work_system_max_abs": work[:n].tolist(),
+        "work_environment_max_abs": work[n:].tolist(),
+        "energy_balance_max": balance.tolist(),
+        "heat_system_final": [float(t.heat[-1]) for t in thermo_s],
+        "heat_environment_final": [float(t.heat[-1]) for t in thermo_e],
+        "heat_asymmetry_max": asym.max(axis=1).tolist(),
+        "joint_entropy_unitary_family": np.ravel(ent_joint).tolist(),
+        "entropy_drift_closed_form_family": abs(
+            drift_closed - drift_closed[:, :1]).max(axis=1).tolist(),
+        "negativity_peak": neg_peak.tolist(),
+        "negativity_peak_time": t_peak[:, 0].tolist(),
+        "negativity_final": neg[:, -1].tolist(),
+        "negativity_peak_count": _count_peaks(
+            neg, _NEGATIVITY_PEAK_FLOOR).astype(float).tolist(),
+        "negativity_unitary_family_final": unitary_final.tolist(),
+        "entropy_rate_system_max": abs(rate_s).max(axis=1).tolist(),
+        "entropy_rate_mismatch_max": abs(rate_s + rate_e).max(
+            axis=1).tolist(),
+    }
+    results = []
+    for i in range(n):
+        diagnostics = {key: values[i] for key, values in columns.items()}
+        try:
+            report = proportionality_report(asym[i], neg[i])
+            diagnostics["ratio_points"] = float(report.mask_count)
+            diagnostics["ratio_mean"] = report.ratio_mean
+            diagnostics["ratio_max_relative_spread"] = \
+                report.max_relative_spread
+        except InputError:
+            diagnostics["ratio_points"] = 0.0
+            diagnostics["ratio_mean"] = float("nan")
+            diagnostics["ratio_max_relative_spread"] = float("nan")
+        info = InfoSeries(times=times[i], entropy_s=ent_s[i],
+                          entropy_e=ent_e[i], coherence_s=coh_s[i],
+                          coherence_e=coh_e[i], negativity=neg[i],
+                          mutual_information=mutual[i],
+                          heat_asymmetry=asym[i])
+        results.append(ExperimentResult(
+            config=configs[i], params=params[i], times=times[i],
+            thermo_s=thermo_s[i], thermo_e=thermo_e[i], info=info,
+            diagnostics=diagnostics))
+    return results
 
 
 def run(config: ExperimentConfig) -> ExperimentResult:
     """Execute one configured run and verify its invariants.
 
-    Raises :class:`NumericalError` if the static-Hamiltonian work bound,
-    the global energy balance, the first-law closure tolerance, the
+    A run is a block of one (see :func:`sweep`). Raises
+    :class:`NumericalError` if the static-Hamiltonian work bound, the
+    global energy balance, the first-law closure tolerance, the
     convergence of the closed-form negativity, or its agreement with the
     eigensolve at the peak is violated; these are integrity checks, not
     physics outputs.
     """
-    params = config.params
-    times = config.times
-    bloch_s = ch.system_bloch(params, times)
-    bloch_e = ch.environment_bloch(params, times)
-
-    thermo_s = qubit_thermo_trajectory(bloch_s)
-    thermo_e = qubit_thermo_trajectory(bloch_e)
-
-    work_s = float(abs(thermo_s.work).max())
-    work_e = float(abs(thermo_e.work).max())
-    work_max = max(work_s, work_e)
-    if work_max > WORK_STATIC_TOL:
-        raise NumericalError(
-            f"work {work_max:.3e} on a static Hamiltonian exceeds "
-            f"{WORK_STATIC_TOL:.0e}")
-    balance = float(abs(thermo_s.internal_energy_change
-                        + thermo_e.internal_energy_change).max())
-    if balance > ENERGY_BALANCE_TOL:
-        raise NumericalError(
-            f"system plus environment energy change {balance:.3e} exceeds "
-            f"{ENERGY_BALANCE_TOL:.0e}; total energy must be conserved")
-
-    asym = heat_asymmetry(thermo_s.heat, thermo_e.heat)
-
-    ent_s = bloch_entropies(bloch_s.radius)
-    ent_e = bloch_entropies(bloch_e.radius)
-    # the grid is a linspace, so its step goes in: np.gradient's formula
-    # for a grid multiplies two steps, which underflows or overflows at
-    # extreme horizons
-    rate_s = np.gradient(ent_s, times[1] - times[0])
-    rate_e = np.gradient(ent_e, times[1] - times[0])
-    coh_s = np.sqrt(bloch_s.x2)
-    coh_e = np.sqrt(bloch_e.x2)
-    neg = ch.joint_negativities_closed_form(params, times)
-    ent_joint = float(bloch_entropies(abs(params.w0 - params.w1)))
-    info = InfoSeries(times=times, entropy_s=ent_s, entropy_e=ent_e,
-                      coherence_s=coh_s, coherence_e=coh_e, negativity=neg,
-                      mutual_information=ent_s + ent_e - ent_joint,
-                      heat_asymmetry=asym)
-
-    drift_closed = bloch_entropies(ch.joint_radii_closed_form(params, times))
-    peak_idx = int(np.argmax(neg))
-    # spot check of the closed form against the eigensolve route, at the
-    # one point where the negativity matters most
-    spot = float(negativities(
-        ch.joint_states_closed_form(params, times[peak_idx])))
-    if abs(spot - neg[peak_idx]) > NEGATIVITY_SPOT_TOL:
-        raise NumericalError(
-            f"negativity routes disagree by {abs(spot - neg[peak_idx]):.3e} "
-            f"at the peak t = {times[peak_idx]:.6g} (closed form "
-            f"{neg[peak_idx]:.6e}, eigensolve {spot:.6e}); bound "
-            f"{NEGATIVITY_SPOT_TOL:.0e}")
-    diagnostics = {
-        "closure_system_max": thermo_s.max_closure_residual,
-        "closure_environment_max": thermo_e.max_closure_residual,
-        "work_system_max_abs": work_s,
-        "work_environment_max_abs": work_e,
-        "energy_balance_max": balance,
-        "heat_system_final": float(thermo_s.heat[-1]),
-        "heat_environment_final": float(thermo_e.heat[-1]),
-        "heat_asymmetry_max": float(asym.max()),
-        "joint_entropy_unitary_family": ent_joint,
-        "entropy_drift_closed_form_family": float(
-            abs(drift_closed - drift_closed[0]).max()),
-        "negativity_peak": float(neg[peak_idx]),
-        "negativity_peak_time": float(times[peak_idx]),
-        "negativity_final": float(neg[-1]),
-        "negativity_peak_count": float(
-            _count_peaks(neg, _NEGATIVITY_PEAK_FLOOR)),
-        "negativity_unitary_family_final": float(negativities(
-            ch.joint_states(params, times[-1]))),
-        "entropy_rate_system_max": float(abs(rate_s).max()),
-        "entropy_rate_mismatch_max": float(abs(rate_s + rate_e).max()),
-    }
-    try:
-        report = proportionality_report(asym, neg)
-        diagnostics["ratio_points"] = float(report.mask_count)
-        diagnostics["ratio_mean"] = report.ratio_mean
-        diagnostics["ratio_max_relative_spread"] = report.max_relative_spread
-    except InputError:
-        diagnostics["ratio_points"] = 0.0
-        diagnostics["ratio_mean"] = float("nan")
-        diagnostics["ratio_max_relative_spread"] = float("nan")
-
-    return ExperimentResult(config=config, params=params, times=times,
-                            thermo_s=thermo_s, thermo_e=thermo_e, info=info,
-                            diagnostics=diagnostics)
+    return _run_block([config])[0]
 
 
 @dataclass(frozen=True)
@@ -235,36 +314,75 @@ class SweepSummary:
     error: str = ""
 
 
+def _blocks(configs):
+    """Cut ``configs`` into runs of consecutive configurations with one
+    grid length and at most :data:`BLOCK_POINTS` points; a longer grid
+    is a block of one."""
+    block = []
+    for config in configs:
+        n = int(config.n_samples)
+        if block and (n != int(block[0].n_samples)
+                      or (len(block) + 1) * n > BLOCK_POINTS):
+            yield block
+            block = []
+        block.append(config)
+    yield block
+
+
+def _summary(config: ExperimentConfig, outcome) -> SweepSummary:
+    """A sweep row from a result or from the error of a failed run."""
+    # the config's fields, read directly: asdict deep-copies each row
+    base = {"alpha": config.alpha, "beta": config.beta,
+            "gamma": config.gamma, "t_max": config.t_max,
+            "n_samples": config.n_samples}
+    if isinstance(outcome, Exception):
+        return SweepSummary(**base, error=str(outcome))
+    d = outcome.diagnostics
+    return SweepSummary(
+        **base,
+        peak_negativity=d["negativity_peak"],
+        peak_negativity_time=d["negativity_peak_time"],
+        peak_heat_asymmetry=d["heat_asymmetry_max"],
+        heat_system_final=d["heat_system_final"],
+        heat_environment_final=d["heat_environment_final"],
+        coherent_energy_max_abs=float(
+            abs(outcome.thermo_s.coherent_energy).max()),
+        ratio_mean=d["ratio_mean"],
+        ratio_max_relative_spread=d["ratio_max_relative_spread"])
+
+
 def sweep(configs) -> list:
     """Run a sequence of configurations, collecting one summary row each.
 
-    A configuration that fails its integrity checks contributes a row
-    with its error message instead of aborting the remaining runs.
+    Consecutive configurations with equal ``n_samples`` run as one block
+    of at most :data:`BLOCK_POINTS` grid points (a longer grid runs
+    alone), with the configuration as a leading array axis; the rows
+    equal those of :func:`run` bit for bit. A configuration that fails
+    its integrity checks contributes a row with its error message
+    instead of aborting the remaining runs: a block that raises is run
+    again one configuration at a time through :func:`run`, so each
+    failing row holds the message its run raises alone and the other
+    rows keep their values.
     """
     configs = list(configs)
     if not configs:
         raise InputError("sweep needs at least one configuration")
     rows = []
-    for config in configs:
-        # the config's fields, read directly: asdict deep-copies each row
-        base = {"alpha": config.alpha, "beta": config.beta,
-                "gamma": config.gamma, "t_max": config.t_max,
-                "n_samples": config.n_samples}
-        try:
-            result = run(config)
-        except (InputError, NumericalError) as exc:
-            rows.append(SweepSummary(**base, error=str(exc)))
-            continue
-        d = result.diagnostics
-        rows.append(SweepSummary(
-            **base,
-            peak_negativity=d["negativity_peak"],
-            peak_negativity_time=d["negativity_peak_time"],
-            peak_heat_asymmetry=d["heat_asymmetry_max"],
-            heat_system_final=d["heat_system_final"],
-            heat_environment_final=d["heat_environment_final"],
-            coherent_energy_max_abs=float(
-                abs(result.thermo_s.coherent_energy).max()),
-            ratio_mean=d["ratio_mean"],
-            ratio_max_relative_spread=d["ratio_max_relative_spread"]))
+    for block in _blocks(configs):
+        # a block's results are freed before the next block runs
+        rows.extend(map(_summary, block, _outcomes(block)))
     return rows
+
+
+def _outcomes(block) -> list:
+    """The result of each configuration of ``block``, or its error."""
+    try:
+        return _run_block(block)
+    except (InputError, NumericalError):
+        outcomes = []
+        for config in block:
+            try:
+                outcomes.append(run(config))
+            except (InputError, NumericalError) as exc:
+                outcomes.append(exc)
+        return outcomes

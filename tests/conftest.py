@@ -25,32 +25,47 @@ def random_density(rng):
     return make
 
 
-def _tilt(series):
-    """The same series with its z slope off by 1e-3, a wrong coefficient
-    that the closure gate must catch."""
+def _tilt(series, rows):
+    """The same series with its z slope off by 1e-3 on the rows where
+    ``rows`` is true, a wrong coefficient that the closure gate must
+    catch."""
     z0, z1, c0, c1 = series.coefficients
-    return series._replace(coefficients=(z0, z1 + 1e-3, c0, c1))
+    return series._replace(coefficients=(z0, z1 + 1e-3 * rows, c0, c1))
 
 
-@pytest.fixture
-def broken_system_bloch(monkeypatch):
-    """Make every run's system Bloch line disagree with its populations."""
-    original = channels.system_bloch
-    monkeypatch.setattr(channels, "system_bloch",
-                        lambda params, times: _tilt(original(params, times)))
+def _selected_rows(selected, params):
+    """``selected`` of each parameter set of a block's columns, or of the
+    one set a public function was given, in the shape of the columns."""
+    cols = channels._columns(params)
+    flags = [selected(channels.GadcParams(alpha=a, w0=w0, gamma_rate=g))
+             for a, w0, g in zip(np.ravel(cols.alpha).tolist(),
+                                 np.ravel(cols.w0).tolist(),
+                                 np.ravel(cols.gamma_rate).tolist())]
+    return np.reshape(flags, np.shape(cols.alpha))
 
 
 @pytest.fixture
 def break_system_bloch_when(monkeypatch):
-    """Break the system Bloch line only for parameters passing a test."""
+    """Break the system Bloch line only for parameter sets passing a test.
+
+    The test is applied per row, to each parameter set of a block.
+    """
 
     def install(selected):
-        original = channels.system_bloch
+        original = channels._bloch
 
-        def patched(params, times):
-            series = original(params, times)
-            return _tilt(series) if selected(params) else series
+        def patched(params, times, g, d, keep_is_decay):
+            series = original(params, times, g, d, keep_is_decay)
+            if not keep_is_decay:
+                return series
+            return _tilt(series, _selected_rows(selected, params))
 
-        monkeypatch.setattr(channels, "system_bloch", patched)
+        monkeypatch.setattr(channels, "_bloch", patched)
 
     return install
+
+
+@pytest.fixture
+def broken_system_bloch(break_system_bloch_when):
+    """Make every run's system Bloch line disagree with its populations."""
+    break_system_bloch_when(lambda params: True)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from strongcouple.cli import _write_csv, main
+from strongcouple.errors import NumericalError
+from strongcouple.experiment import ExperimentConfig, run
 
 QUICK = {"t_max": 2.0, "n_samples": 401}
 
@@ -212,16 +214,25 @@ class TestSweepCommand:
 
     def test_partial_failure_still_succeeds(self, tmp_path,
                                             break_system_bloch_when):
+        # both rows share a grid, so they run as one block
         grid = write_json(tmp_path / "grid.json",
                           {"alpha": [0.5], "gamma": [1.0, 40.0],
                            "t_max": 2.0, "n_samples": 401})
+        clean = tmp_path / "clean"
+        assert main(["sweep", "--grid", grid, "--out", str(clean)]) == 0
         out = tmp_path / "sw"
         # a wrong Bloch line on the gamma = 40 row fails its closure gate
         break_system_bloch_when(lambda params: params.gamma_rate == 40.0)
         assert main(["sweep", "--grid", grid, "--out", str(out)]) == 0
         rows = (out / "summary.csv").read_text().splitlines()[1:]
         assert len(rows) == 2
-        assert "closure" in rows[1]
+        # the passing row is the clean sweep's, field for field
+        assert rows[0] == (clean / "summary.csv").read_text().splitlines()[1]
+        # the failing row holds the message its run raises alone
+        with pytest.raises(NumericalError, match="closure") as failure:
+            run(ExperimentConfig(alpha=0.5, gamma=40.0, t_max=2.0,
+                                 n_samples=401))
+        assert rows[1].split(",")[-1] == str(failure.value).replace(",", ";")
 
     def test_conflicting_horizons(self, tmp_path):
         grid = write_json(tmp_path / "grid.json",

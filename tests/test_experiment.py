@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,9 +12,16 @@ import pytest
 from strongcouple import channels as ch
 from strongcouple import spectra
 from strongcouple.errors import InputError, NumericalError
-from strongcouple.experiment import ExperimentConfig, run, sweep
+from strongcouple.experiment import (BLOCK_POINTS, ExperimentConfig, _blocks,
+                                     _rates, run, sweep)
 from strongcouple.infomeasures import bloch_entropies, von_neumann_entropies
 from strongcouple.validation import markov_convergence
+
+
+def _bits(row):
+    """The fields of a sweep row, floats by their bits."""
+    return tuple(v.hex() if isinstance(v, float) else v
+                 for v in dataclasses.astuple(row))
 
 
 @pytest.fixture(scope="module")
@@ -135,34 +143,35 @@ class TestRun:
 
     def test_no_eigh(self, monkeypatch):
         # neither marginal is diagonalized, and the negativity series is
-        # a closed form: only single states (the spot check at the peak,
-        # the unitary family at t_max) see an eigensolve, two each: the
-        # entry check of negativities and its partial transpose. The
-        # builders of those states are positive by construction and do
-        # not diagonalize their output.
+        # a closed form: only the two single-instant states of each
+        # configuration (the spot check at the peak, the unitary family
+        # at t_max) see an eigensolve, stacked into one negativities
+        # call that makes two: its entry check and its partial
+        # transpose. The builders of those states are positive by
+        # construction and do not diagonalize their output.
         def forbidden(*args, **kwargs):
             raise AssertionError("run() must not call numpy.linalg.eigh")
 
-        single_only = np.linalg.eigvalsh
+        original = np.linalg.eigvalsh
         calls = []
 
         def eigvalsh(a, *args, **kwargs):
-            if np.ndim(a) > 2:
-                raise AssertionError("run() must not call a batched eigvalsh")
             calls.append(np.shape(a))
-            return single_only(a, *args, **kwargs)
+            return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         result = run(ExperimentConfig())
         assert result.diagnostics["closure_system_max"] <= 1e-12
-        assert len(calls) <= 4, calls
+        assert len(calls) == 2, calls
+        assert all(math.prod(shape[:-2]) == 2 for shape in calls), calls
 
     def test_check_budget(self, monkeypatch):
         # each single-instant state (the closed-form family at the peak,
         # the unitary family at t_max) passes the Hermiticity check twice:
-        # once as its builder's output, once at the entry of negativities;
-        # the initial states inside the builder are not checked again
+        # once as its builder's output, once at the entry of the one
+        # negativities call that takes both; the initial states inside
+        # the builder are not checked again
         calls = []
         original = spectra.hermitian_stack
 
@@ -179,26 +188,47 @@ class TestRun:
                 monkeypatch.setattr(module, "hermitian_stack", counting)
         monkeypatch.setattr(np, "kron", forbidden)
         run(ExperimentConfig())
-        assert len(calls) <= 4, calls
+        assert len(calls) == 3, calls
 
     def test_marginals_not_validated_as_stacks(self, monkeypatch):
-        # the marginals enter a run as closed-form populations; only
-        # single matrices (the states at the negativity peak and at
-        # t_max) pass through the Hermiticity check
+        # the marginals enter a run as closed-form populations; only the
+        # two single-instant states of each configuration (at the
+        # negativity peak and at t_max) pass through the Hermiticity
+        # check or an eigensolve, however fine the grid
         shapes = []
-        original = spectra.hermitian_stack
+        checked = spectra.hermitian_stack
+        solved = np.linalg.eigvalsh
 
-        def recording(matrices):
+        def check(matrices):
             shapes.append(np.shape(matrices))
-            return original(matrices)
+            return checked(matrices)
+
+        def eigvalsh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return solved(a, *args, **kwargs)
 
         for name, module in list(sys.modules.items()):
             if (name.startswith("strongcouple.")
-                    and getattr(module, "hermitian_stack", None) is original):
-                monkeypatch.setattr(module, "hermitian_stack", recording)
-        run(ExperimentConfig(n_samples=4001))
-        assert shapes
-        assert all(math.prod(shape[:-2]) == 1 for shape in shapes), shapes
+                    and getattr(module, "hermitian_stack", None) is checked):
+                monkeypatch.setattr(module, "hermitian_stack", check)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        for n_samples in (101, 4001):
+            shapes.clear()
+            run(ExperimentConfig(n_samples=n_samples))
+            matrices = sum(math.prod(shape[:-2]) for shape in shapes)
+            # two builders check one state each; the negativities call
+            # checks and solves the pair, and solves its transposes
+            assert matrices == 1 + 1 + 2 + 2 + 2, (n_samples, shapes)
+            assert all(math.prod(shape[:-2]) <= 2 for shape in shapes)
+
+    def test_block_rates_are_numpy_gradient(self, rng):
+        # each row of a block is differentiated with its own grid step,
+        # with the arithmetic of numpy.gradient for that step
+        values = rng.normal(size=(5, 7))
+        steps = np.exp(rng.uniform(-700.0, 700.0, size=(5, 1)))
+        rates = _rates(values, steps)
+        for row, value, step in zip(rates, values, steps[:, 0]):
+            assert np.array_equal(row, np.gradient(value, step))
 
     def test_entropy_rates_at_extreme_gamma(self):
         # the default problem in units where gamma t_max is still 10: the
@@ -243,10 +273,13 @@ class TestRun:
     def test_negativity_spot_check(self, monkeypatch):
         # a closed form off by one part in 1e8 must disagree with the
         # eigensolve at the peak
-        closed_form = ch.joint_negativities_closed_form
+        # (a run takes the closed form from the decay factor it evaluated
+        # once for its grid, through the private form)
+        closed_form = ch._joint_negativities
         monkeypatch.setattr(
-            ch, "joint_negativities_closed_form",
-            lambda params, times: closed_form(params, times) * (1.0 + 1e-8))
+            ch, "_joint_negativities",
+            lambda params, times, g, d:
+                closed_form(params, times, g, d) * (1.0 + 1e-8))
         with pytest.raises(NumericalError,
                            match=r"negativity routes disagree by \S+ at the "
                                  r"peak t = 0\.7 .*bound 1e-10"):
@@ -325,6 +358,51 @@ class TestSweep:
         assert len(rows) == 1
         assert "closure" in rows[0].error
         assert math.isnan(rows[0].peak_negativity)
+
+    def test_failing_row_leaves_its_block_intact(self,
+                                                 break_system_bloch_when):
+        # the three rows share a grid and run as one block; the middle
+        # row's closure gate fails it, and the block is run again row by
+        # row
+        configs = [ExperimentConfig(alpha=a, n_samples=101)
+                   for a in (0.2, 0.5, 0.8)]
+        clean = sweep(configs)
+        break_system_bloch_when(lambda params: params.alpha == 0.5)
+        rows = sweep(configs)
+        with pytest.raises(NumericalError, match="closure") as failure:
+            run(configs[1])
+        assert rows[1].error == str(failure.value)
+        assert math.isnan(rows[1].peak_negativity)
+        for i in (0, 2):
+            assert _bits(rows[i]) == _bits(clean[i])
+
+    def test_blocks_cut_at_grid_length_and_budget(self):
+        lengths = [501] * 9 + [101] * 2 + [BLOCK_POINTS + 1] + [501]
+        blocks = list(_blocks([ExperimentConfig(n_samples=n)
+                               for n in lengths]))
+        assert [len(b) for b in blocks] == [8, 1, 2, 1, 1]
+        assert all(len({c.n_samples for c in b}) == 1 for b in blocks)
+
+    def test_memory_of_a_sweep_is_that_of_one_block(self):
+        # rows run in blocks of at most BLOCK_POINTS points, so a sweep
+        # of 27 rows at 501 points peaks near one run of that many
+        # points, not near one evaluation of all 13527 points
+        configs = [ExperimentConfig(alpha=a, beta=b, gamma=g, t_max=5.0 / g,
+                                    n_samples=501)
+                   for a in (0.3, 0.7, 0.95) for b in (0.05, 1.0, math.inf)
+                   for g in (0.5, 1.0, 4.0)]
+        single = ExperimentConfig(t_max=5.0, n_samples=BLOCK_POINTS)
+
+        def peak(call):
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: sweep(configs)) <= 1.5 * peak(lambda: run(single))
 
     def test_invalid_row_recorded(self):
         # a non-finite field is rejected where the configuration is

@@ -12,8 +12,13 @@ The state builders do not diagonalize their output: the closed forms,
 the Kraus sums and the partial traces are positive by construction, and
 only their consumers run the eigenvalue floor. The second test checks
 that every builder's output passes that floor across the same domain.
+
+A sweep evaluates its rows in blocks, with the configuration as a
+leading array axis; the third test checks that each row equals the run
+of its configuration alone, bit for bit.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +29,8 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from strongcouple import channels as ch  # noqa: E402
-from strongcouple.experiment import ExperimentConfig, run  # noqa: E402
+from strongcouple.experiment import (ExperimentConfig, _summary,  # noqa: E402
+                                     run, sweep)
 from strongcouple.firstlaw import CLOSURE_TOLERANCE  # noqa: E402
 from strongcouple.spectra import density_stack, partial_trace  # noqa: E402
 
@@ -135,3 +141,55 @@ def test_every_builder_output_is_a_density_stack(alpha, beta, gamma,
     ]
     for states in outputs:
         density_stack(states)
+
+
+ROW_ALPHAS = [0.0, 1.0, 1.0 - 1e-17]
+ROW_BETAS = [math.inf, 1e-3]
+ROW_GAMMAS = [1e-200, 1e200]
+# grid lengths: 4 rows of 1024 points fill the point budget of a sweep
+# block exactly, 3 rows of 1366 points overflow it, and 4097 points
+# exceed it alone
+ROW_LENGTHS = [3, 11, 1024, 1366, 4097]
+
+
+@st.composite
+def sweep_rows(draw):
+    """Configurations in runs of equal grid length, so that blocks fill,
+    split at a change of length and straddle the point budget."""
+    configs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        n_samples = draw(st.sampled_from(ROW_LENGTHS))
+        for _ in range(draw(st.integers(min_value=1, max_value=5))):
+            alpha = draw(st.one_of(st.sampled_from(ROW_ALPHAS),
+                                   st.floats(min_value=0.0, max_value=1.0)))
+            beta = draw(st.one_of(st.sampled_from(ROW_BETAS),
+                                  st.floats(min_value=1e-3, max_value=1e3)))
+            gamma = draw(st.one_of(st.sampled_from(ROW_GAMMAS),
+                                   st.floats(min_value=1e-3, max_value=1e3)))
+            gamma_t_max = draw(st.floats(min_value=1e-2, max_value=50.0))
+            configs.append(ExperimentConfig(
+                alpha=alpha, beta=beta, gamma=gamma,
+                t_max=gamma_t_max / gamma, n_samples=n_samples))
+    return configs
+
+
+def _bits(row):
+    """The fields of a sweep row, floats by their bits."""
+    return tuple(v.hex() if isinstance(v, float) else v
+                 for v in dataclasses.astuple(row))
+
+
+@settings(max_examples=30, deadline=None)
+@given(configs=sweep_rows())
+# alpha ** 2 of this float differs in the last place from alpha * alpha,
+# which is what squaring an array computes: a block must take each row's
+# squares in float arithmetic
+@example(configs=[ExperimentConfig(alpha=0.42672114373024106, n_samples=11),
+                  ExperimentConfig(alpha=0.5, n_samples=11)])
+def test_sweep_rows_equal_single_runs(configs):
+    # a sweep evaluates rows in blocks; each row must be bit for bit the
+    # summary of the configuration's own run
+    rows = sweep(configs)
+    assert len(rows) == len(configs)
+    for config, row in zip(configs, rows):
+        assert _bits(row) == _bits(_summary(config, run(config)))
