@@ -81,7 +81,9 @@ A sweep evaluates parameter sets that share a grid as one block. The
 private :class:`_Columns` holds the numbers of ``R`` sets as ``(R, 1)``
 columns, and with ``(R, T)`` times the decay factor, the Bloch series,
 the joint radii and negativities and the two joint-state builders
-broadcast over the rows. The private forms :func:`_bloch`,
+broadcast over the rows. So do the Kraus builders and the dilation with
+an ``(R, 1)`` column of decay probabilities, which is how ``validate``
+evaluates its random draws. The private forms :func:`_bloch`,
 :func:`_joint_radii` and :func:`_joint_negativities` take the decay
 pair ``g, d`` of :func:`_decay`, so that a block evaluates it once; each
 public function is its private form applied to ``_decay`` of its times.
@@ -111,6 +113,21 @@ QUBIT_HAMILTONIAN = np.diag([0.0, 1.0]).astype(complex)
 QUBIT_HAMILTONIAN.flags.writeable = False
 
 
+def _as_float(value, name: str) -> float:
+    """``value`` as a float, or an :class:`InputError` naming ``name``.
+
+    Text is refused rather than parsed, and an integer beyond the float
+    range is refused rather than left to overflow later.
+    """
+    if isinstance(value, (str, bytes)):
+        raise InputError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{name} must be a real number in the float "
+                         f"range: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class GadcParams:
     """Initial states and decay rate of the system-environment pair.
@@ -129,6 +146,10 @@ class GadcParams:
         Thermal weight of the environment ground level; ``w1 = 1 - w0``.
     gamma_rate : float
         Decay rate entering ``p(t) = 1 - exp(-gamma_rate t)``.
+
+    Each field is converted to a float once, at construction; a value
+    that has no float, such as an integer beyond the float range, raises
+    :class:`InputError` naming the field.
     """
 
     alpha: float
@@ -136,6 +157,9 @@ class GadcParams:
     gamma_rate: float = 1.0
 
     def __post_init__(self):
+        for name in ("alpha", "w0", "gamma_rate"):
+            object.__setattr__(self, name,
+                               _as_float(getattr(self, name), name))
         if not 0.0 <= self.alpha <= 1.0:
             raise InputError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not 0.0 <= self.w0 <= 1.0:
@@ -161,6 +185,7 @@ class GadcParams:
         ``w0 = 1 / (1 + exp(-beta))``. ``beta = inf`` is the zero-temperature
         limit ``w0 = 1``.
         """
+        beta = _as_float(beta, "beta")
         if not beta > 0.0:
             raise InputError(f"beta must be positive, got {beta}")
         w0 = 1.0 / (1.0 + math.exp(-beta)) if math.isfinite(beta) else 1.0
@@ -212,22 +237,31 @@ def _columns(params) -> _Columns:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A finite set of Kraus operators validated for completeness."""
+    """Kraus operators validated for completeness.
 
-    operators: tuple
+    ``operators`` has shape ``(..., K, n, n)``: the ``K`` operators of
+    one channel on the last three axes, and a stack of channels on the
+    leading ones, such as one channel per parameter draw. A single
+    channel has shape ``(K, n, n)``, and iterating over it gives its
+    operators. Completeness ``sum_k K_k^+ K_k = I`` is checked for every
+    channel of the stack.
+    """
+
+    operators: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
-        if not ops:
+        try:
+            ops = np.asarray(self.operators, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise InputError("Kraus operators must be square matrices of "
+                             f"one shape: {exc}") from exc
+        if ops.size == 0:
             raise InputError("a channel needs at least one Kraus operator")
-        dim = ops[0].shape[-1] if ops[0].ndim else 0
-        for k in ops:
-            if k.shape != (dim, dim):
-                raise InputError("Kraus operators must be square matrices of "
-                                 f"one shape, got shape {k.shape}")
-        total = sum(k.conj().T @ k for k in ops)
-        dev = float(np.max(np.abs(total - np.eye(dim))))
+        if ops.ndim < 3 or ops.shape[-1] != ops.shape[-2]:
+            raise InputError("Kraus operators must be square matrices of "
+                             f"one shape, got shape {ops.shape}")
+        dev = _completeness_gap(ops)
         if dev > KRAUS_COMPLETENESS_TOL:
             raise InputError(
                 f"Kraus completeness violated for {self.label or 'channel'}: "
@@ -236,7 +270,13 @@ class KrausChannel:
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[-1]
+
+
+def _completeness_gap(operators: np.ndarray) -> float:
+    """Largest ``|sum_k K_k^+ K_k - I|`` over a ``(..., K, n, n)`` stack."""
+    total = (operators.conj().swapaxes(-1, -2) @ operators).sum(axis=-3)
+    return float(np.max(np.abs(total - np.eye(operators.shape[-1]))))
 
 
 def _probability(p) -> np.ndarray:
@@ -288,7 +328,7 @@ def gadc_coupling_matrix(p: float) -> np.ndarray:
     return m.astype(complex)
 
 
-def system_kraus(params: GadcParams, p: float) -> KrausChannel:
+def system_kraus(params, p) -> KrausChannel:
     """Four Kraus operators of the thermal damping channel on the system.
 
     In the ``|g>, |e>`` basis, for the decay probability ``p`` in [0, 1]:
@@ -299,19 +339,28 @@ def system_kraus(params: GadcParams, p: float) -> KrausChannel:
     * ``K11 = sqrt(w1) (sqrt(1-p) |g><g| + |e><e|)``
 
     They satisfy the completeness relation exactly for every ``p, w0``.
+    ``params`` is a :class:`GadcParams` or the ``(R, 1)`` columns of
+    :class:`_Columns`, and ``p`` an array of any shape, as for
+    :func:`gadc_unitary`; the channel holds one set of operators per
+    entry of their broadcast shape ``S``, ``S + (4, 2, 2)``. One
+    parameter set and a scalar ``p`` give ``(4, 2, 2)``.
     """
-    p = float(_probability(p))
-    w0, w1 = params.w0, params.w1
-    sp = math.sqrt(p)
-    sq = math.sqrt(1.0 - p)
-    k00 = math.sqrt(w0) * np.array([[1, 0], [0, sq]], dtype=complex)
-    k01 = math.sqrt(w0) * np.array([[0, sp], [0, 0]], dtype=complex)
-    k10 = math.sqrt(w1) * np.array([[0, 0], [sp, 0]], dtype=complex)
-    k11 = math.sqrt(w1) * np.array([[sq, 0], [0, 1]], dtype=complex)
-    return KrausChannel(operators=(k00, k01, k10, k11), label="system damping")
+    c = _columns(params)
+    p = _probability(p)
+    sp, sq = np.sqrt(p), np.sqrt(1.0 - p)
+    s0, s1 = np.sqrt(c.w0), np.sqrt(c.w1)
+    k = np.zeros(np.broadcast_shapes(np.shape(c.w0), p.shape) + (4, 2, 2),
+                 dtype=complex)
+    k[..., 0, 0, 0] = s0
+    k[..., 0, 1, 1] = s0 * sq
+    k[..., 1, 0, 1] = s0 * sp
+    k[..., 2, 1, 0] = s1 * sp
+    k[..., 3, 0, 0] = s1 * sq
+    k[..., 3, 1, 1] = s1
+    return KrausChannel(operators=k, label="system damping")
 
 
-def environment_kraus(params: GadcParams, p: float) -> KrausChannel:
+def environment_kraus(params, p) -> KrausChannel:
     """Two Kraus operators for the environment side of the exchange.
 
     Obtained by sandwiching the unitary dilation between the system's
@@ -321,30 +370,52 @@ def environment_kraus(params: GadcParams, p: float) -> KrausChannel:
     dilation's factor ``i``. Note that the resulting map reproduces the
     closed-form environment populations but not the closed-form coherence,
     which belongs to the symmetric coupling family (see module docstring).
+    ``params`` and ``p`` broadcast as for :func:`system_kraus`, and the
+    operators have shape ``S + (2, 2, 2)``.
     """
-    p = float(_probability(p))
-    a, b = params.alpha, params.beta_amp
-    sp = math.sqrt(p)
-    sq = math.sqrt(1.0 - p)
-    l0 = np.array([[a, 0.0],
-                   [1j * sp * b, sq * a]], dtype=complex)
-    l1 = np.array([[sq * b, 1j * sp * a],
-                   [0.0, b]], dtype=complex)
-    return KrausChannel(operators=(l0, l1), label="environment exchange")
+    c = _columns(params)
+    p = _probability(p)
+    a, b = c.alpha, c.beta_amp
+    sp, sq = np.sqrt(p), np.sqrt(1.0 - p)
+    k = np.zeros(np.broadcast_shapes(np.shape(c.w0), p.shape) + (2, 2, 2),
+                 dtype=complex)
+    k[..., 0, 0, 0] = a
+    k.imag[..., 0, 1, 0] = sp * b
+    k[..., 0, 1, 1] = sq * a
+    k[..., 1, 0, 0] = sq * b
+    k.imag[..., 1, 0, 1] = sp * a
+    k[..., 1, 1, 1] = b
+    return KrausChannel(operators=k, label="environment exchange")
+
+
+def _kraus_sum(operators, adjoints, states) -> np.ndarray:
+    """``sum_k K_k rho K_k^+`` for a stack of channels and of states.
+
+    ``operators`` has shape ``(..., K, n, n)`` and ``adjoints`` holds
+    their conjugate transposes; ``states`` of shape ``(..., n, n)``
+    broadcasts against the stack of channels. The terms are summed in
+    the order of the Kraus axis.
+    """
+    return (operators @ states[..., None, :, :] @ adjoints).sum(axis=-3)
 
 
 def apply_channel(channel: KrausChannel, states) -> np.ndarray:
     """Apply a Kraus channel to a ``(..., n, n)`` stack of states.
 
-    The input is validated with :func:`~strongcouple.spectra.density_stack`;
-    a Kraus sum of a positive state is positive, so the result is checked
-    for Hermiticity and unit trace only.
+    The stack of states broadcasts against the channel's stack: one
+    channel maps every state, and a stack of channels maps one state or
+    a state each. The input is validated with
+    :func:`~strongcouple.spectra.density_stack`; a Kraus sum of a
+    positive state is positive, so the result is checked for Hermiticity
+    and unit trace only.
     """
     m = density_stack(states)
     if m.shape[-1] != channel.dim:
         raise InputError(f"state dimension {m.shape[-1]} does not match "
                          f"channel dimension {channel.dim}")
-    return unit_trace_stack(sum(k @ m @ k.conj().T for k in channel.operators))
+    ops = channel.operators
+    return unit_trace_stack(
+        _kraus_sum(ops, ops.conj().swapaxes(-1, -2), m))
 
 
 def _system_initial_matrix(params) -> np.ndarray:
@@ -725,10 +796,12 @@ def iterate_map_check(params: GadcParams, t: float,
 
     Each step uses the exact per-step probability ``p = gamma_rate t / n``,
     so the composed damping factor is ``(1 - gamma_rate t / n)^n`` and the
-    result converges to :func:`system_states` at rate ``O(1/n)``. The steps
-    run with the arithmetic of :func:`apply_channel` (Kraus sum, then the
-    Hermitian average of :func:`~strongcouple.spectra.unit_trace_stack`),
-    and only the final state is checked, for Hermiticity and unit trace.
+    result converges to :func:`system_states` at rate ``O(1/n)``. Each
+    step is the one Kraus sum of :func:`apply_channel`, taken over the
+    stacked operators of :func:`system_kraus`, followed by the Hermitian
+    average of :func:`~strongcouple.spectra.unit_trace_stack`. As a
+    composite builder it starts from the unchecked initial matrix, and
+    only the final state is checked, for Hermiticity and unit trace.
     """
     # isfinite first: int() of nan or inf raises
     if not (math.isfinite(n_steps) and int(n_steps) == n_steps
@@ -741,11 +814,13 @@ def iterate_map_check(params: GadcParams, t: float,
     if p_step > 1.0:
         raise InputError(
             f"per-step probability {p_step:.3g} exceeds 1; increase n_steps")
-    step = system_kraus(params, p_step)
-    pairs = [(k, k.conj().T) for k in step.operators]
-    m = system_initial_state(params)
+    ops = system_kraus(params, p_step).operators
+    adjoints = ops.conj().swapaxes(-1, -2)
+    # the initial state is exactly Hermitian with unit trace, so its
+    # unchecked matrix equals system_initial_state's
+    m = _system_initial_matrix(params)
     for _ in range(n_steps):
-        out = sum(k @ m @ k_adj for k, k_adj in pairs)
+        out = _kraus_sum(ops, adjoints, m)
         m = (out + out.conj().T) / 2
     return unit_trace_stack(m)
 

@@ -41,7 +41,11 @@ def _float_field(value, name):
         return math.inf
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"field '{name}' must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError(f"field '{name}' is an integer beyond the float "
+                         "range") from None
 
 
 def _int_field(value, name):

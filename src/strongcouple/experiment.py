@@ -72,7 +72,10 @@ class ExperimentConfig:
     inverse temperature in gap units (``inf`` for zero temperature),
     ``gamma`` the decay rate, and the grid is ``n_samples`` points on
     ``[0, t_max]``. The fields are checked once, at construction, and
-    a bad one raises :class:`InputError`.
+    a bad one raises :class:`InputError` naming it; the four float fields
+    are converted to floats there, so that an integer beyond the float
+    range is a bad field rather than an ``OverflowError`` of a later
+    stage.
     """
 
     alpha: float = 1.0 / math.sqrt(2.0)
@@ -82,6 +85,9 @@ class ExperimentConfig:
     n_samples: int = 2001
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "gamma", "t_max"):
+            object.__setattr__(self, name,
+                               ch._as_float(getattr(self, name), name))
         if not 0.0 <= self.alpha <= 1.0:
             raise InputError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not self.beta > 0.0:
@@ -93,7 +99,7 @@ class ExperimentConfig:
             raise InputError(
                 f"t_max must be positive and finite, got {self.t_max}")
         # isfinite first: int() of nan or inf raises
-        if not (math.isfinite(self.n_samples)
+        if not (math.isfinite(ch._as_float(self.n_samples, "n_samples"))
                 and int(self.n_samples) == self.n_samples
                 and self.n_samples >= 3):
             raise InputError(

@@ -5,6 +5,16 @@ These checks do not depend on a run's grid, so they run once, in
 :func:`run_suites` yields one ``(name, ok, detail)`` row per suite. The
 randomised checks draw from ``random.Random`` with fixed seeds, which
 keeps them reproducible without loading ``numpy.random``.
+
+Each randomised suite draws all of its numbers first, in the order a
+draw-by-draw loop would, and then evaluates each route once, on the
+stack of its draws: the parameter sets become the ``(R, 1)`` columns of
+:mod:`strongcouple.channels`, the decay probabilities and times an
+``(R, 1)`` column, and the builders broadcast over both. A stacked
+route gives each draw the numbers it gives that draw alone, bit for
+bit, so the suites' maxima, and their bounds, are those of the loop.
+The Markov limit composes its steps in sequence, each one Kraus sum
+over the stacked operators of a single channel.
 """
 
 from __future__ import annotations
@@ -29,25 +39,24 @@ def route_consistency() -> float:
     Draws 20 random ``(alpha, w0, p)`` triples from a fixed seed and
     compares the Kraus map, the unitary dilation plus partial trace, and
     the closed form at the matching time ``t = -log(1 - p)`` (decay rate
-    one).
+    one). Each route runs once, on the stack of the 20 triples.
     """
     rng = random.Random(0)
-    worst = 0.0
+    draws, times = [], []
     for _ in range(20):
         a = rng.uniform(0.0, 1.0)
         w0 = rng.uniform(0.0, 1.0)
         p = rng.uniform(0.0, 0.999)
-        pr = ch.GadcParams(alpha=a, w0=w0, gamma_rate=1.0)
-        t = -math.log1p(-p)
-        via_kraus = ch.apply_channel(ch.system_kraus(pr, p),
-                                     ch.system_initial_state(pr))
-        via_dilation = ch.system_state_from_dilation(pr, p)
-        via_closed = ch.system_states(pr, t)
-        worst = max(worst,
-                    float(np.max(np.abs(via_kraus - via_dilation))),
-                    float(np.max(np.abs(via_kraus - via_closed))),
-                    float(np.max(np.abs(via_dilation - via_closed))))
-    return worst
+        draws.append((ch.GadcParams(alpha=a, w0=w0, gamma_rate=1.0), p))
+        times.append(-math.log1p(-p))
+    pr, p = _stacked(draws)
+    via_kraus = ch.apply_channel(ch.system_kraus(pr, p),
+                                 ch.system_initial_state(pr))
+    via_dilation = ch.system_state_from_dilation(pr, p)
+    via_closed = ch.system_states(pr, _column(times))
+    return max(float(np.max(np.abs(via_kraus - via_dilation))),
+               float(np.max(np.abs(via_kraus - via_closed))),
+               float(np.max(np.abs(via_dilation - via_closed))))
 
 
 def markov_convergence(params: ch.GadcParams, t: float = 1.0,
@@ -77,30 +86,45 @@ def _random_params(rng: random.Random) -> tuple:
     return params, rng.uniform(0.0, 1.0)
 
 
+def _column(values) -> np.ndarray:
+    """``values``, one per draw, as an ``(R, 1)`` column."""
+    return np.array(values, dtype=float)[:, None]
+
+
+def _stacked(draws) -> tuple:
+    """``(params, p)`` draws as ``(R, 1)`` parameter columns and ``p``.
+
+    The builders of :mod:`strongcouple.channels` broadcast over both, so
+    each route evaluates all ``R`` draws in one call, each draw with the
+    arithmetic it has alone.
+    """
+    params, ps = zip(*draws)
+    return ch._columns(params), _column(ps)
+
+
 def _suite_kraus_completeness():
-    worst = 0.0
     rng = random.Random(7)
-    for _ in range(25):
-        pr, p = _random_params(rng)
-        for channel in (ch.system_kraus(pr, p), ch.environment_kraus(pr, p)):
-            total = sum(k.conj().T @ k for k in channel.operators)
-            worst = max(worst, float(np.max(np.abs(total - np.eye(2)))))
+    pr, p = _stacked([_random_params(rng) for _ in range(25)])
+    worst = max(ch._completeness_gap(ch.system_kraus(pr, p).operators),
+                ch._completeness_gap(ch.environment_kraus(pr, p).operators))
     return worst <= 1e-12, f"max |sum K^+K - I| = {worst:.2e}"
 
 
 def _suite_channel_preserves_states():
     rng = random.Random(11)
-    worst_trace, worst_eig = 0.0, 0.0
+    draws, inputs = [], []
     for _ in range(50):
-        pr, p = _random_params(rng)
-        m = np.array([[complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-                       for _ in range(2)] for _ in range(2)])
-        rho = m @ m.conj().T
-        rho /= np.trace(rho).real
-        out = ch.apply_channel(ch.system_kraus(pr, p), rho)
-        worst_trace = max(worst_trace, abs(float(np.trace(out).real) - 1.0))
-        worst_eig = max(worst_eig,
-                        max(0.0, -float(np.linalg.eigvalsh(out)[0])))
+        draws.append(_random_params(rng))
+        inputs.append([[complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+                        for _ in range(2)] for _ in range(2)])
+    pr, p = _stacked(draws)
+    m = np.array(inputs)[:, None]
+    rho = m @ m.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    out = ch.apply_channel(ch.system_kraus(pr, p), rho)
+    worst_trace = float(np.max(np.abs(
+        np.trace(out, axis1=-2, axis2=-1).real - 1.0)))
+    worst_eig = max(0.0, -float(np.linalg.eigvalsh(out)[..., 0].min()))
     ok = worst_trace <= 1e-12 and worst_eig <= 1e-12
     return ok, f"trace dev {worst_trace:.2e}, negative part {worst_eig:.2e}"
 
@@ -132,17 +156,16 @@ def _suite_marginals():
     worst_negativity = float(np.max(np.abs(
         ch.joint_negativities_closed_form(pr, times) - eigen)))
     rng = random.Random(13)
-    worst_congruence = 0.0
-    for _ in range(25):
-        pr, p = _random_params(rng)
-        m = ch.gadc_coupling_matrix(p)
-        direct = m @ ch.joint_initial_state(pr) @ m.T
-        closed = ch._closed_form_joint_matrices(pr, 1.0 - p, p)
-        worst_congruence = max(worst_congruence,
-                               float(np.max(np.abs(direct - closed))))
-        at_p = ch.joint_negativities_closed_form(pr, [-math.log1p(-p)])
-        worst_negativity = max(worst_negativity,
-                               abs(float(at_p[0] - negativities(closed))))
+    draws = [_random_params(rng) for _ in range(25)]
+    pr, p = _stacked(draws)
+    m = ch.gadc_coupling_matrix(p)
+    direct = m @ ch.joint_initial_state(pr) @ m.swapaxes(-1, -2)
+    closed = ch._closed_form_joint_matrices(pr, 1.0 - p, p)
+    worst_congruence = float(np.max(np.abs(direct - closed)))
+    at_p = ch.joint_negativities_closed_form(
+        pr, _column([-math.log1p(-q) for _, q in draws]))
+    worst_negativity = max(worst_negativity, float(np.max(np.abs(
+        at_p - negativities(closed)))))
     ok = (worst <= 1e-12 and worst_congruence <= 1e-12
           and worst_negativity <= 1e-14)
     return ok, (f"max marginal deviation {worst:.2e}, "

@@ -72,6 +72,25 @@ class TestGadcParams:
         with pytest.raises(InputError):
             GadcParams.from_inverse_temperature(alpha=0.5, beta=0.0)
 
+    @pytest.mark.parametrize("field", ["alpha", "w0", "gamma_rate"])
+    def test_rejects_integer_beyond_float_range(self, field):
+        # named where the parameters are built, not left to an
+        # OverflowError of the closed forms
+        with pytest.raises(InputError, match=f"{field} must be a real "
+                                             "number in the float range"):
+            default_params(**{field: 10 ** 400})
+
+    def test_rejects_beta_beyond_float_range(self):
+        with pytest.raises(InputError, match="beta must be a real number "
+                                             "in the float range"):
+            GadcParams.from_inverse_temperature(0.5, 10 ** 400)
+
+    def test_fields_converted_to_float(self):
+        pr = GadcParams(alpha=1, w0=0, gamma_rate=2)
+        assert [type(v) for v in dataclasses.astuple(pr)] == [float] * 3
+        with pytest.raises(InputError, match="w0 must be a real number"):
+            GadcParams(alpha=0.5, w0="0.5")
+
 
 class TestKrausChannel:
     def test_rejects_incomplete_set(self):
@@ -112,6 +131,95 @@ class TestKrausChannel:
     def test_builders_reject_bad_p(self, builder, p):
         with pytest.raises(InputError, match="p must lie in"):
             builder(default_params(), p)
+
+
+def _draws(rng, n=40):
+    """Random ``(params, p)`` draws with the edges alpha, w0, p in {0, 1}."""
+    draws = [(GadcParams(alpha=a, w0=w0), p)
+             for a in (0.0, 1.0) for w0 in (0.0, 1.0) for p in (0.0, 1.0)]
+    draws += [(GadcParams(alpha=float(rng.uniform(0, 1)),
+                          w0=float(rng.uniform(0, 1))),
+               float(rng.uniform(0, 1))) for _ in range(n)]
+    return draws
+
+
+def _as_columns(draws):
+    params, ps = zip(*draws)
+    return channels._columns(params), np.array(ps)[:, None]
+
+
+class TestStackedKraus:
+    """A stack of draws gives each draw the numbers it gives alone."""
+
+    def test_single_draw_is_the_textbook_operators_bitwise(self, rng):
+        for pr, p in _draws(rng):
+            sp, sq = math.sqrt(p), math.sqrt(1.0 - p)
+            w0, w1 = math.sqrt(pr.w0), math.sqrt(pr.w1)
+            a, b = pr.alpha, pr.beta_amp
+            system = [w0 * np.array([[1, 0], [0, sq]], dtype=complex),
+                      w0 * np.array([[0, sp], [0, 0]], dtype=complex),
+                      w1 * np.array([[0, 0], [sp, 0]], dtype=complex),
+                      w1 * np.array([[sq, 0], [0, 1]], dtype=complex)]
+            environment = [np.array([[a, 0.0], [1j * sp * b, sq * a]]),
+                           np.array([[sq * b, 1j * sp * a], [0.0, b]])]
+            assert np.array_equal(system_kraus(pr, p).operators, system)
+            assert np.array_equal(environment_kraus(pr, p).operators,
+                                  environment)
+
+    @pytest.mark.parametrize("builder, count", [(system_kraus, 4),
+                                                (environment_kraus, 2)])
+    def test_stack_equals_single_draws_bitwise(self, rng, builder, count):
+        draws = _draws(rng)
+        stacked = builder(*_as_columns(draws)).operators
+        assert stacked.shape == (len(draws), 1, count, 2, 2)
+        for row, (pr, p) in zip(stacked[:, 0], draws):
+            assert np.array_equal(row, builder(pr, p).operators)
+
+    def test_one_set_broadcasts_over_an_array_of_p(self):
+        pr = default_params()
+        ps = np.linspace(0.0, 1.0, 7)
+        stacked = system_kraus(pr, ps).operators
+        assert stacked.shape == (7, 4, 2, 2)
+        for row, p in zip(stacked, ps):
+            assert np.array_equal(row, system_kraus(pr, p).operators)
+
+    def test_completeness_checked_per_channel(self):
+        ops = np.stack([system_kraus(default_params(), 0.3).operators] * 3)
+        ops[1, 0] *= 1.0 + 1e-6
+        with pytest.raises(InputError, match="completeness"):
+            KrausChannel(operators=ops)
+
+    def test_apply_channel_stack_equals_per_state_bitwise(self, rng,
+                                                          random_density):
+        draws = _draws(rng)
+        states = np.array([random_density(2) for _ in draws])
+        params, p = _as_columns(draws)
+        for builder in (system_kraus, environment_kraus):
+            # one channel per draw, each on its own state
+            out = apply_channel(builder(params, p), states[:, None])
+            for row, (pr, pd), rho in zip(out[:, 0], draws, states):
+                assert np.array_equal(row, apply_channel(builder(pr, pd),
+                                                         rho))
+            # one channel on the whole stack of states
+            channel = builder(*draws[-1])
+            out = apply_channel(channel, states)
+            for row, rho in zip(out, states):
+                assert np.array_equal(row, apply_channel(channel, rho))
+
+    @pytest.mark.parametrize("n_steps", [1, 10, 1000])
+    def test_iterate_map_is_the_loop_of_kraus_sums_bitwise(self, rng,
+                                                           n_steps):
+        # the arithmetic of one operator at a time: each step sums
+        # K rho K^+ over the operators in order, then takes the
+        # Hermitian average; the final state is averaged once more
+        for pr, _ in _draws(rng, n=4):
+            ops = system_kraus(pr, pr.gamma_rate * 0.8 / n_steps).operators
+            m = system_initial_state(pr)
+            for _ in range(n_steps):
+                out = sum(k @ m @ k.conj().T for k in ops)
+                m = (out + out.conj().T) / 2
+            m = (m + m.conj().T) / 2
+            assert np.array_equal(iterate_map_check(pr, 0.8, n_steps), m)
 
 
 class TestDilationMatrices:

@@ -47,6 +47,33 @@ class TestConfig:
         with pytest.raises(InputError, match=next(iter(kwargs))):
             ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "t_max",
+                                       "n_samples"])
+    def test_rejects_integer_beyond_float_range(self, field):
+        # named where the configuration is built, not left to an
+        # OverflowError of the run or of a sweep row
+        with pytest.raises(InputError, match=f"{field} must be a real "
+                                             "number in the float range"):
+            ExperimentConfig(**{field: 10 ** 400})
+
+    def test_rejects_gamma_beyond_float_range_on_tiny_horizon(self):
+        with pytest.raises(InputError, match="gamma"):
+            ExperimentConfig(gamma=10 ** 400, t_max=1e-300, n_samples=5)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "t_max"])
+    def test_rejects_text(self, field):
+        with pytest.raises(InputError, match=f"{field} must be a real number"):
+            ExperimentConfig(**{field: "1"})
+
+    def test_float_fields_converted_once(self):
+        config = ExperimentConfig(alpha=1, beta=2, gamma=3, t_max=4,
+                                  n_samples=5)
+        assert [type(getattr(config, name))
+                for name in ("alpha", "beta", "gamma", "t_max")] == [float] * 4
+        assert type(config.n_samples) is int
+        assert config == ExperimentConfig(alpha=1.0, beta=2.0, gamma=3.0,
+                                          t_max=4.0, n_samples=5)
+
     def test_defaults_are_valid(self):
         config = ExperimentConfig()
         assert abs(config.params.w0 - 1.0 / (1.0 + math.exp(-1.0))) < 1e-15
@@ -409,6 +436,14 @@ class TestSweep:
         # built, so no sweep row can carry it
         with pytest.raises(InputError, match="n_samples must be an integer"):
             ExperimentConfig(n_samples=math.nan)
+
+    def test_integer_fields_sweep_as_floats(self):
+        as_ints = sweep([ExperimentConfig(alpha=1, beta=1, gamma=2, t_max=3,
+                                          n_samples=101)])
+        as_floats = sweep([ExperimentConfig(alpha=1.0, beta=1.0, gamma=2.0,
+                                            t_max=3.0, n_samples=101)])
+        assert as_ints[0].error == ""
+        assert _bits(as_ints[0]) == _bits(as_floats[0])
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):

@@ -1,8 +1,11 @@
 """The validation module: its suite lists, and the checks run() skips."""
 
+import sys
+
+import numpy as np
 import pytest
 
-from strongcouple import validation
+from strongcouple import spectra, validation
 from strongcouple.experiment import ExperimentConfig, run
 from strongcouple.validation import run_suites
 
@@ -53,3 +56,34 @@ def test_run_calls_no_self_check(monkeypatch):
     monkeypatch.setattr(validation, "markov_convergence", forbidden)
     result = run(ExperimentConfig(t_max=2.0, n_samples=401))
     assert set(result.diagnostics) == RUN_DIAGNOSTICS
+
+
+def test_eigensolve_budget(monkeypatch):
+    # each randomised suite evaluates its draws as one stack per route,
+    # so a strict validation makes a fixed, small number of eigensolve
+    # and Hermiticity-check calls however many draws it takes
+    calls = {"eigvalsh": 0, "eigh": 0, "hermitian_stack": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        counting("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    original = spectra.hermitian_stack
+    checked = counting("hermitian_stack", original)
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("strongcouple.")
+                and getattr(module, "hermitian_stack", None) is original):
+            monkeypatch.setattr(module, "hermitian_stack", checked)
+    # the shared default run is counted too
+    validation._default_run.cache_clear()
+    try:
+        rows = list(run_suites(strict=True))
+    finally:
+        validation._default_run.cache_clear()
+    assert all(ok for _, ok, _ in rows)
+    assert calls == {"eigvalsh": 15, "eigh": 3, "hermitian_stack": 39}, calls
