@@ -61,8 +61,8 @@ spectrum, ``|x|`` for the coherence, the coefficients for the exact
 first-law split of :func:`strongcouple.firstlaw.qubit_thermo_trajectory`,
 and the real closed-form populations from which that split reads the
 internal energy change. No ``(T, 2, 2)`` matrix stack is built: the
-populations are checked to be finite and to sum to one, and the Bloch
-radius bounds positivity.
+populations are checked to be finite and to sum to one, and the radius's
+consumer :func:`~strongcouple.infomeasures.bloch_entropies` checks it.
 
 Closed-form joint spectra
 -------------------------
@@ -83,10 +83,9 @@ columns, and with ``(R, T)`` times the decay factor, the Bloch series,
 the joint radii and negativities and the two joint-state builders
 broadcast over the rows. So do the Kraus builders and the dilation with
 an ``(R, 1)`` column of decay probabilities, which is how ``validate``
-evaluates its random draws. The private forms :func:`_bloch`,
-:func:`_joint_radii` and :func:`_joint_negativities` take the decay
-pair ``g, d`` of :func:`_decay`, so that a block evaluates it once; each
-public function is its private form applied to ``_decay`` of its times.
+evaluates its random draws. Each closed form has one entry point, the
+public function, which takes a :class:`GadcParams` or columns and
+evaluates the decay factor of its own times.
 """
 
 from __future__ import annotations
@@ -98,8 +97,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .spectra import (PSD_FLOOR, check_unit_traces, density_stack,
-                      partial_trace, unit_trace_stack)
+from .spectra import (check_unit_traces, density_stack, partial_trace,
+                      unit_trace_stack)
 
 KRAUS_COMPLETENESS_TOL = 1e-10
 # Bound on the last Newton step of the closed-form negativity, relative to
@@ -235,7 +234,7 @@ def _columns(params) -> _Columns:
     return _Columns(*table.T.copy()[:, :, None])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Kraus operators validated for completeness.
 
@@ -244,7 +243,7 @@ class KrausChannel:
     leading ones, such as one channel per parameter draw. A single
     channel has shape ``(K, n, n)``, and iterating over it gives its
     operators. Completeness ``sum_k K_k^+ K_k = I`` is checked for every
-    channel of the stack.
+    channel of the stack. Equality is identity: an array has no truth value.
     """
 
     operators: np.ndarray
@@ -476,7 +475,8 @@ def _decay(params, times):
     # written so that a NaN time fails too; t = inf is the thermal limit
     if not (t >= 0.0).all():
         raise InputError(f"time must be nonnegative, got {float(t.min())}")
-    x = -params.gamma_rate * t
+    with np.errstate(over="ignore"):  # -inf is the thermal limit
+        x = -params.gamma_rate * t
     return np.exp(x), -np.expm1(x)
 
 
@@ -578,6 +578,7 @@ class BlochSeries(NamedTuple):
     the real ``(T, 2)`` array of the ground and excited populations from
     the closed forms that give the diagonals of :func:`system_states` and
     :func:`environment_states`, checked to be finite and to sum to one.
+    ``radius`` is checked by its consumer, ``bloch_entropies``.
     """
 
     times: np.ndarray
@@ -588,17 +589,17 @@ class BlochSeries(NamedTuple):
     populations: np.ndarray
 
 
-def _bloch(params, times, g, d, keep_is_decay: bool) -> BlochSeries:
+def _bloch(params, times, keep_is_decay: bool) -> BlochSeries:
     """Bloch series of the marginal whose coherence decays as ``sqrt(keep)``.
 
-    ``g, d`` are :func:`_decay` at ``times``. For the populations of
-    :func:`_qubit_populations` and the coherence of
-    :func:`_qubit_matrices`, ``rho_gg - rho_ee =
-    (w0 - w1) - 2 keep (b^2 w0 - a^2 w1)`` and ``(2 rho_ge)^2 = 4 a^2 b^2
-    keep``. The state is positive when ``radius <= 1 - 2 PSD_FLOOR``, the
-    eigenvalue floor of :func:`~strongcouple.spectra.density_stack`.
+    For the populations of :func:`_qubit_populations` and the coherence
+    of :func:`_qubit_matrices`, ``rho_gg - rho_ee = (w0 - w1) - 2 keep
+    (b^2 w0 - a^2 w1)`` and ``(2 rho_ge)^2 = 4 a^2 b^2 keep``. The radius
+    is left to the floor of ``bloch_entropies``.
     """
     c = _columns(params)
+    times = np.asarray(times, dtype=float)
+    g, d = _decay(c, times)
     a2 = c.alpha_sq
     b2 = 1.0 - a2
     lead = c.w0 - c.w1
@@ -616,13 +617,8 @@ def _bloch(params, times, g, d, keep_is_decay: bool) -> BlochSeries:
     z0, z1, c0, c1 = coefficients
     z = z0 + z1 * g
     x2 = np.maximum(c0 + c1 * g, 0.0)
-    radius = np.sqrt(z * z + x2)
-    if (radius > 1.0 - 2.0 * PSD_FLOOR).any():
-        worst = float(radius.max())
-        raise InputError(f"Bloch radius {worst:.15g} exceeds one by more "
-                         f"than {-2.0 * PSD_FLOOR:.0e}; not a density operator")
     return BlochSeries(times=times, decay=g, coefficients=coefficients,
-                       x2=x2, radius=radius, populations=pops)
+                       x2=x2, radius=np.sqrt(z * z + x2), populations=pops)
 
 
 def system_bloch(params: GadcParams, times) -> BlochSeries:
@@ -630,8 +626,7 @@ def system_bloch(params: GadcParams, times) -> BlochSeries:
 
     ``z = (w0 - w1) - 2 (b^2 w0 - a^2 w1) g`` and ``x^2 = 4 a^2 b^2 g``.
     """
-    times = np.asarray(times, dtype=float)
-    return _bloch(params, times, *_decay(params, times), keep_is_decay=True)
+    return _bloch(params, times, keep_is_decay=True)
 
 
 def environment_bloch(params: GadcParams, times) -> BlochSeries:
@@ -639,8 +634,7 @@ def environment_bloch(params: GadcParams, times) -> BlochSeries:
 
     The system's lines with ``g`` replaced by ``1 - g``.
     """
-    times = np.asarray(times, dtype=float)
-    return _bloch(params, times, *_decay(params, times), keep_is_decay=False)
+    return _bloch(params, times, keep_is_decay=False)
 
 
 def joint_states(params: GadcParams, times) -> np.ndarray:
@@ -693,12 +687,8 @@ def joint_radii_closed_form(params: GadcParams, times) -> np.ndarray:
     w1 g d)``, that is ``(1 +- R)/2`` with ``R^2 = (w0 - w1)^2 + 16 a^2
     b^2 w0 w1 g d``. Returns ``R`` at every time.
     """
-    return _joint_radii(params, *_decay(params, times))
-
-
-def _joint_radii(params, g, d) -> np.ndarray:
-    """:func:`joint_radii_closed_form` from :func:`_decay`'s ``g, d``."""
     c = _columns(params)
+    g, d = _decay(c, times)
     a2 = c.alpha_sq
     return np.sqrt(c.bias_sq + 16.0 * a2 * (1.0 - a2) * c.w0 * c.w1 * g * d)
 
@@ -724,17 +714,12 @@ def joint_negativities_closed_form(params: GadcParams, times) -> np.ndarray:
     with ``sigma`` the magnitude of the start, so that ``(u D)^2`` never
     underflows. The result depends on ``g`` only through ``u``.
 
-    Raises :class:`NumericalError` when the last Newton step, relative to
-    the root, exceeds ``NEGATIVITY_NEWTON_TOL`` at some time.
+    Raises :class:`NumericalError` naming the time where the last Newton
+    step, relative to the root, exceeds ``NEGATIVITY_NEWTON_TOL``.
     """
-    times = np.asarray(times, dtype=float)
-    return _joint_negativities(params, times, *_decay(params, times))
-
-
-def _joint_negativities(params, times, g, d) -> np.ndarray:
-    """:func:`joint_negativities_closed_form` from :func:`_decay`'s ``g, d``
-    at ``times``, which name the time of a failed step."""
     c = _columns(params)
+    times = np.asarray(times, dtype=float)
+    g, d = _decay(c, times)
     a2 = c.alpha_sq
     w0, w1 = c.w0, c.w1
     x, y = a2 * w1, (1.0 - a2) * w0

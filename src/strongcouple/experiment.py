@@ -30,9 +30,10 @@ the tests check that ``S_se`` is constant.
 
 Runs are evaluated in blocks, with the configuration as a leading array
 axis. A block holds configurations with one grid length: the parameters
-are ``(R, 1)`` columns, the times an ``(R, T)`` array, and each closed
-form runs once for the block, from one evaluation of the decay factor.
-Only the first-law split runs per row. The spot checks of all rows go
+are ``(R, 1)`` columns, the times an ``(R, T)`` array, and each public
+closed form of :mod:`strongcouple.channels` runs once for the block and
+evaluates the decay factor of the block's grid itself. Only the
+first-law split runs per row. The spot checks of all rows go
 to one eigensolve call. :func:`run` is a block of one, and
 :func:`sweep` cuts its configurations into blocks of at most
 :data:`BLOCK_POINTS` grid points; both give the same numbers bit for bit.
@@ -182,9 +183,8 @@ def _run_block(configs) -> list:
     cols = ch._columns(params)
     times = np.array([config.times for config in configs])
     n = len(configs)
-    g, d = ch._decay(cols, times)
-    bloch_s = ch._bloch(cols, times, g, d, keep_is_decay=True)
-    bloch_e = ch._bloch(cols, times, g, d, keep_is_decay=False)
+    bloch_s = ch.system_bloch(cols, times)
+    bloch_e = ch.environment_bloch(cols, times)
 
     thermo_s = [qubit_thermo_trajectory(row) for row in _bloch_rows(bloch_s)]
     thermo_e = [qubit_thermo_trajectory(row) for row in _bloch_rows(bloch_e)]
@@ -213,11 +213,11 @@ def _run_block(configs) -> list:
     rate_e = _rates(ent_e, step)
     coh_s = np.sqrt(bloch_s.x2)
     coh_e = np.sqrt(bloch_e.x2)
-    neg = ch._joint_negativities(cols, times, g, d)
+    neg = ch.joint_negativities_closed_form(cols, times)
     ent_joint = bloch_entropies(abs(cols.w0 - cols.w1))
     mutual = ent_s + ent_e - ent_joint
 
-    drift_closed = bloch_entropies(ch._joint_radii(cols, g, d))
+    drift_closed = bloch_entropies(ch.joint_radii_closed_form(cols, times))
     rows = np.arange(n)
     peak_idx = np.argmax(neg, axis=1)
     t_peak = times[rows, peak_idx][:, None]

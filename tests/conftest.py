@@ -34,8 +34,8 @@ def _tilt(series, rows):
 
 
 def _selected_rows(selected, params):
-    """``selected`` of each parameter set of a block's columns, or of the
-    one set a public function was given, in the shape of the columns."""
+    """``selected`` of each parameter set of ``params``, a block's
+    columns or one set, in the shape of the columns."""
     cols = channels._columns(params)
     flags = [selected(channels.GadcParams(alpha=a, w0=w0, gamma_rate=g))
              for a, w0, g in zip(np.ravel(cols.alpha).tolist(),
@@ -52,15 +52,13 @@ def break_system_bloch_when(monkeypatch):
     """
 
     def install(selected):
-        original = channels._bloch
+        original = channels.system_bloch
 
-        def patched(params, times, g, d, keep_is_decay):
-            series = original(params, times, g, d, keep_is_decay)
-            if not keep_is_decay:
-                return series
-            return _tilt(series, _selected_rows(selected, params))
+        def patched(params, times):
+            return _tilt(original(params, times),
+                         _selected_rows(selected, params))
 
-        monkeypatch.setattr(channels, "_bloch", patched)
+        monkeypatch.setattr(channels, "system_bloch", patched)
 
     return install
 

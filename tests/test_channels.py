@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,16 @@ class TestKrausChannel:
     def test_fields(self):
         assert [f.name for f in dataclasses.fields(KrausChannel)] \
             == ["operators", "label"]
+
+    def test_equality_is_identity_and_hashable(self):
+        # an array field has no truth value, so a channel compares and
+        # hashes as the object it is
+        pr = default_params()
+        a, b = system_kraus(pr, 0.3), system_kraus(pr, 0.3)
+        assert a == a
+        assert a != b
+        assert hash(a) == hash(a)
+        assert len({a, a, b}) == 2
 
     def test_completeness_random_params(self, rng):
         for _ in range(25):
@@ -546,6 +557,14 @@ class TestJointNegativities:
             joint_negativities_closed_form(default_params(), [math.nan])
 
 
+def _bytes(value) -> list:
+    """The bytes of a closed form's arrays: the array, or each field of a
+    Bloch series but its times."""
+    if isinstance(value, channels.BlochSeries):
+        return [np.asarray(field).tobytes() for field in value[1:]]
+    return [value.tobytes()]
+
+
 class TestDecayInput:
     """Times enter every closed form through one NaN-safe check."""
 
@@ -562,6 +581,23 @@ class TestDecayInput:
         pr = default_params()
         assert np.array_equal(closed_form(pr, [math.inf]),
                               closed_form(pr, [1e3]))
+
+    @pytest.mark.parametrize("closed_form", [
+        system_states, environment_states, joint_states,
+        joint_states_closed_form, joint_radii_closed_form,
+        joint_negativities_closed_form, system_bloch, environment_bloch,
+    ])
+    def test_overflowing_decay_is_the_infinite_time_silently(self,
+                                                             closed_form):
+        # gamma_rate t = 1e310 is beyond the float range: the exponent is
+        # -inf, which gives the t = inf values bit for bit, with no
+        # overflow warning
+        pr = GadcParams(alpha=0.6, w0=0.7, gamma_rate=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beyond = closed_form(pr, [0.0, 1e10])
+        limit = closed_form(pr, [0.0, math.inf])
+        assert _bytes(beyond) == _bytes(limit)
 
 
 class TestIterateMap:

@@ -24,6 +24,15 @@ def _bits(row):
                  for v in dataclasses.astuple(row))
 
 
+def _sweep27() -> list:
+    """27 rows at 501 points over alpha x beta x gamma, the shape of the
+    benchmark's sweep: four blocks of 8, 8, 8 and 3 rows."""
+    return [ExperimentConfig(alpha=a, beta=b, gamma=g, t_max=5.0 / g,
+                             n_samples=501)
+            for a in (0.3, 0.7, 0.95) for b in (0.05, 1.0, math.inf)
+            for g in (0.5, 1.0, 4.0)]
+
+
 @pytest.fixture(scope="module")
 def quick_result():
     """Shared run on the default horizon with half the default points."""
@@ -290,6 +299,28 @@ class TestRun:
         assert 0.0 <= d["entropy_rate_mismatch_max"] \
             <= (steepest[0] + steepest[1]) * slack
 
+    def test_silent_when_decay_overflows(self):
+        # gamma t_max = 1e400 is beyond the float range; the exponent of
+        # the decay factor is -inf, the thermal limit, and no warning
+        # escapes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = run(ExperimentConfig(gamma=1e200, t_max=1e200)).diagnostics
+        assert d["closure_system_max"] <= 1e-12
+
+    def test_unphysical_marginal_rejected(self, monkeypatch):
+        # the Bloch radius is bounded once, by its consumer: a radius of
+        # 1 + 1e-9 gives the pure initial system an eigenvalue of -5e-10
+        original = ch.system_bloch
+
+        def swollen(params, times):
+            series = original(params, times)
+            return series._replace(radius=series.radius * (1.0 + 1e-9))
+
+        monkeypatch.setattr(ch, "system_bloch", swollen)
+        with pytest.raises(InputError, match=r"eigenvalue .* below -1e-10"):
+            run(ExperimentConfig())
+
     def test_negativity_convergence_gate(self, monkeypatch):
         monkeypatch.setattr(ch, "_NEGATIVITY_NEWTON_STEPS", 2)
         with pytest.raises(NumericalError,
@@ -300,13 +331,10 @@ class TestRun:
     def test_negativity_spot_check(self, monkeypatch):
         # a closed form off by one part in 1e8 must disagree with the
         # eigensolve at the peak
-        # (a run takes the closed form from the decay factor it evaluated
-        # once for its grid, through the private form)
-        closed_form = ch._joint_negativities
+        closed_form = ch.joint_negativities_closed_form
         monkeypatch.setattr(
-            ch, "_joint_negativities",
-            lambda params, times, g, d:
-                closed_form(params, times, g, d) * (1.0 + 1e-8))
+            ch, "joint_negativities_closed_form",
+            lambda params, times: closed_form(params, times) * (1.0 + 1e-8))
         with pytest.raises(NumericalError,
                            match=r"negativity routes disagree by \S+ at the "
                                  r"peak t = 0\.7 .*bound 1e-10"):
@@ -329,6 +357,41 @@ class TestRun:
         b = run(config)
         assert a.diagnostics == b.diagnostics
         assert np.array_equal(a.info.negativity, b.info.negativity)
+
+
+CLOSED_FORMS = ("system_bloch", "environment_bloch",
+                "joint_negativities_closed_form", "joint_radii_closed_form")
+
+
+class TestClosedFormEntries:
+    """A run or a sweep block reaches each closed form through its one
+    public entry point, once per block."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = dict.fromkeys(CLOSED_FORMS, 0)
+
+        def counting(name):
+            original = getattr(ch, name)
+
+            def wrapper(params, times):
+                counts[name] += 1
+                return original(params, times)
+            return wrapper
+
+        for name in CLOSED_FORMS:
+            monkeypatch.setattr(ch, name, counting(name))
+        return counts
+
+    def test_run_calls_each_once(self, calls):
+        run(ExperimentConfig())
+        assert calls == dict.fromkeys(CLOSED_FORMS, 1)
+
+    def test_sweep_calls_each_once_per_block(self, calls):
+        configs = _sweep27()
+        assert [len(b) for b in _blocks(configs)] == [8, 8, 8, 3]
+        assert all(row.error == "" for row in sweep(configs))
+        assert calls == dict.fromkeys(CLOSED_FORMS, 4)
 
 
 class TestMarkov:
@@ -414,10 +477,7 @@ class TestSweep:
         # rows run in blocks of at most BLOCK_POINTS points, so a sweep
         # of 27 rows at 501 points peaks near one run of that many
         # points, not near one evaluation of all 13527 points
-        configs = [ExperimentConfig(alpha=a, beta=b, gamma=g, t_max=5.0 / g,
-                                    n_samples=501)
-                   for a in (0.3, 0.7, 0.95) for b in (0.05, 1.0, math.inf)
-                   for g in (0.5, 1.0, 4.0)]
+        configs = _sweep27()
         single = ExperimentConfig(t_max=5.0, n_samples=BLOCK_POINTS)
 
         def peak(call):

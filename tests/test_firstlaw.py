@@ -439,6 +439,41 @@ class TestQubitRoute:
         assert np.max(np.abs(generic.coherent_energy
                              - exact.coherent_energy)) <= 1e-4
 
+    # bounds on |Richardson - exact| over alpha, about 3x the measured
+    # 6.4e-9, 1.0e-10 and 1e-12 for the environment and 2.5e-12 for the
+    # system; the hot environment's coherence grows as sqrt(t) at the
+    # start, which the graded grid resolves
+    GENERIC_BOUNDS = {("environment", 0.05): 2e-8,
+                      ("environment", 0.2): 3e-10}
+
+    @pytest.mark.parametrize("beta", [0.05, 0.2, 1.0, math.inf])
+    @pytest.mark.parametrize("side", ["system", "environment"])
+    def test_generic_route_on_graded_grids(self, side, beta):
+        """The paper's definition of heat, in the eigenbasis, as a
+        reference for the exact split across temperatures: on grids
+        ``t = 10 s^2`` with ``s`` uniform, graded toward ``t = 0``, the
+        generic route converges at second order, and its Richardson
+        value from 2001 and 4001 points meets the qubit route."""
+        states = system_states if side == "system" else environment_states
+        fine = 10.0 * np.linspace(0.0, 1.0, 4001) ** 2
+        coarse = fine[::2]
+        bound = self.GENERIC_BOUNDS.get((side, beta), 1e-11)
+        for alpha in (0.0, 0.3, 0.5, 1.0 / math.sqrt(2.0), 0.85, 1.0):
+            pr = GadcParams.from_inverse_temperature(alpha, beta)
+            on_coarse = thermo_trajectory(states(pr, coarse), coarse)
+            on_fine = thermo_trajectory(states(pr, fine), fine)
+            richardson = (4.0 * on_fine.heat[::2] - on_coarse.heat) / 3.0
+            exact = qubit_thermo_trajectory(SIDES[side](pr, coarse)).heat
+            assert np.max(np.abs(richardson - exact)) <= bound, alpha
+            if alpha == 1.0 and beta == math.inf:
+                # ground system, ground environment: nothing moves
+                assert on_coarse.max_closure_residual == 0.0
+                assert on_fine.max_closure_residual == 0.0
+            else:
+                ratio = (on_coarse.max_closure_residual
+                         / on_fine.max_closure_residual)
+                assert 3.9 <= ratio <= 4.1, alpha
+
     def test_split_sums_to_energy_change(self):
         traj = qubit_route(ExperimentConfig(alpha=0.3, beta=math.inf),
                            "environment")
