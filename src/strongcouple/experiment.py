@@ -17,24 +17,23 @@ limit, live in :mod:`strongcouple.validation` and run in ``validate``.
 Two joint-state families enter the bookkeeping (see
 :mod:`strongcouple.channels`): the negativity series comes from the
 closed-form family whose marginals are exact, while the joint entropy
-comes from the unitary family. With a
-pure initial system and a unitary dilation, that family keeps the joint
-spectrum ``{w0, w1, 0, 0}``, so a run takes ``S_se = S[rho_e(0)]`` in
-closed form, as the entropy of a qubit with Bloch radius ``|w0 - w1|``.
-Mutual information combines the two accordingly, ``S_s + S_e - S_se``,
-with the marginal entropies from the closed forms.
-The diagnostics record ``S_se`` and the entropy drift of the closed-form
-family, whose rank-two spectrum is also closed-form
+comes from the unitary family. With a pure initial system and a unitary
+dilation, that family keeps the joint spectrum ``{w0, w1, 0, 0}``, so a
+run takes ``S_se = S[rho_e(0)]`` in closed form, as the entropy of a qubit
+with Bloch radius ``|w0 - w1|``. Mutual information combines the two
+accordingly, ``S_s + S_e - S_se``, with the marginal entropies from the
+closed forms. The diagnostics record ``S_se`` and the entropy drift of the
+closed-form family, whose rank-two spectrum is also closed-form
 (:func:`strongcouple.channels.joint_radii_closed_form`); ``validate`` and
 the tests check that ``S_se`` is constant.
 
 Runs are evaluated in blocks, with the configuration as a leading array
 axis. A block holds configurations with one grid length: the parameters
 are ``(R, 1)`` columns, the times an ``(R, T)`` array, and each public
-closed form of :mod:`strongcouple.channels` runs once for the block and
-evaluates the decay factor of the block's grid itself. Only the
-first-law split runs per row. The spot checks of all rows go
-to one eigensolve call. :func:`run` is a block of one, and
+closed form of :mod:`strongcouple.channels`, which evaluates the decay
+factor itself, and each marginal's first-law split run once for the
+block (``sweep27`` 15.2 -> 14.4 ms, ``BENCH_21.json``). The spot checks
+of all rows go to one eigensolve call. :func:`run` is a block of one, and
 :func:`sweep` cuts its configurations into blocks of at most
 :data:`BLOCK_POINTS` grid points; both give the same numbers bit for bit.
 """
@@ -151,30 +150,12 @@ def _rates(values: np.ndarray, step: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bloch_rows(series: ch.BlochSeries) -> list:
-    """The rows of a block's Bloch series, each with float coefficients."""
-    n = len(series.times)
-    # a coefficient is an (R, 1) column, or a float that every row shares
-    coefficients = zip(*(c.ravel().tolist() if isinstance(c, np.ndarray)
-                         else [c] * n for c in series.coefficients))
-    return [ch.BlochSeries(times=series.times[i], decay=series.decay[i],
-                           coefficients=c, x2=series.x2[i],
-                           radius=series.radius[i],
-                           populations=series.populations[i])
-            for i, c in enumerate(coefficients)]
-
-
-def _stack(trajectories, field: str) -> np.ndarray:
-    return np.array([getattr(t, field) for t in trajectories])
-
-
 def _run_block(configs) -> list:
     """Run configurations that share ``n_samples`` as one block.
 
     The parameters are ``(R, 1)`` columns and the grids an ``(R, T)``
-    array, so each closed form is evaluated once for the block. The
-    first-law split runs per row, since its root choice depends on each
-    row's coefficients. Every gate reduces over the whole block, so the
+    array, so each closed form and each marginal's first-law split runs
+    once for the block. Every gate reduces over the whole block, so the
     block raises where any of its rows would; its message is that of a
     single run only for a block of one. Returns one
     :class:`ExperimentResult` per configuration.
@@ -185,26 +166,25 @@ def _run_block(configs) -> list:
     n = len(configs)
     bloch_s = ch.system_bloch(cols, times)
     bloch_e = ch.environment_bloch(cols, times)
-
-    thermo_s = [qubit_thermo_trajectory(row) for row in _bloch_rows(bloch_s)]
-    thermo_e = [qubit_thermo_trajectory(row) for row in _bloch_rows(bloch_e)]
+    thermo_s = qubit_thermo_trajectory(bloch_s)
+    thermo_e = qubit_thermo_trajectory(bloch_e)
 
     # the system's rows, then the environment's
-    work = abs(_stack(thermo_s + thermo_e, "work")).max(axis=1)
+    work = abs(np.concatenate([thermo_s.work, thermo_e.work])).max(axis=1)
     work_max = float(work.max())
     if work_max > WORK_STATIC_TOL:
         raise NumericalError(
             f"work {work_max:.3e} on a static Hamiltonian exceeds "
             f"{WORK_STATIC_TOL:.0e}")
-    balance = abs(_stack(thermo_s, "internal_energy_change")
-                  + _stack(thermo_e, "internal_energy_change")).max(axis=1)
+    balance = abs(thermo_s.internal_energy_change
+                  + thermo_e.internal_energy_change).max(axis=1)
     if balance.max() > ENERGY_BALANCE_TOL:
         raise NumericalError(
             f"system plus environment energy change {balance.max():.3e} "
             f"exceeds {ENERGY_BALANCE_TOL:.0e}; total energy must be "
             "conserved")
 
-    asym = heat_asymmetry(_stack(thermo_s, "heat"), _stack(thermo_e, "heat"))
+    asym = heat_asymmetry(thermo_s.heat, thermo_e.heat)
 
     ent_s = bloch_entropies(bloch_s.radius)
     ent_e = bloch_entropies(bloch_e.radius)
@@ -239,14 +219,14 @@ def _run_block(configs) -> list:
 
     # per-row scalars, as Python floats
     columns = {
-        "closure_system_max": [t.max_closure_residual for t in thermo_s],
-        "closure_environment_max": [t.max_closure_residual
-                                    for t in thermo_e],
+        "closure_system_max": thermo_s.closure_residual.max(axis=1).tolist(),
+        "closure_environment_max": thermo_e.closure_residual.max(
+            axis=1).tolist(),
         "work_system_max_abs": work[:n].tolist(),
         "work_environment_max_abs": work[n:].tolist(),
         "energy_balance_max": balance.tolist(),
-        "heat_system_final": [float(t.heat[-1]) for t in thermo_s],
-        "heat_environment_final": [float(t.heat[-1]) for t in thermo_e],
+        "heat_system_final": thermo_s.heat[:, -1].tolist(),
+        "heat_environment_final": thermo_e.heat[:, -1].tolist(),
         "heat_asymmetry_max": asym.max(axis=1).tolist(),
         "joint_entropy_unitary_family": np.ravel(ent_joint).tolist(),
         "entropy_drift_closed_form_family": abs(
@@ -271,9 +251,8 @@ def _run_block(configs) -> list:
             diagnostics["ratio_max_relative_spread"] = \
                 report.max_relative_spread
         except InputError:
-            diagnostics["ratio_points"] = 0.0
-            diagnostics["ratio_mean"] = float("nan")
-            diagnostics["ratio_max_relative_spread"] = float("nan")
+            diagnostics.update(ratio_points=0.0, ratio_mean=math.nan,
+                               ratio_max_relative_spread=math.nan)
         info = InfoSeries(times=times[i], entropy_s=ent_s[i],
                           entropy_e=ent_e[i], coherence_s=coh_s[i],
                           coherence_e=coh_e[i], negativity=neg[i],

@@ -80,12 +80,12 @@ CLOSURE_TOLERANCE = 1e-4
 class ThermoTrajectory:
     """Cumulative first-law bookkeeping on a time grid.
 
-    All arrays share the grid ``times``; energy arrays start at zero.
-    ``closure_residual[i] = |internal_energy_change[i] - work[i] -
-    heat[i] - coherent_energy[i]|``. On the generic route of
-    :func:`thermo_trajectory` it is the discretization error of the
-    split; on :func:`qubit_thermo_trajectory` it compares the Bloch
-    coefficients with the closed-form populations.
+    All arrays have the shape of ``times``, ``(T,)`` or ``(R, T)`` for a
+    block of grids; energy arrays start at zero. ``closure_residual =
+    |internal_energy_change - work - heat - coherent_energy|`` is the
+    split's discretization error on the generic route and compares the
+    Bloch coefficients with the populations on the qubit route;
+    ``max_closure_residual`` is its maximum over the whole block.
     """
 
     times: np.ndarray
@@ -98,6 +98,10 @@ class ThermoTrajectory:
     @property
     def max_closure_residual(self) -> float:
         return float(self.closure_residual.max())
+
+    def __getitem__(self, row) -> ThermoTrajectory:
+        """Row ``row`` of a block, as views of its arrays."""
+        return ThermoTrajectory(**{k: v[row] for k, v in vars(self).items()})
 
 
 def _track(eigenvalues, eigenvectors, times):
@@ -137,13 +141,16 @@ class _Spectra(NamedTuple):
     overlaps: np.ndarray
 
 
-def _check_grid(times) -> np.ndarray:
+def _check_grid(times, ndim=1) -> np.ndarray:
+    """``times`` as floats; ``ndim = 2`` also takes a block of grids."""
     try:
         times = np.asarray(times, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"times must be a numeric 1-d grid: {exc}") from exc
-    if times.ndim != 1 or times.size < 2:
-        raise InputError("times must be a 1-d grid with at least two points")
+    if not 1 <= times.ndim <= ndim or times.shape[-1] < 2:
+        block = ", or an (R, T) block of them," if ndim == 2 else ""
+        raise InputError(
+            f"times must be a 1-d grid{block} with at least two points")
     if (np.diff(times) <= 0.0).any():
         raise InputError("times must be strictly increasing")
     return times
@@ -193,13 +200,16 @@ def _internal_energy_series(populations, overlaps):
 def _check_closure(residual, times, tolerance, advice) -> None:
     """Raise :class:`NumericalError` if the closure residual tops ``tolerance``.
 
-    The message names the time of the worst residual and, since the
-    residual accumulates, the grid step where it grows most, then
-    ``advice``.
+    The message is that of the first failing row of a block alone: the
+    time of its worst residual and, since the residual accumulates, the
+    grid step where it grows most, then ``advice``.
     """
-    worst = int(np.argmax(residual))
     # written so that a NaN residual fails too
-    if not residual[worst] <= tolerance:
+    failed = np.flatnonzero(~(residual.max(axis=-1) <= tolerance))
+    if failed.size:
+        residual = np.atleast_2d(residual)[failed[0]]
+        times = np.atleast_2d(times)[failed[0]]
+        worst = int(np.argmax(residual))
         # the residual accumulates, so its worst point says little about
         # where the error arises; the step where it grows most does
         growth = np.abs(np.diff(residual))
@@ -309,7 +319,9 @@ def _bloch_heat(coefficients, g) -> np.ndarray:
         x, x0, r = (g, g0, root_g) if near_zero else (u, 0.0, root_u)
         rho = math.hypot(x0 - r, m)
         if near_zero or rho < 1.0:
-            modulus = np.log(np.hypot(x - r, m)) - np.log(rho)
+            # hypot(y, 0) is |y| exactly, and abs is cheaper
+            dist = np.hypot(x - r, m) if m else abs(x - r)
+            modulus = np.log(dist) - np.log(rho)
         else:
             # |u - r|^2 / rho^2 = 1 + u (u - 2 r) / rho^2 with |u| <= 1:
             # log1p keeps the digits of a far root's small log
@@ -325,24 +337,31 @@ def qubit_thermo_trajectory(bloch) -> ThermoTrajectory:
     """Exact first-law split of a qubit given in Bloch form.
 
     ``bloch`` is a :class:`strongcouple.channels.BlochSeries` of a qubit
-    under the model's static Hamiltonian. Work is zero, the heat is
-    the closed-form integral of the module docstring, and the coherent
-    energy is ``(E0 - E1)/2 Delta z`` minus the heat, so neither needs a
-    derivative, a quadrature rule or an eigensolve, and the grid may be
-    as coarse as the caller likes. The internal energy change is
+    under the model's static Hamiltonian, with ``(T,)`` arrays, or a block
+    with ``(R, T)`` arrays and ``(R, 1)`` or shared coefficients whose
+    rows are split as their own series, bit for bit. Work is zero, the
+    heat is the closed-form integral of the module docstring, and the
+    coherent energy is ``(E0 - E1)/2 Delta z`` minus the heat, so neither
+    needs a derivative, a quadrature rule or an eigensolve, and the grid
+    may be as coarse as the caller likes. The internal energy change is
     ``bloch.populations @ energies``, from the closed-form populations;
     the closure residual therefore compares the Bloch coefficients with
-    those populations, and a residual above :data:`CLOSURE_TOLERANCE` raises
-    :class:`NumericalError`. It cannot see an error in the split of
-    ``Delta U`` between heat and coherent energy.
+    those populations, and one above :data:`CLOSURE_TOLERANCE` raises the
+    :class:`NumericalError` of the first such row alone. It cannot see an
+    error in the split of ``Delta U`` between heat and coherent energy.
     """
-    times = _check_grid(bloch.times)
+    times = _check_grid(bloch.times, ndim=2)
     half_gap = 0.5 * (_ENERGIES[0] - _ENERGIES[1])
     g = bloch.decay
-    heat = half_gap * _bloch_heat(bloch.coefficients, g)
-    coherent = half_gap * bloch.coefficients[1] * (g - g[0]) - heat
+    # each row's coefficients as Python floats, for the root analysis; a
+    # float coefficient, a list of one here, is shared by every row
+    columns = [np.ravel(c).tolist() for c in bloch.coefficients]
+    heat = half_gap * np.array([
+        _bloch_heat([c[i % len(c)] for c in columns], row)
+        for i, row in enumerate(np.atleast_2d(g))]).reshape(g.shape)
+    coherent = half_gap * bloch.coefficients[1] * (g - g[..., :1]) - heat
     u = bloch.populations @ _ENERGIES
-    du = u - u[0]
+    du = u - u[..., :1]
     work = np.zeros_like(times)
     residual = np.abs(du - work - heat - coherent)
     _check_closure(residual, times, CLOSURE_TOLERANCE,

@@ -237,21 +237,23 @@ def _two_qubit(m) -> None:
                          f"(..., 4, 4), got {m.shape}")
 
 
-def partial_trace(states, keep: int) -> np.ndarray:
+def partial_trace(states, keep) -> np.ndarray:
     """Trace out one qubit of a ``(..., 4, 4)`` stack of two-qubit states.
 
-    ``keep`` is 0 to keep the first qubit and 1 to keep the second. The
-    input is validated as by :func:`density_stack`, with the eigenvalue
-    floor halved: a marginal's lowest eigenvalue is bounded below only by
-    the traced-out dimension, 2, times the input's, so an input above
-    ``PSD_FLOOR / 2`` has a marginal above ``PSD_FLOOR``. The ``(..., 2,
-    2)`` result is positive by construction and checked with
+    ``keep`` is 0 to keep the first qubit and 1 to keep the second; a
+    tuple of these stacks their marginals on a new leading axis. The
+    input is validated once, as by :func:`density_stack`, with the
+    eigenvalue floor halved: a marginal's lowest eigenvalue is bounded
+    below only by the traced-out dimension, 2, times the input's, so an
+    input above ``PSD_FLOOR / 2`` has a marginal above ``PSD_FLOOR``. The
+    ``(..., 2, 2)`` result is positive by construction and checked with
     :func:`unit_trace_stack`.
     """
     m = unit_trace_stack(states)
     _two_qubit(m)
-    if keep not in (0, 1):
-        raise InputError(f"keep must be 0 or 1, got {keep!r}")
+    keeps = keep if isinstance(keep, tuple) else (keep,)
+    if not keeps or any(k not in (0, 1) for k in keeps):
+        raise InputError(f"keep must be 0, 1 or a tuple of them, got {keep!r}")
     lowest = np.linalg.eigvalsh(m)[..., 0]
     if (2.0 * lowest < PSD_FLOOR).any():
         raise InputError(
@@ -259,8 +261,9 @@ def partial_trace(states, keep: int) -> np.ndarray:
             f"floor {PSD_FLOOR:.0e} over the traced-out dimension 2; its "
             f"marginal may not be a density operator")
     r = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
-    return unit_trace_stack(np.einsum("...ikjk->...ij", r) if keep == 0
-                            else np.einsum("...kikj->...ij", r))
+    traced = unit_trace_stack([np.einsum("...kikj->...ij" if k else
+                                         "...ikjk->...ij", r) for k in keeps])
+    return traced if isinstance(keep, tuple) else traced[0]
 
 
 def partial_transpose_stack(matrices) -> np.ndarray:

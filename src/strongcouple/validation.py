@@ -149,9 +149,8 @@ def _suite_marginals():
     pr, times = config.params, config.times
     grid = np.linspace(0.0, 10.0, 41)
     joint = ch.joint_states_closed_form(pr, grid)
-    ds = partial_trace(joint, keep=0) - ch.system_states(pr, grid)
-    de = partial_trace(joint, keep=1) - ch.environment_states(pr, grid)
-    worst = max(float(np.max(np.abs(ds))), float(np.max(np.abs(de))))
+    marginals = [ch.system_states(pr, grid), ch.environment_states(pr, grid)]
+    worst = float(np.max(np.abs(partial_trace(joint, (0, 1)) - marginals)))
     eigen = negativities(ch.joint_states_closed_form(pr, times))
     worst_negativity = float(np.max(np.abs(
         ch.joint_negativities_closed_form(pr, times) - eigen)))

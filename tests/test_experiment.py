@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from strongcouple import channels as ch
-from strongcouple import spectra
+from strongcouple import experiment, spectra
 from strongcouple.errors import InputError, NumericalError
 from strongcouple.experiment import (BLOCK_POINTS, ExperimentConfig, _blocks,
                                      _rates, run, sweep)
@@ -361,37 +361,69 @@ class TestRun:
 
 CLOSED_FORMS = ("system_bloch", "environment_bloch",
                 "joint_negativities_closed_form", "joint_radii_closed_form")
+SPLIT = "qubit_thermo_trajectory"
 
 
 class TestClosedFormEntries:
     """A run or a sweep block reaches each closed form through its one
-    public entry point, once per block."""
+    public entry point, once per block, and splits the first law of each
+    marginal in one call for the whole block."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = dict.fromkeys(CLOSED_FORMS, 0)
+        counts = dict.fromkeys(CLOSED_FORMS + (SPLIT,), 0)
 
-        def counting(name):
-            original = getattr(ch, name)
+        def counting(module, name):
+            original = getattr(module, name)
 
-            def wrapper(params, times):
+            def wrapper(*args):
                 counts[name] += 1
-                return original(params, times)
+                return original(*args)
             return wrapper
 
         for name in CLOSED_FORMS:
-            monkeypatch.setattr(ch, name, counting(name))
+            monkeypatch.setattr(ch, name, counting(ch, name))
+        monkeypatch.setattr(experiment, SPLIT, counting(experiment, SPLIT))
         return counts
 
     def test_run_calls_each_once(self, calls):
         run(ExperimentConfig())
-        assert calls == dict.fromkeys(CLOSED_FORMS, 1)
+        assert calls == {**dict.fromkeys(CLOSED_FORMS, 1), SPLIT: 2}
 
     def test_sweep_calls_each_once_per_block(self, calls):
         configs = _sweep27()
         assert [len(b) for b in _blocks(configs)] == [8, 8, 8, 3]
         assert all(row.error == "" for row in sweep(configs))
-        assert calls == dict.fromkeys(CLOSED_FORMS, 4)
+        assert calls == {**dict.fromkeys(CLOSED_FORMS, 4), SPLIT: 8}
+
+    def test_failing_row_inside_a_block(self, calls,
+                                        break_system_bloch_when):
+        # the fourth and the last row of the first block fail its closure
+        # gate; the block raises the fourth row's own message, then runs
+        # again row by row
+        configs = _sweep27()[:8]
+        clean = sweep(configs)
+        calls.update(dict.fromkeys(calls, 0))
+        failing = (configs[3].params, configs[7].params)
+        break_system_bloch_when(lambda params: params in failing)
+        with pytest.raises(NumericalError, match="closure") as block:
+            experiment._run_block(configs)
+        with pytest.raises(NumericalError) as alone:
+            run(configs[3])
+        assert str(block.value) == str(alone.value)
+        calls.update(dict.fromkeys(calls, 0))
+        rows = sweep(configs)
+        # the block and each failing row stop at the system's split
+        assert calls[SPLIT] == 1 + 2 * 6 + 2
+        for i, row in enumerate(rows):
+            if i in (3, 7):
+                with pytest.raises(NumericalError, match="closure") as own:
+                    run(configs[i])
+                assert row.error == str(own.value)
+                assert "Bloch coefficients disagree" in row.error
+                assert math.isnan(row.peak_negativity)
+            else:
+                assert _bits(row) == _bits(clean[i])
 
 
 class TestMarkov:

@@ -495,6 +495,113 @@ class TestQubitRoute:
         assert "refine the time grid" not in str(exc.value)
 
 
+# (alpha, w0) rows that between them reach every branch of the heat's
+# root analysis, on the system's side, the environment's or both
+BRANCH_ROWS = (
+    (0.0, 0.75),  # no initial coherence: c0 = c1 = 0
+    (1.0, 0.75),  # the same at alpha = 1
+    (0.75, 0.5625),  # alpha^2 = w0 exactly: z1 = 0, q is linear
+    (0.6, 1.0),  # zero temperature: a complex root pair
+    (1.0 / math.sqrt(2.0), oracles.W0_DEFAULT),  # two real roots, a
+    # near one taken by the log of its distance and a far one by log1p
+    (0.6, 0.52),  # ends nearly maximally mixed: a root near g = 0
+    (0.6, 0.5),  # ends (system) or starts (environment) maximally
+    # mixed: a real root where z vanishes, of weight 0
+)
+
+
+def _block_and_rows(side):
+    """One Bloch block over :data:`BRANCH_ROWS`, with its own rate and
+    horizon per row, and the series of each row sliced from it."""
+    params = [GadcParams(alpha=a, w0=w0, gamma_rate=0.5 + i)
+              for i, (a, w0) in enumerate(BRANCH_ROWS)]
+    times = np.array([np.linspace(0.0, 3.0 + i, 41)
+                      for i in range(len(params))])
+    block = SIDES[side](params, times)
+    rows = [block._replace(
+        times=block.times[i], decay=block.decay[i],
+        coefficients=tuple(float(np.ravel(c)[i]) if np.ndim(c) else c
+                           for c in block.coefficients),
+        x2=block.x2[i], radius=block.radius[i],
+        populations=block.populations[i]) for i in range(len(params))]
+    return block, rows
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+FIELDS = ("times", "work", "heat", "coherent_energy",
+          "internal_energy_change", "closure_residual")
+
+
+class TestBlocks:
+    """A block of Bloch series, with ``(R, T)`` arrays, is split in one
+    call whose rows are the rows' own splits bit for bit."""
+
+    def test_rows_reach_every_branch(self):
+        block, _ = _block_and_rows("system")
+        z0, z1, c0, c1 = (np.ravel(c) for c in block.coefficients)
+        disc = c1 * c1 + 4.0 * z1 * (z0 * c1 - z1 * c0)
+        assert (c0[:2] == 0.0).all() and (c1[:2] == 0.0).all()
+        assert z1[2] == 0.0
+        assert disc[3] < 0.0
+        assert (disc[4:] >= 0.0).all()
+        # the system ends at z0; maximally mixed at w0 = 0.5
+        assert z0[6] == 0.0 and 0.0 < z0[5] < 0.05
+
+    @pytest.mark.parametrize("side", sorted(SIDES))
+    def test_block_equals_rows(self, side):
+        block, rows = _block_and_rows(side)
+        whole = qubit_thermo_trajectory(block)
+        assert whole.heat.shape == block.times.shape
+        for i, row in enumerate(rows):
+            alone = qubit_thermo_trajectory(row)
+            for field in FIELDS:
+                assert _same_bits(getattr(whole, field)[i],
+                                  getattr(alone, field)), (i, field)
+        assert whole.max_closure_residual == max(
+            qubit_thermo_trajectory(row).max_closure_residual
+            for row in rows)
+
+    @pytest.mark.parametrize("side", sorted(SIDES))
+    def test_block_of_one_is_the_series(self, side):
+        pr = default_params()
+        times = np.linspace(0.0, 10.0, 101)
+        series = qubit_thermo_trajectory(SIDES[side](pr, times))
+        block = qubit_thermo_trajectory(SIDES[side](pr, times[None, :]))
+        for field in FIELDS:
+            assert getattr(block, field).shape == (1, 101)
+            assert _same_bits(getattr(block, field)[0],
+                              getattr(series, field)), field
+
+    def test_closure_gate_names_the_first_failing_row(self):
+        # rows 2 and 4 carry a wrong slope; the block's message is the
+        # one row 2's own series raises
+        block, rows = _block_and_rows("system")
+        z0, z1, c0, c1 = block.coefficients
+        wrong = np.zeros_like(z1)
+        wrong[[2, 4]] = 1e-3
+        with pytest.raises(NumericalError) as alone:
+            qubit_thermo_trajectory(rows[2]._replace(coefficients=(
+                rows[2].coefficients[0], rows[2].coefficients[1] + 1e-3,
+                *rows[2].coefficients[2:])))
+        with pytest.raises(NumericalError) as together:
+            qubit_thermo_trajectory(
+                block._replace(coefficients=(z0, z1 + wrong, c0, c1)))
+        assert str(together.value) == str(alone.value)
+        assert "Bloch coefficients disagree" in str(together.value)
+
+    @pytest.mark.parametrize("times", [
+        np.zeros((2, 1)), np.zeros((2, 3, 4)), np.array([[0.0, 1.0],
+                                                         [1.0, 0.5]])])
+    def test_block_grid_checked(self, times):
+        series = system_bloch(default_params(), np.linspace(0.0, 1.0, 5))
+        with pytest.raises(InputError, match="times must"):
+            qubit_thermo_trajectory(series._replace(times=times))
+
+
 def _sums_after_start(params, times):
     """``Q_S + Q_E`` and ``S_S + S_E`` on ``times`` without ``t = 0``."""
     bloch_s = system_bloch(params, times)

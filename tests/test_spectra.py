@@ -182,6 +182,24 @@ class TestTensorAndTraces:
     def test_partial_trace_keep_validation(self):
         with pytest.raises(InputError):
             partial_trace(BELL, keep=2)
+        for keep in ((), (0, 2), [0, 1]):
+            with pytest.raises(InputError, match="keep must be"):
+                partial_trace(BELL, keep=keep)
+
+    def test_partial_trace_both_marginals(self, random_density,
+                                          monkeypatch):
+        # a tuple of keeps stacks the single marginals, from one eigensolve
+        joints = np.stack([np.kron(random_density(), random_density())
+                           for _ in range(3)])
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda m: calls.append(m) or eigvalsh(m))
+        both = partial_trace(joints, keep=(0, 1))
+        assert len(calls) == 1
+        assert both.shape == (2, 3, 2, 2)
+        for keep in (0, 1):
+            assert np.array_equal(both[keep], partial_trace(joints, keep))
 
     @pytest.mark.parametrize("function", [
         lambda m: partial_trace(m, keep=0), partial_transpose_stack,
