@@ -16,15 +16,25 @@ spectrum changes of the Hamiltonian, the heat term tracks population
 changes, and the coherent term tracks rotation of the state eigenbasis
 relative to the energy eigenbasis. Both routes below read the model's
 static Hamiltonian :data:`strongcouple.channels.QUBIT_HAMILTONIAN`,
-``diag(0, 1)``, whose eigenbasis is the computational basis: their work
-is zero, and ``P_nk`` is the squared modulus of entry ``n`` of the
-state eigenvector ``k``.
+``diag(0, 1)``: their work is zero, and the split needs only each
+eigenbranch's energy ``eps_k = sum_n E_n P_nk``,
+
+* heat       ``Q(t) = sum_k int eps_k dr_k``
+* coherent   ``C(t) = sum_k int r_k deps_k``
+* internal   ``U(t) = sum_k r_k eps_k``
+
+The levels are the computational basis, so ``P_nk`` is the squared
+modulus of entry ``n`` of the state eigenvector ``k``.
 
 Time is an array axis. :func:`thermo_trajectory` takes the stack of
 states on the caller's grid, validates and diagonalizes it with one
 :func:`~strongcouple.spectra.density_eigh` call, and integrates on the
-stacked spectra. :func:`qubit_thermo_trajectory` takes a qubit's Bloch
-series instead (see below). Both return a :class:`ThermoTrajectory`.
+``(T, 2)`` arrays of tracked populations and branch energies.
+:func:`qubit_thermo_trajectory` takes a qubit's Bloch series instead
+(see below). The two routes differ only in how they compute ``Q``, ``C``
+and ``Delta U``: both return through one ledger, which forms the zero
+work and the closure residual, runs the one closure gate and builds the
+:class:`ThermoTrajectory`.
 
 Branches are identified across time steps by eigenvector overlap, for
 all steps at once. The overlap moduli ``O`` of two consecutive
@@ -61,7 +71,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -133,14 +142,6 @@ def _track(eigenvalues, eigenvectors, times):
                      eigenvectors))
 
 
-class _Spectra(NamedTuple):
-    """Tracked populations of ``rho`` and their level overlaps on a grid,
-    time leading."""
-
-    populations: np.ndarray
-    overlaps: np.ndarray
-
-
 def _check_grid(times, ndim=1) -> np.ndarray:
     """``times`` as floats; ``ndim = 2`` also takes a block of grids."""
     try:
@@ -151,26 +152,12 @@ def _check_grid(times, ndim=1) -> np.ndarray:
         block = ", or an (R, T) block of them," if ndim == 2 else ""
         raise InputError(
             f"times must be a 1-d grid{block} with at least two points")
+    # isfinite is false for NaN too, which compares false to any step
+    if not np.isfinite(times).all():
+        raise InputError("times must be finite")
     if (np.diff(times) <= 0.0).any():
         raise InputError("times must be strictly increasing")
     return times
-
-
-def _spectra(states, times) -> _Spectra:
-    """Validate, diagonalize and track a qubit trajectory given as a stack.
-
-    ``states`` is a ``(T, 2, 2)`` stack of density matrices aligned with
-    ``times``, validated and diagonalized in one call. The levels are
-    the computational basis, so the overlaps are the squared moduli of
-    the tracked eigenvector entries.
-    """
-    rho_lam, rho_vec = density_eigh(states)
-    if rho_vec.shape != (times.size, 2, 2):
-        raise InputError(f"got states of shape {rho_vec.shape} for "
-                         f"{times.size} time points; the states must be "
-                         f"a ({times.size}, 2, 2) stack")
-    populations, s_vec = _track(rho_lam, rho_vec, times)
-    return _Spectra(populations, np.abs(s_vec) ** 2)
 
 
 def _cumtrapz(y, x):
@@ -179,47 +166,37 @@ def _cumtrapz(y, x):
     return out
 
 
-def _heat(times, populations, overlaps):
-    dr = np.gradient(populations, times, axis=0)
-    integrand = np.einsum("n,tnk,tk->t", _ENERGIES, overlaps, dr)
-    return _cumtrapz(integrand, times)
+def _ledger(times, heat, coherent, du, tolerance, advice) -> ThermoTrajectory:
+    """The :class:`ThermoTrajectory` of a split with zero work, after its
+    closure gate.
 
-
-def _coherent(times, populations, overlaps):
-    dp = np.gradient(overlaps, times, axis=0)
-    integrand = np.einsum("n,tk,tnk->t", _ENERGIES, populations, dp)
-    return _cumtrapz(integrand, times)
-
-
-def _internal_energy_series(populations, overlaps):
-    """``tr(H rho) - tr(H rho(0))`` pointwise on the grid."""
-    u = np.einsum("n,tk,tnk->t", _ENERGIES, populations, overlaps)
-    return u - u[0]
-
-
-def _check_closure(residual, times, tolerance, advice) -> None:
-    """Raise :class:`NumericalError` if the closure residual tops ``tolerance``.
-
-    The message is that of the first failing row of a block alone: the
-    time of its worst residual and, since the residual accumulates, the
-    grid step where it grows most, then ``advice``.
+    A closure residual above ``tolerance`` raises :class:`NumericalError`
+    with the message of the first failing row of a block alone: the time
+    of its worst residual and, since the residual accumulates, the grid
+    step where it grows most, then ``advice``.
     """
+    work = np.zeros_like(times)
+    residual = np.abs(du - work - heat - coherent)
     # written so that a NaN residual fails too
     failed = np.flatnonzero(~(residual.max(axis=-1) <= tolerance))
     if failed.size:
-        residual = np.atleast_2d(residual)[failed[0]]
-        times = np.atleast_2d(times)[failed[0]]
-        worst = int(np.argmax(residual))
+        row = np.atleast_2d(residual)[failed[0]]
+        row_times = np.atleast_2d(times)[failed[0]]
+        worst = int(np.argmax(row))
         # the residual accumulates, so its worst point says little about
         # where the error arises; the step where it grows most does
-        growth = np.abs(np.diff(residual))
+        growth = np.abs(np.diff(row))
         step = int(np.argmax(growth))
         raise NumericalError(
-            f"first-law closure residual {residual[worst]:.3e} at "
-            f"t = {times[worst]:.6g} exceeds tolerance "
+            f"first-law closure residual {row[worst]:.3e} at "
+            f"t = {row_times[worst]:.6g} exceeds tolerance "
             f"{tolerance:.1e}; it grows most, by "
-            f"{growth[step]:.3e}, between t = {times[step]:.6g} and "
-            f"t = {times[step + 1]:.6g}; {advice}")
+            f"{growth[step]:.3e}, between t = {row_times[step]:.6g} and "
+            f"t = {row_times[step + 1]:.6g}; {advice}")
+    return ThermoTrajectory(times=times, work=work, heat=heat,
+                            coherent_energy=coherent,
+                            internal_energy_change=du,
+                            closure_residual=residual)
 
 
 def thermo_trajectory(states, times,
@@ -241,18 +218,21 @@ def thermo_trajectory(states, times,
         raise InputError(
             f"closure_tolerance must be positive, got {closure_tolerance}")
     times = _check_grid(times)
-    sp = _spectra(states, times)
-    work = np.zeros_like(times)
-    heat = _heat(times, *sp)
-    coherent = _coherent(times, *sp)
-    du = _internal_energy_series(*sp)
-    residual = np.abs(du - work - heat - coherent)
-    _check_closure(residual, times, closure_tolerance,
+    rho_lam, rho_vec = density_eigh(states)
+    if rho_vec.shape != (times.size, 2, 2):
+        raise InputError(f"got states of shape {rho_vec.shape} for "
+                         f"{times.size} time points; the states must be "
+                         f"a ({times.size}, 2, 2) stack")
+    populations, vectors = _track(rho_lam, rho_vec, times)
+    # the levels are the computational basis: eps_k = sum_n E_n |v_nk|^2
+    energies = _ENERGIES @ (np.abs(vectors) ** 2)
+    dr = np.gradient(populations, times, axis=0)
+    de = np.gradient(energies, times, axis=0)
+    heat = _cumtrapz(np.einsum("tk,tk->t", energies, dr), times)
+    coherent = _cumtrapz(np.einsum("tk,tk->t", populations, de), times)
+    u = np.einsum("tk,tk->t", populations, energies)
+    return _ledger(times, heat, coherent, u - u[0], closure_tolerance,
                    "refine the time grid")
-    return ThermoTrajectory(times=times, work=work, heat=heat,
-                            coherent_energy=coherent,
-                            internal_energy_change=du,
-                            closure_residual=residual)
 
 
 def _real_roots(a, b, c, disc):
@@ -361,12 +341,5 @@ def qubit_thermo_trajectory(bloch) -> ThermoTrajectory:
         for i, row in enumerate(np.atleast_2d(g))]).reshape(g.shape)
     coherent = half_gap * bloch.coefficients[1] * (g - g[..., :1]) - heat
     u = bloch.populations @ _ENERGIES
-    du = u - u[..., :1]
-    work = np.zeros_like(times)
-    residual = np.abs(du - work - heat - coherent)
-    _check_closure(residual, times, CLOSURE_TOLERANCE,
+    return _ledger(times, heat, coherent, u - u[..., :1], CLOSURE_TOLERANCE,
                    "the Bloch coefficients disagree with the state matrices")
-    return ThermoTrajectory(times=times, work=work, heat=heat,
-                            coherent_energy=coherent,
-                            internal_energy_change=du,
-                            closure_residual=residual)

@@ -241,8 +241,7 @@ def _suite_mutation_control():
     pr, p = ch.GadcParams(alpha=0.6, w0=0.7), 0.3
     u = ch.gadc_unitary(1.0 - p)
     unitary_dev = float(np.max(np.abs(u @ u.conj().T - np.eye(4))))
-    joint = u @ ch.joint_initial_state(pr) @ u.conj().T
-    mutated = partial_trace(joint, keep=0)
+    mutated = ch.system_state_from_dilation(pr, 1.0 - p)
     honest = ch.apply_channel(ch.system_kraus(pr, p),
                               ch.system_initial_state(pr))
     dev = float(np.max(np.abs(mutated - honest)))

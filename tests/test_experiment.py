@@ -15,7 +15,7 @@ from strongcouple.errors import InputError, NumericalError
 from strongcouple.experiment import (BLOCK_POINTS, ExperimentConfig, _blocks,
                                      _rates, run, sweep)
 from strongcouple.infomeasures import bloch_entropies, von_neumann_entropies
-from strongcouple.validation import markov_convergence
+from strongcouple.validation import markov_convergence, run_suites
 
 
 def _bits(row):
@@ -546,3 +546,17 @@ class TestSweep:
         names = {f.name for f in dataclasses.fields(rows[0])}
         assert {"alpha", "beta", "gamma", "peak_negativity",
                 "heat_system_final", "error"} <= names
+
+
+def test_silent_by_default(capsys, caplog, break_system_bloch_when):
+    """At the logging defaults, a run, the validate suites and a sweep
+    with a failing row write nothing to stdout or stderr and emit no log
+    record."""
+    run(ExperimentConfig(n_samples=101))
+    assert all(ok for _, ok, _ in run_suites(strict=True))
+    break_system_bloch_when(lambda params: params.alpha == 0.5)
+    rows = sweep([ExperimentConfig(alpha=a, n_samples=101)
+                  for a in (0.2, 0.5, 0.8)])
+    assert "closure" in rows[1].error
+    assert capsys.readouterr() == ("", "")
+    assert caplog.records == []

@@ -11,10 +11,10 @@ from strongcouple.channels import (QUBIT_HAMILTONIAN, GadcParams,
                                    system_bloch, system_states)
 from strongcouple.errors import InputError, NumericalError, TrackingError
 from strongcouple.experiment import ExperimentConfig
-from strongcouple.firstlaw import (_spectra, _track, qubit_thermo_trajectory,
+from strongcouple.firstlaw import (_track, qubit_thermo_trajectory,
                                    thermo_trajectory)
 from strongcouple.infomeasures import bloch_entropies
-from strongcouple.spectra import eig_hermitian, eigh_stack
+from strongcouple.spectra import density_eigh, eig_hermitian, eigh_stack
 
 
 def default_params():
@@ -58,14 +58,19 @@ class TestEigenTrack:
 
 class TestSampleTrajectory:
     """A sampled trajectory: the grid, the stack of states on it, and the
-    overlaps of their tracked spectra."""
+    energies of its tracked eigenbranches."""
 
     def test_overlap_rows_and_columns_sum_to_one(self):
+        """Seen through the branch energies ``eps_k = sum_n E_n P_nk``:
+        the overlap table's rows sum to one, so the branch energies sum
+        to ``E0 + E1``; its columns do, so each lies in ``[E0, E1]``."""
         pr = default_params()
         times = np.linspace(0.0, 2.0, 5)
-        overlaps = _spectra(system_states(pr, times), times).overlaps
-        assert np.max(np.abs(overlaps.sum(axis=1) - 1.0)) < 1e-12
-        assert np.max(np.abs(overlaps.sum(axis=2) - 1.0)) < 1e-12
+        e0, e1 = QUBIT_HAMILTONIAN.real.diagonal()
+        _, vectors = _track(*density_eigh(system_states(pr, times)), times)
+        energies = np.array([e0, e1]) @ np.abs(vectors) ** 2
+        assert np.max(np.abs(energies.sum(axis=1) - (e0 + e1))) < 1e-12
+        assert (energies >= e0).all() and (energies <= e1).all()
 
     def test_state_count_mismatch(self):
         pr = default_params()
@@ -80,6 +85,80 @@ class TestSampleTrajectory:
         states = system_states(pr, np.linspace(0.0, 1.0, 2))
         with pytest.raises(InputError):
             thermo_trajectory(states, times)
+
+
+# grids that are increasing wherever they compare, but not finite
+NON_FINITE_GRIDS = ([0.0, 1.0, math.inf], [0.0, 1.0, math.nan],
+                    [0.0, 1.0, math.inf, math.inf], [-math.inf, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("times", NON_FINITE_GRIDS)
+def test_generic_route_rejects_non_finite_grid(times):
+    states = system_states(default_params(), np.linspace(0.0, 1.0, len(times)))
+    with pytest.raises(InputError, match="times must be finite"):
+        thermo_trajectory(states, times)
+
+
+@pytest.mark.parametrize("times", NON_FINITE_GRIDS)
+def test_qubit_route_rejects_non_finite_grid(times):
+    series = system_bloch(default_params(), np.linspace(0.0, 1.0, len(times)))
+    with pytest.raises(InputError, match="times must be finite"):
+        qubit_thermo_trajectory(series._replace(times=np.array(times)))
+    block = np.array([np.linspace(0.0, 1.0, len(times)), times])
+    with pytest.raises(InputError, match="times must be finite"):
+        qubit_thermo_trajectory(series._replace(times=block))
+
+
+def overlap_reference(states, times):
+    """Heat, coherent energy, Delta U and closure residual of the generic
+    route in its overlap-tensor form, ``P_nk = |<n|k>|^2`` in full, and
+    whether the tracking swapped any point's branches."""
+    energies = QUBIT_HAMILTONIAN.real.diagonal()
+    lam, vec = density_eigh(states)
+    populations, vectors = _track(lam, vec, times)
+    overlaps = np.abs(vectors) ** 2
+
+    def cumtrapz(y):
+        out = np.zeros_like(y)
+        out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(times))
+        return out
+
+    dr = np.gradient(populations, times, axis=0)
+    dp = np.gradient(overlaps, times, axis=0)
+    heat = cumtrapz(np.einsum("n,tnk,tk->t", energies, overlaps, dr))
+    coherent = cumtrapz(np.einsum("n,tk,tnk->t", energies, populations, dp))
+    u = np.einsum("n,tk,tnk->t", energies, populations, overlaps)
+    du = u - u[0]
+    residual = np.abs(du - np.zeros_like(times) - heat - coherent)
+    return (heat, coherent, du, residual), not np.array_equal(populations,
+                                                              lam)
+
+
+class TestBranchEnergyForm:
+    """The generic route integrates on branch energies; with the levels
+    ``(0, 1)`` that is the overlap-tensor form of the heat, bit for bit."""
+
+    @pytest.mark.parametrize("beta", [0.2, 1.0, math.inf])
+    @pytest.mark.parametrize("side", ["system", "environment"])
+    def test_equals_overlap_tensor_form(self, side, beta):
+        states = system_states if side == "system" else environment_states
+        for alpha in (0.0, 0.3, 1.0 / math.sqrt(2.0), 0.9, 1.0):
+            pr = GadcParams.from_inverse_temperature(alpha, beta)
+            for times in (np.linspace(0.0, 10.0, 101),
+                          10.0 * np.linspace(0.0, 1.0, 1001) ** 2):
+                stack = states(pr, times)
+                # the gate is not under test: the hot coarse grid leaves
+                # residuals near 1e-3
+                traj = thermo_trajectory(stack, times, closure_tolerance=1.0)
+                ref, swapped = overlap_reference(stack, times)
+                # at alpha = 0 the populations cross, so the tracking
+                # swaps the branches that eigh orders by value
+                assert swapped == (alpha == 0.0), alpha
+                for name, want in zip(("heat", "coherent_energy",
+                                       "internal_energy_change",
+                                       "closure_residual"), ref):
+                    assert np.array_equal(getattr(traj, name), want), (
+                        alpha, name)
 
 
 class TestIntegralsExactCases:
