@@ -8,7 +8,7 @@ of the joint state. See :mod:`strongcouple.channels` for the evolution
 model and :mod:`strongcouple.firstlaw` for the decomposition itself.
 """
 
-from .channels import (BlochSeries, GadcParams, KrausChannel, apply_channel,
+from .channels import (BlochSeries, GadcParams, apply_channel,
                        environment_bloch, environment_initial_state,
                        environment_kraus, environment_states,
                        gadc_coupling_matrix, gadc_unitary, iterate_map_check,
@@ -42,7 +42,6 @@ __all__ = [
     "HermitianOperator",
     "InfoSeries",
     "InputError",
-    "KrausChannel",
     "NumericalError",
     "ProportionalityReport",
     "SpectralDecomposition",

@@ -13,17 +13,20 @@ Kraus operators acting on the system alone, a unitary dilation on the
 joint space followed by a partial trace, and closed-form matrix entries
 with ``p`` replaced by ``1 - exp(-gamma t)``.
 
-Every state is a plain array. Each closed-form family has one builder;
-it takes ``times`` of any shape, a scalar included, and returns
+Every state is a plain array, and so is every set of Kraus operators,
+a complex ``(..., K, n, n)`` stack. Each closed-form family has one
+builder; it takes ``times`` of any shape, a scalar included, and returns
 ``np.shape(times) + (n, n)``. The builders follow the rule of
 :mod:`strongcouple.spectra`: their output is positive by construction
 and is checked for Hermiticity and unit trace only, while
 :func:`apply_channel` runs the full density check on the states it
-takes. No builder diagonalizes its own output. Each public builder
-checks its own output once; a composite builder is assembled from
-unchecked private helpers, so the initial states inside
-:func:`joint_initial_state` and :func:`joint_states` are not checked a
-second time.
+takes. The Kraus builders return operators that are complete by
+construction, unchecked, and :func:`apply_channel` is the one place
+that checks the operators it is given. No builder diagonalizes its own
+output. Each public builder checks its own output once; a composite
+builder is assembled from unchecked private helpers, so the initial
+states inside :func:`joint_initial_state` and :func:`joint_states` are
+not checked a second time.
 
 Two joint-state families
 ------------------------
@@ -221,55 +224,15 @@ def _row_numbers(params: GadcParams) -> _Columns:
 def _columns(params) -> _Columns:
     """``params`` as :class:`_Columns`; columns pass through.
 
-    A :class:`GadcParams`, or a sequence of one, gives floats, which
-    broadcast like one row; a longer sequence gives ``(R, 1)`` columns.
+    A :class:`GadcParams` gives floats, which broadcast like one row;
+    a sequence of ``R`` sets, one included, gives ``(R, 1)`` columns.
     """
     if isinstance(params, _Columns):
         return params
     if isinstance(params, GadcParams):
         return _row_numbers(params)
-    if len(params) == 1:
-        return _row_numbers(params[0])
     table = np.array([_row_numbers(p) for p in params])
     return _Columns(*table.T.copy()[:, :, None])
-
-
-@dataclass(frozen=True, eq=False)
-class KrausChannel:
-    """Kraus operators validated for completeness.
-
-    ``operators`` has shape ``(..., K, n, n)``: the ``K`` operators of
-    one channel on the last three axes, and a stack of channels on the
-    leading ones, such as one channel per parameter draw. A single
-    channel has shape ``(K, n, n)``, and iterating over it gives its
-    operators. Completeness ``sum_k K_k^+ K_k = I`` is checked for every
-    channel of the stack. Equality is identity: an array has no truth value.
-    """
-
-    operators: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        try:
-            ops = np.asarray(self.operators, dtype=complex)
-        except (TypeError, ValueError) as exc:
-            raise InputError("Kraus operators must be square matrices of "
-                             f"one shape: {exc}") from exc
-        if ops.size == 0:
-            raise InputError("a channel needs at least one Kraus operator")
-        if ops.ndim < 3 or ops.shape[-1] != ops.shape[-2]:
-            raise InputError("Kraus operators must be square matrices of "
-                             f"one shape, got shape {ops.shape}")
-        dev = _completeness_gap(ops)
-        if dev > KRAUS_COMPLETENESS_TOL:
-            raise InputError(
-                f"Kraus completeness violated for {self.label or 'channel'}: "
-                f"max |sum K^+ K - I| = {dev:.3e}")
-        object.__setattr__(self, "operators", ops)
-
-    @property
-    def dim(self) -> int:
-        return self.operators.shape[-1]
 
 
 def _completeness_gap(operators: np.ndarray) -> float:
@@ -320,14 +283,10 @@ def gadc_coupling_matrix(p: float) -> np.ndarray:
     :func:`joint_states_closed_form`. An array of probabilities gives a
     stack, as for :func:`gadc_unitary`.
     """
-    u = gadc_unitary(p)
-    m = u.real.copy()
-    m[..., 1, 2] = u[..., 1, 2].imag
-    m[..., 2, 1] = u[..., 2, 1].imag
-    return m.astype(complex)
+    return np.abs(gadc_unitary(p)).astype(complex)
 
 
-def system_kraus(params, p) -> KrausChannel:
+def system_kraus(params, p) -> np.ndarray:
     """Four Kraus operators of the thermal damping channel on the system.
 
     In the ``|g>, |e>`` basis, for the decay probability ``p`` in [0, 1]:
@@ -337,11 +296,13 @@ def system_kraus(params, p) -> KrausChannel:
     * ``K10 = sqrt(w1) sqrt(p) |e><g|``
     * ``K11 = sqrt(w1) (sqrt(1-p) |g><g| + |e><e|)``
 
-    They satisfy the completeness relation exactly for every ``p, w0``.
-    ``params`` is a :class:`GadcParams` or the ``(R, 1)`` columns of
-    :class:`_Columns`, and ``p`` an array of any shape, as for
-    :func:`gadc_unitary`; the channel holds one set of operators per
-    entry of their broadcast shape ``S``, ``S + (4, 2, 2)``. One
+    They satisfy the completeness relation exactly for every ``p, w0``,
+    so the builder returns them unchecked; ``validate`` checks the
+    relation on random draws. ``params`` is a :class:`GadcParams` or the
+    ``(R, 1)`` columns of :class:`_Columns`, and ``p`` an array of any
+    shape, as for :func:`gadc_unitary`. The result is a complex array
+    with one set of operators per entry of their broadcast shape ``S``,
+    ``S + (4, 2, 2)``, the operators on the third axis from last. One
     parameter set and a scalar ``p`` give ``(4, 2, 2)``.
     """
     c = _columns(params)
@@ -356,21 +317,22 @@ def system_kraus(params, p) -> KrausChannel:
     k[..., 2, 1, 0] = s1 * sp
     k[..., 3, 0, 0] = s1 * sq
     k[..., 3, 1, 1] = s1
-    return KrausChannel(operators=k, label="system damping")
+    return k
 
 
-def environment_kraus(params, p) -> KrausChannel:
+def environment_kraus(params, p) -> np.ndarray:
     """Two Kraus operators for the environment side of the exchange.
 
     Obtained by sandwiching the unitary dilation between the system's
     initial pure state and the system basis states, so completeness holds
-    exactly. The entry magnitudes are ``alpha``, ``sqrt(p (1 - alpha^2))``,
+    exactly and the operators are returned unchecked. The entry
+    magnitudes are ``alpha``, ``sqrt(p (1 - alpha^2))``,
     ``sqrt((1-p)) alpha`` and partners; the exchange amplitudes carry the
     dilation's factor ``i``. Note that the resulting map reproduces the
     closed-form environment populations but not the closed-form coherence,
     which belongs to the symmetric coupling family (see module docstring).
     ``params`` and ``p`` broadcast as for :func:`system_kraus`, and the
-    operators have shape ``S + (2, 2, 2)``.
+    complex array of operators has shape ``S + (2, 2, 2)``.
     """
     c = _columns(params)
     p = _probability(p)
@@ -384,7 +346,7 @@ def environment_kraus(params, p) -> KrausChannel:
     k[..., 1, 0, 0] = sq * b
     k.imag[..., 1, 0, 1] = sp * a
     k[..., 1, 1, 1] = b
-    return KrausChannel(operators=k, label="environment exchange")
+    return k
 
 
 def _kraus_sum(operators, adjoints, states) -> np.ndarray:
@@ -398,21 +360,47 @@ def _kraus_sum(operators, adjoints, states) -> np.ndarray:
     return (operators @ states[..., None, :, :] @ adjoints).sum(axis=-3)
 
 
-def apply_channel(channel: KrausChannel, states) -> np.ndarray:
-    """Apply a Kraus channel to a ``(..., n, n)`` stack of states.
+def apply_channel(operators, states) -> np.ndarray:
+    """Apply Kraus operators to a ``(..., n, n)`` stack of states.
 
-    The stack of states broadcasts against the channel's stack: one
-    channel maps every state, and a stack of channels maps one state or
-    a state each. The input is validated with
+    ``operators`` has shape ``(..., K, n, n)``: the ``K`` operators of
+    one channel on the last three axes, and a stack of channels on the
+    leading ones, such as one channel per parameter draw. The stack of
+    states broadcasts against the stack of channels: one channel maps
+    every state, and a stack of channels maps one state or a state each.
+
+    The operators are checked here, in this order: they are numeric and
+    form a square stack; every entry is finite, before any product, so
+    that NaN and inf raise rather than warn; every channel is complete,
+    ``sum_k K_k^+ K_k = I`` to within ``KRAUS_COMPLETENESS_TOL``; and
+    their dimension is the states'. The states are validated with
     :func:`~strongcouple.spectra.density_stack`; a Kraus sum of a
     positive state is positive, so the result is checked for Hermiticity
     and unit trace only.
     """
+    try:
+        ops = np.asarray(operators, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InputError("Kraus operators must be square matrices of "
+                         f"one shape: {exc}") from exc
+    if ops.size == 0:
+        raise InputError("a channel needs at least one Kraus operator")
+    if ops.ndim < 3 or ops.shape[-1] != ops.shape[-2]:
+        raise InputError("Kraus operators must be square matrices of "
+                         f"one shape, got shape {ops.shape}")
+    if not np.isfinite(ops).all():
+        raise InputError("Kraus operators have non-finite entries")
+    # finite entries can still overflow the products; written so that an
+    # overflowing sum fails the bound too
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = _completeness_gap(ops)
+    if not dev <= KRAUS_COMPLETENESS_TOL:
+        raise InputError("Kraus completeness violated: "
+                         f"max |sum K^+ K - I| = {dev:.3e}")
     m = density_stack(states)
-    if m.shape[-1] != channel.dim:
+    if m.shape[-1] != ops.shape[-1]:
         raise InputError(f"state dimension {m.shape[-1]} does not match "
-                         f"channel dimension {channel.dim}")
-    ops = channel.operators
+                         f"channel dimension {ops.shape[-1]}")
     return unit_trace_stack(
         _kraus_sum(ops, ops.conj().swapaxes(-1, -2), m))
 
@@ -793,13 +781,14 @@ def iterate_map_check(params: GadcParams, t: float,
             and n_steps >= 1):
         raise InputError(f"n_steps must be a positive integer, got {n_steps}")
     n_steps = int(n_steps)
-    if not t >= 0.0:
-        raise InputError(f"time must be nonnegative, got {t}")
+    # written so that a NaN time fails too; no step count reaches t = inf
+    if not 0.0 <= t < math.inf:
+        raise InputError(f"time must be nonnegative and finite, got {t}")
     p_step = params.gamma_rate * t / n_steps
     if p_step > 1.0:
         raise InputError(
             f"per-step probability {p_step:.3g} exceeds 1; increase n_steps")
-    ops = system_kraus(params, p_step).operators
+    ops = system_kraus(params, p_step)
     adjoints = ops.conj().swapaxes(-1, -2)
     # the initial state is exactly Hermitian with unit trace, so its
     # unchecked matrix equals system_initial_state's

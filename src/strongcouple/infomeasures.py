@@ -137,12 +137,18 @@ class ProportionalityReport:
 
 
 def proportionality_report(numerator, denominator) -> ProportionalityReport:
-    """Measure proportionality of two series away from small denominators."""
+    """Measure proportionality of two series away from small denominators.
+
+    Both series must be finite: a NaN would pass into the mean, and an
+    infinite denominator would count as a point with ratio zero.
+    """
     num = np.asarray(numerator, dtype=float)
     den = np.asarray(denominator, dtype=float)
     if num.shape != den.shape:
         raise InputError(
             f"series must share a shape, got {num.shape} and {den.shape}")
+    if not (np.isfinite(num).all() and np.isfinite(den).all()):
+        raise InputError("series have non-finite entries")
     mask = np.abs(den) > RATIO_DENOMINATOR_THRESHOLD
     count = int(np.count_nonzero(mask))
     if count == 0:

@@ -81,9 +81,10 @@ def check_unit_traces(tr) -> None:
     """Every entry of ``tr``, the traces of a stack of states, is one.
 
     To within ``TRACE_TOL``; raises :class:`InputError` naming the worst.
+    Written so that a NaN trace fails too, and is the one named.
     """
     dev = abs(tr - 1.0)
-    if (dev > TRACE_TOL).any():
+    if not (dev <= TRACE_TOL).all():
         worst = tr.flat[np.argmax(dev)]
         raise InputError(
             f"trace {worst.real:.15g} differs from 1 by more than {TRACE_TOL:.0e}")
@@ -95,9 +96,9 @@ def check_spectrum(lowest) -> None:
     the worst.
 
     ``lowest`` is a numpy array or a numpy scalar, as eigensolves and
-    their indexing return.
+    their indexing return. Written so that a NaN entry fails too.
     """
-    if (lowest < PSD_FLOOR).any():
+    if not (lowest >= PSD_FLOOR).all():
         raise InputError(f"eigenvalue {lowest.min():.3e} below "
                          f"{PSD_FLOOR:.0e}; not a density operator")
 

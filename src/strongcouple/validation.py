@@ -105,8 +105,8 @@ def _stacked(draws) -> tuple:
 def _suite_kraus_completeness():
     rng = random.Random(7)
     pr, p = _stacked([_random_params(rng) for _ in range(25)])
-    worst = max(ch._completeness_gap(ch.system_kraus(pr, p).operators),
-                ch._completeness_gap(ch.environment_kraus(pr, p).operators))
+    worst = max(ch._completeness_gap(ch.system_kraus(pr, p)),
+                ch._completeness_gap(ch.environment_kraus(pr, p)))
     return worst <= 1e-12, f"max |sum K^+K - I| = {worst:.2e}"
 
 

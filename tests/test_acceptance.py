@@ -200,7 +200,7 @@ def test_criterion_12_channel_property_suite(rng):
         rho = m @ m.conj().T
         rho /= np.trace(rho).real
         for channel in (system_kraus(pr, p), environment_kraus(pr, p)):
-            total = sum(k.conj().T @ k for k in channel.operators)
+            total = sum(k.conj().T @ k for k in channel)
             worst_complete = max(worst_complete, float(
                 np.max(np.abs(total - np.eye(2)))))
             out = apply_channel(channel, rho)

@@ -11,8 +11,7 @@ import oracles
 import strongcouple
 from strongcouple import channels
 from strongcouple.channels import (QUBIT_HAMILTONIAN, GadcParams,
-                                   KrausChannel, apply_channel,
-                                   environment_bloch,
+                                   apply_channel, environment_bloch,
                                    environment_initial_state,
                                    environment_kraus, environment_states,
                                    gadc_coupling_matrix, gadc_unitary,
@@ -93,18 +92,29 @@ class TestGadcParams:
             GadcParams(alpha=0.5, w0="0.5")
 
 
+QUBIT = np.eye(2) / 2.0
+
+
 class TestKrausChannel:
+    """What :func:`apply_channel` checks of the operators it is given."""
+
     def test_rejects_incomplete_set(self):
-        with pytest.raises(InputError):
-            KrausChannel(operators=(0.5 * np.eye(2),))
+        with pytest.raises(InputError, match="completeness"):
+            apply_channel((0.5 * np.eye(2),), QUBIT)
 
     def test_rejects_mixed_shapes(self):
-        with pytest.raises(InputError):
-            KrausChannel(operators=(np.eye(2), np.eye(3)))
+        with pytest.raises(InputError, match="square matrices"):
+            apply_channel((np.eye(2), np.eye(3)), QUBIT)
+
+    @pytest.mark.parametrize("operators", ["abc", lambda k: k],
+                             ids=["text", "callable"])
+    def test_rejects_non_numeric(self, operators):
+        with pytest.raises(InputError, match="square matrices"):
+            apply_channel(operators, QUBIT)
 
     def test_rejects_empty(self):
-        with pytest.raises(InputError):
-            KrausChannel(operators=())
+        with pytest.raises(InputError, match="at least one"):
+            apply_channel((), QUBIT)
 
     @pytest.mark.parametrize("operator", [1.0, np.array([1.0, 0.0]),
                                           np.ones((2, 3))],
@@ -112,29 +122,36 @@ class TestKrausChannel:
     def test_rejects_non_square_operator(self, operator):
         # named as a shape problem, not an IndexError from the shape tuple
         with pytest.raises(InputError, match="square matrices"):
-            KrausChannel(operators=(operator,))
+            apply_channel((operator,), QUBIT)
 
-    def test_fields(self):
-        assert [f.name for f in dataclasses.fields(KrausChannel)] \
-            == ["operators", "label"]
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     complex(0.0, math.nan)],
+                             ids=["nan", "inf", "-inf", "imag_nan"])
+    def test_rejects_non_finite_operators(self, bad):
+        # named as the operators' fault before any product, so no
+        # RuntimeWarning and no blame on the state
+        ops = system_kraus(default_params(), 0.3)
+        ops[2, 1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError,
+                               match="Kraus operators have non-finite"):
+                apply_channel(ops, QUBIT)
 
-    def test_equality_is_identity_and_hashable(self):
-        # an array field has no truth value, so a channel compares and
-        # hashes as the object it is
-        pr = default_params()
-        a, b = system_kraus(pr, 0.3), system_kraus(pr, 0.3)
-        assert a == a
-        assert a != b
-        assert hash(a) == hash(a)
-        assert len({a, a, b}) == 2
+    def test_rejects_overflowing_operators_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="completeness"):
+                apply_channel(np.full((1, 2, 2), 1e200), QUBIT)
 
     def test_completeness_random_params(self, rng):
         for _ in range(25):
             pr = GadcParams(alpha=float(rng.uniform(0, 1)),
                             w0=float(rng.uniform(0, 1)))
             p = float(rng.uniform(0, 1))
-            for channel in (system_kraus(pr, p), environment_kraus(pr, p)):
-                total = sum(k.conj().T @ k for k in channel.operators)
+            for ops in (system_kraus(pr, p), environment_kraus(pr, p)):
+                assert ops.dtype == complex
+                total = sum(k.conj().T @ k for k in ops)
                 assert np.max(np.abs(total - np.eye(2))) < 1e-14
 
     @pytest.mark.parametrize("builder", [system_kraus, environment_kraus])
@@ -173,32 +190,33 @@ class TestStackedKraus:
                       w1 * np.array([[sq, 0], [0, 1]], dtype=complex)]
             environment = [np.array([[a, 0.0], [1j * sp * b, sq * a]]),
                            np.array([[sq * b, 1j * sp * a], [0.0, b]])]
-            assert np.array_equal(system_kraus(pr, p).operators, system)
-            assert np.array_equal(environment_kraus(pr, p).operators,
+            assert np.array_equal(system_kraus(pr, p), system)
+            assert np.array_equal(environment_kraus(pr, p),
                                   environment)
 
     @pytest.mark.parametrize("builder, count", [(system_kraus, 4),
                                                 (environment_kraus, 2)])
     def test_stack_equals_single_draws_bitwise(self, rng, builder, count):
         draws = _draws(rng)
-        stacked = builder(*_as_columns(draws)).operators
+        stacked = builder(*_as_columns(draws))
         assert stacked.shape == (len(draws), 1, count, 2, 2)
         for row, (pr, p) in zip(stacked[:, 0], draws):
-            assert np.array_equal(row, builder(pr, p).operators)
+            assert np.array_equal(row, builder(pr, p))
 
     def test_one_set_broadcasts_over_an_array_of_p(self):
         pr = default_params()
         ps = np.linspace(0.0, 1.0, 7)
-        stacked = system_kraus(pr, ps).operators
+        stacked = system_kraus(pr, ps)
         assert stacked.shape == (7, 4, 2, 2)
         for row, p in zip(stacked, ps):
-            assert np.array_equal(row, system_kraus(pr, p).operators)
+            assert np.array_equal(row, system_kraus(pr, p))
 
     def test_completeness_checked_per_channel(self):
-        ops = np.stack([system_kraus(default_params(), 0.3).operators] * 3)
+        ops = np.stack([system_kraus(default_params(), 0.3)] * 3)
+        apply_channel(ops, QUBIT)
         ops[1, 0] *= 1.0 + 1e-6
         with pytest.raises(InputError, match="completeness"):
-            KrausChannel(operators=ops)
+            apply_channel(ops, QUBIT)
 
     def test_apply_channel_stack_equals_per_state_bitwise(self, rng,
                                                           random_density):
@@ -224,7 +242,7 @@ class TestStackedKraus:
         # K rho K^+ over the operators in order, then takes the
         # Hermitian average; the final state is averaged once more
         for pr, _ in _draws(rng, n=4):
-            ops = system_kraus(pr, pr.gamma_rate * 0.8 / n_steps).operators
+            ops = system_kraus(pr, pr.gamma_rate * 0.8 / n_steps)
             m = system_initial_state(pr)
             for _ in range(n_steps):
                 out = sum(k @ m @ k.conj().T for k in ops)
@@ -641,6 +659,12 @@ class TestIterateMap:
         # named as a time, not as a bad per-step probability
         with pytest.raises(InputError, match="time must be nonnegative"):
             iterate_map_check(default_params(), math.nan, 10)
+
+    def test_rejects_infinite_time(self):
+        # no step count can follow advice to increase it at t = inf
+        with pytest.raises(InputError, match="time must be nonnegative "
+                                             "and finite, got inf"):
+            iterate_map_check(default_params(), math.inf, 10)
 
 
 class TestOperators:

@@ -451,6 +451,12 @@ class TestMarkov:
         with pytest.raises(InputError):
             markov_convergence(ExperimentConfig().params, step_counts=counts)
 
+    def test_infinite_time(self):
+        # named as the time, not as a per-step probability to refine
+        with pytest.raises(InputError, match="time must be nonnegative "
+                                             "and finite, got inf"):
+            markov_convergence(ExperimentConfig().params, t=math.inf)
+
     @pytest.mark.parametrize("count", [math.nan, math.inf, -math.inf],
                              ids=["nan", "inf", "minus_inf"])
     def test_non_finite_step_count(self, count):

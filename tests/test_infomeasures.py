@@ -79,6 +79,13 @@ class TestBlochEntropies:
         with pytest.raises(InputError):
             bloch_entropies(np.array([0.5, 1.0 + 1e-9]))
 
+    def test_nan_radius_rejected(self):
+        # a NaN fails the eigenvalue floor rather than passing as an entropy
+        with pytest.raises(InputError, match="eigenvalue nan"):
+            bloch_entropies([0.5, math.nan])
+        with pytest.raises(InputError, match="eigenvalue nan"):
+            bloch_entropies(math.nan)
+
 
 class TestCoherence:
     """The l1 coherence of a qubit marginal, ``2 |rho_ge| = |x|``, as a run
@@ -234,6 +241,19 @@ class TestProportionalityReport:
     def test_shape_mismatch(self):
         with pytest.raises(InputError):
             proportionality_report([1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("num, den", [
+        ([1.0, math.nan, 3.0], [1.0, 1.0, 1.0]),
+        ([1.0, 2.0, 3.0], [1.0, math.nan, 1.0]),
+        ([1.0, 2.0, 3.0], [1.0, 1.0, math.inf]),
+        ([1.0, 2.0, -math.inf], [1.0, 1.0, 1.0]),
+    ], ids=["nan_numerator", "nan_denominator", "inf_denominator",
+            "inf_numerator"])
+    def test_non_finite_series_rejected(self, num, den):
+        # a NaN would pass into the mean; an infinite denominator would
+        # count as a point of ratio zero
+        with pytest.raises(InputError, match="non-finite"):
+            proportionality_report(num, den)
 
     def test_fields(self):
         assert [f.name for f in dataclasses.fields(ProportionalityReport)] \

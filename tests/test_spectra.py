@@ -6,7 +6,8 @@ import pytest
 from strongcouple.channels import GadcParams, joint_initial_state
 from strongcouple.errors import InputError
 from strongcouple.spectra import (PSD_FLOOR, DensityOperator,
-                                  HermitianOperator, density_stack,
+                                  HermitianOperator, check_spectrum,
+                                  check_unit_traces, density_stack,
                                   eig_hermitian, partial_trace,
                                   partial_transpose_stack, unit_trace_stack)
 
@@ -94,6 +95,24 @@ class TestUnitTraceStack:
     def test_rejects_bad_member(self, bad):
         with pytest.raises(InputError):
             unit_trace_stack(np.stack([np.diag([0.3, 0.7]), bad]))
+
+
+class TestFloors:
+    """The trace and spectrum checks fail a NaN, and name it."""
+
+    def test_unit_traces_reject_nan(self):
+        check_unit_traces(np.array([1.0, 1.0 + 1e-13]))
+        with pytest.raises(InputError, match="trace nan differs"):
+            check_unit_traces(np.array([1.0, np.nan, 1.5]))
+        with pytest.raises(InputError, match="trace nan differs"):
+            check_unit_traces(np.complex128(complex(np.nan, 0.0)))
+
+    def test_spectrum_rejects_nan(self):
+        check_spectrum(np.array([0.0, PSD_FLOOR]))
+        with pytest.raises(InputError, match="eigenvalue nan"):
+            check_spectrum(np.array([0.2, np.nan]))
+        with pytest.raises(InputError, match="eigenvalue nan"):
+            check_spectrum(np.float64(np.nan))
 
 
 class TestEigHermitian:

@@ -26,7 +26,6 @@ PUBLIC_NAMES = [
     "HermitianOperator",
     "InfoSeries",
     "InputError",
-    "KrausChannel",
     "NumericalError",
     "ProportionalityReport",
     "SpectralDecomposition",
