@@ -86,9 +86,13 @@ columns, and with ``(R, T)`` times the decay factor, the Bloch series,
 the joint radii and negativities and the two joint-state builders
 broadcast over the rows. So do the Kraus builders and the dilation with
 an ``(R, 1)`` column of decay probabilities, which is how ``validate``
-evaluates its random draws. Each closed form has one entry point, the
-public function, which takes a :class:`GadcParams` or columns and
-evaluates the decay factor of its own times.
+evaluates its random draws. Each closed form has one implementation, a
+private core that takes the decay values ``g, d`` of its times: the
+Bloch series, the joint radii and the joint negativities. Its public
+function takes a :class:`GadcParams` or columns, evaluates the decay
+factor of its own times with :func:`_decay` and calls the core. A run
+evaluates the decay factor of its block once and calls the cores
+directly.
 """
 
 from __future__ import annotations
@@ -500,9 +504,11 @@ def _qubit_matrices(params, keep, lose) -> np.ndarray:
 def _dilated_matrices(params, p) -> np.ndarray:
     """Initial product state conjugated with :func:`gadc_unitary` at ``p``.
 
-    Unchecked: :func:`joint_states` checks the result as a builder, and
+    Unchecked: :func:`joint_states` checks the result as a builder,
     :func:`system_state_from_dilation` hands it to
-    :func:`~strongcouple.spectra.partial_trace`, which checks its input.
+    :func:`~strongcouple.spectra.partial_trace`, which checks its input,
+    and a run hands its state at ``t_max`` to
+    :func:`~strongcouple.infomeasures.negativities`.
     """
     u = gadc_unitary(p)
     return u @ _joint_initial_matrix(params) @ u.conj().swapaxes(-1, -2)
@@ -577,17 +583,16 @@ class BlochSeries(NamedTuple):
     populations: np.ndarray
 
 
-def _bloch(params, times, keep_is_decay: bool) -> BlochSeries:
+def _bloch(c: _Columns, times, g, d, keep_is_decay: bool) -> BlochSeries:
     """Bloch series of the marginal whose coherence decays as ``sqrt(keep)``.
 
-    For the populations of :func:`_qubit_populations` and the coherence
-    of :func:`_qubit_matrices`, ``rho_gg - rho_ee = (w0 - w1) - 2 keep
-    (b^2 w0 - a^2 w1)`` and ``(2 rho_ge)^2 = 4 a^2 b^2 keep``. The radius
-    is left to the floor of ``bloch_entropies``.
+    The core of :func:`system_bloch` (``keep_is_decay``) and of
+    :func:`environment_bloch`, for the decay values ``g, d`` at the float
+    array ``times``. For the populations of :func:`_qubit_populations`
+    and the coherence of :func:`_qubit_matrices`, ``rho_gg - rho_ee = (w0
+    - w1) - 2 keep (b^2 w0 - a^2 w1)`` and ``(2 rho_ge)^2 = 4 a^2 b^2
+    keep``. The radius is left to the floor of ``bloch_entropies``.
     """
-    c = _columns(params)
-    times = np.asarray(times, dtype=float)
-    g, d = _decay(c, times)
     a2 = c.alpha_sq
     b2 = 1.0 - a2
     lead = c.w0 - c.w1
@@ -614,7 +619,9 @@ def system_bloch(params: GadcParams, times) -> BlochSeries:
 
     ``z = (w0 - w1) - 2 (b^2 w0 - a^2 w1) g`` and ``x^2 = 4 a^2 b^2 g``.
     """
-    return _bloch(params, times, keep_is_decay=True)
+    c = _columns(params)
+    times = np.asarray(times, dtype=float)
+    return _bloch(c, times, *_decay(c, times), keep_is_decay=True)
 
 
 def environment_bloch(params: GadcParams, times) -> BlochSeries:
@@ -622,7 +629,9 @@ def environment_bloch(params: GadcParams, times) -> BlochSeries:
 
     The system's lines with ``g`` replaced by ``1 - g``.
     """
-    return _bloch(params, times, keep_is_decay=False)
+    c = _columns(params)
+    times = np.asarray(times, dtype=float)
+    return _bloch(c, times, *_decay(c, times), keep_is_decay=False)
 
 
 def joint_states(params: GadcParams, times) -> np.ndarray:
@@ -676,7 +685,12 @@ def joint_radii_closed_form(params: GadcParams, times) -> np.ndarray:
     b^2 w0 w1 g d``. Returns ``R`` at every time.
     """
     c = _columns(params)
-    g, d = _decay(c, times)
+    return _joint_radii(c, *_decay(c, times))
+
+
+def _joint_radii(c: _Columns, g, d) -> np.ndarray:
+    """The core of :func:`joint_radii_closed_form`, for the decay values
+    ``g, d``."""
     a2 = c.alpha_sq
     return np.sqrt(c.bias_sq + 16.0 * a2 * (1.0 - a2) * c.w0 * c.w1 * g * d)
 
@@ -707,7 +721,13 @@ def joint_negativities_closed_form(params: GadcParams, times) -> np.ndarray:
     """
     c = _columns(params)
     times = np.asarray(times, dtype=float)
-    g, d = _decay(c, times)
+    return _joint_negativities(c, times, *_decay(c, times))
+
+
+def _joint_negativities(c: _Columns, times, g, d) -> np.ndarray:
+    """The core of :func:`joint_negativities_closed_form`, for the decay
+    values ``g, d`` at the float array ``times``, which names the time of
+    a failed convergence."""
     a2 = c.alpha_sq
     w0, w1 = c.w0, c.w1
     x, y = a2 * w1, (1.0 - a2) * w0
@@ -727,10 +747,28 @@ def joint_negativities_closed_form(params: GadcParams, times) -> np.ndarray:
     # the derivative's constant coefficients, formed once
     s2_4, sigma_3, c2_2 = 4.0 * s2, 3.0 * sigma, 2.0 * c2
     nu = np.full_like(v, -1.0)
-    step = nu
+    # the Newton step, ((((s2 nu - sigma) nu + c2) nu + re) nu - rr) over
+    # (((s2_4 nu - sigma_3) nu + c2_2) nu + re), in two buffers: the
+    # operations of the Horner forms, in their order; before the first
+    # step, the whole start counts as the last step
+    step = nu.copy()
+    slope = np.empty_like(v)
     for _ in range(_NEGATIVITY_NEWTON_STEPS):
-        step = ((((s2 * nu - sigma) * nu + c2) * nu + re) * nu - rr) \
-            / (((s2_4 * nu - sigma_3) * nu + c2_2) * nu + re)
+        np.multiply(s2, nu, out=step)
+        step -= sigma
+        step *= nu
+        step += c2
+        step *= nu
+        step += re
+        step *= nu
+        step -= rr
+        np.multiply(s2_4, nu, out=slope)
+        slope -= sigma_3
+        slope *= nu
+        slope += c2_2
+        slope *= nu
+        slope += re
+        step /= slope
         nu -= step
     last = np.abs(step / nu)
     # written so that a NaN step trips the gate too
@@ -781,6 +819,7 @@ def iterate_map_check(params: GadcParams, t: float,
             and n_steps >= 1):
         raise InputError(f"n_steps must be a positive integer, got {n_steps}")
     n_steps = int(n_steps)
+    t = _as_float(t, "time")
     # written so that a NaN time fails too; no step count reaches t = inf
     if not 0.0 <= t < math.inf:
         raise InputError(f"time must be nonnegative and finite, got {t}")

@@ -29,19 +29,27 @@ the tests check that ``S_se`` is constant.
 
 Runs are evaluated in blocks, with the configuration as a leading array
 axis. A block holds configurations with one grid length: the parameters
-are ``(R, 1)`` columns, the times an ``(R, T)`` array, and each public
-closed form of :mod:`strongcouple.channels`, which evaluates the decay
-factor itself, and each marginal's first-law split run once for the
-block (``sweep27`` 15.2 -> 14.4 ms, ``BENCH_21.json``). The spot checks
-of all rows go to one eigensolve call. :func:`run` is a block of one, and
-:func:`sweep` cuts its configurations into blocks of at most
-:data:`BLOCK_POINTS` grid points; both give the same numbers bit for bit.
+are ``(R, 1)`` columns and the times an ``(R, T)`` array from one
+``linspace`` call. The block evaluates the decay factor once on its grid
+and hands it to the private core of each closed form of
+:mod:`strongcouple.channels`: the two Bloch series, the joint
+negativities and the joint radii. Each marginal's first-law split runs
+once for the block. The spot-check states of all rows are built
+unchecked from the block's decay values and go to one
+:func:`~strongcouple.infomeasures.negativities` call, their one check
+and eigensolve. The block then reduces every per-row scalar, the ratio
+statistics included, into columns of Python floats. :func:`run` is a
+block of one and builds its result from those columns; :func:`sweep`
+cuts its configurations into blocks of at most :data:`BLOCK_POINTS` grid
+points and reads each summary row from the columns, without a per-row
+result. Both give the same numbers bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +60,8 @@ from .errors import InputError, NumericalError
 # tracer wraps it in this module
 from .firstlaw import (ThermoTrajectory, qubit_thermo_trajectory,  # noqa: F401
                        thermo_trajectory)
-from .infomeasures import (InfoSeries, bloch_entropies, heat_asymmetry,
-                           negativities, proportionality_report)
+from .infomeasures import (InfoSeries, ProportionalityReport, _ratio_rows,
+                           bloch_entropies, heat_asymmetry, negativities)
 
 WORK_STATIC_TOL = 1e-12
 ENERGY_BALANCE_TOL = 1e-10
@@ -150,22 +158,61 @@ def _rates(values: np.ndarray, step: np.ndarray) -> np.ndarray:
     return out
 
 
-def _run_block(configs) -> list:
+def _block_times(configs) -> np.ndarray:
+    """The ``(R, T)`` grids of configurations that share ``n_samples``.
+
+    One ``linspace`` call for the block; each row equals its
+    configuration's :attr:`ExperimentConfig.times` bit for bit, also
+    where ``linspace`` takes its path for a step that underflows to
+    zero: such a grid is not increasing, and its row fails the block.
+    """
+    t_max = np.array([config.t_max for config in configs])
+    # linspace puts the new axis first and moves it; the copy keeps the
+    # rows contiguous, as a single grid is
+    return np.ascontiguousarray(
+        np.linspace(0.0, t_max, int(configs[0].n_samples), axis=-1))
+
+
+class _Block(NamedTuple):
+    """What :func:`_run_block` computes for ``R`` configurations.
+
+    ``info`` holds the ``(R, T)`` arrays of :class:`InfoSeries` by field
+    name, and ``thermo_s`` and ``thermo_e`` the block's splits. The
+    per-row scalars are lists of ``R`` Python floats: ``columns`` the
+    diagnostics by name, and ``coherent_energy_max_abs`` the one sweep
+    field that is no diagnostic.
+    """
+
+    params: list
+    thermo_s: ThermoTrajectory
+    thermo_e: ThermoTrajectory
+    info: dict
+    columns: dict
+    coherent_energy_max_abs: list
+
+
+# the ratio fields of a row whose report raises alone
+_NO_RATIO = ProportionalityReport(mask_count=0, ratio_mean=math.nan,
+                                  max_relative_spread=math.nan)
+
+
+def _run_block(configs) -> _Block:
     """Run configurations that share ``n_samples`` as one block.
 
     The parameters are ``(R, 1)`` columns and the grids an ``(R, T)``
-    array, so each closed form and each marginal's first-law split runs
+    array. The decay factor is evaluated once for the block and handed
+    to each closed-form core, and each marginal's first-law split runs
     once for the block. Every gate reduces over the whole block, so the
     block raises where any of its rows would; its message is that of a
-    single run only for a block of one. Returns one
-    :class:`ExperimentResult` per configuration.
+    single run only for a block of one.
     """
     params = [config.params for config in configs]
     cols = ch._columns(params)
-    times = np.array([config.times for config in configs])
+    times = _block_times(configs)
     n = len(configs)
-    bloch_s = ch.system_bloch(cols, times)
-    bloch_e = ch.environment_bloch(cols, times)
+    g, d = ch._decay(cols, times)
+    bloch_s = ch._bloch(cols, times, g, d, keep_is_decay=True)
+    bloch_e = ch._bloch(cols, times, g, d, keep_is_decay=False)
     thermo_s = qubit_thermo_trajectory(bloch_s)
     thermo_e = qubit_thermo_trajectory(bloch_e)
 
@@ -191,32 +238,32 @@ def _run_block(configs) -> list:
     step = times[:, 1:2] - times[:, :1]
     rate_s = _rates(ent_s, step)
     rate_e = _rates(ent_e, step)
-    coh_s = np.sqrt(bloch_s.x2)
-    coh_e = np.sqrt(bloch_e.x2)
-    neg = ch.joint_negativities_closed_form(cols, times)
+    neg = ch._joint_negativities(cols, times, g, d)
     ent_joint = bloch_entropies(abs(cols.w0 - cols.w1))
-    mutual = ent_s + ent_e - ent_joint
 
-    drift_closed = bloch_entropies(ch.joint_radii_closed_form(cols, times))
-    rows = np.arange(n)
-    peak_idx = np.argmax(neg, axis=1)
-    t_peak = times[rows, peak_idx][:, None]
-    neg_peak = neg[rows, peak_idx]
+    drift_closed = bloch_entropies(ch._joint_radii(cols, g, d))
+    peak = np.arange(n), np.argmax(neg, axis=1)
+    t_peak = times[peak]
+    neg_peak = neg[peak]
     # spot check of the closed form against the eigensolve route, at the
     # one point where the negativity matters most, in one call with the
-    # unitary family at t_max
+    # unitary family at t_max; the states are built unchecked, from the
+    # block's decay values, and checked once, by negativities
     spot, unitary_final = negativities(np.concatenate([
-        ch.joint_states_closed_form(cols, t_peak),
-        ch.joint_states(cols, times[:, -1:])]))[:, 0].reshape(2, n)
+        ch._closed_form_joint_matrices(cols, g[peak][:, None],
+                                       d[peak][:, None]),
+        ch._dilated_matrices(cols, d[:, -1:])]))[:, 0].reshape(2, n)
     gap = abs(spot - neg_peak)
     if (gap > NEGATIVITY_SPOT_TOL).any():
         i = int(np.argmax(gap))
         raise NumericalError(
             f"negativity routes disagree by {gap[i]:.3e} "
-            f"at the peak t = {t_peak[i, 0]:.6g} (closed form "
+            f"at the peak t = {t_peak[i]:.6g} (closed form "
             f"{neg_peak[i]:.6e}, eigensolve {spot[i]:.6e}); bound "
             f"{NEGATIVITY_SPOT_TOL:.0e}")
 
+    reports = [_NO_RATIO if isinstance(report, InputError) else report
+               for report in _ratio_rows(asym, neg)]
     # per-row scalars, as Python floats
     columns = {
         "closure_system_max": thermo_s.closure_residual.max(axis=1).tolist(),
@@ -232,7 +279,7 @@ def _run_block(configs) -> list:
         "entropy_drift_closed_form_family": abs(
             drift_closed - drift_closed[:, :1]).max(axis=1).tolist(),
         "negativity_peak": neg_peak.tolist(),
-        "negativity_peak_time": t_peak[:, 0].tolist(),
+        "negativity_peak_time": t_peak.tolist(),
         "negativity_final": neg[:, -1].tolist(),
         "negativity_peak_count": _count_peaks(
             neg, _NEGATIVITY_PEAK_FLOOR).astype(float).tolist(),
@@ -240,29 +287,20 @@ def _run_block(configs) -> list:
         "entropy_rate_system_max": abs(rate_s).max(axis=1).tolist(),
         "entropy_rate_mismatch_max": abs(rate_s + rate_e).max(
             axis=1).tolist(),
+        "ratio_points": [float(r.mask_count) for r in reports],
+        "ratio_mean": [r.ratio_mean for r in reports],
+        "ratio_max_relative_spread": [r.max_relative_spread
+                                      for r in reports],
     }
-    results = []
-    for i in range(n):
-        diagnostics = {key: values[i] for key, values in columns.items()}
-        try:
-            report = proportionality_report(asym[i], neg[i])
-            diagnostics["ratio_points"] = float(report.mask_count)
-            diagnostics["ratio_mean"] = report.ratio_mean
-            diagnostics["ratio_max_relative_spread"] = \
-                report.max_relative_spread
-        except InputError:
-            diagnostics.update(ratio_points=0.0, ratio_mean=math.nan,
-                               ratio_max_relative_spread=math.nan)
-        info = InfoSeries(times=times[i], entropy_s=ent_s[i],
-                          entropy_e=ent_e[i], coherence_s=coh_s[i],
-                          coherence_e=coh_e[i], negativity=neg[i],
-                          mutual_information=mutual[i],
-                          heat_asymmetry=asym[i])
-        results.append(ExperimentResult(
-            config=configs[i], params=params[i], times=times[i],
-            thermo_s=thermo_s[i], thermo_e=thermo_e[i], info=info,
-            diagnostics=diagnostics))
-    return results
+    info = {"times": times, "entropy_s": ent_s, "entropy_e": ent_e,
+            "coherence_s": np.sqrt(bloch_s.x2),
+            "coherence_e": np.sqrt(bloch_e.x2), "negativity": neg,
+            "mutual_information": ent_s + ent_e - ent_joint,
+            "heat_asymmetry": asym}
+    return _Block(params=params, thermo_s=thermo_s, thermo_e=thermo_e,
+                  info=info, columns=columns,
+                  coherent_energy_max_abs=abs(
+                      thermo_s.coherent_energy).max(axis=1).tolist())
 
 
 def run(config: ExperimentConfig) -> ExperimentResult:
@@ -275,7 +313,13 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     eigensolve at the peak is violated; these are integrity checks, not
     physics outputs.
     """
-    return _run_block([config])[0]
+    block = _run_block([config])
+    return ExperimentResult(
+        config=config, params=block.params[0],
+        times=block.info["times"][0], thermo_s=block.thermo_s[0],
+        thermo_e=block.thermo_e[0],
+        info=InfoSeries(**{k: v[0] for k, v in block.info.items()}),
+        diagnostics={k: v[0] for k, v in block.columns.items()})
 
 
 @dataclass(frozen=True)
@@ -314,28 +358,6 @@ def _blocks(configs):
     yield block
 
 
-def _summary(config: ExperimentConfig, outcome) -> SweepSummary:
-    """A sweep row from a result or from the error of a failed run."""
-    # the config's fields, read directly: asdict deep-copies each row
-    base = {"alpha": config.alpha, "beta": config.beta,
-            "gamma": config.gamma, "t_max": config.t_max,
-            "n_samples": config.n_samples}
-    if isinstance(outcome, Exception):
-        return SweepSummary(**base, error=str(outcome))
-    d = outcome.diagnostics
-    return SweepSummary(
-        **base,
-        peak_negativity=d["negativity_peak"],
-        peak_negativity_time=d["negativity_peak_time"],
-        peak_heat_asymmetry=d["heat_asymmetry_max"],
-        heat_system_final=d["heat_system_final"],
-        heat_environment_final=d["heat_environment_final"],
-        coherent_energy_max_abs=float(
-            abs(outcome.thermo_s.coherent_energy).max()),
-        ratio_mean=d["ratio_mean"],
-        ratio_max_relative_spread=d["ratio_max_relative_spread"])
-
-
 def sweep(configs) -> list:
     """Run a sequence of configurations, collecting one summary row each.
 
@@ -345,29 +367,47 @@ def sweep(configs) -> list:
     equal those of :func:`run` bit for bit. A configuration that fails
     its integrity checks contributes a row with its error message
     instead of aborting the remaining runs: a block that raises is run
-    again one configuration at a time through :func:`run`, so each
-    failing row holds the message its run raises alone and the other
-    rows keep their values.
+    again one configuration at a time, so each failing row holds the
+    message its run raises alone and the other rows keep their values.
+    Each row is read from its block's per-row columns; a sweep builds no
+    :class:`ExperimentResult`.
     """
     configs = list(configs)
     if not configs:
         raise InputError("sweep needs at least one configuration")
     rows = []
     for block in _blocks(configs):
-        # a block's results are freed before the next block runs
-        rows.extend(map(_summary, block, _outcomes(block)))
+        # a block's series are freed before the next block runs
+        rows.extend(_sweep_rows(block))
     return rows
 
 
-def _outcomes(block) -> list:
-    """The result of each configuration of ``block``, or its error."""
+def _sweep_rows(configs) -> list:
+    """The summary rows of one block, read from its columns.
+
+    A block that raises runs again one configuration at a time, as
+    blocks of one, so that a failing row holds the message its run
+    raises alone and the other rows keep their values.
+    """
     try:
-        return _run_block(block)
-    except (InputError, NumericalError):
-        outcomes = []
-        for config in block:
-            try:
-                outcomes.append(run(config))
-            except (InputError, NumericalError) as exc:
-                outcomes.append(exc)
-        return outcomes
+        block = _run_block(configs)
+    except (InputError, NumericalError) as exc:
+        if len(configs) > 1:
+            return [row for config in configs
+                    for row in _sweep_rows([config])]
+        return [SweepSummary(*_inputs(configs[0]), error=str(exc))]
+    d = block.columns
+    # in the order of the result fields of SweepSummary
+    results = zip(d["negativity_peak"], d["negativity_peak_time"],
+                  d["heat_asymmetry_max"], d["heat_system_final"],
+                  d["heat_environment_final"], block.coherent_energy_max_abs,
+                  d["ratio_mean"], d["ratio_max_relative_spread"])
+    return [SweepSummary(*_inputs(config), *values)
+            for config, values in zip(configs, results)]
+
+
+def _inputs(config: ExperimentConfig) -> tuple:
+    """The input fields of a sweep row, read directly: asdict deep-copies
+    each row."""
+    return (config.alpha, config.beta, config.gamma, config.t_max,
+            config.n_samples)

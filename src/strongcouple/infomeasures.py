@@ -147,21 +147,44 @@ def proportionality_report(numerator, denominator) -> ProportionalityReport:
     if num.shape != den.shape:
         raise InputError(
             f"series must share a shape, got {num.shape} and {den.shape}")
-    if not (np.isfinite(num).all() and np.isfinite(den).all()):
-        raise InputError("series have non-finite entries")
-    mask = np.abs(den) > RATIO_DENOMINATOR_THRESHOLD
-    count = int(np.count_nonzero(mask))
-    if count == 0:
-        raise InputError(
-            f"no points with |denominator| > "
-            f"{RATIO_DENOMINATOR_THRESHOLD:.3e}; nothing to compare")
-    ratio = num[mask] / den[mask]
-    mean = float(np.mean(ratio))
-    if mean == 0.0:
-        raise InputError("mean ratio is zero; spread is undefined")
-    spread = float(abs(ratio - mean).max() / abs(mean))
-    return ProportionalityReport(mask_count=count, ratio_mean=mean,
-                                 max_relative_spread=spread)
+    (report,) = _ratio_rows(num.reshape(1, -1), den.reshape(1, -1))
+    if isinstance(report, InputError):
+        raise report
+    return report
+
+
+def _ratio_rows(numerator, denominator) -> list:
+    """:func:`proportionality_report` of each row of two ``(R, T)`` float
+    series, or the :class:`InputError` that the row raises alone.
+
+    The finiteness of both series and the kept points are found once for
+    all rows; each row's mean is then taken over its own kept points, so
+    that a row's report equals that of the row alone, bit for bit.
+    """
+    finite = (np.isfinite(numerator) & np.isfinite(denominator)).all(axis=-1)
+    kept = np.abs(denominator) > RATIO_DENOMINATOR_THRESHOLD
+    counts = np.count_nonzero(kept, axis=-1)
+    reports = []
+    for num, den, mask, ok, count in zip(numerator, denominator, kept,
+                                         finite.tolist(), counts.tolist()):
+        if not ok:
+            reports.append(InputError("series have non-finite entries"))
+            continue
+        if count == 0:
+            reports.append(InputError(
+                f"no points with |denominator| > "
+                f"{RATIO_DENOMINATOR_THRESHOLD:.3e}; nothing to compare"))
+            continue
+        ratio = num[mask] / den[mask]
+        mean = float(np.mean(ratio))
+        if mean == 0.0:
+            reports.append(
+                InputError("mean ratio is zero; spread is undefined"))
+            continue
+        spread = float(abs(ratio - mean).max() / abs(mean))
+        reports.append(ProportionalityReport(
+            mask_count=count, ratio_mean=mean, max_relative_spread=spread))
+    return reports
 
 
 @dataclass(frozen=True)

@@ -666,6 +666,14 @@ class TestIterateMap:
                                              "and finite, got inf"):
             iterate_map_check(default_params(), math.inf, 10)
 
+    @pytest.mark.parametrize("t", [np.array([1.0, 2.0]), "1.0", None],
+                             ids=["array", "text", "none"])
+    def test_rejects_time_that_is_no_real_number(self, t):
+        # an input error naming the time, not numpy's ambiguous truth
+        # value of an array or the TypeError of a comparison
+        with pytest.raises(InputError, match="time must be a real number"):
+            iterate_map_check(default_params(), t, 10)
+
 
 class TestOperators:
     def test_hamiltonians(self):

@@ -145,18 +145,19 @@ class TestRun:
 
     def test_unitary_family_stack_not_built(self, monkeypatch):
         # the unitary family's joint entropy has a closed form; only the
-        # single-instant negativity diagnostic still builds that family
+        # single-instant negativity diagnostic still builds that family,
+        # one state at t_max
         built = []
-        joint_states = ch.joint_states
+        dilated = ch._dilated_matrices
 
-        def recording(params, times):
-            built.append(np.shape(times))
-            return joint_states(params, times)
+        def recording(params, p):
+            built.append(np.shape(p))
+            return dilated(params, p)
 
-        monkeypatch.setattr(ch, "joint_states", recording)
+        monkeypatch.setattr(ch, "_dilated_matrices", recording)
         result = run(ExperimentConfig(t_max=2.0, n_samples=401))
         assert result.diagnostics["negativity_unitary_family_final"] >= 0.0
-        assert all(math.prod(shape) == 1 for shape in built)
+        assert built == [(1, 1)]
 
     def test_joint_entropy_without_eigensolve(self, rng):
         # S[diag(w0, w1)] from the Bloch radius |w0 - w1| agrees with the
@@ -203,11 +204,10 @@ class TestRun:
         assert all(math.prod(shape[:-2]) == 2 for shape in calls), calls
 
     def test_check_budget(self, monkeypatch):
-        # each single-instant state (the closed-form family at the peak,
-        # the unitary family at t_max) passes the Hermiticity check twice:
-        # once as its builder's output, once at the entry of the one
-        # negativities call that takes both; the initial states inside
-        # the builder are not checked again
+        # the single-instant states (the closed-form family at the peak,
+        # the unitary family at t_max) are built unchecked and pass the
+        # Hermiticity check once, at the entry of the one negativities
+        # call that takes both
         calls = []
         original = spectra.hermitian_stack
 
@@ -224,7 +224,7 @@ class TestRun:
                 monkeypatch.setattr(module, "hermitian_stack", counting)
         monkeypatch.setattr(np, "kron", forbidden)
         run(ExperimentConfig())
-        assert len(calls) == 3, calls
+        assert calls == [(2, 1, 4, 4)], calls
 
     def test_marginals_not_validated_as_stacks(self, monkeypatch):
         # the marginals enter a run as closed-form populations; only the
@@ -252,9 +252,9 @@ class TestRun:
             shapes.clear()
             run(ExperimentConfig(n_samples=n_samples))
             matrices = sum(math.prod(shape[:-2]) for shape in shapes)
-            # two builders check one state each; the negativities call
-            # checks and solves the pair, and solves its transposes
-            assert matrices == 1 + 1 + 2 + 2 + 2, (n_samples, shapes)
+            # the negativities call checks and solves the pair, and
+            # solves its transposes
+            assert matrices == 2 + 2 + 2, (n_samples, shapes)
             assert all(math.prod(shape[:-2]) <= 2 for shape in shapes)
 
     def test_block_rates_are_numpy_gradient(self, rng):
@@ -311,13 +311,15 @@ class TestRun:
     def test_unphysical_marginal_rejected(self, monkeypatch):
         # the Bloch radius is bounded once, by its consumer: a radius of
         # 1 + 1e-9 gives the pure initial system an eigenvalue of -5e-10
-        original = ch.system_bloch
+        original = ch._bloch
 
-        def swollen(params, times):
-            series = original(params, times)
+        def swollen(c, times, g, d, keep_is_decay):
+            series = original(c, times, g, d, keep_is_decay=keep_is_decay)
+            if not keep_is_decay:
+                return series
             return series._replace(radius=series.radius * (1.0 + 1e-9))
 
-        monkeypatch.setattr(ch, "system_bloch", swollen)
+        monkeypatch.setattr(ch, "_bloch", swollen)
         with pytest.raises(InputError, match=r"eigenvalue .* below -1e-10"):
             run(ExperimentConfig())
 
@@ -331,10 +333,10 @@ class TestRun:
     def test_negativity_spot_check(self, monkeypatch):
         # a closed form off by one part in 1e8 must disagree with the
         # eigensolve at the peak
-        closed_form = ch.joint_negativities_closed_form
+        closed_form = ch._joint_negativities
         monkeypatch.setattr(
-            ch, "joint_negativities_closed_form",
-            lambda params, times: closed_form(params, times) * (1.0 + 1e-8))
+            ch, "_joint_negativities",
+            lambda c, times, g, d: closed_form(c, times, g, d) * (1.0 + 1e-8))
         with pytest.raises(NumericalError,
                            match=r"negativity routes disagree by \S+ at the "
                                  r"peak t = 0\.7 .*bound 1e-10"):
@@ -359,42 +361,64 @@ class TestRun:
         assert np.array_equal(a.info.negativity, b.info.negativity)
 
 
-CLOSED_FORMS = ("system_bloch", "environment_bloch",
-                "joint_negativities_closed_form", "joint_radii_closed_form")
+# the public closed forms and state builders, which a block does not call
+PUBLIC_BUILDERS = ("system_bloch", "environment_bloch",
+                   "joint_negativities_closed_form", "joint_radii_closed_form",
+                   "system_states", "environment_states", "joint_states",
+                   "joint_states_closed_form")
+CORES = ("_decay", "_bloch", "_joint_negativities", "_joint_radii")
 SPLIT = "qubit_thermo_trajectory"
 
 
 class TestClosedFormEntries:
-    """A run or a sweep block reaches each closed form through its one
-    public entry point, once per block, and splits the first law of each
-    marginal in one call for the whole block."""
+    """A run or a sweep block evaluates the decay factor once, on its
+    ``(R, T)`` grid, hands it to the private core of each closed form,
+    calls no public closed form or state builder, and splits the first
+    law of each marginal in one call for the whole block."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = dict.fromkeys(CLOSED_FORMS + (SPLIT,), 0)
+        # the grid shape of each call, by function
+        shapes = {name: [] for name in CORES + (SPLIT,)}
 
-        def counting(module, name):
+        def recording(module, name):
             original = getattr(module, name)
 
-            def wrapper(*args):
-                counts[name] += 1
-                return original(*args)
+            def wrapper(*args, **kwargs):
+                # the grid, or the decay values on it, is the second
+                # argument of a core; the split reads it from its series
+                grid = args[0].times if name == SPLIT else args[1]
+                shapes[name].append(np.shape(grid))
+                return original(*args, **kwargs)
             return wrapper
 
-        for name in CLOSED_FORMS:
-            monkeypatch.setattr(ch, name, counting(ch, name))
-        monkeypatch.setattr(experiment, SPLIT, counting(experiment, SPLIT))
-        return counts
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a block must call the private cores")
+
+        for name in CORES:
+            monkeypatch.setattr(ch, name, recording(ch, name))
+        for name in PUBLIC_BUILDERS:
+            monkeypatch.setattr(ch, name, forbidden)
+        monkeypatch.setattr(experiment, SPLIT, recording(experiment, SPLIT))
+        return shapes
+
+    @staticmethod
+    def per_block(grids) -> dict:
+        """The calls of a block on each of ``grids``."""
+        # one Bloch series and one split per marginal
+        twice = [grid for grid in grids for _ in range(2)]
+        return {"_decay": grids, "_bloch": twice, "_joint_negativities": grids,
+                "_joint_radii": grids, SPLIT: twice}
 
     def test_run_calls_each_once(self, calls):
         run(ExperimentConfig())
-        assert calls == {**dict.fromkeys(CLOSED_FORMS, 1), SPLIT: 2}
+        assert calls == self.per_block([(1, 2001)])
 
     def test_sweep_calls_each_once_per_block(self, calls):
         configs = _sweep27()
         assert [len(b) for b in _blocks(configs)] == [8, 8, 8, 3]
         assert all(row.error == "" for row in sweep(configs))
-        assert calls == {**dict.fromkeys(CLOSED_FORMS, 4), SPLIT: 8}
+        assert calls == self.per_block([(8, 501)] * 3 + [(3, 501)])
 
     def test_failing_row_inside_a_block(self, calls,
                                         break_system_bloch_when):
@@ -403,7 +427,6 @@ class TestClosedFormEntries:
         # again row by row
         configs = _sweep27()[:8]
         clean = sweep(configs)
-        calls.update(dict.fromkeys(calls, 0))
         failing = (configs[3].params, configs[7].params)
         break_system_bloch_when(lambda params: params in failing)
         with pytest.raises(NumericalError, match="closure") as block:
@@ -411,10 +434,13 @@ class TestClosedFormEntries:
         with pytest.raises(NumericalError) as alone:
             run(configs[3])
         assert str(block.value) == str(alone.value)
-        calls.update(dict.fromkeys(calls, 0))
+        for shapes in calls.values():
+            shapes.clear()
         rows = sweep(configs)
-        # the block and each failing row stop at the system's split
-        assert calls[SPLIT] == 1 + 2 * 6 + 2
+        # the block, then each row as a block of one; the block and each
+        # failing row stop at the system's split
+        assert calls["_decay"] == [(8, 501)] + [(1, 501)] * 8
+        assert len(calls[SPLIT]) == 1 + 2 * 6 + 2
         for i, row in enumerate(rows):
             if i in (3, 7):
                 with pytest.raises(NumericalError, match="closure") as own:

@@ -14,8 +14,9 @@ only their consumers run the eigenvalue floor. The second test checks
 that every builder's output passes that floor across the same domain.
 
 A sweep evaluates its rows in blocks, with the configuration as a
-leading array axis; the third test checks that each row equals the run
-of its configuration alone, bit for bit.
+leading array axis and one grid call per block; the last two tests check
+that each block grid row and each sweep row equal those of its
+configuration alone, bit for bit.
 """
 
 import dataclasses
@@ -29,8 +30,10 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from strongcouple import channels as ch  # noqa: E402
-from strongcouple.experiment import (ExperimentConfig, _summary,  # noqa: E402
-                                     run, sweep)
+from strongcouple.errors import InputError, NumericalError  # noqa: E402
+from strongcouple.experiment import (BLOCK_POINTS,  # noqa: E402
+                                     ExperimentConfig, SweepSummary,
+                                     _block_times, run, sweep)
 from strongcouple.firstlaw import CLOSURE_TOLERANCE  # noqa: E402
 from strongcouple.spectra import density_stack, partial_trace  # noqa: E402
 
@@ -179,6 +182,43 @@ def _bits(row):
                  for v in dataclasses.astuple(row))
 
 
+def _single_run_row(config) -> SweepSummary:
+    """The sweep row of ``config`` read from its own run, or from the
+    error that run raises."""
+    inputs = (config.alpha, config.beta, config.gamma, config.t_max,
+              config.n_samples)
+    try:
+        result = run(config)
+    except (InputError, NumericalError) as exc:
+        return SweepSummary(*inputs, error=str(exc))
+    d = result.diagnostics
+    return SweepSummary(
+        *inputs, peak_negativity=d["negativity_peak"],
+        peak_negativity_time=d["negativity_peak_time"],
+        peak_heat_asymmetry=d["heat_asymmetry_max"],
+        heat_system_final=d["heat_system_final"],
+        heat_environment_final=d["heat_environment_final"],
+        coherent_energy_max_abs=float(
+            abs(result.thermo_s.coherent_energy).max()),
+        ratio_mean=d["ratio_mean"],
+        ratio_max_relative_spread=d["ratio_max_relative_spread"])
+
+
+@settings(max_examples=50, deadline=None)
+@given(t_maxes=st.lists(st.floats(min_value=1e-300, max_value=1e300),
+                        min_size=1, max_size=8),
+       n_samples=st.integers(min_value=3, max_value=BLOCK_POINTS))
+def test_block_grid_equals_each_row_grid(t_maxes, n_samples):
+    # a block takes its grids from one linspace call; each row must be
+    # its configuration's own grid, bit for bit
+    configs = [ExperimentConfig(t_max=t_max, n_samples=n_samples)
+               for t_max in t_maxes]
+    grid = _block_times(configs)
+    assert grid.shape == (len(configs), n_samples)
+    for config, row in zip(configs, grid):
+        assert row.tobytes() == config.times.tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(configs=sweep_rows())
 # alpha ** 2 of this float differs in the last place from alpha * alpha,
@@ -186,10 +226,19 @@ def _bits(row):
 # squares in float arithmetic
 @example(configs=[ExperimentConfig(alpha=0.42672114373024106, n_samples=11),
                   ExperimentConfig(alpha=0.5, n_samples=11)])
+# blocks of a row with ratio points and a row with none (alpha 1 has no
+# heat asymmetry, so its mean ratio is zero); in the first, a third row
+# fails, since its grid step underflows to zero, and the block runs
+# again row by row
+@example(configs=[ExperimentConfig(alpha=0.5, n_samples=11),
+                  ExperimentConfig(alpha=1.0, n_samples=11),
+                  ExperimentConfig(t_max=5e-324, n_samples=11)])
+@example(configs=[ExperimentConfig(alpha=0.5, n_samples=11),
+                  ExperimentConfig(alpha=1.0, n_samples=11)])
 def test_sweep_rows_equal_single_runs(configs):
     # a sweep evaluates rows in blocks; each row must be bit for bit the
     # summary of the configuration's own run
     rows = sweep(configs)
     assert len(rows) == len(configs)
     for config, row in zip(configs, rows):
-        assert _bits(row) == _bits(_summary(config, run(config)))
+        assert _bits(row) == _bits(_single_run_row(config))

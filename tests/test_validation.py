@@ -86,4 +86,4 @@ def test_eigensolve_budget(monkeypatch):
     finally:
         validation._default_run.cache_clear()
     assert all(ok for _, ok, _ in rows)
-    assert calls == {"eigvalsh": 14, "eigh": 3, "hermitian_stack": 36}, calls
+    assert calls == {"eigvalsh": 14, "eigh": 3, "hermitian_stack": 34}, calls
