@@ -86,13 +86,12 @@ columns, and with ``(R, T)`` times the decay factor, the Bloch series,
 the joint radii and negativities and the two joint-state builders
 broadcast over the rows. So do the Kraus builders and the dilation with
 an ``(R, 1)`` column of decay probabilities, which is how ``validate``
-evaluates its random draws. Each closed form has one implementation, a
-private core that takes the decay values ``g, d`` of its times: the
-Bloch series, the joint radii and the joint negativities. Its public
-function takes a :class:`GadcParams` or columns, evaluates the decay
-factor of its own times with :func:`_decay` and calls the core. A run
-evaluates the decay factor of its block once and calls the cores
-directly.
+evaluates its random draws. Each closed form is one public function,
+taking a :class:`GadcParams` or columns. It reads its times through
+:func:`_grid`, which checks them and evaluates the decay factor on them
+as a private :class:`_Grid`, and which passes a grid it is given
+through unchanged. A run builds the grid of its block once and hands it
+to the Bloch series, the joint negativities and the joint radii.
 """
 
 from __future__ import annotations
@@ -457,19 +456,32 @@ def joint_initial_state(params: GadcParams) -> np.ndarray:
     return unit_trace_stack(_joint_initial_matrix(params))
 
 
-def _decay(params, times):
-    """``gamma = exp(-gamma_rate t)`` and ``delta = 1 - gamma`` at ``times``.
+class _Grid(NamedTuple):
+    """Float times with their decay values ``decay = exp(-gamma_rate t)``
+    and ``lose = 1 - decay``, for one parameter set or a block's columns.
+    """
 
-    ``delta`` is taken as ``-expm1(-gamma_rate t)``, which keeps its
+    times: np.ndarray
+    decay: np.ndarray
+    lose: np.ndarray
+
+
+def _grid(params, times) -> _Grid:
+    """The :class:`_Grid` of ``times`` for ``params``; a grid passes
+    through unchanged.
+
+    ``lose`` is taken as ``-expm1(-gamma_rate t)``, which keeps its
     relative precision at small ``gamma_rate t``.
     """
+    if isinstance(times, _Grid):
+        return times
     t = np.asarray(times, dtype=float)
     # written so that a NaN time fails too; t = inf is the thermal limit
     if not (t >= 0.0).all():
         raise InputError(f"time must be nonnegative, got {float(t.min())}")
     with np.errstate(over="ignore"):  # -inf is the thermal limit
         x = -params.gamma_rate * t
-    return np.exp(x), -np.expm1(x)
+    return _Grid(t, np.exp(x), -np.expm1(x))
 
 
 def _qubit_populations(params, keep, lose) -> np.ndarray:
@@ -547,7 +559,7 @@ def system_states(params: GadcParams, times) -> np.ndarray:
     The populations relax toward ``diag(w0, w1)`` while the coherence
     decays as ``sqrt(gamma)``.
     """
-    g, d = _decay(params, times)
+    _, g, d = _grid(params, times)
     return unit_trace_stack(_qubit_matrices(params, g, d))
 
 
@@ -558,7 +570,7 @@ def environment_states(params: GadcParams, times) -> np.ndarray:
     ``delta`` exchanged; the coherence grows as ``sqrt(delta)``, i.e. as
     ``sqrt(1 - exp(-gamma_rate t))``.
     """
-    g, d = _decay(params, times)
+    _, g, d = _grid(params, times)
     return unit_trace_stack(_qubit_matrices(params, d, g))
 
 
@@ -583,16 +595,18 @@ class BlochSeries(NamedTuple):
     populations: np.ndarray
 
 
-def _bloch(c: _Columns, times, g, d, keep_is_decay: bool) -> BlochSeries:
+def _bloch(params, times, keep_is_decay: bool) -> BlochSeries:
     """Bloch series of the marginal whose coherence decays as ``sqrt(keep)``.
 
-    The core of :func:`system_bloch` (``keep_is_decay``) and of
-    :func:`environment_bloch`, for the decay values ``g, d`` at the float
-    array ``times``. For the populations of :func:`_qubit_populations`
-    and the coherence of :func:`_qubit_matrices`, ``rho_gg - rho_ee = (w0
-    - w1) - 2 keep (b^2 w0 - a^2 w1)`` and ``(2 rho_ge)^2 = 4 a^2 b^2
-    keep``. The radius is left to the floor of ``bloch_entropies``.
+    The body of :func:`system_bloch` (``keep_is_decay``) and of
+    :func:`environment_bloch`, at ``times`` or on a :class:`_Grid`. For
+    the populations of :func:`_qubit_populations` and the coherence of
+    :func:`_qubit_matrices`, ``rho_gg - rho_ee = (w0 - w1) - 2 keep (b^2
+    w0 - a^2 w1)`` and ``(2 rho_ge)^2 = 4 a^2 b^2 keep``. The radius is
+    left to the floor of ``bloch_entropies``.
     """
+    c = _columns(params)
+    times, g, d = _grid(c, times)
     a2 = c.alpha_sq
     b2 = 1.0 - a2
     lead = c.w0 - c.w1
@@ -619,9 +633,7 @@ def system_bloch(params: GadcParams, times) -> BlochSeries:
 
     ``z = (w0 - w1) - 2 (b^2 w0 - a^2 w1) g`` and ``x^2 = 4 a^2 b^2 g``.
     """
-    c = _columns(params)
-    times = np.asarray(times, dtype=float)
-    return _bloch(c, times, *_decay(c, times), keep_is_decay=True)
+    return _bloch(params, times, keep_is_decay=True)
 
 
 def environment_bloch(params: GadcParams, times) -> BlochSeries:
@@ -629,9 +641,7 @@ def environment_bloch(params: GadcParams, times) -> BlochSeries:
 
     The system's lines with ``g`` replaced by ``1 - g``.
     """
-    c = _columns(params)
-    times = np.asarray(times, dtype=float)
-    return _bloch(c, times, *_decay(c, times), keep_is_decay=False)
+    return _bloch(params, times, keep_is_decay=False)
 
 
 def joint_states(params: GadcParams, times) -> np.ndarray:
@@ -644,7 +654,7 @@ def joint_states(params: GadcParams, times) -> np.ndarray:
     environment populations but a reduced coherence (see module
     docstring).
     """
-    _, d = _decay(params, times)
+    _, _, d = _grid(params, times)
     return unit_trace_stack(_dilated_matrices(params, d))
 
 
@@ -670,7 +680,7 @@ def joint_states_closed_form(params: GadcParams, times) -> np.ndarray:
     Hermiticity and unit trace only. ``validate`` checks the congruence
     identity entrywise.
     """
-    g, d = _decay(params, times)
+    _, g, d = _grid(params, times)
     return unit_trace_stack(_closed_form_joint_matrices(params, g, d))
 
 
@@ -685,12 +695,7 @@ def joint_radii_closed_form(params: GadcParams, times) -> np.ndarray:
     b^2 w0 w1 g d``. Returns ``R`` at every time.
     """
     c = _columns(params)
-    return _joint_radii(c, *_decay(c, times))
-
-
-def _joint_radii(c: _Columns, g, d) -> np.ndarray:
-    """The core of :func:`joint_radii_closed_form`, for the decay values
-    ``g, d``."""
+    _, g, d = _grid(c, times)
     a2 = c.alpha_sq
     return np.sqrt(c.bias_sq + 16.0 * a2 * (1.0 - a2) * c.w0 * c.w1 * g * d)
 
@@ -720,14 +725,7 @@ def joint_negativities_closed_form(params: GadcParams, times) -> np.ndarray:
     step, relative to the root, exceeds ``NEGATIVITY_NEWTON_TOL``.
     """
     c = _columns(params)
-    times = np.asarray(times, dtype=float)
-    return _joint_negativities(c, times, *_decay(c, times))
-
-
-def _joint_negativities(c: _Columns, times, g, d) -> np.ndarray:
-    """The core of :func:`joint_negativities_closed_form`, for the decay
-    values ``g, d`` at the float array ``times``, which names the time of
-    a failed convergence."""
+    times, g, d = _grid(c, times)
     a2 = c.alpha_sq
     w0, w1 = c.w0, c.w1
     x, y = a2 * w1, (1.0 - a2) * w0

@@ -30,26 +30,28 @@ the tests check that ``S_se`` is constant.
 Runs are evaluated in blocks, with the configuration as a leading array
 axis. A block holds configurations with one grid length: the parameters
 are ``(R, 1)`` columns and the times an ``(R, T)`` array from one
-``linspace`` call. The block evaluates the decay factor once on its grid
-and hands it to the private core of each closed form of
-:mod:`strongcouple.channels`: the two Bloch series, the joint
-negativities and the joint radii. Each marginal's first-law split runs
-once for the block. The spot-check states of all rows are built
-unchecked from the block's decay values and go to one
+``linspace`` call. The block evaluates the decay factor once, as the
+grid of :mod:`strongcouple.channels`, and hands that grid to the public
+closed forms: the two Bloch series, the joint negativities and the
+joint radii. Each marginal's first-law split runs once for the block.
+The spot-check states of all rows are built unchecked from the grid's
+decay values and go to one
 :func:`~strongcouple.infomeasures.negativities` call, their one check
-and eigensolve. The block then reduces every per-row scalar, the ratio
-statistics included, into columns of Python floats. :func:`run` is a
-block of one and builds its result from those columns; :func:`sweep`
-cuts its configurations into blocks of at most :data:`BLOCK_POINTS` grid
-points and reads each summary row from the columns, without a per-row
-result. Both give the same numbers bit for bit.
+and eigensolve. The block returns its two splits and its
+:class:`~strongcouple.infomeasures.InfoSeries` as ``(R, T)`` arrays and
+reduces every per-row diagnostic, the ratio statistics included, into
+columns of Python floats. :func:`run` is a block of one and reads row 0;
+:func:`sweep` cuts its configurations into blocks of at most
+:data:`BLOCK_POINTS` grid points and reads each summary row from the
+columns and the system's split, without a per-row result. Both give the
+same numbers bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -113,8 +115,9 @@ class ExperimentConfig:
             raise InputError(
                 f"n_samples must be an integer >= 3, got {self.n_samples}")
 
-    @property
+    @cached_property
     def params(self) -> ch.GadcParams:
+        """The :class:`GadcParams` of the configuration, built once."""
         return ch.GadcParams.from_inverse_temperature(
             alpha=self.alpha, beta=self.beta, gamma_rate=self.gamma)
 
@@ -173,46 +176,30 @@ def _block_times(configs) -> np.ndarray:
         np.linspace(0.0, t_max, int(configs[0].n_samples), axis=-1))
 
 
-class _Block(NamedTuple):
-    """What :func:`_run_block` computes for ``R`` configurations.
-
-    ``info`` holds the ``(R, T)`` arrays of :class:`InfoSeries` by field
-    name, and ``thermo_s`` and ``thermo_e`` the block's splits. The
-    per-row scalars are lists of ``R`` Python floats: ``columns`` the
-    diagnostics by name, and ``coherent_energy_max_abs`` the one sweep
-    field that is no diagnostic.
-    """
-
-    params: list
-    thermo_s: ThermoTrajectory
-    thermo_e: ThermoTrajectory
-    info: dict
-    columns: dict
-    coherent_energy_max_abs: list
-
-
 # the ratio fields of a row whose report raises alone
 _NO_RATIO = ProportionalityReport(mask_count=0, ratio_mean=math.nan,
                                   max_relative_spread=math.nan)
 
 
-def _run_block(configs) -> _Block:
+def _run_block(configs) -> tuple:
     """Run configurations that share ``n_samples`` as one block.
 
     The parameters are ``(R, 1)`` columns and the grids an ``(R, T)``
-    array. The decay factor is evaluated once for the block and handed
-    to each closed-form core, and each marginal's first-law split runs
-    once for the block. Every gate reduces over the whole block, so the
-    block raises where any of its rows would; its message is that of a
-    single run only for a block of one.
+    array, whose decay factor is evaluated once and handed, as one grid,
+    to each public closed form; each marginal's first-law split runs
+    once for the block. Returns ``(thermo_s, thermo_e, info, columns)``:
+    the two splits and the :class:`InfoSeries` hold ``(R, T)`` arrays,
+    and ``columns`` the diagnostics by name, as lists of ``R`` Python
+    floats. Every gate reduces over the whole block, so the block raises
+    where any of its rows would; its message is that of a single run
+    only for a block of one.
     """
-    params = [config.params for config in configs]
-    cols = ch._columns(params)
-    times = _block_times(configs)
+    cols = ch._columns([config.params for config in configs])
+    grid = ch._grid(cols, _block_times(configs))
+    times = grid.times
     n = len(configs)
-    g, d = ch._decay(cols, times)
-    bloch_s = ch._bloch(cols, times, g, d, keep_is_decay=True)
-    bloch_e = ch._bloch(cols, times, g, d, keep_is_decay=False)
+    bloch_s = ch.system_bloch(cols, grid)
+    bloch_e = ch.environment_bloch(cols, grid)
     thermo_s = qubit_thermo_trajectory(bloch_s)
     thermo_e = qubit_thermo_trajectory(bloch_e)
 
@@ -238,10 +225,10 @@ def _run_block(configs) -> _Block:
     step = times[:, 1:2] - times[:, :1]
     rate_s = _rates(ent_s, step)
     rate_e = _rates(ent_e, step)
-    neg = ch._joint_negativities(cols, times, g, d)
+    neg = ch.joint_negativities_closed_form(cols, grid)
     ent_joint = bloch_entropies(abs(cols.w0 - cols.w1))
 
-    drift_closed = bloch_entropies(ch._joint_radii(cols, g, d))
+    drift_closed = bloch_entropies(ch.joint_radii_closed_form(cols, grid))
     peak = np.arange(n), np.argmax(neg, axis=1)
     t_peak = times[peak]
     neg_peak = neg[peak]
@@ -250,9 +237,9 @@ def _run_block(configs) -> _Block:
     # unitary family at t_max; the states are built unchecked, from the
     # block's decay values, and checked once, by negativities
     spot, unitary_final = negativities(np.concatenate([
-        ch._closed_form_joint_matrices(cols, g[peak][:, None],
-                                       d[peak][:, None]),
-        ch._dilated_matrices(cols, d[:, -1:])]))[:, 0].reshape(2, n)
+        ch._closed_form_joint_matrices(cols, grid.decay[peak][:, None],
+                                       grid.lose[peak][:, None]),
+        ch._dilated_matrices(cols, grid.lose[:, -1:])]))[:, 0].reshape(2, n)
     gap = abs(spot - neg_peak)
     if (gap > NEGATIVITY_SPOT_TOL).any():
         i = int(np.argmax(gap))
@@ -292,15 +279,12 @@ def _run_block(configs) -> _Block:
         "ratio_max_relative_spread": [r.max_relative_spread
                                       for r in reports],
     }
-    info = {"times": times, "entropy_s": ent_s, "entropy_e": ent_e,
-            "coherence_s": np.sqrt(bloch_s.x2),
-            "coherence_e": np.sqrt(bloch_e.x2), "negativity": neg,
-            "mutual_information": ent_s + ent_e - ent_joint,
-            "heat_asymmetry": asym}
-    return _Block(params=params, thermo_s=thermo_s, thermo_e=thermo_e,
-                  info=info, columns=columns,
-                  coherent_energy_max_abs=abs(
-                      thermo_s.coherent_energy).max(axis=1).tolist())
+    info = InfoSeries(times=times, entropy_s=ent_s, entropy_e=ent_e,
+                      coherence_s=np.sqrt(bloch_s.x2),
+                      coherence_e=np.sqrt(bloch_e.x2), negativity=neg,
+                      mutual_information=ent_s + ent_e - ent_joint,
+                      heat_asymmetry=asym)
+    return thermo_s, thermo_e, info, columns
 
 
 def run(config: ExperimentConfig) -> ExperimentResult:
@@ -313,13 +297,12 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     eigensolve at the peak is violated; these are integrity checks, not
     physics outputs.
     """
-    block = _run_block([config])
+    thermo_s, thermo_e, info, columns = _run_block([config])
+    info = info[0]
     return ExperimentResult(
-        config=config, params=block.params[0],
-        times=block.info["times"][0], thermo_s=block.thermo_s[0],
-        thermo_e=block.thermo_e[0],
-        info=InfoSeries(**{k: v[0] for k, v in block.info.items()}),
-        diagnostics={k: v[0] for k, v in block.columns.items()})
+        config=config, params=config.params, times=info.times,
+        thermo_s=thermo_s[0], thermo_e=thermo_e[0], info=info,
+        diagnostics={k: v[0] for k, v in columns.items()})
 
 
 @dataclass(frozen=True)
@@ -390,17 +373,17 @@ def _sweep_rows(configs) -> list:
     raises alone and the other rows keep their values.
     """
     try:
-        block = _run_block(configs)
+        thermo_s, _, _, d = _run_block(configs)
     except (InputError, NumericalError) as exc:
         if len(configs) > 1:
             return [row for config in configs
                     for row in _sweep_rows([config])]
         return [SweepSummary(*_inputs(configs[0]), error=str(exc))]
-    d = block.columns
     # in the order of the result fields of SweepSummary
     results = zip(d["negativity_peak"], d["negativity_peak_time"],
                   d["heat_asymmetry_max"], d["heat_system_final"],
-                  d["heat_environment_final"], block.coherent_energy_max_abs,
+                  d["heat_environment_final"],
+                  abs(thermo_s.coherent_energy).max(axis=1).tolist(),
                   d["ratio_mean"], d["ratio_max_relative_spread"])
     return [SweepSummary(*_inputs(config), *values)
             for config, values in zip(configs, results)]

@@ -192,6 +192,8 @@ class InfoSeries:
     """Information measures sampled on a common time grid.
 
     Suffixes ``_s`` and ``_e`` label the system and environment qubits.
+    All arrays have the shape of ``times``, ``(T,)`` or ``(R, T)`` for a
+    block of grids.
     """
 
     times: np.ndarray
@@ -202,3 +204,7 @@ class InfoSeries:
     negativity: np.ndarray
     mutual_information: np.ndarray
     heat_asymmetry: np.ndarray
+
+    def __getitem__(self, row) -> InfoSeries:
+        """Row ``row`` of a block, as views of its arrays."""
+        return InfoSeries(**{k: v[row] for k, v in vars(self).items()})

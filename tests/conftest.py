@@ -49,20 +49,18 @@ def break_system_bloch_when(monkeypatch):
     """Break the system Bloch line only for parameter sets passing a test.
 
     The test is applied per row, to each parameter set of a block. The
-    break is in the private core of both Bloch series, which a run calls
-    directly, and touches only the system's series.
+    break is in the public system Bloch series, which a run calls with
+    the columns and the grid of its block.
     """
 
     def install(selected):
-        original = channels._bloch
+        original = channels.system_bloch
 
-        def patched(c, times, g, d, keep_is_decay):
-            series = original(c, times, g, d, keep_is_decay=keep_is_decay)
-            if not keep_is_decay:
-                return series
-            return _tilt(series, _selected_rows(selected, c))
+        def patched(params, times):
+            return _tilt(original(params, times),
+                         _selected_rows(selected, params))
 
-        monkeypatch.setattr(channels, "_bloch", patched)
+        monkeypatch.setattr(channels, "system_bloch", patched)
 
     return install
 

@@ -93,6 +93,15 @@ class TestConfig:
         config = ExperimentConfig(beta=math.inf, n_samples=501)
         assert config.params.w0 == 1.0
 
+    def test_params_built_once(self):
+        # a cached attribute, outside the fields: equality, hashing and
+        # asdict see the fields only
+        config = ExperimentConfig()
+        assert config.params is config.params
+        assert config == ExperimentConfig()
+        assert hash(config) == hash(ExperimentConfig())
+        assert "params" not in dataclasses.asdict(config)
+
 
 class TestRun:
     def test_blocks_present(self, quick_result):
@@ -311,15 +320,13 @@ class TestRun:
     def test_unphysical_marginal_rejected(self, monkeypatch):
         # the Bloch radius is bounded once, by its consumer: a radius of
         # 1 + 1e-9 gives the pure initial system an eigenvalue of -5e-10
-        original = ch._bloch
+        original = ch.system_bloch
 
-        def swollen(c, times, g, d, keep_is_decay):
-            series = original(c, times, g, d, keep_is_decay=keep_is_decay)
-            if not keep_is_decay:
-                return series
+        def swollen(params, times):
+            series = original(params, times)
             return series._replace(radius=series.radius * (1.0 + 1e-9))
 
-        monkeypatch.setattr(ch, "_bloch", swollen)
+        monkeypatch.setattr(ch, "system_bloch", swollen)
         with pytest.raises(InputError, match=r"eigenvalue .* below -1e-10"):
             run(ExperimentConfig())
 
@@ -333,10 +340,10 @@ class TestRun:
     def test_negativity_spot_check(self, monkeypatch):
         # a closed form off by one part in 1e8 must disagree with the
         # eigensolve at the peak
-        closed_form = ch._joint_negativities
+        closed_form = ch.joint_negativities_closed_form
         monkeypatch.setattr(
-            ch, "_joint_negativities",
-            lambda c, times, g, d: closed_form(c, times, g, d) * (1.0 + 1e-8))
+            ch, "joint_negativities_closed_form",
+            lambda params, times: closed_form(params, times) * (1.0 + 1e-8))
         with pytest.raises(NumericalError,
                            match=r"negativity routes disagree by \S+ at the "
                                  r"peak t = 0\.7 .*bound 1e-10"):
@@ -360,55 +367,122 @@ class TestRun:
         assert a.diagnostics == b.diagnostics
         assert np.array_equal(a.info.negativity, b.info.negativity)
 
+    @pytest.mark.parametrize("beta", [1.0, math.inf])
+    def test_block_rows_equal_single_runs(self, beta):
+        # every array and diagnostic of a block's row, bit for bit
+        configs = [ExperimentConfig(alpha=a, beta=beta, n_samples=201)
+                   for a in (0.0, 0.5, 1.0)]
+        thermo_s, thermo_e, info, columns = experiment._run_block(configs)
+        for i, config in enumerate(configs):
+            single = run(config)
+            for block, alone in ((info[i], single.info),
+                                 (thermo_s[i], single.thermo_s),
+                                 (thermo_e[i], single.thermo_e)):
+                assert _array_bits(block) == _array_bits(alone)
+            assert {k: v[i].hex() for k, v in columns.items()} \
+                == {k: v.hex() for k, v in single.diagnostics.items()}
 
-# the public closed forms and state builders, which a block does not call
-PUBLIC_BUILDERS = ("system_bloch", "environment_bloch",
-                   "joint_negativities_closed_form", "joint_radii_closed_form",
-                   "system_states", "environment_states", "joint_states",
-                   "joint_states_closed_form")
-CORES = ("_decay", "_bloch", "_joint_negativities", "_joint_radii")
+
+def _array_bits(series) -> dict:
+    """The arrays of a dataclass of series, by field, as bytes."""
+    return {k: (v.shape, v.tobytes()) for k, v in vars(series).items()}
+
+
+class TestGates:
+    """The static-Hamiltonian work gate and the energy-balance gate of a
+    block trip on a fault, with the phrase that names their gate, in a
+    run and in a sweep row."""
+
+    @staticmethod
+    def assert_gate(phrase):
+        config = ExperimentConfig()
+        with pytest.raises(NumericalError, match=phrase) as failure:
+            run(config)
+        (row,) = sweep([config])
+        assert row.error == str(failure.value)
+        assert math.isnan(row.peak_negativity)
+
+    def test_energy_balance(self, monkeypatch):
+        # the default run's balance is about 1e-16
+        monkeypatch.setattr(experiment, "ENERGY_BALANCE_TOL", 1e-20)
+        self.assert_gate("energy change")
+
+    def test_static_hamiltonian_work(self, monkeypatch):
+        # the work is exactly zero at every point, so no bound trips the
+        # gate on working code; a split with 1e-9 of work must
+        split = experiment.qubit_thermo_trajectory
+
+        def working(series):
+            traj = split(series)
+            return dataclasses.replace(traj, work=traj.work + 1e-9)
+
+        monkeypatch.setattr(experiment, "qubit_thermo_trajectory", working)
+        self.assert_gate("static Hamiltonian")
+
+
+# the closed forms a block calls with its grid, and the state builders,
+# which it does not call
+CLOSED_FORMS = ("system_bloch", "environment_bloch",
+                "joint_negativities_closed_form", "joint_radii_closed_form")
+STATE_BUILDERS = ("system_states", "environment_states", "joint_states",
+                  "joint_states_closed_form")
 SPLIT = "qubit_thermo_trajectory"
 
 
 class TestClosedFormEntries:
     """A run or a sweep block evaluates the decay factor once, on its
-    ``(R, T)`` grid, hands it to the private core of each closed form,
-    calls no public closed form or state builder, and splits the first
-    law of each marginal in one call for the whole block."""
+    ``(R, T)`` grid, hands that grid to each public closed form, calls
+    no state builder, and splits the first law of each marginal in one
+    call for the whole block."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        # the grid shape of each call, by function
-        shapes = {name: [] for name in CORES + (SPLIT,)}
+        # the grid shape of each call, by function; "_grid" records the
+        # grids it evaluates, not those it passes through
+        shapes = {name: [] for name in ("_grid",) + CLOSED_FORMS + (SPLIT,)}
+        built = []
+        evaluate = ch._grid
 
-        def recording(module, name):
-            original = getattr(module, name)
+        def grid(params, times):
+            out = evaluate(params, times)
+            if out is not times:
+                built.append(out)
+                shapes["_grid"].append(np.shape(times))
+            return out
 
-            def wrapper(*args, **kwargs):
-                # the grid, or the decay values on it, is the second
-                # argument of a core; the split reads it from its series
-                grid = args[0].times if name == SPLIT else args[1]
-                shapes[name].append(np.shape(grid))
-                return original(*args, **kwargs)
+        def on_the_grid(name):
+            original = getattr(ch, name)
+
+            def wrapper(params, times):
+                assert times is built[-1], "a block must hand in its grid"
+                shapes[name].append(np.shape(times.times))
+                return original(params, times)
             return wrapper
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a block must call the private cores")
+        qubit_thermo_trajectory = experiment.qubit_thermo_trajectory
 
-        for name in CORES:
-            monkeypatch.setattr(ch, name, recording(ch, name))
-        for name in PUBLIC_BUILDERS:
+        def split(series):
+            shapes[SPLIT].append(np.shape(series.times))
+            return qubit_thermo_trajectory(series)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a block must build no state stack")
+
+        monkeypatch.setattr(ch, "_grid", grid)
+        for name in CLOSED_FORMS:
+            monkeypatch.setattr(ch, name, on_the_grid(name))
+        for name in STATE_BUILDERS:
             monkeypatch.setattr(ch, name, forbidden)
-        monkeypatch.setattr(experiment, SPLIT, recording(experiment, SPLIT))
+        monkeypatch.setattr(experiment, SPLIT, split)
         return shapes
 
     @staticmethod
     def per_block(grids) -> dict:
         """The calls of a block on each of ``grids``."""
-        # one Bloch series and one split per marginal
+        # one split per marginal
         twice = [grid for grid in grids for _ in range(2)]
-        return {"_decay": grids, "_bloch": twice, "_joint_negativities": grids,
-                "_joint_radii": grids, SPLIT: twice}
+        return {"_grid": grids, **{name: grids for name in CLOSED_FORMS},
+                SPLIT: twice}
 
     def test_run_calls_each_once(self, calls):
         run(ExperimentConfig())
@@ -439,7 +513,7 @@ class TestClosedFormEntries:
         rows = sweep(configs)
         # the block, then each row as a block of one; the block and each
         # failing row stop at the system's split
-        assert calls["_decay"] == [(8, 501)] + [(1, 501)] * 8
+        assert calls["_grid"] == [(8, 501)] + [(1, 501)] * 8
         assert len(calls[SPLIT]) == 1 + 2 * 6 + 2
         for i, row in enumerate(rows):
             if i in (3, 7):
