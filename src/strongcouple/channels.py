@@ -11,7 +11,8 @@ internal energy change. Three equivalent computational routes to the
 evolved system state are provided and cross-checked in the test suite:
 Kraus operators acting on the system alone, a unitary dilation on the
 joint space followed by a partial trace, and closed-form matrix entries
-with ``p`` replaced by ``1 - exp(-gamma t)``.
+with ``p`` replaced by ``1 - exp(-gamma t)``. Each number given to the
+module is converted by a converter of :mod:`strongcouple.errors`.
 
 Every state is a plain array, and so is every set of Kraus operators,
 a complex ``(..., K, n, n)`` stack. Each closed-form family has one
@@ -102,7 +103,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import (InputError, NumericalError, _as_array, _as_count,
+                     _as_float)
 from .spectra import (check_unit_traces, density_stack, partial_trace,
                       unit_trace_stack)
 
@@ -116,21 +118,6 @@ _NEGATIVITY_NEWTON_STEPS = 8
 # and ``|E0>, |E1>`` bases: resonant levels, the gap as the energy unit.
 QUBIT_HAMILTONIAN = np.diag([0.0, 1.0]).astype(complex)
 QUBIT_HAMILTONIAN.flags.writeable = False
-
-
-def _as_float(value, name: str) -> float:
-    """``value`` as a float, or an :class:`InputError` naming ``name``.
-
-    Text is refused rather than parsed, and an integer beyond the float
-    range is refused rather than left to overflow later.
-    """
-    if isinstance(value, (str, bytes)):
-        raise InputError(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{name} must be a real number in the float "
-                         f"range: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -249,7 +236,7 @@ def _probability(p) -> np.ndarray:
 
     Written so that a NaN entry fails the check too.
     """
-    p = np.asarray(p, dtype=float)
+    p = _as_array(p, "probabilities")
     if not ((0.0 <= p) & (p <= 1.0)).all():
         raise InputError(f"p must lie in [0, 1], got {p}")
     return p
@@ -383,7 +370,7 @@ def apply_channel(operators, states) -> np.ndarray:
     """
     try:
         ops = np.asarray(operators, dtype=complex)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError("Kraus operators must be square matrices of "
                          f"one shape: {exc}") from exc
     if ops.size == 0:
@@ -475,7 +462,7 @@ def _grid(params, times) -> _Grid:
     """
     if isinstance(times, _Grid):
         return times
-    t = np.asarray(times, dtype=float)
+    t = _as_array(times, "times")
     # written so that a NaN time fails too; t = inf is the thermal limit
     if not (t >= 0.0).all():
         raise InputError(f"time must be nonnegative, got {float(t.min())}")
@@ -812,11 +799,7 @@ def iterate_map_check(params: GadcParams, t: float,
     composite builder it starts from the unchecked initial matrix, and
     only the final state is checked, for Hermiticity and unit trace.
     """
-    # isfinite first: int() of nan or inf raises
-    if not (math.isfinite(n_steps) and int(n_steps) == n_steps
-            and n_steps >= 1):
-        raise InputError(f"n_steps must be a positive integer, got {n_steps}")
-    n_steps = int(n_steps)
+    n_steps = _as_count(n_steps, "n_steps", 1)
     t = _as_float(t, "time")
     # written so that a NaN time fails too; no step count reaches t = inf
     if not 0.0 <= t < math.inf:

@@ -1,9 +1,16 @@
-"""Exception hierarchy shared across the library.
+"""Exception hierarchy of the library, and the conversion of outside numbers.
 
 Two failure families matter downstream: bad inputs (rejected before any
 numerics run) and numerical invariant violations (detected while running).
-The command line tool maps them to distinct exit codes.
+The command line tool maps them to distinct exit codes. Each number a
+public function takes, Kraus operators aside, is converted by
+:func:`_as_float`, :func:`_as_array` or :func:`_as_count`, which turn
+what Python or numpy raise on text, ``None``, a ragged list or an
+integer beyond the float range into an :class:`InputError` naming the
+argument.
 """
+
+import numpy as np
 
 
 class StrongcoupleError(Exception):
@@ -20,3 +27,36 @@ class NumericalError(StrongcoupleError, RuntimeError):
 
 class TrackingError(NumericalError):
     """Eigenbranch continuity could not be established along a trajectory."""
+
+
+def _as_float(value, name: str) -> float:
+    """``value`` as a float, or an :class:`InputError` naming ``name``.
+
+    Text is refused rather than parsed, and an integer beyond the float
+    range is refused rather than left to overflow later.
+    """
+    if isinstance(value, (str, bytes)):
+        raise InputError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{name} must be a real number in the float "
+                         f"range: {exc}") from exc
+
+
+def _as_array(value, what: str, dtype=float) -> np.ndarray:
+    """``value`` as an array of ``dtype``; an InputError names ``what``."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"expected a numeric array of {what}: {exc}") from exc
+
+
+def _as_count(value, name: str, minimum: int) -> int:
+    """``value``, through :func:`_as_float`, as an integer of at least
+    ``minimum``; ``10.0`` is an integer, NaN and inf are not."""
+    count = _as_float(value, name)
+    if not (count.is_integer() and count >= minimum):
+        raise InputError(
+            f"{name} must be an integer >= {minimum}, got {value}")
+    return int(count)

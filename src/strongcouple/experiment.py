@@ -56,7 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from . import channels as ch
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, _as_count, _as_float
 # thermo_trajectory, the generic route, is not called here; it stays bound
 # because benchmarks/tests/test_bench_tracer.py checks that the layer
 # tracer wraps it in this module
@@ -81,11 +81,12 @@ class ExperimentConfig:
     ``alpha`` is the initial ground amplitude, ``beta`` the environment
     inverse temperature in gap units (``inf`` for zero temperature),
     ``gamma`` the decay rate, and the grid is ``n_samples`` points on
-    ``[0, t_max]``. The fields are checked once, at construction, and
-    a bad one raises :class:`InputError` naming it; the four float fields
-    are converted to floats there, so that an integer beyond the float
-    range is a bad field rather than an ``OverflowError`` of a later
-    stage.
+    ``[0, t_max]``. The fields are checked once, at construction, where
+    ``alpha`` and ``beta`` are checked by the :class:`GadcParams` built
+    there, and a bad one raises :class:`InputError` naming it; the four
+    float fields are converted to floats first, so that an integer
+    beyond the float range is a bad field rather than an
+    ``OverflowError`` of a later stage.
     """
 
     alpha: float = 1.0 / math.sqrt(2.0)
@@ -97,23 +98,15 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "t_max"):
             object.__setattr__(self, name,
-                               ch._as_float(getattr(self, name), name))
-        if not 0.0 <= self.alpha <= 1.0:
-            raise InputError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not self.beta > 0.0:
-            raise InputError(f"beta must be positive, got {self.beta}")
+                               _as_float(getattr(self, name), name))
         if not 0.0 < self.gamma < math.inf:
             raise InputError(
                 f"gamma must be positive and finite, got {self.gamma}")
         if not 0.0 < self.t_max < math.inf:
             raise InputError(
                 f"t_max must be positive and finite, got {self.t_max}")
-        # isfinite first: int() of nan or inf raises
-        if not (math.isfinite(ch._as_float(self.n_samples, "n_samples"))
-                and int(self.n_samples) == self.n_samples
-                and self.n_samples >= 3):
-            raise InputError(
-                f"n_samples must be an integer >= 3, got {self.n_samples}")
+        _as_count(self.n_samples, "n_samples", 3)
+        self.params  # built once, here, where it checks alpha and beta
 
     @cached_property
     def params(self) -> ch.GadcParams:

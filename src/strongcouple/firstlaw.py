@@ -75,7 +75,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import QUBIT_HAMILTONIAN
-from .errors import InputError, NumericalError, TrackingError
+from .errors import (InputError, NumericalError, TrackingError, _as_array,
+                     _as_float)
 from .spectra import density_eigh
 
 # Levels E0, E1 of the model's qubit Hamiltonian
@@ -144,10 +145,7 @@ def _track(eigenvalues, eigenvectors, times):
 
 def _check_grid(times, ndim=1) -> np.ndarray:
     """``times`` as floats; ``ndim = 2`` also takes a block of grids."""
-    try:
-        times = np.asarray(times, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"times must be a numeric 1-d grid: {exc}") from exc
+    times = _as_array(times, "times")
     if not 1 <= times.ndim <= ndim or times.shape[-1] < 2:
         block = ", or an (R, T) block of them," if ndim == 2 else ""
         raise InputError(
@@ -214,6 +212,7 @@ def thermo_trajectory(states, times,
     most, since it indicates the grid is too coarse for the requested
     accuracy.
     """
+    closure_tolerance = _as_float(closure_tolerance, "closure_tolerance")
     if not closure_tolerance > 0.0:
         raise InputError(
             f"closure_tolerance must be positive, got {closure_tolerance}")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, _as_array
 from .spectra import (check_spectrum, density_stack, partial_transpose_stack,
                       unit_trace_stack)
 
@@ -69,11 +69,7 @@ def bloch_entropies(radii) -> np.ndarray:
     state has entropy zero; this is the clip rule of
     :func:`von_neumann_entropies`.
     """
-    try:
-        r = np.asarray(radii, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(
-            f"expected a numeric array of Bloch radii: {exc}") from exc
+    r = _as_array(radii, "Bloch radii")
     low = 0.5 * (1.0 - r)
     check_spectrum(low)
     low = np.where(low < _ENTROPY_CLIP, 0.0, low)
@@ -113,8 +109,8 @@ def heat_asymmetry(heat_system, heat_environment) -> np.ndarray:
     other; nonzero values quantify energy exchanged through coherences
     rather than populations.
     """
-    q_s = np.asarray(heat_system, dtype=float)
-    q_e = np.asarray(heat_environment, dtype=float)
+    q_s = _as_array(heat_system, "system heat")
+    q_e = _as_array(heat_environment, "environment heat")
     if q_s.shape != q_e.shape:
         raise InputError(
             f"heat arrays must share a shape, got {q_s.shape} and {q_e.shape}")
@@ -142,8 +138,8 @@ def proportionality_report(numerator, denominator) -> ProportionalityReport:
     Both series must be finite: a NaN would pass into the mean, and an
     infinite denominator would count as a point with ratio zero.
     """
-    num = np.asarray(numerator, dtype=float)
-    den = np.asarray(denominator, dtype=float)
+    num = _as_array(numerator, "numerators")
+    den = _as_array(denominator, "denominators")
     if num.shape != den.shape:
         raise InputError(
             f"series must share a shape, got {num.shape} and {den.shape}")

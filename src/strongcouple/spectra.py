@@ -5,7 +5,8 @@ Eigenvalues and eigenvectors come from LAPACK through
 stack of matrices in one call. States are plain arrays, and
 :func:`hermitian_stack` and :func:`density_stack` validate an array of
 shape ``(..., n, n)`` at once, such as the states of a trajectory with
-time as the leading axis, and return it symmetrized.
+time as the leading axis, and return it symmetrized. They convert what
+they are given with :func:`strongcouple.errors._as_array`.
 
 Each state is checked once, by one rule:
 
@@ -40,19 +41,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _as_array
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_FLOOR = -1e-10
-
-
-def _complex_array(matrices) -> np.ndarray:
-    """``matrices`` as a complex array; non-numeric input is an InputError."""
-    try:
-        return np.asarray(matrices, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"expected a numeric array of matrices: {exc}") from exc
 
 
 def hermitian_stack(matrices) -> np.ndarray:
@@ -63,7 +56,7 @@ def hermitian_stack(matrices) -> np.ndarray:
     averages ``(M + M^+)/2`` so later algebra never sees a residual
     anti-Hermitian part.
     """
-    m = _complex_array(matrices)
+    m = _as_array(matrices, "matrices", complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InputError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -253,7 +246,7 @@ def partial_trace(states, keep) -> np.ndarray:
     m = unit_trace_stack(states)
     _two_qubit(m)
     keeps = keep if isinstance(keep, tuple) else (keep,)
-    if not keeps or any(k not in (0, 1) for k in keeps):
+    if not keeps or any(not np.isscalar(k) or k not in (0, 1) for k in keeps):
         raise InputError(f"keep must be 0, 1 or a tuple of them, got {keep!r}")
     lowest = np.linalg.eigvalsh(m)[..., 0]
     if (2.0 * lowest < PSD_FLOOR).any():
@@ -274,7 +267,7 @@ def partial_transpose_stack(matrices) -> np.ndarray:
     a Hermitian stack stays exactly Hermitian, but in general not
     positive, which is exactly what entanglement witnesses exploit.
     """
-    m = _complex_array(matrices)
+    m = _as_array(matrices, "matrices", complex)
     _two_qubit(m)
     r = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
     return r.swapaxes(-4, -2).reshape(m.shape)

@@ -67,9 +67,10 @@ def markov_convergence(params: ch.GadcParams, t: float = 1.0,
     because the per-step probability ``gamma t / n`` linearizes the
     exponential decay factor.
     """
-    counts = list(step_counts)
+    counts = list(step_counts) if np.iterable(step_counts) else []
     if not counts:
-        raise InputError("step_counts must not be empty")
+        raise InputError(
+            f"step_counts must be a nonempty sequence, got {step_counts!r}")
     target = ch.system_states(params, t)
     rows = []
     for n in counts:

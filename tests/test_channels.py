@@ -647,8 +647,8 @@ class TestIterateMap:
         # the step count is named, not reported as a bad probability or
         # left to a TypeError of range()
         for n_steps in (0, -3, math.nan, math.inf, 2.5):
-            with pytest.raises(InputError, match="n_steps must be a "
-                                                 "positive integer"):
+            with pytest.raises(InputError, match="n_steps must be an "
+                                                 "integer >= 1"):
                 iterate_map_check(default_params(), 1.0, n_steps)
         with pytest.raises(InputError):
             iterate_map_check(default_params(gamma_rate=3.0), 1.0, 2)

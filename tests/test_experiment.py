@@ -546,7 +546,7 @@ class TestMarkov:
         ratio = rows[0][1] / rows[1][1]
         assert 1.8 <= ratio <= 2.2
 
-    @pytest.mark.parametrize("counts", [(), (0,), (-5,), (2.5,)])
+    @pytest.mark.parametrize("counts", [(), (0,), (-5,), (2.5,), None, 10])
     def test_invalid_step_counts(self, counts):
         with pytest.raises(InputError):
             markov_convergence(ExperimentConfig().params, step_counts=counts)
@@ -561,8 +561,8 @@ class TestMarkov:
                              ids=["nan", "inf", "minus_inf"])
     def test_non_finite_step_count(self, count):
         # an input error, not the ValueError or OverflowError of int()
-        with pytest.raises(InputError, match="n_steps must be a positive "
-                                             "integer"):
+        with pytest.raises(InputError, match="n_steps must be an integer "
+                                             ">= 1"):
             markov_convergence(ExperimentConfig().params,
                                step_counts=(10, count))
 

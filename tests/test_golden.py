@@ -9,8 +9,9 @@ file records the numpy version they were taken with, and a mismatch
 names both versions.
 
 A change that alters an output on purpose rewrites the file with
-``PYTHONPATH=src python tests/test_golden.py`` and records the old and
-new digests of what it changed.
+``PYTHONPATH=src python tests/test_golden.py``, which prints ``name: old
+-> new`` for each digest it changes and nothing when none does, and
+records those lines.
 """
 
 import hashlib
@@ -107,6 +108,11 @@ if __name__ == "__main__":
         text.seek(0)
         main(["validate", "--strict"])
     table["validate --strict"] = _sha256(text.getvalue().encode())
+    # the old -> new record of each changed digest; silent when none is
+    before = json.loads(GOLDEN.read_text())["sha256"]
+    for name in sorted(before.keys() | table.keys()):
+        if before.get(name) != table.get(name):
+            print(f"{name}: {before.get(name)} -> {table.get(name)}")
     GOLDEN.write_text(json.dumps({"numpy": np.__version__,
                                   "sha256": table}, indent=2,
                                  sort_keys=True) + "\n")

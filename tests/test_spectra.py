@@ -201,9 +201,17 @@ class TestTensorAndTraces:
     def test_partial_trace_keep_validation(self):
         with pytest.raises(InputError):
             partial_trace(BELL, keep=2)
-        for keep in ((), (0, 2), [0, 1]):
+        # an array or a list is no keep, not an ambiguous truth value
+        for keep in ((), (0, 2), [0, 1], np.array([0, 1]), np.array([1]),
+                     (0, np.array([0, 1]))):
             with pytest.raises(InputError, match="keep must be"):
                 partial_trace(BELL, keep=keep)
+        # any real scalar equal to 0 or 1 names that qubit
+        state = np.kron(np.diag([0.9, 0.1]), np.diag([0.3, 0.7]))
+        for keep, same in ((True, 1), (0.0, 0), (np.int64(1), 1),
+                           ((np.float64(0.0), 1), (0, 1))):
+            assert np.array_equal(partial_trace(state, keep),
+                                  partial_trace(state, same))
 
     def test_partial_trace_both_marginals(self, random_density,
                                           monkeypatch):

@@ -1,6 +1,7 @@
 """The public surface: one array-in function per closed-form state family
-and per eigensolve measure, plain-array states, the exported names, and
-the modules that may use the single-matrix object layer of ``spectra``."""
+and per eigensolve measure, plain-array states, the exported names, the
+input errors of every argument that takes numbers, and the modules that
+may use the single-matrix object layer of ``spectra``."""
 
 import ast
 import math
@@ -127,6 +128,10 @@ def test_measure_rejects_what_a_density_check_rejects(measure, bad):
         measure(np.stack([np.eye(4) / 4.0, state]))
 
 
+PARAMS = channels.GadcParams(alpha=0.6, w0=0.8, gamma_rate=1.3)
+GRID = np.linspace(0.0, 1.0, 9)
+SERIES = [0.1, 0.2]
+
 # every function that takes states, applied to one argument
 STATE_INPUTS = {
     "density_stack": strongcouple.density_stack,
@@ -145,19 +150,86 @@ STATE_INPUTS = {
 }
 # every function that takes the Bloch radii of qubit states
 RADII_INPUTS = {"bloch_entropies": strongcouple.bloch_entropies}
+CLOSED_FORMS = [
+    channels.system_states, channels.environment_states,
+    channels.joint_states, channels.joint_states_closed_form,
+    channels.system_bloch, channels.environment_bloch,
+    channels.joint_radii_closed_form, channels.joint_negativities_closed_form]
+STEP_BUILDERS = [channels.system_kraus, channels.environment_kraus,
+                 channels.system_state_from_dilation]
+# every other argument that takes an array of numbers, applied to one
+ARRAY_INPUTS = {
+    **{f"{f.__name__}.times": lambda x, f=f: f(PARAMS, x)
+       for f in CLOSED_FORMS},
+    "gadc_unitary.p": channels.gadc_unitary,
+    "gadc_coupling_matrix.p": channels.gadc_coupling_matrix,
+    **{f"{f.__name__}.p": lambda x, f=f: f(PARAMS, x)
+       for f in STEP_BUILDERS},
+    "markov_convergence.t": lambda x: strongcouple.markov_convergence(
+        PARAMS, t=x),
+    "thermo_trajectory.times": lambda x: strongcouple.thermo_trajectory(
+        channels.system_states(PARAMS, GRID), x),
+    "heat_asymmetry.heat_system":
+        lambda x: strongcouple.heat_asymmetry(x, SERIES),
+    "heat_asymmetry.heat_environment":
+        lambda x: strongcouple.heat_asymmetry(SERIES, x),
+    "proportionality_report.numerator":
+        lambda x: strongcouple.proportionality_report(x, [1.0, 1.0]),
+    "proportionality_report.denominator":
+        lambda x: strongcouple.proportionality_report(SERIES, x),
+}
+# every argument and field that takes one number
+SCALAR_INPUTS = {
+    "iterate_map_check.t": lambda x: channels.iterate_map_check(
+        PARAMS, x, 10),
+    "iterate_map_check.n_steps": lambda x: channels.iterate_map_check(
+        PARAMS, 1.0, x),
+    "markov_convergence.step_counts": lambda x:
+        strongcouple.markov_convergence(PARAMS, step_counts=(10, x)),
+    "thermo_trajectory.closure_tolerance":
+        lambda x: strongcouple.thermo_trajectory(
+            channels.system_states(PARAMS, GRID), GRID, closure_tolerance=x),
+    "GadcParams.from_inverse_temperature.beta":
+        lambda x: channels.GadcParams.from_inverse_temperature(0.6, x),
+    **{f"GadcParams.{name}": lambda x, name=name: channels.GadcParams(
+        **{"alpha": 0.6, "w0": 0.8, name: x}) for name in (
+            "alpha", "w0", "gamma_rate")},
+    **{f"ExperimentConfig.{name}":
+       lambda x, name=name: strongcouple.ExperimentConfig(**{name: x})
+       for name in ("alpha", "beta", "gamma", "t_max", "n_samples")},
+}
+# Every public argument that takes numbers, with the phrase of the
+# InputError it raises on input that is no number. A slot that takes
+# states or Bloch radii is named by its function, any other by its
+# function and argument.
+SLOTS = {
+    **{name: (call, "expected a numeric array") for name, call in {
+        **STATE_INPUTS, **RADII_INPUTS, **ARRAY_INPUTS}.items()},
+    **{name: (call, "must be a real number")
+       for name, call in SCALAR_INPUTS.items()},
+    "partial_trace.keep": (lambda x: partial_trace(
+        channels.joint_states(PARAMS, GRID), keep=x), "keep must be"),
+}
 NOT_NUMERIC = {"text": "abc", "callable": lambda t: t,
-               "ragged": [[1, 0], [0]]}
+               "ragged": [[1, 0], [0]], "huge": 10 ** 400}
+MALFORMED = {**NOT_NUMERIC, "none": None, "pair": np.array([1.0, 2.0])}
 
 
-@pytest.mark.parametrize("bad", sorted(NOT_NUMERIC))
-@pytest.mark.parametrize("name", sorted(STATE_INPUTS) + sorted(RADII_INPUTS))
+@pytest.mark.parametrize("bad", sorted(MALFORMED))
+@pytest.mark.parametrize("name", sorted(SLOTS))
 def test_state_input_must_be_numeric(name, bad):
-    """Input that is no numeric array is bad input, whatever numpy says."""
-    with pytest.raises(InputError, match="expected a numeric array"):
-        {**STATE_INPUTS, **RADII_INPUTS}[name](NOT_NUMERIC[bad])
+    """A malformed argument is accepted or is bad input, whatever numpy
+    or Python says; input that is no number is refused, naming the cause.
+    """
+    call, phrase = SLOTS[name]
+    try:
+        call(MALFORMED[bad])
+    except InputError as exc:
+        assert bad not in NOT_NUMERIC or phrase in str(exc)
+    else:
+        assert bad not in NOT_NUMERIC
 
 
-PARAMS = channels.GadcParams(alpha=0.6, w0=0.8, gamma_rate=1.3)
 
 # every library function that returns a state
 STATE_FUNCTIONS = {
@@ -182,8 +254,6 @@ def test_states_are_plain_arrays(name):
     assert type(state) is np.ndarray
     assert state.shape in ((2, 2), (4, 4))
 
-
-GRID = np.linspace(0.0, 1.0, 9)
 
 # the functions that map a stack, and a stack to map: times for the
 # state builders, decay probabilities for the dilation
