@@ -359,20 +359,17 @@ def apply_channel(operators, states) -> np.ndarray:
     states broadcasts against the stack of channels: one channel maps
     every state, and a stack of channels maps one state or a state each.
 
-    The operators are checked here, in this order: they are numeric and
-    form a square stack; every entry is finite, before any product, so
-    that NaN and inf raise rather than warn; every channel is complete,
-    ``sum_k K_k^+ K_k = I`` to within ``KRAUS_COMPLETENESS_TOL``; and
-    their dimension is the states'. The states are validated with
-    :func:`~strongcouple.spectra.density_stack`; a Kraus sum of a
-    positive state is positive, so the result is checked for Hermiticity
-    and unit trace only.
+    The operators are converted by :func:`~strongcouple.errors._as_array`,
+    which refuses text and ragged lists, then checked here, in this
+    order: they form a square stack; every entry is finite, before any
+    product, so that NaN and inf raise rather than warn; every channel
+    is complete, ``sum_k K_k^+ K_k = I`` to within
+    ``KRAUS_COMPLETENESS_TOL``; and their dimension is the states'. The
+    states are validated with :func:`~strongcouple.spectra.density_stack`;
+    a Kraus sum of a positive state is positive, so the result is
+    checked for Hermiticity and unit trace only.
     """
-    try:
-        ops = np.asarray(operators, dtype=complex)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError("Kraus operators must be square matrices of "
-                         f"one shape: {exc}") from exc
+    ops = _as_array(operators, "Kraus operators", complex)
     if ops.size == 0:
         raise InputError("a channel needs at least one Kraus operator")
     if ops.ndim < 3 or ops.shape[-1] != ops.shape[-2]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, _as_float
 from .experiment import ExperimentConfig, SweepSummary, run, sweep
 from .validation import run_suites
 
@@ -37,15 +38,13 @@ _CSV_BLOCK = 256
 
 
 def _float_field(value, name):
+    """A float field of parsed JSON: the spelling ``"inf"`` is infinity
+    and a boolean is refused; :func:`_as_float` converts the rest."""
     if isinstance(value, str) and value == "inf":
         return math.inf
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"field '{name}' must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise InputError(f"field '{name}' is an integer beyond the float "
-                         "range") from None
+    if isinstance(value, bool):
+        raise InputError(f"field '{name}' must be a real number, got bool")
+    return _as_float(value, f"field '{name}'")
 
 
 def _int_field(value, name):
@@ -257,6 +256,9 @@ def _cmd_run(args) -> int:
 
 
 def _expand_grid(data) -> list:
+    """One configuration per point of the grid's alpha x beta x gamma
+    product, each built by :func:`config_from_dict`; a field the grid
+    leaves out takes the configuration's default."""
     if not isinstance(data, dict):
         raise InputError("grid must be a JSON object")
     unknown = set(data) - _GRID_KEYS
@@ -265,22 +267,17 @@ def _expand_grid(data) -> list:
                          f"allowed: {sorted(_GRID_KEYS)}")
     if "t_max" in data and "gamma_t_max" in data:
         raise InputError("grid accepts either 't_max' or 'gamma_t_max', not both")
-
-    def axis(name, default):
-        if name not in data:
-            return [default]
-        value = data[name]
-        if isinstance(value, list):
-            if not value:
-                raise InputError(f"grid field '{name}' must not be empty")
-            return [_float_field(v, name) for v in value]
-        return [_float_field(value, name)]
-
-    base = ExperimentConfig()
-    alphas = axis("alpha", base.alpha)
-    betas = axis("beta", base.beta)
-    gammas = axis("gamma", base.gamma)
-    n_samples = _int_field(data.get("n_samples", base.n_samples), "n_samples")
+    axes = []
+    for name in ("alpha", "beta", "gamma"):
+        values = data.get(name, getattr(ExperimentConfig, name))
+        values = values if isinstance(values, list) else [values]
+        if not values:
+            raise InputError(f"grid field '{name}' must not be empty")
+        axes.append(values)
+    fields = {name: data[name] for name in ("t_max", "n_samples")
+              if name in data}
+    rows = [{"alpha": a, "beta": b, "gamma": g, **fields}
+            for a, b, g in itertools.product(*axes)]
     if "gamma_t_max" in data:
         # checked by name here: the horizon divides by each gamma, and a
         # bad t_max would name a field the grid does not have
@@ -288,29 +285,18 @@ def _expand_grid(data) -> list:
         if not 0.0 < horizon < math.inf:
             raise InputError("gamma_t_max must be positive and finite, "
                              f"got {horizon}")
-        for g in gammas:
+        for row in rows:
+            g = row["gamma"] = _float_field(row["gamma"], "gamma")
             if not 0.0 < g < math.inf:
                 raise InputError(
                     f"gamma must be positive and finite, got {g}")
-        t_maxes = [horizon / g for g in gammas]
-        for g, t_max in zip(gammas, t_maxes):
-            if not 0.0 < t_max < math.inf:
+            row["t_max"] = horizon / g
+            if not 0.0 < row["t_max"] < math.inf:
                 raise InputError(
                     f"the horizon gamma_t_max / gamma = {horizon} / {g} = "
-                    f"{t_max} is not positive and finite; gamma and "
+                    f"{row['t_max']} is not positive and finite; gamma and "
                     "gamma_t_max are too far apart in scale")
-    else:
-        t_max = _float_field(data.get("t_max", base.t_max), "t_max")
-        t_maxes = [t_max] * len(gammas)
-
-    configs = []
-    for a in alphas:
-        for b in betas:
-            for g, t_max in zip(gammas, t_maxes):
-                configs.append(ExperimentConfig(
-                    alpha=a, beta=b, gamma=g, t_max=t_max,
-                    n_samples=n_samples))
-    return configs
+    return [config_from_dict(row) for row in rows]
 
 
 def _collapse_spread(rows) -> float | None:

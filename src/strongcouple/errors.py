@@ -3,11 +3,11 @@
 Two failure families matter downstream: bad inputs (rejected before any
 numerics run) and numerical invariant violations (detected while running).
 The command line tool maps them to distinct exit codes. Each number a
-public function takes, Kraus operators aside, is converted by
-:func:`_as_float`, :func:`_as_array` or :func:`_as_count`, which turn
-what Python or numpy raise on text, ``None``, a ragged list or an
-integer beyond the float range into an :class:`InputError` naming the
-argument.
+public function takes is converted by :func:`_as_float`,
+:func:`_as_array` or :func:`_as_count`, which refuse text, ``"0.5"``
+and ``["0.5"]`` too, and turn what Python or numpy raise on ``None``, a
+ragged list or an integer beyond the float range into an
+:class:`InputError` naming the argument.
 """
 
 import numpy as np
@@ -29,24 +29,37 @@ class TrackingError(NumericalError):
     """Eigenbranch continuity could not be established along a trajectory."""
 
 
+def _refuse_text(value) -> None:
+    """Raise ``TypeError`` if numpy reads ``value`` as text."""
+    if np.asarray(value).dtype.kind in "SU":
+        raise TypeError("text is not a number")
+
+
 def _as_float(value, name: str) -> float:
     """``value`` as a float, or an :class:`InputError` naming ``name``.
 
     Text is refused rather than parsed, and an integer beyond the float
     range is refused rather than left to overflow later.
     """
-    if isinstance(value, (str, bytes)):
-        raise InputError(f"{name} must be a real number, got {value!r}")
     try:
+        _refuse_text(value)
         return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise InputError(f"{name} must be a real number in the float "
                          f"range: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} must be a real number, got "
+                         f"{type(value).__name__}") from exc
 
 
 def _as_array(value, what: str, dtype=float) -> np.ndarray:
-    """``value`` as an array of ``dtype``; an InputError names ``what``."""
+    """``value`` as an array of ``dtype``; an InputError names ``what``.
+
+    Text is refused, inside a list too; an array built with
+    ``dtype=object`` is converted as numpy converts it.
+    """
     try:
+        _refuse_text(value)
         return np.asarray(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"expected a numeric array of {what}: {exc}") from exc

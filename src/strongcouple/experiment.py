@@ -83,10 +83,10 @@ class ExperimentConfig:
     ``gamma`` the decay rate, and the grid is ``n_samples`` points on
     ``[0, t_max]``. The fields are checked once, at construction, where
     ``alpha`` and ``beta`` are checked by the :class:`GadcParams` built
-    there, and a bad one raises :class:`InputError` naming it; the four
-    float fields are converted to floats first, so that an integer
-    beyond the float range is a bad field rather than an
-    ``OverflowError`` of a later stage.
+    there, and a bad one raises :class:`InputError` naming it. The four
+    float fields are stored as floats and ``n_samples`` as an int, so
+    that an integer beyond the float range is a bad field rather than
+    an ``OverflowError`` of a later stage.
     """
 
     alpha: float = 1.0 / math.sqrt(2.0)
@@ -105,7 +105,8 @@ class ExperimentConfig:
         if not 0.0 < self.t_max < math.inf:
             raise InputError(
                 f"t_max must be positive and finite, got {self.t_max}")
-        _as_count(self.n_samples, "n_samples", 3)
+        object.__setattr__(self, "n_samples",
+                           _as_count(self.n_samples, "n_samples", 3))
         self.params  # built once, here, where it checks alpha and beta
 
     @cached_property
@@ -116,7 +117,7 @@ class ExperimentConfig:
 
     @property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_max, int(self.n_samples))
+        return np.linspace(0.0, self.t_max, self.n_samples)
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,7 @@ def _block_times(configs) -> np.ndarray:
     # linspace puts the new axis first and moves it; the copy keeps the
     # rows contiguous, as a single grid is
     return np.ascontiguousarray(
-        np.linspace(0.0, t_max, int(configs[0].n_samples), axis=-1))
+        np.linspace(0.0, t_max, configs[0].n_samples, axis=-1))
 
 
 # the ratio fields of a row whose report raises alone
@@ -325,8 +326,8 @@ def _blocks(configs):
     is a block of one."""
     block = []
     for config in configs:
-        n = int(config.n_samples)
-        if block and (n != int(block[0].n_samples)
+        n = config.n_samples
+        if block and (n != block[0].n_samples
                       or (len(block) + 1) * n > BLOCK_POINTS):
             yield block
             block = []

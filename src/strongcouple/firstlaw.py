@@ -205,23 +205,24 @@ def thermo_trajectory(states, times,
     ``states`` is the ``(T, 2, 2)`` stack of density matrices of a qubit
     under the model's static Hamiltonian on the grid ``times``, e.g.
     ``system_states(params, times)``, so the work is zero; any other
-    shape raises :class:`InputError`. The stack is validated once and
-    the results are reported on ``times``. A closure residual above
-    ``closure_tolerance`` raises :class:`NumericalError` naming the time
-    of the worst residual and the grid step where the residual grows
-    most, since it indicates the grid is too coarse for the requested
-    accuracy.
+    shape raises :class:`InputError` before any eigensolve. The stack is
+    validated once and the results are reported on ``times``. A closure
+    residual above ``closure_tolerance`` raises :class:`NumericalError`
+    naming the time of the worst residual and the grid step where the
+    residual grows most, since it indicates the grid is too coarse for
+    the requested accuracy.
     """
     closure_tolerance = _as_float(closure_tolerance, "closure_tolerance")
     if not closure_tolerance > 0.0:
         raise InputError(
             f"closure_tolerance must be positive, got {closure_tolerance}")
     times = _check_grid(times)
-    rho_lam, rho_vec = density_eigh(states)
-    if rho_vec.shape != (times.size, 2, 2):
-        raise InputError(f"got states of shape {rho_vec.shape} for "
+    states = _as_array(states, "matrices", complex)
+    if states.shape != (times.size, 2, 2):
+        raise InputError(f"got states of shape {states.shape} for "
                          f"{times.size} time points; the states must be "
                          f"a ({times.size}, 2, 2) stack")
+    rho_lam, rho_vec = density_eigh(states)
     populations, vectors = _track(rho_lam, rho_vec, times)
     # the levels are the computational basis: eps_k = sum_n E_n |v_nk|^2
     energies = _ENERGIES @ (np.abs(vectors) ** 2)

@@ -103,13 +103,15 @@ class TestKrausChannel:
             apply_channel((0.5 * np.eye(2),), QUBIT)
 
     def test_rejects_mixed_shapes(self):
-        with pytest.raises(InputError, match="square matrices"):
+        with pytest.raises(InputError, match="expected a numeric array of "
+                                             "Kraus operators"):
             apply_channel((np.eye(2), np.eye(3)), QUBIT)
 
     @pytest.mark.parametrize("operators", ["abc", lambda k: k],
                              ids=["text", "callable"])
     def test_rejects_non_numeric(self, operators):
-        with pytest.raises(InputError, match="square matrices"):
+        with pytest.raises(InputError, match="expected a numeric array of "
+                                             "Kraus operators"):
             apply_channel(operators, QUBIT)
 
     def test_rejects_empty(self):

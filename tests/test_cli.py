@@ -271,19 +271,23 @@ class TestSweepCommand:
         assert "gamma and gamma_t_max are too far apart" in err
         assert "t_max must" not in err
 
-    @pytest.mark.parametrize("grid", [{"gamma": [10 ** 400]},
-                                      {"beta": 10 ** 400},
-                                      {"gamma_t_max": 10 ** 400}],
-                             ids=["gamma", "beta", "gamma_t_max"])
-    def test_integer_beyond_float_range_named(self, tmp_path, capsys, grid):
+    @pytest.mark.parametrize("command, data", [
+        ("sweep --grid", {"gamma": [10 ** 400]}),
+        ("sweep --grid", {"beta": 10 ** 400}),
+        ("sweep --grid", {"gamma_t_max": 10 ** 400}),
+        ("run --config", {"t_max": 10 ** 400}),
+    ], ids=["gamma", "beta", "gamma_t_max", "config"])
+    def test_integer_beyond_float_range_named(self, tmp_path, capsys,
+                                              command, data):
         # JSON integers have no size limit; one that has no float is bad
-        # input that names its field, not an OverflowError traceback
-        path = write_json(tmp_path / "grid.json", grid)
-        assert main(["sweep", "--grid", path,
+        # input that names its field, not an OverflowError traceback, and
+        # grid and config files name it with one converter
+        path = write_json(tmp_path / "input.json", data)
+        assert main([*command.split(), path,
                      "--out", str(tmp_path / "o")]) == 2
-        field = next(iter(grid))
-        assert (f"error: field '{field}' is an integer beyond the float range"
-                in capsys.readouterr().err)
+        field = next(iter(data))
+        assert (f"error: field '{field}' must be a real number in the "
+                "float range" in capsys.readouterr().err)
 
     def test_unknown_grid_key(self, tmp_path):
         grid = write_json(tmp_path / "grid.json", {"p": [0.1]})

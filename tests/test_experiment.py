@@ -75,13 +75,14 @@ class TestConfig:
             ExperimentConfig(**{field: "1"})
 
     def test_float_fields_converted_once(self):
-        config = ExperimentConfig(alpha=1, beta=2, gamma=3, t_max=4,
-                                  n_samples=5)
-        assert [type(getattr(config, name))
-                for name in ("alpha", "beta", "gamma", "t_max")] == [float] * 4
-        assert type(config.n_samples) is int
-        assert config == ExperimentConfig(alpha=1.0, beta=2.0, gamma=3.0,
-                                          t_max=4.0, n_samples=5)
+        for n_samples in (5, 5.0, np.int64(5)):
+            config = ExperimentConfig(alpha=1, beta=2, gamma=3, t_max=4,
+                                      n_samples=n_samples)
+            assert [type(getattr(config, name)) for name in
+                    ("alpha", "beta", "gamma", "t_max")] == [float] * 4
+            assert type(config.n_samples) is int
+            assert config == ExperimentConfig(alpha=1.0, beta=2.0, gamma=3.0,
+                                              t_max=4.0, n_samples=5)
 
     def test_defaults_are_valid(self):
         config = ExperimentConfig()

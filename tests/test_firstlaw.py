@@ -1,6 +1,7 @@
 """Eigenbranch tracking, the three energy integrals, and closure."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,25 @@ class TestSampleTrajectory:
         times = np.linspace(0.0, 1.0, 4)
         with pytest.raises(InputError, match="got states of shape"):
             thermo_trajectory(system_states(pr, times[:1]), times)
+
+    @pytest.mark.parametrize("shape, hermitian", [
+        ((5, 4, 4), True), ((7, 2, 2), True), ((7, 2, 2), False),
+    ], ids=["dimension", "count", "count_non_hermitian"])
+    def test_shape_checked_before_eigensolve(self, monkeypatch, shape,
+                                             hermitian):
+        """A stack of the wrong shape is refused by its shape, before
+        the eigensolve and before the checks of the states themselves."""
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigensolve before the shape check")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        n = shape[-1]
+        states = np.broadcast_to(np.eye(n) / n, shape).copy()
+        if not hermitian:
+            states[:, 0, 1] = 0.1
+        with pytest.raises(InputError, match=re.escape(
+                f"got states of shape {shape} for 5 time points")):
+            thermo_trajectory(states, np.linspace(0.0, 1.0, 5))
 
     @pytest.mark.parametrize("times", [[0.0], [[0.0, 1.0]], [1.0, 0.5],
                                        "abc"])

@@ -177,6 +177,8 @@ ARRAY_INPUTS = {
         lambda x: strongcouple.proportionality_report(x, [1.0, 1.0]),
     "proportionality_report.denominator":
         lambda x: strongcouple.proportionality_report(SERIES, x),
+    "apply_channel.operators": lambda x: channels.apply_channel(
+        x, np.eye(2) / 2.0),
 }
 # every argument and field that takes one number
 SCALAR_INPUTS = {
@@ -210,7 +212,9 @@ SLOTS = {
     "partial_trace.keep": (lambda x: partial_trace(
         channels.joint_states(PARAMS, GRID), keep=x), "keep must be"),
 }
-NOT_NUMERIC = {"text": "abc", "callable": lambda t: t,
+# numpy parses numeric text, which no slot may do
+NOT_NUMERIC = {"text": "abc", "numeric_text": "0.5",
+               "numeric_text_list": ["0.5", "0.5"], "callable": lambda t: t,
                "ragged": [[1, 0], [0]], "huge": 10 ** 400}
 MALFORMED = {**NOT_NUMERIC, "none": None, "pair": np.array([1.0, 2.0])}
 
