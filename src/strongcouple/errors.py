@@ -4,10 +4,10 @@ Two failure families matter downstream: bad inputs (rejected before any
 numerics run) and numerical invariant violations (detected while running).
 The command line tool maps them to distinct exit codes. Each number a
 public function takes is converted by :func:`_as_float`,
-:func:`_as_array` or :func:`_as_count`, which refuse text, ``"0.5"``
-and ``["0.5"]`` too, and turn what Python or numpy raise on ``None``, a
-ragged list or an integer beyond the float range into an
-:class:`InputError` naming the argument.
+:func:`_as_array` or :func:`_as_count`, which refuse text, ``"0.5"``,
+``["0.5"]`` and an object array holding text too, and turn what Python
+or numpy raise on ``None``, a ragged list or an integer beyond the float
+range into an :class:`InputError` naming the argument.
 """
 
 import numpy as np
@@ -30,8 +30,11 @@ class TrackingError(NumericalError):
 
 
 def _refuse_text(value) -> None:
-    """Raise ``TypeError`` if numpy reads ``value`` as text."""
-    if np.asarray(value).dtype.kind in "SU":
+    """Raise ``TypeError`` if numpy reads ``value`` as text, or as an
+    object array that holds text."""
+    a = np.asarray(value)
+    if a.dtype.kind in "SU" or (a.dtype.kind == "O" and any(
+            isinstance(x, (str, bytes)) for x in a.flat)):
         raise TypeError("text is not a number")
 
 
@@ -55,8 +58,9 @@ def _as_float(value, name: str) -> float:
 def _as_array(value, what: str, dtype=float) -> np.ndarray:
     """``value`` as an array of ``dtype``; an InputError names ``what``.
 
-    Text is refused, inside a list too; an array built with
-    ``dtype=object`` is converted as numpy converts it.
+    Text is refused, inside a list or an array built with
+    ``dtype=object`` too; any other object array is converted as numpy
+    converts it.
     """
     try:
         _refuse_text(value)

@@ -62,8 +62,8 @@ from .errors import InputError, NumericalError, _as_count, _as_float
 # tracer wraps it in this module
 from .firstlaw import (ThermoTrajectory, qubit_thermo_trajectory,  # noqa: F401
                        thermo_trajectory)
-from .infomeasures import (InfoSeries, ProportionalityReport, _ratio_rows,
-                           bloch_entropies, heat_asymmetry, negativities)
+from .infomeasures import (InfoSeries, _ratio_rows, bloch_entropies,
+                           heat_asymmetry, negativities)
 
 WORK_STATIC_TOL = 1e-12
 ENERGY_BALANCE_TOL = 1e-10
@@ -170,11 +170,6 @@ def _block_times(configs) -> np.ndarray:
         np.linspace(0.0, t_max, configs[0].n_samples, axis=-1))
 
 
-# the ratio fields of a row whose report raises alone
-_NO_RATIO = ProportionalityReport(mask_count=0, ratio_mean=math.nan,
-                                  max_relative_spread=math.nan)
-
-
 def _run_block(configs) -> tuple:
     """Run configurations that share ``n_samples`` as one block.
 
@@ -243,8 +238,7 @@ def _run_block(configs) -> tuple:
             f"{neg_peak[i]:.6e}, eigensolve {spot[i]:.6e}); bound "
             f"{NEGATIVITY_SPOT_TOL:.0e}")
 
-    reports = [_NO_RATIO if isinstance(report, InputError) else report
-               for report in _ratio_rows(asym, neg)]
+    points, means, spreads = _ratio_rows(asym, neg)
     # per-row scalars, as Python floats
     columns = {
         "closure_system_max": thermo_s.closure_residual.max(axis=1).tolist(),
@@ -268,10 +262,9 @@ def _run_block(configs) -> tuple:
         "entropy_rate_system_max": abs(rate_s).max(axis=1).tolist(),
         "entropy_rate_mismatch_max": abs(rate_s + rate_e).max(
             axis=1).tolist(),
-        "ratio_points": [float(r.mask_count) for r in reports],
-        "ratio_mean": [r.ratio_mean for r in reports],
-        "ratio_max_relative_spread": [r.max_relative_spread
-                                      for r in reports],
+        "ratio_points": [float(count) for count in points],
+        "ratio_mean": means,
+        "ratio_max_relative_spread": spreads,
     }
     info = InfoSeries(times=times, entropy_s=ent_s, entropy_e=ent_e,
                       coherence_s=np.sqrt(bloch_s.x2),

@@ -136,51 +136,52 @@ def proportionality_report(numerator, denominator) -> ProportionalityReport:
     """Measure proportionality of two series away from small denominators.
 
     Both series must be finite: a NaN would pass into the mean, and an
-    infinite denominator would count as a point with ratio zero.
+    infinite denominator would count as a point with ratio zero. Raises
+    :class:`InputError` where the series differ in shape, are not
+    finite, keep no point, or have a mean ratio of zero, in that order.
     """
     num = _as_array(numerator, "numerators")
     den = _as_array(denominator, "denominators")
     if num.shape != den.shape:
         raise InputError(
             f"series must share a shape, got {num.shape} and {den.shape}")
-    (report,) = _ratio_rows(num.reshape(1, -1), den.reshape(1, -1))
-    if isinstance(report, InputError):
-        raise report
-    return report
+    if not (np.isfinite(num).all() and np.isfinite(den).all()):
+        raise InputError("series have non-finite entries")
+    (count,), (mean,), (spread,) = _ratio_rows(num.reshape(1, -1),
+                                               den.reshape(1, -1))
+    if count == 0:
+        raise InputError(
+            f"no points with |denominator| > "
+            f"{RATIO_DENOMINATOR_THRESHOLD:.3e}; nothing to compare")
+    if mean == 0.0:
+        raise InputError("mean ratio is zero; spread is undefined")
+    return ProportionalityReport(
+        mask_count=count, ratio_mean=mean, max_relative_spread=spread)
 
 
-def _ratio_rows(numerator, denominator) -> list:
-    """:func:`proportionality_report` of each row of two ``(R, T)`` float
-    series, or the :class:`InputError` that the row raises alone.
+def _ratio_rows(numerator, denominator) -> tuple:
+    """The ratio statistics of each row of two finite ``(R, T)`` series.
 
-    The finiteness of both series and the kept points are found once for
-    all rows; each row's mean is then taken over its own kept points, so
-    that a row's report equals that of the row alone, bit for bit.
+    Returns three lists of ``R`` Python numbers: the points kept, those
+    with ``|denominator| > RATIO_DENOMINATOR_THRESHOLD``; the mean ratio
+    there, NaN where no point is kept; and the largest relative
+    deviation of the pointwise ratio from the mean, NaN where the mean
+    is NaN or zero. Each row's mean is taken over its own kept points,
+    so that a row's numbers equal those of the row alone, bit for bit.
     """
-    finite = (np.isfinite(numerator) & np.isfinite(denominator)).all(axis=-1)
     kept = np.abs(denominator) > RATIO_DENOMINATOR_THRESHOLD
-    counts = np.count_nonzero(kept, axis=-1)
-    reports = []
-    for num, den, mask, ok, count in zip(numerator, denominator, kept,
-                                         finite.tolist(), counts.tolist()):
-        if not ok:
-            reports.append(InputError("series have non-finite entries"))
-            continue
-        if count == 0:
-            reports.append(InputError(
-                f"no points with |denominator| > "
-                f"{RATIO_DENOMINATOR_THRESHOLD:.3e}; nothing to compare"))
-            continue
-        ratio = num[mask] / den[mask]
-        mean = float(np.mean(ratio))
-        if mean == 0.0:
-            reports.append(
-                InputError("mean ratio is zero; spread is undefined"))
-            continue
-        spread = float(abs(ratio - mean).max() / abs(mean))
-        reports.append(ProportionalityReport(
-            mask_count=count, ratio_mean=mean, max_relative_spread=spread))
-    return reports
+    counts = np.count_nonzero(kept, axis=-1).tolist()
+    means, spreads = [], []
+    for num, den, mask, count in zip(numerator, denominator, kept, counts):
+        mean = spread = math.nan
+        if count:
+            ratio = num[mask] / den[mask]
+            mean = float(np.mean(ratio))
+            if mean != 0.0:
+                spread = float(abs(ratio - mean).max() / abs(mean))
+        means.append(mean)
+        spreads.append(spread)
+    return counts, means, spreads
 
 
 @dataclass(frozen=True)

@@ -51,18 +51,20 @@ PSD_FLOOR = -1e-10
 def hermitian_stack(matrices) -> np.ndarray:
     """Validate a stack of Hermitian matrices and return it symmetrized.
 
-    ``matrices`` has shape ``(..., n, n)``. Every matrix must be Hermitian
-    to within ``HERMITICITY_TOL`` in max-norm; the result holds the exact
-    averages ``(M + M^+)/2`` so later algebra never sees a residual
+    ``matrices`` has shape ``(..., n, n)`` with ``n >= 1``; a stack of
+    no matrices passes. Every matrix must be Hermitian to within
+    ``HERMITICITY_TOL`` in max-norm; the result holds the exact averages
+    ``(M + M^+)/2`` so later algebra never sees a residual
     anti-Hermitian part.
     """
     m = _as_array(matrices, "matrices", complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise InputError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or not 0 < m.shape[-1] == m.shape[-2]:
+        raise InputError(
+            f"expected a nonempty square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise InputError("matrix has non-finite entries")
     adjoint = m.conj().swapaxes(-1, -2)
-    dev = float(abs(m - adjoint).max())
+    dev = float(abs(m - adjoint).max(initial=0.0))
     if dev > HERMITICITY_TOL:
         raise InputError(
             f"matrix is not Hermitian, max |M - M^+| = {dev:.3e} "

@@ -29,7 +29,7 @@ from . import channels as ch
 from .errors import InputError, NumericalError, StrongcoupleError
 from .experiment import ExperimentConfig, run
 from .firstlaw import qubit_thermo_trajectory, thermo_trajectory
-from .infomeasures import negativities, proportionality_report
+from .infomeasures import negativities
 from .spectra import partial_trace
 
 
@@ -296,13 +296,11 @@ def _suite_negativity_shape():
 
 
 def _suite_proportionality():
-    result = _default_run()
-    info = result.info
-    report = proportionality_report(info.heat_asymmetry, info.negativity)
-    ok = report.max_relative_spread <= 0.05
-    return ok, (f"ratio mean {report.ratio_mean:.4f}, spread "
-                f"{100 * report.max_relative_spread:.2f}% over "
-                f"{report.mask_count} points")
+    d = _default_run().diagnostics
+    spread = d["ratio_max_relative_spread"]
+    ok = spread <= 0.05
+    return ok, (f"ratio mean {d['ratio_mean']:.4f}, spread "
+                f"{100 * spread:.2f}% over {d['ratio_points']:.0f} points")
 
 
 def _suite_markov():

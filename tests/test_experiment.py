@@ -14,7 +14,9 @@ from strongcouple import experiment, spectra
 from strongcouple.errors import InputError, NumericalError
 from strongcouple.experiment import (BLOCK_POINTS, ExperimentConfig, _blocks,
                                      _rates, run, sweep)
-from strongcouple.infomeasures import bloch_entropies, von_neumann_entropies
+from strongcouple.infomeasures import (RATIO_DENOMINATOR_THRESHOLD,
+                                       bloch_entropies, proportionality_report,
+                                       von_neumann_entropies)
 from strongcouple.validation import markov_convergence, run_suites
 
 
@@ -387,6 +389,63 @@ class TestRun:
 def _array_bits(series) -> dict:
     """The arrays of a dataclass of series, by field, as bytes."""
     return {k: (v.shape, v.tobytes()) for k, v in vars(series).items()}
+
+
+class TestRatioColumns:
+    """The run's ratio columns: the points where the negativity clears the
+    threshold, the mean ratio of the heat asymmetry to the negativity
+    there, and the largest relative spread of that ratio."""
+
+    @pytest.mark.parametrize("alpha, points", [(0.0, 1192), (1.0, 573)])
+    def test_entanglement_without_asymmetry(self, alpha, points):
+        # no initial coherence: the asymmetry is zero while the
+        # negativity clears the threshold, so the mean ratio is zero
+        # over those points, and the spread around it is undefined
+        result = run(ExperimentConfig(alpha=alpha))
+        d = result.diagnostics
+        assert d["ratio_points"] == points == np.count_nonzero(
+            result.info.negativity > RATIO_DENOMINATOR_THRESHOLD)
+        assert d["ratio_mean"] == 0.0
+        assert math.isnan(d["ratio_max_relative_spread"])
+
+    def test_sweep_rows_without_asymmetry(self):
+        rows = sweep([ExperimentConfig(alpha=a) for a in (0.0, 0.5, 1.0)])
+        assert [row.ratio_mean for row in rows[::2]] == [0.0, 0.0]
+        assert all(math.isnan(row.ratio_max_relative_spread)
+                   for row in rows[::2])
+        assert rows[1].ratio_mean > 0.0
+
+    def test_no_point_clears_the_threshold(self):
+        d = run(ExperimentConfig(alpha=0.85, beta=1.0)).diagnostics
+        assert d["ratio_points"] == 0.0
+        assert math.isnan(d["ratio_mean"])
+        assert math.isnan(d["ratio_max_relative_spread"])
+
+    def test_columns_are_the_report(self, rng):
+        # bit for bit where the report exists; where it raises, the
+        # columns say why: no point kept, or a zero mean
+        for alpha in [0.0, 1.0, 0.85, *rng.uniform(0.0, 1.0, 8)]:
+            config = ExperimentConfig(
+                alpha=alpha, beta=10.0 ** rng.uniform(-1.0, 1.0),
+                gamma=10.0 ** rng.uniform(-0.5, 0.5), n_samples=301)
+            result = run(config)
+            d = result.diagnostics
+            columns = (d["ratio_points"], d["ratio_mean"],
+                       d["ratio_max_relative_spread"])
+            try:
+                report = proportionality_report(result.info.heat_asymmetry,
+                                                result.info.negativity)
+            except InputError as exc:
+                phrase = "no points" if d["ratio_points"] == 0.0 else \
+                    "mean ratio is zero"
+                assert phrase in str(exc)
+                assert d["ratio_points"] == 0.0 or d["ratio_mean"] == 0.0
+                assert math.isnan(d["ratio_max_relative_spread"])
+                continue
+            assert [v.hex() for v in columns] == [
+                float(v).hex() for v in (report.mask_count,
+                                         report.ratio_mean,
+                                         report.max_relative_spread)]
 
 
 class TestGates:

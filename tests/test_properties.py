@@ -226,8 +226,8 @@ def test_block_grid_equals_each_row_grid(t_maxes, n_samples):
 # squares in float arithmetic
 @example(configs=[ExperimentConfig(alpha=0.42672114373024106, n_samples=11),
                   ExperimentConfig(alpha=0.5, n_samples=11)])
-# blocks of a row with ratio points and a row with none (alpha 1 has no
-# heat asymmetry, so its mean ratio is zero); in the first, a third row
+# blocks of a row with a nonzero mean ratio and a row whose mean ratio is
+# zero (alpha 1 has no heat asymmetry); in the first, a third row
 # fails, since its grid step underflows to zero, and the block runs
 # again row by row
 @example(configs=[ExperimentConfig(alpha=0.5, n_samples=11),

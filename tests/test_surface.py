@@ -1,7 +1,8 @@
 """The public surface: one array-in function per closed-form state family
 and per eigensolve measure, plain-array states, the exported names, the
-input errors of every argument that takes numbers, and the modules that
-may use the single-matrix object layer of ``spectra``."""
+input errors of every argument that takes numbers, the empty results of
+empty stacks, and the modules that may use the single-matrix object
+layer of ``spectra``."""
 
 import ast
 import math
@@ -214,8 +215,10 @@ SLOTS = {
 }
 # numpy parses numeric text, which no slot may do
 NOT_NUMERIC = {"text": "abc", "numeric_text": "0.5",
-               "numeric_text_list": ["0.5", "0.5"], "callable": lambda t: t,
-               "ragged": [[1, 0], [0]], "huge": 10 ** 400}
+               "numeric_text_list": ["0.5", "0.5"],
+               "object_text": np.array(["0.5"], dtype=object),
+               "callable": lambda t: t, "ragged": [[1, 0], [0]],
+               "huge": 10 ** 400}
 MALFORMED = {**NOT_NUMERIC, "none": None, "pair": np.array([1.0, 2.0])}
 
 
@@ -233,6 +236,44 @@ def test_state_input_must_be_numeric(name, bad):
     else:
         assert bad not in NOT_NUMERIC
 
+
+# every function that maps a stack, given a stack of no states or no
+# times, and the shape of its empty result
+NO_STATES = np.zeros((0, 4, 4))
+EMPTY_STACKS = {
+    "density_stack": (lambda: strongcouple.density_stack(NO_STATES),
+                      (0, 4, 4)),
+    "negativities": (lambda: negativities(NO_STATES), (0,)),
+    "von_neumann_entropies": (lambda: von_neumann_entropies(NO_STATES), (0,)),
+    "partial_trace": (lambda: partial_trace(NO_STATES, keep=0), (0, 2, 2)),
+    "partial_transpose_stack": (
+        lambda: strongcouple.partial_transpose_stack(NO_STATES), (0, 4, 4)),
+    "apply_channel": (lambda: channels.apply_channel(
+        channels.system_kraus(PARAMS, 0.3), NO_STATES[:, :2, :2]), (0, 2, 2)),
+    "bloch_entropies": (lambda: strongcouple.bloch_entropies([]), (0,)),
+    "joint_negativities_closed_form": (
+        lambda: channels.joint_negativities_closed_form(PARAMS, []), (0,)),
+    **{f.__name__: (lambda f=f: f(PARAMS, []), (0, n, n)) for f, n in zip(
+        BUILDERS, (2, 2, 4, 4))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_STACKS))
+def test_empty_stack_gives_an_empty_result(name):
+    call, shape = EMPTY_STACKS[name]
+    result = call()
+    assert type(result) is np.ndarray
+    assert result.shape == shape
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 0, 0)])
+@pytest.mark.parametrize("call", [
+    strongcouple.density_stack, von_neumann_entropies,
+    strongcouple.HermitianOperator, strongcouple.eig_hermitian],
+    ids=lambda f: f.__name__)
+def test_matrices_of_size_zero_refused(call, shape):
+    with pytest.raises(InputError, match="nonempty square matrix"):
+        call(np.zeros(shape))
 
 
 # every library function that returns a state
