@@ -717,6 +717,7 @@ def joint_negativities_closed_form(params: GadcParams, times) -> np.ndarray:
     c2 = w0 * w1 - 4.0 * x * y * u
     # u D, with Y - X = w0 - a^2 exactly
     v = u * ((w0 - a2) * (x + y))
+    del u
     live = v != 0.0
     # w0 - w1 at each live point, from its row
     e = np.where(live, w0 - w1, 0.0)[live]
@@ -724,8 +725,11 @@ def joint_negativities_closed_form(params: GadcParams, times) -> np.ndarray:
     sigma = _negativity_start(v, c2, e)
     # p(sigma nu) / sigma^2 = sigma^2 nu^4 - sigma nu^3 + c2 nu^2
     #                         + r (w0 - w1) nu - r^2,  r = u D / sigma
-    r = v / sigma
-    re, rr, s2 = r * e, r * r, sigma * sigma
+    # r, r (w0 - w1) and r^2, in the buffers of v and e, which are dead
+    r = np.divide(v, sigma, out=v)
+    re = np.multiply(r, e, out=e)
+    rr = np.multiply(r, r, out=r)
+    s2 = sigma * sigma
     # the derivative's constant coefficients, formed once
     s2_4, sigma_3, c2_2 = 4.0 * s2, 3.0 * sigma, 2.0 * c2
     nu = np.full_like(v, -1.0)
@@ -752,7 +756,10 @@ def joint_negativities_closed_form(params: GadcParams, times) -> np.ndarray:
         slope += re
         step /= slope
         nu -= step
-    last = np.abs(step / nu)
+    # the last step relative to the root, in the step's buffer, and the
+    # dead buffers dropped before the result is built
+    last = np.abs(np.divide(step, nu, out=step), out=step)
+    del slope, c2, c2_2, re, rr, r, v, e
     # written so that a NaN step trips the gate too
     if not (last <= NEGATIVITY_NEWTON_TOL).all():
         worst = int(np.argmax(np.nan_to_num(last, nan=np.inf)))

@@ -38,12 +38,10 @@ _CSV_BLOCK = 256
 
 
 def _float_field(value, name):
-    """A float field of parsed JSON: the spelling ``"inf"`` is infinity
-    and a boolean is refused; :func:`_as_float` converts the rest."""
+    """A float field of parsed JSON: the spelling ``"inf"`` is infinity;
+    :func:`_as_float` converts the rest and refuses a boolean."""
     if isinstance(value, str) and value == "inf":
         return math.inf
-    if isinstance(value, bool):
-        raise InputError(f"field '{name}' must be a real number, got bool")
     return _as_float(value, f"field '{name}'")
 
 

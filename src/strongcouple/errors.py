@@ -5,9 +5,10 @@ numerics run) and numerical invariant violations (detected while running).
 The command line tool maps them to distinct exit codes. Each number a
 public function takes is converted by :func:`_as_float`,
 :func:`_as_array` or :func:`_as_count`, which refuse text, ``"0.5"``,
-``["0.5"]`` and an object array holding text too, and turn what Python
-or numpy raise on ``None``, a ragged list or an integer beyond the float
-range into an :class:`InputError` naming the argument.
+``["0.5"]``, booleans and an object array holding text or a boolean
+too, and turn what Python or numpy raise on ``None``, a ragged list or
+an integer beyond the float range into an :class:`InputError` naming
+the argument.
 """
 
 import numpy as np
@@ -30,19 +31,22 @@ class TrackingError(NumericalError):
 
 
 def _refuse_text(value) -> None:
-    """Raise ``TypeError`` if numpy reads ``value`` as text, or as an
-    object array that holds text."""
+    """Raise ``TypeError`` if numpy reads ``value`` as text or booleans,
+    or as an object array that holds either."""
     a = np.asarray(value)
     if a.dtype.kind in "SU" or (a.dtype.kind == "O" and any(
             isinstance(x, (str, bytes)) for x in a.flat)):
         raise TypeError("text is not a number")
+    if a.dtype.kind == "b" or (a.dtype.kind == "O" and any(
+            isinstance(x, (bool, np.bool_)) for x in a.flat)):
+        raise TypeError("a boolean is not a number")
 
 
 def _as_float(value, name: str) -> float:
     """``value`` as a float, or an :class:`InputError` naming ``name``.
 
-    Text is refused rather than parsed, and an integer beyond the float
-    range is refused rather than left to overflow later.
+    Text and booleans are refused rather than parsed, and an integer
+    beyond the float range is refused rather than left to overflow later.
     """
     try:
         _refuse_text(value)
@@ -58,7 +62,7 @@ def _as_float(value, name: str) -> float:
 def _as_array(value, what: str, dtype=float) -> np.ndarray:
     """``value`` as an array of ``dtype``; an InputError names ``what``.
 
-    Text is refused, inside a list or an array built with
+    Text and booleans are refused, inside a list or an array built with
     ``dtype=object`` too; any other object array is converted as numpy
     converts it.
     """

@@ -44,7 +44,12 @@ columns of Python floats. :func:`run` is a block of one and reads row 0;
 :func:`sweep` cuts its configurations into blocks of at most
 :data:`BLOCK_POINTS` grid points and reads each summary row from the
 columns and the system's split, without a per-row result. Both give the
-same numbers bit for bit.
+same numbers bit for bit. A block holds no series it no longer needs:
+each Bloch series is dropped once its entropies are taken, but for
+``x2``, whose square root, taken in place, is the coherence; the two
+entropy-rate series are reduced to their per-row maxima at once; and
+the negativity's Newton solve, where the block peaks, frees its inputs
+as it goes (see :func:`~strongcouple.channels.joint_negativities_closed_form`).
 """
 
 from __future__ import annotations
@@ -69,9 +74,10 @@ WORK_STATIC_TOL = 1e-12
 ENERGY_BALANCE_TOL = 1e-10
 NEGATIVITY_SPOT_TOL = 1e-10
 _NEGATIVITY_PEAK_FLOOR = 1e-6
-# Grid points a sweep evaluates at once: blocks of 8 rows at 501 points
-# keep the peak memory of a sweep near that of one run of this length
-BLOCK_POINTS = 4096
+# Grid points a sweep evaluates at once, 16 rows at 501 points; a block
+# frees its dead series around the negativity solve, so a sweep peaks
+# near one run of this length, about 1.9 MB traced
+BLOCK_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -209,11 +215,21 @@ def _run_block(configs) -> tuple:
 
     asym = heat_asymmetry(thermo_s.heat, thermo_e.heat)
 
+    # of each Bloch series only x2, the coherence squared, outlives its
+    # entropies, and of the entropy rates only their per-row maxima: the
+    # block frees the rest before the negativity solve, where it peaks
     ent_s = bloch_entropies(bloch_s.radius)
+    x2_s = bloch_s.x2
+    del bloch_s
     ent_e = bloch_entropies(bloch_e.radius)
+    x2_e = bloch_e.x2
+    del bloch_e
     step = times[:, 1:2] - times[:, :1]
     rate_s = _rates(ent_s, step)
     rate_e = _rates(ent_e, step)
+    rate_max = abs(rate_s).max(axis=1)
+    rate_mismatch = abs(rate_s + rate_e).max(axis=1)
+    del rate_s, rate_e
     neg = ch.joint_negativities_closed_form(cols, grid)
     ent_joint = bloch_entropies(abs(cols.w0 - cols.w1))
 
@@ -259,19 +275,26 @@ def _run_block(configs) -> tuple:
         "negativity_peak_count": _count_peaks(
             neg, _NEGATIVITY_PEAK_FLOOR).astype(float).tolist(),
         "negativity_unitary_family_final": unitary_final.tolist(),
-        "entropy_rate_system_max": abs(rate_s).max(axis=1).tolist(),
-        "entropy_rate_mismatch_max": abs(rate_s + rate_e).max(
-            axis=1).tolist(),
+        "entropy_rate_system_max": rate_max.tolist(),
+        "entropy_rate_mismatch_max": rate_mismatch.tolist(),
         "ratio_points": [float(count) for count in points],
         "ratio_mean": means,
         "ratio_max_relative_spread": spreads,
     }
     info = InfoSeries(times=times, entropy_s=ent_s, entropy_e=ent_e,
-                      coherence_s=np.sqrt(bloch_s.x2),
-                      coherence_e=np.sqrt(bloch_e.x2), negativity=neg,
+                      coherence_s=np.sqrt(x2_s, out=x2_s),
+                      coherence_e=np.sqrt(x2_e, out=x2_e), negativity=neg,
                       mutual_information=ent_s + ent_e - ent_joint,
                       heat_asymmetry=asym)
     return thermo_s, thermo_e, info, columns
+
+
+def _check_config(config, what: str) -> None:
+    """Raise :class:`InputError` naming ``what`` and the type of
+    ``config`` unless it is an :class:`ExperimentConfig`."""
+    if not isinstance(config, ExperimentConfig):
+        raise InputError(f"{what} needs an ExperimentConfig, got "
+                         f"{type(config).__name__}")
 
 
 def run(config: ExperimentConfig) -> ExperimentResult:
@@ -282,8 +305,10 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     global energy balance, the first-law closure tolerance, the
     convergence of the closed-form negativity, or its agreement with the
     eigensolve at the peak is violated; these are integrity checks, not
-    physics outputs.
+    physics outputs. A ``config`` that is no :class:`ExperimentConfig`
+    raises :class:`InputError` naming its type.
     """
+    _check_config(config, "run")
     thermo_s, thermo_e, info, columns = _run_block([config])
     info = info[0]
     return ExperimentResult(
@@ -340,11 +365,20 @@ def sweep(configs) -> list:
     again one configuration at a time, so each failing row holds the
     message its run raises alone and the other rows keep their values.
     Each row is read from its block's per-row columns; a sweep builds no
-    :class:`ExperimentResult`.
+    :class:`ExperimentResult`. Anything but a nonempty sequence of
+    :class:`ExperimentConfig` raises :class:`InputError` before any row
+    runs, naming the type and, for a bad item, its position.
     """
-    configs = list(configs)
+    try:
+        items = iter(configs)
+    except TypeError as exc:
+        raise InputError("sweep needs a sequence of ExperimentConfig, got "
+                         f"{type(configs).__name__}") from exc
+    configs = list(items)
     if not configs:
         raise InputError("sweep needs at least one configuration")
+    for i, config in enumerate(configs):
+        _check_config(config, f"sweep item {i}")
     rows = []
     for block in _blocks(configs):
         # a block's series are freed before the next block runs

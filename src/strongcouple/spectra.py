@@ -248,7 +248,9 @@ def partial_trace(states, keep) -> np.ndarray:
     m = unit_trace_stack(states)
     _two_qubit(m)
     keeps = keep if isinstance(keep, tuple) else (keep,)
-    if not keeps or any(not np.isscalar(k) or k not in (0, 1) for k in keeps):
+    # True == 1, so a boolean is refused by its type
+    if not keeps or any(not np.isscalar(k) or isinstance(k, (bool, np.bool_))
+                        or k not in (0, 1) for k in keeps):
         raise InputError(f"keep must be 0, 1 or a tuple of them, got {keep!r}")
     lowest = np.linalg.eigvalsh(m)[..., 0]
     if (2.0 * lowest < PSD_FLOOR).any():

@@ -201,14 +201,15 @@ class TestTensorAndTraces:
     def test_partial_trace_keep_validation(self):
         with pytest.raises(InputError):
             partial_trace(BELL, keep=2)
-        # an array or a list is no keep, not an ambiguous truth value
+        # an array or a list is no keep, not an ambiguous truth value,
+        # and a boolean is none either, though True == 1
         for keep in ((), (0, 2), [0, 1], np.array([0, 1]), np.array([1]),
-                     (0, np.array([0, 1]))):
+                     (0, np.array([0, 1])), True, (0, np.True_)):
             with pytest.raises(InputError, match="keep must be"):
                 partial_trace(BELL, keep=keep)
-        # any real scalar equal to 0 or 1 names that qubit
+        # any other real scalar equal to 0 or 1 names that qubit
         state = np.kron(np.diag([0.9, 0.1]), np.diag([0.3, 0.7]))
-        for keep, same in ((True, 1), (0.0, 0), (np.int64(1), 1),
+        for keep, same in ((0.0, 0), (np.int64(1), 1),
                            ((np.float64(0.0), 1), (0, 1))):
             assert np.array_equal(partial_trace(state, keep),
                                   partial_trace(state, same))

@@ -218,7 +218,8 @@ NOT_NUMERIC = {"text": "abc", "numeric_text": "0.5",
                "numeric_text_list": ["0.5", "0.5"],
                "object_text": np.array(["0.5"], dtype=object),
                "callable": lambda t: t, "ragged": [[1, 0], [0]],
-               "huge": 10 ** 400}
+               "huge": 10 ** 400, "bool": True,
+               "bool_array": np.array([True, False])}
 MALFORMED = {**NOT_NUMERIC, "none": None, "pair": np.array([1.0, 2.0])}
 
 
@@ -235,6 +236,35 @@ def test_state_input_must_be_numeric(name, bad):
         assert bad not in NOT_NUMERIC or phrase in str(exc)
     else:
         assert bad not in NOT_NUMERIC
+
+
+# what run and sweep are given instead of configurations, with the
+# message of the InputError each raises
+NOT_CONFIGS = {
+    "run_none": (lambda: strongcouple.run(None),
+                 "run needs an ExperimentConfig, got NoneType"),
+    "run_int": (lambda: strongcouple.run(1),
+                "run needs an ExperimentConfig, got int"),
+    "run_dict": (lambda: strongcouple.run({"alpha": 0.5}),
+                 "run needs an ExperimentConfig, got dict"),
+    "sweep_int_item": (lambda: strongcouple.sweep([1]),
+                       "sweep item 0 needs an ExperimentConfig, got int"),
+    "sweep_dict_item": (lambda: strongcouple.sweep(
+        [strongcouple.ExperimentConfig(n_samples=11), {"alpha": 0.5}]),
+        "sweep item 1 needs an ExperimentConfig, got dict"),
+    "sweep_none": (lambda: strongcouple.sweep(None), "sweep needs a "
+                   "sequence of ExperimentConfig, got NoneType"),
+    "sweep_int": (lambda: strongcouple.sweep(5),
+                  "sweep needs a sequence of ExperimentConfig, got int"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_CONFIGS))
+def test_run_and_sweep_take_only_configurations(name):
+    call, message = NOT_CONFIGS[name]
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 # every function that maps a stack, given a stack of no states or no
