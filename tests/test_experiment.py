@@ -370,7 +370,14 @@ class TestRun:
         assert a.diagnostics == b.diagnostics
         assert np.array_equal(a.info.negativity, b.info.negativity)
 
-    def test_block_rows_equal_single_runs(self):
+    @pytest.mark.parametrize("beta", [1.0, math.inf])
+    def test_block_rows_equal_single_runs(self, beta):
+        # every array and diagnostic of a block's row, bit for bit
+        _assert_block_rows_equal_single_runs(
+            [ExperimentConfig(alpha=a, beta=beta, n_samples=201)
+             for a in (0.0, 0.5, 1.0)])
+
+    def test_full_block_rows_equal_single_runs(self):
         # every array and diagnostic of each row of one full block, bit
         # for bit: the block takes the coherences in place and reuses
         # buffers in the Newton solve, at every row it holds
@@ -378,15 +385,21 @@ class TestRun:
                    for a in (0.0, 0.3, 1.0 / math.sqrt(2.0), 1.0)
                    for b in (0.05, 1.0, 4.0, math.inf)]
         assert [len(b) for b in _blocks(configs)] == [16]
-        thermo_s, thermo_e, info, columns = experiment._run_block(configs)
-        for i, config in enumerate(configs):
-            single = run(config)
-            for block, alone in ((info[i], single.info),
-                                 (thermo_s[i], single.thermo_s),
-                                 (thermo_e[i], single.thermo_e)):
-                assert _array_bits(block) == _array_bits(alone)
-            assert {k: v[i].hex() for k, v in columns.items()} \
-                == {k: v.hex() for k, v in single.diagnostics.items()}
+        _assert_block_rows_equal_single_runs(configs)
+
+
+def _assert_block_rows_equal_single_runs(configs) -> None:
+    """Every array and diagnostic of each row of one block of
+    ``configs`` equals that of a single run of the row, bit for bit."""
+    thermo_s, thermo_e, info, columns = experiment._run_block(configs)
+    for i, config in enumerate(configs):
+        single = run(config)
+        for block, alone in ((info[i], single.info),
+                             (thermo_s[i], single.thermo_s),
+                             (thermo_e[i], single.thermo_e)):
+            assert _array_bits(block) == _array_bits(alone)
+        assert {k: v[i].hex() for k, v in columns.items()} \
+            == {k: v.hex() for k, v in single.diagnostics.items()}
 
 
 def _peak(call) -> int:
