@@ -88,7 +88,12 @@ the joint radii and negativities and the two joint-state builders
 broadcast over the rows. So do the Kraus builders and the dilation with
 an ``(R, 1)`` column of decay probabilities, which is how ``validate``
 evaluates its random draws. Each closed form is one public function,
-taking a :class:`GadcParams` or columns. It reads its times through
+taking a :class:`GadcParams`, a sequence of them or columns, and reads
+its parameters through :func:`_columns`. One rule covers all of them: a
+sequence of ``R`` sets is ``R`` rows of ``(R, 1)`` columns, the result
+has the broadcast shape of those columns and the times, ``(R, T)`` for
+``(T,)`` times, and row ``i`` equals the call on set ``i`` alone bit for
+bit. It reads its times through
 :func:`_grid`, which checks them and evaluates the decay factor on them
 as a private :class:`_Grid`, and which passes a grid it is given
 through unchanged. A run builds the grid of its block once and hands it
@@ -455,7 +460,10 @@ def _grid(params, times) -> _Grid:
     through unchanged.
 
     ``lose`` is taken as ``-expm1(-gamma_rate t)``, which keeps its
-    relative precision at small ``gamma_rate t``.
+    relative precision at small ``gamma_rate t``. The three arrays have
+    the broadcast shape of ``params.gamma_rate`` and ``times``: ``(R,
+    T)`` for the columns of ``R`` sets and ``(T,)`` times, whose rows
+    are then a read-only view of ``times``.
     """
     if isinstance(times, _Grid):
         return times
@@ -465,6 +473,8 @@ def _grid(params, times) -> _Grid:
         raise InputError(f"time must be nonnegative, got {float(t.min())}")
     with np.errstate(over="ignore"):  # -inf is the thermal limit
         x = -params.gamma_rate * t
+    if t.shape != x.shape:
+        t = np.broadcast_to(t, x.shape)
     return _Grid(t, np.exp(x), -np.expm1(x))
 
 
@@ -530,7 +540,7 @@ def _closed_form_joint_matrices(params, g, d) -> np.ndarray:
     return m
 
 
-def system_states(params: GadcParams, times) -> np.ndarray:
+def system_states(params, times) -> np.ndarray:
     """Closed-form system states at ``times``.
 
     With ``gamma = exp(-gamma_rate t)`` and ``delta = 1 - gamma``, the
@@ -543,19 +553,21 @@ def system_states(params: GadcParams, times) -> np.ndarray:
     The populations relax toward ``diag(w0, w1)`` while the coherence
     decays as ``sqrt(gamma)``.
     """
-    _, g, d = _grid(params, times)
-    return unit_trace_stack(_qubit_matrices(params, g, d))
+    c = _columns(params)
+    _, g, d = _grid(c, times)
+    return unit_trace_stack(_qubit_matrices(c, g, d))
 
 
-def environment_states(params: GadcParams, times) -> np.ndarray:
+def environment_states(params, times) -> np.ndarray:
     """Closed-form environment states at ``times``.
 
     Mirror image of :func:`system_states` with the roles of ``gamma`` and
     ``delta`` exchanged; the coherence grows as ``sqrt(delta)``, i.e. as
     ``sqrt(1 - exp(-gamma_rate t))``.
     """
-    _, g, d = _grid(params, times)
-    return unit_trace_stack(_qubit_matrices(params, d, g))
+    c = _columns(params)
+    _, g, d = _grid(c, times)
+    return unit_trace_stack(_qubit_matrices(c, d, g))
 
 
 class BlochSeries(NamedTuple):
@@ -604,7 +616,8 @@ def _bloch(params, times, keep_is_decay: bool) -> BlochSeries:
         pops = _qubit_populations(c, d, g)
     if not np.isfinite(pops).all():
         raise InputError("populations have non-finite entries")
-    check_unit_traces(pops.sum(axis=-1))
+    # the two columns added: a reduction over a length-2 axis costs more
+    check_unit_traces(pops[..., 0] + pops[..., 1])
     z0, z1, c0, c1 = coefficients
     z = z0 + z1 * g
     x2 = np.maximum(c0 + c1 * g, 0.0)
@@ -612,7 +625,7 @@ def _bloch(params, times, keep_is_decay: bool) -> BlochSeries:
                        x2=x2, radius=np.sqrt(z * z + x2), populations=pops)
 
 
-def system_bloch(params: GadcParams, times) -> BlochSeries:
+def system_bloch(params, times) -> BlochSeries:
     """The states of :func:`system_states`, in Bloch form.
 
     ``z = (w0 - w1) - 2 (b^2 w0 - a^2 w1) g`` and ``x^2 = 4 a^2 b^2 g``.
@@ -620,7 +633,7 @@ def system_bloch(params: GadcParams, times) -> BlochSeries:
     return _bloch(params, times, keep_is_decay=True)
 
 
-def environment_bloch(params: GadcParams, times) -> BlochSeries:
+def environment_bloch(params, times) -> BlochSeries:
     """The states of :func:`environment_states`, in Bloch form.
 
     The system's lines with ``g`` replaced by ``1 - g``.
@@ -628,7 +641,7 @@ def environment_bloch(params: GadcParams, times) -> BlochSeries:
     return _bloch(params, times, keep_is_decay=False)
 
 
-def joint_states(params: GadcParams, times) -> np.ndarray:
+def joint_states(params, times) -> np.ndarray:
     """Joint states evolved with the exact unitary dilation.
 
     ``U(p(t))`` conjugation of the initial product state, so the joint
@@ -638,11 +651,12 @@ def joint_states(params: GadcParams, times) -> np.ndarray:
     environment populations but a reduced coherence (see module
     docstring).
     """
-    _, _, d = _grid(params, times)
-    return unit_trace_stack(_dilated_matrices(params, d))
+    c = _columns(params)
+    _, _, d = _grid(c, times)
+    return unit_trace_stack(_dilated_matrices(c, d))
 
 
-def joint_states_closed_form(params: GadcParams, times) -> np.ndarray:
+def joint_states_closed_form(params, times) -> np.ndarray:
     """Joint state family generated by the symmetric coupling matrix.
 
     With ``g = exp(-gamma_rate t)``, ``d = 1 - g``, ``sg = sqrt(g)``,
@@ -664,11 +678,12 @@ def joint_states_closed_form(params: GadcParams, times) -> np.ndarray:
     Hermiticity and unit trace only. ``validate`` checks the congruence
     identity entrywise.
     """
-    _, g, d = _grid(params, times)
-    return unit_trace_stack(_closed_form_joint_matrices(params, g, d))
+    c = _columns(params)
+    _, g, d = _grid(c, times)
+    return unit_trace_stack(_closed_form_joint_matrices(c, g, d))
 
 
-def joint_radii_closed_form(params: GadcParams, times) -> np.ndarray:
+def joint_radii_closed_form(params, times) -> np.ndarray:
     """Spectrum of :func:`joint_states_closed_form` as a Bloch radius.
 
     With a pure initial system, the family ``M rho_0 M^T`` has rank two:
@@ -684,7 +699,7 @@ def joint_radii_closed_form(params: GadcParams, times) -> np.ndarray:
     return np.sqrt(c.bias_sq + 16.0 * a2 * (1.0 - a2) * c.w0 * c.w1 * g * d)
 
 
-def joint_negativities_closed_form(params: GadcParams, times) -> np.ndarray:
+def joint_negativities_closed_form(params, times) -> np.ndarray:
     """Negativity of :func:`joint_states_closed_form` at every time.
 
     With ``u = g (1 - g)``, ``X = a^2 w1``, ``Y = b^2 w0`` and ``D = Y^2
@@ -767,7 +782,7 @@ def joint_negativities_closed_form(params: GadcParams, times) -> np.ndarray:
             f"negativity Newton convergence: last step {last[worst]:.3e} "
             f"of the root exceeds {NEGATIVITY_NEWTON_TOL:.0e} relative "
             f"at t = {times[live][worst]:.6g}")
-    neg = np.zeros(times.shape)
+    neg = np.zeros(g.shape)
     neg[live] = -sigma * nu
     return neg
 

@@ -5,10 +5,10 @@ numerics run) and numerical invariant violations (detected while running).
 The command line tool maps them to distinct exit codes. Each number a
 public function takes is converted by :func:`_as_float`,
 :func:`_as_array` or :func:`_as_count`, which refuse text, ``"0.5"``,
-``["0.5"]``, booleans and an object array holding text or a boolean
-too, and turn what Python or numpy raise on ``None``, a ragged list or
-an integer beyond the float range into an :class:`InputError` naming
-the argument.
+``["0.5"]``, booleans, ``[True, 0.5]`` and an object array holding text
+or a boolean too, and turn what Python or numpy raise on ``None``, a
+ragged list or an integer beyond the float range into an
+:class:`InputError` naming the argument.
 """
 
 import numpy as np
@@ -32,8 +32,14 @@ class TrackingError(NumericalError):
 
 def _refuse_text(value) -> None:
     """Raise ``TypeError`` if numpy reads ``value`` as text or booleans,
-    or as an object array that holds either."""
-    a = np.asarray(value)
+    or as an object array that holds either.
+
+    numpy reads ``[True, 0.5]`` as floats, so a list or tuple is read as
+    an object array, whose elements keep their types; an array is judged
+    by its dtype.
+    """
+    a = np.asarray(value, dtype=object if isinstance(value, (list, tuple))
+                   else None)
     if a.dtype.kind in "SU" or (a.dtype.kind == "O" and any(
             isinstance(x, (str, bytes)) for x in a.flat)):
         raise TypeError("text is not a number")
@@ -47,7 +53,10 @@ def _as_float(value, name: str) -> float:
 
     Text and booleans are refused rather than parsed, and an integer
     beyond the float range is refused rather than left to overflow later.
+    A value whose type is exactly ``float`` is returned as it is.
     """
+    if type(value) is float:
+        return value
     try:
         _refuse_text(value)
         return float(value)

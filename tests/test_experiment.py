@@ -387,6 +387,15 @@ class TestRun:
         assert [len(b) for b in _blocks(configs)] == [16]
         _assert_block_rows_equal_single_runs(configs)
 
+    def test_gamma_block_rows_equal_single_runs(self):
+        # rows that differ only in gamma, as in the sweep27 grid, share
+        # their Bloch coefficients and one heat root analysis per marginal
+        configs = [ExperimentConfig(alpha=a, beta=b, gamma=g, n_samples=201)
+                   for a in (0.3, 1.0 / math.sqrt(2.0))
+                   for b in (0.05, math.inf) for g in (0.5, 1.0, 4.0)]
+        assert [len(b) for b in _blocks(configs)] == [12]
+        _assert_block_rows_equal_single_runs(configs)
+
 
 def _assert_block_rows_equal_single_runs(configs) -> None:
     """Every array and diagnostic of each row of one block of

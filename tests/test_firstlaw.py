@@ -610,10 +610,13 @@ BRANCH_ROWS = (
 
 
 def _block_and_rows(side):
-    """One Bloch block over :data:`BRANCH_ROWS`, with its own rate and
-    horizon per row, and the series of each row sliced from it."""
+    """One Bloch block over :data:`BRANCH_ROWS`, then each of them again
+    at a second rate, with its own rate and horizon per row, and the
+    series of each row sliced from it. A row and its repeat share their
+    coefficients and start, so the heat's root analysis runs once for
+    the two on every branch."""
     params = [GadcParams(alpha=a, w0=w0, gamma_rate=0.5 + i)
-              for i, (a, w0) in enumerate(BRANCH_ROWS)]
+              for i, (a, w0) in enumerate(BRANCH_ROWS + BRANCH_ROWS)]
     times = np.array([np.linspace(0.0, 3.0 + i, 41)
                       for i in range(len(params))])
     block = SIDES[side](params, times)
@@ -641,7 +644,12 @@ class TestBlocks:
 
     def test_rows_reach_every_branch(self):
         block, _ = _block_and_rows("system")
-        z0, z1, c0, c1 = (np.ravel(c) for c in block.coefficients)
+        n = len(BRANCH_ROWS)
+        table = np.column_stack([np.broadcast_to(c, (2 * n, 1)) for c in
+                                 block.coefficients] + [block.decay[:, :1]])
+        # each repeat has its row's coefficients and start, bit for bit
+        assert table[n:].tobytes() == table[:n].tobytes()
+        z0, z1, c0, c1 = (np.ravel(c)[:n] for c in block.coefficients)
         disc = c1 * c1 + 4.0 * z1 * (z0 * c1 - z1 * c0)
         assert (c0[:2] == 0.0).all() and (c1[:2] == 0.0).all()
         assert z1[2] == 0.0
@@ -663,6 +671,26 @@ class TestBlocks:
         assert whole.max_closure_residual == max(
             qubit_thermo_trajectory(row).max_closure_residual
             for row in rows)
+
+    def test_signed_zeros_stay_apart(self):
+        # z1 = -0.0 and 0.0 compare equal but give heats of opposite
+        # zero signs; rows are grouped by bits, so each keeps its own
+        pr = GadcParams(alpha=1.0, w0=1.0)
+        times = np.linspace(0.0, 2.0, 5)
+        series = system_bloch(pr, times)
+        # the ground state at zero temperature: z1 = -2 (0 w0 - 1 w1)
+        assert [c.hex() for c in series.coefficients] == [
+            (1.0).hex(), (-0.0).hex(), (0.0).hex(), (0.0).hex()]
+        signed = system_bloch([pr, pr], times)._replace(
+            coefficients=(1.0, np.array([[-0.0], [0.0]]), 0.0, 0.0))
+        whole = qubit_thermo_trajectory(signed)
+        for i, z1 in enumerate((-0.0, 0.0)):
+            alone = qubit_thermo_trajectory(series._replace(
+                coefficients=(1.0, z1, 0.0, 0.0)))
+            for field in FIELDS:
+                assert _same_bits(getattr(whole, field)[i],
+                                  getattr(alone, field)), (i, field)
+        assert (np.signbit(whole.heat[0]) != np.signbit(whole.heat[1])).all()
 
     @pytest.mark.parametrize("side", sorted(SIDES))
     def test_block_of_one_is_the_series(self, side):
