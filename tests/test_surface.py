@@ -1,8 +1,8 @@
 """The public surface: one array-in function per closed-form state family
 and per eigensolve measure, plain-array states, the exported names, the
 input errors of every argument that takes numbers, the empty results of
-empty stacks, and the modules that may use the single-matrix object
-layer of ``spectra``."""
+empty stacks, the rows of a sequence of parameter sets, and the modules
+that may use the single-matrix object layer of ``spectra``."""
 
 import ast
 import math
@@ -181,36 +181,6 @@ ARRAY_INPUTS = {
     "apply_channel.operators": lambda x: channels.apply_channel(
         x, np.eye(2) / 2.0),
 }
-# two parameter sets, as a sequence, and times to give them
-SEQUENCE = [PARAMS, channels.GadcParams(alpha=0.3, w0=0.55, gamma_rate=0.7)]
-SEQUENCE_TIMES = [0.0, 0.5, 1.0]
-BLOCH_FIELDS = ("times", "decay", "x2", "radius", "populations")
-
-
-@pytest.mark.parametrize("form", CLOSED_FORMS, ids=lambda f: f.__name__)
-def test_sequence_of_parameter_sets_gives_one_row_each(form):
-    """Given a sequence of ``R`` parameter sets, a closed form returns
-    ``(R, T)`` rows, and row ``i`` is the call on set ``i`` alone, bit
-    for bit; a coefficient of a Bloch series is a column, or a float
-    that all rows share."""
-    together = form(SEQUENCE, SEQUENCE_TIMES)
-    for i, params in enumerate(SEQUENCE):
-        alone = form(params, SEQUENCE_TIMES)
-        if isinstance(alone, channels.BlochSeries):
-            pairs = [(getattr(together, f)[i], getattr(alone, f))
-                     for f in BLOCH_FIELDS]
-            pairs += [(np.ravel(c)[i % np.size(c)], a) for c, a in zip(
-                together.coefficients, alone.coefficients)]
-        else:
-            pairs = [(together[i], alone)]
-        for a, b in pairs:
-            a, b = np.asarray(a), np.asarray(b)
-            assert a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
-    rows = together.decay if isinstance(together, tuple) else together
-    assert rows.shape[:2] == (2, 3)
-
-
 # every argument and field that takes one number
 SCALAR_INPUTS = {
     "iterate_map_check.t": lambda x: channels.iterate_map_check(
@@ -387,6 +357,37 @@ def test_stack_is_the_single_calls(name):
     assert stack.shape == (9, 2, 2)
     for x, row in zip(inputs, stack):
         assert np.array_equal(call(x), row)
+
+
+# two parameter sets, as a sequence, and times to give them
+SEQUENCE = [PARAMS, channels.GadcParams(alpha=0.3, w0=0.55, gamma_rate=0.7)]
+SEQUENCE_TIMES = [0.0, 0.5, 1.0]
+BLOCH_FIELDS = ("times", "decay", "x2", "radius", "populations")
+
+
+@pytest.mark.parametrize("form", CLOSED_FORMS, ids=lambda f: f.__name__)
+def test_sequence_of_parameter_sets_gives_one_row_each(form):
+    """Given a sequence of ``R`` parameter sets, a closed form returns
+    ``(R, T)`` rows, and row ``i`` is the call on set ``i`` alone, bit
+    for bit; a coefficient of a Bloch series is a column, or a float
+    that all rows share."""
+    together = form(SEQUENCE, SEQUENCE_TIMES)
+    for i, params in enumerate(SEQUENCE):
+        alone = form(params, SEQUENCE_TIMES)
+        if isinstance(alone, channels.BlochSeries):
+            pairs = [(getattr(together, f)[i], getattr(alone, f))
+                     for f in BLOCH_FIELDS]
+            pairs += [(np.ravel(c)[i % np.size(c)], a) for c, a in zip(
+                together.coefficients, alone.coefficients)]
+        else:
+            pairs = [(together[i], alone)]
+        for a, b in pairs:
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+    rows = (together.decay if isinstance(together, channels.BlochSeries)
+            else together)
+    assert rows.shape[:2] == (2, 3)
 
 
 # the single-matrix object layer, which only spectra itself may use
