@@ -23,9 +23,8 @@ from .experiment import (ExperimentConfig, ExperimentResult, SweepSummary,
                          run, sweep)
 from .firstlaw import (ThermoTrajectory, qubit_thermo_trajectory,
                        thermo_trajectory)
-from .infomeasures import (InfoSeries, ProportionalityReport, bloch_entropies,
-                           heat_asymmetry, negativities,
-                           proportionality_report, von_neumann_entropies)
+from .infomeasures import (InfoSeries, bloch_entropies, heat_asymmetry,
+                           negativities, von_neumann_entropies)
 from .spectra import (DensityOperator, HermitianOperator,
                       SpectralDecomposition, density_stack, eig_hermitian,
                       partial_trace, partial_transpose_stack)
@@ -43,7 +42,6 @@ __all__ = [
     "InfoSeries",
     "InputError",
     "NumericalError",
-    "ProportionalityReport",
     "SpectralDecomposition",
     "StrongcoupleError",
     "SweepSummary",
@@ -70,7 +68,6 @@ __all__ = [
     "negativities",
     "partial_trace",
     "partial_transpose_stack",
-    "proportionality_report",
     "qubit_thermo_trajectory",
     "run",
     "sweep",

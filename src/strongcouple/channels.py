@@ -85,15 +85,20 @@ A sweep evaluates parameter sets that share a grid as one block. The
 private :class:`_Columns` holds the numbers of ``R`` sets as ``(R, 1)``
 columns, and with ``(R, T)`` times the decay factor, the Bloch series,
 the joint radii and negativities and the two joint-state builders
-broadcast over the rows. So do the Kraus builders and the dilation with
-an ``(R, 1)`` column of decay probabilities, which is how ``validate``
-evaluates its random draws. Each closed form is one public function,
-taking a :class:`GadcParams`, a sequence of them or columns, and reads
-its parameters through :func:`_columns`. One rule covers all of them: a
+broadcast over the rows. So do the three initial states, and the Kraus
+builders and the dilation with an ``(R, 1)`` column of decay
+probabilities, which is how ``validate`` evaluates its random draws.
+Each closed form is one public function, taking a :class:`GadcParams`,
+a sequence of them or columns, and reads its parameters through
+:func:`_columns`. One rule covers all of them: a
 sequence of ``R`` sets is ``R`` rows of ``(R, 1)`` columns, the result
 has the broadcast shape of those columns and the times, ``(R, T)`` for
 ``(T,)`` times, and row ``i`` equals the call on set ``i`` alone bit for
-bit. It reads its times through
+bit. The initial states and the dilation read their parameters through
+:func:`_columns` too and follow the same rule, with ``p`` or nothing in
+place of the times; :func:`iterate_map_check` composes the steps of one
+state and takes one :class:`GadcParams` only. A closed form reads its
+times through
 :func:`_grid`, which checks them and evaluates the decay factor on them
 as a private :class:`_Grid`, and which passes a grid it is given
 through unchanged. A run builds the grid of its block once and hands it
@@ -430,19 +435,19 @@ def _joint_initial_matrix(params) -> np.ndarray:
         s.shape[:-2] + (4, 4))
 
 
-def system_initial_state(params: GadcParams) -> np.ndarray:
+def system_initial_state(params) -> np.ndarray:
     """Pure initial system state ``alpha |g> + sqrt(1 - alpha^2) |e>``."""
-    return unit_trace_stack(_system_initial_matrix(params))
+    return unit_trace_stack(_system_initial_matrix(_columns(params)))
 
 
-def environment_initial_state(params: GadcParams) -> np.ndarray:
+def environment_initial_state(params) -> np.ndarray:
     """Thermal initial environment state ``diag(w0, w1)``."""
-    return unit_trace_stack(_environment_initial_matrix(params))
+    return unit_trace_stack(_environment_initial_matrix(_columns(params)))
 
 
-def joint_initial_state(params: GadcParams) -> np.ndarray:
+def joint_initial_state(params) -> np.ndarray:
     """Product of the initial system and environment states."""
-    return unit_trace_stack(_joint_initial_matrix(params))
+    return unit_trace_stack(_joint_initial_matrix(_columns(params)))
 
 
 class _Grid(NamedTuple):
@@ -817,7 +822,12 @@ def iterate_map_check(params: GadcParams, t: float,
     average of :func:`~strongcouple.spectra.unit_trace_stack`. As a
     composite builder it starts from the unchecked initial matrix, and
     only the final state is checked, for Hermiticity and unit trace.
+    The steps compose one state, so ``params`` must be one
+    :class:`GadcParams`; anything else raises :class:`InputError`.
     """
+    if not isinstance(params, GadcParams):
+        raise InputError(f"iterate_map_check needs a GadcParams, got "
+                         f"{type(params).__name__}")
     n_steps = _as_count(n_steps, "n_steps", 1)
     t = _as_float(t, "time")
     # written so that a NaN time fails too; no step count reaches t = inf
@@ -838,12 +848,13 @@ def iterate_map_check(params: GadcParams, t: float,
     return unit_trace_stack(m)
 
 
-def system_state_from_dilation(params: GadcParams, p) -> np.ndarray:
+def system_state_from_dilation(params, p) -> np.ndarray:
     """System states after one damping step via the unitary dilation route.
 
     Conjugates the joint initial state with :func:`gadc_unitary` at each
-    ``p`` and traces out the environment; an array of ``p`` gives a
+    ``p`` and traces out the environment. ``params`` and ``p`` broadcast
+    as for :func:`system_kraus`: one set and an array of ``p`` give a
     ``p.shape + (2, 2)`` stack. Used as an independent route for
     consistency checks against :func:`system_kraus` and the closed forms.
     """
-    return partial_trace(_dilated_matrices(params, p), keep=0)
+    return partial_trace(_dilated_matrices(_columns(params), p), keep=0)

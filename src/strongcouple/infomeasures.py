@@ -36,7 +36,7 @@ from .errors import InputError, NumericalError, _as_array
 from .spectra import (check_spectrum, density_stack, partial_transpose_stack,
                       unit_trace_stack)
 
-# Denominator magnitude at or below which proportionality_report drops a point
+# Denominator magnitude at or below which _ratio_rows drops a point
 RATIO_DENOMINATOR_THRESHOLD = 5e-3
 _ENTROPY_CLIP = 1e-12
 _NEGATIVITY_ROUTE_TOL = 1e-10
@@ -115,48 +115,6 @@ def heat_asymmetry(heat_system, heat_environment) -> np.ndarray:
         raise InputError(
             f"heat arrays must share a shape, got {q_s.shape} and {q_e.shape}")
     return np.abs(q_s + q_e)
-
-
-@dataclass(frozen=True)
-class ProportionalityReport:
-    """Summary of how nearly one series is a constant multiple of another.
-
-    Points with ``|denominator| <= RATIO_DENOMINATOR_THRESHOLD`` are
-    excluded; ``mask_count`` is the number kept, ``ratio_mean`` the mean
-    ratio there, and ``max_relative_spread`` the largest relative
-    deviation of the pointwise ratio from the mean.
-    """
-
-    mask_count: int
-    ratio_mean: float
-    max_relative_spread: float
-
-
-def proportionality_report(numerator, denominator) -> ProportionalityReport:
-    """Measure proportionality of two series away from small denominators.
-
-    Both series must be finite: a NaN would pass into the mean, and an
-    infinite denominator would count as a point with ratio zero. Raises
-    :class:`InputError` where the series differ in shape, are not
-    finite, keep no point, or have a mean ratio of zero, in that order.
-    """
-    num = _as_array(numerator, "numerators")
-    den = _as_array(denominator, "denominators")
-    if num.shape != den.shape:
-        raise InputError(
-            f"series must share a shape, got {num.shape} and {den.shape}")
-    if not (np.isfinite(num).all() and np.isfinite(den).all()):
-        raise InputError("series have non-finite entries")
-    (count,), (mean,), (spread,) = _ratio_rows(num.reshape(1, -1),
-                                               den.reshape(1, -1))
-    if count == 0:
-        raise InputError(
-            f"no points with |denominator| > "
-            f"{RATIO_DENOMINATOR_THRESHOLD:.3e}; nothing to compare")
-    if mean == 0.0:
-        raise InputError("mean ratio is zero; spread is undefined")
-    return ProportionalityReport(
-        mask_count=count, ratio_mean=mean, max_relative_spread=spread)
 
 
 def _ratio_rows(numerator, denominator) -> tuple:

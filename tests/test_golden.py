@@ -1,12 +1,12 @@
 """Golden digests: the bytes of the CLI's outputs, pinned.
 
-Each entry of ``golden.json`` is the sha256 of one output of the CLI:
-the default ``run``'s four CSVs and two plot scripts, its manifest less
-``wall_time_seconds``, the ``validate --strict`` text, and the sweep
-summary on the 27-point alpha x beta x gamma grid for three seeds. The
-digests depend on the numpy version and the platform's libm, so the
-file records the numpy version they were taken with, and a mismatch
-names both versions.
+Each entry of ``golden.json`` is the sha256 of one output of the CLI
+or of a demo: the default ``run``'s four CSVs and two plot scripts, its
+manifest less ``wall_time_seconds``, the ``validate --strict`` text, the
+sweep summary on the 27-point alpha x beta x gamma grid for three seeds,
+and the stdout of the heat-asymmetry demo. The digests depend on the
+numpy version and the platform's libm, so the file records the numpy
+version they were taken with, and a mismatch names both versions.
 
 A change that alters an output on purpose rewrites the file with
 ``PYTHONPATH=src python tests/test_golden.py``, which prints ``name: old
@@ -14,9 +14,12 @@ A change that alters an output on purpose rewrites the file with
 records those lines.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import random
+import runpy
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,8 @@ RUN_FILES = ("thermo_system.csv", "thermo_environment.csv",
              "info_measures.csv", "diagnostics.csv", "plot_thermo.py",
              "plot_info.py")
 SWEEP_SEEDS = (1, 2, 3)
+DEMO = (Path(__file__).resolve().parent.parent / "demos"
+        / "demo_heat_asymmetry_negativity.py")
 
 
 def _sha256(blob: bytes) -> str:
@@ -50,7 +55,7 @@ def sweep_grid(seed: int) -> dict:
 
 def digests(work: Path) -> dict:
     """The sha256 of every pinned output, by name; CLI chatter on stdout
-    is discarded except for ``validate``'s."""
+    is discarded except for ``validate``'s and the demo's."""
     out = {}
     run_dir = work / "run"
     assert main(["run", "--out", str(run_dir)]) == 0
@@ -68,6 +73,9 @@ def digests(work: Path) -> dict:
                      "--out", str(sweep_dir)]) == 0
         out[f"sweep27/seed{seed}/summary.csv"] = _sha256(
             (sweep_dir / "summary.csv").read_bytes())
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        runpy.run_path(str(DEMO), run_name="__main__")
+    out[f"demos/{DEMO.name}"] = _sha256(text.getvalue().encode())
     return out
 
 
@@ -97,8 +105,6 @@ def test_outputs_match_golden_digests(golden, tmp_path, capsys):
 
 
 if __name__ == "__main__":
-    import contextlib
-    import io
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp, \

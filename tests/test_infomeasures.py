@@ -1,6 +1,5 @@
-"""Entropies, coherence, negativity, and the proportionality report."""
+"""Entropies, coherence, negativity, and the per-row ratio statistics."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -14,9 +13,8 @@ from strongcouple.channels import (GadcParams, environment_bloch,
 from strongcouple.errors import InputError, NumericalError
 from strongcouple.experiment import ExperimentConfig, run
 from strongcouple.infomeasures import (RATIO_DENOMINATOR_THRESHOLD,
-                                       ProportionalityReport, bloch_entropies,
+                                       _ratio_rows, bloch_entropies,
                                        heat_asymmetry, negativities,
-                                       proportionality_report,
                                        von_neumann_entropies)
 
 BELL = 0.5 * np.array([[1, 0, 0, 1],
@@ -216,52 +214,36 @@ class TestHeatAsymmetry:
             heat_asymmetry([0.1, 0.2], [0.1])
 
 
-class TestProportionalityReport:
+class TestRatioRows:
+    """``_ratio_rows`` on one ``(1, T)`` row."""
+
     def test_exact_proportionality(self):
         x = np.linspace(0.1, 1.0, 50)
-        report = proportionality_report(0.73 * x, x)
-        assert report.mask_count == 50
-        assert abs(report.ratio_mean - 0.73) < 1e-14
-        assert report.max_relative_spread < 1e-12
+        (count,), (mean,), (spread,) = _ratio_rows(0.73 * x[None], x[None])
+        assert count == 50
+        assert abs(mean - 0.73) < 1e-14
+        assert spread < 1e-12
 
     def test_threshold_masks_small_denominators(self):
         # the fixed threshold 5e-3 drops denominators at or below it
         assert RATIO_DENOMINATOR_THRESHOLD == 5e-3
         above = np.nextafter(5e-3, 1.0)
-        den = np.array([1e-6, -5e-3, 5e-3, above, 0.5, 1.0])
-        num = np.array([100.0, 100.0, 100.0, above, 0.5, 1.0])
-        report = proportionality_report(num, den)
-        assert report.mask_count == 3
-        assert abs(report.ratio_mean - 1.0) < 1e-14
+        den = np.array([[1e-6, -5e-3, 5e-3, above, 0.5, 1.0]])
+        num = np.array([[100.0, 100.0, 100.0, above, 0.5, 1.0]])
+        (count,), (mean,), _ = _ratio_rows(num, den)
+        assert count == 3
+        assert abs(mean - 1.0) < 1e-14
 
-    def test_empty_mask_rejected(self):
-        with pytest.raises(InputError, match=r"\|denominator\| > 5\.000e-03"):
-            proportionality_report([1.0, 2.0], [5e-3, -1e-3])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(InputError):
-            proportionality_report([1.0], [1.0, 2.0])
-
-    @pytest.mark.parametrize("num, den", [
-        ([1.0, math.nan, 3.0], [1.0, 1.0, 1.0]),
-        ([1.0, 2.0, 3.0], [1.0, math.nan, 1.0]),
-        ([1.0, 2.0, 3.0], [1.0, 1.0, math.inf]),
-        ([1.0, 2.0, -math.inf], [1.0, 1.0, 1.0]),
-    ], ids=["nan_numerator", "nan_denominator", "inf_denominator",
-            "inf_numerator"])
-    def test_non_finite_series_rejected(self, num, den):
-        # a NaN would pass into the mean; an infinite denominator would
-        # count as a point of ratio zero
-        with pytest.raises(InputError, match="non-finite"):
-            proportionality_report(num, den)
-
-    def test_fields(self):
-        assert [f.name for f in dataclasses.fields(ProportionalityReport)] \
-            == ["mask_count", "ratio_mean", "max_relative_spread"]
+    def test_empty_mask_reads_nan(self):
+        (count,), (mean,), (spread,) = _ratio_rows(
+            np.array([[1.0, 2.0]]), np.array([[5e-3, -1e-3]]))
+        assert count == 0
+        assert math.isnan(mean)
+        assert math.isnan(spread)
 
     def test_uncorrelated_noise_has_large_spread(self, rng):
         """Negative control: the spread statistic must expose non-ratios."""
-        num = rng.uniform(0.5, 1.5, size=200)
-        den = rng.uniform(0.5, 1.5, size=200)
-        report = proportionality_report(num, den)
-        assert report.max_relative_spread > 0.3
+        num = rng.uniform(0.5, 1.5, size=(1, 200))
+        den = rng.uniform(0.5, 1.5, size=(1, 200))
+        _, _, (spread,) = _ratio_rows(num, den)
+        assert spread > 0.3

@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "InfoSeries",
     "InputError",
     "NumericalError",
-    "ProportionalityReport",
     "SpectralDecomposition",
     "StrongcoupleError",
     "SweepSummary",
@@ -56,7 +55,6 @@ PUBLIC_NAMES = [
     "negativities",
     "partial_trace",
     "partial_transpose_stack",
-    "proportionality_report",
     "qubit_thermo_trajectory",
     "run",
     "sweep",
@@ -174,10 +172,6 @@ ARRAY_INPUTS = {
         lambda x: strongcouple.heat_asymmetry(x, SERIES),
     "heat_asymmetry.heat_environment":
         lambda x: strongcouple.heat_asymmetry(SERIES, x),
-    "proportionality_report.numerator":
-        lambda x: strongcouple.proportionality_report(x, [1.0, 1.0]),
-    "proportionality_report.denominator":
-        lambda x: strongcouple.proportionality_report(SERIES, x),
     "apply_channel.operators": lambda x: channels.apply_channel(
         x, np.eye(2) / 2.0),
 }
@@ -388,6 +382,44 @@ def test_sequence_of_parameter_sets_gives_one_row_each(form):
     rows = (together.decay if isinstance(together, channels.BlochSeries)
             else together)
     assert rows.shape[:2] == (2, 3)
+
+
+# the builders that take no times, given one parameter set or a sequence
+SET_BUILDERS = {
+    "system_initial_state": channels.system_initial_state,
+    "environment_initial_state": channels.environment_initial_state,
+    "joint_initial_state": channels.joint_initial_state,
+    "system_state_from_dilation":
+        lambda params: channels.system_state_from_dilation(params, 0.3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SET_BUILDERS))
+def test_sequence_of_parameter_sets_gives_one_state_each(name):
+    """Given a sequence of ``R`` parameter sets, a builder returns the
+    broadcast shape of their ``(R, 1)`` columns, and row ``i`` is the
+    call on set ``i`` alone, bit for bit."""
+    build = SET_BUILDERS[name]
+    together = build(SEQUENCE)
+    for i, params in enumerate(SEQUENCE):
+        alone = build(params)
+        assert together.shape == (len(SEQUENCE), 1) + alone.shape
+        assert together[i, 0].tobytes() == alone.tobytes()
+
+
+# the routes that compose steps of one state, given a sequence of sets
+ONE_SET_ROUTES = {
+    "iterate_map_check":
+        lambda: channels.iterate_map_check(SEQUENCE, 1.0, 3),
+    "markov_convergence": lambda: strongcouple.markov_convergence(SEQUENCE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_SET_ROUTES))
+def test_composed_steps_take_one_parameter_set(name):
+    with pytest.raises(InputError) as exc:
+        ONE_SET_ROUTES[name]()
+    assert str(exc.value) == "iterate_map_check needs a GadcParams, got list"
 
 
 # the single-matrix object layer, which only spectra itself may use
