@@ -225,12 +225,24 @@ def _columns(params) -> _Columns:
     """``params`` as :class:`_Columns`; columns pass through.
 
     A :class:`GadcParams` gives floats, which broadcast like one row;
-    a sequence of ``R`` sets, one included, gives ``(R, 1)`` columns.
+    a list or tuple of ``R`` sets, one included, gives ``(R, 1)``
+    columns. Anything else, an empty sequence or an item that is no
+    :class:`GadcParams` raises :class:`InputError` naming its type.
     """
     if isinstance(params, _Columns):
         return params
     if isinstance(params, GadcParams):
         return _row_numbers(params)
+    if not isinstance(params, (list, tuple)):
+        raise InputError("parameters need a GadcParams or a sequence of "
+                         f"GadcParams, got {type(params).__name__}")
+    if not params:
+        raise InputError("parameters need at least one GadcParams, got an "
+                         f"empty {type(params).__name__}")
+    for i, p in enumerate(params):
+        if not isinstance(p, GadcParams):
+            raise InputError(f"parameter item {i} needs a GadcParams, got "
+                             f"{type(p).__name__}")
     table = np.array([_row_numbers(p) for p in params])
     return _Columns(*table.T.copy()[:, :, None])
 

@@ -27,29 +27,39 @@ closed-form family, whose rank-two spectrum is also closed-form
 (:func:`strongcouple.channels.joint_radii_closed_form`); ``validate`` and
 the tests check that ``S_se`` is constant.
 
-Runs are evaluated in blocks, with the configuration as a leading array
-axis. A block holds configurations with one grid length: the parameters
-are ``(R, 1)`` columns and the times an ``(R, T)`` array from one
-``linspace`` call. The block evaluates the decay factor once, as the
-grid of :mod:`strongcouple.channels`, and hands that grid to the public
-closed forms: the two Bloch series, the joint negativities and the
-joint radii. Each marginal's first-law split runs once for the block.
-The spot-check states of all rows are built unchecked from the grid's
-decay values and go to one
+Runs are evaluated in blocks of consecutive configurations with one
+grid length, and a block evaluates each distinct state series among its
+rows once. ``gamma`` is a pure rescaling of time, and no per-point stage
+computes with it or with the times: rows whose parameters but ``gamma``
+and whose grids' decay values have the same bits hold one series, as
+the rows of a sweep on one ``gamma_t_max`` do where the gammas differ by
+powers of two. A series is evaluated on the grid of its first row: the
+parameters are ``(k, 1)`` columns and the times a ``(k, T)`` array from
+one ``linspace`` call. The block evaluates the decay factor once, as
+the grid of :mod:`strongcouple.channels`, and hands that grid to the
+public closed forms: the two Bloch series, the joint negativities and
+the joint radii. Each marginal's first-law split runs once for the
+block. The spot-check states of all series are built unchecked from the
+grid's decay values and go to one
 :func:`~strongcouple.infomeasures.negativities` call, their one check
 and eigensolve. The block returns its two splits and its
-:class:`~strongcouple.infomeasures.InfoSeries` as ``(R, T)`` arrays and
-reduces every per-row diagnostic, the ratio statistics included, into
-columns of Python floats. :func:`run` is a block of one and reads row 0;
-:func:`sweep` cuts its configurations into blocks of at most
-:data:`BLOCK_POINTS` grid points and reads each summary row from the
-columns and the system's split, without a per-row result. Both give the
-same numbers bit for bit. A block holds no series it no longer needs:
-each Bloch series is dropped once its entropies are taken, but for
-``x2``, whose square root, taken in place, is the coherence; the two
-entropy-rate series are reduced to their per-row maxima at once; and
-the negativity's Newton solve, where the block peaks, frees its inputs
-as it goes (see :func:`~strongcouple.channels.joint_negativities_closed_form`).
+:class:`~strongcouple.infomeasures.InfoSeries` as ``(k, T)`` arrays and
+reduces every diagnostic, the ratio statistics included, into per-row
+columns of Python floats; a row that repeats a series reads the two
+that read the times, the negativity's peak time and the entropy rates,
+from its own grid. :func:`run` is a block of one, which needs no
+key, and reads row 0; :func:`sweep` cuts its configurations into blocks
+whose series hold at most :data:`BLOCK_POINTS` grid points and reads
+each summary row from the columns and the system's split, without a
+per-row result. Both give the same numbers bit for bit. A block holds
+no series it no longer needs: each Bloch series is dropped once its
+entropies are taken, but for ``x2``, whose square root, taken in place,
+is the coherence; the two entropy-rate series are reduced to their
+per-row maxima at once; and the negativity's Newton solve, where the
+block peaks, frees its inputs as it goes (see
+:func:`~strongcouple.channels.joint_negativities_closed_form`). Nor does
+it expand a series to its rows: the keys and the grids of the rows are
+taken in runs of at most :data:`BLOCK_POINTS` points.
 """
 
 from __future__ import annotations
@@ -57,6 +67,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +77,8 @@ from .errors import InputError, NumericalError, _as_count, _as_float
 # thermo_trajectory, the generic route, is not called here; it stays bound
 # because benchmarks/tests/test_bench_tracer.py checks that the layer
 # tracer wraps it in this module
-from .firstlaw import (ThermoTrajectory, qubit_thermo_trajectory,  # noqa: F401
-                       thermo_trajectory)
+from .firstlaw import (ThermoTrajectory, _check_grid,  # noqa: F401
+                       qubit_thermo_trajectory, thermo_trajectory)
 from .infomeasures import (InfoSeries, _ratio_rows, bloch_entropies,
                            heat_asymmetry, negativities)
 
@@ -74,9 +86,11 @@ WORK_STATIC_TOL = 1e-12
 ENERGY_BALANCE_TOL = 1e-10
 NEGATIVITY_SPOT_TOL = 1e-10
 _NEGATIVITY_PEAK_FLOOR = 1e-6
-# Grid points a sweep evaluates at once, 16 rows at 501 points; a block
-# frees its dead series around the negativity solve, so a sweep peaks
-# near one run of this length, about 1.9 MB traced
+# Grid points of the distinct series a sweep evaluates at once, 16 series
+# at 501 points; rows that repeat a series add none, so the 27 sweep27
+# rows, which hold 9 series, make one block. A block frees its dead
+# series around the negativity solve, so a sweep peaks near one run of
+# this length, about 1.9 MB traced
 BLOCK_POINTS = 8192
 
 
@@ -165,34 +179,83 @@ def _block_times(configs) -> np.ndarray:
     """The ``(R, T)`` grids of configurations that share ``n_samples``.
 
     One ``linspace`` call for the block; each row equals its
-    configuration's :attr:`ExperimentConfig.times` bit for bit, also
-    where ``linspace`` takes its path for a step that underflows to
-    zero: such a grid is not increasing, and its row fails the block.
+    configuration's :attr:`ExperimentConfig.times` bit for bit.
+    ``linspace`` takes one path for all rows, and another where a step
+    underflows to zero; a block with such a step takes each row's grid
+    alone, so that its other rows keep their own grids. The row whose
+    step underflows is not increasing, and fails its block.
     """
     t_max = np.array([config.t_max for config in configs])
+    times, step = np.linspace(0.0, t_max, configs[0].n_samples, axis=-1,
+                              retstep=True)
+    if not step.all():
+        return np.array([config.times for config in configs])
     # linspace puts the new axis first and moves it; the copy keeps the
     # rows contiguous, as a single grid is
-    return np.ascontiguousarray(
-        np.linspace(0.0, t_max, configs[0].n_samples, axis=-1))
+    return np.ascontiguousarray(times)
 
 
-def _run_block(configs) -> tuple:
-    """Run configurations that share ``n_samples`` as one block.
+class _Block(NamedTuple):
+    """Consecutive configurations with one grid length, and the distinct
+    state series among them.
 
-    The parameters are ``(R, 1)`` columns and the grids an ``(R, T)``
-    array, whose decay factor is evaluated once and handed, as one grid,
-    to each public closed form; each marginal's first-law split runs
-    once for the block. Returns ``(thermo_s, thermo_e, info, columns)``:
-    the two splits and the :class:`InfoSeries` hold ``(R, T)`` arrays,
-    and ``columns`` the diagnostics by name, as lists of ``R`` Python
-    floats. Every gate reduces over the whole block, so the block raises
-    where any of its rows would; its message is that of a single run
-    only for a block of one.
+    ``series[i]`` is the series of row ``i``, numbered in the order of
+    their first rows, and ``first[s]`` the first row that holds series
+    ``s``, on whose grid the series is evaluated.
+    """
+
+    configs: list
+    first: list
+    series: list
+
+
+def _chunks(items, n_samples: int) -> list:
+    """``items``, rows of ``n_samples`` points, cut into runs of at most
+    :data:`BLOCK_POINTS` points and of at least one row."""
+    size = max(1, BLOCK_POINTS // n_samples)
+    return [items[i:i + size] for i in range(0, len(items), size)]
+
+
+def _series_keys(configs) -> list:
+    """The key of each configuration's state series, for configurations
+    that share ``n_samples``: the bytes of its parameter columns but
+    ``gamma_rate`` and of its grid's decay and lose rows.
+
+    Every stage that reads neither the times nor ``gamma_rate`` gives
+    rows with one key the same numbers bit for bit. The key holds bits,
+    not values, so that ``0.0`` and ``-0.0``, which compare equal, stay
+    apart.
     """
     cols = ch._columns([config.params for config in configs])
     grid = ch._grid(cols, _block_times(configs))
+    table = np.concatenate(
+        [c for name, c in zip(cols._fields, cols) if name != "gamma_rate"]
+        + [grid.decay, grid.lose], axis=1)
+    return [row.tobytes() for row in table]
+
+
+def _run_block(block: _Block) -> tuple:
+    """Run a block, evaluating each of its distinct state series once.
+
+    The parameters of the series are ``(k, 1)`` columns and their grids,
+    those of their first rows, a ``(k, T)`` array, whose decay factor is
+    evaluated once and handed, as one grid, to each public closed form;
+    each marginal's first-law split runs once for the block. Only the
+    negativity's peak time and the entropy rates read a row's own grid,
+    which a row that repeats a series reads in :func:`_row_columns`.
+    Returns ``(thermo_s,
+    thermo_e, info, columns)``: the two splits and the
+    :class:`InfoSeries` hold ``(k, T)`` arrays, one row for each series,
+    and ``columns`` the diagnostics by name, as lists of one Python
+    float for each row of the block. Every gate reduces over the whole
+    block, so the block raises where any of its rows would; its message
+    is that of a single run only for a block of one.
+    """
+    configs, first, series = block
+    cols = ch._columns([configs[i].params for i in first])
+    grid = ch._grid(cols, _block_times([configs[i] for i in first]))
     times = grid.times
-    n = len(configs)
+    k = len(first)
     bloch_s = ch.system_bloch(cols, grid)
     bloch_e = ch.environment_bloch(cols, grid)
     thermo_s = qubit_thermo_trajectory(bloch_s)
@@ -224,17 +287,12 @@ def _run_block(configs) -> tuple:
     ent_e = bloch_entropies(bloch_e.radius)
     x2_e = bloch_e.x2
     del bloch_e
-    step = times[:, 1:2] - times[:, :1]
-    rate_s = _rates(ent_s, step)
-    rate_e = _rates(ent_e, step)
-    rate_max = abs(rate_s).max(axis=1)
-    rate_mismatch = abs(rate_s + rate_e).max(axis=1)
-    del rate_s, rate_e
+    rate_max, rate_mismatch = _rate_maxima(ent_s, ent_e, times)
     neg = ch.joint_negativities_closed_form(cols, grid)
     ent_joint = bloch_entropies(abs(cols.w0 - cols.w1))
 
     drift_closed = bloch_entropies(ch.joint_radii_closed_form(cols, grid))
-    peak = np.arange(n), np.argmax(neg, axis=1)
+    peak = np.arange(k), np.argmax(neg, axis=1)
     t_peak = times[peak]
     neg_peak = neg[peak]
     # spot check of the closed form against the eigensolve route, at the
@@ -244,7 +302,7 @@ def _run_block(configs) -> tuple:
     spot, unitary_final = negativities(np.concatenate([
         ch._closed_form_joint_matrices(cols, grid.decay[peak][:, None],
                                        grid.lose[peak][:, None]),
-        ch._dilated_matrices(cols, grid.lose[:, -1:])]))[:, 0].reshape(2, n)
+        ch._dilated_matrices(cols, grid.lose[:, -1:])]))[:, 0].reshape(2, k)
     gap = abs(spot - neg_peak)
     if (gap > NEGATIVITY_SPOT_TOL).any():
         i = int(np.argmax(gap))
@@ -255,13 +313,13 @@ def _run_block(configs) -> tuple:
             f"{NEGATIVITY_SPOT_TOL:.0e}")
 
     points, means, spreads = _ratio_rows(asym, neg)
-    # per-row scalars, as Python floats
+    # per-series scalars, as Python floats
     columns = {
         "closure_system_max": thermo_s.closure_residual.max(axis=1).tolist(),
         "closure_environment_max": thermo_e.closure_residual.max(
             axis=1).tolist(),
-        "work_system_max_abs": work[:n].tolist(),
-        "work_environment_max_abs": work[n:].tolist(),
+        "work_system_max_abs": work[:k].tolist(),
+        "work_environment_max_abs": work[k:].tolist(),
         "energy_balance_max": balance.tolist(),
         "heat_system_final": thermo_s.heat[:, -1].tolist(),
         "heat_environment_final": thermo_e.heat[:, -1].tolist(),
@@ -281,12 +339,49 @@ def _run_block(configs) -> tuple:
         "ratio_mean": means,
         "ratio_max_relative_spread": spreads,
     }
+    if len(series) > k:
+        columns = _row_columns(block, columns, peak[1], ent_s, ent_e)
     info = InfoSeries(times=times, entropy_s=ent_s, entropy_e=ent_e,
                       coherence_s=np.sqrt(x2_s, out=x2_s),
                       coherence_e=np.sqrt(x2_e, out=x2_e), negativity=neg,
                       mutual_information=ent_s + ent_e - ent_joint,
                       heat_asymmetry=asym)
     return thermo_s, thermo_e, info, columns
+
+
+def _row_columns(block: _Block, columns: dict, peak, ent_s, ent_e) -> dict:
+    """The per-series ``columns`` of a block with more rows than series,
+    one entry for each row.
+
+    A row takes its series' values but for the columns that read the
+    times, which a row that repeats a series takes from its own grid,
+    checked here, in runs of at most :data:`BLOCK_POINTS` points: the
+    time at its series' ``peak`` index, and the entropy rates of its
+    series' entropies ``ent_s`` and ``ent_e``.
+    """
+    configs, first, series = block
+    series = np.asarray(series)
+    table = np.array(list(columns.values()))[:, series]
+    at = list(columns).index
+    repeats = [i for i, s in enumerate(series.tolist()) if first[s] != i]
+    for part in _chunks(repeats, ent_s.shape[1]):
+        own = _check_grid(_block_times([configs[i] for i in part]), ndim=2)
+        rows = series[part]
+        table[at("negativity_peak_time"), part] = own[np.arange(len(part)),
+                                                      peak[rows]]
+        rate, mismatch = _rate_maxima(ent_s[rows], ent_e[rows], own)
+        table[at("entropy_rate_system_max"), part] = rate
+        table[at("entropy_rate_mismatch_max"), part] = mismatch
+    return dict(zip(columns, table.tolist()))
+
+
+def _rate_maxima(ent_s, ent_e, times) -> tuple:
+    """The per-row maxima of ``|dS_s/dt|`` and ``|dS_s/dt + dS_e/dt|``
+    of ``(R, T)`` entropy rows on their ``(R, T)`` grids."""
+    step = times[:, 1:2] - times[:, :1]
+    rate_s = _rates(ent_s, step)
+    rate_e = _rates(ent_e, step)
+    return abs(rate_s).max(axis=1), abs(rate_s + rate_e).max(axis=1)
 
 
 def _check_config(config, what: str) -> None:
@@ -309,7 +404,8 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     raises :class:`InputError` naming its type.
     """
     _check_config(config, "run")
-    thermo_s, thermo_e, info, columns = _run_block([config])
+    thermo_s, thermo_e, info, columns = _run_block(
+        _Block([config], [0], [0]))
     info = info[0]
     return ExperimentResult(
         config=config, params=config.params, times=info.times,
@@ -339,31 +435,47 @@ class SweepSummary:
 
 
 def _blocks(configs):
-    """Cut ``configs`` into runs of consecutive configurations with one
-    grid length and at most :data:`BLOCK_POINTS` points; a longer grid
-    is a block of one."""
-    block = []
-    for config in configs:
-        n = config.n_samples
-        if block and (n != block[0].n_samples
-                      or (len(block) + 1) * n > BLOCK_POINTS):
-            yield block
-            block = []
-        block.append(config)
-    yield block
+    """Cut ``configs`` into :class:`_Block` of consecutive configurations
+    with one grid length whose distinct state series hold at most
+    :data:`BLOCK_POINTS` points; a longer grid is a block of one series.
+
+    Rows share a series when their keys (see :func:`_series_keys`) are
+    equal. The keys are taken on runs of at most :data:`BLOCK_POINTS`
+    points, so that a block holds no array that grows with the rows
+    that repeat a series.
+    """
+    rows, first, series, seen = [], [], [], {}
+    for n, same in groupby(configs, key=lambda config: config.n_samples):
+        for part in _chunks(list(same), n):
+            done = []
+            for config, key in zip(part, _series_keys(part)):
+                if key not in seen:
+                    if rows and (rows[0].n_samples != n
+                                 or (len(first) + 1) * n > BLOCK_POINTS):
+                        done.append(_Block(rows, first, series))
+                        rows, first, series, seen = [], [], [], {}
+                    seen[key] = len(first)
+                    first.append(len(rows))
+                series.append(seen[key])
+                rows.append(config)
+            yield from done
+    yield _Block(rows, first, series)
 
 
 def sweep(configs) -> list:
     """Run a sequence of configurations, collecting one summary row each.
 
     Consecutive configurations with equal ``n_samples`` run as one block
-    of at most :data:`BLOCK_POINTS` grid points (a longer grid runs
-    alone), with the configuration as a leading array axis; the rows
-    equal those of :func:`run` bit for bit. A configuration that fails
-    its integrity checks contributes a row with its error message
-    instead of aborting the remaining runs: a block that raises is run
-    again one configuration at a time, so each failing row holds the
-    message its run raises alone and the other rows keep their values.
+    whose distinct state series hold at most :data:`BLOCK_POINTS` grid
+    points (a longer grid is a series alone), with the series as a
+    leading array axis: rows that differ only in ``gamma`` and share
+    their decay values, such as those on one ``gamma_t_max`` whose gammas
+    differ by powers of two, are evaluated once. The rows equal those of
+    :func:`run` bit for bit. A configuration that fails its integrity
+    checks contributes a row with its error message instead of aborting
+    the remaining runs: a block that raises is run again one
+    configuration at a time, so each failing row holds the message its
+    run raises alone and the other rows keep their values.
     Each row is read from its block's per-row columns; a sweep builds no
     :class:`ExperimentResult`. Anything but a nonempty sequence of
     :class:`ExperimentConfig` raises :class:`InputError` before any row
@@ -386,7 +498,7 @@ def sweep(configs) -> list:
     return rows
 
 
-def _sweep_rows(configs) -> list:
+def _sweep_rows(block: _Block) -> list:
     """The summary rows of one block, read from its columns.
 
     A block that raises runs again one configuration at a time, as
@@ -394,20 +506,21 @@ def _sweep_rows(configs) -> list:
     raises alone and the other rows keep their values.
     """
     try:
-        thermo_s, _, _, d = _run_block(configs)
+        thermo_s, _, _, d = _run_block(block)
     except (InputError, NumericalError) as exc:
-        if len(configs) > 1:
-            return [row for config in configs
-                    for row in _sweep_rows([config])]
-        return [SweepSummary(*_inputs(configs[0]), error=str(exc))]
+        if len(block.configs) > 1:
+            return [row for config in block.configs
+                    for row in _sweep_rows(_Block([config], [0], [0]))]
+        return [SweepSummary(*_inputs(block.configs[0]), error=str(exc))]
     # in the order of the result fields of SweepSummary
     results = zip(d["negativity_peak"], d["negativity_peak_time"],
                   d["heat_asymmetry_max"], d["heat_system_final"],
                   d["heat_environment_final"],
-                  abs(thermo_s.coherent_energy).max(axis=1).tolist(),
+                  abs(thermo_s.coherent_energy).max(axis=1)[
+                      block.series].tolist(),
                   d["ratio_mean"], d["ratio_max_relative_spread"])
     return [SweepSummary(*_inputs(config), *values)
-            for config, values in zip(configs, results)]
+            for config, values in zip(block.configs, results)]
 
 
 def _inputs(config: ExperimentConfig) -> tuple:

@@ -325,9 +325,12 @@ def qubit_thermo_trajectory(bloch) -> ThermoTrajectory:
     with ``(R, T)`` arrays and ``(R, 1)`` or shared coefficients whose
     rows are split as their own series, bit for bit. The heat's root
     analysis runs once per group of rows whose four coefficients and
-    start ``g[..., 0]`` have the same bits, as the rows of a sweep that
-    differ only in ``gamma`` do; rows whose coefficients differ, if only
-    in the sign of a zero, each get their own. Work is zero, the heat is
+    start ``g[..., 0]`` have the same bits; rows whose coefficients
+    differ, if only in the sign of a zero, each get their own. A sweep
+    hands in each distinct series once, so the rows of ``sweep27`` that
+    differ only in ``gamma`` on one ``gamma_t_max`` arrive as one row;
+    the groups serve rows that share their coefficients but not their
+    decay values, such as ``gamma`` 3 beside 1. Work is zero, the heat is
     the closed-form integral of the module docstring, and the coherent
     energy is ``(E0 - E1)/2 Delta z`` minus the heat, so neither needs a
     derivative, a quadrature rule or an eigensolve, and the grid may be

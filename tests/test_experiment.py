@@ -28,7 +28,8 @@ def _bits(row):
 
 def _sweep27() -> list:
     """27 rows at 501 points over alpha x beta x gamma, the shape of the
-    benchmark's sweep: two blocks of 16 and 11 rows."""
+    benchmark's sweep: one block of 27 rows, which hold 9 series, since
+    the gammas differ by powers of two on one gamma * t_max."""
     return [ExperimentConfig(alpha=a, beta=b, gamma=g, t_max=5.0 / g,
                              n_samples=501)
             for a in (0.3, 0.7, 0.95) for b in (0.05, 1.0, math.inf)
@@ -384,29 +385,49 @@ class TestRun:
         configs = [ExperimentConfig(alpha=a, beta=b, t_max=5.0, n_samples=501)
                    for a in (0.0, 0.3, 1.0 / math.sqrt(2.0), 1.0)
                    for b in (0.05, 1.0, 4.0, math.inf)]
-        assert [len(b) for b in _blocks(configs)] == [16]
+        assert _sizes(configs) == [(16, 16)]
         _assert_block_rows_equal_single_runs(configs)
 
     def test_gamma_block_rows_equal_single_runs(self):
-        # rows that differ only in gamma, as in the sweep27 grid, share
-        # their Bloch coefficients and one heat root analysis per marginal
+        # rows that differ only in gamma on one t_max hold series of their
+        # own, which share their Bloch coefficients and one heat root
+        # analysis per marginal
         configs = [ExperimentConfig(alpha=a, beta=b, gamma=g, n_samples=201)
                    for a in (0.3, 1.0 / math.sqrt(2.0))
                    for b in (0.05, math.inf) for g in (0.5, 1.0, 4.0)]
-        assert [len(b) for b in _blocks(configs)] == [12]
+        assert _sizes(configs) == [(12, 12)]
         _assert_block_rows_equal_single_runs(configs)
+
+    def test_shared_series_rows_equal_single_runs(self):
+        # the sweep27 rows: the gammas of each (alpha, beta) share one
+        # series, and each row reads its peak time and entropy rates
+        # from its own grid
+        configs = _sweep27()
+        assert _sizes(configs) == [(27, 9)]
+        _assert_block_rows_equal_single_runs(configs)
+
+
+def _sizes(configs) -> list:
+    """The rows and the distinct series of each block of ``configs``."""
+    return [(len(b.configs), len(b.first)) for b in _blocks(configs)]
 
 
 def _assert_block_rows_equal_single_runs(configs) -> None:
     """Every array and diagnostic of each row of one block of
-    ``configs`` equals that of a single run of the row, bit for bit."""
-    thermo_s, thermo_e, info, columns = experiment._run_block(configs)
-    for i, config in enumerate(configs):
+    ``configs`` equals that of a single run of the row, bit for bit: the
+    arrays of the row's series, on the grid of the series' first row,
+    and the row's own columns."""
+    (block,) = _blocks(configs)
+    thermo_s, thermo_e, info, columns = experiment._run_block(block)
+    for i, (config, s) in enumerate(zip(configs, block.series)):
         single = run(config)
-        for block, alone in ((info[i], single.info),
-                             (thermo_s[i], single.thermo_s),
-                             (thermo_e[i], single.thermo_e)):
-            assert _array_bits(block) == _array_bits(alone)
+        for series, alone in ((info[s], single.info),
+                              (thermo_s[s], single.thermo_s),
+                              (thermo_e[s], single.thermo_e)):
+            ours, theirs = _array_bits(series), _array_bits(alone)
+            if block.first[s] != i:
+                assert ours.pop("times") != theirs.pop("times")
+            assert ours == theirs
         assert {k: v[i].hex() for k, v in columns.items()} \
             == {k: v.hex() for k, v in single.diagnostics.items()}
 
@@ -577,31 +598,41 @@ class TestClosedFormEntries:
         assert calls == self.per_block([(1, 2001)])
 
     def test_sweep_calls_each_once_per_block(self, calls):
+        # one block of 27 rows holding 9 series; the rows' own grids are
+        # evaluated for their keys in runs of at most BLOCK_POINTS points,
+        # and every closed form and split runs once, on the 9 series
         configs = _sweep27()
-        assert [len(b) for b in _blocks(configs)] == [16, 11]
+        assert _sizes(configs) == [(27, 9)]
+        for shapes in calls.values():
+            shapes.clear()
         assert all(row.error == "" for row in sweep(configs))
-        assert calls == self.per_block([(16, 501), (11, 501)])
+        assert calls == {**self.per_block([(9, 501)]),
+                         "_grid": [(16, 501), (11, 501), (9, 501)]}
 
     def test_failing_row_inside_a_block(self, calls,
                                         break_system_bloch_when):
-        # the fourth and the last row of the first block fail its closure
-        # gate; the block raises the fourth row's own message, then runs
+        # the fourth and the last row fail their closure gate; the eight
+        # rows hold three series, the fourth row is the first of the
+        # second, and the last repeats the third, whose first row passes,
+        # so the block raises the fourth row's own message, then runs
         # again row by row
         configs = _sweep27()[:8]
         clean = sweep(configs)
         failing = (configs[3].params, configs[7].params)
         break_system_bloch_when(lambda params: params in failing)
+        (block_of_8,) = _blocks(configs)
+        assert block_of_8.first == [0, 3, 6]
         with pytest.raises(NumericalError, match="closure") as block:
-            experiment._run_block(configs)
+            experiment._run_block(block_of_8)
         with pytest.raises(NumericalError) as alone:
             run(configs[3])
         assert str(block.value) == str(alone.value)
         for shapes in calls.values():
             shapes.clear()
         rows = sweep(configs)
-        # the block, then each row as a block of one; the block and each
-        # failing row stop at the system's split
-        assert calls["_grid"] == [(8, 501)] + [(1, 501)] * 8
+        # the rows' keys, the block, then each row as a block of one; the
+        # block and each failing row stop at the system's split
+        assert calls["_grid"] == [(8, 501), (3, 501)] + [(1, 501)] * 8
         assert len(calls[SPLIT]) == 1 + 2 * 6 + 2
         for i, row in enumerate(rows):
             if i in (3, 7):
@@ -693,16 +724,36 @@ class TestSweep:
             assert _bits(rows[i]) == _bits(clean[i])
 
     def test_blocks_cut_at_grid_length_and_budget(self):
+        # distinct series count against the budget: 16 of 501 points fit
         lengths = [501] * 17 + [101] * 2 + [BLOCK_POINTS + 1] + [501]
-        blocks = list(_blocks([ExperimentConfig(n_samples=n)
-                               for n in lengths]))
-        assert [len(b) for b in blocks] == [16, 1, 2, 1, 1]
-        assert all(len({c.n_samples for c in b}) == 1 for b in blocks)
+        configs = [ExperimentConfig(alpha=i / 32, n_samples=n)
+                   for i, n in enumerate(lengths)]
+        blocks = list(_blocks(configs))
+        assert [(len(b.configs), len(b.first)) for b in blocks] == [
+            (16, 16), (1, 1), (2, 2), (1, 1), (1, 1)]
+        assert all(len({c.n_samples for c in b.configs}) == 1
+                   for b in blocks)
+        assert [c for b in blocks for c in b.configs] == configs
+
+    def test_rows_that_repeat_a_series_cost_no_budget(self):
+        # each of 17 series at 501 points is held by two rows, its gamma
+        # doubled on half the horizon; a repeat joins its series' block,
+        # also behind a grid longer than the budget
+        configs = [ExperimentConfig(alpha=i / 32, gamma=g, t_max=5.0 / g,
+                                    n_samples=501)
+                   for i in range(17) for g in (1.0, 2.0)]
+        long = ExperimentConfig(n_samples=BLOCK_POINTS + 1)
+        blocks = list(_blocks(configs + [long, long]))
+        assert [(len(b.configs), len(b.first)) for b in blocks] == [
+            (32, 16), (2, 1), (2, 1)]
+        assert blocks[0].series == [i // 2 for i in range(32)]
+        assert blocks[0].first == list(range(0, 32, 2))
+        assert [c for b in blocks for c in b.configs] == configs + [long] * 2
 
     def test_memory_of_a_sweep_is_that_of_one_block(self):
-        # rows run in blocks of at most BLOCK_POINTS points, so a sweep
-        # of 27 rows at 501 points peaks near one run of that many
-        # points, not near one evaluation of all 13527 points
+        # rows run in blocks whose series hold at most BLOCK_POINTS
+        # points, so a sweep of 27 rows at 501 points peaks near one run
+        # of that many points, not near one evaluation of all 13527
         configs = _sweep27()
         single = ExperimentConfig(t_max=5.0, n_samples=BLOCK_POINTS)
         assert _peak(lambda: sweep(configs)) <= 1.5 * _peak(
@@ -715,9 +766,22 @@ class TestSweep:
         assert _peak(lambda: run(ExperimentConfig(n_samples=4001))) <= 1.0e6
 
     def test_memory_of_the_sweep27_rows(self):
-        # two blocks of 16 and 11 rows at 501 points: 1.88 MB
+        # one block of 27 rows that hold 9 series at 501 points: 1.34 MB
+        # (1.88 MB when the rows ran in two blocks of 16 and 11)
         configs = _sweep27()
         assert _peak(lambda: sweep(configs)) <= 2.0e6
+
+    def test_memory_of_rows_that_repeat_a_series(self):
+        # 2000 rows that repeat one 501-point series make one block, which
+        # evaluates the series once and reads each row's own grid in runs
+        # of at most BLOCK_POINTS points: its memory does not grow with
+        # its rows but for their scalar columns and summary rows, 1.9 MB
+        configs = [ExperimentConfig(gamma=g, t_max=5.0 / g, n_samples=501)
+                   for _ in range(1000) for g in (0.5, 2.0)]
+        assert _sizes(configs) == [(2000, 1)]
+        single = ExperimentConfig(t_max=5.0, n_samples=BLOCK_POINTS)
+        assert _peak(lambda: sweep(configs)) <= 1.5 * _peak(
+            lambda: run(single))
 
     def test_invalid_row_recorded(self):
         # a non-finite field is rejected where the configuration is

@@ -14,9 +14,11 @@ only their consumers run the eigenvalue floor. The second test checks
 that every builder's output passes that floor across the same domain.
 
 A sweep evaluates its rows in blocks, with the configuration as a
-leading array axis and one grid call per block; the last two tests check
-that each block grid row and each sweep row equal those of its
-configuration alone, bit for bit.
+leading array axis and one grid call per block, and each distinct state
+series of a block once; the last two tests check that each block grid
+row and each sweep row equal those of its configuration alone, bit for
+bit, and that rows share a series exactly where its numbers have the
+same bits.
 """
 
 import dataclasses
@@ -33,7 +35,7 @@ from strongcouple import channels as ch  # noqa: E402
 from strongcouple.errors import InputError, NumericalError  # noqa: E402
 from strongcouple.experiment import (BLOCK_POINTS,  # noqa: E402
                                      ExperimentConfig, SweepSummary,
-                                     _block_times, run, sweep)
+                                     _block_times, _blocks, run, sweep)
 from strongcouple.firstlaw import CLOSURE_TOLERANCE  # noqa: E402
 from strongcouple.spectra import density_stack, partial_trace  # noqa: E402
 
@@ -149,6 +151,10 @@ def test_every_builder_output_is_a_density_stack(alpha, beta, gamma,
 ROW_ALPHAS = [0.0, 1.0, 1.0 - 1e-17]
 ROW_BETAS = [math.inf, 1e-3]
 ROW_GAMMAS = [1e-200, 1e200]
+# on one gamma * t_max, rows whose gammas differ by powers of two hold
+# one series, as the gammas of the sweep27 grid do; a gamma of 3 beside
+# them holds a series of its own
+SERIES_GAMMAS = [0.25, 1.0, 2.0, 3.0]
 # grid lengths: 4 rows of 1024 points fill the point budget of a sweep
 # block exactly, 3 rows of 1366 points overflow it, and 4097 points
 # exceed it alone
@@ -157,23 +163,34 @@ ROW_LENGTHS = [3, 11, 1024, 1366, 4097]
 
 @st.composite
 def sweep_rows(draw):
-    """Configurations in runs of equal grid length, so that blocks fill,
-    split at a change of length and straddle the point budget."""
+    """Configurations in runs of one grid length and one gamma * t_max,
+    so that blocks fill, split at a change of length and straddle the
+    point budget, and rows share a series or do not."""
     configs = []
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         n_samples = draw(st.sampled_from(ROW_LENGTHS))
+        gamma_t_max = draw(st.floats(min_value=1e-2, max_value=50.0))
         for _ in range(draw(st.integers(min_value=1, max_value=5))):
             alpha = draw(st.one_of(st.sampled_from(ROW_ALPHAS),
                                    st.floats(min_value=0.0, max_value=1.0)))
             beta = draw(st.one_of(st.sampled_from(ROW_BETAS),
                                   st.floats(min_value=1e-3, max_value=1e3)))
-            gamma = draw(st.one_of(st.sampled_from(ROW_GAMMAS),
+            gamma = draw(st.one_of(st.sampled_from(SERIES_GAMMAS),
+                                   st.sampled_from(ROW_GAMMAS),
                                    st.floats(min_value=1e-3, max_value=1e3)))
-            gamma_t_max = draw(st.floats(min_value=1e-2, max_value=50.0))
             configs.append(ExperimentConfig(
                 alpha=alpha, beta=beta, gamma=gamma,
                 t_max=gamma_t_max / gamma, n_samples=n_samples))
     return configs
+
+
+def _series_of(config) -> tuple:
+    """What the state series of a sweep row is made of: its ``alpha``
+    and ``w0``, by their bits, and the decay values of its own grid."""
+    params = config.params
+    grid = ch._grid(params, config.times)
+    return (params.alpha.hex(), params.w0.hex(), grid.decay.tobytes(),
+            grid.lose.tobytes())
 
 
 def _bits(row):
@@ -208,6 +225,9 @@ def _single_run_row(config) -> SweepSummary:
 @given(t_maxes=st.lists(st.floats(min_value=1e-300, max_value=1e300),
                         min_size=1, max_size=8),
        n_samples=st.integers(min_value=3, max_value=BLOCK_POINTS))
+# a step that underflows to zero sends linspace down another path for
+# the whole block; the other row keeps its own grid
+@example(t_maxes=[1.0, 5e-324], n_samples=11)
 def test_block_grid_equals_each_row_grid(t_maxes, n_samples):
     # a block takes its grids from one linspace call; each row must be
     # its configuration's own grid, bit for bit
@@ -235,10 +255,27 @@ def test_block_grid_equals_each_row_grid(t_maxes, n_samples):
                   ExperimentConfig(t_max=5e-324, n_samples=11)])
 @example(configs=[ExperimentConfig(alpha=0.5, n_samples=11),
                   ExperimentConfig(alpha=1.0, n_samples=11)])
+# rows that differ only in the sign of a zero alpha hold two series, and
+# an exact duplicate repeats the first; the two signs give the same
+# numbers, so only the grouping tells bits from values
+@example(configs=[ExperimentConfig(alpha=0.0, n_samples=11),
+                  ExperimentConfig(alpha=-0.0, n_samples=11),
+                  ExperimentConfig(alpha=0.0, n_samples=11)])
+# gammas 0.25, 1 and 2 on one gamma * t_max share a series, gamma 3 not
+@example(configs=[ExperimentConfig(alpha=0.5, gamma=g, t_max=5.0 / g,
+                                   n_samples=11)
+                  for g in (1.0, 3.0, 0.25, 2.0)])
 def test_sweep_rows_equal_single_runs(configs):
-    # a sweep evaluates rows in blocks; each row must be bit for bit the
-    # summary of the configuration's own run
+    # a sweep evaluates each distinct series of a block once; each row
+    # must be bit for bit the summary of the configuration's own run, and
+    # rows share a series exactly where their alpha, w0 and own decay
+    # values have the same bits
     rows = sweep(configs)
     assert len(rows) == len(configs)
     for config, row in zip(configs, rows):
         assert _bits(row) == _bits(_single_run_row(config))
+    for block in _blocks(configs):
+        numbers = {}
+        assert block.series == [
+            numbers.setdefault(_series_of(config), len(numbers))
+            for config in block.configs]

@@ -407,6 +407,36 @@ def test_sequence_of_parameter_sets_gives_one_state_each(name):
         assert together[i, 0].tobytes() == alone.tobytes()
 
 
+# what the parameter readers are given instead of parameter sets, with
+# the message of the InputError each raises
+NOT_PARAMS = {
+    "int": (5, "parameters need a GadcParams or a sequence of GadcParams, "
+               "got int"),
+    "dict": ({"alpha": 0.5}, "parameters need a GadcParams or a sequence "
+                             "of GadcParams, got dict"),
+    "float_items": ([1.0, 2.0],
+                    "parameter item 0 needs a GadcParams, got float"),
+    "second_item": ([PARAMS, "p"],
+                    "parameter item 1 needs a GadcParams, got str"),
+    "empty": ([], "parameters need at least one GadcParams, got an empty "
+                  "list"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(NOT_PARAMS))
+def test_parameter_sets_are_refused_by_type(bad):
+    # every function that reads its parameters through one reader: the
+    # closed forms, the Kraus builders and the builders without times
+    params, message = NOT_PARAMS[bad]
+    calls = [*(lambda p, f=f: f(p, SEQUENCE_TIMES) for f in CLOSED_FORMS),
+             *(lambda p, f=f: f(p, 0.3) for f in STEP_BUILDERS),
+             *SET_BUILDERS.values()]
+    for call in calls:
+        with pytest.raises(InputError) as exc:
+            call(params)
+        assert str(exc.value) == message
+
+
 # the routes that compose steps of one state, given a sequence of sets
 ONE_SET_ROUTES = {
     "iterate_map_check":
