@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -366,6 +367,7 @@ def _cmd_validate(args) -> int:
     return 0 if failures == 0 else 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="strongcouple",
@@ -392,6 +394,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command ``argv`` names and return its exit code; the
+    parser is built once per process and shared by every call."""
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":

@@ -44,18 +44,19 @@ grid's decay values and go to one
 :func:`~strongcouple.infomeasures.negativities` call, their one check
 and eigensolve. The block returns its two splits and its
 :class:`~strongcouple.infomeasures.InfoSeries` as ``(k, T)`` arrays and
-reduces every diagnostic, the ratio statistics included, into per-row
-columns of Python floats; a row that repeats a series reads the two
-that read the times, the negativity's peak time and the entropy rates,
-from its own grid. :func:`run` is a block of one, which needs no
-key, and reads row 0; :func:`sweep` cuts its configurations into blocks
-whose series hold at most :data:`BLOCK_POINTS` grid points and reads
-each summary row from the columns and the system's split, without a
-per-row result. Both give the same numbers bit for bit. A block holds
+reduces every diagnostic, the ratio statistics included, into columns
+of Python floats, one entry for each series. :func:`run` is a block of
+one, which needs no key, and reads entry 0; :func:`sweep` cuts its
+configurations into blocks whose series hold at most
+:data:`BLOCK_POINTS` grid points and reads each summary row, only the
+numbers a :class:`SweepSummary` holds, from its series' entries and the
+system's split, without a per-row result. A row that repeats a series
+reads one number from its own grid, checked there: the negativity's
+peak time. Both give the same numbers bit for bit. A block holds
 no series it no longer needs: each Bloch series is dropped once its
 entropies are taken, but for ``x2``, whose square root, taken in place,
 is the coherence; the two entropy-rate series are reduced to their
-per-row maxima at once; and the negativity's Newton solve, where the
+per-series maxima at once; and the negativity's Newton solve, where the
 block peaks, frees its inputs as it goes (see
 :func:`~strongcouple.channels.joint_negativities_closed_form`). Nor does
 it expand a series to its rows: the keys and the grids of the rows are
@@ -240,14 +241,13 @@ def _run_block(block: _Block) -> tuple:
     The parameters of the series are ``(k, 1)`` columns and their grids,
     those of their first rows, a ``(k, T)`` array, whose decay factor is
     evaluated once and handed, as one grid, to each public closed form;
-    each marginal's first-law split runs once for the block. Only the
-    negativity's peak time and the entropy rates read a row's own grid,
-    which a row that repeats a series reads in :func:`_row_columns`.
-    Returns ``(thermo_s,
-    thermo_e, info, columns)``: the two splits and the
+    each marginal's first-law split runs once for the block. Returns
+    ``(thermo_s, thermo_e, info, columns)``: the two splits and the
     :class:`InfoSeries` hold ``(k, T)`` arrays, one row for each series,
     and ``columns`` the diagnostics by name, as lists of one Python
-    float for each row of the block. Every gate reduces over the whole
+    float for each series. A row that repeats a series reads only its
+    negativity's peak time from its own grid, in :func:`_sweep_rows`.
+    Every gate reduces over the whole
     block, so the block raises where any of its rows would; its message
     is that of a single run only for a block of one.
     """
@@ -279,7 +279,7 @@ def _run_block(block: _Block) -> tuple:
     asym = heat_asymmetry(thermo_s.heat, thermo_e.heat)
 
     # of each Bloch series only x2, the coherence squared, outlives its
-    # entropies, and of the entropy rates only their per-row maxima: the
+    # entropies, and of the entropy rates only their per-series maxima: the
     # block frees the rest before the negativity solve, where it peaks
     ent_s = bloch_entropies(bloch_s.radius)
     x2_s = bloch_s.x2
@@ -287,7 +287,11 @@ def _run_block(block: _Block) -> tuple:
     ent_e = bloch_entropies(bloch_e.radius)
     x2_e = bloch_e.x2
     del bloch_e
-    rate_max, rate_mismatch = _rate_maxima(ent_s, ent_e, times)
+    step = times[:, 1:2] - times[:, :1]
+    rate_s = _rates(ent_s, step)
+    rate_max = abs(rate_s).max(axis=1)
+    rate_mismatch = abs(rate_s + _rates(ent_e, step)).max(axis=1)
+    del rate_s
     neg = ch.joint_negativities_closed_form(cols, grid)
     ent_joint = bloch_entropies(abs(cols.w0 - cols.w1))
 
@@ -339,49 +343,12 @@ def _run_block(block: _Block) -> tuple:
         "ratio_mean": means,
         "ratio_max_relative_spread": spreads,
     }
-    if len(series) > k:
-        columns = _row_columns(block, columns, peak[1], ent_s, ent_e)
     info = InfoSeries(times=times, entropy_s=ent_s, entropy_e=ent_e,
                       coherence_s=np.sqrt(x2_s, out=x2_s),
                       coherence_e=np.sqrt(x2_e, out=x2_e), negativity=neg,
                       mutual_information=ent_s + ent_e - ent_joint,
                       heat_asymmetry=asym)
     return thermo_s, thermo_e, info, columns
-
-
-def _row_columns(block: _Block, columns: dict, peak, ent_s, ent_e) -> dict:
-    """The per-series ``columns`` of a block with more rows than series,
-    one entry for each row.
-
-    A row takes its series' values but for the columns that read the
-    times, which a row that repeats a series takes from its own grid,
-    checked here, in runs of at most :data:`BLOCK_POINTS` points: the
-    time at its series' ``peak`` index, and the entropy rates of its
-    series' entropies ``ent_s`` and ``ent_e``.
-    """
-    configs, first, series = block
-    series = np.asarray(series)
-    table = np.array(list(columns.values()))[:, series]
-    at = list(columns).index
-    repeats = [i for i, s in enumerate(series.tolist()) if first[s] != i]
-    for part in _chunks(repeats, ent_s.shape[1]):
-        own = _check_grid(_block_times([configs[i] for i in part]), ndim=2)
-        rows = series[part]
-        table[at("negativity_peak_time"), part] = own[np.arange(len(part)),
-                                                      peak[rows]]
-        rate, mismatch = _rate_maxima(ent_s[rows], ent_e[rows], own)
-        table[at("entropy_rate_system_max"), part] = rate
-        table[at("entropy_rate_mismatch_max"), part] = mismatch
-    return dict(zip(columns, table.tolist()))
-
-
-def _rate_maxima(ent_s, ent_e, times) -> tuple:
-    """The per-row maxima of ``|dS_s/dt|`` and ``|dS_s/dt + dS_e/dt|``
-    of ``(R, T)`` entropy rows on their ``(R, T)`` grids."""
-    step = times[:, 1:2] - times[:, :1]
-    rate_s = _rates(ent_s, step)
-    rate_e = _rates(ent_e, step)
-    return abs(rate_s).max(axis=1), abs(rate_s + rate_e).max(axis=1)
 
 
 def _check_config(config, what: str) -> None:
@@ -476,7 +443,7 @@ def sweep(configs) -> list:
     the remaining runs: a block that raises is run again one
     configuration at a time, so each failing row holds the message its
     run raises alone and the other rows keep their values.
-    Each row is read from its block's per-row columns; a sweep builds no
+    Each row is read from its series' columns; a sweep builds no
     :class:`ExperimentResult`. Anything but a nonempty sequence of
     :class:`ExperimentConfig` raises :class:`InputError` before any row
     runs, naming the type and, for a bad item, its position.
@@ -499,28 +466,54 @@ def sweep(configs) -> list:
 
 
 def _sweep_rows(block: _Block) -> list:
-    """The summary rows of one block, read from its columns.
+    """The summary rows of one block, read from its series' columns.
 
-    A block that raises runs again one configuration at a time, as
-    blocks of one, so that a failing row holds the message its run
-    raises alone and the other rows keep their values.
+    A row takes the numbers of its series but for the negativity's peak
+    time, which a row that repeats a series reads from its own grid (see
+    :func:`_peak_times`). A block that raises runs again one
+    configuration at a time, as blocks of one, so that a failing row
+    holds the message its run raises alone and the other rows keep their
+    values.
     """
+    configs, _, series = block
     try:
-        thermo_s, _, _, d = _run_block(block)
+        thermo_s, _, info, d = _run_block(block)
+        t_peak = _peak_times(block, info.negativity,
+                             d["negativity_peak_time"])
     except (InputError, NumericalError) as exc:
-        if len(block.configs) > 1:
-            return [row for config in block.configs
+        if len(configs) > 1:
+            return [row for config in configs
                     for row in _sweep_rows(_Block([config], [0], [0]))]
-        return [SweepSummary(*_inputs(block.configs[0]), error=str(exc))]
-    # in the order of the result fields of SweepSummary
-    results = zip(d["negativity_peak"], d["negativity_peak_time"],
-                  d["heat_asymmetry_max"], d["heat_system_final"],
-                  d["heat_environment_final"],
-                  abs(thermo_s.coherent_energy).max(axis=1)[
-                      block.series].tolist(),
-                  d["ratio_mean"], d["ratio_max_relative_spread"])
-    return [SweepSummary(*_inputs(config), *values)
-            for config, values in zip(block.configs, results)]
+        return [SweepSummary(*_inputs(configs[0]), error=str(exc))]
+    # in the order of the result fields of SweepSummary after the peak time
+    results = list(zip(d["heat_asymmetry_max"], d["heat_system_final"],
+                       d["heat_environment_final"],
+                       abs(thermo_s.coherent_energy).max(axis=1).tolist(),
+                       d["ratio_mean"], d["ratio_max_relative_spread"]))
+    peaks = d["negativity_peak"]
+    return [SweepSummary(*_inputs(config), peaks[s], t, *results[s])
+            for config, s, t in zip(configs, series, t_peak)]
+
+
+def _peak_times(block: _Block, neg: np.ndarray, t_peak: list) -> list:
+    """The negativity's peak time of each row of ``block``, given the
+    ``(k, T)`` negativities ``neg`` of its series and their peak times
+    ``t_peak`` on the grids of their first rows.
+
+    A row that repeats a series takes the time at its series' peak index
+    from its own grid, checked here, in runs of at most
+    :data:`BLOCK_POINTS` points.
+    """
+    configs, first, series = block
+    rows = [t_peak[s] for s in series]
+    repeats = [i for i, s in enumerate(series) if first[s] != i]
+    peak = np.argmax(neg, axis=1)
+    for part in _chunks(repeats, neg.shape[1]):
+        own = _check_grid(_block_times([configs[i] for i in part]), ndim=2)
+        at = peak[[series[i] for i in part]]
+        for i, t in zip(part, own[np.arange(len(part)), at].tolist()):
+            rows[i] = t
+    return rows
 
 
 def _inputs(config: ExperimentConfig) -> tuple:

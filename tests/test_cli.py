@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from strongcouple import cli
 from strongcouple.cli import _write_csv, main
 from strongcouple.errors import NumericalError
 from strongcouple.experiment import ExperimentConfig, run
@@ -344,3 +345,33 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_parser_built_once(self, tmp_path, capsys):
+        # one parser serves every call of a process; a failed parse leaves
+        # it as it was, so the calls after it behave as in a new process
+        assert cli._build_parser() is cli._build_parser()
+        cfg = write_json(tmp_path / "cfg.json", QUICK)
+
+        def run_files(name):
+            out = tmp_path / name
+            assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+            outputs = json.loads((out / "manifest.json").read_text())[
+                "outputs"]
+            return outputs, {p.name: p.read_bytes() for p in out.iterdir()
+                             if p.name != "manifest.json"}
+
+        first = run_files("first")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--no-such-flag", "--out", str(tmp_path / "bad")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-such-flag" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+        grid = write_json(tmp_path / "grid.json",
+                          {"alpha": [0.0, 1.0], **QUICK})
+        out = tmp_path / "sw"
+        assert main(["sweep", "--grid", grid, "--out", str(out)]) == 0
+        assert len((out / "summary.csv").read_text().splitlines()) == 3
+        again = run_files("again")
+        assert len(again[1]) == 6
+        assert again == first

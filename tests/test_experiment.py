@@ -12,8 +12,9 @@ import pytest
 from strongcouple import channels as ch
 from strongcouple import experiment, spectra
 from strongcouple.errors import InputError, NumericalError
-from strongcouple.experiment import (BLOCK_POINTS, ExperimentConfig, _blocks,
-                                     _rates, run, sweep)
+from strongcouple.experiment import (BLOCK_POINTS, ExperimentConfig,
+                                     SweepSummary, _blocks, _rates, run,
+                                     sweep)
 from strongcouple.infomeasures import (RATIO_DENOMINATOR_THRESHOLD,
                                        _ratio_rows, bloch_entropies,
                                        von_neumann_entropies)
@@ -400,8 +401,7 @@ class TestRun:
 
     def test_shared_series_rows_equal_single_runs(self):
         # the sweep27 rows: the gammas of each (alpha, beta) share one
-        # series, and each row reads its peak time and entropy rates
-        # from its own grid
+        # series, and each row reads its peak time from its own grid
         configs = _sweep27()
         assert _sizes(configs) == [(27, 9)]
         _assert_block_rows_equal_single_runs(configs)
@@ -413,12 +413,14 @@ def _sizes(configs) -> list:
 
 
 def _assert_block_rows_equal_single_runs(configs) -> None:
-    """Every array and diagnostic of each row of one block of
-    ``configs`` equals that of a single run of the row, bit for bit: the
-    arrays of the row's series, on the grid of the series' first row,
-    and the row's own columns."""
+    """Each row of one block of ``configs`` equals a single run of the
+    row, bit for bit: the arrays of the row's series, on the grid of the
+    series' first row; the series' diagnostics, at its first row; and
+    every field of the row's sweep summary, repeated rows included."""
     (block,) = _blocks(configs)
     thermo_s, thermo_e, info, columns = experiment._run_block(block)
+    assert all(len(v) == len(block.first) for v in columns.values())
+    rows = sweep(configs)
     for i, (config, s) in enumerate(zip(configs, block.series)):
         single = run(config)
         for series, alone in ((info[s], single.info),
@@ -428,8 +430,26 @@ def _assert_block_rows_equal_single_runs(configs) -> None:
             if block.first[s] != i:
                 assert ours.pop("times") != theirs.pop("times")
             assert ours == theirs
-        assert {k: v[i].hex() for k, v in columns.items()} \
-            == {k: v.hex() for k, v in single.diagnostics.items()}
+        if block.first[s] == i:
+            assert {k: v[s].hex() for k, v in columns.items()} \
+                == {k: v.hex() for k, v in single.diagnostics.items()}
+        assert _bits(rows[i]) == _bits(_summary(single))
+
+
+def _summary(result) -> SweepSummary:
+    """The sweep summary of a single run, read from its diagnostics."""
+    c, d = result.config, result.diagnostics
+    return SweepSummary(
+        c.alpha, c.beta, c.gamma, c.t_max, c.n_samples,
+        peak_negativity=d["negativity_peak"],
+        peak_negativity_time=d["negativity_peak_time"],
+        peak_heat_asymmetry=d["heat_asymmetry_max"],
+        heat_system_final=d["heat_system_final"],
+        heat_environment_final=d["heat_environment_final"],
+        coherent_energy_max_abs=float(
+            abs(result.thermo_s.coherent_energy).max()),
+        ratio_mean=d["ratio_mean"],
+        ratio_max_relative_spread=d["ratio_max_relative_spread"])
 
 
 def _peak(call) -> int:
@@ -766,16 +786,16 @@ class TestSweep:
         assert _peak(lambda: run(ExperimentConfig(n_samples=4001))) <= 1.0e6
 
     def test_memory_of_the_sweep27_rows(self):
-        # one block of 27 rows that hold 9 series at 501 points: 1.34 MB
-        # (1.88 MB when the rows ran in two blocks of 16 and 11)
+        # one block of 27 rows that hold 9 series at 501 points: 1.15 MB
         configs = _sweep27()
         assert _peak(lambda: sweep(configs)) <= 2.0e6
 
     def test_memory_of_rows_that_repeat_a_series(self):
         # 2000 rows that repeat one 501-point series make one block, which
-        # evaluates the series once and reads each row's own grid in runs
-        # of at most BLOCK_POINTS points: its memory does not grow with
-        # its rows but for their scalar columns and summary rows, 1.9 MB
+        # evaluates the series once and reads each row's peak time from
+        # its own grid in runs of at most BLOCK_POINTS points: its memory
+        # does not grow with its rows but for their peak times and summary
+        # rows, 0.65 MB
         configs = [ExperimentConfig(gamma=g, t_max=5.0 / g, n_samples=501)
                    for _ in range(1000) for g in (0.5, 2.0)]
         assert _sizes(configs) == [(2000, 1)]
