@@ -247,11 +247,11 @@ def _run_block(block: _Block) -> tuple:
     and ``columns`` the diagnostics by name, as lists of one Python
     float for each series. A row that repeats a series reads only its
     negativity's peak time from its own grid, in :func:`_sweep_rows`.
-    Every gate reduces over the whole
-    block, so the block raises where any of its rows would; its message
-    is that of a single run only for a block of one.
+    Every gate reduces over the whole block, so the block raises where
+    any of its rows would; its message is that of a single run only for
+    a block of one.
     """
-    configs, first, series = block
+    configs, first, _ = block
     cols = ch._columns([configs[i].params for i in first])
     grid = ch._grid(cols, _block_times([configs[i] for i in first]))
     times = grid.times
