@@ -1,7 +1,8 @@
 """Command-line interface: run, validate, sweep.
 
 Exit codes: 0 on success, 2 for input problems (bad flags, malformed or
-unknown configuration fields, unreadable files), 3 for numerical
+unknown configuration fields, unreadable input files, output paths that
+cannot be written), 3 for numerical
 failures (closure violations, integrity-check failures, failed
 validation suites).
 
@@ -67,13 +68,15 @@ def config_from_dict(data) -> ExperimentConfig:
 
 
 def _load_json(path: Path):
+    """The JSON of the UTF-8 file ``path``; a file that cannot be read
+    or parsed, also one that nests too deeply, is bad input naming it."""
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -88,6 +91,16 @@ def _output_dir(path) -> Path:
         raise InputError(f"cannot create output directory {out_dir}: "
                          f"{exc.strerror}") from exc
     return out_dir
+
+
+def _write_file(path: Path, blob: bytes) -> None:
+    """Write ``blob`` to ``path``; a path that cannot be written, such as
+    a directory, is bad input."""
+    try:
+        path.write_bytes(blob)
+    except OSError as exc:
+        raise InputError(f"cannot write output file {path}: "
+                         f"{exc.strerror}") from exc
 
 
 def _csv_column(values):
@@ -123,7 +136,7 @@ def _write_csv(path: Path, header, columns) -> dict:
         chunks.append("\n".join(row_format % row for row in
                                 zip(*(c[start:stop].tolist() for c in cols))))
     blob = ("\n".join(chunks) + "\n").encode()
-    path.write_bytes(blob)
+    _write_file(path, blob)
     return {"rows": count, "sha256": hashlib.sha256(blob).hexdigest()}
 
 
@@ -144,8 +157,8 @@ def _write_manifest(out_dir: Path, command, config_block, outputs, elapsed,
     }
     if extra:
         manifest.update(extra)
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_file(out_dir / "manifest.json", (
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
 _PLOT_THERMO = '''\
@@ -246,8 +259,8 @@ def _cmd_run(args) -> int:
         out_dir / "diagnostics.csv", ("metric", "value"),
         (metrics, [result.diagnostics[m] for m in metrics]))
 
-    (out_dir / "plot_thermo.py").write_text(_PLOT_THERMO)
-    (out_dir / "plot_info.py").write_text(_PLOT_INFO)
+    _write_file(out_dir / "plot_thermo.py", _PLOT_THERMO.encode())
+    _write_file(out_dir / "plot_info.py", _PLOT_INFO.encode())
     _write_manifest(out_dir, "run", _config_as_dict(config), outputs,
                     time.perf_counter() - started)
     print(f"run complete: {len(outputs)} tables in {out_dir}")

@@ -29,11 +29,11 @@ the tests check that ``S_se`` is constant.
 
 Runs are evaluated in blocks of consecutive configurations with one
 grid length, and a block evaluates each distinct state series among its
-rows once. ``gamma`` is a pure rescaling of time, and no per-point stage
-computes with it or with the times: rows whose parameters but ``gamma``
-and whose grids' decay values have the same bits hold one series, as
-the rows of a sweep on one ``gamma_t_max`` do where the gammas differ by
-powers of two. A series is evaluated on the grid of its first row: the
+rows once. The decay probability is ``1 - exp(-gamma t)``, so a series
+is fixed by ``alpha``, ``w0`` and the grid ``gamma t``: rows whose
+three have the same bits hold one series, as the rows of a sweep on
+one ``gamma_t_max`` do where the gammas differ by powers of two. A
+series is evaluated on the grid of its first row: the
 parameters are ``(k, 1)`` columns and the times a ``(k, T)`` array from
 one ``linspace`` call. The block evaluates the decay factor once, as
 the grid of :mod:`strongcouple.channels`, and hands that grid to the
@@ -219,19 +219,19 @@ def _chunks(items, n_samples: int) -> list:
 
 def _series_keys(configs) -> list:
     """The key of each configuration's state series, for configurations
-    that share ``n_samples``: the bytes of its parameter columns but
-    ``gamma_rate`` and of its grid's decay and lose rows.
+    that share ``n_samples``: the bytes of its ``alpha`` and ``w0`` and
+    of ``gamma * t`` on its grid.
 
-    Every stage that reads neither the times nor ``gamma_rate`` gives
-    rows with one key the same numbers bit for bit. The key holds bits,
-    not values, so that ``0.0`` and ``-0.0``, which compare equal, stay
-    apart.
+    The decay factor reads only ``-gamma_rate * t``, and every other
+    parameter a closed form reads is a float function of ``alpha`` and
+    ``w0``, so rows with one key get the same series bit for bit; no
+    decay value is evaluated for a key. The key holds bits, not values,
+    so that ``0.0`` and ``-0.0``, which compare equal, stay apart.
     """
-    cols = ch._columns([config.params for config in configs])
-    grid = ch._grid(cols, _block_times(configs))
+    params = np.array([[config.params.alpha, config.params.w0,
+                        config.params.gamma_rate] for config in configs])
     table = np.concatenate(
-        [c for name, c in zip(cols._fields, cols) if name != "gamma_rate"]
-        + [grid.decay, grid.lose], axis=1)
+        [params[:, :2], params[:, 2:] * _block_times(configs)], axis=1)
     return [row.tobytes() for row in table]
 
 

@@ -246,12 +246,9 @@ def _real_roots(a, b, c, disc):
 
 
 def _bloch_heat(coefficients, g) -> np.ndarray:
-    """``I(g) - I(g0)`` for ``I' = z q' / (2 q)`` on the points ``g``.
+    """``I(g) - I(g0)`` for ``I' = z q' / (2 q)`` on the ``(T,)`` grid
+    ``g``, which starts at ``g0``.
 
-    ``g`` is a ``(T,)`` grid or a ``(k, T)`` block of grids that share
-    the start ``g0``, read from the first row: the root analysis below
-    depends only on the coefficients and ``g0``, so it runs once for all
-    ``k`` rows, and each row equals its own call bit for bit.
     ``coefficients = (z0, z1, c0, c1)`` give ``z = z0 + z1 g`` and
     ``q = z^2 + c0 + c1 g``. Each real root ``r``, or complex pair
     ``p +- i m``, of ``q`` enters through ``log((x - r) / (x0 - r))``,
@@ -266,7 +263,7 @@ def _bloch_heat(coefficients, g) -> np.ndarray:
     must lie in ``[0, 1]``.
     """
     z0, z1, c0, c1 = coefficients
-    g0 = g.flat[0]
+    g0 = g[0]
     u = g - g0
     out = z1 * u
     if c0 == 0.0 and c1 == 0.0:
@@ -323,16 +320,11 @@ def qubit_thermo_trajectory(bloch) -> ThermoTrajectory:
     ``bloch`` is a :class:`strongcouple.channels.BlochSeries` of a qubit
     under the model's static Hamiltonian, with ``(T,)`` arrays, or a block
     with ``(R, T)`` arrays and ``(R, 1)`` or shared coefficients whose
-    rows are split as their own series, bit for bit. The heat's root
-    analysis runs once per group of rows whose four coefficients and
-    start ``g[..., 0]`` have the same bits; rows whose coefficients
-    differ, if only in the sign of a zero, each get their own. A sweep
-    hands in each distinct series once, so the rows of ``sweep27`` that
-    differ only in ``gamma`` on one ``gamma_t_max`` arrive as one row;
-    the groups serve rows that share their coefficients but not their
-    decay values, such as ``gamma`` 3 beside 1. Work is zero, the heat is
-    the closed-form integral of the module docstring, and the coherent
-    energy is ``(E0 - E1)/2 Delta z`` minus the heat, so neither needs a
+    rows are split as their own series, bit for bit: the heat's root
+    analysis runs once per row. The caller decides which rows share a
+    series; a sweep hands in each distinct one once. Work is zero, the
+    heat is the closed-form integral of the module docstring, and the
+    coherent energy is ``(E0 - E1)/2 Delta z`` minus the heat, so neither needs a
     derivative, a quadrature rule or an eigensolve, and the grid may be
     as coarse as the caller likes. The internal energy change is
     ``bloch.populations @ energies``, from the closed-form populations;
@@ -345,23 +337,13 @@ def qubit_thermo_trajectory(bloch) -> ThermoTrajectory:
     half_gap = 0.5 * (_ENERGIES[0] - _ENERGIES[1])
     g = bloch.decay
     rows = np.atleast_2d(g)
-    # each row's coefficients and start; a float coefficient is shared
-    # by every row
-    table = np.empty((rows.shape[0], 5))
+    # each row's coefficients, as Python floats for the root analysis; a
+    # float coefficient is shared by every row
+    coefficients = np.empty((len(rows), 4))
     for k, c in enumerate(bloch.coefficients):
-        table[:, k] = np.ravel(c)
-    table[:, 4] = rows[:, 0]
-    # rows grouped by the bits of their table row, so that 0.0 and -0.0,
-    # whose products differ in sign, stay apart
-    groups = {}
-    for i, key in enumerate(table.view(np.uint64).tolist()):
-        groups.setdefault(tuple(key), []).append(i)
-    heat = np.empty(rows.shape)
-    for members in groups.values():
-        # the root analysis reads Python floats
-        heat[members] = _bloch_heat(table[members[0], :4].tolist(),
-                                    rows[members])
-    heat = half_gap * heat.reshape(g.shape)
+        coefficients[:, k] = np.ravel(c)
+    heat = half_gap * np.array([_bloch_heat(c, row) for c, row in zip(
+        coefficients.tolist(), rows)]).reshape(g.shape)
     coherent = half_gap * bloch.coefficients[1] * (g - g[..., :1]) - heat
     u = bloch.populations @ _ENERGIES
     return _ledger(times, heat, coherent, u - u[..., :1], CLOSURE_TOLERANCE,

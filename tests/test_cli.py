@@ -115,11 +115,33 @@ class TestRunErrors:
                      "--out", str(tmp_path / "o")]) == 2
         assert "unknown config field 'integrator'" in capsys.readouterr().err
 
-    def test_bad_json(self, tmp_path):
+    def test_bad_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
         assert main(["run", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
+        # no UTF-8 text, and nesting too deep for the parser: named, no
+        # traceback
+        for blob in (b"\xff\xfe{}", b"[" * 200000):
+            cfg.write_bytes(blob)
+            capsys.readouterr()
+            assert main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert str(cfg) in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("blob", [b"{not json", b"\xff\xfe{}",
+                                      b"[" * 200000],
+                             ids=["not_json", "not_utf8", "too_deep"])
+    def test_bad_sweep_grid_file(self, tmp_path, capsys, blob):
+        grid = tmp_path / "grid.json"
+        grid.write_bytes(blob)
+        assert main(["sweep", "--grid", str(grid),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(grid) in err
+        assert "Traceback" not in err
 
     def test_missing_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json"),
@@ -174,6 +196,23 @@ class TestUnusableOutputPath:
         assert f"cannot create output directory {out}" in err
         assert "Traceback" not in err
         assert blocker.read_text() == "not a directory"
+
+    @pytest.mark.parametrize("command, name", [("run", "manifest.json"),
+                                               ("sweep", "summary.csv")])
+    def test_unwritable_output_file(self, tmp_path, capsys, command, name):
+        # a directory where the command writes one of its files
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        args = [command, "--out", str(out)]
+        if command == "sweep":
+            args += ["--grid", write_json(tmp_path / "grid.json",
+                                          {"t_max": 2.0, "n_samples": 11})]
+        else:
+            args += ["--config", write_json(tmp_path / "cfg.json", QUICK)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write output file {out / name}" in err
+        assert "Traceback" not in err
 
 
 class TestSweepCommand:

@@ -391,8 +391,7 @@ class TestRun:
 
     def test_gamma_block_rows_equal_single_runs(self):
         # rows that differ only in gamma on one t_max hold series of their
-        # own, which share their Bloch coefficients and one heat root
-        # analysis per marginal
+        # own, which share their Bloch coefficients
         configs = [ExperimentConfig(alpha=a, beta=b, gamma=g, n_samples=201)
                    for a in (0.3, 1.0 / math.sqrt(2.0))
                    for b in (0.05, math.inf) for g in (0.5, 1.0, 4.0)]
@@ -618,16 +617,15 @@ class TestClosedFormEntries:
         assert calls == self.per_block([(1, 2001)])
 
     def test_sweep_calls_each_once_per_block(self, calls):
-        # one block of 27 rows holding 9 series; the rows' own grids are
-        # evaluated for their keys in runs of at most BLOCK_POINTS points,
-        # and every closed form and split runs once, on the 9 series
+        # one block of 27 rows holding 9 series; the rows' keys evaluate
+        # no decay value, and every closed form and split runs once, on
+        # the 9 series
         configs = _sweep27()
         assert _sizes(configs) == [(27, 9)]
         for shapes in calls.values():
             shapes.clear()
         assert all(row.error == "" for row in sweep(configs))
-        assert calls == {**self.per_block([(9, 501)]),
-                         "_grid": [(16, 501), (11, 501), (9, 501)]}
+        assert calls == self.per_block([(9, 501)])
 
     def test_failing_row_inside_a_block(self, calls,
                                         break_system_bloch_when):
@@ -650,9 +648,9 @@ class TestClosedFormEntries:
         for shapes in calls.values():
             shapes.clear()
         rows = sweep(configs)
-        # the rows' keys, the block, then each row as a block of one; the
-        # block and each failing row stop at the system's split
-        assert calls["_grid"] == [(8, 501), (3, 501)] + [(1, 501)] * 8
+        # the block, then each row as a block of one; the block and each
+        # failing row stop at the system's split
+        assert calls["_grid"] == [(3, 501)] + [(1, 501)] * 8
         assert len(calls[SPLIT]) == 1 + 2 * 6 + 2
         for i, row in enumerate(rows):
             if i in (3, 7):
@@ -742,6 +740,22 @@ class TestSweep:
         assert math.isnan(rows[1].peak_negativity)
         for i in (0, 2):
             assert _bits(rows[i]) == _bits(clean[i])
+
+    def test_repeated_row_whose_own_grid_fails(self):
+        # gamma * t is [0, 0, 5e-324] on both grids, so the rows share a
+        # series, evaluated on the first row's increasing grid; the second
+        # row's own grid, [0, 0, 5e-324], fails its check where the row
+        # reads its peak time, and the block is run again row by row
+        configs = [ExperimentConfig(gamma=2.0 ** -50, t_max=2.0 ** -1024,
+                                    n_samples=3),
+                   ExperimentConfig(t_max=5e-324, n_samples=3)]
+        assert _sizes(configs) == [(2, 1)]
+        rows = sweep(configs)
+        assert _bits(rows[0]) == _bits(_summary(run(configs[0])))
+        with pytest.raises(InputError) as failure:
+            run(configs[1])
+        assert rows[1].error == str(failure.value)
+        assert rows[1].error == "times must be strictly increasing"
 
     def test_blocks_cut_at_grid_length_and_budget(self):
         # distinct series count against the budget: 16 of 501 points fit

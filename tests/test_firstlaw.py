@@ -613,8 +613,7 @@ def _block_and_rows(side):
     """One Bloch block over :data:`BRANCH_ROWS`, then each of them again
     at a second rate, with its own rate and horizon per row, and the
     series of each row sliced from it. A row and its repeat share their
-    coefficients and start, so the heat's root analysis runs once for
-    the two on every branch."""
+    coefficients and start on every branch."""
     params = [GadcParams(alpha=a, w0=w0, gamma_rate=0.5 + i)
               for i, (a, w0) in enumerate(BRANCH_ROWS + BRANCH_ROWS)]
     times = np.array([np.linspace(0.0, 3.0 + i, 41)
@@ -674,7 +673,7 @@ class TestBlocks:
 
     def test_signed_zeros_stay_apart(self):
         # z1 = -0.0 and 0.0 compare equal but give heats of opposite
-        # zero signs; rows are grouped by bits, so each keeps its own
+        # zero signs; each row of a block keeps its own
         pr = GadcParams(alpha=1.0, w0=1.0)
         times = np.linspace(0.0, 2.0, 5)
         series = system_bloch(pr, times)

@@ -3,10 +3,12 @@
 Each entry of ``golden.json`` is the sha256 of one output of the CLI
 or of a demo: the default ``run``'s four CSVs and two plot scripts, its
 manifest less ``wall_time_seconds``, the ``validate --strict`` text, the
-sweep summary on the 27-point alpha x beta x gamma grid for three seeds,
-and the stdout of the heat-asymmetry demo. The digests depend on the
-numpy version and the platform's libm, so the file records the numpy
-version they were taken with, and a mismatch names both versions.
+sweep summary on the 27-point alpha x beta x gamma grid for three seeds
+and, for the first seed, on one fixed ``t_max`` in place of
+``gamma_t_max``, and the stdout of the heat-asymmetry demo. The digests
+depend on the numpy version and the platform's libm, so the file records
+the numpy version they were taken with, and a mismatch names both
+versions.
 
 A change that alters an output on purpose rewrites the file with
 ``PYTHONPATH=src python tests/test_golden.py``, which prints ``name: old
@@ -73,6 +75,15 @@ def digests(work: Path) -> dict:
                      "--out", str(sweep_dir)]) == 0
         out[f"sweep27/seed{seed}/summary.csv"] = _sha256(
             (sweep_dir / "summary.csv").read_bytes())
+    # each of the 27 rows on one t_max is a series of its own, and rows
+    # that differ only in gamma share their Bloch coefficients
+    grid = dict(sweep_grid(SWEEP_SEEDS[0]), t_max=5.0)
+    del grid["gamma_t_max"]
+    (work / "grid_t_max.json").write_text(json.dumps(grid))
+    assert main(["sweep", "--grid", str(work / "grid_t_max.json"),
+                 "--out", str(work / "sweep_t_max")]) == 0
+    out["sweep_t_max/summary.csv"] = _sha256(
+        (work / "sweep_t_max" / "summary.csv").read_bytes())
     with contextlib.redirect_stdout(io.StringIO()) as text:
         runpy.run_path(str(DEMO), run_name="__main__")
     out[f"demos/{DEMO.name}"] = _sha256(text.getvalue().encode())

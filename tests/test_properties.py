@@ -186,11 +186,10 @@ def sweep_rows(draw):
 
 def _series_of(config) -> tuple:
     """What the state series of a sweep row is made of: its ``alpha``
-    and ``w0``, by their bits, and the decay values of its own grid."""
+    and ``w0`` and ``gamma * t`` on its own grid, by their bits."""
     params = config.params
-    grid = ch._grid(params, config.times)
-    return (params.alpha.hex(), params.w0.hex(), grid.decay.tobytes(),
-            grid.lose.tobytes())
+    return (params.alpha.hex(), params.w0.hex(),
+            (params.gamma_rate * config.times).tobytes())
 
 
 def _bits(row):
@@ -265,11 +264,16 @@ def test_block_grid_equals_each_row_grid(t_maxes, n_samples):
 @example(configs=[ExperimentConfig(alpha=0.5, gamma=g, t_max=5.0 / g,
                                    n_samples=11)
                   for g in (1.0, 3.0, 0.25, 2.0)])
+# two rows with gamma * t [0, 0, 5e-324] share a series; the second
+# row's own grid is not increasing, and its block runs again row by row
+@example(configs=[ExperimentConfig(gamma=2.0 ** -50, t_max=2.0 ** -1024,
+                                   n_samples=3),
+                  ExperimentConfig(t_max=5e-324, n_samples=3)])
 def test_sweep_rows_equal_single_runs(configs):
     # a sweep evaluates each distinct series of a block once; each row
     # must be bit for bit the summary of the configuration's own run, and
-    # rows share a series exactly where their alpha, w0 and own decay
-    # values have the same bits
+    # rows share a series exactly where their alpha, w0 and gamma * t on
+    # their own grids have the same bits
     rows = sweep(configs)
     assert len(rows) == len(configs)
     for config, row in zip(configs, rows):
