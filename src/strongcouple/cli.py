@@ -9,7 +9,9 @@ validation suites).
 ``run`` writes CSV tables, a pair of plotting scripts, and a manifest
 with row counts and content hashes into the output directory. The CSV
 files are deterministic: re-running the same configuration reproduces
-them byte for byte. ``validate`` prints one [PASS]/[FAIL] line per
+them byte for byte. ``run`` and ``sweep`` build every file first and
+write them through :func:`_write_files`, so a command that fails
+leaves no file of its own behind. ``validate`` prints one [PASS]/[FAIL] line per
 suite of :mod:`strongcouple.validation`. ``sweep`` expands a
 parameter grid into configurations and writes one summary row per run.
 """
@@ -17,6 +19,7 @@ parameter grid into configurations and writes one summary row per run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -93,12 +96,31 @@ def _output_dir(path) -> Path:
     return out_dir
 
 
-def _write_file(path: Path, blob: bytes) -> None:
-    """Write ``blob`` to ``path``; a path that cannot be written, such as
-    a directory, is bad input."""
+def _write_files(out_dir: Path, files: dict) -> None:
+    """Write each ``name: blob`` of ``files`` under ``out_dir``.
+
+    Every file is opened, without truncating it, before any is written,
+    so a file that cannot be opened, such as a directory of its name,
+    leaves every file as it was. A file that cannot be opened or written
+    is bad input, and the files this call created are removed; files
+    that were there before stay.
+    """
+    created = []
     try:
-        path.write_bytes(blob)
+        with contextlib.ExitStack() as stack:
+            opened = []
+            for name in files:
+                path = out_dir / name
+                if not path.exists():
+                    created.append(path)
+                opened.append((path, stack.enter_context(path.open("ab"))))
+            for (path, handle), blob in zip(opened, files.values()):
+                handle.truncate(0)
+                handle.write(blob)
+                handle.flush()
     except OSError as exc:
+        for done in created:
+            done.unlink(missing_ok=True)
         raise InputError(f"cannot write output file {path}: "
                          f"{exc.strerror}") from exc
 
@@ -118,8 +140,9 @@ def _csv_column(values):
     return "%s", np.array([str(v).replace(",", ";") for v in col.tolist()])
 
 
-def _write_csv(path: Path, header, columns) -> dict:
-    """Write equal-length columns under ``header``; return rows and hash.
+def _csv_table(header, columns) -> tuple:
+    """Equal-length columns under ``header`` as CSV bytes, with their
+    manifest entry, the row count and hash.
 
     Each row is formatted with one ``%`` on a format string built from
     the column kinds. Rows become Python values and then text
@@ -136,8 +159,7 @@ def _write_csv(path: Path, header, columns) -> dict:
         chunks.append("\n".join(row_format % row for row in
                                 zip(*(c[start:stop].tolist() for c in cols))))
     blob = ("\n".join(chunks) + "\n").encode()
-    _write_file(path, blob)
-    return {"rows": count, "sha256": hashlib.sha256(blob).hexdigest()}
+    return blob, {"rows": count, "sha256": hashlib.sha256(blob).hexdigest()}
 
 
 def _config_as_dict(config: ExperimentConfig) -> dict:
@@ -145,8 +167,7 @@ def _config_as_dict(config: ExperimentConfig) -> dict:
             for name, value in dataclasses.asdict(config).items()}
 
 
-def _write_manifest(out_dir: Path, command, config_block, outputs, elapsed,
-                    extra=None):
+def _manifest(command, config_block, outputs, elapsed, extra=None) -> bytes:
     manifest = {
         "tool": "strongcouple",
         "version": __version__,
@@ -157,8 +178,7 @@ def _write_manifest(out_dir: Path, command, config_block, outputs, elapsed,
     }
     if extra:
         manifest.update(extra)
-    _write_file(out_dir / "manifest.json", (
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
+    return (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
 
 
 _PLOT_THERMO = '''\
@@ -237,17 +257,16 @@ def _cmd_run(args) -> int:
 
     started = time.perf_counter()
     result = run(config)
-    outputs = {}
+    files, outputs = {}, {}
 
     for name, traj in (("thermo_system.csv", result.thermo_s),
                        ("thermo_environment.csv", result.thermo_e)):
-        outputs[name] = _write_csv(
-            out_dir / name, ("t", "W", "Q", "C", "dU"),
+        files[name], outputs[name] = _csv_table(
+            ("t", "W", "Q", "C", "dU"),
             (traj.times, traj.work, traj.heat, traj.coherent_energy,
              traj.internal_energy_change))
     info = result.info
-    outputs["info_measures.csv"] = _write_csv(
-        out_dir / "info_measures.csv",
+    files["info_measures.csv"], outputs["info_measures.csv"] = _csv_table(
         ("t", "entropy_system", "entropy_environment",
          "coherence_system", "coherence_environment", "negativity",
          "mutual_information", "heat_asymmetry"),
@@ -255,14 +274,15 @@ def _cmd_run(args) -> int:
          info.coherence_e, info.negativity, info.mutual_information,
          info.heat_asymmetry))
     metrics = sorted(result.diagnostics)
-    outputs["diagnostics.csv"] = _write_csv(
-        out_dir / "diagnostics.csv", ("metric", "value"),
+    files["diagnostics.csv"], outputs["diagnostics.csv"] = _csv_table(
+        ("metric", "value"),
         (metrics, [result.diagnostics[m] for m in metrics]))
 
-    _write_file(out_dir / "plot_thermo.py", _PLOT_THERMO.encode())
-    _write_file(out_dir / "plot_info.py", _PLOT_INFO.encode())
-    _write_manifest(out_dir, "run", _config_as_dict(config), outputs,
-                    time.perf_counter() - started)
+    files["plot_thermo.py"] = _PLOT_THERMO.encode()
+    files["plot_info.py"] = _PLOT_INFO.encode()
+    files["manifest.json"] = _manifest("run", _config_as_dict(config),
+                                       outputs, time.perf_counter() - started)
+    _write_files(out_dir, files)
     print(f"run complete: {len(outputs)} tables in {out_dir}")
     return 0
 
@@ -344,9 +364,8 @@ def _cmd_sweep(args) -> int:
     started = time.perf_counter()
     rows = sweep(configs)
     header = tuple(f.name for f in dataclasses.fields(SweepSummary))
-    outputs = {"summary.csv": _write_csv(
-        out_dir / "summary.csv", header,
-        [[getattr(r, name) for r in rows] for name in header])}
+    summary, meta = _csv_table(
+        header, [[getattr(r, name) for r in rows] for name in header])
 
     extra = None
     if "gamma_t_max" in grid_block:
@@ -359,8 +378,10 @@ def _cmd_sweep(args) -> int:
             print(f"gamma-scaled curves {state} across gamma "
                   f"(spread {spread:.2e})")
 
-    _write_manifest(out_dir, "sweep", grid_block, outputs,
-                    time.perf_counter() - started, extra=extra)
+    _write_files(out_dir, {
+        "summary.csv": summary,
+        "manifest.json": _manifest("sweep", grid_block, {"summary.csv": meta},
+                                   time.perf_counter() - started, extra)})
     failed = [r for r in rows if r.error]
     print(f"sweep complete: {len(rows)} runs, {len(failed)} failed, "
           f"summary in {out_dir}")

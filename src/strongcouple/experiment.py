@@ -55,8 +55,7 @@ reads one number from its own grid, checked there: the negativity's
 peak time. Both give the same numbers bit for bit. A block holds
 no series it no longer needs: each Bloch series is dropped once its
 entropies are taken, but for ``x2``, whose square root, taken in place,
-is the coherence; the two entropy-rate series are reduced to their
-per-series maxima at once; and the negativity's Newton solve, where the
+is the coherence; and the negativity's Newton solve, where the
 block peaks, frees its inputs as it goes (see
 :func:`~strongcouple.channels.joint_negativities_closed_form`). Nor does
 it expand a series to its rows: the keys and the grids of the rows are
@@ -162,20 +161,6 @@ def _count_peaks(values: np.ndarray, floor: float) -> np.ndarray:
                             axis=-1)
 
 
-def _rates(values: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """``numpy.gradient`` of each row of ``values`` for its own grid step.
-
-    The step goes in, as a column: the formula for a grid multiplies two
-    steps, which underflows or overflows at extreme horizons. The
-    arithmetic is ``numpy.gradient``'s for a scalar spacing.
-    """
-    out = np.empty_like(values)
-    out[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * step)
-    out[:, :1] = (values[:, 1:2] - values[:, :1]) / step
-    out[:, -1:] = (values[:, -1:] - values[:, -2:-1]) / step
-    return out
-
-
 def _block_times(configs) -> np.ndarray:
     """The ``(R, T)`` grids of configurations that share ``n_samples``.
 
@@ -279,19 +264,14 @@ def _run_block(block: _Block) -> tuple:
     asym = heat_asymmetry(thermo_s.heat, thermo_e.heat)
 
     # of each Bloch series only x2, the coherence squared, outlives its
-    # entropies, and of the entropy rates only their per-series maxima: the
-    # block frees the rest before the negativity solve, where it peaks
+    # entropies: the block frees the rest before the negativity solve,
+    # where it peaks
     ent_s = bloch_entropies(bloch_s.radius)
     x2_s = bloch_s.x2
     del bloch_s
     ent_e = bloch_entropies(bloch_e.radius)
     x2_e = bloch_e.x2
     del bloch_e
-    step = times[:, 1:2] - times[:, :1]
-    rate_s = _rates(ent_s, step)
-    rate_max = abs(rate_s).max(axis=1)
-    rate_mismatch = abs(rate_s + _rates(ent_e, step)).max(axis=1)
-    del rate_s
     neg = ch.joint_negativities_closed_form(cols, grid)
     ent_joint = bloch_entropies(abs(cols.w0 - cols.w1))
 
@@ -337,8 +317,6 @@ def _run_block(block: _Block) -> tuple:
         "negativity_peak_count": _count_peaks(
             neg, _NEGATIVITY_PEAK_FLOOR).astype(float).tolist(),
         "negativity_unitary_family_final": unitary_final.tolist(),
-        "entropy_rate_system_max": rate_max.tolist(),
-        "entropy_rate_mismatch_max": rate_mismatch.tolist(),
         "ratio_points": [float(count) for count in points],
         "ratio_mean": means,
         "ratio_max_relative_spread": spreads,

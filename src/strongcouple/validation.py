@@ -13,8 +13,8 @@ stack of its draws: the parameter sets become the ``(R, 1)`` columns of
 ``(R, 1)`` column, and the builders broadcast over both. A stacked
 route gives each draw the numbers it gives that draw alone, bit for
 bit, so the suites' maxima, and their bounds, are those of the loop.
-The Markov limit composes its steps in sequence, each one Kraus sum
-over the stacked operators of a single channel.
+The Markov limit composes the ``n`` steps of a single channel as the
+``n``-th power of its transfer matrix.
 """
 
 from __future__ import annotations
@@ -142,19 +142,19 @@ def _suite_marginals():
     A run checks the family's stacks for Hermiticity and unit trace only:
     it is the congruence ``M rho_0 M^T`` of a positive state, checked
     here entrywise over random ``(alpha, w0, p)`` triples. A run takes
-    the family's negativity from the partial transpose's quartic; it is
-    compared here with the eigensolve route on the default grid and at
-    the same triples.
+    the family's negativity from the partial transpose's quartic; the
+    series the default run publishes is compared here with the
+    eigensolve route on its grid, and the quartic's root with it at the
+    same triples.
     """
-    config = ExperimentConfig()
-    pr, times = config.params, config.times
+    result = _default_run()
+    pr, times = result.params, result.times
     grid = np.linspace(0.0, 10.0, 41)
     joint = ch.joint_states_closed_form(pr, grid)
     marginals = [ch.system_states(pr, grid), ch.environment_states(pr, grid)]
     worst = float(np.max(np.abs(partial_trace(joint, (0, 1)) - marginals)))
     eigen = negativities(ch.joint_states_closed_form(pr, times))
-    worst_negativity = float(np.max(np.abs(
-        ch.joint_negativities_closed_form(pr, times) - eigen)))
+    worst_negativity = float(np.max(np.abs(result.info.negativity - eigen)))
     rng = random.Random(13)
     draws = [_random_params(rng) for _ in range(25)]
     pr, p = _stacked(draws)

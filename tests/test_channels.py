@@ -29,6 +29,7 @@ SWAP = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0],
                  [0, 1, 0, 0],
                  [0, 0, 0, 1]], dtype=complex)
+EPS = np.finfo(float).eps
 
 
 def default_params(**overrides):
@@ -240,9 +241,12 @@ class TestStackedKraus:
     @pytest.mark.parametrize("n_steps", [1, 10, 1000])
     def test_iterate_map_is_the_loop_of_kraus_sums_bitwise(self, rng,
                                                            n_steps):
-        # the arithmetic of one operator at a time: each step sums
-        # K rho K^+ over the operators in order, then takes the
-        # Hermitian average; the final state is averaged once more
+        # the reference is the arithmetic of one operator at a time: each
+        # step sums K rho K^+ over the operators in order, then takes the
+        # Hermitian average; the final state is averaged once more. The
+        # transfer-matrix power groups the same products differently, so
+        # it agrees to a round-off bound that grows with the step count
+        # (at most about 0.5 n eps over 40 random draws, n = 10 to 3000)
         for pr, _ in _draws(rng, n=4):
             ops = system_kraus(pr, pr.gamma_rate * 0.8 / n_steps)
             m = system_initial_state(pr)
@@ -250,7 +254,8 @@ class TestStackedKraus:
                 out = sum(k @ m @ k.conj().T for k in ops)
                 m = (out + out.conj().T) / 2
             m = (m + m.conj().T) / 2
-            assert np.array_equal(iterate_map_check(pr, 0.8, n_steps), m)
+            gap = np.max(np.abs(iterate_map_check(pr, 0.8, n_steps) - m))
+            assert gap <= 4 * n_steps * EPS
 
 
 class TestDilationMatrices:
@@ -629,21 +634,29 @@ class TestIterateMap:
 
     @pytest.mark.parametrize("n_steps", [1, 10])
     def test_equals_channel_composition_bitwise(self, n_steps):
+        # to the round-off bound of the transfer-matrix power against
+        # the step-by-step reference
         pr = default_params()
         step = system_kraus(pr, pr.gamma_rate * 1.0 / n_steps)
         rho = system_initial_state(pr)
         for _ in range(n_steps):
             rho = apply_channel(step, rho)
-        assert np.array_equal(iterate_map_check(pr, 1.0, n_steps), rho)
+        gap = np.max(np.abs(iterate_map_check(pr, 1.0, n_steps) - rho))
+        assert gap <= 4 * n_steps * EPS
 
     def test_first_order_convergence(self):
+        """The deviation falls tenfold per decade of steps, 10 to 10^4.
+
+        At 10^5 steps the per-step completeness gap of about 1e-16
+        compounds past the unit-trace check, by the loop and by the
+        power alike.
+        """
         pr = default_params()
         target = system_states(pr, 1.0)
         devs = [np.max(np.abs(iterate_map_check(pr, 1.0, n) - target))
-                for n in (10, 100, 1000)]
-        assert devs[0] > devs[1] > devs[2]
-        assert 8.0 < devs[0] / devs[1] < 13.0
-        assert 8.0 < devs[1] / devs[2] < 13.0
+                for n in (10, 100, 1000, 10_000)]
+        for coarse, fine in zip(devs, devs[1:]):
+            assert 8.0 < coarse / fine < 13.0
 
     def test_rejects_bad_steps(self):
         # the step count is named, not reported as a bad probability or

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from strongcouple import cli
-from strongcouple.cli import _write_csv, main
+from strongcouple.cli import _csv_table, main
 from strongcouple.errors import NumericalError
 from strongcouple.experiment import ExperimentConfig, run
 
@@ -74,7 +74,7 @@ def _reference_fmt(value) -> str:
 
 
 class TestCsvWriter:
-    def test_bytes_match_per_value_formatting(self, tmp_path):
+    def test_bytes_match_per_value_formatting(self):
         edges = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324,
                  2.2250738585072014e-308, 1e16, -1e16, 1e16 + 2.0,
                  0.1, 1.0 / 3.0, 123456789012.5, 1e-300, 1.7976931348623157e308]
@@ -86,18 +86,17 @@ class TestCsvWriter:
         text = [f"row {i}, part {i % 3},," if i % 2 else "" for i in range(700)]
         columns = (floats, ints, small, text)
         header = ("x", "n", "k", "error")
-        meta = _write_csv(tmp_path / "t.csv", header, columns)
+        blob, meta = _csv_table(header, columns)
         expected = ",".join(header) + "\n" + "".join(
             ",".join(_reference_fmt(v) for v in row) + "\n"
             for row in zip(*columns))
-        blob = (tmp_path / "t.csv").read_bytes()
         assert blob == expected.encode()
         assert meta == {"rows": 700,
                         "sha256": hashlib.sha256(blob).hexdigest()}
 
-    def test_empty_table_writes_header(self, tmp_path):
-        meta = _write_csv(tmp_path / "e.csv", ("a", "b"), ([], []))
-        assert (tmp_path / "e.csv").read_text() == "a,b\n"
+    def test_empty_table_writes_header(self):
+        blob, meta = _csv_table(("a", "b"), ([], []))
+        assert blob == b"a,b\n"
         assert meta["rows"] == 0
 
 
@@ -200,9 +199,11 @@ class TestUnusableOutputPath:
     @pytest.mark.parametrize("command, name", [("run", "manifest.json"),
                                                ("sweep", "summary.csv")])
     def test_unwritable_output_file(self, tmp_path, capsys, command, name):
-        # a directory where the command writes one of its files
+        # a directory where the command writes one of its files; the
+        # command leaves no file behind, and a file it does not write stays
         out = tmp_path / "out"
         (out / name).mkdir(parents=True)
+        (out / "notes.txt").write_text("kept")
         args = [command, "--out", str(out)]
         if command == "sweep":
             args += ["--grid", write_json(tmp_path / "grid.json",
@@ -213,6 +214,25 @@ class TestUnusableOutputPath:
         err = capsys.readouterr().err
         assert f"cannot write output file {out / name}" in err
         assert "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [name, "notes.txt"])
+        assert list((out / name).iterdir()) == []
+        assert (out / "notes.txt").read_text() == "kept"
+
+    def test_failed_run_keeps_earlier_outputs(self, tmp_path):
+        # no file of an earlier run is truncated or rewritten when a
+        # later run into the same directory cannot write its manifest
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out), "--config",
+                     write_json(tmp_path / "cfg.json", QUICK)]) == 0
+        (out / "manifest.json").unlink()
+        (out / "manifest.json").mkdir()
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()
+                   if p.is_file()}
+        other = write_json(tmp_path / "other.json", dict(QUICK, alpha=0.3))
+        assert main(["run", "--out", str(out), "--config", other]) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()
+                if p.is_file()} == earlier
 
 
 class TestSweepCommand:

@@ -13,8 +13,7 @@ from strongcouple import channels as ch
 from strongcouple import experiment, spectra
 from strongcouple.errors import InputError, NumericalError
 from strongcouple.experiment import (BLOCK_POINTS, ExperimentConfig,
-                                     SweepSummary, _blocks, _rates, run,
-                                     sweep)
+                                     SweepSummary, _blocks, run, sweep)
 from strongcouple.infomeasures import (RATIO_DENOMINATOR_THRESHOLD,
                                        _ratio_rows, bloch_entropies,
                                        von_neumann_entropies)
@@ -152,11 +151,6 @@ class TestRun:
         assert float(np.max(info.mutual_information)) > 0.2
         assert info.mutual_information[-1] < 1e-3
 
-    def test_entropy_rates_do_not_cancel(self, quick_result):
-        # dS_s/dt = -dS_e/dt would make the pair weakly coupled; here the
-        # mismatch must be transiently large
-        assert quick_result.diagnostics["entropy_rate_mismatch_max"] > 0.1
-
     def test_unitary_family_stack_not_built(self, monkeypatch):
         # the unitary family's joint entropy has a closed form; only the
         # single-instant negativity diagnostic still builds that family,
@@ -271,47 +265,21 @@ class TestRun:
             assert matrices == 2 + 2 + 2, (n_samples, shapes)
             assert all(math.prod(shape[:-2]) <= 2 for shape in shapes)
 
-    def test_block_rates_are_numpy_gradient(self, rng):
-        # each row of a block is differentiated with its own grid step,
-        # with the arithmetic of numpy.gradient for that step
-        values = rng.normal(size=(5, 7))
-        steps = np.exp(rng.uniform(-700.0, 700.0, size=(5, 1)))
-        rates = _rates(values, steps)
-        for row, value, step in zip(rates, values, steps[:, 0]):
-            assert np.array_equal(row, np.gradient(value, step))
-
     def test_entropy_rates_at_extreme_gamma(self):
-        # the default problem in units where gamma t_max is still 10: the
-        # rates scale with gamma, and differentiating in t would underflow
-        # (gamma = 1e160) or overflow (gamma = 1e-300) the step products
-        keys = ("entropy_rate_system_max", "entropy_rate_mismatch_max")
-        reference = run(ExperimentConfig()).diagnostics
+        # the default problem in units where gamma t_max is still 10
+        # (gamma = 1e160 and 1e-300): no stage of the run warns
         for gamma in (1e160, 1e-300):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                d = run(ExperimentConfig(gamma=gamma,
-                                         t_max=10.0 / gamma)).diagnostics
-            for key in keys:
-                assert abs(d[key] / gamma - reference[key]) \
-                    <= 1e-12 * reference[key]
+                run(ExperimentConfig(gamma=gamma, t_max=10.0 / gamma))
 
     @pytest.mark.parametrize("t_max", [1e-300, 1e-160, 1e-150, 1e300])
     def test_entropy_rates_at_extreme_horizons(self, t_max):
-        # a difference quotient of the entropies is no steeper than their
-        # largest step over the grid spacing; np.gradient's non-uniform
-        # formula multiplies two steps, which underflows or overflows here
-        config = ExperimentConfig(t_max=t_max)
+        # grid steps near the ends of the float range: no stage of the
+        # run warns
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d = run(config).diagnostics
-        times, pr = config.times, config.params
-        steepest = [float(np.max(np.abs(np.diff(bloch_entropies(
-            bloch(pr, times).radius))))) / (times[1] - times[0])
-            for bloch in (ch.system_bloch, ch.environment_bloch)]
-        slack = 1.0 + 1e-12
-        assert 0.0 <= d["entropy_rate_system_max"] <= steepest[0] * slack
-        assert 0.0 <= d["entropy_rate_mismatch_max"] \
-            <= (steepest[0] + steepest[1]) * slack
+            run(ExperimentConfig(t_max=t_max))
 
     def test_silent_when_decay_overflows(self):
         # gamma t_max = 1e400 is beyond the float range; the exponent of
@@ -794,8 +762,7 @@ class TestSweep:
             lambda: run(single))
 
     def test_memory_of_a_run(self):
-        # a block frees its Bloch series but x2 and its entropy rates
-        # before the negativity's Newton solve, where it peaks, and the
+        # a block frees its Bloch series but x2 before the negativity's Newton solve, where it peaks, and the
         # solve frees its dead buffers: 0.94 MB on this grid
         assert _peak(lambda: run(ExperimentConfig(n_samples=4001))) <= 1.0e6
 

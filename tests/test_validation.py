@@ -34,7 +34,6 @@ RUN_DIAGNOSTICS = {
     "entropy_drift_closed_form_family",
     "negativity_peak", "negativity_peak_time", "negativity_final",
     "negativity_peak_count", "negativity_unitary_family_final",
-    "entropy_rate_system_max", "entropy_rate_mismatch_max",
     "ratio_points", "ratio_mean", "ratio_max_relative_spread",
 }
 
