@@ -4,10 +4,11 @@ The run tracks two bookkeeping families for the joint state. A true
 unitary dilation keeps the joint spectrum, and hence the joint entropy,
 exactly constant; a closed-form variant reproduces both marginals
 exactly at every time but lets the joint entropy drift. The package
-computes marginal quantities from the closed forms and joint-entropy
-quantities from the unitary family, whose joint entropy a run takes in
-closed form as S[rho_E(0)]. The demo diagonalises the unitary family on
-the run's grid to show that this entropy stays constant, next to the
+computes the marginal quantities and the mutual information
+S_s + S_e - S_se from the closed-form family, all three entropies of one
+state. It records the unitary family's joint entropy, which a run takes
+in closed form as S[rho_E(0)]. The demo diagonalises the unitary family
+on the run's grid to show that this entropy stays constant, next to the
 drift the run reports for the closed-form family.
 """
 import numpy as np
@@ -43,11 +44,14 @@ print(f"  joint entropy drift (closed forms)  "
       f"{d['entropy_drift_closed_form_family']:.2e}"
       "  <- price of exact marginals")
 
-# The local entropy rates do not cancel: entropy production lives in
-# the growing then fading correlations, not in either qubit alone.
+# S_s + S_e depends on time only through u = g (1 - g), as the
+# negativity does, so the two local entropy rates cancel where the
+# negativity peaks, gamma t = ln 2. They are read by central differences
+# at the interior grid point nearest that peak; their sum is off zero by
+# the grid's distance from it.
 rate_s = np.gradient(info.entropy_s, t)
 rate_e = np.gradient(info.entropy_e, t)
-i_worst = int(np.argmax(np.abs(rate_s + rate_e)))
+i = 1 + int(np.argmin(np.abs(t[1:-1] - d["negativity_peak_time"])))
 print()
-print(f"entropy rates at t = {t[i_worst]:.3f}: dS_s/dt = {rate_s[i_worst]:+.3f}, "
-      f"dS_e/dt = {rate_e[i_worst]:+.3f} (sum {rate_s[i_worst] + rate_e[i_worst]:+.3f})")
+print(f"entropy rates at t = {t[i]:.3f}: dS_s/dt = {rate_s[i]:+.3f}, "
+      f"dS_e/dt = {rate_e[i]:+.3f} (sum {rate_s[i] + rate_e[i]:+.3f})")

@@ -10,37 +10,34 @@ which feeds their exact first-law split
 and their coherences. A run does no eigensolve per time point: the
 negativity series is the closed-form root of the partial transpose's
 quartic (:func:`strongcouple.channels.joint_negativities_closed_form`),
-spot-checked against an eigensolve of the single state at its peak.
+read also at its peak time ``t*`` (:func:`_peak_time`) and spot-checked
+there against an eigensolve of the single state.
 Every diagnostic is derived from the run's own series; the self-checks
 that do not depend on the grid, such as route consistency and the Markov
 limit, live in :mod:`strongcouple.validation` and run in ``validate``.
 Two joint-state families enter the bookkeeping (see
-:mod:`strongcouple.channels`): the negativity series comes from the
-closed-form family whose marginals are exact, while the joint entropy
-comes from the unitary family. With a pure initial system and a unitary
-dilation, that family keeps the joint spectrum ``{w0, w1, 0, 0}``, so a
-run takes ``S_se = S[rho_e(0)]`` in closed form, as the entropy of a qubit
-with Bloch radius ``|w0 - w1|``. Mutual information combines the two
-accordingly, ``S_s + S_e - S_se``, with the marginal entropies from the
-closed forms. The diagnostics record ``S_se`` and the entropy drift of the
-closed-form family, whose rank-two spectrum is also closed-form
-(:func:`strongcouple.channels.joint_radii_closed_form`); ``validate`` and
-the tests check that ``S_se`` is constant.
+:mod:`strongcouple.channels`). The negativity and the mutual information
+``S_s + S_e - S_se`` come from the closed-form family, whose marginals
+are exact and whose rank-two spectrum is closed-form too
+(:func:`strongcouple.channels.joint_radii_closed_form`). The unitary
+family keeps the joint spectrum ``{w0, w1, 0, 0}`` of a pure system, so
+its joint entropy is ``S[rho_e(0)]``, a qubit's of Bloch radius ``|w0 -
+w1|``; the diagnostics record it and the closed-form family's drift.
 
 Runs are evaluated in blocks of consecutive configurations with one
 grid length, and a block evaluates each distinct state series among its
 rows once. The decay probability is ``1 - exp(-gamma t)``, so a series
-is fixed by ``alpha``, ``w0`` and the grid ``gamma t``: rows whose
-three have the same bits hold one series, as the rows of a sweep on
-one ``gamma_t_max`` do where the gammas differ by powers of two. A
-series is evaluated on the grid of its first row: the
-parameters are ``(k, 1)`` columns and the times a ``(k, T)`` array from
-one ``linspace`` call. The block evaluates the decay factor once, as
-the grid of :mod:`strongcouple.channels`, and hands that grid to the
-public closed forms: the two Bloch series, the joint negativities and
-the joint radii. Each marginal's first-law split runs once for the
-block. The spot-check states of all series are built unchecked from the
-grid's decay values and go to one
+is fixed by ``alpha``, ``w0`` and the grid ``gamma t``: rows whose three
+have the same bits hold one series, as the rows of a sweep on one
+``gamma_t_max`` do where the gammas differ by powers of two. A series is
+evaluated on the grid of its first row: the parameters are ``(k, 1)``
+columns and the times a ``(k, T)`` array from one ``linspace`` call. The
+block evaluates the decay factor once, as the grid of
+:mod:`strongcouple.channels`, and hands that grid to the public closed
+forms: the two Bloch series, and, with the peak's column appended, the
+joint negativities and the joint radii. Each marginal's first-law split
+runs once for the block. The spot-check states of all series are built
+unchecked from the peak's decay values and go to one
 :func:`~strongcouple.infomeasures.negativities` call, their one check
 and eigensolve. The block returns its two splits and its
 :class:`~strongcouple.infomeasures.InfoSeries` as ``(k, T)`` arrays and
@@ -48,18 +45,16 @@ reduces every diagnostic, the ratio statistics included, into columns
 of Python floats, one entry for each series. :func:`run` is a block of
 one, which needs no key, and reads entry 0; :func:`sweep` cuts its
 configurations into blocks whose series hold at most
-:data:`BLOCK_POINTS` grid points and reads each summary row, only the
-numbers a :class:`SweepSummary` holds, from its series' entries and the
-system's split, without a per-row result. A row that repeats a series
-reads one number from its own grid, checked there: the negativity's
-peak time. Both give the same numbers bit for bit. A block holds
-no series it no longer needs: each Bloch series is dropped once its
-entropies are taken, but for ``x2``, whose square root, taken in place,
-is the coherence; and the negativity's Newton solve, where the
-block peaks, frees its inputs as it goes (see
+:data:`BLOCK_POINTS` grid points and reads each summary row from its
+series' entries, the system's split and its own peak time ``t*``,
+without a per-row result. Both give the same numbers bit for bit. A
+block holds no series it no longer needs: each Bloch series is dropped
+once its entropies are taken, but for ``x2``, whose square root, taken
+in place, is the coherence; and the negativity's Newton solve, where
+the block peaks, frees its inputs as it goes (see
 :func:`~strongcouple.channels.joint_negativities_closed_form`). Nor does
-it expand a series to its rows: the keys and the grids of the rows are
-taken in runs of at most :data:`BLOCK_POINTS` points.
+it expand a series to its rows: the keys of the rows are taken in runs
+of at most :data:`BLOCK_POINTS` points.
 """
 
 from __future__ import annotations
@@ -77,7 +72,7 @@ from .errors import InputError, NumericalError, _as_count, _as_float
 # thermo_trajectory, the generic route, is not called here; it stays bound
 # because benchmarks/tests/test_bench_tracer.py checks that the layer
 # tracer wraps it in this module
-from .firstlaw import (ThermoTrajectory, _check_grid,  # noqa: F401
+from .firstlaw import (ThermoTrajectory,  # noqa: F401
                        qubit_thermo_trajectory, thermo_trajectory)
 from .infomeasures import (InfoSeries, _ratio_rows, bloch_entropies,
                            heat_asymmetry, negativities)
@@ -92,6 +87,7 @@ _NEGATIVITY_PEAK_FLOOR = 1e-6
 # series around the negativity solve, so a sweep peaks near one run of
 # this length, about 1.9 MB traced
 BLOCK_POINTS = 8192
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -161,6 +157,21 @@ def _count_peaks(values: np.ndarray, floor: float) -> np.ndarray:
                             axis=-1)
 
 
+def _peak_time(config: ExperimentConfig) -> tuple:
+    """Whether ``g = exp(-gamma t)`` falls to 1/2 by ``t_max``, and the
+    time ``t*`` where the negativity peaks.
+
+    The negativity grows with ``u = g (1 - g)``, so it peaks at ``t* =
+    min(ln 2 / gamma, t_max)``: at ``g = 1/2`` where ``gamma * t_max``,
+    whose bits the rows of a series share, is at least ``ln 2``, else at
+    ``t_max``. Where it vanishes, as on the separable line ``alpha^2 =
+    w0``, its peak time is ``t*`` too, not the grid's 0.
+    """
+    inside = config.params.gamma_rate * config.t_max >= _LN2
+    return inside, (min(_LN2 / config.gamma, config.t_max) if inside
+                    else config.t_max)
+
+
 def _block_times(configs) -> np.ndarray:
     """The ``(R, T)`` grids of configurations that share ``n_samples``.
 
@@ -195,17 +206,11 @@ class _Block(NamedTuple):
     series: list
 
 
-def _chunks(items, n_samples: int) -> list:
-    """``items``, rows of ``n_samples`` points, cut into runs of at most
-    :data:`BLOCK_POINTS` points and of at least one row."""
-    size = max(1, BLOCK_POINTS // n_samples)
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
 def _series_keys(configs) -> list:
     """The key of each configuration's state series, for configurations
     that share ``n_samples``: the bytes of its ``alpha`` and ``w0`` and
-    of ``gamma * t`` on its grid.
+    of ``gamma * t`` on its grid; a row whose ``gamma * t`` does not
+    rise gets a key of its own, so that it is checked as its run is.
 
     The decay factor reads only ``-gamma_rate * t``, and every other
     parameter a closed form reads is a float function of ``alpha`` and
@@ -215,9 +220,12 @@ def _series_keys(configs) -> list:
     """
     params = np.array([[config.params.alpha, config.params.w0,
                         config.params.gamma_rate] for config in configs])
-    table = np.concatenate(
-        [params[:, :2], params[:, 2:] * _block_times(configs)], axis=1)
-    return [row.tobytes() for row in table]
+    scaled = params[:, 2:] * _block_times(configs)
+    # gamma > 0, so where gamma * t rises, so does t, and needs no check
+    rising = (scaled[:, 1:] > scaled[:, :-1]).all(axis=1)
+    table = np.concatenate([params[:, :2], scaled], axis=1)
+    return [row.tobytes() if ok else object()
+            for row, ok in zip(table, rising.tolist())]
 
 
 def _run_block(block: _Block) -> tuple:
@@ -225,20 +233,24 @@ def _run_block(block: _Block) -> tuple:
 
     The parameters of the series are ``(k, 1)`` columns and their grids,
     those of their first rows, a ``(k, T)`` array, whose decay factor is
-    evaluated once and handed, as one grid, to each public closed form;
-    each marginal's first-law split runs once for the block. Returns
+    evaluated once and handed, as one grid, to each public closed form,
+    the joint ones with the peak's column appended; each marginal's
+    first-law split runs once for the block. Returns
     ``(thermo_s, thermo_e, info, columns)``: the two splits and the
     :class:`InfoSeries` hold ``(k, T)`` arrays, one row for each series,
     and ``columns`` the diagnostics by name, as lists of one Python
-    float for each series. A row that repeats a series reads only its
-    negativity's peak time from its own grid, in :func:`_sweep_rows`.
+    float for each series, its peak time that of its first row.
     Every gate reduces over the whole block, so the block raises where
     any of its rows would; its message is that of a single run only for
     a block of one.
     """
     configs, first, _ = block
     cols = ch._columns([configs[i].params for i in first])
-    grid = ch._grid(cols, _block_times([configs[i] for i in first]))
+    # the grids with the peak time t* appended
+    inside, t_peak = zip(*(_peak_time(configs[i]) for i in first))
+    with_peak = np.concatenate([_block_times([configs[i] for i in first]),
+                                np.array(t_peak)[:, None]], axis=1)
+    grid = ch._grid(cols, with_peak[:, :-1])
     times = grid.times
     k = len(first)
     bloch_s = ch.system_bloch(cols, grid)
@@ -272,21 +284,27 @@ def _run_block(block: _Block) -> tuple:
     ent_e = bloch_entropies(bloch_e.radius)
     x2_e = bloch_e.x2
     del bloch_e
-    neg = ch.joint_negativities_closed_form(cols, grid)
-    ent_joint = bloch_entropies(abs(cols.w0 - cols.w1))
 
-    drift_closed = bloch_entropies(ch.joint_radii_closed_form(cols, grid))
-    peak = np.arange(k), np.argmax(neg, axis=1)
-    t_peak = times[peak]
-    neg_peak = neg[peak]
+    # the peak's column: g = 1 - g = 1/2 exactly where g reaches 1/2, else
+    # the grid's last; the block's own decay values are freed here
+    half = np.array(inside)[:, None]
+    lose_final = grid.lose[:, -1:].copy()
+    grid = ch._Grid(with_peak, *(
+        np.concatenate([a, np.where(half, 0.5, a[:, -1:])], axis=1)
+        for a in grid[1:]))
+    neg = ch.joint_negativities_closed_form(cols, grid)
+    neg, neg_peak = neg[:, :-1], neg[:, -1]
+    drift_closed = bloch_entropies(
+        ch.joint_radii_closed_form(cols, grid)[:, :-1])
+    ent_joint = bloch_entropies(abs(cols.w0 - cols.w1))
     # spot check of the closed form against the eigensolve route, at the
     # one point where the negativity matters most, in one call with the
     # unitary family at t_max; the states are built unchecked, from the
     # block's decay values, and checked once, by negativities
     spot, unitary_final = negativities(np.concatenate([
-        ch._closed_form_joint_matrices(cols, grid.decay[peak][:, None],
-                                       grid.lose[peak][:, None]),
-        ch._dilated_matrices(cols, grid.lose[:, -1:])]))[:, 0].reshape(2, k)
+        ch._closed_form_joint_matrices(cols, grid.decay[:, -1:],
+                                       grid.lose[:, -1:]),
+        ch._dilated_matrices(cols, lose_final)]))[:, 0].reshape(2, k)
     gap = abs(spot - neg_peak)
     if (gap > NEGATIVITY_SPOT_TOL).any():
         i = int(np.argmax(gap))
@@ -312,7 +330,7 @@ def _run_block(block: _Block) -> tuple:
         "entropy_drift_closed_form_family": abs(
             drift_closed - drift_closed[:, :1]).max(axis=1).tolist(),
         "negativity_peak": neg_peak.tolist(),
-        "negativity_peak_time": t_peak.tolist(),
+        "negativity_peak_time": list(t_peak),
         "negativity_final": neg[:, -1].tolist(),
         "negativity_peak_count": _count_peaks(
             neg, _NEGATIVITY_PEAK_FLOOR).astype(float).tolist(),
@@ -324,7 +342,7 @@ def _run_block(block: _Block) -> tuple:
     info = InfoSeries(times=times, entropy_s=ent_s, entropy_e=ent_e,
                       coherence_s=np.sqrt(x2_s, out=x2_s),
                       coherence_e=np.sqrt(x2_e, out=x2_e), negativity=neg,
-                      mutual_information=ent_s + ent_e - ent_joint,
+                      mutual_information=ent_s + ent_e - drift_closed,
                       heat_asymmetry=asym)
     return thermo_s, thermo_e, info, columns
 
@@ -391,7 +409,8 @@ def _blocks(configs):
     """
     rows, first, series, seen = [], [], [], {}
     for n, same in groupby(configs, key=lambda config: config.n_samples):
-        for part in _chunks(list(same), n):
+        same, size = list(same), max(1, BLOCK_POINTS // n)
+        for part in (same[i:i + size] for i in range(0, len(same), size)):
             done = []
             for config, key in zip(part, _series_keys(part)):
                 if key not in seen:
@@ -421,10 +440,11 @@ def sweep(configs) -> list:
     the remaining runs: a block that raises is run again one
     configuration at a time, so each failing row holds the message its
     run raises alone and the other rows keep their values.
-    Each row is read from its series' columns; a sweep builds no
-    :class:`ExperimentResult`. Anything but a nonempty sequence of
-    :class:`ExperimentConfig` raises :class:`InputError` before any row
-    runs, naming the type and, for a bad item, its position.
+    Each row is read from its series' columns and its own peak time
+    ``t*``; a sweep builds no :class:`ExperimentResult`. Anything but a
+    nonempty sequence of :class:`ExperimentConfig` raises
+    :class:`InputError` before any row runs, naming the type and, for a
+    bad item, its position.
     """
     try:
         items = iter(configs)
@@ -447,17 +467,14 @@ def _sweep_rows(block: _Block) -> list:
     """The summary rows of one block, read from its series' columns.
 
     A row takes the numbers of its series but for the negativity's peak
-    time, which a row that repeats a series reads from its own grid (see
-    :func:`_peak_times`). A block that raises runs again one
-    configuration at a time, as blocks of one, so that a failing row
-    holds the message its run raises alone and the other rows keep their
-    values.
+    time, its own (see :func:`_peak_time`). A block that raises runs
+    again one configuration at a time, as blocks of one, so that a
+    failing row holds the message its run raises alone and the other
+    rows keep their values.
     """
     configs, _, series = block
     try:
-        thermo_s, _, info, d = _run_block(block)
-        t_peak = _peak_times(block, info.negativity,
-                             d["negativity_peak_time"])
+        thermo_s, _, _, d = _run_block(block)
     except (InputError, NumericalError) as exc:
         if len(configs) > 1:
             return [row for config in configs
@@ -469,29 +486,9 @@ def _sweep_rows(block: _Block) -> list:
                        abs(thermo_s.coherent_energy).max(axis=1).tolist(),
                        d["ratio_mean"], d["ratio_max_relative_spread"]))
     peaks = d["negativity_peak"]
-    return [SweepSummary(*_inputs(config), peaks[s], t, *results[s])
-            for config, s, t in zip(configs, series, t_peak)]
-
-
-def _peak_times(block: _Block, neg: np.ndarray, t_peak: list) -> list:
-    """The negativity's peak time of each row of ``block``, given the
-    ``(k, T)`` negativities ``neg`` of its series and their peak times
-    ``t_peak`` on the grids of their first rows.
-
-    A row that repeats a series takes the time at its series' peak index
-    from its own grid, checked here, in runs of at most
-    :data:`BLOCK_POINTS` points.
-    """
-    configs, first, series = block
-    rows = [t_peak[s] for s in series]
-    repeats = [i for i, s in enumerate(series) if first[s] != i]
-    peak = np.argmax(neg, axis=1)
-    for part in _chunks(repeats, neg.shape[1]):
-        own = _check_grid(_block_times([configs[i] for i in part]), ndim=2)
-        at = peak[[series[i] for i in part]]
-        for i, t in zip(part, own[np.arange(len(part)), at].tolist()):
-            rows[i] = t
-    return rows
+    return [SweepSummary(*_inputs(config), peaks[s], _peak_time(config)[1],
+                         *results[s])
+            for config, s in zip(configs, series)]
 
 
 def _inputs(config: ExperimentConfig) -> tuple:

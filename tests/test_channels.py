@@ -239,8 +239,8 @@ class TestStackedKraus:
                 assert np.array_equal(row, apply_channel(channel, rho))
 
     @pytest.mark.parametrize("n_steps", [1, 10, 1000])
-    def test_iterate_map_is_the_loop_of_kraus_sums_bitwise(self, rng,
-                                                           n_steps):
+    def test_iterate_map_within_round_off_of_the_kraus_loop(self, rng,
+                                                            n_steps):
         # the reference is the arithmetic of one operator at a time: each
         # step sums K rho K^+ over the operators in order, then takes the
         # Hermitian average; the final state is averaged once more. The
@@ -633,7 +633,7 @@ class TestIterateMap:
         assert np.max(np.abs(single - ref)) < 1e-14
 
     @pytest.mark.parametrize("n_steps", [1, 10])
-    def test_equals_channel_composition_bitwise(self, n_steps):
+    def test_within_round_off_of_channel_composition(self, n_steps):
         # to the round-off bound of the transfer-matrix power against
         # the step-by-step reference
         pr = default_params()

@@ -262,6 +262,20 @@ class TestSweepCommand:
         assert manifest["scaled_horizon_spread"] <= 1e-9
         assert "collapse across gamma" in capsys.readouterr().out
 
+    def test_sweep27_peaks_collapse(self, tmp_path):
+        # each row's peak time is t* = ln 2 / gamma, so gamma t* is ln 2
+        # on every row, to round-off, and the peaks are equal
+        grid = write_json(tmp_path / "grid.json",
+                          {"alpha": [0.3, 0.7, 0.95],
+                           "beta": [0.05, 1.0, "inf"],
+                           "gamma": [0.5, 1.0, 4.0], "gamma_t_max": 5.0,
+                           "n_samples": 501})
+        out = tmp_path / "sw"
+        assert main(["sweep", "--grid", grid, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["scaled_horizon_collapse"] is True
+        assert manifest["scaled_horizon_spread"] <= 1e-9
+
     def test_all_runs_failing_exits_nonzero(self, tmp_path,
                                             broken_system_bloch):
         # a wrong Bloch line fails the closure gate of every run

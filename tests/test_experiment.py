@@ -16,7 +16,7 @@ from strongcouple.experiment import (BLOCK_POINTS, ExperimentConfig,
                                      SweepSummary, _blocks, run, sweep)
 from strongcouple.infomeasures import (RATIO_DENOMINATOR_THRESHOLD,
                                        _ratio_rows, bloch_entropies,
-                                       von_neumann_entropies)
+                                       negativities, von_neumann_entropies)
 from strongcouple.validation import markov_convergence, run_suites
 
 
@@ -265,7 +265,7 @@ class TestRun:
             assert matrices == 2 + 2 + 2, (n_samples, shapes)
             assert all(math.prod(shape[:-2]) <= 2 for shape in shapes)
 
-    def test_entropy_rates_at_extreme_gamma(self):
+    def test_silent_at_extreme_gamma(self):
         # the default problem in units where gamma t_max is still 10
         # (gamma = 1e160 and 1e-300): no stage of the run warns
         for gamma in (1e160, 1e-300):
@@ -274,7 +274,7 @@ class TestRun:
                 run(ExperimentConfig(gamma=gamma, t_max=10.0 / gamma))
 
     @pytest.mark.parametrize("t_max", [1e-300, 1e-160, 1e-150, 1e300])
-    def test_entropy_rates_at_extreme_horizons(self, t_max):
+    def test_silent_at_extreme_horizons(self, t_max):
         # grid steps near the ends of the float range: no stage of the
         # run warns
         with warnings.catch_warnings():
@@ -319,7 +319,7 @@ class TestRun:
             lambda params, times: closed_form(params, times) * (1.0 + 1e-8))
         with pytest.raises(NumericalError,
                            match=r"negativity routes disagree by \S+ at the "
-                                 r"peak t = 0\.7 .*bound 1e-10"):
+                                 r"peak t = 0\.693147 .*bound 1e-10"):
             run(ExperimentConfig(n_samples=101))
 
     @pytest.mark.parametrize("kwargs", [
@@ -368,7 +368,7 @@ class TestRun:
 
     def test_shared_series_rows_equal_single_runs(self):
         # the sweep27 rows: the gammas of each (alpha, beta) share one
-        # series, and each row reads its peak time from its own grid
+        # series, and each row takes its own peak time t*
         configs = _sweep27()
         assert _sizes(configs) == [(27, 9)]
         _assert_block_rows_equal_single_runs(configs)
@@ -434,6 +434,66 @@ def _peak(call) -> int:
 def _array_bits(series) -> dict:
     """The arrays of a dataclass of series, by field, as bytes."""
     return {k: (v.shape, v.tobytes()) for k, v in vars(series).items()}
+
+
+class TestNegativityPeak:
+    """The peak rows read the closed-form negativity at t* = min(ln 2 /
+    gamma, t_max), where it is largest: at g = 1/2 where the decay
+    reaches 1/2 by t_max, else at t_max."""
+
+    @staticmethod
+    def eigensolved(config, t) -> float:
+        """The negativity of the closed-form family's state at ``t``, by
+        an eigensolve of its partial transpose."""
+        return float(negativities(
+            ch.joint_states_closed_form(config.params, [t]))[0])
+
+    def test_default_configuration(self):
+        config = ExperimentConfig()
+        d = run(config).diagnostics
+        assert d["negativity_peak_time"] == math.log(2.0)
+        assert abs(d["negativity_peak"] - self.eigensolved(
+            config, math.log(2.0))) <= ch.NEGATIVITY_NEWTON_TOL
+
+    def test_separable_line(self):
+        # alpha^2 = w0: the negativity vanishes at every time, and t*
+        # still maximises it, so the peak time is t*, not the grid's 0
+        w0 = 1.0 / (1.0 + math.exp(-1.0))
+        config = ExperimentConfig(alpha=math.sqrt(w0), beta=1.0)
+        result = run(config)
+        d = result.diagnostics
+        assert not result.info.negativity.any()
+        assert d["negativity_peak"] == 0.0
+        assert d["negativity_peak_time"] == math.log(2.0)
+        assert self.eigensolved(config, math.log(2.0)) \
+            <= ch.NEGATIVITY_NEWTON_TOL
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 3.0])
+    def test_horizon_before_half_decay(self, gamma):
+        # gamma t_max = 0.5 < ln 2: the peak is the grid's last point
+        config = ExperimentConfig(gamma=gamma, t_max=0.5 / gamma,
+                                  n_samples=101)
+        result = run(config)
+        d = result.diagnostics
+        assert d["negativity_peak_time"] == config.t_max
+        assert d["negativity_peak"] == result.info.negativity[-1]
+        assert abs(d["negativity_peak"] - self.eigensolved(
+            config, config.t_max)) <= ch.NEGATIVITY_NEWTON_TOL
+
+    def test_no_grid_value_exceeds_the_peak(self, rng):
+        # horizons on both sides of gamma t = ln 2, and on it
+        for i in range(60):
+            gamma = 10.0 ** rng.uniform(-2.0, 2.0)
+            gamma_t_max = (math.log(2.0) if i == 0
+                           else 10.0 ** rng.uniform(-2.0, 1.7))
+            config = ExperimentConfig(
+                alpha=rng.uniform(0.0, 1.0), beta=10.0 ** rng.uniform(-2, 2),
+                gamma=gamma, t_max=gamma_t_max / gamma,
+                n_samples=int(rng.integers(3, 400)))
+            result = run(config)
+            peak = result.diagnostics["negativity_peak"]
+            assert result.info.negativity.max() - peak \
+                <= ch.NEGATIVITY_NEWTON_TOL * peak, config
 
 
 class TestRatioColumns:
@@ -516,10 +576,12 @@ class TestGates:
         self.assert_gate("static Hamiltonian")
 
 
-# the closed forms a block calls with its grid, and the state builders,
-# which it does not call
-CLOSED_FORMS = ("system_bloch", "environment_bloch",
-                "joint_negativities_closed_form", "joint_radii_closed_form")
+# the closed forms a block calls with its grid: the marginals' on the
+# grid itself, the joint ones on the grid with the negativity peak's
+# column appended; and the state builders, which it does not call
+MARGINAL_FORMS = ("system_bloch", "environment_bloch")
+JOINT_FORMS = ("joint_negativities_closed_form", "joint_radii_closed_form")
+CLOSED_FORMS = MARGINAL_FORMS + JOINT_FORMS
 STATE_BUILDERS = ("system_states", "environment_states", "joint_states",
                   "joint_states_closed_form")
 SPLIT = "qubit_thermo_trajectory"
@@ -527,9 +589,10 @@ SPLIT = "qubit_thermo_trajectory"
 
 class TestClosedFormEntries:
     """A run or a sweep block evaluates the decay factor once, on its
-    ``(R, T)`` grid, hands that grid to each public closed form, calls
-    no state builder, and splits the first law of each marginal in one
-    call for the whole block."""
+    ``(R, T)`` grid, hands that grid to each public closed form, the
+    joint ones with the negativity peak's column appended, calls no
+    state builder, and splits the first law of each marginal in one call
+    for the whole block."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -550,7 +613,13 @@ class TestClosedFormEntries:
             original = getattr(ch, name)
 
             def wrapper(params, times):
-                assert times is built[-1], "a block must hand in its grid"
+                grid = built[-1]
+                if name in JOINT_FORMS:
+                    assert all(a[:, :-1].tobytes() == b.tobytes()
+                               for a, b in zip(times, grid)), \
+                        "a block must hand in its grid"
+                else:
+                    assert times is grid, "a block must hand in its grid"
                 shapes[name].append(np.shape(times.times))
                 return original(params, times)
             return wrapper
@@ -575,10 +644,11 @@ class TestClosedFormEntries:
     @staticmethod
     def per_block(grids) -> dict:
         """The calls of a block on each of ``grids``."""
-        # one split per marginal
+        # one split per marginal; the joint forms take one more column
         twice = [grid for grid in grids for _ in range(2)]
-        return {"_grid": grids, **{name: grids for name in CLOSED_FORMS},
-                SPLIT: twice}
+        with_peak = [(k, n + 1) for k, n in grids]
+        return {"_grid": grids, **{name: grids for name in MARGINAL_FORMS},
+                **{name: with_peak for name in JOINT_FORMS}, SPLIT: twice}
 
     def test_run_calls_each_once(self, calls):
         run(ExperimentConfig())
@@ -710,14 +780,14 @@ class TestSweep:
             assert _bits(rows[i]) == _bits(clean[i])
 
     def test_repeated_row_whose_own_grid_fails(self):
-        # gamma * t is [0, 0, 5e-324] on both grids, so the rows share a
-        # series, evaluated on the first row's increasing grid; the second
-        # row's own grid, [0, 0, 5e-324], fails its check where the row
-        # reads its peak time, and the block is run again row by row
+        # gamma * t is [0, 0, 5e-324] on both grids; it does not rise, so
+        # each row is a series of its own, evaluated on its own grid. The
+        # first row's grid rises; the second row's, [0, 0, 5e-324], fails
+        # its check in the block, and the block is run again row by row
         configs = [ExperimentConfig(gamma=2.0 ** -50, t_max=2.0 ** -1024,
                                     n_samples=3),
                    ExperimentConfig(t_max=5e-324, n_samples=3)]
-        assert _sizes(configs) == [(2, 1)]
+        assert _sizes(configs) == [(2, 2)]
         rows = sweep(configs)
         assert _bits(rows[0]) == _bits(_summary(run(configs[0])))
         with pytest.raises(InputError) as failure:
@@ -773,10 +843,9 @@ class TestSweep:
 
     def test_memory_of_rows_that_repeat_a_series(self):
         # 2000 rows that repeat one 501-point series make one block, which
-        # evaluates the series once and reads each row's peak time from
-        # its own grid in runs of at most BLOCK_POINTS points: its memory
-        # does not grow with its rows but for their peak times and summary
-        # rows, 0.65 MB
+        # evaluates the series once and takes the rows' keys in runs of at
+        # most BLOCK_POINTS points: its memory does not grow with its rows
+        # but for their summary rows, 0.59 MB
         configs = [ExperimentConfig(gamma=g, t_max=5.0 / g, n_samples=501)
                    for _ in range(1000) for g in (0.5, 2.0)]
         assert _sizes(configs) == [(2000, 1)]

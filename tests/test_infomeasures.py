@@ -7,7 +7,7 @@ import pytest
 
 from strongcouple import infomeasures
 from strongcouple.channels import (GadcParams, environment_bloch,
-                                   environment_states, joint_states,
+                                   environment_states,
                                    joint_states_closed_form, system_bloch,
                                    system_states)
 from strongcouple.errors import InputError, NumericalError
@@ -16,6 +16,7 @@ from strongcouple.infomeasures import (RATIO_DENOMINATOR_THRESHOLD,
                                        _ratio_rows, bloch_entropies,
                                        heat_asymmetry, negativities,
                                        von_neumann_entropies)
+from strongcouple.spectra import partial_trace
 
 BELL = 0.5 * np.array([[1, 0, 0, 1],
                        [0, 0, 0, 0],
@@ -171,7 +172,8 @@ class TestNegativity:
 
 
 class TestMutualInformation:
-    """The series ``S_s + S_e - S_se`` that a run records."""
+    """The series ``S_s + S_e - S_se`` that a run records, all three
+    entropies of one state of the closed-form family."""
 
     def test_product_state(self):
         # the initial state is a product for every configuration
@@ -196,11 +198,10 @@ class TestMutualInformation:
             lam = lam[lam > 1e-12]
             return float(-np.sum(lam * np.log2(lam)))
 
-        # marginals of the closed-form family, joint entropy of the
-        # unitary family, which keeps the initial spectrum
-        ref = (entropy(system_states(pr, t))
-               + entropy(environment_states(pr, t))
-               - entropy(joint_states(pr, t)))
+        # one state of the closed-form family and its two partial traces
+        state = joint_states_closed_form(pr, t)
+        ref = (entropy(partial_trace(state, 0))
+               + entropy(partial_trace(state, 1)) - entropy(state))
         assert abs(result.info.mutual_information[200] - ref) < 1e-10
 
 
