@@ -114,8 +114,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (InputError, NumericalError, _as_array, _as_count,
-                     _as_float)
+from .errors import InputError, _as_array, _as_count, _as_float, _gate
 from .spectra import (check_unit_traces, density_stack, partial_trace,
                       unit_trace_stack)
 
@@ -389,13 +388,13 @@ def apply_channel(operators, states) -> np.ndarray:
                          f"one shape, got shape {ops.shape}")
     if not np.isfinite(ops).all():
         raise InputError("Kraus operators have non-finite entries")
-    # finite entries can still overflow the products; written so that an
-    # overflowing sum fails the bound too
+    # finite entries can still overflow the products, to inf or NaN,
+    # which fail the gate
     with np.errstate(over="ignore", invalid="ignore"):
         dev = _completeness_gap(ops)
-    if not dev <= KRAUS_COMPLETENESS_TOL:
-        raise InputError("Kraus completeness violated: "
-                         f"max |sum K^+ K - I| = {dev:.3e}")
+    _gate(dev, KRAUS_COMPLETENESS_TOL, lambda i: (
+        f"Kraus completeness violated: max |sum K^+ K - I| = {dev:.3e}"),
+        InputError)
     m = density_stack(states)
     if m.shape[-1] != ops.shape[-1]:
         raise InputError(f"state dimension {m.shape[-1]} does not match "
@@ -784,13 +783,10 @@ def joint_negativities_closed_form(params, times) -> np.ndarray:
     # dead buffers dropped before the result is built
     last = np.abs(np.divide(step, nu, out=step), out=step)
     del slope, c2, c2_2, re, rr, r, v, e
-    # written so that a NaN step trips the gate too
-    if not (last <= NEGATIVITY_NEWTON_TOL).all():
-        worst = int(np.argmax(np.nan_to_num(last, nan=np.inf)))
-        raise NumericalError(
-            f"negativity Newton convergence: last step {last[worst]:.3e} "
-            f"of the root exceeds {NEGATIVITY_NEWTON_TOL:.0e} relative "
-            f"at t = {times[live][worst]:.6g}")
+    _gate(last, NEGATIVITY_NEWTON_TOL, lambda i: (
+        f"negativity Newton convergence: last step {last[i]:.3e} "
+        f"of the root exceeds {NEGATIVITY_NEWTON_TOL:.0e} relative "
+        f"at t = {times[live][i]:.6g}"))
     neg = np.zeros(g.shape)
     neg[live] = -sigma * nu
     return neg

@@ -419,7 +419,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="run built-in consistency suites")
     p_val.add_argument("--strict", action="store_true",
-                       help="also run the slower shape and scaling suites")
+                       help="also run the shape, proportionality and "
+                            "Markov-limit suites")
 
     p_sweep = sub.add_parser("sweep", help="run a parameter grid")
     p_sweep.add_argument("--grid", required=True, help="JSON grid file")

@@ -8,7 +8,9 @@ public function takes is converted by :func:`_as_float`,
 ``["0.5"]``, booleans, ``[True, 0.5]`` and an object array holding text
 or a boolean too, and turn what Python or numpy raise on ``None``, a
 ragged list or an integer beyond the float range into an
-:class:`InputError` naming the argument.
+:class:`InputError` naming the argument. The gates and state checks
+that hold values to an upper bound raise through :func:`_gate`, one
+rule under which a NaN fails.
 """
 
 import numpy as np
@@ -28,6 +30,19 @@ class NumericalError(StrongcoupleError, RuntimeError):
 
 class TrackingError(NumericalError):
     """Eigenbranch continuity could not be established along a trajectory."""
+
+
+def _gate(values, bound, message, error=NumericalError) -> None:
+    """Raise ``error(message(i))`` unless every entry of ``values``, an
+    array or a scalar, is at most ``bound``.
+
+    ``i`` is the flat index of the worst entry. ``np.argmax`` returns the
+    first NaN, so a NaN entry fails the gate and is the one named. The
+    comparison is the ufunc, whose result has an ``all`` method for a
+    Python float too, and costs less than ``np.all``'s wrapper.
+    """
+    if not np.less_equal(values, bound).all():
+        raise error(message(int(np.argmax(values))))
 
 
 def _refuse_text(value) -> None:

@@ -24,34 +24,39 @@ family keeps the joint spectrum ``{w0, w1, 0, 0}`` of a pure system, so
 its joint entropy is ``S[rho_e(0)]``, a qubit's of Bloch radius ``|w0 -
 w1|``; the diagnostics record it and the closed-form family's drift.
 
-Runs are evaluated in blocks of consecutive configurations with one
-grid length, and a block evaluates each distinct state series among its
-rows once. The decay probability is ``1 - exp(-gamma t)``, so a series
-is fixed by ``alpha``, ``w0`` and the grid ``gamma t``: rows whose three
+Runs are evaluated in blocks of consecutive configurations with one grid
+length, and a block evaluates each distinct state series among its rows
+once. The decay probability is ``1 - exp(-gamma t)``, so a series is
+fixed by ``alpha``, ``w0`` and the grid ``gamma t``: rows whose three
 have the same bits hold one series, as the rows of a sweep on one
 ``gamma_t_max`` do where the gammas differ by powers of two. A series is
 evaluated on the grid of its first row: the parameters are ``(k, 1)``
-columns and the times a ``(k, T)`` array from one ``linspace`` call. The
-block evaluates the decay factor once, as the grid of
-:mod:`strongcouple.channels`, and hands that grid to the public closed
-forms: the two Bloch series, and, with the peak's column appended, the
-joint negativities and the joint radii. Each marginal's first-law split
-runs once for the block. The spot-check states of all series are built
-unchecked from the peak's decay values and go to one
+columns and the times a ``(k, T)`` array, the first rows' grids that
+their keys were taken on, so a block builds no grid. The block evaluates
+the decay factor once, as the grid of :mod:`strongcouple.channels`, and
+hands that grid to the public closed forms: the two Bloch series, and,
+with the peak's column appended, the joint negativities and the joint
+radii; the closed-form family's joint entropy, whose drift from
+``t = 0`` grows with ``u = g (1 - g)`` as the negativity does, is read
+at ``t*`` too. Each marginal's first-law split runs once for the block.
+Every gate holds its values to an upper bound through
+:func:`strongcouple.errors._gate`, under which a NaN fails. The
+spot-check states of all series are built unchecked from the peak's
+decay values and go to one
 :func:`~strongcouple.infomeasures.negativities` call, their one check
 and eigensolve. The block returns its two splits and its
 :class:`~strongcouple.infomeasures.InfoSeries` as ``(k, T)`` arrays and
-reduces every diagnostic, the ratio statistics included, into columns
-of Python floats, one entry for each series. :func:`run` is a block of
-one, which needs no key, and reads entry 0; :func:`sweep` cuts its
-configurations into blocks whose series hold at most
-:data:`BLOCK_POINTS` grid points and reads each summary row from its
-series' entries, the system's split and its own peak time ``t*``,
+reduces every diagnostic, the ratio statistics included, into columns of
+Python floats, one entry for each series. :func:`run` is a block of one
+on its configuration's own grid, which needs no key, and reads entry 0;
+:func:`sweep` cuts its configurations into blocks whose series hold at
+most :data:`BLOCK_POINTS` grid points and reads each summary row from
+its series' entries, the system's split and its own peak time ``t*``,
 without a per-row result. Both give the same numbers bit for bit. A
 block holds no series it no longer needs: each Bloch series is dropped
 once its entropies are taken, but for ``x2``, whose square root, taken
-in place, is the coherence; and the negativity's Newton solve, where
-the block peaks, frees its inputs as it goes (see
+in place, is the coherence; and the negativity's Newton solve, where the
+block peaks, frees its inputs as it goes (see
 :func:`~strongcouple.channels.joint_negativities_closed_form`). Nor does
 it expand a series to its rows: the keys of the rows are taken in runs
 of at most :data:`BLOCK_POINTS` points.
@@ -68,7 +73,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import channels as ch
-from .errors import InputError, NumericalError, _as_count, _as_float
+from .errors import (InputError, NumericalError, _as_count, _as_float,
+                     _gate)
 # thermo_trajectory, the generic route, is not called here; it stays bound
 # because benchmarks/tests/test_bench_tracer.py checks that the layer
 # tracer wraps it in this module
@@ -187,9 +193,7 @@ def _block_times(configs) -> np.ndarray:
                               retstep=True)
     if not step.all():
         return np.array([config.times for config in configs])
-    # linspace puts the new axis first and moves it; the copy keeps the
-    # rows contiguous, as a single grid is
-    return np.ascontiguousarray(times)
+    return times
 
 
 class _Block(NamedTuple):
@@ -197,20 +201,22 @@ class _Block(NamedTuple):
     state series among them.
 
     ``series[i]`` is the series of row ``i``, numbered in the order of
-    their first rows, and ``first[s]`` the first row that holds series
-    ``s``, on whose grid the series is evaluated.
+    their first rows, ``first[s]`` the first row that holds series ``s``,
+    and ``grids[s]`` that row's grid, on which the series is evaluated.
     """
 
     configs: list
     first: list
     series: list
+    grids: list
 
 
-def _series_keys(configs) -> list:
+def _series_keys(configs) -> tuple:
     """The key of each configuration's state series, for configurations
-    that share ``n_samples``: the bytes of its ``alpha`` and ``w0`` and
-    of ``gamma * t`` on its grid; a row whose ``gamma * t`` does not
-    rise gets a key of its own, so that it is checked as its run is.
+    that share ``n_samples``, and the ``(R, T)`` grids they were taken
+    on: the bytes of its ``alpha`` and ``w0`` and of ``gamma * t`` on
+    its grid; a row whose ``gamma * t`` does not rise gets a key of its
+    own, so that it is checked as its run is.
 
     The decay factor reads only ``-gamma_rate * t``, and every other
     parameter a closed form reads is a float function of ``alpha`` and
@@ -220,36 +226,36 @@ def _series_keys(configs) -> list:
     """
     params = np.array([[config.params.alpha, config.params.w0,
                         config.params.gamma_rate] for config in configs])
-    scaled = params[:, 2:] * _block_times(configs)
+    times = _block_times(configs)
+    scaled = params[:, 2:] * times
     # gamma > 0, so where gamma * t rises, so does t, and needs no check
     rising = (scaled[:, 1:] > scaled[:, :-1]).all(axis=1)
     table = np.concatenate([params[:, :2], scaled], axis=1)
     return [row.tobytes() if ok else object()
-            for row, ok in zip(table, rising.tolist())]
+            for row, ok in zip(table, rising.tolist())], times
 
 
 def _run_block(block: _Block) -> tuple:
     """Run a block, evaluating each of its distinct state series once.
 
     The parameters of the series are ``(k, 1)`` columns and their grids,
-    those of their first rows, a ``(k, T)`` array, whose decay factor is
-    evaluated once and handed, as one grid, to each public closed form,
-    the joint ones with the peak's column appended; each marginal's
-    first-law split runs once for the block. Returns
+    the block's copies of its first rows', a ``(k, T)`` array, whose
+    decay factor is evaluated once and handed, as one grid, to each
+    public closed form, the joint ones with the peak's column appended;
+    each marginal's first-law split runs once for the block. Returns
     ``(thermo_s, thermo_e, info, columns)``: the two splits and the
     :class:`InfoSeries` hold ``(k, T)`` arrays, one row for each series,
     and ``columns`` the diagnostics by name, as lists of one Python
     float for each series, its peak time that of its first row.
-    Every gate reduces over the whole block, so the block raises where
-    any of its rows would; its message is that of a single run only for
-    a block of one.
+    Every gate reduces over the whole block and names its worst entry,
+    so the block raises where any of its rows would, with the message
+    the first row of that entry's series raises alone.
     """
-    configs, first, _ = block
+    configs, first, _, grids = block
     cols = ch._columns([configs[i].params for i in first])
     # the grids with the peak time t* appended
     inside, t_peak = zip(*(_peak_time(configs[i]) for i in first))
-    with_peak = np.concatenate([_block_times([configs[i] for i in first]),
-                                np.array(t_peak)[:, None]], axis=1)
+    with_peak = np.concatenate([grids, np.array(t_peak)[:, None]], axis=1)
     grid = ch._grid(cols, with_peak[:, :-1])
     times = grid.times
     k = len(first)
@@ -260,18 +266,15 @@ def _run_block(block: _Block) -> tuple:
 
     # the system's rows, then the environment's
     work = abs(np.concatenate([thermo_s.work, thermo_e.work])).max(axis=1)
-    work_max = float(work.max())
-    if work_max > WORK_STATIC_TOL:
-        raise NumericalError(
-            f"work {work_max:.3e} on a static Hamiltonian exceeds "
-            f"{WORK_STATIC_TOL:.0e}")
+    _gate(work, WORK_STATIC_TOL, lambda i: (
+        f"work {work[i]:.3e} on a static Hamiltonian exceeds "
+        f"{WORK_STATIC_TOL:.0e}"))
     balance = abs(thermo_s.internal_energy_change
                   + thermo_e.internal_energy_change).max(axis=1)
-    if balance.max() > ENERGY_BALANCE_TOL:
-        raise NumericalError(
-            f"system plus environment energy change {balance.max():.3e} "
-            f"exceeds {ENERGY_BALANCE_TOL:.0e}; total energy must be "
-            "conserved")
+    _gate(balance, ENERGY_BALANCE_TOL, lambda i: (
+        f"system plus environment energy change {balance[i]:.3e} "
+        f"exceeds {ENERGY_BALANCE_TOL:.0e}; total energy must be "
+        "conserved"))
 
     asym = heat_asymmetry(thermo_s.heat, thermo_e.heat)
 
@@ -294,8 +297,8 @@ def _run_block(block: _Block) -> tuple:
         for a in grid[1:]))
     neg = ch.joint_negativities_closed_form(cols, grid)
     neg, neg_peak = neg[:, :-1], neg[:, -1]
-    drift_closed = bloch_entropies(
-        ch.joint_radii_closed_form(cols, grid)[:, :-1])
+    # the closed-form family's joint entropy, on the grid and at t*
+    joint_closed = bloch_entropies(ch.joint_radii_closed_form(cols, grid))
     ent_joint = bloch_entropies(abs(cols.w0 - cols.w1))
     # spot check of the closed form against the eigensolve route, at the
     # one point where the negativity matters most, in one call with the
@@ -306,13 +309,11 @@ def _run_block(block: _Block) -> tuple:
                                        grid.lose[:, -1:]),
         ch._dilated_matrices(cols, lose_final)]))[:, 0].reshape(2, k)
     gap = abs(spot - neg_peak)
-    if (gap > NEGATIVITY_SPOT_TOL).any():
-        i = int(np.argmax(gap))
-        raise NumericalError(
-            f"negativity routes disagree by {gap[i]:.3e} "
-            f"at the peak t = {t_peak[i]:.6g} (closed form "
-            f"{neg_peak[i]:.6e}, eigensolve {spot[i]:.6e}); bound "
-            f"{NEGATIVITY_SPOT_TOL:.0e}")
+    _gate(gap, NEGATIVITY_SPOT_TOL, lambda i: (
+        f"negativity routes disagree by {gap[i]:.3e} "
+        f"at the peak t = {t_peak[i]:.6g} (closed form "
+        f"{neg_peak[i]:.6e}, eigensolve {spot[i]:.6e}); bound "
+        f"{NEGATIVITY_SPOT_TOL:.0e}"))
 
     points, means, spreads = _ratio_rows(asym, neg)
     # per-series scalars, as Python floats
@@ -328,7 +329,7 @@ def _run_block(block: _Block) -> tuple:
         "heat_asymmetry_max": asym.max(axis=1).tolist(),
         "joint_entropy_unitary_family": np.ravel(ent_joint).tolist(),
         "entropy_drift_closed_form_family": abs(
-            drift_closed - drift_closed[:, :1]).max(axis=1).tolist(),
+            joint_closed - joint_closed[:, :1]).max(axis=1).tolist(),
         "negativity_peak": neg_peak.tolist(),
         "negativity_peak_time": list(t_peak),
         "negativity_final": neg[:, -1].tolist(),
@@ -342,7 +343,7 @@ def _run_block(block: _Block) -> tuple:
     info = InfoSeries(times=times, entropy_s=ent_s, entropy_e=ent_e,
                       coherence_s=np.sqrt(x2_s, out=x2_s),
                       coherence_e=np.sqrt(x2_e, out=x2_e), negativity=neg,
-                      mutual_information=ent_s + ent_e - drift_closed,
+                      mutual_information=ent_s + ent_e - joint_closed[:, :-1],
                       heat_asymmetry=asym)
     return thermo_s, thermo_e, info, columns
 
@@ -368,7 +369,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     """
     _check_config(config, "run")
     thermo_s, thermo_e, info, columns = _run_block(
-        _Block([config], [0], [0]))
+        _Block([config], [0], [0], [config.times]))
     info = info[0]
     return ExperimentResult(
         config=config, params=config.params, times=info.times,
@@ -405,25 +406,32 @@ def _blocks(configs):
     Rows share a series when their keys (see :func:`_series_keys`) are
     equal. The keys are taken on runs of at most :data:`BLOCK_POINTS`
     points, so that a block holds no array that grows with the rows
-    that repeat a series.
+    that repeat a series. The grids a run of keys is taken on serve its
+    block too: the block keeps a copy of each first row's grid, and no
+    view of the run's grids.
     """
-    rows, first, series, seen = [], [], [], {}
+    rows, first, series, grids, seen = [], [], [], [], {}
     for n, same in groupby(configs, key=lambda config: config.n_samples):
         same, size = list(same), max(1, BLOCK_POINTS // n)
         for part in (same[i:i + size] for i in range(0, len(same), size)):
             done = []
-            for config, key in zip(part, _series_keys(part)):
+            keys, times = _series_keys(part)
+            for config, key, grid in zip(part, keys, times):
                 if key not in seen:
                     if rows and (rows[0].n_samples != n
                                  or (len(first) + 1) * n > BLOCK_POINTS):
-                        done.append(_Block(rows, first, series))
-                        rows, first, series, seen = [], [], [], {}
+                        done.append(_Block(rows, first, series, grids))
+                        rows, first, series, grids, seen = [], [], [], [], {}
                     seen[key] = len(first)
                     first.append(len(rows))
+                    grids.append(grid.copy())
                 series.append(seen[key])
                 rows.append(config)
+            # the run's keys and grids, and grid, a view of its last row,
+            # are freed before its blocks run
+            del keys, times, grid
             yield from done
-    yield _Block(rows, first, series)
+    yield _Block(rows, first, series, grids)
 
 
 def sweep(configs) -> list:
@@ -472,13 +480,13 @@ def _sweep_rows(block: _Block) -> list:
     failing row holds the message its run raises alone and the other
     rows keep their values.
     """
-    configs, _, series = block
+    configs, _, series, _ = block
     try:
         thermo_s, _, _, d = _run_block(block)
     except (InputError, NumericalError) as exc:
         if len(configs) > 1:
-            return [row for config in configs
-                    for row in _sweep_rows(_Block([config], [0], [0]))]
+            return [row for config in configs for row in _sweep_rows(
+                _Block([config], [0], [0], [config.times]))]
         return [SweepSummary(*_inputs(configs[0]), error=str(exc))]
     # in the order of the result fields of SweepSummary after the peak time
     results = list(zip(d["heat_asymmetry_max"], d["heat_system_final"],

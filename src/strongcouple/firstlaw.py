@@ -75,15 +75,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import QUBIT_HAMILTONIAN
-from .errors import (InputError, NumericalError, TrackingError, _as_array,
-                     _as_float)
+from .errors import InputError, TrackingError, _as_array, _as_float, _gate
 from .spectra import density_eigh
 
 # Levels E0, E1 of the model's qubit Hamiltonian
 _ENERGIES = QUBIT_HAMILTONIAN.real.diagonal()
 _TRACK_MIN_OVERLAP = 1.0 / np.sqrt(2.0)
-# The qubit route's closure bound, and the generic route's default one
+# The generic route's default closure bound
 CLOSURE_TOLERANCE = 1e-4
+# The qubit route's closure bound. Its residual compares two closed forms
+# and is round-off: at most 3.3e-16 over 3000 random runs, with alpha at,
+# near and between 0 and 1, beta in [1e-17, 1e-10], [1e-4, 1e4] or inf,
+# gamma in [1e-3, 1e3], t_max in [1e-2, 316] and 3 to 2001 points
+QUBIT_CLOSURE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -169,28 +173,26 @@ def _ledger(times, heat, coherent, du, tolerance, advice) -> ThermoTrajectory:
     closure gate.
 
     A closure residual above ``tolerance`` raises :class:`NumericalError`
-    with the message of the first failing row of a block alone: the time
-    of its worst residual and, since the residual accumulates, the grid
-    step where it grows most, then ``advice``.
+    with the message of the worst row of a block alone: the time of its
+    worst residual and, since the residual accumulates, the grid step
+    where it grows most, then ``advice``.
     """
     work = np.zeros_like(times)
     residual = np.abs(du - work - heat - coherent)
-    # written so that a NaN residual fails too
-    failed = np.flatnonzero(~(residual.max(axis=-1) <= tolerance))
-    if failed.size:
-        row = np.atleast_2d(residual)[failed[0]]
-        row_times = np.atleast_2d(times)[failed[0]]
-        worst = int(np.argmax(row))
+
+    def message(i):
+        row, worst = divmod(i, residual.shape[-1])
+        res, at = np.atleast_2d(residual)[row], np.atleast_2d(times)[row]
         # the residual accumulates, so its worst point says little about
         # where the error arises; the step where it grows most does
-        growth = np.abs(np.diff(row))
+        growth = np.abs(np.diff(res))
         step = int(np.argmax(growth))
-        raise NumericalError(
-            f"first-law closure residual {row[worst]:.3e} at "
-            f"t = {row_times[worst]:.6g} exceeds tolerance "
-            f"{tolerance:.1e}; it grows most, by "
-            f"{growth[step]:.3e}, between t = {row_times[step]:.6g} and "
-            f"t = {row_times[step + 1]:.6g}; {advice}")
+        return (f"first-law closure residual {res[worst]:.3e} at "
+                f"t = {at[worst]:.6g} exceeds tolerance "
+                f"{tolerance:.1e}; it grows most, by "
+                f"{growth[step]:.3e}, between t = {at[step]:.6g} and "
+                f"t = {at[step + 1]:.6g}; {advice}")
+    _gate(residual, tolerance, message)
     return ThermoTrajectory(times=times, work=work, heat=heat,
                             coherent_energy=coherent,
                             internal_energy_change=du,
@@ -329,9 +331,10 @@ def qubit_thermo_trajectory(bloch) -> ThermoTrajectory:
     as coarse as the caller likes. The internal energy change is
     ``bloch.populations @ energies``, from the closed-form populations;
     the closure residual therefore compares the Bloch coefficients with
-    those populations, and one above :data:`CLOSURE_TOLERANCE` raises the
-    :class:`NumericalError` of the first such row alone. It cannot see an
-    error in the split of ``Delta U`` between heat and coherent energy.
+    those populations, and one above :data:`QUBIT_CLOSURE_TOLERANCE`
+    raises the :class:`NumericalError` of the worst row alone. It cannot
+    see an error in the split of ``Delta U`` between heat and coherent
+    energy.
     """
     times = _check_grid(bloch.times, ndim=2)
     half_gap = 0.5 * (_ENERGIES[0] - _ENERGIES[1])
@@ -346,5 +349,6 @@ def qubit_thermo_trajectory(bloch) -> ThermoTrajectory:
         coefficients.tolist(), rows)]).reshape(g.shape)
     coherent = half_gap * bloch.coefficients[1] * (g - g[..., :1]) - heat
     u = bloch.populations @ _ENERGIES
-    return _ledger(times, heat, coherent, u - u[..., :1], CLOSURE_TOLERANCE,
+    return _ledger(times, heat, coherent, u - u[..., :1],
+                   QUBIT_CLOSURE_TOLERANCE,
                    "the Bloch coefficients disagree with the state matrices")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError, _as_array
+from .errors import InputError, _as_array, _gate
 from .spectra import (check_spectrum, density_stack, partial_transpose_stack,
                       unit_trace_stack)
 
@@ -93,12 +93,10 @@ def negativities(joints) -> np.ndarray:
     from_trace_norm = 0.5 * (np.sum(np.abs(lam), axis=-1) - 1.0)
     from_eigenvalues = np.sum(np.where(lam < 0.0, -lam, 0.0), axis=-1)
     gap = abs(from_trace_norm - from_eigenvalues)
-    if (gap > _NEGATIVITY_ROUTE_TOL).any():
-        worst = np.argmax(gap)
-        raise NumericalError(
-            f"negativity routes disagree by {gap.flat[worst]:.3e} "
-            f"(trace norm {from_trace_norm.flat[worst]:.6e}, "
-            f"eigenvalue sum {from_eigenvalues.flat[worst]:.6e})")
+    _gate(gap, _NEGATIVITY_ROUTE_TOL, lambda i: (
+        f"negativity routes disagree by {gap.flat[i]:.3e} "
+        f"(trace norm {from_trace_norm.flat[i]:.6e}, "
+        f"eigenvalue sum {from_eigenvalues.flat[i]:.6e})"))
     return np.maximum(0.0, from_eigenvalues)
 
 

@@ -20,6 +20,10 @@ Each state is checked once, by one rule:
   floor for its input, so that its output, which it checks as a
   builder, clears the floor too.
 
+The Hermiticity and trace checks, and the halved floor of
+:func:`partial_trace`, hold their values to an upper bound through
+:func:`strongcouple.errors._gate`, so a NaN fails them and the worst
+entry is named.
 The eigenvalue floor ``PSD_FLOOR`` is one check, :func:`check_spectrum`,
 on the smallest eigenvalue of each state; the entropy measures of
 :mod:`strongcouple.infomeasures` use it too. :func:`check_unit_traces`
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, _as_array
+from .errors import InputError, _as_array, _gate
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -64,25 +68,22 @@ def hermitian_stack(matrices) -> np.ndarray:
     if not np.isfinite(m).all():
         raise InputError("matrix has non-finite entries")
     adjoint = m.conj().swapaxes(-1, -2)
-    dev = float(abs(m - adjoint).max(initial=0.0))
-    if dev > HERMITICITY_TOL:
-        raise InputError(
-            f"matrix is not Hermitian, max |M - M^+| = {dev:.3e} "
-            f"exceeds {HERMITICITY_TOL:.0e}")
+    dev = abs(m - adjoint)
+    _gate(dev, HERMITICITY_TOL, lambda i: (
+        f"matrix is not Hermitian, max |M - M^+| = {dev.flat[i]:.3e} "
+        f"exceeds {HERMITICITY_TOL:.0e}"), InputError)
     return (m + adjoint) / 2
 
 
 def check_unit_traces(tr) -> None:
     """Every entry of ``tr``, the traces of a stack of states, is one.
 
-    To within ``TRACE_TOL``; raises :class:`InputError` naming the worst.
-    Written so that a NaN trace fails too, and is the one named.
+    To within ``TRACE_TOL``; raises :class:`InputError` naming the worst,
+    a NaN trace first.
     """
-    dev = abs(tr - 1.0)
-    if not (dev <= TRACE_TOL).all():
-        worst = tr.flat[np.argmax(dev)]
-        raise InputError(
-            f"trace {worst.real:.15g} differs from 1 by more than {TRACE_TOL:.0e}")
+    _gate(abs(tr - 1.0), TRACE_TOL, lambda i: (
+        f"trace {tr.flat[i].real:.15g} differs from 1 by more than "
+        f"{TRACE_TOL:.0e}"), InputError)
 
 
 def check_spectrum(lowest) -> None:
@@ -253,11 +254,10 @@ def partial_trace(states, keep) -> np.ndarray:
                         or k not in (0, 1) for k in keeps):
         raise InputError(f"keep must be 0, 1 or a tuple of them, got {keep!r}")
     lowest = np.linalg.eigvalsh(m)[..., 0]
-    if (2.0 * lowest < PSD_FLOOR).any():
-        raise InputError(
-            f"eigenvalue {lowest.min():.3e} below {PSD_FLOOR / 2.0:.0e}, the "
-            f"floor {PSD_FLOOR:.0e} over the traced-out dimension 2; its "
-            f"marginal may not be a density operator")
+    _gate(-2.0 * lowest, -PSD_FLOOR, lambda i: (
+        f"eigenvalue {lowest.flat[i]:.3e} below {PSD_FLOOR / 2.0:.0e}, the "
+        f"floor {PSD_FLOOR:.0e} over the traced-out dimension 2; its "
+        f"marginal may not be a density operator"), InputError)
     r = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
     traced = unit_trace_stack([np.einsum("...kikj->...ij" if k else
                                          "...ikjk->...ij", r) for k in keeps])

@@ -496,6 +496,43 @@ class TestNegativityPeak:
                 <= ch.NEGATIVITY_NEWTON_TOL * peak, config
 
 
+class TestEntropyDrift:
+    """The closed-form family's joint radius grows with u = g (1 - g),
+    so the drift of its joint entropy from t = 0 is largest at the
+    negativity's peak time t*, where the run reads it."""
+
+    @staticmethod
+    def joint_entropies(config, times) -> np.ndarray:
+        return bloch_entropies(ch.joint_radii_closed_form(config.params,
+                                                          times))
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"n_samples": 101}, {"alpha": 0.3, "beta": 3.0},
+        {"alpha": 0.2, "beta": 0.2, "n_samples": 501}])
+    def test_read_at_the_peak(self, kwargs):
+        config = ExperimentConfig(**kwargs)
+        d = run(config).diagnostics
+        start, peak = self.joint_entropies(
+            config, np.array([0.0, d["negativity_peak_time"]]))
+        drift = d["entropy_drift_closed_form_family"]
+        assert drift == start - peak
+        grid = self.joint_entropies(config, config.times)
+        assert abs(grid - grid[0]).max() <= drift
+
+    def test_horizon_before_half_decay(self):
+        # gamma t_max = 0.5 < ln 2: t* is the grid's last point, and the
+        # drift is the grid's
+        config = ExperimentConfig(gamma=0.05)
+        grid = self.joint_entropies(config, config.times)
+        drift = run(config).diagnostics["entropy_drift_closed_form_family"]
+        assert drift == abs(grid - grid[0]).max()
+        assert drift == pytest.approx(0.152735232779, abs=1e-12)
+
+    def test_no_drift_without_initial_coherence(self):
+        d = run(ExperimentConfig(alpha=0.0)).diagnostics
+        assert d["entropy_drift_closed_form_family"] == 0.0
+
+
 class TestRatioColumns:
     """The run's ratio columns: the points where the negativity clears the
     threshold, the mean ratio of the heat asymmetry to the negativity
@@ -545,9 +582,10 @@ class TestRatioColumns:
 
 
 class TestGates:
-    """The static-Hamiltonian work gate and the energy-balance gate of a
-    block trip on a fault, with the phrase that names their gate, in a
-    run and in a sweep row."""
+    """The static-Hamiltonian work gate, the energy-balance gate and the
+    negativity's spot check of a block trip on a fault, a NaN included,
+    with the phrase that names their gate, in a run and in a sweep
+    row."""
 
     @staticmethod
     def assert_gate(phrase):
@@ -574,6 +612,44 @@ class TestGates:
 
         monkeypatch.setattr(experiment, "qubit_thermo_trajectory", working)
         self.assert_gate("static Hamiltonian")
+
+    @pytest.mark.parametrize("field, phrase", [
+        ("work", "static Hamiltonian"),
+        ("internal_energy_change", "energy change")])
+    def test_nan_trips_the_split_gates(self, monkeypatch, field, phrase):
+        # a NaN compares false to any bound, so a gate written as
+        # "value > bound" would let it through
+        split = experiment.qubit_thermo_trajectory
+
+        def poisoned(series):
+            traj = split(series)
+            values = getattr(traj, field).copy()
+            values[..., 5] = math.nan
+            return dataclasses.replace(traj, **{field: values})
+
+        monkeypatch.setattr(experiment, "qubit_thermo_trajectory", poisoned)
+        self.assert_gate(phrase)
+
+    def test_closure_gate_sees_a_slope_error(self, monkeypatch):
+        # a system z slope off by one part in 1e8 leaves a closure
+        # residual of about 2.3e-9, far below the generic route's bound
+        # and far above the qubit route's round-off
+        bloch = ch.system_bloch
+
+        def tilted(params, times):
+            series = bloch(params, times)
+            z0, z1, c0, c1 = series.coefficients
+            return series._replace(
+                coefficients=(z0, z1 * (1.0 + 1e-8), c0, c1))
+
+        monkeypatch.setattr(ch, "system_bloch", tilted)
+        self.assert_gate(r"first-law closure residual 2\.\d+e-09 ")
+
+    def test_nan_trips_the_spot_check(self, monkeypatch):
+        monkeypatch.setattr(
+            experiment, "negativities",
+            lambda joints: np.full(joints.shape[:-2], math.nan))
+        self.assert_gate(r"negativity routes disagree by nan at the peak")
 
 
 # the closed forms a block calls with its grid: the marginals' on the
@@ -795,6 +871,29 @@ class TestSweep:
         assert rows[1].error == str(failure.value)
         assert rows[1].error == "times must be strictly increasing"
 
+    def test_grids_built_once(self, monkeypatch):
+        # a sweep builds each row's grid once, for its key, in one
+        # linspace call per run of keys (two for sweep27), and its block
+        # keeps copies of the first rows' grids, which hold no run of
+        # keys alive; a run builds its own grid once
+        linspace, calls = np.linspace, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return linspace(*args, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", counting)
+        configs = _sweep27()
+        sweep(configs)
+        assert len(calls) == 2
+        (block,) = _blocks(configs)
+        assert [grid.base for grid in block.grids] == [None] * 9
+        assert all(grid.tobytes() == configs[i].times.tobytes()
+                   for grid, i in zip(block.grids, block.first))
+        calls.clear()
+        run(ExperimentConfig())
+        assert len(calls) == 1
+
     def test_blocks_cut_at_grid_length_and_budget(self):
         # distinct series count against the budget: 16 of 501 points fit
         lengths = [501] * 17 + [101] * 2 + [BLOCK_POINTS + 1] + [501]
@@ -833,11 +932,11 @@ class TestSweep:
 
     def test_memory_of_a_run(self):
         # a block frees its Bloch series but x2 before the negativity's Newton solve, where it peaks, and the
-        # solve frees its dead buffers: 0.94 MB on this grid
+        # solve frees its dead buffers: 0.97 MB on this grid
         assert _peak(lambda: run(ExperimentConfig(n_samples=4001))) <= 1.0e6
 
     def test_memory_of_the_sweep27_rows(self):
-        # one block of 27 rows that hold 9 series at 501 points: 1.15 MB
+        # one block of 27 rows that hold 9 series at 501 points: 1.14 MB
         configs = _sweep27()
         assert _peak(lambda: sweep(configs)) <= 2.0e6
 
@@ -845,7 +944,7 @@ class TestSweep:
         # 2000 rows that repeat one 501-point series make one block, which
         # evaluates the series once and takes the rows' keys in runs of at
         # most BLOCK_POINTS points: its memory does not grow with its rows
-        # but for their summary rows, 0.59 MB
+        # but for their summary rows, 0.61 MB
         configs = [ExperimentConfig(gamma=g, t_max=5.0 / g, n_samples=501)
                    for _ in range(1000) for g in (0.5, 2.0)]
         assert _sizes(configs) == [(2000, 1)]

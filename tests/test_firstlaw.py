@@ -702,21 +702,26 @@ class TestBlocks:
             assert _same_bits(getattr(block, field)[0],
                               getattr(series, field)), field
 
-    def test_closure_gate_names_the_first_failing_row(self):
-        # rows 2 and 4 carry a wrong slope; the block's message is the
-        # one row 2's own series raises
+    def test_closure_gate_names_the_worst_row(self):
+        # rows 2 and 4 carry the same wrong slope, which row 4's longer
+        # horizon turns into the larger residual; the block's message is
+        # the one row 4's own series raises, not row 2's
         block, rows = _block_and_rows("system")
         z0, z1, c0, c1 = block.coefficients
         wrong = np.zeros_like(z1)
         wrong[[2, 4]] = 1e-3
-        with pytest.raises(NumericalError) as alone:
-            qubit_thermo_trajectory(rows[2]._replace(coefficients=(
-                rows[2].coefficients[0], rows[2].coefficients[1] + 1e-3,
-                *rows[2].coefficients[2:])))
+        messages = []
+        for i in (2, 4):
+            with pytest.raises(NumericalError) as alone:
+                qubit_thermo_trajectory(rows[i]._replace(coefficients=(
+                    rows[i].coefficients[0], rows[i].coefficients[1] + 1e-3,
+                    *rows[i].coefficients[2:])))
+            messages.append(str(alone.value))
         with pytest.raises(NumericalError) as together:
             qubit_thermo_trajectory(
                 block._replace(coefficients=(z0, z1 + wrong, c0, c1)))
-        assert str(together.value) == str(alone.value)
+        assert messages[0] != messages[1]
+        assert str(together.value) == messages[1]
         assert "Bloch coefficients disagree" in str(together.value)
 
     @pytest.mark.parametrize("times", [

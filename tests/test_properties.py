@@ -36,7 +36,7 @@ from strongcouple.errors import InputError, NumericalError  # noqa: E402
 from strongcouple.experiment import (BLOCK_POINTS,  # noqa: E402
                                      ExperimentConfig, SweepSummary,
                                      _block_times, _blocks, run, sweep)
-from strongcouple.firstlaw import CLOSURE_TOLERANCE  # noqa: E402
+from strongcouple.firstlaw import QUBIT_CLOSURE_TOLERANCE  # noqa: E402
 from strongcouple.spectra import density_stack, partial_trace  # noqa: E402
 
 ALPHA_DEFAULT = 1.0 / math.sqrt(2.0)
@@ -83,7 +83,7 @@ def test_every_configuration_passes_every_gate(alpha, beta, gamma,
     result = run(config)
     d = result.diagnostics
     assert max(d["closure_system_max"], d["closure_environment_max"]) \
-        <= CLOSURE_TOLERANCE
+        <= QUBIT_CLOSURE_TOLERANCE
     for traj in (result.thermo_s, result.thermo_e):
         assert np.all(np.isfinite(traj.heat))
         assert np.all(np.isfinite(traj.coherent_energy))
