@@ -31,11 +31,14 @@ fixed by ``alpha``, ``w0`` and the grid ``gamma t``: rows whose three
 have the same bits hold one series, as the rows of a sweep on one
 ``gamma_t_max`` do where the gammas differ by powers of two. A series is
 evaluated on the grid of its first row: the parameters are ``(k, 1)``
-columns and the times a ``(k, T)`` array, the first rows' grids that
-their keys were taken on, so a block builds no grid. The block evaluates
-the decay factor once, as the grid of :mod:`strongcouple.channels`, and
-hands that grid to the public closed forms: the two Bloch series, and,
-with the peak's column appended, the joint negativities and the joint
+columns and the times one ``(k, T + 1)`` array, the first rows' grids
+that their keys were taken on, each with its peak time ``t*`` as the
+last column (:func:`_block_times`), so a block builds no grid. The
+block evaluates the decay factor once on it, as the grid of
+:mod:`strongcouple.channels`, with ``g = 1 - g = 1/2`` exactly in the
+peak's column where ``g`` reaches 1/2, and hands it to the public
+closed forms: the first ``T`` columns, as views, to the two Bloch
+series, and the whole grid to the joint negativities and the joint
 radii; the closed-form family's joint entropy, whose drift from
 ``t = 0`` grows with ``u = g (1 - g)`` as the negativity does, is read
 at ``t*`` too. Each marginal's first-law split runs once for the block.
@@ -179,21 +182,23 @@ def _peak_time(config: ExperimentConfig) -> tuple:
 
 
 def _block_times(configs) -> np.ndarray:
-    """The ``(R, T)`` grids of configurations that share ``n_samples``.
+    """The ``(R, T + 1)`` grids of configurations that share
+    ``n_samples``, each row with its peak time ``t*`` (see
+    :func:`_peak_time`) as one more column.
 
-    One ``linspace`` call for the block; each row equals its
-    configuration's :attr:`ExperimentConfig.times` bit for bit.
-    ``linspace`` takes one path for all rows, and another where a step
-    underflows to zero; a block with such a step takes each row's grid
-    alone, so that its other rows keep their own grids. The row whose
-    step underflows is not increasing, and fails its block.
+    One ``linspace`` call for the block; the first ``T`` columns of each
+    row equal its configuration's :attr:`ExperimentConfig.times` bit for
+    bit. ``linspace`` takes one path for all rows, and another where a
+    step underflows to zero; a block with such a step takes each row's
+    grid alone, so that its other rows keep their own grids. The row
+    whose step underflows is not increasing, and fails its block.
     """
     t_max = np.array([config.t_max for config in configs])
     times, step = np.linspace(0.0, t_max, configs[0].n_samples, axis=-1,
                               retstep=True)
     if not step.all():
-        return np.array([config.times for config in configs])
-    return times
+        times = [config.times for config in configs]
+    return np.column_stack([times, [_peak_time(c)[1] for c in configs]])
 
 
 class _Block(NamedTuple):
@@ -202,20 +207,23 @@ class _Block(NamedTuple):
 
     ``series[i]`` is the series of row ``i``, numbered in the order of
     their first rows, ``first[s]`` the first row that holds series ``s``,
-    and ``grids[s]`` that row's grid, on which the series is evaluated.
+    and ``times[s]`` that row's grid with its peak time ``t*`` appended
+    (see :func:`_block_times`), on which the series is evaluated: one
+    ``(k, T + 1)`` array for the block.
     """
 
     configs: list
     first: list
     series: list
-    grids: list
+    times: np.ndarray
 
 
 def _series_keys(configs) -> tuple:
     """The key of each configuration's state series, for configurations
-    that share ``n_samples``, and the ``(R, T)`` grids they were taken
-    on: the bytes of its ``alpha`` and ``w0`` and of ``gamma * t`` on
-    its grid; a row whose ``gamma * t`` does not rise gets a key of its
+    that share ``n_samples``, and the ``(R, T + 1)`` grids of
+    :func:`_block_times` they were taken on: the bytes of its ``alpha``
+    and ``w0`` and of ``gamma * t`` on its grid, without the peak's
+    column; a row whose ``gamma * t`` does not rise gets a key of its
     own, so that it is checked as its run is.
 
     The decay factor reads only ``-gamma_rate * t``, and every other
@@ -227,7 +235,7 @@ def _series_keys(configs) -> tuple:
     params = np.array([[config.params.alpha, config.params.w0,
                         config.params.gamma_rate] for config in configs])
     times = _block_times(configs)
-    scaled = params[:, 2:] * times
+    scaled = params[:, 2:] * times[:, :-1]
     # gamma > 0, so where gamma * t rises, so does t, and needs no check
     rising = (scaled[:, 1:] > scaled[:, :-1]).all(axis=1)
     table = np.concatenate([params[:, :2], scaled], axis=1)
@@ -238,11 +246,14 @@ def _series_keys(configs) -> tuple:
 def _run_block(block: _Block) -> tuple:
     """Run a block, evaluating each of its distinct state series once.
 
-    The parameters of the series are ``(k, 1)`` columns and their grids,
-    the block's copies of its first rows', a ``(k, T)`` array, whose
-    decay factor is evaluated once and handed, as one grid, to each
-    public closed form, the joint ones with the peak's column appended;
-    each marginal's first-law split runs once for the block. Returns
+    The parameters of the series are ``(k, 1)`` columns and their times
+    the block's one ``(k, T + 1)`` array, each first row's grid with its
+    peak time ``t*`` as the last column. Its decay factor is evaluated
+    once, with ``g = 1 - g = 1/2`` written exactly into the peak's
+    column where ``g`` reaches 1/2; the Bloch series and the first-law
+    splits take the first ``T`` columns as views, and the joint closed
+    forms and the spot check the whole grid. Each marginal's first-law
+    split runs once for the block. Returns
     ``(thermo_s, thermo_e, info, columns)``: the two splits and the
     :class:`InfoSeries` hold ``(k, T)`` arrays, one row for each series,
     and ``columns`` the diagnostics by name, as lists of one Python
@@ -251,16 +262,17 @@ def _run_block(block: _Block) -> tuple:
     so the block raises where any of its rows would, with the message
     the first row of that entry's series raises alone.
     """
-    configs, first, _, grids = block
+    configs, first, _, times = block
     cols = ch._columns([configs[i].params for i in first])
-    # the grids with the peak time t* appended
-    inside, t_peak = zip(*(_peak_time(configs[i]) for i in first))
-    with_peak = np.concatenate([grids, np.array(t_peak)[:, None]], axis=1)
-    grid = ch._grid(cols, with_peak[:, :-1])
-    times = grid.times
+    grid = ch._grid(cols, times)
+    # the peak's column: g = 1 - g = 1/2 exactly where g reaches 1/2, else
+    # the values at t* = t_max, the grid's last
+    inside = np.array([_peak_time(configs[i])[0] for i in first])
+    grid.decay[inside, -1] = grid.lose[inside, -1] = 0.5
+    on_grid = ch._Grid(*(a[:, :-1] for a in grid))
     k = len(first)
-    bloch_s = ch.system_bloch(cols, grid)
-    bloch_e = ch.environment_bloch(cols, grid)
+    bloch_s = ch.system_bloch(cols, on_grid)
+    bloch_e = ch.environment_bloch(cols, on_grid)
     thermo_s = qubit_thermo_trajectory(bloch_s)
     thermo_e = qubit_thermo_trajectory(bloch_e)
 
@@ -288,13 +300,6 @@ def _run_block(block: _Block) -> tuple:
     x2_e = bloch_e.x2
     del bloch_e
 
-    # the peak's column: g = 1 - g = 1/2 exactly where g reaches 1/2, else
-    # the grid's last; the block's own decay values are freed here
-    half = np.array(inside)[:, None]
-    lose_final = grid.lose[:, -1:].copy()
-    grid = ch._Grid(with_peak, *(
-        np.concatenate([a, np.where(half, 0.5, a[:, -1:])], axis=1)
-        for a in grid[1:]))
     neg = ch.joint_negativities_closed_form(cols, grid)
     neg, neg_peak = neg[:, :-1], neg[:, -1]
     # the closed-form family's joint entropy, on the grid and at t*
@@ -302,16 +307,17 @@ def _run_block(block: _Block) -> tuple:
     ent_joint = bloch_entropies(abs(cols.w0 - cols.w1))
     # spot check of the closed form against the eigensolve route, at the
     # one point where the negativity matters most, in one call with the
-    # unitary family at t_max; the states are built unchecked, from the
-    # block's decay values, and checked once, by negativities
+    # unitary family at t_max, the grid's last column before the peak's;
+    # the states are built unchecked, from the block's decay values, and
+    # checked once, by negativities
     spot, unitary_final = negativities(np.concatenate([
         ch._closed_form_joint_matrices(cols, grid.decay[:, -1:],
                                        grid.lose[:, -1:]),
-        ch._dilated_matrices(cols, lose_final)]))[:, 0].reshape(2, k)
+        ch._dilated_matrices(cols, grid.lose[:, -2:-1])]))[:, 0].reshape(2, k)
     gap = abs(spot - neg_peak)
     _gate(gap, NEGATIVITY_SPOT_TOL, lambda i: (
         f"negativity routes disagree by {gap[i]:.3e} "
-        f"at the peak t = {t_peak[i]:.6g} (closed form "
+        f"at the peak t = {times[i, -1]:.6g} (closed form "
         f"{neg_peak[i]:.6e}, eigensolve {spot[i]:.6e}); bound "
         f"{NEGATIVITY_SPOT_TOL:.0e}"))
 
@@ -331,7 +337,7 @@ def _run_block(block: _Block) -> tuple:
         "entropy_drift_closed_form_family": abs(
             joint_closed - joint_closed[:, :1]).max(axis=1).tolist(),
         "negativity_peak": neg_peak.tolist(),
-        "negativity_peak_time": list(t_peak),
+        "negativity_peak_time": times[:, -1].tolist(),
         "negativity_final": neg[:, -1].tolist(),
         "negativity_peak_count": _count_peaks(
             neg, _NEGATIVITY_PEAK_FLOOR).astype(float).tolist(),
@@ -340,7 +346,7 @@ def _run_block(block: _Block) -> tuple:
         "ratio_mean": means,
         "ratio_max_relative_spread": spreads,
     }
-    info = InfoSeries(times=times, entropy_s=ent_s, entropy_e=ent_e,
+    info = InfoSeries(times=on_grid.times, entropy_s=ent_s, entropy_e=ent_e,
                       coherence_s=np.sqrt(x2_s, out=x2_s),
                       coherence_e=np.sqrt(x2_e, out=x2_e), negativity=neg,
                       mutual_information=ent_s + ent_e - joint_closed[:, :-1],
@@ -369,7 +375,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     """
     _check_config(config, "run")
     thermo_s, thermo_e, info, columns = _run_block(
-        _Block([config], [0], [0], [config.times]))
+        _Block([config], [0], [0], _block_times([config])))
     info = info[0]
     return ExperimentResult(
         config=config, params=config.params, times=info.times,
@@ -407,8 +413,10 @@ def _blocks(configs):
     equal. The keys are taken on runs of at most :data:`BLOCK_POINTS`
     points, so that a block holds no array that grows with the rows
     that repeat a series. The grids a run of keys is taken on serve its
-    block too: the block keeps a copy of each first row's grid, and no
-    view of the run's grids.
+    block too: the block copies each first row's grid, peak column
+    included, and stacks the copies into its one ``(k, T + 1)`` array
+    when it closes, so it holds no view of the run's grids and no list
+    of grids.
     """
     rows, first, series, grids, seen = [], [], [], [], {}
     for n, same in groupby(configs, key=lambda config: config.n_samples):
@@ -420,7 +428,8 @@ def _blocks(configs):
                 if key not in seen:
                     if rows and (rows[0].n_samples != n
                                  or (len(first) + 1) * n > BLOCK_POINTS):
-                        done.append(_Block(rows, first, series, grids))
+                        done.append(_Block(rows, first, series,
+                                           np.array(grids)))
                         rows, first, series, grids, seen = [], [], [], [], {}
                     seen[key] = len(first)
                     first.append(len(rows))
@@ -431,6 +440,8 @@ def _blocks(configs):
             # are freed before its blocks run
             del keys, times, grid
             yield from done
+    # the last block's list of grids is freed before it runs
+    grids = np.array(grids)
     yield _Block(rows, first, series, grids)
 
 
@@ -486,7 +497,7 @@ def _sweep_rows(block: _Block) -> list:
     except (InputError, NumericalError) as exc:
         if len(configs) > 1:
             return [row for config in configs for row in _sweep_rows(
-                _Block([config], [0], [0], [config.times]))]
+                _Block([config], [0], [0], _block_times([config])))]
         return [SweepSummary(*_inputs(configs[0]), error=str(exc))]
     # in the order of the result fields of SweepSummary after the peak time
     results = list(zip(d["heat_asymmetry_max"], d["heat_system_final"],

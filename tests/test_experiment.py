@@ -653,8 +653,9 @@ class TestGates:
 
 
 # the closed forms a block calls with its grid: the marginals' on the
-# grid itself, the joint ones on the grid with the negativity peak's
-# column appended; and the state builders, which it does not call
+# grid's first T columns, the joint ones on the whole grid with the
+# negativity peak's column; and the state builders, which it does not
+# call
 MARGINAL_FORMS = ("system_bloch", "environment_bloch")
 JOINT_FORMS = ("joint_negativities_closed_form", "joint_radii_closed_form")
 CLOSED_FORMS = MARGINAL_FORMS + JOINT_FORMS
@@ -664,11 +665,11 @@ SPLIT = "qubit_thermo_trajectory"
 
 
 class TestClosedFormEntries:
-    """A run or a sweep block evaluates the decay factor once, on its
-    ``(R, T)`` grid, hands that grid to each public closed form, the
-    joint ones with the negativity peak's column appended, calls no
-    state builder, and splits the first law of each marginal in one call
-    for the whole block."""
+    """A run or a sweep block evaluates the decay factor once, on its one
+    ``(k, T + 1)`` grid whose last column is each series' peak time
+    ``t*``, hands the joint closed forms that grid and the Bloch series
+    views of its first ``T`` columns, calls no state builder, and splits
+    the first law of each marginal in one call for the whole block."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -691,11 +692,12 @@ class TestClosedFormEntries:
             def wrapper(params, times):
                 grid = built[-1]
                 if name in JOINT_FORMS:
-                    assert all(a[:, :-1].tobytes() == b.tobytes()
-                               for a, b in zip(times, grid)), \
-                        "a block must hand in its grid"
-                else:
                     assert times is grid, "a block must hand in its grid"
+                else:
+                    assert all(np.shares_memory(a, b)
+                               and a.shape == b[:, :-1].shape
+                               for a, b in zip(times, grid)), \
+                        "a block must hand in views of its grid"
                 shapes[name].append(np.shape(times.times))
                 return original(params, times)
             return wrapper
@@ -720,10 +722,12 @@ class TestClosedFormEntries:
     @staticmethod
     def per_block(grids) -> dict:
         """The calls of a block on each of ``grids``."""
-        # one split per marginal; the joint forms take one more column
+        # one split per marginal; the decay factor and the joint forms
+        # take the peak's column too
         twice = [grid for grid in grids for _ in range(2)]
         with_peak = [(k, n + 1) for k, n in grids]
-        return {"_grid": grids, **{name: grids for name in MARGINAL_FORMS},
+        return {"_grid": with_peak,
+                **{name: grids for name in MARGINAL_FORMS},
                 **{name: with_peak for name in JOINT_FORMS}, SPLIT: twice}
 
     def test_run_calls_each_once(self, calls):
@@ -764,7 +768,7 @@ class TestClosedFormEntries:
         rows = sweep(configs)
         # the block, then each row as a block of one; the block and each
         # failing row stop at the system's split
-        assert calls["_grid"] == [(3, 501)] + [(1, 501)] * 8
+        assert calls["_grid"] == [(3, 502)] + [(1, 502)] * 8
         assert len(calls[SPLIT]) == 1 + 2 * 6 + 2
         for i, row in enumerate(rows):
             if i in (3, 7):
@@ -874,8 +878,9 @@ class TestSweep:
     def test_grids_built_once(self, monkeypatch):
         # a sweep builds each row's grid once, for its key, in one
         # linspace call per run of keys (two for sweep27), and its block
-        # keeps copies of the first rows' grids, which hold no run of
-        # keys alive; a run builds its own grid once
+        # stacks copies of the first rows' grids, with their peak times,
+        # into one array, which holds no run of keys alive; a run builds
+        # its own grid once
         linspace, calls = np.linspace, []
 
         def counting(*args, **kwargs):
@@ -887,9 +892,11 @@ class TestSweep:
         sweep(configs)
         assert len(calls) == 2
         (block,) = _blocks(configs)
-        assert [grid.base for grid in block.grids] == [None] * 9
-        assert all(grid.tobytes() == configs[i].times.tobytes()
-                   for grid, i in zip(block.grids, block.first))
+        assert block.times.base is None
+        assert block.times.shape == (9, 502)
+        assert all(row[:-1].tobytes() == configs[i].times.tobytes()
+                   and row[-1] == experiment._peak_time(configs[i])[1]
+                   for row, i in zip(block.times, block.first))
         calls.clear()
         run(ExperimentConfig())
         assert len(calls) == 1
@@ -931,12 +938,14 @@ class TestSweep:
             lambda: run(single))
 
     def test_memory_of_a_run(self):
-        # a block frees its Bloch series but x2 before the negativity's Newton solve, where it peaks, and the
-        # solve frees its dead buffers: 0.97 MB on this grid
-        assert _peak(lambda: run(ExperimentConfig(n_samples=4001))) <= 1.0e6
+        # a block holds one grid with the peak's column and frees its
+        # Bloch series but x2 before the negativity's Newton solve, where
+        # it peaks, and the solve frees its dead buffers: 0.94 MB on this
+        # grid
+        assert _peak(lambda: run(ExperimentConfig(n_samples=4001))) <= 0.97e6
 
     def test_memory_of_the_sweep27_rows(self):
-        # one block of 27 rows that hold 9 series at 501 points: 1.14 MB
+        # one block of 27 rows that hold 9 series at 501 points: 1.10 MB
         configs = _sweep27()
         assert _peak(lambda: sweep(configs)) <= 2.0e6
 
@@ -944,7 +953,7 @@ class TestSweep:
         # 2000 rows that repeat one 501-point series make one block, which
         # evaluates the series once and takes the rows' keys in runs of at
         # most BLOCK_POINTS points: its memory does not grow with its rows
-        # but for their summary rows, 0.61 MB
+        # but for their summary rows, 0.60 MB
         configs = [ExperimentConfig(gamma=g, t_max=5.0 / g, n_samples=501)
                    for _ in range(1000) for g in (0.5, 2.0)]
         assert _sizes(configs) == [(2000, 1)]

@@ -35,7 +35,8 @@ from strongcouple import channels as ch  # noqa: E402
 from strongcouple.errors import InputError, NumericalError  # noqa: E402
 from strongcouple.experiment import (BLOCK_POINTS,  # noqa: E402
                                      ExperimentConfig, SweepSummary,
-                                     _block_times, _blocks, run, sweep)
+                                     _block_times, _blocks, _peak_time,
+                                     run, sweep)
 from strongcouple.firstlaw import QUBIT_CLOSURE_TOLERANCE  # noqa: E402
 from strongcouple.spectra import density_stack, partial_trace  # noqa: E402
 
@@ -232,13 +233,15 @@ def _single_run_row(config) -> SweepSummary:
 @example(t_maxes=[1.0, 5e-324], n_samples=11)
 def test_block_grid_equals_each_row_grid(t_maxes, n_samples):
     # a block takes its grids from one linspace call; each row must be
-    # its configuration's own grid, bit for bit
+    # its configuration's own grid, bit for bit, with its own peak time
+    # t* as the last column
     configs = [ExperimentConfig(t_max=t_max, n_samples=n_samples)
                for t_max in t_maxes]
     grid = _block_times(configs)
-    assert grid.shape == (len(configs), n_samples)
+    assert grid.shape == (len(configs), n_samples + 1)
     for config, row in zip(configs, grid):
-        assert row.tobytes() == config.times.tobytes()
+        assert row[:-1].tobytes() == config.times.tobytes()
+        assert row[-1] == _peak_time(config)[1]
 
 
 @settings(max_examples=30, deadline=None)
@@ -273,6 +276,12 @@ def test_block_grid_equals_each_row_grid(t_maxes, n_samples):
 @example(configs=[ExperimentConfig(gamma=2.0 ** -50, t_max=2.0 ** -1024,
                                    n_samples=3),
                   ExperimentConfig(t_max=5e-324, n_samples=3)])
+# one block of three series whose g stays above 1/2, reaches it at
+# t_max, and passes it: the peak's column keeps the grid's last decay
+# values in the first row and reads exactly 1/2 in the other two
+@example(configs=[ExperimentConfig(gamma=1.0, t_max=t_max, n_samples=11)
+                  for t_max in (0.5, math.log(2.0), 5.0)]).via(
+    "an outside, a boundary and an inside series in one block")
 def test_sweep_rows_equal_single_runs(configs):
     # a sweep evaluates each distinct series of a block once; each row
     # must be bit for bit the summary of the configuration's own run, and
