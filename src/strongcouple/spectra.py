@@ -34,6 +34,14 @@ a validated stack in one call with a fixed eigenvector gauge.
 :func:`eig_hermitian` apply the same checks and gauge to a single
 matrix; no other module of the package uses them.
 
+Every state stack the package builds or diagonalizes passes
+:func:`hermitian_stack`, and :func:`eigh_stack` where it is
+diagonalized, so the two set the memory of the package's largest
+stacks. Each holds one buffer of its result's size beside its input,
+which it never writes to: the Hermiticity check holds its input, that
+buffer and the half-size array of deviations, and the gauge is
+multiplied into the eigenvectors ``numpy.linalg.eigh`` returns.
+
 Two-qubit indices put the first qubit on the slow index, ``|0,0>,
 |0,1>, |1,0>, |1,1>``, as ``numpy.kron`` does. :func:`partial_trace` and
 :func:`partial_transpose_stack` take ``(..., 4, 4)`` stacks.
@@ -60,6 +68,12 @@ def hermitian_stack(matrices) -> np.ndarray:
     ``HERMITICITY_TOL`` in max-norm; the result holds the exact averages
     ``(M + M^+)/2`` so later algebra never sees a residual
     anti-Hermitian part.
+
+    The check holds its input, one result-sized buffer and the half-size
+    array of deviations: the buffer takes ``M^+``, then ``M - M^+``,
+    whose moduli are the deviations, then ``M^+`` again, and the average
+    is formed in it. The result is a new C-contiguous array, bit for bit
+    ``(M + M^+) / 2``; the input is not written to.
     """
     m = _as_array(matrices, "matrices", complex)
     if m.ndim < 2 or not 0 < m.shape[-1] == m.shape[-2]:
@@ -67,12 +81,26 @@ def hermitian_stack(matrices) -> np.ndarray:
             f"expected a nonempty square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise InputError("matrix has non-finite entries")
-    adjoint = m.conj().swapaxes(-1, -2)
-    dev = abs(m - adjoint)
+    out = np.empty(m.shape, complex)
+    _adjoint_into(m, out)
+    dev = abs(np.subtract(m, out, out=out))
     _gate(dev, HERMITICITY_TOL, lambda i: (
         f"matrix is not Hermitian, max |M - M^+| = {dev.flat[i]:.3e} "
         f"exceeds {HERMITICITY_TOL:.0e}"), InputError)
-    return (m + adjoint) / 2
+    _adjoint_into(m, out)
+    out += m
+    out /= 2
+    return out
+
+
+def _adjoint_into(m, out) -> None:
+    """Write ``conj(M^T)`` of each matrix of ``m`` into ``out``.
+
+    A copy of the transposed view, then a contiguous conjugate: a ufunc
+    fed the strided view itself holds a 128 KiB iterator buffer too.
+    """
+    out[...] = m.swapaxes(-1, -2)
+    np.conjugate(out, out=out)
 
 
 def check_unit_traces(tr) -> None:
@@ -219,12 +247,16 @@ def eigh_stack(matrices):
     :class:`HermitianOperator`; it is not checked again. Returns
     ascending eigenvalues of shape ``(..., n)`` and eigenvector columns of
     shape ``(..., n, n)`` in the gauge of :func:`eig_hermitian`: the
-    largest component of each column is real and positive.
+    largest component of each column is real and positive. The gauge
+    phases are multiplied into the new eigenvector array that
+    ``numpy.linalg.eigh`` returns, so no second array of its size is
+    held; the input is not written to.
     """
     lam, v = np.linalg.eigh(matrices)
     rows = np.argmax(np.abs(v), axis=-2)
     pivots = np.take_along_axis(v, rows[..., None, :], axis=-2)
-    return lam, v * (pivots.conj() / np.abs(pivots))
+    v *= pivots.conj() / np.abs(pivots)
+    return lam, v
 
 
 def _two_qubit(m) -> None:

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,18 @@ def random_density(rng):
         return rho / np.trace(rho).real
 
     return make
+
+
+def _peak(call) -> int:
+    """The peak bytes tracemalloc traces over a second call of ``call``;
+    the first warms the caches."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _tilt(series, rows):

@@ -3,12 +3,12 @@
 import dataclasses
 import math
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import _peak
 from strongcouple import channels as ch
 from strongcouple import experiment, spectra
 from strongcouple.errors import InputError, NumericalError
@@ -417,18 +417,6 @@ def _summary(result) -> SweepSummary:
             abs(result.thermo_s.coherent_energy).max()),
         ratio_mean=d["ratio_mean"],
         ratio_max_relative_spread=d["ratio_max_relative_spread"])
-
-
-def _peak(call) -> int:
-    """The peak bytes tracemalloc traces over a second call of ``call``;
-    the first warms the caches."""
-    call()
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def _array_bits(series) -> dict:

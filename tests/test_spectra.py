@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
-from strongcouple.channels import GadcParams, joint_initial_state
+from conftest import _peak
+from strongcouple.channels import (GadcParams, joint_initial_state,
+                                   joint_states_closed_form)
 from strongcouple.errors import InputError
+from strongcouple.experiment import ExperimentConfig
 from strongcouple.spectra import (PSD_FLOOR, DensityOperator,
                                   HermitianOperator, check_spectrum,
                                   check_unit_traces, density_stack,
-                                  eig_hermitian, partial_trace,
-                                  partial_transpose_stack, unit_trace_stack)
+                                  eig_hermitian, eigh_stack, hermitian_stack,
+                                  partial_trace, partial_transpose_stack,
+                                  unit_trace_stack)
 
 BELL = 0.5 * np.array([[1, 0, 0, 1],
                        [0, 0, 0, 0],
@@ -58,6 +62,75 @@ class TestDensityOperator:
     def test_tolerates_roundoff_negative(self):
         rho = DensityOperator(np.diag([1.0 + 1e-11, -1e-11]))
         assert rho.dim == 2
+
+
+def _bits(a) -> bytes:
+    """The bytes of ``a`` in C order, which tell +0 from -0."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _near_hermitian(rng, shape):
+    """Random Hermitian stack plus a part of 1e-14 that is not, with
+    about a quarter of its real and imaginary parts, in transposed pairs,
+    zeros of random sign."""
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    m = z + z.conj().swapaxes(-1, -2) + 1e-14 * (
+        rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    for part in (m.real, m.imag):
+        zeros = rng.random(shape) < 0.15
+        zeros |= zeros.swapaxes(-1, -2)
+        part[zeros] = np.copysign(0.0, rng.normal(size=zeros.sum()))
+    return m
+
+
+class TestStackKernels:
+    """hermitian_stack and eigh_stack give the bits of their plain
+    expressions, in a new C-contiguous array, and never write to their
+    input."""
+
+    SHAPES = [(2001, 4, 4), (7, 2, 2), (3, 5, 3, 3), (1, 1)]
+
+    @staticmethod
+    def _inputs(m):
+        """``m`` as given, read-only, transposed and broadcast."""
+        read_only = m.copy()
+        read_only.setflags(write=False)
+        return [m, read_only, m.swapaxes(-1, -2),
+                np.broadcast_to(m[:1], (2,) + m.shape)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_hermitian_stack_bits(self, rng, shape):
+        for given in self._inputs(_near_hermitian(rng, shape)):
+            before = _bits(given)
+            out = hermitian_stack(given)
+            assert _bits(given) == before
+            assert _bits(out) == _bits(
+                (given + given.conj().swapaxes(-1, -2)) / 2)
+            assert out.flags.c_contiguous and out.flags.writeable
+            assert not np.shares_memory(out, given)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_eigh_stack_bits(self, rng, shape):
+        for given in self._inputs(hermitian_stack(_near_hermitian(rng,
+                                                                  shape))):
+            before = _bits(given)
+            lam, v = eigh_stack(given)
+            assert _bits(given) == before
+            ref_lam, ref_v = np.linalg.eigh(given)
+            rows = np.argmax(np.abs(ref_v), axis=-2)
+            pivots = np.take_along_axis(ref_v, rows[..., None, :], axis=-2)
+            assert _bits(lam) == _bits(ref_lam)
+            assert _bits(v) == _bits(ref_v * (pivots.conj() / np.abs(pivots)))
+            assert v.flags.c_contiguous
+            assert not np.shares_memory(v, given)
+
+    def test_hermitian_stack_holds_one_buffer(self):
+        # the input, the result and the half-size deviation array: 1.57
+        # times the stack's bytes
+        config = ExperimentConfig()
+        joint = joint_states_closed_form(config.params, config.times)
+        assert joint.shape == (2001, 4, 4)
+        assert _peak(lambda: hermitian_stack(joint)) <= 1.75 * joint.nbytes
 
 
 class TestDensityStack:

@@ -1,12 +1,16 @@
 """The validation module: its suite lists, and the checks run() skips."""
 
 import sys
+import types
 
 import numpy as np
 import pytest
 
+from conftest import _peak
 from strongcouple import spectra, validation
-from strongcouple.experiment import ExperimentConfig, run
+from strongcouple.experiment import (ENERGY_BALANCE_TOL, WORK_STATIC_TOL,
+                                     ExperimentConfig, run)
+from strongcouple.firstlaw import QUBIT_CLOSURE_TOLERANCE
 from strongcouple.validation import run_suites
 
 PLAIN_SUITES = [
@@ -86,3 +90,26 @@ def test_eigensolve_budget(monkeypatch):
         validation._default_run.cache_clear()
     assert all(ok for _, ok, _ in rows)
     assert calls == {"eigvalsh": 14, "eigh": 3, "hermitian_stack": 34}, calls
+
+
+@pytest.mark.parametrize("key, bound", [
+    ("closure_system_max", QUBIT_CLOSURE_TOLERANCE),
+    ("closure_environment_max", QUBIT_CLOSURE_TOLERANCE),
+    ("work_system_max_abs", WORK_STATIC_TOL),
+    ("work_environment_max_abs", WORK_STATIC_TOL),
+    ("energy_balance_max", ENERGY_BALANCE_TOL),
+])
+def test_first_law_suite_holds_the_run_gates(monkeypatch, key, bound):
+    # each ledger is held to the bound of the run's own gate, so a value
+    # just above it fails the suite
+    diagnostics = dict(validation._default_run().diagnostics)
+    for value, ok in ((bound, True), (2.0 * bound, False)):
+        fake = types.SimpleNamespace(diagnostics={**diagnostics, key: value})
+        monkeypatch.setattr(validation, "_default_run", lambda: fake)
+        assert validation._suite_first_law()[0] is ok
+
+
+def test_memory_of_the_marginals_suite():
+    # the suite's closed-form joint stacks each pass one Hermiticity
+    # check, which holds one stack-sized buffer: 1.55 MB
+    assert _peak(validation._suite_marginals) <= 1.7e6
