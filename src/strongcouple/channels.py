@@ -102,8 +102,10 @@ state, as powers of the step's transfer matrix, and takes one
 times through
 :func:`_grid`, which checks them and evaluates the decay factor on them
 as a private :class:`_Grid`, and which passes a grid it is given
-through unchanged. A run builds the grid of its block once and hands it
-to the Bloch series, the joint negativities and the joint radii.
+through unchanged. A run builds the grid of its block once, with the
+decay values of :func:`_decay` on the dimensionless times ``s =
+gamma_rate t``, and hands it to the Bloch series, the joint negativities
+and the joint radii.
 """
 
 from __future__ import annotations
@@ -467,11 +469,11 @@ def _grid(params, times) -> _Grid:
     """The :class:`_Grid` of ``times`` for ``params``; a grid passes
     through unchanged.
 
-    ``lose`` is taken as ``-expm1(-gamma_rate t)``, which keeps its
-    relative precision at small ``gamma_rate t``. The three arrays have
-    the broadcast shape of ``params.gamma_rate`` and ``times``: ``(R,
-    T)`` for the columns of ``R`` sets and ``(T,)`` times, whose rows
-    are then a read-only view of ``times``.
+    The decay values are those of :func:`_decay` at ``s = gamma_rate
+    t``. The three arrays have the broadcast shape of
+    ``params.gamma_rate`` and ``times``: ``(R, T)`` for the columns of
+    ``R`` sets and ``(T,)`` times, whose rows are then a read-only view
+    of ``times``.
     """
     if isinstance(times, _Grid):
         return times
@@ -479,11 +481,19 @@ def _grid(params, times) -> _Grid:
     # written so that a NaN time fails too; t = inf is the thermal limit
     if not (t >= 0.0).all():
         raise InputError(f"time must be nonnegative, got {float(t.min())}")
-    with np.errstate(over="ignore"):  # -inf is the thermal limit
-        x = -params.gamma_rate * t
-    if t.shape != x.shape:
-        t = np.broadcast_to(t, x.shape)
-    return _Grid(t, np.exp(x), -np.expm1(x))
+    with np.errstate(over="ignore"):  # inf is the thermal limit
+        s = params.gamma_rate * t
+    if t.shape != s.shape:
+        t = np.broadcast_to(t, s.shape)
+    return _Grid(t, *_decay(s))
+
+
+def _decay(s) -> tuple:
+    """``(exp(-s), -expm1(-s))``, the decay factor and ``1`` minus it at
+    the dimensionless times ``s = gamma_rate t``; the second keeps its
+    relative precision at small ``s``."""
+    x = np.negative(s)
+    return np.exp(x), -np.expm1(x)
 
 
 def _qubit_populations(params, keep, lose) -> np.ndarray:

@@ -26,26 +26,30 @@ w1|``; the diagnostics record it and the closed-form family's drift.
 
 Runs are evaluated in blocks of consecutive configurations with one grid
 length, and a block evaluates each distinct state series among its rows
-once. The decay probability is ``1 - exp(-gamma t)``, so a series is
-fixed by ``alpha``, ``w0`` and the grid ``gamma t``: rows whose three
-have the same bits hold one series, as the rows of a sweep on one
-``gamma_t_max`` do where the gammas differ by powers of two. A series is
-evaluated on the grid of its first row: the parameters are ``(k, 1)``
-columns and the times one ``(k, T + 1)`` array, the first rows' grids
-that their keys were taken on, each with its peak time ``t*`` as the
-last column (:func:`_block_times`), so a block builds no grid. The
-block evaluates the decay factor once on it, as the grid of
-:mod:`strongcouple.channels`, with ``g = 1 - g = 1/2`` exactly in the
-peak's column where ``g`` reaches 1/2, and hands it to the public
-closed forms: the first ``T`` columns, as views, to the two Bloch
-series, and the whole grid to the joint negativities and the joint
-radii; the closed-form family's joint entropy, whose drift from
+once. The dynamics read time only through the decay factor ``g =
+exp(-gamma t)``, so ``gamma`` only rescales it: a series is evaluated on
+the dimensionless grid ``s = gamma t``, spaced from 0 to the horizon
+``gamma * t_max`` by the rule that spaces each configuration's times
+too (:func:`_spaced`), with ``g = exp(-s)``. A series is therefore fixed by
+``n_samples``, ``alpha``, ``w0`` and the horizon: rows whose four have
+the same bits hold one series, whatever their gammas
+(:func:`_series_key`), and no grid is built to key a row. The parameters
+and horizons of a block's series are ``(k, 1)`` columns, and ``s`` one
+``(k, T + 1)`` array with the horizon again as a last column, the peak's.
+The block evaluates the decay factor once on it, through the helper of
+:mod:`strongcouple.channels` that its grids use too, with ``g = 1 - g =
+1/2`` exactly in the peak's column where ``g`` reaches 1/2, and hands it
+to the public closed forms: the first ``T`` columns, as views, to the
+two Bloch series, and the whole grid to the joint negativities and the
+joint radii; the closed-form family's joint entropy, whose drift from
 ``t = 0`` grows with ``u = g (1 - g)`` as the negativity does, is read
-at ``t*`` too. Each marginal's first-law split runs once for the block.
-Every gate holds its values to an upper bound through
-:func:`strongcouple.errors._gate`, under which a NaN fails. The
-spot-check states of all series are built unchecked from the peak's
-decay values and go to one
+at the peak too. Times are built for the block's first rows only, each
+row's own grid with its peak time ``t*`` (:func:`_peak_time`) as the
+last column; they serve the outputs and the gate messages. Each
+marginal's first-law split runs once for the block. Every gate holds its
+values to an upper bound through :func:`strongcouple.errors._gate`,
+under which a NaN fails. The spot-check states of all series are built
+unchecked from the peak's decay values and go to one
 :func:`~strongcouple.infomeasures.negativities` call, their one check
 and eigensolve. The block returns its two splits and its
 :class:`~strongcouple.infomeasures.InfoSeries` as ``(k, T)`` arrays and
@@ -60,17 +64,15 @@ block holds no series it no longer needs: each Bloch series is dropped
 once its entropies are taken, but for ``x2``, whose square root, taken
 in place, is the coherence; and the negativity's Newton solve, where the
 block peaks, frees its inputs as it goes (see
-:func:`~strongcouple.channels.joint_negativities_closed_form`). Nor does
-it expand a series to its rows: the keys of the rows are taken in runs
-of at most :data:`BLOCK_POINTS` points.
+:func:`~strongcouple.channels.joint_negativities_closed_form`).
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -142,7 +144,7 @@ class ExperimentConfig:
 
     @property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_max, self.n_samples)
+        return _spaced(self.t_max, self.n_samples)
 
 
 @dataclass(frozen=True)
@@ -166,39 +168,34 @@ def _count_peaks(values: np.ndarray, floor: float) -> np.ndarray:
                             axis=-1)
 
 
-def _peak_time(config: ExperimentConfig) -> tuple:
-    """Whether ``g = exp(-gamma t)`` falls to 1/2 by ``t_max``, and the
-    time ``t*`` where the negativity peaks.
+def _spaced(stop, n: int) -> np.ndarray:
+    """``n`` points from 0 to ``stop``, a float or a ``(k, 1)`` column,
+    with both ends written exactly.
+
+    The points are ``arange(n) * (stop / (n - 1))``: the bits of
+    ``np.linspace(0, stop, n)`` wherever the step is nonzero and finite,
+    and 0 first where ``stop`` is infinite. Where the step underflows to
+    zero they do not rise.
+    """
+    with np.errstate(invalid="ignore"):  # 0 * inf, an infinite stop's first
+        points = np.arange(n) * (stop / (n - 1))
+    points[..., :1] = 0.0
+    points[..., -1:] = stop
+    return points
+
+
+def _peak_time(config: ExperimentConfig) -> float:
+    """The time ``t*`` where the negativity peaks.
 
     The negativity grows with ``u = g (1 - g)``, so it peaks at ``t* =
-    min(ln 2 / gamma, t_max)``: at ``g = 1/2`` where ``gamma * t_max``,
-    whose bits the rows of a series share, is at least ``ln 2``, else at
-    ``t_max``. Where it vanishes, as on the separable line ``alpha^2 =
-    w0``, its peak time is ``t*`` too, not the grid's 0.
+    min(ln 2 / gamma, t_max)``: at ``g = 1/2`` where the horizon ``gamma
+    * t_max``, whose bits the rows of a series share, is at least ``ln
+    2``, else at ``t_max``. Where it vanishes, as on the separable line
+    ``alpha^2 = w0``, its peak time is ``t*`` too, not the grid's 0.
     """
-    inside = config.params.gamma_rate * config.t_max >= _LN2
-    return inside, (min(_LN2 / config.gamma, config.t_max) if inside
-                    else config.t_max)
-
-
-def _block_times(configs) -> np.ndarray:
-    """The ``(R, T + 1)`` grids of configurations that share
-    ``n_samples``, each row with its peak time ``t*`` (see
-    :func:`_peak_time`) as one more column.
-
-    One ``linspace`` call for the block; the first ``T`` columns of each
-    row equal its configuration's :attr:`ExperimentConfig.times` bit for
-    bit. ``linspace`` takes one path for all rows, and another where a
-    step underflows to zero; a block with such a step takes each row's
-    grid alone, so that its other rows keep their own grids. The row
-    whose step underflows is not increasing, and fails its block.
-    """
-    t_max = np.array([config.t_max for config in configs])
-    times, step = np.linspace(0.0, t_max, configs[0].n_samples, axis=-1,
-                              retstep=True)
-    if not step.all():
-        times = [config.times for config in configs]
-    return np.column_stack([times, [_peak_time(c)[1] for c in configs]])
+    if config.gamma * config.t_max >= _LN2:
+        return min(_LN2 / config.gamma, config.t_max)
+    return config.t_max
 
 
 class _Block(NamedTuple):
@@ -206,54 +203,50 @@ class _Block(NamedTuple):
     state series among them.
 
     ``series[i]`` is the series of row ``i``, numbered in the order of
-    their first rows, ``first[s]`` the first row that holds series ``s``,
-    and ``times[s]`` that row's grid with its peak time ``t*`` appended
-    (see :func:`_block_times`), on which the series is evaluated: one
-    ``(k, T + 1)`` array for the block.
+    their first rows, and ``first[s]`` the first row that holds series
+    ``s``, whose grid the series is evaluated on.
     """
 
     configs: list
     first: list
     series: list
-    times: np.ndarray
 
 
-def _series_keys(configs) -> tuple:
-    """The key of each configuration's state series, for configurations
-    that share ``n_samples``, and the ``(R, T + 1)`` grids of
-    :func:`_block_times` they were taken on: the bytes of its ``alpha``
-    and ``w0`` and of ``gamma * t`` on its grid, without the peak's
-    column; a row whose ``gamma * t`` does not rise gets a key of its
-    own, so that it is checked as its run is.
+def _series_key(config: ExperimentConfig):
+    """The key of a configuration's state series: its ``n_samples`` and
+    the bits of its ``alpha``, ``w0`` and horizon ``gamma * t_max``.
 
-    The decay factor reads only ``-gamma_rate * t``, and every other
-    parameter a closed form reads is a float function of ``alpha`` and
-    ``w0``, so rows with one key get the same series bit for bit; no
-    decay value is evaluated for a key. The key holds bits, not values,
-    so that ``0.0`` and ``-0.0``, which compare equal, stay apart.
+    A series reads time only through the decay factor ``exp(-s)`` on
+    the dimensionless grid ``s``, spaced from 0 to the horizon (see
+    :func:`_spaced`), and every other parameter a closed form reads is a
+    float function of ``alpha`` and ``w0``, so rows with one key get the
+    same series bit for bit; no grid is built for a key. The key holds
+    bits, not values, so that ``0.0`` and ``-0.0``, which compare equal,
+    stay apart. A row whose own step ``t_max / (n_samples - 1)``
+    underflows to zero, whose grid does not rise, gets a key of its own,
+    so that it fails as its run does.
     """
-    params = np.array([[config.params.alpha, config.params.w0,
-                        config.params.gamma_rate] for config in configs])
-    times = _block_times(configs)
-    scaled = params[:, 2:] * times[:, :-1]
-    # gamma > 0, so where gamma * t rises, so does t, and needs no check
-    rising = (scaled[:, 1:] > scaled[:, :-1]).all(axis=1)
-    table = np.concatenate([params[:, :2], scaled], axis=1)
-    return [row.tobytes() if ok else object()
-            for row, ok in zip(table, rising.tolist())], times
+    if config.t_max / (config.n_samples - 1) == 0.0:
+        return object()
+    return config.n_samples, struct.pack(
+        "3d", config.params.alpha, config.params.w0,
+        config.gamma * config.t_max)
 
 
 def _run_block(block: _Block) -> tuple:
     """Run a block, evaluating each of its distinct state series once.
 
-    The parameters of the series are ``(k, 1)`` columns and their times
-    the block's one ``(k, T + 1)`` array, each first row's grid with its
-    peak time ``t*`` as the last column. Its decay factor is evaluated
-    once, with ``g = 1 - g = 1/2`` written exactly into the peak's
-    column where ``g`` reaches 1/2; the Bloch series and the first-law
-    splits take the first ``T`` columns as views, and the joint closed
-    forms and the spot check the whole grid. Each marginal's first-law
-    split runs once for the block. Returns
+    The parameters of the series are ``(k, 1)`` columns, and so are
+    their horizons ``gamma * t_max``. The decay factor is evaluated
+    once, on the ``(k, T + 1)`` dimensionless grid ``s``, spaced from 0
+    to each horizon (see :func:`_spaced`) with the horizon again as the
+    peak's column, into which ``g = 1 - g = 1/2`` is written exactly
+    where ``g`` reaches 1/2. The times, built for the first rows only,
+    are their grids with their peak times ``t*`` as the last column;
+    they serve the outputs and the gate messages. The Bloch series and
+    the first-law splits take the first ``T`` columns as views, and the
+    joint closed forms and the spot check the whole grid. Each
+    marginal's first-law split runs once for the block. Returns
     ``(thermo_s, thermo_e, info, columns)``: the two splits and the
     :class:`InfoSeries` hold ``(k, T)`` arrays, one row for each series,
     and ``columns`` the diagnostics by name, as lists of one Python
@@ -262,15 +255,23 @@ def _run_block(block: _Block) -> tuple:
     so the block raises where any of its rows would, with the message
     the first row of that entry's series raises alone.
     """
-    configs, first, _, times = block
-    cols = ch._columns([configs[i].params for i in first])
-    grid = ch._grid(cols, times)
+    heads = [block.configs[i] for i in block.first]
+    n = heads[0].n_samples
+    cols = ch._columns([c.params for c in heads])
+    # each series' t_max, peak time t* and horizon, as (k, 1) columns
+    t_max, t_peak, horizon = np.array([
+        [c.t_max, _peak_time(c), c.gamma * c.t_max] for c in heads]).T[
+            ..., None]
+    times = np.concatenate([_spaced(t_max, n), t_peak], axis=1)
+    decay, lose = ch._decay(np.concatenate([_spaced(horizon, n), horizon],
+                                           axis=1))
     # the peak's column: g = 1 - g = 1/2 exactly where g reaches 1/2, else
-    # the values at t* = t_max, the grid's last
-    inside = np.array([_peak_time(configs[i])[0] for i in first])
-    grid.decay[inside, -1] = grid.lose[inside, -1] = 0.5
+    # the values at s = gamma * t_max, the grid's last
+    inside = horizon[:, 0] >= _LN2
+    decay[inside, -1] = lose[inside, -1] = 0.5
+    grid = ch._Grid(times, decay, lose)
     on_grid = ch._Grid(*(a[:, :-1] for a in grid))
-    k = len(first)
+    k = len(heads)
     bloch_s = ch.system_bloch(cols, on_grid)
     bloch_e = ch.environment_bloch(cols, on_grid)
     thermo_s = qubit_thermo_trajectory(bloch_s)
@@ -375,7 +376,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     """
     _check_config(config, "run")
     thermo_s, thermo_e, info, columns = _run_block(
-        _Block([config], [0], [0], _block_times([config])))
+        _Block([config], [0], [0]))
     info = info[0]
     return ExperimentResult(
         config=config, params=config.params, times=info.times,
@@ -409,40 +410,23 @@ def _blocks(configs):
     with one grid length whose distinct state series hold at most
     :data:`BLOCK_POINTS` points; a longer grid is a block of one series.
 
-    Rows share a series when their keys (see :func:`_series_keys`) are
-    equal. The keys are taken on runs of at most :data:`BLOCK_POINTS`
-    points, so that a block holds no array that grows with the rows
-    that repeat a series. The grids a run of keys is taken on serve its
-    block too: the block copies each first row's grid, peak column
-    included, and stacks the copies into its one ``(k, T + 1)`` array
-    when it closes, so it holds no view of the run's grids and no list
-    of grids.
+    Rows share a series when their keys (see :func:`_series_key`) are
+    equal. A key is four numbers, taken without a grid, so a block holds
+    no array that grows with the rows that repeat a series.
     """
-    rows, first, series, grids, seen = [], [], [], [], {}
-    for n, same in groupby(configs, key=lambda config: config.n_samples):
-        same, size = list(same), max(1, BLOCK_POINTS // n)
-        for part in (same[i:i + size] for i in range(0, len(same), size)):
-            done = []
-            keys, times = _series_keys(part)
-            for config, key, grid in zip(part, keys, times):
-                if key not in seen:
-                    if rows and (rows[0].n_samples != n
-                                 or (len(first) + 1) * n > BLOCK_POINTS):
-                        done.append(_Block(rows, first, series,
-                                           np.array(grids)))
-                        rows, first, series, grids, seen = [], [], [], [], {}
-                    seen[key] = len(first)
-                    first.append(len(rows))
-                    grids.append(grid.copy())
-                series.append(seen[key])
-                rows.append(config)
-            # the run's keys and grids, and grid, a view of its last row,
-            # are freed before its blocks run
-            del keys, times, grid
-            yield from done
-    # the last block's list of grids is freed before it runs
-    grids = np.array(grids)
-    yield _Block(rows, first, series, grids)
+    rows, first, series, seen = [], [], [], {}
+    for config in configs:
+        key, n = _series_key(config), config.n_samples
+        if key not in seen:
+            if rows and (rows[0].n_samples != n
+                         or (len(first) + 1) * n > BLOCK_POINTS):
+                yield _Block(rows, first, series)
+                rows, first, series, seen = [], [], [], {}
+            seen[key] = len(first)
+            first.append(len(rows))
+        series.append(seen[key])
+        rows.append(config)
+    yield _Block(rows, first, series)
 
 
 def sweep(configs) -> list:
@@ -451,10 +435,11 @@ def sweep(configs) -> list:
     Consecutive configurations with equal ``n_samples`` run as one block
     whose distinct state series hold at most :data:`BLOCK_POINTS` grid
     points (a longer grid is a series alone), with the series as a
-    leading array axis: rows that differ only in ``gamma`` and share
-    their decay values, such as those on one ``gamma_t_max`` whose gammas
-    differ by powers of two, are evaluated once. The rows equal those of
-    :func:`run` bit for bit. A configuration that fails its integrity
+    leading array axis: rows whose ``alpha``, ``w0`` and horizon ``gamma
+    * t_max`` have the same bits, such as those of one ``(alpha, beta)``
+    on one ``gamma_t_max``, share their decay values on the
+    dimensionless grid and are evaluated once, whatever their gammas.
+    The rows equal those of :func:`run` bit for bit. A configuration that fails its integrity
     checks contributes a row with its error message instead of aborting
     the remaining runs: a block that raises is run again one
     configuration at a time, so each failing row holds the message its
@@ -491,13 +476,13 @@ def _sweep_rows(block: _Block) -> list:
     failing row holds the message its run raises alone and the other
     rows keep their values.
     """
-    configs, _, series, _ = block
+    configs, _, series = block
     try:
         thermo_s, _, _, d = _run_block(block)
     except (InputError, NumericalError) as exc:
         if len(configs) > 1:
-            return [row for config in configs for row in _sweep_rows(
-                _Block([config], [0], [0], _block_times([config])))]
+            return [row for config in configs
+                    for row in _sweep_rows(_Block([config], [0], [0]))]
         return [SweepSummary(*_inputs(configs[0]), error=str(exc))]
     # in the order of the result fields of SweepSummary after the peak time
     results = list(zip(d["heat_asymmetry_max"], d["heat_system_final"],
@@ -505,7 +490,7 @@ def _sweep_rows(block: _Block) -> list:
                        abs(thermo_s.coherent_energy).max(axis=1).tolist(),
                        d["ratio_mean"], d["ratio_max_relative_spread"]))
     peaks = d["negativity_peak"]
-    return [SweepSummary(*_inputs(config), peaks[s], _peak_time(config)[1],
+    return [SweepSummary(*_inputs(config), peaks[s], _peak_time(config),
                          *results[s])
             for config, s in zip(configs, series)]
 

@@ -284,11 +284,15 @@ class TestRun:
     def test_silent_when_decay_overflows(self):
         # gamma t_max = 1e400 is beyond the float range; the exponent of
         # the decay factor is -inf, the thermal limit, and no warning
-        # escapes
+        # escapes, from a run or from a sweep, whose key multiplies no
+        # array
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             d = run(ExperimentConfig(gamma=1e200, t_max=1e200)).diagnostics
+            (row,) = sweep([ExperimentConfig(gamma=1e200, t_max=1e200,
+                                             n_samples=11)])
         assert d["closure_system_max"] <= 1e-12
+        assert row.error == ""
 
     def test_unphysical_marginal_rejected(self, monkeypatch):
         # the Bloch radius is bounded once, by its consumer: a radius of
@@ -370,6 +374,18 @@ class TestRun:
         # the sweep27 rows: the gammas of each (alpha, beta) share one
         # series, and each row takes its own peak time t*
         configs = _sweep27()
+        assert _sizes(configs) == [(27, 9)]
+        _assert_block_rows_equal_single_runs(configs)
+
+    def test_gammas_on_one_horizon_share_a_series(self):
+        # gammas 0.3 and 3 do not differ from 1 by powers of two, and
+        # gamma * t on their own grids misses the bits of the horizon's
+        # grid, but the three meet on gamma * t_max = 5: the decay factor
+        # reads the dimensionless grid, so each (alpha, beta) is one series
+        configs = [ExperimentConfig(alpha=a, beta=b, gamma=g, t_max=5.0 / g,
+                                    n_samples=501)
+                   for a in (0.3, 0.7, 0.95) for b in (0.05, 1.0, math.inf)
+                   for g in (0.3, 1.0, 3.0)]
         assert _sizes(configs) == [(27, 9)]
         _assert_block_rows_equal_single_runs(configs)
 
@@ -650,41 +666,41 @@ CLOSED_FORMS = MARGINAL_FORMS + JOINT_FORMS
 STATE_BUILDERS = ("system_states", "environment_states", "joint_states",
                   "joint_states_closed_form")
 SPLIT = "qubit_thermo_trajectory"
+DECAY = "_decay"
 
 
 class TestClosedFormEntries:
     """A run or a sweep block evaluates the decay factor once, on its one
-    ``(k, T + 1)`` grid whose last column is each series' peak time
-    ``t*``, hands the joint closed forms that grid and the Bloch series
+    ``(k, T + 1)`` dimensionless grid whose last column is each series'
+    peak, hands the joint closed forms that grid and the Bloch series
     views of its first ``T`` columns, calls no state builder, and splits
     the first law of each marginal in one call for the whole block."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        # the grid shape of each call, by function; "_grid" records the
-        # grids it evaluates, not those it passes through
-        shapes = {name: [] for name in ("_grid",) + CLOSED_FORMS + (SPLIT,)}
+        # the grid shape of each call, by function; "_decay" records every
+        # evaluation of the decay factor, the block's and any of _grid
+        shapes = {name: [] for name in (DECAY,) + CLOSED_FORMS + (SPLIT,)}
         built = []
-        evaluate = ch._grid
+        evaluate = ch._decay
 
-        def grid(params, times):
-            out = evaluate(params, times)
-            if out is not times:
-                built.append(out)
-                shapes["_grid"].append(np.shape(times))
-            return out
+        def decay(s):
+            built.append(evaluate(s))
+            shapes[DECAY].append(np.shape(s))
+            return built[-1]
 
         def on_the_grid(name):
             original = getattr(ch, name)
 
             def wrapper(params, times):
-                grid = built[-1]
+                values = built[-1]
                 if name in JOINT_FORMS:
-                    assert times is grid, "a block must hand in its grid"
+                    assert all(a is b for a, b in zip(times[1:], values)), \
+                        "a block must hand in its grid"
                 else:
                     assert all(np.shares_memory(a, b)
                                and a.shape == b[:, :-1].shape
-                               for a, b in zip(times, grid)), \
+                               for a, b in zip(times[1:], values)), \
                         "a block must hand in views of its grid"
                 shapes[name].append(np.shape(times.times))
                 return original(params, times)
@@ -699,7 +715,7 @@ class TestClosedFormEntries:
         def forbidden(*args, **kwargs):
             raise AssertionError("a block must build no state stack")
 
-        monkeypatch.setattr(ch, "_grid", grid)
+        monkeypatch.setattr(ch, DECAY, decay)
         for name in CLOSED_FORMS:
             monkeypatch.setattr(ch, name, on_the_grid(name))
         for name in STATE_BUILDERS:
@@ -714,7 +730,7 @@ class TestClosedFormEntries:
         # take the peak's column too
         twice = [grid for grid in grids for _ in range(2)]
         with_peak = [(k, n + 1) for k, n in grids]
-        return {"_grid": with_peak,
+        return {DECAY: with_peak,
                 **{name: grids for name in MARGINAL_FORMS},
                 **{name: with_peak for name in JOINT_FORMS}, SPLIT: twice}
 
@@ -724,8 +740,8 @@ class TestClosedFormEntries:
 
     def test_sweep_calls_each_once_per_block(self, calls):
         # one block of 27 rows holding 9 series; the rows' keys evaluate
-        # no decay value, and every closed form and split runs once, on
-        # the 9 series
+        # no grid, and every closed form and split runs once, on the 9
+        # series
         configs = _sweep27()
         assert _sizes(configs) == [(27, 9)]
         for shapes in calls.values():
@@ -756,7 +772,7 @@ class TestClosedFormEntries:
         rows = sweep(configs)
         # the block, then each row as a block of one; the block and each
         # failing row stop at the system's split
-        assert calls["_grid"] == [(3, 502)] + [(1, 502)] * 8
+        assert calls[DECAY] == [(3, 502)] + [(1, 502)] * 8
         assert len(calls[SPLIT]) == 1 + 2 * 6 + 2
         for i, row in enumerate(rows):
             if i in (3, 7):
@@ -848,10 +864,11 @@ class TestSweep:
             assert _bits(rows[i]) == _bits(clean[i])
 
     def test_repeated_row_whose_own_grid_fails(self):
-        # gamma * t is [0, 0, 5e-324] on both grids; it does not rise, so
-        # each row is a series of its own, evaluated on its own grid. The
-        # first row's grid rises; the second row's, [0, 0, 5e-324], fails
-        # its check in the block, and the block is run again row by row
+        # both rows are on the horizon gamma * t_max = 5e-324, but the
+        # second row's own step underflows to zero, so it is a series of
+        # its own, evaluated on its own grid. The first row's grid rises;
+        # the second row's, [0, 0, 5e-324], fails its check in the block,
+        # and the block is run again row by row
         configs = [ExperimentConfig(gamma=2.0 ** -50, t_max=2.0 ** -1024,
                                     n_samples=3),
                    ExperimentConfig(t_max=5e-324, n_samples=3)]
@@ -864,30 +881,29 @@ class TestSweep:
         assert rows[1].error == "times must be strictly increasing"
 
     def test_grids_built_once(self, monkeypatch):
-        # a sweep builds each row's grid once, for its key, in one
-        # linspace call per run of keys (two for sweep27), and its block
-        # stacks copies of the first rows' grids, with their peak times,
-        # into one array, which holds no run of keys alive; a run builds
-        # its own grid once
-        linspace, calls = np.linspace, []
+        # a sweep builds no grid for its keys; its block spaces the first
+        # rows' times and their dimensionless grid once each, in one call
+        # on a column, and a run does the same for its one row. No grid
+        # comes from linspace
+        spaced, shapes = experiment._spaced, []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return linspace(*args, **kwargs)
+        def counting(stop, n):
+            shapes.append(np.shape(stop))
+            return spaced(stop, n)
 
-        monkeypatch.setattr(np, "linspace", counting)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("grids come from one spacing rule")
+
+        monkeypatch.setattr(experiment, "_spaced", counting)
+        monkeypatch.setattr(np, "linspace", forbidden)
         configs = _sweep27()
-        sweep(configs)
-        assert len(calls) == 2
         (block,) = _blocks(configs)
-        assert block.times.base is None
-        assert block.times.shape == (9, 502)
-        assert all(row[:-1].tobytes() == configs[i].times.tobytes()
-                   and row[-1] == experiment._peak_time(configs[i])[1]
-                   for row, i in zip(block.times, block.first))
-        calls.clear()
+        assert shapes == []
+        sweep(configs)
+        assert shapes == [(9, 1)] * 2
+        shapes.clear()
         run(ExperimentConfig())
-        assert len(calls) == 1
+        assert shapes == [(1, 1)] * 2
 
     def test_blocks_cut_at_grid_length_and_budget(self):
         # distinct series count against the budget: 16 of 501 points fit
@@ -939,9 +955,9 @@ class TestSweep:
 
     def test_memory_of_rows_that_repeat_a_series(self):
         # 2000 rows that repeat one 501-point series make one block, which
-        # evaluates the series once and takes the rows' keys in runs of at
-        # most BLOCK_POINTS points: its memory does not grow with its rows
-        # but for their summary rows, 0.60 MB
+        # evaluates the series once and takes the rows' keys without a
+        # grid: its memory does not grow with its rows but for their
+        # summary rows, 0.60 MB
         configs = [ExperimentConfig(gamma=g, t_max=5.0 / g, n_samples=501)
                    for _ in range(1000) for g in (0.5, 2.0)]
         assert _sizes(configs) == [(2000, 1)]

@@ -14,11 +14,11 @@ only their consumers run the eigenvalue floor. The second test checks
 that every builder's output passes that floor across the same domain.
 
 A sweep evaluates its rows in blocks, with the configuration as a
-leading array axis and one grid call per block, and each distinct state
-series of a block once; the last two tests check that each block grid
-row and each sweep row equal those of its configuration alone, bit for
-bit, and that rows share a series exactly where its numbers have the
-same bits.
+leading array axis, and each distinct state series of a block once, on
+one grid spaced by one rule; the last two tests check that the rule
+gives each row's own grid, bit for bit, that each sweep row equals the
+row of its configuration alone, and that rows share a series exactly
+where its numbers have the same bits.
 """
 
 import dataclasses
@@ -35,8 +35,7 @@ from strongcouple import channels as ch  # noqa: E402
 from strongcouple.errors import InputError, NumericalError  # noqa: E402
 from strongcouple.experiment import (BLOCK_POINTS,  # noqa: E402
                                      ExperimentConfig, SweepSummary,
-                                     _block_times, _blocks, _peak_time,
-                                     run, sweep)
+                                     _blocks, _spaced, run, sweep)
 from strongcouple.firstlaw import QUBIT_CLOSURE_TOLERANCE  # noqa: E402
 from strongcouple.spectra import density_stack, partial_trace  # noqa: E402
 
@@ -186,14 +185,15 @@ def sweep_rows(draw):
 
 
 def _series_of(config):
-    """What the state series of a sweep row is made of: its ``alpha``
-    and ``w0`` and ``gamma * t`` on its own grid, by their bits; a row
-    whose ``gamma * t`` does not rise is a series of its own."""
-    params = config.params
-    scaled = params.gamma_rate * config.times
-    if not (np.diff(scaled) > 0.0).all():
+    """What the state series of a sweep row is made of: its
+    ``n_samples`` and its ``alpha``, ``w0`` and horizon ``gamma *
+    t_max``, by their bits; a row whose own grid step underflows to zero
+    is a series of its own."""
+    if config.t_max / (config.n_samples - 1) == 0.0:
         return object()
-    return (params.alpha.hex(), params.w0.hex(), scaled.tobytes())
+    params = config.params
+    return (config.n_samples, params.alpha.hex(), params.w0.hex(),
+            (config.gamma * config.t_max).hex())
 
 
 def _bits(row):
@@ -225,23 +225,32 @@ def _single_run_row(config) -> SweepSummary:
 
 
 @settings(max_examples=50, deadline=None)
-@given(t_maxes=st.lists(st.floats(min_value=1e-300, max_value=1e300),
-                        min_size=1, max_size=8),
+@given(stops=st.lists(st.floats(min_value=1e-300, max_value=1e300),
+                      min_size=1, max_size=8),
        n_samples=st.integers(min_value=3, max_value=BLOCK_POINTS))
-# a step that underflows to zero sends linspace down another path for
-# the whole block; the other row keeps its own grid
-@example(t_maxes=[1.0, 5e-324], n_samples=11)
-def test_block_grid_equals_each_row_grid(t_maxes, n_samples):
-    # a block takes its grids from one linspace call; each row must be
-    # its configuration's own grid, bit for bit, with its own peak time
-    # t* as the last column
-    configs = [ExperimentConfig(t_max=t_max, n_samples=n_samples)
-               for t_max in t_maxes]
-    grid = _block_times(configs)
-    assert grid.shape == (len(configs), n_samples + 1)
-    for config, row in zip(configs, grid):
-        assert row[:-1].tobytes() == config.times.tobytes()
-        assert row[-1] == _peak_time(config)[1]
+# a step that underflows to zero: linspace takes another path, and the
+# rule's points do not rise
+@example(stops=[1.0, 5e-324], n_samples=11)
+# an infinite horizon, gamma * t_max beyond the float range: the rule
+# keeps 0 first, where linspace reads 0 * inf
+@example(stops=[1.0, math.inf], n_samples=11)
+def test_block_grid_equals_each_row_grid(stops, n_samples):
+    # a block spaces the grids of its rows, times or horizons, in one
+    # call on a column of stops; each row must be the rule's grid of its
+    # own stop, bit for bit, with both ends exact: the configuration's
+    # own times where the stop is a t_max, and linspace's grid wherever
+    # the step is nonzero and finite
+    grid = _spaced(np.array(stops)[:, None], n_samples)
+    assert grid.shape == (len(stops), n_samples)
+    for stop, row in zip(stops, grid):
+        assert row.tobytes() == _spaced(stop, n_samples).tobytes()
+        assert row[0] == 0.0 and row[-1] == stop
+        if stop < math.inf:
+            config = ExperimentConfig(t_max=stop, n_samples=n_samples)
+            assert row.tobytes() == config.times.tobytes()
+        if 0.0 < stop / (n_samples - 1) < math.inf:
+            assert row.tobytes() == np.linspace(0.0, stop,
+                                                n_samples).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -266,16 +275,26 @@ def test_block_grid_equals_each_row_grid(t_maxes, n_samples):
 @example(configs=[ExperimentConfig(alpha=0.0, n_samples=11),
                   ExperimentConfig(alpha=-0.0, n_samples=11),
                   ExperimentConfig(alpha=0.0, n_samples=11)])
-# gammas 0.25, 1 and 2 on one gamma * t_max share a series, gamma 3 not
+# gammas 0.25, 1, 2 and 3 on one gamma * t_max share a series
 @example(configs=[ExperimentConfig(alpha=0.5, gamma=g, t_max=5.0 / g,
                                    n_samples=11)
                   for g in (1.0, 3.0, 0.25, 2.0)])
-# two rows with gamma * t [0, 0, 5e-324], which does not rise, hold a
-# series each; the second row's own grid is not increasing, and its block
-# runs again row by row
+# two rows on the horizon 5e-324 hold a series each: the second row's
+# own grid step underflows to zero, its grid is not increasing, and its
+# block runs again row by row
 @example(configs=[ExperimentConfig(gamma=2.0 ** -50, t_max=2.0 ** -1024,
                                    n_samples=3),
                   ExperimentConfig(t_max=5e-324, n_samples=3)])
+# the same pair on a horizon near 1e-13, the failing row second: had it
+# joined the first row's series, it would have taken that row's values
+@example(configs=[ExperimentConfig(gamma=1e308 * 1e-321, t_max=1.0,
+                                   n_samples=1001),
+                  ExperimentConfig(gamma=1e308, t_max=1e-321,
+                                   n_samples=1001)])
+# a horizon beyond the float range: s = [0, inf, ..., inf], g = [1, 0,
+# ..., 0], the thermal limit from the first step on
+@example(configs=[ExperimentConfig(gamma=1e200, t_max=1e200, n_samples=11),
+                  ExperimentConfig(gamma=1e300, t_max=1e300, n_samples=11)])
 # one block of three series whose g stays above 1/2, reaches it at
 # t_max, and passes it: the peak's column keeps the grid's last decay
 # values in the first row and reads exactly 1/2 in the other two
@@ -285,8 +304,9 @@ def test_block_grid_equals_each_row_grid(t_maxes, n_samples):
 def test_sweep_rows_equal_single_runs(configs):
     # a sweep evaluates each distinct series of a block once; each row
     # must be bit for bit the summary of the configuration's own run, and
-    # rows share a series exactly where their alpha, w0 and rising
-    # gamma * t on their own grids have the same bits
+    # rows share a series exactly where their n_samples, alpha, w0 and
+    # horizon gamma * t_max have the same bits, but for a row whose own
+    # grid step underflows
     rows = sweep(configs)
     assert len(rows) == len(configs)
     for config, row in zip(configs, rows):
