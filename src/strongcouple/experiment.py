@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -174,8 +175,8 @@ def _spaced(stop, n: int) -> np.ndarray:
 
     The points are ``arange(n) * (stop / (n - 1))``: the bits of
     ``np.linspace(0, stop, n)`` wherever the step is nonzero and finite,
-    and 0 first where ``stop`` is infinite. Where the step underflows to
-    zero they do not rise.
+    and 0 first where ``stop`` is infinite. Where the step is subnormal
+    they may not rise: the rounded last points can be equal.
     """
     with np.errstate(invalid="ignore"):  # 0 * inf, an infinite stop's first
         points = np.arange(n) * (stop / (n - 1))
@@ -222,11 +223,11 @@ def _series_key(config: ExperimentConfig):
     float function of ``alpha`` and ``w0``, so rows with one key get the
     same series bit for bit; no grid is built for a key. The key holds
     bits, not values, so that ``0.0`` and ``-0.0``, which compare equal,
-    stay apart. A row whose own step ``t_max / (n_samples - 1)``
-    underflows to zero, whose grid does not rise, gets a key of its own,
-    so that it fails as its run does.
+    stay apart. A row whose own step ``t_max / (n_samples - 1)`` is not
+    a normal float, the only step whose grid may not rise, gets a key of
+    its own, so that it fails as its run does.
     """
-    if config.t_max / (config.n_samples - 1) == 0.0:
+    if config.t_max / (config.n_samples - 1) < sys.float_info.min:
         return object()
     return config.n_samples, struct.pack(
         "3d", config.params.alpha, config.params.w0,
@@ -439,11 +440,12 @@ def sweep(configs) -> list:
     * t_max`` have the same bits, such as those of one ``(alpha, beta)``
     on one ``gamma_t_max``, share their decay values on the
     dimensionless grid and are evaluated once, whatever their gammas.
-    The rows equal those of :func:`run` bit for bit. A configuration that fails its integrity
-    checks contributes a row with its error message instead of aborting
-    the remaining runs: a block that raises is run again one
-    configuration at a time, so each failing row holds the message its
-    run raises alone and the other rows keep their values.
+    The rows equal those of :func:`run` bit for bit. A configuration
+    that fails its integrity checks contributes a row with its error
+    message instead of aborting the remaining runs: a block that raises
+    is run again one configuration at a time, so each failing row holds
+    the message its run raises alone and the other rows keep their
+    values.
     Each row is read from its series' columns and its own peak time
     ``t*``; a sweep builds no :class:`ExperimentResult`. Anything but a
     nonempty sequence of :class:`ExperimentConfig` raises

@@ -23,6 +23,7 @@ where its numbers have the same bits.
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -187,9 +188,9 @@ def sweep_rows(draw):
 def _series_of(config):
     """What the state series of a sweep row is made of: its
     ``n_samples`` and its ``alpha``, ``w0`` and horizon ``gamma *
-    t_max``, by their bits; a row whose own grid step underflows to zero
-    is a series of its own."""
-    if config.t_max / (config.n_samples - 1) == 0.0:
+    t_max``, by their bits; a row whose own grid step is not a normal
+    float is a series of its own."""
+    if config.t_max / (config.n_samples - 1) < sys.float_info.min:
         return object()
     params = config.params
     return (config.n_samples, params.alpha.hex(), params.w0.hex(),
@@ -231,6 +232,8 @@ def _single_run_row(config) -> SweepSummary:
 # a step that underflows to zero: linspace takes another path, and the
 # rule's points do not rise
 @example(stops=[1.0, 5e-324], n_samples=11)
+# the least normal step: the rule's points still rise
+@example(stops=[10 * sys.float_info.min], n_samples=11)
 # an infinite horizon, gamma * t_max beyond the float range: the rule
 # keeps 0 first, where linspace reads 0 * inf
 @example(stops=[1.0, math.inf], n_samples=11)
@@ -239,7 +242,8 @@ def test_block_grid_equals_each_row_grid(stops, n_samples):
     # call on a column of stops; each row must be the rule's grid of its
     # own stop, bit for bit, with both ends exact: the configuration's
     # own times where the stop is a t_max, and linspace's grid wherever
-    # the step is nonzero and finite
+    # the step is nonzero and finite; a normal finite step rises, which
+    # is why only a row with a subnormal step needs a series of its own
     grid = _spaced(np.array(stops)[:, None], n_samples)
     assert grid.shape == (len(stops), n_samples)
     for stop, row in zip(stops, grid):
@@ -251,6 +255,8 @@ def test_block_grid_equals_each_row_grid(stops, n_samples):
         if 0.0 < stop / (n_samples - 1) < math.inf:
             assert row.tobytes() == np.linspace(0.0, stop,
                                                 n_samples).tobytes()
+        if sys.float_info.min <= stop / (n_samples - 1) < math.inf:
+            assert (np.diff(row) > 0).all()
 
 
 @settings(max_examples=30, deadline=None)
@@ -291,6 +297,11 @@ def test_block_grid_equals_each_row_grid(stops, n_samples):
                                    n_samples=1001),
                   ExperimentConfig(gamma=1e308, t_max=1e-321,
                                    n_samples=1001)])
+# two rows on the horizon 1e-323 whose own steps are subnormal and
+# nonzero: the first row's grid rises, the second's, [0, 5e-324, 1e-323,
+# 1e-323], does not, so it must not take the first row's series
+@example(configs=[ExperimentConfig(gamma=0.5, t_max=2e-323, n_samples=4),
+                  ExperimentConfig(t_max=1e-323, n_samples=4)])
 # a horizon beyond the float range: s = [0, inf, ..., inf], g = [1, 0,
 # ..., 0], the thermal limit from the first step on
 @example(configs=[ExperimentConfig(gamma=1e200, t_max=1e200, n_samples=11),
@@ -306,7 +317,7 @@ def test_sweep_rows_equal_single_runs(configs):
     # must be bit for bit the summary of the configuration's own run, and
     # rows share a series exactly where their n_samples, alpha, w0 and
     # horizon gamma * t_max have the same bits, but for a row whose own
-    # grid step underflows
+    # grid step is not a normal float
     rows = sweep(configs)
     assert len(rows) == len(configs)
     for config, row in zip(configs, rows):
