@@ -98,8 +98,7 @@ bit. The initial states and the dilation read their parameters through
 :func:`_columns` too and follow the same rule, with ``p`` or nothing in
 place of the times; :func:`iterate_map_check` composes the steps of one
 state, as powers of the step's transfer matrix, and takes one
-:class:`GadcParams` only. A closed form reads its
-times through
+:class:`GadcParams` only. A closed form reads its times through
 :func:`_grid`, which checks them and evaluates the decay factor on them
 as a private :class:`_Grid`, and which passes a grid it is given
 through unchanged. A run builds the grid of its block once, with the
@@ -178,7 +177,8 @@ class GadcParams:
 
     @property
     def beta_amp(self) -> float:
-        """Excited-state amplitude ``sqrt(1 - alpha^2)`` of the initial state."""
+        """Excited-state amplitude ``sqrt(1 - alpha^2)`` of the initial
+        state."""
         return math.sqrt(max(0.0, 1.0 - self.alpha * self.alpha))
 
     @classmethod
@@ -521,7 +521,8 @@ def _qubit_matrices(params, keep, lose) -> np.ndarray:
     m = np.empty(np.shape(keep) + (2, 2), dtype=complex)
     m[..., 0, 0] = pops[..., 0]
     m[..., 1, 1] = pops[..., 1]
-    m[..., 0, 1] = m[..., 1, 0] = params.alpha * params.beta_amp * np.sqrt(keep)
+    m[..., 0, 1] = m[..., 1, 0] = (params.alpha * params.beta_amp
+                                   * np.sqrt(keep))
     return m
 
 
@@ -679,12 +680,13 @@ def joint_states_closed_form(params, times) -> np.ndarray:
 
     With ``g = exp(-gamma_rate t)``, ``d = 1 - g``, ``sg = sqrt(g)``,
     ``sd = sqrt(d)`` and ``a, b`` the initial amplitudes, the matrix in
-    the ordered basis ``|g,E0>, |g,E1>, |e,E0>, |e,E1>`` is::
+    the ordered basis ``|g,E0>, |g,E1>, |e,E0>, |e,E1>`` is, with ``c =
+    a^2 w1 + b^2 w0``::
 
-        [ a^2 w0       a b w0 sd                 a b w0 sg                 0         ]
-        [ a b w0 sd    a^2 w1 g + b^2 w0 d       (a^2 w1 + b^2 w0) sd sg   a b w1 sg ]
-        [ a b w0 sg    (a^2 w1 + b^2 w0) sd sg   a^2 w1 d + b^2 w0 g       a b w1 sd ]
-        [ 0            a b w1 sg                 a b w1 sd                 b^2 w1    ]
+        [ a^2 w0     a b w0 sd             a b w0 sg             0         ]
+        [ a b w0 sd  a^2 w1 g + b^2 w0 d   c sd sg               a b w1 sg ]
+        [ a b w0 sg  c sd sg               a^2 w1 d + b^2 w0 g   a b w1 sd ]
+        [ 0          a b w1 sg             a b w1 sd             b^2 w1    ]
 
     Both partial traces of this family equal the closed-form marginals
     entrywise, at the cost of a time-dependent joint spectrum. This is

@@ -11,8 +11,8 @@ with row counts and content hashes into the output directory. The CSV
 files are deterministic: re-running the same configuration reproduces
 them byte for byte. ``run`` and ``sweep`` build every file first and
 write them through :func:`_write_files`, so a command that fails
-leaves no file of its own behind. ``validate`` prints one [PASS]/[FAIL] line per
-suite of :mod:`strongcouple.validation`. ``sweep`` expands a
+leaves no file of its own behind. ``validate`` prints one [PASS]/[FAIL]
+line per suite of :mod:`strongcouple.validation`. ``sweep`` expands a
 parameter grid into configurations and writes one summary row per run.
 """
 
@@ -66,8 +66,8 @@ def config_from_dict(data) -> ExperimentConfig:
         raise InputError(f"unknown config field '{sorted(unknown)[0]}'; "
                          f"allowed: {sorted(_CONFIG_KEYS)}")
     return ExperimentConfig(**{
-        name: (_int_field if name == "n_samples" else _float_field)(value, name)
-        for name, value in data.items()})
+        key: (_int_field if key == "n_samples" else _float_field)(value, key)
+        for key, value in data.items()})
 
 
 def _load_json(path: Path):
@@ -298,7 +298,8 @@ def _expand_grid(data) -> list:
         raise InputError(f"unknown grid field '{sorted(unknown)[0]}'; "
                          f"allowed: {sorted(_GRID_KEYS)}")
     if "t_max" in data and "gamma_t_max" in data:
-        raise InputError("grid accepts either 't_max' or 'gamma_t_max', not both")
+        raise InputError(
+            "grid accepts either 't_max' or 'gamma_t_max', not both")
     axes = []
     for name in ("alpha", "beta", "gamma"):
         values = data.get(name, getattr(ExperimentConfig, name))
@@ -412,7 +413,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"strongcouple {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one configuration and write tables")
+    p_run = sub.add_parser("run",
+                           help="run one configuration and write tables")
     p_run.add_argument("--config", help="JSON configuration file "
                                         "(defaults used when omitted)")
     p_run.add_argument("--out", required=True, help="output directory")

@@ -71,7 +71,6 @@ from __future__ import annotations
 
 import math
 import struct
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -114,7 +113,11 @@ class ExperimentConfig:
     there, and a bad one raises :class:`InputError` naming it. The four
     float fields are stored as floats and ``n_samples`` as an int, so
     that an integer beyond the float range is a bad field rather than
-    an ``OverflowError`` of a later stage.
+    an ``OverflowError`` of a later stage. The grid, spaced by
+    :func:`_spaced`, always rises: ``t_max`` must be positive and finite
+    and its step large enough that the last two points differ, which
+    refuses only a subnormal step, and a refused ``t_max`` names the
+    point count.
     """
 
     alpha: float = 1.0 / math.sqrt(2.0)
@@ -130,11 +133,14 @@ class ExperimentConfig:
         if not 0.0 < self.gamma < math.inf:
             raise InputError(
                 f"gamma must be positive and finite, got {self.gamma}")
-        if not 0.0 < self.t_max < math.inf:
-            raise InputError(
-                f"t_max must be positive and finite, got {self.t_max}")
-        object.__setattr__(self, "n_samples",
-                           _as_count(self.n_samples, "n_samples", 3))
+        n = _as_count(self.n_samples, "n_samples", 3)
+        object.__setattr__(self, "n_samples", n)
+        # the grid (see _spaced) rises exactly where its last two points
+        # do: false for a t_max that is not positive and finite, and for
+        # one whose subnormal step rounds the last points together
+        if not 0.0 < (n - 2) * (self.t_max / (n - 1)) < self.t_max:
+            raise InputError(f"t_max must be positive and finite with a "
+                             f"rising grid of {n} points, got {self.t_max}")
         self.params  # built once, here, where it checks alpha and beta
 
     @cached_property
@@ -175,10 +181,12 @@ def _spaced(stop, n: int) -> np.ndarray:
 
     The points are ``arange(n) * (stop / (n - 1))``: the bits of
     ``np.linspace(0, stop, n)`` wherever the step is nonzero and finite,
-    and 0 first where ``stop`` is infinite. Where the step is subnormal
-    they may not rise: the rounded last points can be equal.
+    and 0 first where ``stop`` is infinite.
     """
-    with np.errstate(invalid="ignore"):  # 0 * inf, an infinite stop's first
+    # 0 * inf is an infinite stop's first point; only the last product,
+    # (n - 1) * step, reaches stop, so only it can round past the float
+    # max. Both ends are written exactly below
+    with np.errstate(invalid="ignore", over="ignore"):
         points = np.arange(n) * (stop / (n - 1))
     points[..., :1] = 0.0
     points[..., -1:] = stop
@@ -223,12 +231,10 @@ def _series_key(config: ExperimentConfig):
     float function of ``alpha`` and ``w0``, so rows with one key get the
     same series bit for bit; no grid is built for a key. The key holds
     bits, not values, so that ``0.0`` and ``-0.0``, which compare equal,
-    stay apart. A row whose own step ``t_max / (n_samples - 1)`` is not
-    a normal float, the only step whose grid may not rise, gets a key of
-    its own, so that it fails as its run does.
+    stay apart. Every row is keyed by these values alone: a
+    configuration's own grid always rises (see :class:`ExperimentConfig`),
+    so no row fails for its grid where a row of its key passes.
     """
-    if config.t_max / (config.n_samples - 1) < sys.float_info.min:
-        return object()
     return config.n_samples, struct.pack(
         "3d", config.params.alpha, config.params.w0,
         config.gamma * config.t_max)

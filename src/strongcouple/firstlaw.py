@@ -326,9 +326,9 @@ def qubit_thermo_trajectory(bloch) -> ThermoTrajectory:
     analysis runs once per row. The caller decides which rows share a
     series; a sweep hands in each distinct one once. Work is zero, the
     heat is the closed-form integral of the module docstring, and the
-    coherent energy is ``(E0 - E1)/2 Delta z`` minus the heat, so neither needs a
-    derivative, a quadrature rule or an eigensolve, and the grid may be
-    as coarse as the caller likes. The internal energy change is
+    coherent energy is ``(E0 - E1)/2 Delta z`` minus the heat, so neither
+    needs a derivative, a quadrature rule or an eigensolve, and the grid
+    may be as coarse as the caller likes. The internal energy change is
     ``bloch.populations @ energies``, from the closed-form populations;
     the closure residual therefore compares the Bloch coefficients with
     those populations, and one above :data:`QUBIT_CLOSURE_TOLERANCE`

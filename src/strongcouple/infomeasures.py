@@ -56,8 +56,8 @@ def von_neumann_entropies(states) -> np.ndarray:
     check_spectrum(lam[..., 0])
     lam = np.where(lam < _ENTROPY_CLIP, 0.0, lam)
     lam = lam / np.sum(lam, axis=-1, keepdims=True)
-    terms = np.where(lam > 0.0, lam * np.log2(np.where(lam > 0.0, lam, 1.0)), 0.0)
-    return -np.sum(terms, axis=-1) + 0.0
+    terms = lam * np.log2(np.where(lam > 0.0, lam, 1.0))
+    return -np.sum(np.where(lam > 0.0, terms, 0.0), axis=-1) + 0.0
 
 
 def bloch_entropies(radii) -> np.ndarray:

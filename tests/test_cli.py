@@ -166,6 +166,23 @@ class TestRunErrors:
                      "--out", str(tmp_path / "o")]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, data", [
+        ("run --config", {"t_max": 5e-324, "n_samples": 3}),
+        ("sweep --grid", {"alpha": [0.5, 1.0], "t_max": 5e-324,
+                          "n_samples": 3}),
+    ], ids=["run", "sweep"])
+    def test_grid_that_cannot_rise_named(self, tmp_path, capsys, command,
+                                         data):
+        # the grid [0, 0, 5e-324] does not rise: the configuration is
+        # refused where it is built, before any row runs or file is
+        # written
+        path = write_json(tmp_path / "input.json", data)
+        out = tmp_path / "o"
+        assert main([*command.split(), path, "--out", str(out)]) == 2
+        assert ("error: t_max must be positive and finite with a rising "
+                "grid of 3 points, got 5e-324") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_closure_violation(self, tmp_path, capsys, broken_system_bloch):
         cfg = write_json(tmp_path / "cfg.json", {"n_samples": 101})
         assert main(["run", "--config", cfg,

@@ -1,0 +1,55 @@
+"""The README's test citations resolve, and the sources keep 79 columns."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "strongcouple"
+# the plotting scripts that `run` writes; tests/golden.json pins their
+# bytes, so their lines keep their length
+LONG_CONSTANTS = {"cli.py": ("_PLOT_THERMO", "_PLOT_INFO")}
+
+
+def _collected(path: Path, names: list) -> bool:
+    """Whether ``names``, a class then a method, or a function, or a
+    class alone, name tests that pytest collects from ``path``: a
+    ``test*`` function, or a ``Test*`` class holding one."""
+    scope = ast.parse(path.read_text()).body
+    for i, name in enumerate(names):
+        node = next((n for n in scope if getattr(n, "name", None) == name),
+                    None)
+        if isinstance(node, ast.ClassDef) and name.startswith("Test"):
+            scope = node.body
+        elif (isinstance(node, ast.FunctionDef) and name.startswith("test")
+              and i == len(names) - 1):
+            return True
+        else:
+            return False
+    return any(isinstance(n, ast.FunctionDef) and n.name.startswith("test")
+               for n in scope)
+
+
+def test_readme_test_citations_resolve():
+    citations = re.findall(r"tests/(\w+\.py)::([\w:]+)",
+                           (ROOT / "README.md").read_text())
+    assert citations
+    missing = [f"tests/{name}::{test}" for name, test in citations
+               if not _collected(ROOT / "tests" / name, test.split("::"))]
+    assert missing == []
+
+
+def test_source_lines_fit_79_columns():
+    long_lines = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        exempt = set()
+        for node in ast.parse(text).body:
+            if (isinstance(node, ast.Assign)
+                    and getattr(node.targets[0], "id", None)
+                    in LONG_CONSTANTS.get(path.name, ())):
+                exempt.update(range(node.lineno, node.end_lineno + 1))
+        long_lines += [f"{path.name}:{number}"
+                       for number, line in enumerate(text.splitlines(), 1)
+                       if len(line) > 79 and number not in exempt]
+    assert long_lines == []

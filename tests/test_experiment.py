@@ -273,13 +273,19 @@ class TestRun:
                 warnings.simplefilter("error")
                 run(ExperimentConfig(gamma=gamma, t_max=10.0 / gamma))
 
-    @pytest.mark.parametrize("t_max", [1e-300, 1e-160, 1e-150, 1e300])
-    def test_silent_at_extreme_horizons(self, t_max):
+    @pytest.mark.parametrize("t_max, n_samples", [
+        (1e-300, 2001), (1e-160, 2001), (1e-150, 2001), (1e300, 2001),
+        (sys.float_info.max, 4),
+    ], ids=["1e-300", "1e-160", "1e-150", "1e+300", "float_max"])
+    def test_silent_at_extreme_horizons(self, t_max, n_samples):
         # grid steps near the ends of the float range: no stage of the
-        # run warns
+        # run warns; at the float max, the spacing rule's last product
+        # rounds past it before the exact end replaces it
+        config = ExperimentConfig(t_max=t_max, n_samples=n_samples)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            run(ExperimentConfig(t_max=t_max))
+            assert config.times[-1] == t_max
+            run(config)
 
     def test_silent_when_decay_overflows(self):
         # gamma t_max = 1e400 is beyond the float range; the exponent of
@@ -863,22 +869,20 @@ class TestSweep:
         for i in (0, 2):
             assert _bits(rows[i]) == _bits(clean[i])
 
-    def test_repeated_row_whose_own_grid_fails(self):
-        # both rows are on the horizon gamma * t_max = 5e-324, but the
-        # second row's own step underflows to zero, so it is a series of
-        # its own, evaluated on its own grid. The first row's grid rises;
-        # the second row's, [0, 0, 5e-324], fails its check in the block,
-        # and the block is run again row by row
-        configs = [ExperimentConfig(gamma=2.0 ** -50, t_max=2.0 ** -1024,
-                                    n_samples=3),
-                   ExperimentConfig(t_max=5e-324, n_samples=3)]
-        assert _sizes(configs) == [(2, 2)]
-        rows = sweep(configs)
-        assert _bits(rows[0]) == _bits(_summary(run(configs[0])))
-        with pytest.raises(InputError) as failure:
-            run(configs[1])
-        assert rows[1].error == str(failure.value)
-        assert rows[1].error == "times must be strictly increasing"
+    def test_row_whose_own_grid_cannot_rise_refused(self):
+        # on the horizon gamma * t_max = 5e-324, a row with a subnormal
+        # step whose grid rises runs as its run does; a row whose own
+        # grid would be [0, 0, 5e-324] is refused where it is built, so
+        # no sweep holds it
+        config = ExperimentConfig(gamma=2.0 ** -50, t_max=2.0 ** -1024,
+                                  n_samples=3)
+        (row,) = sweep([config])
+        assert row.error == ""
+        assert _bits(row) == _bits(_summary(run(config)))
+        with pytest.raises(InputError, match="t_max must be positive and "
+                                             "finite with a rising grid "
+                                             "of 3 points, got 5e-324"):
+            ExperimentConfig(t_max=5e-324, n_samples=3)
 
     def test_grids_built_once(self, monkeypatch):
         # a sweep builds no grid for its keys; its block spaces the first

@@ -13,6 +13,12 @@ the Kraus sums and the partial traces are positive by construction, and
 only their consumers run the eigenvalue floor. The second test checks
 that every builder's output passes that floor across the same domain.
 
+A configuration whose grid would not rise is refused where it is built,
+naming ``t_max``; the third test checks that this happens exactly where
+the spacing rule's grid does not rise, with ``gamma`` and ``t_max`` over
+the whole positive float range, and that every other configuration runs
+silently with finite series.
+
 A sweep evaluates its rows in blocks, with the configuration as a
 leading array axis, and each distinct state series of a block once, on
 one grid spaced by one rule; the last two tests check that the rule
@@ -24,6 +30,7 @@ where its numbers have the same bits.
 import dataclasses
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +156,49 @@ def test_every_builder_output_is_a_density_stack(alpha, beta, gamma,
         density_stack(states)
 
 
+POSITIVE_FLOATS = st.floats(min_value=5e-324, max_value=sys.float_info.max)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gamma=POSITIVE_FLOATS, t_max=POSITIVE_FLOATS,
+       n_samples=st.integers(min_value=3, max_value=101))
+# grids that do not rise: a step that underflows to zero, and subnormal
+# steps that round the last two points together ([0, 5e-324, 1e-323,
+# 1e-323] at 4 points)
+@example(gamma=1.0, t_max=5e-324, n_samples=3)
+@example(gamma=1.0, t_max=5e-324, n_samples=11)
+@example(gamma=1.0, t_max=1e-323, n_samples=4)
+@example(gamma=1e308, t_max=1e-321, n_samples=1001)
+# a subnormal step whose grid rises, on the horizon 5e-324
+@example(gamma=2.0 ** -50, t_max=2.0 ** -1024, n_samples=3)
+@example(gamma=0.5, t_max=2e-323, n_samples=4)
+# the spacing rule's last product rounds past the float max
+@example(gamma=1.0, t_max=sys.float_info.max, n_samples=4)
+def test_every_configuration_that_builds_runs(gamma, t_max, n_samples):
+    # a configuration is refused, naming t_max, exactly where the rule
+    # that spaces its grid does not rise; every other one runs with
+    # finite series and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rises = bool((np.diff(_spaced(t_max, n_samples)) > 0).all())
+        if not rises:
+            with pytest.raises(InputError, match=f"^t_max .* {n_samples} "
+                                                 "points"):
+                ExperimentConfig(gamma=gamma, t_max=t_max,
+                                 n_samples=n_samples)
+            return
+        result = run(ExperimentConfig(gamma=gamma, t_max=t_max,
+                                      n_samples=n_samples))
+    info = result.info
+    for series in (result.times, result.thermo_s.heat,
+                   result.thermo_s.coherent_energy, result.thermo_e.heat,
+                   result.thermo_e.coherent_energy, info.entropy_s,
+                   info.entropy_e, info.coherence_s, info.coherence_e,
+                   info.negativity, info.mutual_information,
+                   info.heat_asymmetry):
+        assert np.all(np.isfinite(series))
+
+
 ROW_ALPHAS = [0.0, 1.0, 1.0 - 1e-17]
 ROW_BETAS = [math.inf, 1e-3]
 ROW_GAMMAS = [1e-200, 1e200]
@@ -188,10 +238,7 @@ def sweep_rows(draw):
 def _series_of(config):
     """What the state series of a sweep row is made of: its
     ``n_samples`` and its ``alpha``, ``w0`` and horizon ``gamma *
-    t_max``, by their bits; a row whose own grid step is not a normal
-    float is a series of its own."""
-    if config.t_max / (config.n_samples - 1) < sys.float_info.min:
-        return object()
+    t_max``, by their bits."""
     params = config.params
     return (config.n_samples, params.alpha.hex(), params.w0.hex(),
             (config.gamma * config.t_max).hex())
@@ -229,8 +276,8 @@ def _single_run_row(config) -> SweepSummary:
 @given(stops=st.lists(st.floats(min_value=1e-300, max_value=1e300),
                       min_size=1, max_size=8),
        n_samples=st.integers(min_value=3, max_value=BLOCK_POINTS))
-# a step that underflows to zero: linspace takes another path, and the
-# rule's points do not rise
+# a step that underflows to zero: linspace takes another path, the
+# rule's points do not rise, and a configuration refuses the stop
 @example(stops=[1.0, 5e-324], n_samples=11)
 # the least normal step: the rule's points still rise
 @example(stops=[10 * sys.float_info.min], n_samples=11)
@@ -241,17 +288,21 @@ def test_block_grid_equals_each_row_grid(stops, n_samples):
     # a block spaces the grids of its rows, times or horizons, in one
     # call on a column of stops; each row must be the rule's grid of its
     # own stop, bit for bit, with both ends exact: the configuration's
-    # own times where the stop is a t_max, and linspace's grid wherever
-    # the step is nonzero and finite; a normal finite step rises, which
-    # is why only a row with a subnormal step needs a series of its own
+    # own times where the stop is a t_max whose grid rises, and
+    # linspace's grid wherever the step is nonzero and finite. A stop
+    # whose grid does not rise is refused as a t_max, and a normal finite
+    # step rises, so only a t_max with a subnormal step can be refused
     grid = _spaced(np.array(stops)[:, None], n_samples)
     assert grid.shape == (len(stops), n_samples)
     for stop, row in zip(stops, grid):
         assert row.tobytes() == _spaced(stop, n_samples).tobytes()
         assert row[0] == 0.0 and row[-1] == stop
-        if stop < math.inf:
+        if stop < math.inf and (np.diff(row) > 0).all():
             config = ExperimentConfig(t_max=stop, n_samples=n_samples)
             assert row.tobytes() == config.times.tobytes()
+        elif stop < math.inf:
+            with pytest.raises(InputError, match="^t_max "):
+                ExperimentConfig(t_max=stop, n_samples=n_samples)
         if 0.0 < stop / (n_samples - 1) < math.inf:
             assert row.tobytes() == np.linspace(0.0, stop,
                                                 n_samples).tobytes()
@@ -266,13 +317,8 @@ def test_block_grid_equals_each_row_grid(stops, n_samples):
 # squares in float arithmetic
 @example(configs=[ExperimentConfig(alpha=0.42672114373024106, n_samples=11),
                   ExperimentConfig(alpha=0.5, n_samples=11)])
-# blocks of a row with a nonzero mean ratio and a row whose mean ratio is
-# zero (alpha 1 has no heat asymmetry); in the first, a third row
-# fails, since its grid step underflows to zero, and the block runs
-# again row by row
-@example(configs=[ExperimentConfig(alpha=0.5, n_samples=11),
-                  ExperimentConfig(alpha=1.0, n_samples=11),
-                  ExperimentConfig(t_max=5e-324, n_samples=11)])
+# a block of a row with a nonzero mean ratio and a row whose mean ratio
+# is zero (alpha 1 has no heat asymmetry)
 @example(configs=[ExperimentConfig(alpha=0.5, n_samples=11),
                   ExperimentConfig(alpha=1.0, n_samples=11)])
 # rows that differ only in the sign of a zero alpha hold two series, and
@@ -285,23 +331,12 @@ def test_block_grid_equals_each_row_grid(stops, n_samples):
 @example(configs=[ExperimentConfig(alpha=0.5, gamma=g, t_max=5.0 / g,
                                    n_samples=11)
                   for g in (1.0, 3.0, 0.25, 2.0)])
-# two rows on the horizon 5e-324 hold a series each: the second row's
-# own grid step underflows to zero, its grid is not increasing, and its
-# block runs again row by row
+# two rows on the horizon 5e-324 whose own steps are subnormal and whose
+# grids rise: they hold one series, and each equals its own run
 @example(configs=[ExperimentConfig(gamma=2.0 ** -50, t_max=2.0 ** -1024,
                                    n_samples=3),
-                  ExperimentConfig(t_max=5e-324, n_samples=3)])
-# the same pair on a horizon near 1e-13, the failing row second: had it
-# joined the first row's series, it would have taken that row's values
-@example(configs=[ExperimentConfig(gamma=1e308 * 1e-321, t_max=1.0,
-                                   n_samples=1001),
-                  ExperimentConfig(gamma=1e308, t_max=1e-321,
-                                   n_samples=1001)])
-# two rows on the horizon 1e-323 whose own steps are subnormal and
-# nonzero: the first row's grid rises, the second's, [0, 5e-324, 1e-323,
-# 1e-323], does not, so it must not take the first row's series
-@example(configs=[ExperimentConfig(gamma=0.5, t_max=2e-323, n_samples=4),
-                  ExperimentConfig(t_max=1e-323, n_samples=4)])
+                  ExperimentConfig(gamma=2.0 ** -49, t_max=2.0 ** -1025,
+                                   n_samples=3)])
 # a horizon beyond the float range: s = [0, inf, ..., inf], g = [1, 0,
 # ..., 0], the thermal limit from the first step on
 @example(configs=[ExperimentConfig(gamma=1e200, t_max=1e200, n_samples=11),
@@ -316,8 +351,7 @@ def test_sweep_rows_equal_single_runs(configs):
     # a sweep evaluates each distinct series of a block once; each row
     # must be bit for bit the summary of the configuration's own run, and
     # rows share a series exactly where their n_samples, alpha, w0 and
-    # horizon gamma * t_max have the same bits, but for a row whose own
-    # grid step is not a normal float
+    # horizon gamma * t_max have the same bits
     rows = sweep(configs)
     assert len(rows) == len(configs)
     for config, row in zip(configs, rows):
