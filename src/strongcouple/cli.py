@@ -125,40 +125,56 @@ def _write_files(out_dir: Path, files: dict) -> None:
                          f"{exc.strerror}") from exc
 
 
-def _csv_column(values):
-    """The ``%`` format of one CSV column and its values as an array.
+def _csv_column(col):
+    """The bytes ``%`` format of the CSV column ``col``, an array, and
+    the array of values it takes, or ``None`` when the format holds the
+    values already.
 
     Floats get 12 significant digits, integers and booleans are written
-    as integers, and anything else as text with commas replaced by
-    semicolons.
+    as integers, and anything else as UTF-8 text with commas replaced by
+    semicolons. A bytes (``S``) column is text already formatted, and is
+    passed through. A numeric column whose entries share one bit
+    pattern, such as an all-zero work column, is formatted once into
+    the format as text; bits, not values, are compared, so ``0.0`` and
+    ``-0.0`` stay apart.
     """
-    col = np.asarray(values)
-    if col.dtype.kind == "f":
-        return "%.12g", col
-    if col.dtype.kind in "biu":
-        return "%d", col
-    return "%s", np.array([str(v).replace(",", ";") for v in col.tolist()])
+    kind = col.dtype.kind
+    if kind == "S":
+        return b"%s", col
+    if kind not in "biuf":
+        return b"%s", np.array([str(v).replace(",", ";").encode()
+                                for v in col.tolist()])
+    fmt = b"%.12g" if kind == "f" else b"%d"
+    bits = col.view(f"V{col.itemsize}")
+    if len(col) and (bits == bits[0]).all():
+        return fmt % col[0].item(), None
+    return fmt, col
 
 
 def _csv_table(header, columns) -> tuple:
     """Equal-length columns under ``header`` as CSV bytes, with their
     manifest entry, the row count and hash.
 
-    Each row is formatted with one ``%`` on a format string built from
-    the column kinds. Rows become Python values and then text
-    ``_CSV_BLOCK`` at a time, and each block is joined into one string,
-    so no whole table is ever held as one Python object per value or
-    per row.
+    Each row is formatted with one bytes ``%`` on a format built from
+    the columns (see :func:`_csv_column`), which takes only the columns
+    whose values vary; the row count is that of the columns as given.
+    Rows become Python values and then bytes ``_CSV_BLOCK`` at a time,
+    and each block is joined into one bytes object, so no whole table
+    is ever held as one Python object per value or per row.
     """
-    formats, cols = zip(*map(_csv_column, columns))
-    row_format = ",".join(formats)
+    cols = [np.asarray(c) for c in columns]
+    formats, live = zip(*map(_csv_column, cols))
+    live = [c for c in live if c is not None]
+    row_format = b",".join(formats)
     count = len(cols[0])
-    chunks = [",".join(header)]
+    chunks = [",".join(header).encode()]
     for start in range(0, count, _CSV_BLOCK):
-        stop = start + _CSV_BLOCK
-        chunks.append("\n".join(row_format % row for row in
-                                zip(*(c[start:stop].tolist() for c in cols))))
-    blob = ("\n".join(chunks) + "\n").encode()
+        stop = min(start + _CSV_BLOCK, count)
+        rows = (zip(*(c[start:stop].tolist() for c in live)) if live
+                else itertools.repeat((), stop - start))
+        chunks.append(b"\n".join(map(row_format.__mod__, rows)))
+    chunks.append(b"")
+    blob = b"\n".join(chunks)
     return blob, {"rows": count, "sha256": hashlib.sha256(blob).hexdigest()}
 
 
@@ -258,19 +274,22 @@ def _cmd_run(args) -> int:
     started = time.perf_counter()
     result = run(config)
     files, outputs = {}, {}
+    # every series of a run shares its grid: format the times once
+    times = np.array(list(map(b"%.12g".__mod__, result.times.tolist())),
+                     dtype=bytes)
 
     for name, traj in (("thermo_system.csv", result.thermo_s),
                        ("thermo_environment.csv", result.thermo_e)):
         files[name], outputs[name] = _csv_table(
             ("t", "W", "Q", "C", "dU"),
-            (traj.times, traj.work, traj.heat, traj.coherent_energy,
+            (times, traj.work, traj.heat, traj.coherent_energy,
              traj.internal_energy_change))
     info = result.info
     files["info_measures.csv"], outputs["info_measures.csv"] = _csv_table(
         ("t", "entropy_system", "entropy_environment",
          "coherence_system", "coherence_environment", "negativity",
          "mutual_information", "heat_asymmetry"),
-        (info.times, info.entropy_s, info.entropy_e, info.coherence_s,
+        (times, info.entropy_s, info.entropy_e, info.coherence_s,
          info.coherence_e, info.negativity, info.mutual_information,
          info.heat_asymmetry))
     metrics = sorted(result.diagnostics)

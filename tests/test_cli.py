@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from strongcouple import cli
-from strongcouple.cli import _csv_table, main
+from strongcouple.cli import _CSV_BLOCK, _csv_column, _csv_table, main
 from strongcouple.errors import NumericalError
 from strongcouple.experiment import ExperimentConfig, run
 
@@ -66,11 +66,29 @@ class TestRunCommand:
 
 def _reference_fmt(value) -> str:
     """Per-value CSV formatting, the rule the table writer must keep."""
+    if isinstance(value, bytes):
+        return value.decode()
     if isinstance(value, str):
         return value.replace(",", ";")
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".12g")
+
+
+def _reference_table(header, columns) -> bytes:
+    return (",".join(header) + "\n" + "".join(
+        ",".join(_reference_fmt(v) for v in row) + "\n"
+        for row in zip(*columns))).encode()
+
+
+CONSTANT_COLUMNS = {
+    "zero": np.zeros(5),
+    "negative_zero": np.full(5, -0.0),
+    "nan": np.full(5, np.nan),
+    "inf": np.full(5, np.inf),
+    "int": np.full(5, -7, dtype=np.int64),
+    "bool": np.ones(5, dtype=bool),
+}
 
 
 class TestCsvWriter:
@@ -87,17 +105,96 @@ class TestCsvWriter:
         columns = (floats, ints, small, text)
         header = ("x", "n", "k", "error")
         blob, meta = _csv_table(header, columns)
-        expected = ",".join(header) + "\n" + "".join(
-            ",".join(_reference_fmt(v) for v in row) + "\n"
-            for row in zip(*columns))
-        assert blob == expected.encode()
+        assert blob == _reference_table(header, columns)
         assert meta == {"rows": 700,
                         "sha256": hashlib.sha256(blob).hexdigest()}
+
+    @pytest.mark.parametrize("name", sorted(CONSTANT_COLUMNS))
+    def test_constant_column_matches_per_value_formatting(self, name):
+        column = CONSTANT_COLUMNS[name]
+        if name != "nan":  # a NaN column may take either path
+            assert _csv_column(column)[1] is None
+        columns = (np.linspace(0.0, 1.0, 5), column, np.arange(5))
+        blob, meta = _csv_table(("t", name, "k"), columns)
+        assert blob == _reference_table(("t", name, "k"), columns)
+        assert meta["rows"] == 5
+
+    def test_signed_zeros_not_merged(self):
+        zeros = np.array([0.0, -0.0, 0.0, -0.0, -0.0])
+        assert _csv_column(zeros)[1] is not None
+        blob, _ = _csv_table(("z",), (zeros,))
+        assert blob == b"z\n0\n-0\n0\n-0\n-0\n"
+
+    def test_all_constant_table_writes_every_row(self):
+        columns = (np.zeros(3), np.full(3, 2, dtype=np.int64),
+                   np.full(3, -0.0))
+        blob, meta = _csv_table(("a", "b", "c"), columns)
+        assert blob == b"a,b,c\n0,2,-0\n0,2,-0\n0,2,-0\n"
+        assert meta["rows"] == 3
+
+    def test_formatted_bytes_column_passes_through(self):
+        times = np.array([b"0", b"0.5", b"1e-05", b"inf"])
+        columns = (times, np.array([1.5, -0.0, np.nan, 2.0]))
+        blob, _ = _csv_table(("t", "x"), columns)
+        assert blob == b"t,x\n0,1.5\n0.5,-0\n1e-05,nan\ninf,2\n"
+
+    @pytest.mark.parametrize("count", [_CSV_BLOCK - 1, _CSV_BLOCK,
+                                       _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 1])
+    def test_block_edges_match_per_value_formatting(self, count):
+        floats = np.random.default_rng(count).standard_normal(count)
+        times = np.array([b"%d" % i for i in range(count)])
+        columns = (times, floats, np.zeros(count), np.arange(count))
+        header = ("t", "x", "w", "k")
+        blob, meta = _csv_table(header, columns)
+        assert blob == _reference_table(header, columns)
+        assert meta["rows"] == count
+        assert blob.count(b"\n") == count + 1
 
     def test_empty_table_writes_header(self):
         blob, meta = _csv_table(("a", "b"), ([], []))
         assert blob == b"a,b\n"
         assert meta["rows"] == 0
+
+
+class TestRunTables:
+    """Every table of ``run`` matches the per-value reference applied to
+    the run's own series, also where columns are constant or the grid
+    crosses a block edge."""
+
+    @pytest.mark.parametrize("config", [
+        {"alpha": 0, "beta": "inf", "n_samples": 3},
+        {"alpha": 1},
+        {"n_samples": 257},
+    ])
+    def test_tables_match_per_value_formatting(self, tmp_path, config):
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_json(tmp_path / "c.json",
+                                                   config),
+                     "--out", str(out)]) == 0
+        result = run(cli.config_from_dict(config))
+        info = result.info
+        metrics = sorted(result.diagnostics)
+        tables = {
+            "info_measures.csv": (
+                ("t", "entropy_system", "entropy_environment",
+                 "coherence_system", "coherence_environment", "negativity",
+                 "mutual_information", "heat_asymmetry"),
+                (info.times, info.entropy_s, info.entropy_e,
+                 info.coherence_s, info.coherence_e, info.negativity,
+                 info.mutual_information, info.heat_asymmetry)),
+            "diagnostics.csv": (
+                ("metric", "value"),
+                (metrics, [result.diagnostics[m] for m in metrics])),
+        }
+        for name, traj in (("thermo_system.csv", result.thermo_s),
+                           ("thermo_environment.csv", result.thermo_e)):
+            tables[name] = (("t", "W", "Q", "C", "dU"),
+                            (traj.times, traj.work, traj.heat,
+                             traj.coherent_energy,
+                             traj.internal_energy_change))
+        for name, (header, columns) in tables.items():
+            assert (out / name).read_bytes() == \
+                _reference_table(header, columns), name
 
 
 class TestRunErrors:

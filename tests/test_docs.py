@@ -1,4 +1,5 @@
-"""The README's test citations resolve, and the sources keep 79 columns."""
+"""The README's test and BENCH file citations resolve, and the sources
+keep 79 columns."""
 
 import ast
 import re
@@ -36,6 +37,17 @@ def test_readme_test_citations_resolve():
     assert citations
     missing = [f"tests/{name}::{test}" for name, test in citations
                if not _collected(ROOT / "tests" / name, test.split("::"))]
+    assert missing == []
+
+
+def test_cited_bench_files_exist():
+    cited = {name for doc in ("README.md", "ROADMAP.md")
+             for name in re.findall(r"BENCH_\w+\.json",
+                                    (ROOT / doc).read_text())}
+    assert cited
+    missing = [name for name in sorted(cited)
+               if not any((where / name).is_file()
+                          for where in (ROOT, ROOT / "benchmarks"))]
     assert missing == []
 
 
