@@ -9,11 +9,13 @@ validation suites).
 ``run`` writes CSV tables, a pair of plotting scripts, and a manifest
 with row counts and content hashes into the output directory. The CSV
 files are deterministic: re-running the same configuration reproduces
-them byte for byte. ``run`` and ``sweep`` build every file first and
-write them through :func:`_write_files`, so a command that fails
-leaves no file of its own behind. ``validate`` prints one [PASS]/[FAIL]
-line per suite of :mod:`strongcouple.validation`. ``sweep`` expands a
-parameter grid into configurations and writes one summary row per run.
+them byte for byte. ``run`` and ``sweep`` stream their files through
+:func:`_write_files`, which opens every file before it writes any and
+formats each table block by block as it writes it, so a command that
+fails leaves no file of its own behind. ``validate`` prints one
+[PASS]/[FAIL] line per suite of :mod:`strongcouple.validation`.
+``sweep`` expands a parameter grid into configurations and writes one
+summary row per run.
 """
 
 from __future__ import annotations
@@ -97,13 +99,18 @@ def _output_dir(path) -> Path:
 
 
 def _write_files(out_dir: Path, files: dict) -> None:
-    """Write each ``name: blob`` of ``files`` under ``out_dir``.
+    """Write each ``name: content`` of ``files`` under ``out_dir``, in
+    order; ``content`` is bytes or an iterable of byte chunks, such as a
+    :func:`_csv_table`, which is consumed as it is written.
 
     Every file is opened, without truncating it, before any is written,
     so a file that cannot be opened, such as a directory of its name,
-    leaves every file as it was. A file that cannot be opened or written
-    is bad input, and the files this call created are removed; files
-    that were there before stay.
+    leaves every file as it was. Each file is then truncated and written
+    chunk by chunk. A file that cannot be opened or written is bad
+    input; any other exception, such as one raised while a table is
+    formatted, propagates. Either way the files this call created are
+    removed first; files that were there before stay, and those it had
+    reached keep what it wrote to them.
     """
     created = []
     try:
@@ -114,15 +121,19 @@ def _write_files(out_dir: Path, files: dict) -> None:
                 if not path.exists():
                     created.append(path)
                 opened.append((path, stack.enter_context(path.open("ab"))))
-            for (path, handle), blob in zip(opened, files.values()):
+            for (path, handle), content in zip(opened, files.values()):
                 handle.truncate(0)
-                handle.write(blob)
+                for chunk in ((content,) if isinstance(content, bytes)
+                              else content):
+                    handle.write(chunk)
                 handle.flush()
-    except OSError as exc:
+    except BaseException as exc:
         for done in created:
             done.unlink(missing_ok=True)
-        raise InputError(f"cannot write output file {path}: "
-                         f"{exc.strerror}") from exc
+        if isinstance(exc, OSError):
+            raise InputError(f"cannot write output file {path}: "
+                             f"{exc.strerror}") from exc
+        raise
 
 
 def _csv_column(col):
@@ -151,31 +162,36 @@ def _csv_column(col):
     return fmt, col
 
 
-def _csv_table(header, columns) -> tuple:
-    """Equal-length columns under ``header`` as CSV bytes, with their
-    manifest entry, the row count and hash.
+def _csv_table(header, columns, record: dict):
+    """Yield equal-length columns under ``header`` as CSV bytes: the
+    header line, then one chunk per ``_CSV_BLOCK`` rows. Once exhausted,
+    it sets the table's manifest entry in ``record``: ``rows``, the row
+    count, and ``sha256``, the hash of every chunk it yielded.
 
     Each row is formatted with one bytes ``%`` on a format built from
     the columns (see :func:`_csv_column`), which takes only the columns
     whose values vary; the row count is that of the columns as given.
-    Rows become Python values and then bytes ``_CSV_BLOCK`` at a time,
-    and each block is joined into one bytes object, so no whole table
-    is ever held as one Python object per value or per row.
+    Nothing is formatted before the first chunk is asked for, and rows
+    become Python values and then bytes one block at a time, so no
+    whole table is ever held, neither as bytes nor as one Python object
+    per value or per row.
     """
     cols = [np.asarray(c) for c in columns]
     formats, live = zip(*map(_csv_column, cols))
     live = [c for c in live if c is not None]
-    row_format = b",".join(formats)
+    row_format = b",".join(formats) + b"\n"
     count = len(cols[0])
-    chunks = [",".join(header).encode()]
+    chunk = ",".join(header).encode() + b"\n"
+    digest = hashlib.sha256(chunk)
+    yield chunk
     for start in range(0, count, _CSV_BLOCK):
         stop = min(start + _CSV_BLOCK, count)
         rows = (zip(*(c[start:stop].tolist() for c in live)) if live
                 else itertools.repeat((), stop - start))
-        chunks.append(b"\n".join(map(row_format.__mod__, rows)))
-    chunks.append(b"")
-    blob = b"\n".join(chunks)
-    return blob, {"rows": count, "sha256": hashlib.sha256(blob).hexdigest()}
+        chunk = b"".join(map(row_format.__mod__, rows))
+        digest.update(chunk)
+        yield chunk
+    record.update(rows=count, sha256=digest.hexdigest())
 
 
 def _config_as_dict(config: ExperimentConfig) -> dict:
@@ -183,18 +199,23 @@ def _config_as_dict(config: ExperimentConfig) -> dict:
             for name, value in dataclasses.asdict(config).items()}
 
 
-def _manifest(command, config_block, outputs, elapsed, extra=None) -> bytes:
+def _manifest(command, config_block, outputs, started, extra=None):
+    """Yield the bytes of ``manifest.json``, built only when they are
+    asked for: written after the tables it lists, it reads their
+    entries from ``outputs`` once they are complete, and its
+    ``wall_time_seconds`` runs from ``started`` to then, the writing of
+    the tables included."""
     manifest = {
         "tool": "strongcouple",
         "version": __version__,
         "command": command,
         "config": config_block,
         "outputs": outputs,
-        "wall_time_seconds": round(elapsed, 3),
+        "wall_time_seconds": round(time.perf_counter() - started, 3),
     }
     if extra:
         manifest.update(extra)
-    return (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
+    yield (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
 
 
 _PLOT_THERMO = '''\
@@ -267,40 +288,45 @@ print("wrote", here / "info.png")
 
 
 def _cmd_run(args) -> int:
+    """Run one configuration and stream its four CSV tables, the plot
+    scripts and, last, the manifest into ``--out``; beyond the run's
+    result and the formatted time column, the output holds one block of
+    one table at a time."""
     config = config_from_dict(_load_json(Path(args.config))) \
         if args.config else ExperimentConfig()
     out_dir = _output_dir(args.out)
 
     started = time.perf_counter()
     result = run(config)
-    files, outputs = {}, {}
     # every series of a run shares its grid: format the times once
     times = np.array(list(map(b"%.12g".__mod__, result.times.tolist())),
                      dtype=bytes)
-
-    for name, traj in (("thermo_system.csv", result.thermo_s),
-                       ("thermo_environment.csv", result.thermo_e)):
-        files[name], outputs[name] = _csv_table(
-            ("t", "W", "Q", "C", "dU"),
-            (times, traj.work, traj.heat, traj.coherent_energy,
-             traj.internal_energy_change))
     info = result.info
-    files["info_measures.csv"], outputs["info_measures.csv"] = _csv_table(
+    metrics = sorted(result.diagnostics)
+    tables = {
+        name: (("t", "W", "Q", "C", "dU"),
+               (times, traj.work, traj.heat, traj.coherent_energy,
+                traj.internal_energy_change))
+        for name, traj in (("thermo_system.csv", result.thermo_s),
+                           ("thermo_environment.csv", result.thermo_e))}
+    tables["info_measures.csv"] = (
         ("t", "entropy_system", "entropy_environment",
          "coherence_system", "coherence_environment", "negativity",
          "mutual_information", "heat_asymmetry"),
         (times, info.entropy_s, info.entropy_e, info.coherence_s,
          info.coherence_e, info.negativity, info.mutual_information,
          info.heat_asymmetry))
-    metrics = sorted(result.diagnostics)
-    files["diagnostics.csv"], outputs["diagnostics.csv"] = _csv_table(
+    tables["diagnostics.csv"] = (
         ("metric", "value"),
         (metrics, [result.diagnostics[m] for m in metrics]))
 
+    outputs = {name: {} for name in tables}
+    files = {name: _csv_table(header, columns, outputs[name])
+             for name, (header, columns) in tables.items()}
     files["plot_thermo.py"] = _PLOT_THERMO.encode()
     files["plot_info.py"] = _PLOT_INFO.encode()
     files["manifest.json"] = _manifest("run", _config_as_dict(config),
-                                       outputs, time.perf_counter() - started)
+                                       outputs, started)
     _write_files(out_dir, files)
     print(f"run complete: {len(outputs)} tables in {out_dir}")
     return 0
@@ -384,8 +410,9 @@ def _cmd_sweep(args) -> int:
     started = time.perf_counter()
     rows = sweep(configs)
     header = tuple(f.name for f in dataclasses.fields(SweepSummary))
-    summary, meta = _csv_table(
-        header, [[getattr(r, name) for r in rows] for name in header])
+    outputs = {"summary.csv": {}}
+    summary = _csv_table(header, [[getattr(r, name) for r in rows]
+                                  for name in header], outputs["summary.csv"])
 
     extra = None
     if "gamma_t_max" in grid_block:
@@ -400,8 +427,8 @@ def _cmd_sweep(args) -> int:
 
     _write_files(out_dir, {
         "summary.csv": summary,
-        "manifest.json": _manifest("sweep", grid_block, {"summary.csv": meta},
-                                   time.perf_counter() - started, extra)})
+        "manifest.json": _manifest("sweep", grid_block, outputs, started,
+                                   extra)})
     failed = [r for r in rows if r.error]
     print(f"sweep complete: {len(rows)} runs, {len(failed)} failed, "
           f"summary in {out_dir}")

@@ -1,10 +1,14 @@
 """Exit codes, output files, determinism, and the validate suites."""
 
+import errno
 import hashlib
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import _peak
 
 from strongcouple import cli
 from strongcouple.cli import _CSV_BLOCK, _csv_column, _csv_table, main
@@ -63,6 +67,17 @@ class TestRunCommand:
         for name in ("plot_thermo.py", "plot_info.py"):
             compile((run_dir / name).read_text(), name, "exec")
 
+    def test_output_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # the tables stream to their files a block at a time: at 20001
+        # points the command's traced peak stays within 1 MiB of the
+        # library run's, where whole tables took about 5.3 MB more
+        config = {"n_samples": 20001}
+        args = ["run", "--config", write_json(tmp_path / "cfg.json", config),
+                "--out", str(tmp_path / "out")]
+        command = _peak(lambda: main(args))
+        library = _peak(lambda: run(cli.config_from_dict(config)))
+        assert command - library < 2 ** 20
+
 
 def _reference_fmt(value) -> str:
     """Per-value CSV formatting, the rule the table writer must keep."""
@@ -91,6 +106,27 @@ CONSTANT_COLUMNS = {
 }
 
 
+def _streamed(header, columns) -> tuple:
+    """The chunks of ``_csv_table`` joined, and the record it set.
+
+    The table must yield its header and then one chunk per block, set
+    its record only once exhausted, and record the row count of the
+    columns as given and the sha256 of exactly the bytes it yielded.
+    """
+    record = {}
+    chunks = []
+    for chunk in _csv_table(header, columns, record):
+        assert record == {}
+        chunks.append(chunk)
+    blob = b"".join(chunks)
+    rows = len(columns[0])
+    assert len(chunks) == 1 + -(-rows // _CSV_BLOCK)
+    assert chunks[0] == ",".join(header).encode() + b"\n"
+    assert record == {"rows": rows,
+                      "sha256": hashlib.sha256(blob).hexdigest()}
+    return blob, record
+
+
 class TestCsvWriter:
     def test_bytes_match_per_value_formatting(self):
         edges = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324,
@@ -104,10 +140,9 @@ class TestCsvWriter:
         text = [f"row {i}, part {i % 3},," if i % 2 else "" for i in range(700)]
         columns = (floats, ints, small, text)
         header = ("x", "n", "k", "error")
-        blob, meta = _csv_table(header, columns)
+        blob, record = _streamed(header, columns)
         assert blob == _reference_table(header, columns)
-        assert meta == {"rows": 700,
-                        "sha256": hashlib.sha256(blob).hexdigest()}
+        assert record["rows"] == 700
 
     @pytest.mark.parametrize("name", sorted(CONSTANT_COLUMNS))
     def test_constant_column_matches_per_value_formatting(self, name):
@@ -115,27 +150,30 @@ class TestCsvWriter:
         if name != "nan":  # a NaN column may take either path
             assert _csv_column(column)[1] is None
         columns = (np.linspace(0.0, 1.0, 5), column, np.arange(5))
-        blob, meta = _csv_table(("t", name, "k"), columns)
+        blob, record = _streamed(("t", name, "k"), columns)
         assert blob == _reference_table(("t", name, "k"), columns)
-        assert meta["rows"] == 5
+        assert record["rows"] == 5
 
     def test_signed_zeros_not_merged(self):
         zeros = np.array([0.0, -0.0, 0.0, -0.0, -0.0])
         assert _csv_column(zeros)[1] is not None
-        blob, _ = _csv_table(("z",), (zeros,))
+        blob, _ = _streamed(("z",), (zeros,))
+        assert blob == _reference_table(("z",), (zeros,))
         assert blob == b"z\n0\n-0\n0\n-0\n-0\n"
 
     def test_all_constant_table_writes_every_row(self):
         columns = (np.zeros(3), np.full(3, 2, dtype=np.int64),
                    np.full(3, -0.0))
-        blob, meta = _csv_table(("a", "b", "c"), columns)
+        blob, record = _streamed(("a", "b", "c"), columns)
+        assert blob == _reference_table(("a", "b", "c"), columns)
         assert blob == b"a,b,c\n0,2,-0\n0,2,-0\n0,2,-0\n"
-        assert meta["rows"] == 3
+        assert record["rows"] == 3
 
     def test_formatted_bytes_column_passes_through(self):
         times = np.array([b"0", b"0.5", b"1e-05", b"inf"])
         columns = (times, np.array([1.5, -0.0, np.nan, 2.0]))
-        blob, _ = _csv_table(("t", "x"), columns)
+        blob, _ = _streamed(("t", "x"), columns)
+        assert blob == _reference_table(("t", "x"), columns)
         assert blob == b"t,x\n0,1.5\n0.5,-0\n1e-05,nan\ninf,2\n"
 
     @pytest.mark.parametrize("count", [_CSV_BLOCK - 1, _CSV_BLOCK,
@@ -145,15 +183,16 @@ class TestCsvWriter:
         times = np.array([b"%d" % i for i in range(count)])
         columns = (times, floats, np.zeros(count), np.arange(count))
         header = ("t", "x", "w", "k")
-        blob, meta = _csv_table(header, columns)
+        blob, record = _streamed(header, columns)
         assert blob == _reference_table(header, columns)
-        assert meta["rows"] == count
+        assert record["rows"] == count
         assert blob.count(b"\n") == count + 1
 
     def test_empty_table_writes_header(self):
-        blob, meta = _csv_table(("a", "b"), ([], []))
+        blob, record = _streamed(("a", "b"), ([], []))
+        assert blob == _reference_table(("a", "b"), ([], []))
         assert blob == b"a,b\n"
-        assert meta["rows"] == 0
+        assert record["rows"] == 0
 
 
 class TestRunTables:
@@ -289,6 +328,30 @@ class TestRunErrors:
         assert "refine the time grid" not in err
 
 
+class _FullAfterFirstWrite:
+    """A binary file handle whose writes after the first fail as on a
+    full disk."""
+
+    def __init__(self, handle):
+        self._handle = handle
+        self._writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def write(self, chunk):
+        self._writes += 1
+        if self._writes > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self._handle.write(chunk)
+
+
 class TestUnusableOutputPath:
     """An --out path that cannot be a directory is bad input, exit 2."""
 
@@ -331,6 +394,60 @@ class TestUnusableOutputPath:
         assert sorted(p.name for p in out.iterdir()) == sorted(
             [name, "notes.txt"])
         assert list((out / name).iterdir()) == []
+        assert (out / "notes.txt").read_text() == "kept"
+
+    def test_write_failure_mid_table(self, tmp_path, capsys, monkeypatch):
+        # the disk fills on the first block of info_measures.csv, after
+        # its header: bad input naming that file, and the files the
+        # command created, the tables written before it included, go
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        opened = Path.open
+
+        def open_full_after_header(path, mode="r", *args, **kwargs):
+            handle = opened(path, mode, *args, **kwargs)
+            return (_FullAfterFirstWrite(handle)
+                    if path.name == "info_measures.csv" else handle)
+
+        monkeypatch.setattr(Path, "open", open_full_after_header)
+        assert main(["run", "--out", str(out), "--config",
+                     write_json(tmp_path / "cfg.json", QUICK)]) == 2
+        err = capsys.readouterr().err
+        assert (f"cannot write output file {out / 'info_measures.csv'}: "
+                f"{os.strerror(errno.ENOSPC)}") in err
+        assert "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "kept"
+
+    def test_formatting_failure_removes_created_files(self, tmp_path,
+                                                      monkeypatch):
+        # tables are formatted as they are written, after every file is
+        # open: an error formatting the negativity column propagates,
+        # and the files the command created go first
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        results = []
+        library_run, column = cli.run, cli._csv_column
+
+        def keep_result(config):
+            results.append(library_run(config))
+            return results[-1]
+
+        def failing_column(col):
+            if col is results[0].info.negativity:
+                assert (out / "manifest.json").exists()
+                assert (out / "thermo_system.csv").stat().st_size > 0
+                raise RuntimeError("formatting failed")
+            return column(col)
+
+        monkeypatch.setattr(cli, "run", keep_result)
+        monkeypatch.setattr(cli, "_csv_column", failing_column)
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            main(["run", "--out", str(out), "--config",
+                  write_json(tmp_path / "cfg.json", QUICK)])
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
         assert (out / "notes.txt").read_text() == "kept"
 
     def test_failed_run_keeps_earlier_outputs(self, tmp_path):

@@ -1,5 +1,5 @@
-"""The README's test and BENCH file citations resolve, and the sources
-keep 79 columns."""
+"""The README's test and BENCH file citations resolve, its layout table
+names every module, and the sources keep 79 columns."""
 
 import ast
 import re
@@ -49,6 +49,16 @@ def test_cited_bench_files_exist():
                if not any((where / name).is_file()
                           for where in (ROOT, ROOT / "benchmarks"))]
     assert missing == []
+
+
+def test_readme_layout_names_every_module():
+    # one row per module of the package, in the table under "## Layout"
+    layout = (ROOT / "README.md").read_text().split("\n## Layout\n")[1]
+    layout = layout.split("\n## ")[0]
+    named = re.findall(r"^\| `(\w+)` \|", layout, flags=re.MULTILINE)
+    modules = [path.stem for path in PACKAGE.glob("*.py")
+               if path.stem != "__init__"]
+    assert sorted(named) == sorted(modules)
 
 
 def test_source_lines_fit_79_columns():
