@@ -3,15 +3,17 @@
 A run evolves one system-environment pair from a product initial state,
 integrates the first-law split for both subsystems, evaluates the
 information measures on the same grid, and collects a dictionary of
-scalar diagnostics that double as regression probes. Both marginals come
-from one Bloch series each (:class:`strongcouple.channels.BlochSeries`),
-which feeds their exact first-law split
-(:func:`strongcouple.firstlaw.qubit_thermo_trajectory`), their entropies
-and their coherences. A run does no eigensolve per time point: the
-negativity series is the closed-form root of the partial transpose's
-quartic (:func:`strongcouple.channels.joint_negativities_closed_form`),
-read also at its peak time ``t*`` (:func:`_peak_time`) and spot-checked
-there against an eigensolve of the single state.
+scalar diagnostics that double as regression probes. Each marginal,
+the system's then the environment's, is one call of one stage
+(:func:`_marginal`), which turns its Bloch series
+(:class:`strongcouple.channels.BlochSeries`) into its exact first-law
+split (:func:`strongcouple.firstlaw.qubit_thermo_trajectory`), its
+entropies and its coherence; the series lives only for that stage. A
+run does no eigensolve per time point: the negativity series is the
+closed-form root of the partial transpose's quartic
+(:func:`strongcouple.channels.joint_negativities_closed_form`), read
+also at its peak time ``t*`` (:func:`_peak_time`) and spot-checked there
+against an eigensolve of the single state.
 Every diagnostic is derived from the run's own series; the self-checks
 that do not depend on the grid, such as route consistency and the Markov
 limit, live in :mod:`strongcouple.validation` and run in ``validate``.
@@ -46,10 +48,10 @@ joint radii; the closed-form family's joint entropy, whose drift from
 at the peak too. Times are built for the block's first rows only, each
 row's own grid with its peak time ``t*`` (:func:`_peak_time`) as the
 last column; they serve the outputs and the gate messages. Each
-marginal's first-law split runs once for the block. Every gate holds its
-values to an upper bound through :func:`strongcouple.errors._gate`,
-under which a NaN fails. The spot-check states of all series are built
-unchecked from the peak's decay values and go to one
+marginal's stage runs once for the block. Every gate holds its values to
+an upper bound through :func:`strongcouple.errors._gate`, under which a
+NaN fails. The spot-check states of all series are built unchecked from
+the peak's decay values and go to one
 :func:`~strongcouple.infomeasures.negativities` call, their one check
 and eigensolve. The block returns its two splits and its
 :class:`~strongcouple.infomeasures.InfoSeries` as ``(k, T)`` arrays and
@@ -60,11 +62,8 @@ on its configuration's own grid, which needs no key, and reads entry 0;
 most :data:`BLOCK_POINTS` grid points and reads each summary row from
 its series' entries, the system's split and its own peak time ``t*``,
 without a per-row result. Both give the same numbers bit for bit. A
-block holds no series it no longer needs: each Bloch series is dropped
-once its entropies are taken, but for ``x2``, whose square root, taken
-in place, is the coherence; and the negativity's Newton solve, where the
-block peaks, frees its inputs as it goes (see
-:func:`~strongcouple.channels.joint_negativities_closed_form`).
+block peaks in the negativity's Newton solve, which manages its own
+buffers (see :func:`~strongcouple.channels.joint_negativities_closed_form`).
 """
 
 from __future__ import annotations
@@ -94,9 +93,8 @@ NEGATIVITY_SPOT_TOL = 1e-10
 _NEGATIVITY_PEAK_FLOOR = 1e-6
 # Grid points of the distinct series a sweep evaluates at once, 16 series
 # at 501 points; rows that repeat a series add none, so the 27 sweep27
-# rows, which hold 9 series, make one block. A block frees its dead
-# series around the negativity solve, so a sweep peaks near one run of
-# this length, about 1.9 MB traced
+# rows, which hold 9 series, make one block. A sweep peaks near one run
+# of this length, about 1.9 MB traced
 BLOCK_POINTS = 8192
 _LN2 = math.log(2.0)
 
@@ -240,29 +238,34 @@ def _series_key(config: ExperimentConfig):
         config.gamma * config.t_max)
 
 
-def _run_block(block: _Block) -> tuple:
-    """Run a block, evaluating each of its distinct state series once.
+def _marginal(bloch: ch.BlochSeries) -> tuple:
+    """A marginal's exact first-law split, its entropies and its l1
+    coherence, from its Bloch series; the series lives only for this
+    stage."""
+    # the coherence first, before the split's temporaries: taken last,
+    # its new array lands on fresh pages and a 4001-point run is about
+    # 3 % slower
+    coherence = np.sqrt(bloch.x2)
+    return (qubit_thermo_trajectory(bloch), bloch_entropies(bloch.radius),
+            coherence)
 
-    The parameters of the series are ``(k, 1)`` columns, and so are
-    their horizons ``gamma * t_max``. The decay factor is evaluated
-    once, on the ``(k, T + 1)`` dimensionless grid ``s``, spaced from 0
-    to each horizon (see :func:`_spaced`) with the horizon again as the
-    peak's column, into which ``g = 1 - g = 1/2`` is written exactly
-    where ``g`` reaches 1/2. The times, built for the first rows only,
-    are their grids with their peak times ``t*`` as the last column;
-    they serve the outputs and the gate messages. The Bloch series and
-    the first-law splits take the first ``T`` columns as views, and the
-    joint closed forms and the spot check the whole grid. Each
-    marginal's first-law split runs once for the block. Returns
-    ``(thermo_s, thermo_e, info, columns)``: the two splits and the
-    :class:`InfoSeries` hold ``(k, T)`` arrays, one row for each series,
-    and ``columns`` the diagnostics by name, as lists of one Python
-    float for each series, its peak time that of its first row.
-    Every gate reduces over the whole block and names its worst entry,
-    so the block raises where any of its rows would, with the message
-    the first row of that entry's series raises alone.
+
+def _run_block(heads: list) -> tuple:
+    """Run the block whose distinct state series have the first rows
+    ``heads``, evaluating each series once on its first row's grid.
+
+    The decay factor is evaluated once, on the ``(k, T + 1)``
+    dimensionless grid with the peak's column last (see the module
+    docstring); the marginals' stages take its first ``T`` columns as
+    views, and the joint closed forms and the spot check the whole
+    grid. Returns ``(thermo_s, thermo_e, info, columns)``: the two
+    splits and the :class:`InfoSeries` hold ``(k, T)`` arrays, one row
+    for each series, and ``columns`` the diagnostics by name, as lists
+    of one Python float for each series, its peak time that of its
+    first row. Every gate reduces over the whole block and names its
+    worst entry, so the block raises where any of its rows would, with
+    the message the first row of that entry's series raises alone.
     """
-    heads = [block.configs[i] for i in block.first]
     n = heads[0].n_samples
     cols = ch._columns([c.params for c in heads])
     # each series' t_max, peak time t* and horizon, as (k, 1) columns
@@ -279,10 +282,8 @@ def _run_block(block: _Block) -> tuple:
     grid = ch._Grid(times, decay, lose)
     on_grid = ch._Grid(*(a[:, :-1] for a in grid))
     k = len(heads)
-    bloch_s = ch.system_bloch(cols, on_grid)
-    bloch_e = ch.environment_bloch(cols, on_grid)
-    thermo_s = qubit_thermo_trajectory(bloch_s)
-    thermo_e = qubit_thermo_trajectory(bloch_e)
+    thermo_s, ent_s, coh_s = _marginal(ch.system_bloch(cols, on_grid))
+    thermo_e, ent_e, coh_e = _marginal(ch.environment_bloch(cols, on_grid))
 
     # the system's rows, then the environment's
     work = abs(np.concatenate([thermo_s.work, thermo_e.work])).max(axis=1)
@@ -297,17 +298,6 @@ def _run_block(block: _Block) -> tuple:
         "conserved"))
 
     asym = heat_asymmetry(thermo_s.heat, thermo_e.heat)
-
-    # of each Bloch series only x2, the coherence squared, outlives its
-    # entropies: the block frees the rest before the negativity solve,
-    # where it peaks
-    ent_s = bloch_entropies(bloch_s.radius)
-    x2_s = bloch_s.x2
-    del bloch_s
-    ent_e = bloch_entropies(bloch_e.radius)
-    x2_e = bloch_e.x2
-    del bloch_e
-
     neg = ch.joint_negativities_closed_form(cols, grid)
     neg, neg_peak = neg[:, :-1], neg[:, -1]
     # the closed-form family's joint entropy, on the grid and at t*
@@ -355,8 +345,7 @@ def _run_block(block: _Block) -> tuple:
         "ratio_max_relative_spread": spreads,
     }
     info = InfoSeries(times=on_grid.times, entropy_s=ent_s, entropy_e=ent_e,
-                      coherence_s=np.sqrt(x2_s, out=x2_s),
-                      coherence_e=np.sqrt(x2_e, out=x2_e), negativity=neg,
+                      coherence_s=coh_s, coherence_e=coh_e, negativity=neg,
                       mutual_information=ent_s + ent_e - joint_closed[:, :-1],
                       heat_asymmetry=asym)
     return thermo_s, thermo_e, info, columns
@@ -382,8 +371,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     raises :class:`InputError` naming its type.
     """
     _check_config(config, "run")
-    thermo_s, thermo_e, info, columns = _run_block(
-        _Block([config], [0], [0]))
+    thermo_s, thermo_e, info, columns = _run_block([config])
     info = info[0]
     return ExperimentResult(
         config=config, params=config.params, times=info.times,
@@ -484,9 +472,9 @@ def _sweep_rows(block: _Block) -> list:
     failing row holds the message its run raises alone and the other
     rows keep their values.
     """
-    configs, _, series = block
+    configs, first, series = block
     try:
-        thermo_s, _, _, d = _run_block(block)
+        thermo_s, _, _, d = _run_block([configs[i] for i in first])
     except (InputError, NumericalError) as exc:
         if len(configs) > 1:
             return [row for config in configs

@@ -1,9 +1,13 @@
-"""The README's test and BENCH file citations resolve, its layout table
-names every module, and the sources keep 79 columns."""
+"""The README's test, module and BENCH file citations resolve, its layout
+table names every module, the package version is the project's, and the
+sources keep 79 columns."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
+
+import strongcouple
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "strongcouple"
@@ -38,6 +42,28 @@ def test_readme_test_citations_resolve():
     missing = [f"tests/{name}::{test}" for name, test in citations
                if not _collected(ROOT / "tests" / name, test.split("::"))]
     assert missing == []
+
+
+def test_readme_module_citations_resolve():
+    # `module.name` or `strongcouple.module.name`, for a module of the
+    # package, names an attribute of that module
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    citations = [(module, name) for module, name in re.findall(
+        r"`(?:strongcouple\.)?(\w+)\.(\w+)", (ROOT / "README.md").read_text())
+        if module in modules]
+    assert citations
+    missing = [f"{module}.{name}" for module, name in citations
+               if not hasattr(importlib.import_module(
+                   f"strongcouple.{module}"), name)]
+    assert missing == []
+
+
+def test_version_matches_pyproject():
+    # read with a regular expression: tomllib is new in Python 3.11
+    (version,) = re.findall(r'^version = "([^"]+)"$',
+                            (ROOT / "pyproject.toml").read_text(),
+                            flags=re.MULTILINE)
+    assert strongcouple.__version__ == version
 
 
 def test_cited_bench_files_exist():

@@ -359,8 +359,8 @@ class TestRun:
 
     def test_full_block_rows_equal_single_runs(self):
         # every array and diagnostic of each row of one full block, bit
-        # for bit: the block takes the coherences in place and reuses
-        # buffers in the Newton solve, at every row it holds
+        # for bit: the block reuses buffers in the Newton solve, at every
+        # row it holds
         configs = [ExperimentConfig(alpha=a, beta=b, t_max=5.0, n_samples=501)
                    for a in (0.0, 0.3, 1.0 / math.sqrt(2.0), 1.0)
                    for b in (0.05, 1.0, 4.0, math.inf)]
@@ -407,7 +407,8 @@ def _assert_block_rows_equal_single_runs(configs) -> None:
     series' first row; the series' diagnostics, at its first row; and
     every field of the row's sweep summary, repeated rows included."""
     (block,) = _blocks(configs)
-    thermo_s, thermo_e, info, columns = experiment._run_block(block)
+    heads = [block.configs[i] for i in block.first]
+    thermo_s, thermo_e, info, columns = experiment._run_block(heads)
     assert all(len(v) == len(block.first) for v in columns.values())
     rows = sweep(configs)
     for i, (config, s) in enumerate(zip(configs, block.series)):
@@ -504,6 +505,64 @@ class TestNegativityPeak:
             peak = result.diagnostics["negativity_peak"]
             assert result.info.negativity.max() - peak \
                 <= ch.NEGATIVITY_NEWTON_TOL * peak, config
+
+
+# the collapse check's (alpha, beta) pairs and gammas on the horizon
+# gamma t = 5: gammas that differ from 1 by no power of two too
+COLLAPSE_PAIRS = ((0.3, 0.2), (0.7, 1.0), (0.9, math.inf), (0.0, 1.0))
+COLLAPSE_GAMMAS = (0.3, 1.0, 3.0, 7.1, 0.013)
+COLLAPSE_TOL = 1e-12
+
+
+class TestGammaCollapse:
+    """The dynamics read time only through gamma t, so the negativity's
+    peak and its scaled place gamma t* agree across gammas. Checked in
+    physical time, on each gamma's own grid and by the eigensolve route,
+    so not through the sweep's series keys, under which rows on one
+    horizon share one series."""
+
+    @staticmethod
+    def peak(pair, gamma) -> float:
+        """The eigensolved negativity of ``pair`` at ln 2 / gamma."""
+        params = ch.GadcParams.from_inverse_temperature(*pair, gamma)
+        return float(negativities(ch.joint_states_closed_form(
+            params, math.log(2.0) / gamma)))
+
+    @classmethod
+    def spreads(cls, pair) -> tuple:
+        """The spreads across gammas of the peak and of gamma t at the
+        argmax of the negativity on each gamma's own 501-point grid."""
+        places = []
+        for gamma in COLLAPSE_GAMMAS:
+            params = ch.GadcParams.from_inverse_temperature(*pair, gamma)
+            t = np.linspace(0.0, 5.0 / gamma, 501)
+            places.append(gamma * t[np.argmax(negativities(
+                ch.joint_states_closed_form(params, t)))])
+        return (np.ptp([cls.peak(pair, g) for g in COLLAPSE_GAMMAS]),
+                np.ptp(places))
+
+    @pytest.mark.parametrize("pair", COLLAPSE_PAIRS)
+    def test_peak_collapses_across_gammas(self, pair):
+        assert max(self.spreads(pair)) <= COLLAPSE_TOL
+
+    def test_sweep_rows_report_the_eigensolved_peak(self):
+        configs = [ExperimentConfig(alpha=a, beta=b, gamma=g, t_max=5.0 / g,
+                                    n_samples=501)
+                   for a, b in COLLAPSE_PAIRS for g in COLLAPSE_GAMMAS]
+        for config, row in zip(configs, sweep(configs)):
+            assert abs(row.peak_negativity - self.peak(
+                (config.alpha, config.beta), config.gamma)) <= COLLAPSE_TOL
+
+    def test_catches_a_core_that_reads_t_for_gamma_t(self, monkeypatch):
+        # the seeded fault: the decay factor of t, not of gamma t
+        def physical_time(params, times):
+            t = np.asarray(times, dtype=float)
+            return ch._Grid(t, *ch._decay(t))
+
+        monkeypatch.setattr(ch, "_grid", physical_time)
+        spreads = np.max([self.spreads(pair) for pair in COLLAPSE_PAIRS],
+                         axis=0)
+        assert (spreads > COLLAPSE_TOL).all()
 
 
 class TestEntropyDrift:
@@ -769,7 +828,7 @@ class TestClosedFormEntries:
         (block_of_8,) = _blocks(configs)
         assert block_of_8.first == [0, 3, 6]
         with pytest.raises(NumericalError, match="closure") as block:
-            experiment._run_block(block_of_8)
+            experiment._run_block([configs[i] for i in block_of_8.first])
         with pytest.raises(NumericalError) as alone:
             run(configs[3])
         assert str(block.value) == str(alone.value)
@@ -946,10 +1005,10 @@ class TestSweep:
             lambda: run(single))
 
     def test_memory_of_a_run(self):
-        # a block holds one grid with the peak's column and frees its
-        # Bloch series but x2 before the negativity's Newton solve, where
-        # it peaks, and the solve frees its dead buffers: 0.94 MB on this
-        # grid
+        # a block holds one grid with the peak's column, and each
+        # marginal's Bloch series only for its stage, so it peaks in the
+        # negativity's Newton solve, which frees its dead buffers: 0.94 MB
+        # on this grid
         assert _peak(lambda: run(ExperimentConfig(n_samples=4001))) <= 0.97e6
 
     def test_memory_of_the_sweep27_rows(self):

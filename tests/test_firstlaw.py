@@ -15,19 +15,24 @@ from strongcouple.experiment import ExperimentConfig
 from strongcouple.firstlaw import (_track, qubit_thermo_trajectory,
                                    thermo_trajectory)
 from strongcouple.infomeasures import bloch_entropies
-from strongcouple.spectra import density_eigh, eig_hermitian, eigh_stack
+from strongcouple.spectra import density_eigh, eigh_stack, hermitian_stack
 
 
 def default_params():
     return GadcParams(alpha=1.0 / math.sqrt(2.0), w0=oracles.W0_DEFAULT)
 
 
-def tracked(decomps):
-    """The stacked tracker on a sequence of eigendecompositions, one per
+def spectra_of(matrices):
+    """The eigenvalue and eigenvector stacks of a sequence of Hermitian
+    matrices, one per unit of time."""
+    return eigh_stack(hermitian_stack(matrices))
+
+
+def tracked(matrices):
+    """The stacked tracker on a sequence of Hermitian matrices, one per
     unit of time."""
-    return _track(np.stack([d.eigenvalues for d in decomps]),
-                  np.stack([d.eigenvectors for d in decomps]),
-                  np.arange(len(decomps), dtype=float))
+    lam, vec = spectra_of(matrices)
+    return _track(lam, vec, np.arange(len(lam), dtype=float))
 
 
 def constant(matrix, times):
@@ -37,8 +42,7 @@ def constant(matrix, times):
 
 class TestEigenTrack:
     def test_fixes_branch_swap(self):
-        lam, vec = tracked([eig_hermitian(np.diag([0.2, 0.8])),
-                            eig_hermitian(np.diag([0.8, 0.2]))])
+        lam, vec = tracked([np.diag([0.2, 0.8]), np.diag([0.8, 0.2])])
         # branch 0 starts on the first basis vector and must stay there
         assert abs(lam[1, 0] - 0.8) < 1e-15
         assert abs(vec[1, 0, 0]) > 0.99
@@ -53,8 +57,8 @@ class TestEigenTrack:
 
     def test_ambiguous_overlap_raises(self):
         with pytest.raises(TrackingError):
-            tracked([eig_hermitian(np.diag([-1.0, 1.0])),
-                     eig_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))])
+            tracked([np.diag([-1.0, 1.0]),
+                     np.array([[0.0, 1.0], [1.0, 0.0]])])
 
 
 class TestSampleTrajectory:
@@ -343,16 +347,17 @@ class TestThermoTrajectory:
             thermo_trajectory(system_states(pr, times), times, **kwargs)
 
 
-def _greedy_loop(decomps):
+def _greedy_loop(matrices):
     """Step-by-step greedy matching against the tracked previous basis.
 
-    Reference for the stacked tracker: returns the tracked eigenvalue and
-    eigenvector stacks, or ``(step, best overlap)`` of the first step
-    whose matching is ambiguous.
+    Reference for the stacked tracker on the Hermitian ``matrices``:
+    returns the tracked eigenvalue and eigenvector stacks, or ``(step,
+    best overlap)`` of the first step whose matching is ambiguous.
     """
-    tracked = [decomps[0]]
-    for step, cur in enumerate(decomps[1:], start=1):
-        overlap = np.abs(tracked[-1].eigenvectors.conj().T @ cur.eigenvectors)
+    lams, vecs = spectra_of(matrices)
+    tracked = [(lams[0], vecs[0])]
+    for step in range(1, len(lams)):
+        overlap = np.abs(tracked[-1][1].conj().T @ vecs[step])
         dim = overlap.shape[0]
         perm = np.full(dim, -1, dtype=int)
         for _ in range(dim):
@@ -362,10 +367,9 @@ def _greedy_loop(decomps):
             perm[i] = j
             overlap[i, :] = -1.0
             overlap[:, j] = -1.0
-        tracked.append(type(cur)(eigenvalues=cur.eigenvalues[perm],
-                                 eigenvectors=cur.eigenvectors[:, perm]))
-    return (np.stack([d.eigenvalues for d in tracked]),
-            np.stack([d.eigenvectors for d in tracked]))
+        tracked.append((lams[step][perm], vecs[step][:, perm]))
+    return (np.stack([lam for lam, _ in tracked]),
+            np.stack([vec for _, vec in tracked]))
 
 
 def _rotation(a):
@@ -386,11 +390,10 @@ class TestStackTracking:
         # the other twice, between steps 2 and 3 and between 11 and 12
         steps = np.arange(15)
         arching = 0.7 - 0.01 * (steps - 7) ** 2
-        decs = [eig_hermitian(_rotation(0.05 * k)
-                              @ np.diag([arching[k], 0.5])
-                              @ _rotation(0.05 * k).T) for k in steps]
-        lam, vec = _greedy_loop(decs)
-        lam_t, vec_t = tracked(decs)
+        matrices = [_rotation(0.05 * k) @ np.diag([arching[k], 0.5])
+                    @ _rotation(0.05 * k).T for k in steps]
+        lam, vec = _greedy_loop(matrices)
+        lam_t, vec_t = tracked(matrices)
         assert np.array_equal(lam_t, lam)
         assert np.array_equal(vec_t, vec)
         # branch 0 follows the arching level through both swaps
@@ -398,13 +401,11 @@ class TestStackTracking:
 
     def test_ambiguous_step_matches_loop(self):
         h = np.diag([0.1, 0.4])
-        decs = [eig_hermitian(h)] * 4 \
-            + [eig_hermitian(_TURN @ h @ _TURN.T)] \
-            + [eig_hermitian(h)] * 2
-        step, best = _greedy_loop(decs)
+        matrices = [h] * 4 + [_TURN @ h @ _TURN.T] + [h] * 2
+        step, best = _greedy_loop(matrices)
         assert step == 4 and best <= 1.0 / math.sqrt(2.0)
         with pytest.raises(TrackingError) as info:
-            tracked(decs)
+            tracked(matrices)
         message = str(info.value)
         assert "branch matching ambiguous" in message
         assert f"step {step} (t = {step}):" in message
