@@ -124,6 +124,9 @@ KRAUS_COMPLETENESS_TOL = 1e-10
 # the root; eight steps from the start reach round-off, about 3e-16.
 NEGATIVITY_NEWTON_TOL = 1e-12
 _NEGATIVITY_NEWTON_STEPS = 8
+# Most steps iterate_map_check composes: the round-off bound of its
+# entries, 4 n machine epsilons, reaches one here.
+_MAX_MAP_STEPS = 2 ** 50
 
 # Hamiltonian of the system and of the environment in the ``|g>, |e>``
 # and ``|E0>, |E1>`` bases: resonant levels, the gap as the energy unit.
@@ -831,13 +834,18 @@ def iterate_map_check(params: GadcParams, t: float,
     result converges to :func:`system_states` at rate ``O(1/n)``. The
     step is the Kraus map of :func:`system_kraus` written as its 4x4
     transfer matrix ``S = sum_k K_k kron conj(K_k)``, which acts on the
-    row-major ``vec`` of a state, and the ``n`` steps are
-    ``numpy.linalg.matrix_power(S, n)``: the same composition grouped by
+    row-major ``vec`` of a state. ``S`` preserves the trace, so with
+    ``r11 = 1 - r00`` it is an affine map ``A`` of ``(r00, r01, r10)``,
+    a 4x4 matrix on ``(r00, r01, r10, 1)``, and the ``n`` steps are
+    ``numpy.linalg.matrix_power(A, n)``: the same composition grouped by
     repeated squaring, about ``2 log2 n`` products in place of ``n``
-    Kraus sums. Each entry agrees with the step-by-step loop to within
-    ``4 n`` machine epsilons. As a composite builder it starts from the
-    unchecked initial matrix, and only the final state is checked, for
-    Hermiticity and unit trace.
+    Kraus sums. The last row of ``A``, ``(0, 0, 0, 1)``, is exact in
+    every power, so the trace is one at any step count. Each entry
+    agrees with the step-by-step loop to within ``4 n`` machine
+    epsilons, a bound that reaches the size of the entries at ``2**50``
+    steps; larger counts raise :class:`InputError`. As a composite
+    builder it starts from the unchecked initial matrix, and only the
+    final state is checked, for Hermiticity and unit trace.
     The steps compose one state, so ``params`` must be one
     :class:`GadcParams`; anything else raises :class:`InputError`.
     """
@@ -845,6 +853,10 @@ def iterate_map_check(params: GadcParams, t: float,
         raise InputError(f"iterate_map_check needs a GadcParams, got "
                          f"{type(params).__name__}")
     n_steps = _as_count(n_steps, "n_steps", 1)
+    if n_steps > _MAX_MAP_STEPS:
+        raise InputError(
+            f"n_steps must be at most 2**50, got {n_steps}: beyond it the "
+            f"round-off of the composed steps reaches the size of a state")
     t = _as_float(t, "time")
     # written so that a NaN time fails too; no step count reaches t = inf
     if not 0.0 <= t < math.inf:
@@ -857,11 +869,18 @@ def iterate_map_check(params: GadcParams, t: float,
     # vec(K rho K^+) = (K kron conj(K)) vec(rho) for row-major vec, so the
     # step is one 4x4 transfer matrix, summed over the operators in order
     step = sum(np.kron(k, k.conj()) for k in ops)
+    # r_i' = sum_j S_ij r_j with r11 = 1 - r00: column 0 loses column 3,
+    # which becomes the constant term
+    affine = np.zeros((4, 4), dtype=complex)
+    affine[:3] = step[:3]
+    affine[:3, 0] -= step[:3, 3]
+    affine[3, 3] = 1.0
     # the initial state is exactly Hermitian with unit trace, so its
     # unchecked matrix equals system_initial_state's
     m = _system_initial_matrix(params).reshape(4)
-    return unit_trace_stack(
-        (np.linalg.matrix_power(step, n_steps) @ m).reshape(2, 2))
+    r = np.linalg.matrix_power(affine, n_steps) @ np.append(m[:3], 1.0)
+    r[3] = 1.0 - r[0]
+    return unit_trace_stack(r.reshape(2, 2))
 
 
 def system_state_from_dilation(params, p) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 2 for input problems (bad flags, malformed or
 unknown configuration fields, unreadable input files, output paths that
-cannot be written), 3 for numerical
+cannot be written, grids too large to allocate), 3 for numerical
 failures (closure violations, integrity-check failures, failed
 validation suites).
 
@@ -481,11 +481,14 @@ def main(argv=None) -> int:
     parser is built once per process and shared by every call."""
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
         if args.command == "validate":
             return _cmd_validate(args)
-        return _cmd_sweep(args)
+        try:
+            return (_cmd_run if args.command == "run" else _cmd_sweep)(args)
+        except MemoryError as exc:
+            # the grid's length is the one size run and sweep are given
+            raise InputError(
+                f"n_samples is too large for memory: {exc}") from exc
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

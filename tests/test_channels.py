@@ -644,16 +644,17 @@ class TestIterateMap:
         assert gap <= 4 * n_steps * EPS
 
     def test_first_order_convergence(self):
-        """The deviation falls tenfold per decade of steps, 10 to 10^4.
+        """The deviation falls tenfold per decade of steps, 10 to 10^6.
 
-        At 10^5 steps the per-step completeness gap of about 1e-16
-        compounds past the unit-trace check, by the loop and by the
-        power alike.
+        The power composes an affine map whose last row is exact, so the
+        per-step completeness gap of about 1e-16 cannot compound into the
+        trace; near 10^8 steps the round-off, about n eps, overtakes the
+        1/n deviation.
         """
         pr = default_params()
         target = system_states(pr, 1.0)
         devs = [np.max(np.abs(iterate_map_check(pr, 1.0, n) - target))
-                for n in (10, 100, 1000, 10_000)]
+                for n in (10, 100, 1000, 10_000, 10**5, 10**6)]
         for coarse, fine in zip(devs, devs[1:]):
             assert 8.0 < coarse / fine < 13.0
 
@@ -668,6 +669,40 @@ class TestIterateMap:
             iterate_map_check(default_params(gamma_rate=3.0), 1.0, 2)
         assert np.array_equal(iterate_map_check(default_params(), 1.0, 10.0),
                               iterate_map_check(default_params(), 1.0, 10))
+
+    @pytest.mark.parametrize("n_steps", [10**4, 10**6, 2**50],
+                             ids=["1e4", "1e6", "2**50"])
+    def test_unit_trace_at_large_step_counts(self, n_steps):
+        # a power of the transfer matrix would compound the per-step
+        # completeness gap past the 1e-12 trace check from 2 * 10^4 steps
+        # on; the affine map keeps the trace to one rounding at any count,
+        # silently, and the O(1/n) approach to the closed form where n eps
+        # is still far below 1/n
+        for pr, t in ((GadcParams(alpha=0.6, w0=0.7), 1.0),
+                      (default_params(), 1.0), (default_params(), 0.0)):
+            rho = iterate_map_check(pr, t, n_steps)
+            assert abs(np.trace(rho).real - 1.0) <= EPS
+            if n_steps <= 10**6:
+                gap = np.max(np.abs(rho - system_states(pr, t)))
+                assert gap <= 1.0 / n_steps
+
+    def test_markov_convergence_at_large_step_counts(self):
+        rows = strongcouple.markov_convergence(
+            GadcParams(alpha=0.6, w0=0.7), step_counts=(10_000, 10**6))
+        assert [n for n, _ in rows] == [10_000, 10**6]
+        assert rows[0][1] > rows[1][1]
+
+    @pytest.mark.parametrize("n_steps", [2**50 + 1, 10**19, 10**300],
+                             ids=["2**50+1", "1e19", "1e300"])
+    def test_rejects_step_counts_past_the_round_off_bound(self, n_steps):
+        # named as the step count, not left to an overflow in the power
+        # (a RuntimeWarning from 10^19 steps on) or to a trace check
+        with pytest.raises(InputError, match=r"n_steps must be at most "
+                                             r"2\*\*50"):
+            iterate_map_check(default_params(), 1.0, n_steps)
+        with pytest.raises(InputError, match=r"n_steps must be at most"):
+            strongcouple.markov_convergence(default_params(),
+                                            step_counts=(10, n_steps))
 
     def test_rejects_nan_time(self):
         # named as a time, not as a bad per-step probability

@@ -319,6 +319,22 @@ class TestRunErrors:
                 "grid of 3 points, got 5e-324") in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, data", [
+        ("run --config", {"n_samples": 10**11}),
+        ("sweep --grid", {"alpha": [0.5, 1.0], "n_samples": 10**11}),
+    ], ids=["run", "sweep"])
+    def test_grid_too_large_to_allocate_named(self, tmp_path, capsys,
+                                              command, data):
+        # numpy refuses the 745 GiB grid before it allocates any of it;
+        # the command names n_samples instead of raising numpy's
+        # MemoryError, and writes no file
+        path = write_json(tmp_path / "input.json", data)
+        out = tmp_path / "o"
+        assert main([*command.split(), path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: n_samples is too large for memory: ")
+        assert list(out.iterdir()) == []
+
     def test_closure_violation(self, tmp_path, capsys, broken_system_bloch):
         cfg = write_json(tmp_path / "cfg.json", {"n_samples": 101})
         assert main(["run", "--config", cfg,

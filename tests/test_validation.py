@@ -1,5 +1,6 @@
 """The validation module: its suite lists, and the checks run() skips."""
 
+import math
 import sys
 import types
 
@@ -64,12 +65,17 @@ def test_run_calls_no_self_check(monkeypatch):
 def test_eigensolve_budget(monkeypatch):
     # each randomised suite evaluates its draws as one stack per route,
     # so a strict validation makes a fixed, small number of eigensolve
-    # and Hermiticity-check calls however many draws it takes
+    # and Hermiticity-check calls however many draws it takes. The
+    # marginals suite checks the default grid's negativity in blocks of
+    # 256 states, which adds calls but no matrices: the matrix totals
+    # are those of one whole stack
     calls = {"eigvalsh": 0, "eigh": 0, "hermitian_stack": 0}
+    matrices = dict.fromkeys(calls, 0)
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            matrices[name] += math.prod(np.shape(args[0])[:-2])
             return original(*args, **kwargs)
         return wrapper
 
@@ -89,7 +95,9 @@ def test_eigensolve_budget(monkeypatch):
     finally:
         validation._default_run.cache_clear()
     assert all(ok for _, ok, _ in rows)
-    assert calls == {"eigvalsh": 14, "eigh": 3, "hermitian_stack": 34}, calls
+    assert calls == {"eigvalsh": 28, "eigh": 3, "hermitian_stack": 48}, calls
+    assert matrices == {"eigvalsh": 4280, "eigh": 3103,
+                        "hermitian_stack": 10776}, matrices
 
 
 @pytest.mark.parametrize("key, bound", [
@@ -109,7 +117,28 @@ def test_first_law_suite_holds_the_run_gates(monkeypatch, key, bound):
         assert validation._suite_first_law()[0] is ok
 
 
+@pytest.mark.parametrize("size", [2001 % 256, 25],
+                         ids=["last_block", "random_triples"])
+def test_marginals_suite_fails_on_any_negativity_gap(monkeypatch, size):
+    # a NaN or too large gap to the eigensolve fails the suite wherever
+    # it falls: in the short last of the default grid's blocks of 256
+    # states, or at the 25 random triples checked after them
+    original = validation.negativities
+    for bad in (np.nan, 1e-13):
+        def shifted(joints, bad=bad):
+            out = original(joints)
+            return out + bad if len(out) == size else out
+
+        monkeypatch.setattr(validation, "negativities", shifted)
+        ok, detail = validation._suite_marginals()
+        assert not ok
+        assert detail.endswith(f"to the eigensolve {bad + 3.47e-16:.2e}")
+
+
 def test_memory_of_the_marginals_suite():
-    # the suite's closed-form joint stacks each pass one Hermiticity
-    # check, which holds one stack-sized buffer: 1.55 MB
-    assert _peak(validation._suite_marginals) <= 1.7e6
+    # the suite checks the default run's negativity in blocks of 256
+    # states, so its peak is that of one block's joint stack and its
+    # checks, not of the whole 2001-point grid's: 0.22 MB, where one
+    # stack of the grid peaked at 1.55 MB
+    validation._default_run()
+    assert _peak(validation._suite_marginals) <= 0.4e6
