@@ -518,7 +518,11 @@ def _qubit_matrices(params, keep, lose) -> np.ndarray:
     """Closed-form marginal whose coherence decays as ``sqrt(keep)``.
 
     ``keep, lose = gamma, delta`` gives the system state and the exchanged
-    pair ``delta, gamma`` gives the environment state.
+    pair ``delta, gamma`` gives the environment state. Unchecked:
+    :func:`system_states` and :func:`environment_states` check the
+    result as builders, and ``validate`` hands its environment stacks to
+    :func:`~strongcouple.firstlaw.thermo_trajectory`, which checks its
+    input.
     """
     pops = _qubit_populations(params, keep, lose)
     m = np.empty(np.shape(keep) + (2, 2), dtype=complex)
@@ -543,7 +547,14 @@ def _dilated_matrices(params, p) -> np.ndarray:
 
 
 def _closed_form_joint_matrices(params, g, d) -> np.ndarray:
-    """Matrices of :func:`joint_states_closed_form`, entry by entry."""
+    """Matrices of :func:`joint_states_closed_form`, entry by entry.
+
+    Unchecked: :func:`joint_states_closed_form` checks the result as a
+    builder, and ``validate`` hands its stacks to
+    :func:`~strongcouple.spectra.partial_trace` and
+    :func:`~strongcouple.infomeasures.negativities`, which check their
+    input.
+    """
     sg, sd = np.sqrt(g), np.sqrt(d)
     a = params.alpha
     b = params.beta_amp

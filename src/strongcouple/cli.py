@@ -294,10 +294,9 @@ def _cmd_run(args) -> int:
     one table at a time."""
     config = config_from_dict(_load_json(Path(args.config))) \
         if args.config else ExperimentConfig()
-    out_dir = _output_dir(args.out)
-
     started = time.perf_counter()
     result = run(config)
+    out_dir = _output_dir(args.out)
     # every series of a run shares its grid: format the times once
     times = np.array(list(map(b"%.12g".__mod__, result.times.tolist())),
                      dtype=bytes)
@@ -405,10 +404,9 @@ def _collapse_spread(rows) -> float | None:
 def _cmd_sweep(args) -> int:
     grid_block = _load_json(Path(args.grid))
     configs = _expand_grid(grid_block)
-    out_dir = _output_dir(args.out)
-
     started = time.perf_counter()
     rows = sweep(configs)
+    out_dir = _output_dir(args.out)
     header = tuple(f.name for f in dataclasses.fields(SweepSummary))
     outputs = {"summary.csv": {}}
     summary = _csv_table(header, [[getattr(r, name) for r in rows]

@@ -27,9 +27,11 @@ The levels are the computational basis, so ``P_nk`` is the squared
 modulus of entry ``n`` of the state eigenvector ``k``.
 
 Time is an array axis. :func:`thermo_trajectory` takes the stack of
-states on the caller's grid, validates and diagonalizes it with one
-:func:`~strongcouple.spectra.density_eigh` call, and integrates on the
-``(T, 2)`` arrays of tracked populations and branch energies.
+states on the caller's grid, checks it once, diagonalizes it with one
+``numpy.linalg.eigh`` call, whose eigenvalues also give the eigenvalue
+floor, and integrates on the ``(T, 2)`` arrays of tracked populations
+and branch energies. It needs no eigenvector gauge: the branch energies
+and the tracking overlaps are moduli.
 :func:`qubit_thermo_trajectory` takes a qubit's Bloch series instead
 (see below). The two routes differ only in how they compute ``Q``, ``C``
 and ``Delta U``: both return through one ledger, which forms the zero
@@ -76,7 +78,7 @@ import numpy as np
 
 from .channels import QUBIT_HAMILTONIAN
 from .errors import InputError, TrackingError, _as_array, _as_float, _gate
-from .spectra import density_eigh
+from .spectra import check_spectrum, unit_trace_stack
 
 # Levels E0, E1 of the model's qubit Hamiltonian
 _ENERGIES = QUBIT_HAMILTONIAN.real.diagonal()
@@ -224,7 +226,8 @@ def thermo_trajectory(states, times,
         raise InputError(f"got states of shape {states.shape} for "
                          f"{times.size} time points; the states must be "
                          f"a ({times.size}, 2, 2) stack")
-    rho_lam, rho_vec = density_eigh(states)
+    rho_lam, rho_vec = np.linalg.eigh(unit_trace_stack(states))
+    check_spectrum(rho_lam[:, 0])
     populations, vectors = _track(rho_lam, rho_vec, times)
     # the levels are the computational basis: eps_k = sum_n E_n |v_nk|^2
     energies = _ENERGIES @ (np.abs(vectors) ** 2)

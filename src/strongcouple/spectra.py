@@ -15,10 +15,11 @@ Each state is checked once, by one rule:
   output is positive by construction: a closed form, a Kraus sum of a
   positive state, or a partial trace of one.
 * A consumer, a function that takes states, runs the full check on its
-  input: :func:`density_stack`, or :func:`density_eigh` where it needs
-  the eigenvectors too. :func:`partial_trace` halves the eigenvalue
-  floor for its input, so that its output, which it checks as a
-  builder, clears the floor too.
+  input: :func:`density_stack`, or, where it diagonalizes the stack
+  anyway, :func:`unit_trace_stack` and :func:`check_spectrum` on the
+  eigenvalues of its own eigensolve. :func:`partial_trace` halves the
+  eigenvalue floor for its input, so that its output, which it checks
+  as a builder, clears the floor too.
 
 The Hermiticity and trace checks, and the halved floor of
 :func:`partial_trace`, hold their values to an upper bound through
@@ -28,19 +29,16 @@ The eigenvalue floor ``PSD_FLOOR`` is one check, :func:`check_spectrum`,
 on the smallest eigenvalue of each state; the entropy measures of
 :mod:`strongcouple.infomeasures` use it too. :func:`check_unit_traces`
 is the trace check alone, for states whose trace is known without their
-matrix, such as a qubit's populations. :func:`eigh_stack` diagonalizes
-a validated stack in one call with a fixed eigenvector gauge.
-:class:`HermitianOperator`, :class:`DensityOperator` and
-:func:`eig_hermitian` apply the same checks and gauge to a single
-matrix; no other module of the package uses them.
+matrix, such as a qubit's populations. :class:`HermitianOperator`,
+:class:`DensityOperator` and :func:`eig_hermitian` apply the same checks
+to a single matrix, and :func:`eigh_stack` gives the eigenvectors of
+:func:`eig_hermitian` a fixed gauge; no other module of the package uses
+them.
 
 Every state stack the package builds or diagonalizes passes
-:func:`hermitian_stack`, and :func:`eigh_stack` where it is
-diagonalized, so the two set the memory of the package's largest
-stacks. Each holds one buffer of its result's size beside its input,
-which it never writes to: the Hermiticity check holds its input, that
-buffer and the half-size array of deviations, and the gauge is
-multiplied into the eigenvectors ``numpy.linalg.eigh`` returns.
+:func:`hermitian_stack`, so it sets the memory of the package's largest
+stacks. It holds one buffer of its result's size beside its input,
+which it never writes to, and the half-size array of deviations.
 
 Two-qubit indices put the first qubit on the slow index, ``|0,0>,
 |0,1>, |1,0>, |1,1>``, as ``numpy.kron`` does. :func:`partial_trace` and
@@ -151,19 +149,6 @@ def density_stack(matrices) -> np.ndarray:
     m = unit_trace_stack(matrices)
     check_spectrum(np.linalg.eigvalsh(m)[..., 0])
     return m
-
-
-def density_eigh(matrices):
-    """Validate a stack of density matrices and diagonalize it.
-
-    Applies the checks of :func:`density_stack`, but reads the spectrum
-    floor from the eigenvalues of one :func:`eigh_stack` call instead of
-    a separate eigensolve. Returns what :func:`eigh_stack` returns for
-    the symmetrized stack.
-    """
-    lam, v = eigh_stack(unit_trace_stack(matrices))
-    check_spectrum(lam[..., 0])
-    return lam, v
 
 
 class HermitianOperator:

@@ -154,17 +154,21 @@ def _suite_marginals():
     same triples. The grid is checked ``_NEGATIVITY_BLOCK`` states at a
     time, so the suite's memory does not grow with the grid; the states,
     their eigensolves and the largest gap are those of one whole stack.
+    Each joint stack is built by the unchecked closed form on its own
+    decay grid and checked once, by the consumer that takes it:
+    ``partial_trace`` or ``negativities``.
     """
     result = _default_run()
     pr, times = result.params, result.times
-    grid = np.linspace(0.0, 10.0, 41)
-    joint = ch.joint_states_closed_form(pr, grid)
+    grid = ch._grid(pr, np.linspace(0.0, 10.0, 41))
+    joint = ch._closed_form_joint_matrices(pr, grid.decay, grid.lose)
     marginals = [ch.system_states(pr, grid), ch.environment_states(pr, grid)]
     worst = float(np.max(np.abs(partial_trace(joint, (0, 1)) - marginals)))
     gaps = []
     for i in range(0, times.size, _NEGATIVITY_BLOCK):
         block = slice(i, i + _NEGATIVITY_BLOCK)
-        eigen = negativities(ch.joint_states_closed_form(pr, times[block]))
+        _, g, d = ch._grid(pr, times[block])
+        eigen = negativities(ch._closed_form_joint_matrices(pr, g, d))
         gaps.append(np.max(np.abs(result.info.negativity[block] - eigen)))
     rng = random.Random(13)
     draws = [_random_params(rng) for _ in range(25)]
@@ -228,14 +232,17 @@ def _suite_closure_refinement():
 
     On the environment side, the generic route's closure residual and
     its heat's distance from the exact qubit route both fall about
-    fourfold when the grid is halved.
+    fourfold when the grid is halved. The generic route checks the
+    environment states it takes, so they are built unchecked, on the
+    decay grid the qubit route reads too.
     """
     pr = ExperimentConfig().params
     residuals, gaps = [], []
     for n in (1001, 2001):
-        times = np.linspace(0.0, 10.0, n)
-        traj = thermo_trajectory(ch.environment_states(pr, times), times)
-        exact = qubit_thermo_trajectory(ch.environment_bloch(pr, times))
+        grid = ch._grid(pr, np.linspace(0.0, 10.0, n))
+        traj = thermo_trajectory(
+            ch._qubit_matrices(pr, grid.lose, grid.decay), grid.times)
+        exact = qubit_thermo_trajectory(ch.environment_bloch(pr, grid))
         residuals.append(traj.max_closure_residual)
         gaps.append(float(np.max(np.abs(traj.heat - exact.heat))))
     ratio = residuals[0] / residuals[1]
@@ -268,11 +275,15 @@ def _suite_mutation_control():
 
 
 def _suite_closure_gate():
-    """Negative control: a coarse grid must trip the closure tolerance."""
+    """Negative control: a coarse grid must trip the closure tolerance.
+
+    The environment states are built unchecked: the generic route checks
+    the stack it takes.
+    """
     pr = ExperimentConfig().params
-    times = np.linspace(0.0, 10.0, 101)
+    times, g, d = ch._grid(pr, np.linspace(0.0, 10.0, 101))
     try:
-        thermo_trajectory(ch.environment_states(pr, times), times,
+        thermo_trajectory(ch._qubit_matrices(pr, d, g), times,
                           closure_tolerance=1e-8)
     except NumericalError as exc:
         return True, f"coarse grid rejected as expected ({exc})"

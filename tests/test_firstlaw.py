@@ -15,7 +15,7 @@ from strongcouple.experiment import ExperimentConfig
 from strongcouple.firstlaw import (_track, qubit_thermo_trajectory,
                                    thermo_trajectory)
 from strongcouple.infomeasures import bloch_entropies
-from strongcouple.spectra import density_eigh, eigh_stack, hermitian_stack
+from strongcouple.spectra import eigh_stack, hermitian_stack
 
 
 def default_params():
@@ -72,7 +72,7 @@ class TestSampleTrajectory:
         pr = default_params()
         times = np.linspace(0.0, 2.0, 5)
         e0, e1 = QUBIT_HAMILTONIAN.real.diagonal()
-        _, vectors = _track(*density_eigh(system_states(pr, times)), times)
+        _, vectors = _track(*np.linalg.eigh(system_states(pr, times)), times)
         energies = np.array([e0, e1]) @ np.abs(vectors) ** 2
         assert np.max(np.abs(energies.sum(axis=1) - (e0 + e1))) < 1e-12
         assert (energies >= e0).all() and (energies <= e1).all()
@@ -136,9 +136,11 @@ def test_qubit_route_rejects_non_finite_grid(times):
 def overlap_reference(states, times):
     """Heat, coherent energy, Delta U and closure residual of the generic
     route in its overlap-tensor form, ``P_nk = |<n|k>|^2`` in full, and
-    whether the tracking swapped any point's branches."""
+    whether the tracking swapped any point's branches. It diagonalizes
+    the stack as the route does, so the two forms share their
+    eigenvectors bit for bit."""
     energies = QUBIT_HAMILTONIAN.real.diagonal()
-    lam, vec = density_eigh(states)
+    lam, vec = np.linalg.eigh(hermitian_stack(states))
     populations, vectors = _track(lam, vec, times)
     overlaps = np.abs(vectors) ** 2
 
@@ -217,6 +219,28 @@ class TestIntegralsExactCases:
         for name in ("work", "heat", "coherent_energy"):
             assert np.max(np.abs(getattr(base, name)
                                  - getattr(phased, name))) < 1e-12
+
+    def test_independent_of_eigenvector_phase(self, rng):
+        """The route reads its eigenvectors only through moduli, so it
+        needs no phase convention: conjugating random marginals by
+        ``diag(1, e^{i phi})`` moves each eigenvector's lower component
+        by a phase and every integral by round-off alone."""
+        times = np.linspace(0.0, 10.0, 2001)
+        names = ("heat", "coherent_energy", "internal_energy_change",
+                 "closure_residual")
+        for alpha, w0, phi in rng.uniform(0.0, 1.0, (30, 3)):
+            pr = GadcParams(alpha=alpha, w0=w0)
+            d = np.diag([1.0, np.exp(2j * np.pi * phi)])
+            for states in (system_states(pr, times),
+                           environment_states(pr, times)):
+                # the gate is not under test
+                base = thermo_trajectory(states, times, closure_tolerance=1.0)
+                phased = thermo_trajectory(d @ states @ d.conj(), times,
+                                           closure_tolerance=1.0)
+                for name in names:
+                    assert np.max(np.abs(getattr(base, name)
+                                         - getattr(phased, name))) < 1e-13, (
+                        alpha, w0, name)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_incoherent_initial_state_no_coherent_energy(self, alpha):

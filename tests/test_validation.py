@@ -68,7 +68,8 @@ def test_eigensolve_budget(monkeypatch):
     # and Hermiticity-check calls however many draws it takes. The
     # marginals suite checks the default grid's negativity in blocks of
     # 256 states, which adds calls but no matrices: the matrix totals
-    # are those of one whole stack
+    # are those of one whole stack. Each stack a suite eigensolves is
+    # built unchecked and Hermiticity-checked once, by its consumer
     calls = {"eigvalsh": 0, "eigh": 0, "hermitian_stack": 0}
     matrices = dict.fromkeys(calls, 0)
 
@@ -95,9 +96,9 @@ def test_eigensolve_budget(monkeypatch):
     finally:
         validation._default_run.cache_clear()
     assert all(ok for _, ok, _ in rows)
-    assert calls == {"eigvalsh": 28, "eigh": 3, "hermitian_stack": 48}, calls
+    assert calls == {"eigvalsh": 28, "eigh": 3, "hermitian_stack": 36}, calls
     assert matrices == {"eigvalsh": 4280, "eigh": 3103,
-                        "hermitian_stack": 10776}, matrices
+                        "hermitian_stack": 5631}, matrices
 
 
 @pytest.mark.parametrize("key, bound", [
