@@ -9,10 +9,12 @@ validation suites).
 ``run`` writes CSV tables, a pair of plotting scripts, and a manifest
 with row counts and content hashes into the output directory. The CSV
 files are deterministic: re-running the same configuration reproduces
-them byte for byte. ``run`` and ``sweep`` stream their files through
-:func:`_write_files`, which opens every file before it writes any and
-formats each table block by block as it writes it, so a command that
-fails leaves no file of its own behind. ``validate`` prints one
+them byte for byte. ``run`` and ``sweep`` each hand their tables to
+one :func:`_publish` call, which streams them, any further files and
+the manifest through :func:`_write_files`. That creates the output
+directory, opens every file before it writes any and formats each table
+block by block as it writes it, so a command that fails leaves no file
+or directory of its own behind. ``validate`` prints one
 [PASS]/[FAIL] line per suite of :mod:`strongcouple.validation`.
 ``sweep`` expands a parameter grid into configurations and writes one
 summary row per run.
@@ -85,35 +87,29 @@ def _load_json(path: Path):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _output_dir(path) -> Path:
-    """Create the output directory ``path``; a path that cannot be a
-    directory, such as an existing file or a path under one, is bad input.
-    """
-    out_dir = Path(path)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise InputError(f"cannot create output directory {out_dir}: "
-                         f"{exc.strerror}") from exc
-    return out_dir
-
-
-def _write_files(out_dir: Path, files: dict) -> None:
-    """Write each ``name: content`` of ``files`` under ``out_dir``, in
-    order; ``content`` is bytes or an iterable of byte chunks, such as a
+def _write_files(out, files: dict) -> Path:
+    """Create the directory ``out`` and its missing parents, write each
+    ``name: content`` of ``files`` under it, in order, and return it;
+    ``content`` is bytes or an iterable of byte chunks, such as a
     :func:`_csv_table`, which is consumed as it is written.
 
     Every file is opened, without truncating it, before any is written,
     so a file that cannot be opened, such as a directory of its name,
     leaves every file as it was. Each file is then truncated and written
-    chunk by chunk. A file that cannot be opened or written is bad
-    input; any other exception, such as one raised while a table is
-    formatted, propagates. Either way the files this call created are
-    removed first; files that were there before stay, and those it had
-    reached keep what it wrote to them.
+    chunk by chunk. A directory that cannot be created, or a file that
+    cannot be opened or written, is bad input; any other exception, such
+    as one raised while a table is formatted, propagates. Either way the
+    files this call created are removed first, then the directories it
+    created, innermost first. A directory is removed only while empty,
+    so one that something else filled stays. Files that were there
+    before stay, and those it had reached keep what it wrote to them.
     """
-    created = []
+    out_dir = path = Path(out)
+    missing, created = [], []
     try:
+        missing += itertools.takewhile(lambda d: not d.exists(),
+                                       (out_dir, *out_dir.parents))
+        out_dir.mkdir(parents=True, exist_ok=True)
         with contextlib.ExitStack() as stack:
             opened = []
             for name in files:
@@ -130,10 +126,15 @@ def _write_files(out_dir: Path, files: dict) -> None:
     except BaseException as exc:
         for done in created:
             done.unlink(missing_ok=True)
+        for folder in missing:
+            with contextlib.suppress(OSError):
+                folder.rmdir()
         if isinstance(exc, OSError):
-            raise InputError(f"cannot write output file {path}: "
-                             f"{exc.strerror}") from exc
+            what = ("create output directory" if path is out_dir
+                    else "write output file")
+            raise InputError(f"cannot {what} {path}: {exc.strerror}") from exc
         raise
+    return out_dir
 
 
 def _csv_column(col):
@@ -199,23 +200,34 @@ def _config_as_dict(config: ExperimentConfig) -> dict:
             for name, value in dataclasses.asdict(config).items()}
 
 
-def _manifest(command, config_block, outputs, started, extra=None):
-    """Yield the bytes of ``manifest.json``, built only when they are
-    asked for: written after the tables it lists, it reads their
-    entries from ``outputs`` once they are complete, and its
+def _publish(out, command, config_block, started, tables, files=None,
+             extra=None) -> Path:
+    """Write a command's output into the directory ``out`` through
+    :func:`_write_files`, and return the directory: each table ``name:
+    (header, columns)`` of ``tables`` as a :func:`_csv_table`, then the
+    bytes of each ``name: content`` of ``files``, then ``manifest.json``.
+
+    The manifest is built only when it is written, after the tables it
+    lists: it reads their rows and hashes from their records, and its
     ``wall_time_seconds`` runs from ``started`` to then, the writing of
-    the tables included."""
-    manifest = {
-        "tool": "strongcouple",
-        "version": __version__,
-        "command": command,
-        "config": config_block,
-        "outputs": outputs,
-        "wall_time_seconds": round(time.perf_counter() - started, 3),
-    }
-    if extra:
-        manifest.update(extra)
-    yield (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
+    the tables included. ``extra`` adds its keys to it.
+    """
+    outputs = {name: {} for name in tables}
+    contents = {name: _csv_table(header, columns, outputs[name])
+                for name, (header, columns) in tables.items()}
+    contents.update(files or {})
+
+    def manifest():
+        block = {"tool": "strongcouple", "version": __version__,
+                 "command": command, "config": config_block,
+                 "outputs": outputs,
+                 "wall_time_seconds": round(time.perf_counter() - started,
+                                            3),
+                 **(extra or {})}
+        yield (json.dumps(block, indent=2, sort_keys=True) + "\n").encode()
+
+    contents["manifest.json"] = manifest()
+    return _write_files(out, contents)
 
 
 _PLOT_THERMO = '''\
@@ -296,7 +308,6 @@ def _cmd_run(args) -> int:
         if args.config else ExperimentConfig()
     started = time.perf_counter()
     result = run(config)
-    out_dir = _output_dir(args.out)
     # every series of a run shares its grid: format the times once
     times = np.array(list(map(b"%.12g".__mod__, result.times.tolist())),
                      dtype=bytes)
@@ -319,15 +330,10 @@ def _cmd_run(args) -> int:
         ("metric", "value"),
         (metrics, [result.diagnostics[m] for m in metrics]))
 
-    outputs = {name: {} for name in tables}
-    files = {name: _csv_table(header, columns, outputs[name])
-             for name, (header, columns) in tables.items()}
-    files["plot_thermo.py"] = _PLOT_THERMO.encode()
-    files["plot_info.py"] = _PLOT_INFO.encode()
-    files["manifest.json"] = _manifest("run", _config_as_dict(config),
-                                       outputs, started)
-    _write_files(out_dir, files)
-    print(f"run complete: {len(outputs)} tables in {out_dir}")
+    out_dir = _publish(args.out, "run", _config_as_dict(config), started,
+                       tables, {"plot_thermo.py": _PLOT_THERMO.encode(),
+                                "plot_info.py": _PLOT_INFO.encode()})
+    print(f"run complete: {len(tables)} tables in {out_dir}")
     return 0
 
 
@@ -406,27 +412,21 @@ def _cmd_sweep(args) -> int:
     configs = _expand_grid(grid_block)
     started = time.perf_counter()
     rows = sweep(configs)
-    out_dir = _output_dir(args.out)
     header = tuple(f.name for f in dataclasses.fields(SweepSummary))
-    outputs = {"summary.csv": {}}
-    summary = _csv_table(header, [[getattr(r, name) for r in rows]
-                                  for name in header], outputs["summary.csv"])
+    summary = (header, [[getattr(r, name) for r in rows] for name in header])
 
-    extra = None
-    if "gamma_t_max" in grid_block:
-        spread = _collapse_spread(rows)
-        if spread is not None:
-            collapsed = spread <= 1e-9
-            extra = {"scaled_horizon_collapse": collapsed,
-                     "scaled_horizon_spread": spread}
-            state = "collapse" if collapsed else "DO NOT collapse"
-            print(f"gamma-scaled curves {state} across gamma "
-                  f"(spread {spread:.2e})")
-
-    _write_files(out_dir, {
-        "summary.csv": summary,
-        "manifest.json": _manifest("sweep", grid_block, outputs, started,
-                                   extra)})
+    spread = (_collapse_spread(rows) if "gamma_t_max" in grid_block
+              else None)
+    extra = None if spread is None else {
+        "scaled_horizon_collapse": spread <= 1e-9,
+        "scaled_horizon_spread": spread}
+    out_dir = _publish(args.out, "sweep", grid_block, started,
+                       {"summary.csv": summary}, extra=extra)
+    if extra:
+        state = ("collapse" if extra["scaled_horizon_collapse"]
+                 else "DO NOT collapse")
+        print(f"gamma-scaled curves {state} across gamma "
+              f"(spread {spread:.2e})")
     failed = [r for r in rows if r.error]
     print(f"sweep complete: {len(rows)} runs, {len(failed)} failed, "
           f"summary in {out_dir}")

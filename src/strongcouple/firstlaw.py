@@ -231,6 +231,7 @@ def thermo_trajectory(states, times,
     populations, vectors = _track(rho_lam, rho_vec, times)
     # the levels are the computational basis: eps_k = sum_n E_n |v_nk|^2
     energies = _ENERGIES @ (np.abs(vectors) ** 2)
+    del rho_lam, rho_vec, vectors
     dr = np.gradient(populations, times, axis=0)
     de = np.gradient(energies, times, axis=0)
     heat = _cumtrapz(np.einsum("tk,tk->t", energies, dr), times)

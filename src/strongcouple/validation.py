@@ -227,6 +227,18 @@ def _suite_first_law():
                 f"balance {d['energy_balance_max']:.2e}")
 
 
+def _refinement_step(pr, n):
+    """The generic route's environment closure residual on ``n`` points
+    of ``[0, 10]``, and its heat's largest distance from the qubit
+    route's; only these two numbers outlive the call."""
+    grid = ch._grid(pr, np.linspace(0.0, 10.0, n))
+    traj = thermo_trajectory(
+        ch._qubit_matrices(pr, grid.lose, grid.decay), grid.times)
+    exact = qubit_thermo_trajectory(ch.environment_bloch(pr, grid))
+    return (traj.max_closure_residual,
+            float(np.max(np.abs(traj.heat - exact.heat))))
+
+
 def _suite_closure_refinement():
     """The generic route converges at second order, to the qubit route.
 
@@ -234,17 +246,12 @@ def _suite_closure_refinement():
     its heat's distance from the exact qubit route both fall about
     fourfold when the grid is halved. The generic route checks the
     environment states it takes, so they are built unchecked, on the
-    decay grid the qubit route reads too.
+    decay grid the qubit route reads too. Each grid is evaluated by
+    :func:`_refinement_step`, so the coarse grid's trajectories are gone
+    before the fine grid's are built.
     """
     pr = ExperimentConfig().params
-    residuals, gaps = [], []
-    for n in (1001, 2001):
-        grid = ch._grid(pr, np.linspace(0.0, 10.0, n))
-        traj = thermo_trajectory(
-            ch._qubit_matrices(pr, grid.lose, grid.decay), grid.times)
-        exact = qubit_thermo_trajectory(ch.environment_bloch(pr, grid))
-        residuals.append(traj.max_closure_residual)
-        gaps.append(float(np.max(np.abs(traj.heat - exact.heat))))
+    residuals, gaps = zip(*(_refinement_step(pr, n) for n in (1001, 2001)))
     ratio = residuals[0] / residuals[1]
     gap_ratio = gaps[0] / gaps[1]
     ok = 3.0 <= ratio <= 5.0 and gaps[1] <= 1e-5 and 3.0 <= gap_ratio <= 5.0

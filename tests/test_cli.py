@@ -369,6 +369,28 @@ class _FullAfterFirstWrite:
         return self._handle.write(chunk)
 
 
+def _output_path(tmp_path, fresh):
+    """An ``--out`` under ``tmp_path``: a fresh one two directories below
+    a fresh one, or an existing one that holds a file of its own."""
+    if fresh:
+        return tmp_path / "out" / "a" / "b"
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    return out
+
+
+def _assert_left_as_found(tmp_path, out, fresh):
+    """A failed command removed what it created of ``out``: all of a
+    fresh one, and every file but the one that was there before of an
+    existing one."""
+    if fresh:
+        assert not (tmp_path / "out").exists()
+    else:
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "kept"
+
+
 class TestUnusableOutputPath:
     """An --out path that cannot be a directory is bad input, exit 2."""
 
@@ -413,38 +435,46 @@ class TestUnusableOutputPath:
         assert list((out / name).iterdir()) == []
         assert (out / "notes.txt").read_text() == "kept"
 
-    def test_write_failure_mid_table(self, tmp_path, capsys, monkeypatch):
-        # the disk fills on the first block of info_measures.csv, after
-        # its header: bad input naming that file, and the files the
+    @pytest.mark.parametrize("command, name, fresh", [
+        ("run", "info_measures.csv", False),
+        ("run", "info_measures.csv", True),
+        ("sweep", "summary.csv", True),
+    ], ids=["existing_out", "fresh_nested_out", "sweep_fresh_nested_out"])
+    def test_write_failure_mid_table(self, tmp_path, capsys, monkeypatch,
+                                     command, name, fresh):
+        # the disk fills on the first block of a table, after its header:
+        # bad input naming that file, and the files and directories the
         # command created, the tables written before it included, go
-        out = tmp_path / "out"
-        out.mkdir()
-        (out / "notes.txt").write_text("kept")
+        out = _output_path(tmp_path, fresh)
         opened = Path.open
 
         def open_full_after_header(path, mode="r", *args, **kwargs):
             handle = opened(path, mode, *args, **kwargs)
-            return (_FullAfterFirstWrite(handle)
-                    if path.name == "info_measures.csv" else handle)
+            return (_FullAfterFirstWrite(handle) if path.name == name
+                    else handle)
 
         monkeypatch.setattr(Path, "open", open_full_after_header)
-        assert main(["run", "--out", str(out), "--config",
-                     write_json(tmp_path / "cfg.json", QUICK)]) == 2
+        args = [command, "--out", str(out)]
+        if command == "sweep":
+            args += ["--grid", write_json(tmp_path / "grid.json",
+                                          {"t_max": 2.0, "n_samples": 11})]
+        else:
+            args += ["--config", write_json(tmp_path / "cfg.json", QUICK)]
+        assert main(args) == 2
         err = capsys.readouterr().err
-        assert (f"cannot write output file {out / 'info_measures.csv'}: "
+        assert (f"cannot write output file {out / name}: "
                 f"{os.strerror(errno.ENOSPC)}") in err
         assert "Traceback" not in err
-        assert [p.name for p in out.iterdir()] == ["notes.txt"]
-        assert (out / "notes.txt").read_text() == "kept"
+        _assert_left_as_found(tmp_path, out, fresh)
 
+    @pytest.mark.parametrize("fresh", [False, True],
+                             ids=["existing_out", "fresh_nested_out"])
     def test_formatting_failure_removes_created_files(self, tmp_path,
-                                                      monkeypatch):
+                                                      monkeypatch, fresh):
         # tables are formatted as they are written, after every file is
         # open: an error formatting the negativity column propagates,
-        # and the files the command created go first
-        out = tmp_path / "out"
-        out.mkdir()
-        (out / "notes.txt").write_text("kept")
+        # and the files and directories the command created go first
+        out = _output_path(tmp_path, fresh)
         results = []
         library_run, column = cli.run, cli._csv_column
 
@@ -464,8 +494,22 @@ class TestUnusableOutputPath:
         with pytest.raises(RuntimeError, match="formatting failed"):
             main(["run", "--out", str(out), "--config",
                   write_json(tmp_path / "cfg.json", QUICK)])
-        assert [p.name for p in out.iterdir()] == ["notes.txt"]
-        assert (out / "notes.txt").read_text() == "kept"
+        _assert_left_as_found(tmp_path, out, fresh)
+
+    def test_directory_filled_meanwhile_stays(self, tmp_path, monkeypatch):
+        # a directory the command created but something else filled
+        # while it ran is kept, with what it holds; the empty ones the
+        # command created below it go
+        out = _output_path(tmp_path, fresh=True)
+
+        def failing_column(col):
+            (tmp_path / "out" / "other.txt").write_text("kept")
+            raise RuntimeError("formatting failed")
+
+        monkeypatch.setattr(cli, "_csv_column", failing_column)
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            main(["run", "--out", str(out)])
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["other.txt"]
 
     def test_failed_run_keeps_earlier_outputs(self, tmp_path):
         # no file of an earlier run is truncated or rewritten when a

@@ -1,6 +1,6 @@
 """The README's test, module and BENCH file citations resolve, its layout
-table names every module, the package version is the project's, and the
-sources keep 79 columns."""
+table names every module, the docstrings' cross-references resolve, the
+package version is the project's, and the sources keep 79 columns."""
 
 import ast
 import importlib
@@ -55,6 +55,42 @@ def test_readme_module_citations_resolve():
     missing = [f"{module}.{name}" for module, name in citations
                if not hasattr(importlib.import_module(
                    f"strongcouple.{module}"), name)]
+    assert missing == []
+
+
+def _attribute(scope, names):
+    """The attribute chain ``names`` of ``scope``, or ``_MISSING``."""
+    for name in names:
+        scope = getattr(scope, name, _MISSING)
+    return scope
+
+
+_MISSING = object()
+
+
+def test_docstring_cross_references_resolve():
+    # a :func:, :class:, :data:, :mod:, :meth: or :attr: reference in a
+    # module of the package names an attribute of that module or of the
+    # package, or is a dotted strongcouple. path; numpy's are not checked
+    modules = {path.stem: importlib.import_module(
+        "strongcouple" if path.stem == "__init__"
+        else f"strongcouple.{path.stem}") for path in PACKAGE.glob("*.py")}
+    missing, count = [], 0
+    for stem, module in sorted(modules.items()):
+        text = (PACKAGE / f"{stem}.py").read_text()
+        for reference in re.findall(
+                r":(?:func|class|data|mod|meth|attr):`~?([\w.]+)`", text):
+            names = reference.split(".")
+            if names[0] in ("numpy", "np"):
+                continue
+            count += 1
+            if names[0] == "strongcouple":
+                scopes, names = (strongcouple,), names[1:]
+            else:
+                scopes = (module, strongcouple)
+            if all(_attribute(scope, names) is _MISSING for scope in scopes):
+                missing.append(f"{stem}.py: {reference}")
+    assert count
     assert missing == []
 
 

@@ -143,3 +143,12 @@ def test_memory_of_the_marginals_suite():
     # stack of the grid peaked at 1.55 MB
     validation._default_run()
     assert _peak(validation._suite_marginals) <= 0.4e6
+
+
+def test_memory_of_the_closure_refinement_suite():
+    # each grid is evaluated in a call that returns only its residual
+    # and heat gap, and thermo_trajectory drops its eigensolve once the
+    # branches are formed: 0.69 MB, where the 1001-point trajectories
+    # held while the 2001-point route ran peaked at 0.85 MB
+    validation._default_run()
+    assert _peak(validation._suite_closure_refinement) <= 0.75e6
