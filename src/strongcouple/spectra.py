@@ -31,9 +31,8 @@ on the smallest eigenvalue of each state; the entropy measures of
 is the trace check alone, for states whose trace is known without their
 matrix, such as a qubit's populations. :class:`HermitianOperator`,
 :class:`DensityOperator` and :func:`eig_hermitian` apply the same checks
-to a single matrix, and :func:`eigh_stack` gives the eigenvectors of
-:func:`eig_hermitian` a fixed gauge; no other module of the package uses
-them.
+to a single matrix, and :func:`eig_hermitian` gives its eigenvectors a
+fixed gauge; no other module of the package uses them.
 
 Every state stack the package builds or diagonalizes passes
 :func:`hermitian_stack`, so it sets the memory of the package's largest
@@ -216,32 +215,18 @@ def eig_hermitian(operator) -> SpectralDecomposition:
     Returns
     -------
     SpectralDecomposition
-        Ascending eigenvalues and orthonormal eigenvector columns.
+        Ascending eigenvalues, as ``numpy.linalg.eigh`` gives them, and
+        its orthonormal eigenvector columns in a fixed gauge: the largest
+        component of each column is made real and positive. The phases
+        are multiplied into the eigenvector array ``eigh`` returns, so
+        the operator's matrix is not written to.
     """
     if not isinstance(operator, HermitianOperator):
         operator = HermitianOperator(operator)
-    lam, v = eigh_stack(operator.matrix)
-    return SpectralDecomposition(eigenvalues=lam, eigenvectors=v)
-
-
-def eigh_stack(matrices):
-    """Diagonalize a validated Hermitian stack in one LAPACK call.
-
-    ``matrices`` has shape ``(..., n, n)`` and comes from
-    :func:`hermitian_stack`, :func:`density_stack` or a
-    :class:`HermitianOperator`; it is not checked again. Returns
-    ascending eigenvalues of shape ``(..., n)`` and eigenvector columns of
-    shape ``(..., n, n)`` in the gauge of :func:`eig_hermitian`: the
-    largest component of each column is real and positive. The gauge
-    phases are multiplied into the new eigenvector array that
-    ``numpy.linalg.eigh`` returns, so no second array of its size is
-    held; the input is not written to.
-    """
-    lam, v = np.linalg.eigh(matrices)
-    rows = np.argmax(np.abs(v), axis=-2)
-    pivots = np.take_along_axis(v, rows[..., None, :], axis=-2)
+    lam, v = np.linalg.eigh(operator.matrix)
+    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(len(v))]
     v *= pivots.conj() / np.abs(pivots)
-    return lam, v
+    return SpectralDecomposition(eigenvalues=lam, eigenvectors=v)
 
 
 def _two_qubit(m) -> None:

@@ -357,23 +357,20 @@ _SUITES = [
     ("mutation control", _suite_mutation_control),
     ("closure gate control", _suite_closure_gate),
     ("reference values", _suite_reference_values),
-]
-
-_STRICT_SUITES = [
     ("negativity shape", _suite_negativity_shape),
     ("asymmetry-negativity proportionality", _suite_proportionality),
     ("markov limit", _suite_markov),
 ]
 
 
-def run_suites(strict: bool = False):
-    """Run the plain suite list, plus the strict suites when ``strict``.
+def run_suites():
+    """Run every suite of ``validate``, in order.
 
     Yields one ``(name, ok, detail)`` row per suite as it finishes. A
     suite that raises a :class:`StrongcoupleError` yields a failed row
     naming the exception.
     """
-    for name, fn in _SUITES + (_STRICT_SUITES if strict else []):
+    for name, fn in _SUITES:
         try:
             ok, detail = fn()
         except StrongcoupleError as exc:

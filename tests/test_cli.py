@@ -4,7 +4,11 @@ import errno
 import hashlib
 import json
 import os
+import runpy
+import sys
+import types
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -66,6 +70,28 @@ class TestRunCommand:
     def test_plot_scripts_compile(self, run_dir):
         for name in ("plot_thermo.py", "plot_info.py"):
             compile((run_dir / name).read_text(), name, "exec")
+
+    def test_plot_scripts_run(self, run_dir, monkeypatch):
+        # matplotlib is optional, so a stub stands in for it: each script
+        # must read its CSVs, plot every series at full length and save
+        # its figure next to itself
+        for name, figure in (("plot_thermo.py", "thermo.png"),
+                             ("plot_info.py", "info.png")):
+            fig, axes = mock.MagicMock(), [mock.MagicMock() for _ in range(2)]
+            pyplot = types.ModuleType("matplotlib.pyplot")
+            pyplot.subplots = mock.MagicMock(return_value=(fig, axes))
+            matplotlib = types.ModuleType("matplotlib")
+            matplotlib.pyplot = pyplot
+            monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+            monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+            runpy.run_path(str(run_dir / name))
+            fig.savefig.assert_called_once()
+            saved = fig.savefig.call_args.args[0]
+            assert saved == run_dir.resolve() / figure
+            series = [a for ax in axes for c in ax.plot.call_args_list
+                      for a in c.args[:2]]
+            assert series and all(len(s) == QUICK["n_samples"]
+                                  for s in series)
 
     def test_output_memory_does_not_grow_with_the_grid(self, tmp_path):
         # the tables stream to their files a block at a time: at 20001
@@ -691,12 +717,18 @@ class TestValidateCommand:
         assert main(["validate"]) == 0
         out = capsys.readouterr().out
         assert "[FAIL]" not in out
-        assert out.count("[PASS]") == 10
+        assert out.count("[PASS]") == 13
 
     def test_strict_suites_pass(self, capsys):
+        # --strict is still accepted, changes nothing and is not offered
+        assert main(["validate"]) == 0
+        plain = capsys.readouterr().out
         assert main(["validate", "--strict"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("[PASS]") == 13
+        assert capsys.readouterr().out == plain
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--help"])
+        assert exc.value.code == 0
+        assert "--strict" not in capsys.readouterr().out
 
 
 class TestParser:

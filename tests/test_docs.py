@@ -1,13 +1,17 @@
 """The README's test, module and BENCH file citations resolve, its layout
-table names every module, the docstrings' cross-references resolve, the
-package version is the project's, and the sources keep 79 columns."""
+table names every module and its synopsis every option, the docstrings'
+cross-references resolve, the package version is the project's, and the
+sources keep 79 columns."""
 
 import ast
 import importlib
 import re
 from pathlib import Path
 
+import pytest
+
 import strongcouple
+from strongcouple.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "strongcouple"
@@ -121,6 +125,28 @@ def test_readme_layout_names_every_module():
     modules = [path.stem for path in PACKAGE.glob("*.py")
                if path.stem != "__init__"]
     assert sorted(named) == sorted(modules)
+
+
+def _usage(argv, capsys) -> str:
+    """The usage line, however wrapped, that ``argv + ["--help"]``
+    prints."""
+    with pytest.raises(SystemExit):
+        main(argv + ["--help"])
+    return capsys.readouterr().out.split("\n\n")[0]
+
+
+def test_readme_synopsis_matches_the_parser(capsys):
+    # each subcommand's line of the "Command line" block names exactly
+    # the options, other than -h, on the usage line of its --help
+    block = (ROOT / "README.md").read_text().split("\n## Command line\n")[1]
+    block = block.split("```sh\n")[1].split("```")[0]
+    synopsis = {line.split()[1]: set(re.findall(r"--[\w-]+", line))
+                for line in block.splitlines()}
+    (commands,) = re.findall(r"\{([\w,]+)\}", _usage([], capsys))
+    assert sorted(synopsis) == sorted(commands.split(","))
+    for command, options in synopsis.items():
+        assert set(re.findall(r"--[\w-]+",
+                              _usage([command], capsys))) == options, command
 
 
 def test_source_lines_fit_79_columns():

@@ -15,7 +15,7 @@ from strongcouple.experiment import ExperimentConfig
 from strongcouple.firstlaw import (_track, qubit_thermo_trajectory,
                                    thermo_trajectory)
 from strongcouple.infomeasures import bloch_entropies
-from strongcouple.spectra import eigh_stack, hermitian_stack
+from strongcouple.spectra import hermitian_stack
 
 
 def default_params():
@@ -25,7 +25,7 @@ def default_params():
 def spectra_of(matrices):
     """The eigenvalue and eigenvector stacks of a sequence of Hermitian
     matrices, one per unit of time."""
-    return eigh_stack(hermitian_stack(matrices))
+    return np.linalg.eigh(hermitian_stack(matrices))
 
 
 def tracked(matrices):
@@ -50,7 +50,7 @@ class TestEigenTrack:
     def test_identity_when_continuous(self):
         pr = default_params()
         times = np.linspace(0.0, 1.0, 11)
-        lam, vec = eigh_stack(system_states(pr, times))
+        lam, vec = np.linalg.eigh(system_states(pr, times))
         lam_t, vec_t = _track(lam, vec, times)
         assert np.array_equal(lam_t, lam)
         assert np.array_equal(vec_t, vec)

@@ -11,7 +11,7 @@ from strongcouple.experiment import ExperimentConfig
 from strongcouple.spectra import (PSD_FLOOR, DensityOperator,
                                   HermitianOperator, check_spectrum,
                                   check_unit_traces, density_stack,
-                                  eig_hermitian, eigh_stack, hermitian_stack,
+                                  eig_hermitian, hermitian_stack,
                                   partial_trace, partial_transpose_stack,
                                   unit_trace_stack)
 
@@ -84,9 +84,9 @@ def _near_hermitian(rng, shape):
 
 
 class TestStackKernels:
-    """hermitian_stack and eigh_stack give the bits of their plain
-    expressions, in a new C-contiguous array, and never write to their
-    input."""
+    """hermitian_stack gives the bits of its plain expression, in a new
+    C-contiguous array, and eig_hermitian those of plain eigh and its
+    gauge; neither writes to its input."""
 
     SHAPES = [(2001, 4, 4), (7, 2, 2), (3, 5, 3, 3), (1, 1)]
 
@@ -109,20 +109,23 @@ class TestStackKernels:
             assert out.flags.c_contiguous and out.flags.writeable
             assert not np.shares_memory(out, given)
 
-    @pytest.mark.parametrize("shape", SHAPES)
-    def test_eigh_stack_bits(self, rng, shape):
-        for given in self._inputs(hermitian_stack(_near_hermitian(rng,
-                                                                  shape))):
-            before = _bits(given)
-            lam, v = eigh_stack(given)
-            assert _bits(given) == before
-            ref_lam, ref_v = np.linalg.eigh(given)
-            rows = np.argmax(np.abs(ref_v), axis=-2)
-            pivots = np.take_along_axis(ref_v, rows[..., None, :], axis=-2)
-            assert _bits(lam) == _bits(ref_lam)
-            assert _bits(v) == _bits(ref_v * (pivots.conj() / np.abs(pivots)))
-            assert v.flags.c_contiguous
-            assert not np.shares_memory(v, given)
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_eig_hermitian_bits(self, rng, dim):
+        # hermitian_stack gives an operator's matrix, exactly Hermitian,
+        # back bit for bit, so it prepares the reference for every input
+        m = _near_hermitian(rng, (dim, dim))
+        for given in self._inputs(m)[:3] + [HermitianOperator(m)]:
+            matrix = getattr(given, "matrix", given)
+            before = _bits(matrix)
+            dec = eig_hermitian(given)
+            assert _bits(matrix) == before
+            ref_lam, ref_v = np.linalg.eigh(hermitian_stack(matrix))
+            rows = np.argmax(np.abs(ref_v), axis=0)
+            pivots = np.take_along_axis(ref_v, rows[None, :], axis=0)
+            assert _bits(dec.eigenvalues) == _bits(ref_lam)
+            assert _bits(dec.eigenvectors) == _bits(
+                ref_v * (pivots.conj() / np.abs(pivots)))
+            assert not np.shares_memory(dec.eigenvectors, matrix)
 
     def test_hermitian_stack_holds_one_buffer(self):
         # the input, the result and the half-size deviation array: 1.57
@@ -188,18 +191,11 @@ class TestFloors:
             check_spectrum(np.float64(np.nan))
 
 
-def _eigh(h):
-    """The eigenvalues and gauged eigenvectors of the Hermitian ``h``."""
-    return eigh_stack(hermitian_stack(h))
-
-
 class TestEigHermitian:
-    """The eigensolver of Hermitian matrices, ``eigh_stack`` of
-    ``hermitian_stack``, and ``eig_hermitian``, its single-matrix
-    wrapper."""
+    """``eig_hermitian``, the eigensolver of a single Hermitian matrix."""
 
     def test_known_two_by_two(self):
-        lam, _ = _eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        lam = eig_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]])).eigenvalues
         assert np.allclose(lam, [-1.0, 1.0], atol=1e-14)
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 6, 8])
@@ -207,7 +203,7 @@ class TestEigHermitian:
         for _ in range(10):
             m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             h = m + m.conj().T
-            lam, _ = _eigh(h)
+            lam = eig_hermitian(h).eigenvalues
             ref = np.linalg.eigvalsh(h)
             assert np.max(np.abs(lam - ref)) < 1e-12 * max(
                 1.0, np.max(np.abs(ref)))
@@ -215,35 +211,28 @@ class TestEigHermitian:
     def test_reconstruction_and_orthonormality(self, rng):
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         h = m + m.conj().T
-        lam, v = _eigh(h)
+        dec = eig_hermitian(h)
+        lam, v = dec.eigenvalues, dec.eigenvectors
         assert np.max(np.abs(v @ np.diag(lam) @ v.conj().T - h)) < 1e-12
         assert np.max(np.abs(v.conj().T @ v - np.eye(4))) < 1e-13
 
     def test_ascending_order(self, rng):
         m = rng.normal(size=(5, 5))
-        lam, _ = _eigh(m + m.T)
+        lam = eig_hermitian(m + m.T).eigenvalues
         assert np.all(np.diff(lam) >= 0.0)
 
     def test_deterministic_gauge(self):
         h = np.array([[1.0, 1j], [-1j, 2.0]])
-        _, v1 = _eigh(h)
-        _, v2 = _eigh(h)
+        v1 = eig_hermitian(h).eigenvectors
+        v2 = eig_hermitian(h).eigenvectors
         assert np.array_equal(v1, v2)
         for k in range(2):
             pivot = v1[np.argmax(np.abs(v1[:, k])), k]
             assert abs(pivot.imag) < 1e-14 and pivot.real > 0.0
 
     def test_diagonal_matrix(self):
-        lam, _ = _eigh(np.diag([3.0, 1.0, 2.0]))
+        lam = eig_hermitian(np.diag([3.0, 1.0, 2.0])).eigenvalues
         assert np.allclose(lam, [1.0, 2.0, 3.0])
-
-    def test_eig_hermitian_returns_eigh_stack_arrays(self, rng):
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = m + m.conj().T
-        dec = eig_hermitian(h)
-        lam, v = _eigh(h)
-        assert _bits(dec.eigenvalues) == _bits(lam)
-        assert _bits(dec.eigenvectors) == _bits(v)
 
 
 class TestTensorAndTraces:

@@ -14,7 +14,7 @@ from strongcouple.experiment import (ENERGY_BALANCE_TOL, WORK_STATIC_TOL,
 from strongcouple.firstlaw import QUBIT_CLOSURE_TOLERANCE
 from strongcouple.validation import run_suites
 
-PLAIN_SUITES = [
+SUITES = [
     "kraus completeness",
     "channel preserves states",
     "route consistency",
@@ -25,8 +25,6 @@ PLAIN_SUITES = [
     "mutation control",
     "closure gate control",
     "reference values",
-]
-STRICT_SUITES = PLAIN_SUITES + [
     "negativity shape",
     "asymmetry-negativity proportionality",
     "markov limit",
@@ -43,11 +41,9 @@ RUN_DIAGNOSTICS = {
 }
 
 
-@pytest.mark.parametrize("strict, names", [(False, PLAIN_SUITES),
-                                           (True, STRICT_SUITES)])
-def test_suite_lists_in_order_and_passing(strict, names):
-    rows = list(run_suites(strict=strict))
-    assert [name for name, _, _ in rows] == names
+def test_suite_lists_in_order_and_passing():
+    rows = list(run_suites())
+    assert [name for name, _, _ in rows] == SUITES
     failed = [(name, detail) for name, ok, detail in rows if not ok]
     assert failed == []
 
@@ -64,7 +60,7 @@ def test_run_calls_no_self_check(monkeypatch):
 
 def test_eigensolve_budget(monkeypatch):
     # each randomised suite evaluates its draws as one stack per route,
-    # so a strict validation makes a fixed, small number of eigensolve
+    # so a validation makes a fixed, small number of eigensolve
     # and Hermiticity-check calls however many draws it takes. The
     # marginals suite checks the default grid's negativity in blocks of
     # 256 states, which adds calls but no matrices: the matrix totals
@@ -92,7 +88,7 @@ def test_eigensolve_budget(monkeypatch):
     # the shared default run is counted too
     validation._default_run.cache_clear()
     try:
-        rows = list(run_suites(strict=True))
+        rows = list(run_suites())
     finally:
         validation._default_run.cache_clear()
     assert all(ok for _, ok, _ in rows)
