@@ -56,15 +56,20 @@ which one each derived quantity uses.
 Bloch form of the marginals
 ---------------------------
 Each closed-form marginal is ``(1 + x sigma_x + z sigma_z) / 2`` with
-real ``x``. With ``g = exp(-gamma_rate t)``, both ``z`` and ``x^2`` are
-affine in ``g``: the square root in time of the coherence cancels in
-``x^2``. :func:`system_bloch` and :func:`environment_bloch` give these
+real ``x``. Both are one pair of lines in a keep variable ``k``, the
+factor under the square root of the marginal's coherence: ``z = lead +
+slope k`` and ``x^2 = coh k``, with the system's three coefficients for
+both. The system keeps ``k = g = exp(-gamma_rate t)`` and the
+environment ``k = d = 1 - g``, the two outputs of :func:`_decay`, so
+``d`` comes from ``expm1`` and keeps its relative precision at small
+``t``. :func:`system_bloch` and :func:`environment_bloch` give these
 lines and their values on a time grid as a :class:`BlochSeries`, which
 carries everything a run needs of a marginal: the Bloch radius for the
-spectrum, ``|x|`` for the coherence, the coefficients for the exact
-first-law split of :func:`strongcouple.firstlaw.qubit_thermo_trajectory`,
-and the real closed-form populations from which that split reads the
-internal energy change. No ``(T, 2, 2)`` matrix stack is built: the
+spectrum, ``|x|`` for the coherence, the coefficients and the
+displacement of ``k`` for the exact first-law split of
+:func:`strongcouple.firstlaw.qubit_thermo_trajectory`, and the real
+closed-form populations from which that split reads the internal
+energy change. No ``(T, 2, 2)`` matrix stack is built: the
 populations are checked to be finite and to sum to one, and the radius's
 consumer :func:`~strongcouple.infomeasures.bloch_entropies` checks it.
 
@@ -606,18 +611,25 @@ def environment_states(params, times) -> np.ndarray:
 class BlochSeries(NamedTuple):
     """A closed-form marginal on a time grid, in Bloch form.
 
-    ``coefficients = (z0, z1, c0, c1)`` give ``z = z0 + z1 g`` and
-    ``x^2 = c0 + c1 g`` in the decay factor ``g = exp(-gamma_rate t)``,
-    whose values on ``times`` are ``decay``. ``x2`` and ``radius =
-    sqrt(z^2 + x^2)`` are evaluated on the grid, and ``populations`` is
-    the real ``(T, 2)`` array of the ground and excited populations from
-    the closed forms that give the diagonals of :func:`system_states` and
-    :func:`environment_states`, checked to be finite and to sum to one.
-    ``radius`` is checked by its consumer, ``bloch_entropies``.
+    ``coefficients = (lead, slope, coh)`` give ``z = lead + slope k`` and
+    ``x^2 = coh k`` in the marginal's keep variable ``k``, whose values on
+    ``times`` are ``keep``: ``g = exp(-gamma_rate t)`` for the system and
+    ``d = 1 - g`` for the environment. ``step`` is the displacement of
+    ``k`` from its value at the grid's first time, ``g - g0`` for the
+    system and ``-(g - g0)`` for the environment: ``dd = -dg``, and the
+    environment takes the system's displacement negated, not ``d - d0``,
+    so that the heats of the two marginals of an incoherent state cancel
+    bit for bit. ``x2`` and ``radius = sqrt(z^2 + x^2)`` are evaluated on
+    the grid, and ``populations`` is the real ``(T, 2)`` array of the
+    ground and excited populations from the closed forms that give the
+    diagonals of :func:`system_states` and :func:`environment_states`,
+    checked to be finite and to sum to one. ``radius`` is checked by its
+    consumer, ``bloch_entropies``.
     """
 
     times: np.ndarray
-    decay: np.ndarray
+    keep: np.ndarray
+    step: np.ndarray
     coefficients: tuple
     x2: np.ndarray
     radius: np.ndarray
@@ -636,26 +648,27 @@ def _bloch(params, times, keep_is_decay: bool) -> BlochSeries:
     """
     c = _columns(params)
     times, g, d = _grid(c, times)
+    keep, lose = (g, d) if keep_is_decay else (d, g)
+    pops = _qubit_populations(c, keep, lose)
+    if not np.isfinite(pops).all():
+        raise InputError("populations have non-finite entries")
+    # the two columns added: a reduction over a length-2 axis costs more
+    check_unit_traces(pops[..., 0] + pops[..., 1])
     a2 = c.alpha_sq
     b2 = 1.0 - a2
     lead = c.w0 - c.w1
     slope = -2.0 * (b2 * c.w0 - a2 * c.w1)
     coh = 4.0 * a2 * b2
-    if keep_is_decay:
-        coefficients = (lead, slope, 0.0, coh)
-        pops = _qubit_populations(c, g, d)
-    else:
-        coefficients = (lead + slope, -slope, coh, -coh)
-        pops = _qubit_populations(c, d, g)
-    if not np.isfinite(pops).all():
-        raise InputError("populations have non-finite entries")
-    # the two columns added: a reduction over a length-2 axis costs more
-    check_unit_traces(pops[..., 0] + pops[..., 1])
-    z0, z1, c0, c1 = coefficients
-    z = z0 + z1 * g
-    x2 = np.maximum(c0 + c1 * g, 0.0)
-    return BlochSeries(times=times, decay=g, coefficients=coefficients,
-                       x2=x2, radius=np.sqrt(z * z + x2), populations=pops)
+    # each row's displacement from its first time, the environment's the
+    # system's negated (g0 - g is -(g - g0) exactly); a scalar time is its
+    # own start
+    g0 = g[..., :1] if np.ndim(g) else g
+    z = lead + slope * keep
+    x2 = coh * keep
+    return BlochSeries(times=times, keep=keep,
+                       step=g - g0 if keep_is_decay else g0 - g,
+                       coefficients=(lead, slope, coh), x2=x2,
+                       radius=np.sqrt(z * z + x2), populations=pops)
 
 
 def system_bloch(params, times) -> BlochSeries:
@@ -669,7 +682,8 @@ def system_bloch(params, times) -> BlochSeries:
 def environment_bloch(params, times) -> BlochSeries:
     """The states of :func:`environment_states`, in Bloch form.
 
-    The system's lines with ``g`` replaced by ``1 - g``.
+    The system's lines and coefficients, on the keep variable ``d = 1 -
+    g`` in place of ``g``.
     """
     return _bloch(params, times, keep_is_decay=False)
 

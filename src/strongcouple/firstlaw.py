@@ -57,15 +57,19 @@ eigenvectors with the levels follow from ``n_z = z / |r|``, so
 * ``dQ = (E0 - E1)/2 n_z d|r| = (E0 - E1)/2 z dq / (2 q)``, ``q = |r|^2``
 * ``dC = (E0 - E1)/2 |r| dn_z``, and ``dQ + dC = dU = (E0 - E1)/2 dz``
 
-with no eigensolve and no branch to track. When ``z`` and ``x^2`` are
-affine in a parameter ``g`` (see :class:`strongcouple.channels.BlochSeries`),
-``q`` is quadratic in ``g`` and the heat integral has an elementary
-antiderivative: with ``r_i`` the roots of ``q``, partial fractions give
-``I(g) = z1 g + 1/2 sum_i Re[z(r_i) log(g - r_i)]``, a log plus an arctan
-for a complex pair. :func:`qubit_thermo_trajectory` evaluates it exactly
-on the grid; ``C`` is the rest of ``Delta U``. Since ``Q + C = Delta U``
-holds by construction there, its closure residual cannot see an error in
-the split itself; the tests and ``validate`` check the split against
+with no eigensolve and no branch to track. The heat ``int z dq / (2 q)``
+does not depend on the coordinate it is written in. When ``z`` and
+``x^2`` are affine in the keep variable ``k`` (see
+:class:`strongcouple.channels.BlochSeries`), ``q`` is quadratic in ``k``
+and the heat integral has an elementary antiderivative: with ``r_i``
+the roots of ``q``, partial fractions give ``I(k) = z1 k + 1/2 sum_i
+Re[z(r_i) log(k - r_i)]``, a log plus an arctan for a complex pair.
+Both marginals share the system's coefficients, so one kernel on the
+system's ``g`` or the environment's ``d = 1 - g`` gives both heats.
+:func:`qubit_thermo_trajectory` evaluates it exactly on the grid;
+``C`` is the rest of ``Delta U``. Since ``Q + C = Delta U`` holds by
+construction there, its closure residual cannot see an error in the
+split itself; the tests and ``validate`` check the split against
 adaptive quadrature, frozen high-precision values and the generic route.
 """
 
@@ -251,59 +255,58 @@ def _real_roots(a, b, c, disc):
     return tuple(sorted((big / a, c / big)))
 
 
-def _bloch_heat(coefficients, g) -> np.ndarray:
-    """``I(g) - I(g0)`` for ``I' = z q' / (2 q)`` on the ``(T,)`` grid
-    ``g``, which starts at ``g0``.
+def _bloch_heat(coefficients, keep, u) -> np.ndarray:
+    """``I(k) - I(k0)`` for ``I' = z q' / (2 q)`` on the ``(T,)`` grid
+    ``keep`` of a keep variable ``k``, which starts at ``k0``, with its
+    displacement ``u = k - k0``, a series' ``step``.
 
-    ``coefficients = (z0, z1, c0, c1)`` give ``z = z0 + z1 g`` and
-    ``q = z^2 + c0 + c1 g``. Each real root ``r``, or complex pair
-    ``p +- i m``, of ``q`` enters through ``log((x - r) / (x0 - r))``,
-    and each is taken in the coordinate that knows it to more absolute
-    digits. That is ``u = g - g0`` by default. A root inside ``|g| <
-    g0`` and nearer ``g = 0`` than the start is taken in ``g``: a
-    marginal that ends nearly maximally mixed has one there, and ``u``
-    has lost the low digits of small ``g``. The log of a root at least
-    one away from the start, such as the far root of a nearly linear
-    ``q``, is a ``log1p`` of a small argument; the others are differences
-    of logs of ``hypot``, which neither underflow nor overflow. ``g``
-    must lie in ``[0, 1]``.
+    ``coefficients = (z0, z1, c1)`` give ``z = z0 + z1 k`` and ``q = z^2
+    + c1 k``, with ``c1 >= 0``. Each real root ``r``, or complex pair ``p
+    +- i m``, of ``q`` enters through ``log((x - r) / (x0 - r))``, and
+    each is taken in the coordinate that knows it to more absolute
+    digits. That is ``u`` by default. A root inside ``|k| < k0`` and
+    nearer ``k = 0`` than the start is taken in ``k``: a system that
+    ends nearly maximally mixed has one there, and ``u`` has lost the
+    low digits of small ``k``. The log of a root at least one away from
+    the start, such as the far root of a nearly linear ``q``, is a
+    ``log1p`` of a small argument; the others are differences of logs of
+    ``hypot``, which neither underflow nor overflow. ``keep`` must lie
+    in ``[0, 1]``.
     """
-    z0, z1, c0, c1 = coefficients
-    g0 = g[0]
-    u = g - g0
+    z0, z1, c1 = coefficients
+    k0 = keep[0]
     out = z1 * u
-    if c0 == 0.0 and c1 == 0.0:
+    if c1 == 0.0:
         # no coherence: q = z^2, and z q' / (2 q) = z'
         return out
-    za = z0 + z1 * g0
-    # q = a x^2 + b x + c in x = g and in x = u
+    za = z0 + z1 * k0
+    # q = a x^2 + b x + c in x = k and in x = u
     a = z1 * z1
-    bg, cg = 2.0 * z0 * z1 + c1, z0 * z0 + c0
-    bu, cu = 2.0 * za * z1 + c1, za * za + max(c0 + c1 * g0, 0.0)
-    # (root in g, root in u, m, share): a real root carries half its
+    bk, ck = 2.0 * z0 * z1 + c1, z0 * z0
+    bu, cu = 2.0 * za * z1 + c1, za * za + c1 * k0
+    # (root in k, root in u, m, share): a real root carries half its
     # weight, a complex pair stands for both of its roots
     if z1 == 0.0:
         # z is constant and q linear
-        if c1 == 0.0:
-            return out
-        roots = [(-cg / c1, -cu / c1, 0.0, 0.5)]
+        roots = [(-ck / c1, -cu / c1, 0.0, 0.5)]
     else:
-        # b^2 - 4 a c without the cancelling 4 z^2 z1^2 terms
-        disc = c1 * c1 + 4.0 * z1 * (z0 * c1 - z1 * c0)
+        # b^2 - 4 a c without the cancelling 4 z0^2 z1^2 terms
+        disc = c1 * c1 + 4.0 * z1 * (z0 * c1)
         if disc < 0.0:
-            roots = [(-bg / (2.0 * a), -bu / (2.0 * a),
+            roots = [(-bk / (2.0 * a), -bu / (2.0 * a),
                       math.sqrt(-disc) / (2.0 * a), 1.0)]
         else:
-            roots = [(root_g, root_u, 0.0, 0.5) for root_g, root_u in zip(
-                _real_roots(a, bg, cg, disc), _real_roots(a, bu, cu, disc))]
-    for root_g, root_u, m, share in roots:
-        near_zero = abs(root_g) < min(abs(root_u), g0)
-        weight = z0 + z1 * root_g if near_zero else za + z1 * root_u
+            roots = [(root_k, root_u, 0.0, 0.5) for root_k, root_u in zip(
+                _real_roots(a, bk, ck, disc), _real_roots(a, bu, cu, disc))]
+    for root_k, root_u, m, share in roots:
+        near_zero = abs(root_k) < min(abs(root_u), k0)
+        weight = z0 + z1 * root_k if near_zero else za + z1 * root_u
         if weight == 0.0 and m == 0.0:
-            # a real root where z vanishes carries no log: u = 0 when the
-            # state starts maximally mixed, g = 0 when it ends so
+            # a real root where z vanishes carries no log: at k = 0, the
+            # start of an environment that starts maximally mixed, or
+            # the end of a system that ends so
             continue
-        x, x0, r = (g, g0, root_g) if near_zero else (u, 0.0, root_u)
+        x, x0, r = (keep, k0, root_k) if near_zero else (u, 0.0, root_u)
         rho = math.hypot(x0 - r, m)
         if near_zero or rho < 1.0:
             # hypot(y, 0) is |y| exactly, and abs is cheaper
@@ -327,31 +330,37 @@ def qubit_thermo_trajectory(bloch) -> ThermoTrajectory:
     under the model's static Hamiltonian, with ``(T,)`` arrays, or a block
     with ``(R, T)`` arrays and ``(R, 1)`` or shared coefficients whose
     rows are split as their own series, bit for bit: the heat's root
-    analysis runs once per row. The caller decides which rows share a
-    series; a sweep hands in each distinct one once. Work is zero, the
-    heat is the closed-form integral of the module docstring, and the
-    coherent energy is ``(E0 - E1)/2 Delta z`` minus the heat, so neither
-    needs a derivative, a quadrature rule or an eigensolve, and the grid
-    may be as coarse as the caller likes. The internal energy change is
-    ``bloch.populations @ energies``, from the closed-form populations;
-    the closure residual therefore compares the Bloch coefficients with
-    those populations, and one above :data:`QUBIT_CLOSURE_TOLERANCE`
-    raises the :class:`NumericalError` of the worst row alone. It cannot
-    see an error in the split of ``Delta U`` between heat and coherent
-    energy.
+    analysis runs once per row. ``coefficients`` must hold the three
+    entries ``(lead, slope, coh)``; any other count raises
+    :class:`InputError` naming the field. The caller decides which rows
+    share a series; a sweep hands in each distinct one once. Work is
+    zero, the heat is the closed-form integral of the module docstring
+    on the series' keep variable and displacement, and the coherent
+    energy is ``(E0 - E1)/2 Delta z = (E0 - E1)/2 slope step`` minus the
+    heat, so neither needs a derivative, a quadrature rule or an
+    eigensolve, and the grid may be as coarse as the caller likes. The
+    internal energy change is ``bloch.populations @ energies``, from the
+    closed-form populations; the closure residual therefore compares the
+    Bloch coefficients with those populations, and one above
+    :data:`QUBIT_CLOSURE_TOLERANCE` raises the :class:`NumericalError` of
+    the worst row alone. It cannot see an error in the split of ``Delta
+    U`` between heat and coherent energy.
     """
+    if len(bloch.coefficients) != 3:
+        raise InputError("BlochSeries.coefficients must hold 3 entries "
+                         f"(lead, slope, coh), got {len(bloch.coefficients)}")
     times = _check_grid(bloch.times, ndim=2)
     half_gap = 0.5 * (_ENERGIES[0] - _ENERGIES[1])
-    g = bloch.decay
-    rows = np.atleast_2d(g)
+    rows = np.atleast_2d(bloch.keep)
     # each row's coefficients, as Python floats for the root analysis; a
     # float coefficient is shared by every row
-    coefficients = np.empty((len(rows), 4))
+    coefficients = np.empty((len(rows), 3))
     for k, c in enumerate(bloch.coefficients):
         coefficients[:, k] = np.ravel(c)
-    heat = half_gap * np.array([_bloch_heat(c, row) for c, row in zip(
-        coefficients.tolist(), rows)]).reshape(g.shape)
-    coherent = half_gap * bloch.coefficients[1] * (g - g[..., :1]) - heat
+    heat = half_gap * np.array([_bloch_heat(*row) for row in zip(
+        coefficients.tolist(), rows, np.atleast_2d(bloch.step))]).reshape(
+            bloch.keep.shape)
+    coherent = half_gap * bloch.coefficients[1] * bloch.step - heat
     u = bloch.populations @ _ENERGIES
     return _ledger(times, heat, coherent, u - u[..., :1],
                    QUBIT_CLOSURE_TOLERANCE,

@@ -42,8 +42,8 @@ def _tilt(series, rows):
     """The same series with its z slope off by 1e-3 on the rows where
     ``rows`` is true, a wrong coefficient that the closure gate must
     catch."""
-    z0, z1, c0, c1 = series.coefficients
-    return series._replace(coefficients=(z0, z1 + 1e-3 * rows, c0, c1))
+    lead, slope, coh = series.coefficients
+    return series._replace(coefficients=(lead, slope + 1e-3 * rows, coh))
 
 
 def _selected_rows(selected, params):

@@ -392,36 +392,54 @@ class TestJointFamilies:
 
 
 class TestBlochSeries:
-    @pytest.mark.parametrize("bloch, states", [
-        (system_bloch, system_states),
-        (environment_bloch, environment_states),
+    @pytest.mark.parametrize("bloch, states, keep", [
+        (system_bloch, system_states, lambda s: np.exp(-s)),
+        (environment_bloch, environment_states, lambda s: -np.expm1(-s)),
     ], ids=["system", "environment"])
-    def test_components_match_matrices(self, rng, bloch, states):
+    def test_components_match_matrices(self, rng, bloch, states, keep):
         grid = np.linspace(0.0, 6.0, 25)
         for _ in range(20):
             pr = GadcParams(alpha=float(rng.uniform(0, 1)),
                             w0=float(rng.uniform(0, 1)),
                             gamma_rate=float(rng.uniform(0.1, 3.0)))
             series = bloch(pr, grid)
-            z0, z1, _, _ = series.coefficients
+            lead, slope, _ = series.coefficients
             m = states(pr, grid)
             z = (m[:, 0, 0] - m[:, 1, 1]).real
             x = 2.0 * m[:, 0, 1].real
-            assert np.max(np.abs(z0 + z1 * series.decay - z)) < 1e-14
+            assert np.max(np.abs(lead + slope * series.keep - z)) < 1e-14
             assert np.max(np.abs(series.x2 - x * x)) < 1e-14
             assert np.max(np.abs(series.radius
                                  - np.hypot(z, x))) < 1e-14
-            assert np.array_equal(series.decay, np.exp(-pr.gamma_rate * grid))
+            assert np.array_equal(series.keep, keep(pr.gamma_rate * grid))
             diagonal = np.diagonal(m, axis1=1, axis2=2)
             assert np.max(np.abs(series.populations - diagonal)) == 0.0
 
-    def test_lines_in_decay_factor(self):
+    def test_one_coefficient_set_on_two_keep_variables(self, rng):
+        # both marginals carry the system's coefficients; the system
+        # keeps g, the environment d = 1 - g, and the environment's step
+        # is the system's negated, bit for bit
+        for _ in range(20):
+            pr = GadcParams(alpha=float(rng.uniform(0, 1)),
+                            w0=float(rng.uniform(0, 1)),
+                            gamma_rate=float(rng.uniform(0.1, 3.0)))
+            grid = np.sort(rng.uniform(0.0, 6.0, 9))
+            s, e = system_bloch(pr, grid), environment_bloch(pr, grid)
+            assert e.coefficients == s.coefficients
+            assert len(s.coefficients) == 3
+            g, d = np.exp(-pr.gamma_rate * grid), -np.expm1(
+                -pr.gamma_rate * grid)
+            assert np.array_equal(s.keep, g) and np.array_equal(e.keep, d)
+            assert np.array_equal(s.step, g - g[0])
+            assert np.array_equal(e.step, -(g - g[0]))
+
+    def test_lines_in_keep_variable(self):
         pr = default_params()
         series = environment_bloch(pr, np.linspace(0.0, 3.0, 7))
-        z0, z1, c0, c1 = series.coefficients
-        z = z0 + z1 * series.decay
+        lead, slope, coh = series.coefficients
+        z = lead + slope * series.keep
         assert np.max(np.abs(series.radius
-                             - np.sqrt(z * z + c0 + c1 * series.decay))) \
+                             - np.sqrt(z * z + coh * series.keep))) \
             < 1e-15
         # the environment starts thermal and without coherence
         assert series.x2[0] == 0.0

@@ -707,9 +707,9 @@ class TestGates:
 
         def tilted(params, times):
             series = bloch(params, times)
-            z0, z1, c0, c1 = series.coefficients
+            lead, slope, coh = series.coefficients
             return series._replace(
-                coefficients=(z0, z1 * (1.0 + 1e-8), c0, c1))
+                coefficients=(lead, slope * (1.0 + 1e-8), coh))
 
         monkeypatch.setattr(ch, "system_bloch", tilted)
         self.assert_gate(r"first-law closure residual 2\.\d+e-09 ")

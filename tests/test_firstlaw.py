@@ -609,8 +609,8 @@ class TestQubitRoute:
         pr = default_params()
         times = np.linspace(0.0, 10.0, 101)
         series = system_bloch(pr, times)
-        z0, z1, c0, c1 = series.coefficients
-        tilted = series._replace(coefficients=(z0, z1 + 1e-3, c0, c1))
+        lead, slope, coh = series.coefficients
+        tilted = series._replace(coefficients=(lead, slope + 1e-3, coh))
         with pytest.raises(NumericalError,
                            match=r"first-law closure residual .* at t = ") \
                 as exc:
@@ -618,20 +618,74 @@ class TestQubitRoute:
         assert "Bloch coefficients disagree" in str(exc.value)
         assert "refine the time grid" not in str(exc.value)
 
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_coefficient_count_checked(self, count):
+        # three coefficients, (lead, slope, coh); a stale four-entry set
+        # or a short one is refused by name before any is read
+        series = system_bloch(default_params(), np.linspace(0.0, 1.0, 5))
+        coefficients = (series.coefficients + (0.0,))[:count]
+        with pytest.raises(InputError, match=re.escape(
+                "BlochSeries.coefficients must hold 3 entries (lead, "
+                f"slope, coh), got {count}")):
+            qubit_thermo_trajectory(
+                series._replace(coefficients=coefficients))
+
 
 # (alpha, w0) rows that between them reach every branch of the heat's
-# root analysis, on the system's side, the environment's or both
+# root analysis on the system's side, and every branch but the near-zero
+# coordinate on the environment's, whose keep variable starts at 0
 BRANCH_ROWS = (
-    (0.0, 0.75),  # no initial coherence: c0 = c1 = 0
+    (0.0, 0.75),  # no initial coherence: coh = 0
     (1.0, 0.75),  # the same at alpha = 1
-    (0.75, 0.5625),  # alpha^2 = w0 exactly: z1 = 0, q is linear
+    (0.75, 0.5625),  # alpha^2 = w0 exactly: slope = 0, q is linear,
+    # with its root near k = 0
     (0.6, 1.0),  # zero temperature: a complex root pair
     (1.0 / math.sqrt(2.0), oracles.W0_DEFAULT),  # two real roots, a
     # near one taken by the log of its distance and a far one by log1p
-    (0.6, 0.52),  # ends nearly maximally mixed: a root near g = 0
-    (0.6, 0.5),  # ends (system) or starts (environment) maximally
-    # mixed: a real root where z vanishes, of weight 0
+    (0.6, 0.52),  # the system ends nearly maximally mixed: a root near
+    # g = 0
+    (0.6, 0.5),  # the system ends and the environment starts maximally
+    # mixed: a real root at k = 0, where z vanishes, of weight 0
 )
+NO_COHERENCE, LINEAR, COMPLEX, REAL, NEAR_ZERO, ZERO_WEIGHT = (
+    "no coherence", "linear q", "complex pair", "two real roots",
+    "near-zero coordinate", "zero-weight root")
+
+
+def _branches(lead, slope, coh, k0) -> set:
+    """The branches of the heat's root analysis that a row takes, from
+    its lines ``z = lead + slope k`` and ``q = z^2 + coh k`` in its keep
+    variable ``k`` and its start ``k0``. A real root is taken in ``k``
+    where it lies inside ``|k| < k0`` and nearer ``k = 0`` than the
+    start, and it carries no weight where ``z`` vanishes on it, which
+    for ``q = z^2 + coh k`` is at ``k = 0``, where ``lead = 0``."""
+    if coh == 0.0:
+        return {NO_COHERENCE}
+    if slope == 0.0:
+        taken, roots = {LINEAR}, [-lead * lead / coh]
+    else:
+        # b^2 - 4 a c of q = slope^2 k^2 + (2 lead slope + coh) k + lead^2
+        disc = coh * coh + 4.0 * slope * lead * coh
+        if disc < 0.0:
+            return {COMPLEX}
+        taken = {REAL}
+        roots = np.roots([slope * slope, 2.0 * lead * slope + coh,
+                          lead * lead]).real.tolist()
+    if any(abs(r) < min(abs(r - k0), k0) for r in roots):
+        taken.add(NEAR_ZERO)
+    if lead == 0.0:
+        taken.add(ZERO_WEIGHT)
+    return taken
+
+
+# the branches each of BRANCH_ROWS takes, by side
+BRANCHES = {
+    "system": [{NO_COHERENCE}, {NO_COHERENCE}, {LINEAR, NEAR_ZERO},
+               {COMPLEX}, {REAL, NEAR_ZERO}, {REAL, NEAR_ZERO},
+               {REAL, NEAR_ZERO, ZERO_WEIGHT}],
+    "environment": [{NO_COHERENCE}, {NO_COHERENCE}, {LINEAR}, {COMPLEX},
+                    {REAL}, {REAL}, {REAL, ZERO_WEIGHT}],
+}
 
 
 def _block_and_rows(side):
@@ -645,7 +699,7 @@ def _block_and_rows(side):
                       for i in range(len(params))])
     block = SIDES[side](params, times)
     rows = [block._replace(
-        times=block.times[i], decay=block.decay[i],
+        times=block.times[i], keep=block.keep[i], step=block.step[i],
         coefficients=tuple(float(np.ravel(c)[i]) if np.ndim(c) else c
                            for c in block.coefficients),
         x2=block.x2[i], radius=block.radius[i],
@@ -667,20 +721,20 @@ class TestBlocks:
     call whose rows are the rows' own splits bit for bit."""
 
     def test_rows_reach_every_branch(self):
-        block, _ = _block_and_rows("system")
         n = len(BRANCH_ROWS)
-        table = np.column_stack([np.broadcast_to(c, (2 * n, 1)) for c in
-                                 block.coefficients] + [block.decay[:, :1]])
-        # each repeat has its row's coefficients and start, bit for bit
-        assert table[n:].tobytes() == table[:n].tobytes()
-        z0, z1, c0, c1 = (np.ravel(c)[:n] for c in block.coefficients)
-        disc = c1 * c1 + 4.0 * z1 * (z0 * c1 - z1 * c0)
-        assert (c0[:2] == 0.0).all() and (c1[:2] == 0.0).all()
-        assert z1[2] == 0.0
-        assert disc[3] < 0.0
-        assert (disc[4:] >= 0.0).all()
-        # the system ends at z0; maximally mixed at w0 = 0.5
-        assert z0[6] == 0.0 and 0.0 < z0[5] < 0.05
+        for side, branches in BRANCHES.items():
+            block, _ = _block_and_rows(side)
+            table = np.column_stack(
+                [np.broadcast_to(c, (2 * n, 1)) for c in block.coefficients]
+                + [block.keep[:, :1]])
+            # each repeat has its row's coefficients and start, bit for bit
+            assert table[n:].tobytes() == table[:n].tobytes()
+            assert [_branches(*row) for row in table[:n].tolist()] \
+                == branches, side
+            # the system ends and the environment starts at z = lead,
+            # maximally mixed at w0 = 0.5
+            lead = table[:n, 0]
+            assert lead[6] == 0.0 and 0.0 < lead[5] < 0.05
 
     @pytest.mark.parametrize("side", sorted(SIDES))
     def test_block_equals_rows(self, side):
@@ -702,15 +756,15 @@ class TestBlocks:
         pr = GadcParams(alpha=1.0, w0=1.0)
         times = np.linspace(0.0, 2.0, 5)
         series = system_bloch(pr, times)
-        # the ground state at zero temperature: z1 = -2 (0 w0 - 1 w1)
+        # the ground state at zero temperature: slope = -2 (0 w0 - 1 w1)
         assert [c.hex() for c in series.coefficients] == [
-            (1.0).hex(), (-0.0).hex(), (0.0).hex(), (0.0).hex()]
+            (1.0).hex(), (-0.0).hex(), (0.0).hex()]
         signed = system_bloch([pr, pr], times)._replace(
-            coefficients=(1.0, np.array([[-0.0], [0.0]]), 0.0, 0.0))
+            coefficients=(1.0, np.array([[-0.0], [0.0]]), 0.0))
         whole = qubit_thermo_trajectory(signed)
         for i, z1 in enumerate((-0.0, 0.0)):
             alone = qubit_thermo_trajectory(series._replace(
-                coefficients=(1.0, z1, 0.0, 0.0)))
+                coefficients=(1.0, z1, 0.0)))
             for field in FIELDS:
                 assert _same_bits(getattr(whole, field)[i],
                                   getattr(alone, field)), (i, field)
@@ -732,8 +786,8 @@ class TestBlocks:
         # horizon turns into the larger residual; the block's message is
         # the one row 4's own series raises, not row 2's
         block, rows = _block_and_rows("system")
-        z0, z1, c0, c1 = block.coefficients
-        wrong = np.zeros_like(z1)
+        lead, slope, coh = block.coefficients
+        wrong = np.zeros_like(slope)
         wrong[[2, 4]] = 1e-3
         messages = []
         for i in (2, 4):
@@ -744,7 +798,7 @@ class TestBlocks:
             messages.append(str(alone.value))
         with pytest.raises(NumericalError) as together:
             qubit_thermo_trajectory(
-                block._replace(coefficients=(z0, z1 + wrong, c0, c1)))
+                block._replace(coefficients=(lead, slope + wrong, coh)))
         assert messages[0] != messages[1]
         assert str(together.value) == messages[1]
         assert "Bloch coefficients disagree" in str(together.value)
@@ -799,16 +853,19 @@ class TestDecaySymmetry:
         assert worst_entropy <= 1e-13
 
     def test_heat_asymmetry_stationary_at_half_decay(self, rng):
-        # dA/dg = f_S + f_E vanishes at g = 1/2, gamma t = ln 2, where the
-        # negativity peaks: f = (E0 - E1)/2 z q' / (2 q) with q = z^2 +
-        # c0 + c1 g, from each marginal's Bloch coefficients
+        # each heat is the integral of f = (E0 - E1)/2 z q' / (2 q) in
+        # its marginal's keep variable k, with z = lead + slope k and
+        # q = z^2 + coh k from its Bloch coefficients; the environment
+        # keeps d = 1 - g, dd/dg = -1, so dA/dg = f_S(g) - f_E(1 - g),
+        # which vanishes at g = 1/2, gamma t = ln 2, where the negativity
+        # peaks
         e0, e1 = QUBIT_HAMILTONIAN.real.diagonal()
 
-        def integrand(coefficients, g):
-            z0, z1, c0, c1 = coefficients
-            z = z0 + z1 * g
-            q = z * z + c0 + c1 * g
-            return 0.5 * (e0 - e1) * z * (2.0 * z * z1 + c1) / (2.0 * q)
+        def integrand(coefficients, k):
+            lead, slope, coh = coefficients
+            z = lead + slope * k
+            q = z * z + coh * k
+            return 0.5 * (e0 - e1) * z * (2.0 * z * slope + coh) / (2.0 * q)
 
         configs = [(rng.uniform(0.0, 1.0), rng.uniform(0.5, 1.0))
                    for _ in range(2000)]
@@ -819,5 +876,6 @@ class TestDecaySymmetry:
         for alpha, w0 in configs:
             pr = GadcParams(alpha=float(alpha), w0=float(w0))
             f_s = integrand(system_bloch(pr, 0.0).coefficients, 0.5)
-            f_e = integrand(environment_bloch(pr, 0.0).coefficients, 0.5)
+            f_e = -integrand(environment_bloch(pr, 0.0).coefficients,
+                             1.0 - 0.5)
             assert abs(f_s + f_e) <= 1e-14 * (abs(f_s) + abs(f_e))

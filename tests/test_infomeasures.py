@@ -122,6 +122,26 @@ class TestCoherence:
             assert np.max(np.abs(coherence - off_diagonal)) < 1e-14
             assert np.max(np.abs(coherence - ref)) < 1e-12
 
+    def test_environment_coherence_right_at_small_times(self):
+        # 2 a b sqrt(d), d = 1 - exp(-gamma t), against 50 digits over
+        # the first 200 points of a 200001-point default run, where d is
+        # small: the run's x^2 = coh d, with d from expm1, keeps the
+        # digits that coh - coh g would cancel
+        mpmath = pytest.importorskip("mpmath")
+        config = ExperimentConfig(n_samples=200001)
+        info = run(config).info
+        worst = 0.0
+        with mpmath.workdps(50):
+            a = mpmath.mpf(config.alpha)
+            gamma = mpmath.mpf(config.gamma)
+            for t, value in zip(info.times[1:200].tolist(),
+                                info.coherence_e[1:200].tolist()):
+                ref = 2 * a * mpmath.sqrt(
+                    -(1 - a * a) * mpmath.expm1(-gamma * mpmath.mpf(t)))
+                worst = max(worst, float(abs(value - ref) / ref))
+        assert info.coherence_e[0] == 0.0
+        assert worst <= 1e-14
+
 
 class TestNegativity:
     def test_bell_state(self):

@@ -44,7 +44,8 @@ from strongcouple.errors import InputError, NumericalError  # noqa: E402
 from strongcouple.experiment import (BLOCK_POINTS,  # noqa: E402
                                      ExperimentConfig, SweepSummary,
                                      _blocks, _spaced, run, sweep)
-from strongcouple.firstlaw import QUBIT_CLOSURE_TOLERANCE  # noqa: E402
+from strongcouple.firstlaw import (QUBIT_CLOSURE_TOLERANCE,  # noqa: E402
+                                   qubit_thermo_trajectory)
 from strongcouple.spectra import density_stack, partial_trace  # noqa: E402
 
 ALPHA_DEFAULT = 1.0 / math.sqrt(2.0)
@@ -361,3 +362,32 @@ def test_sweep_rows_equal_single_runs(configs):
         assert block.series == [
             numbers.setdefault(_series_of(config), len(numbers))
             for config in block.configs]
+
+
+@settings(max_examples=50, deadline=None)
+@given(alpha=st.sampled_from([0.0, 1.0]),
+       beta=st.one_of(st.just(math.inf),
+                      st.floats(min_value=1e-3, max_value=1e3)),
+       gamma=st.floats(min_value=1e-3, max_value=1e3),
+       n_samples=st.integers(min_value=3, max_value=64),
+       start=st.floats(min_value=1e-6, max_value=1e2),
+       span=st.floats(min_value=1e-3, max_value=1e2))
+def test_incoherent_heats_cancel_bit_for_bit(alpha, beta, gamma, n_samples,
+                                             start, span):
+    # without initial coherence each marginal's heat is (E0 - E1)/2
+    # slope step with the system's slope, and the environment's step is
+    # the system's negated, so Q_S + Q_E is exactly zero: on a run's
+    # grid, in a sweep row, which equals its own run, and on a library
+    # grid that does not start at t = 0
+    config = ExperimentConfig(alpha=alpha, beta=beta, gamma=gamma,
+                              n_samples=n_samples)
+    result = run(config)
+    assert (result.thermo_s.heat + result.thermo_e.heat == 0.0).all()
+    row = sweep([config, ExperimentConfig(alpha=0.5, beta=beta, gamma=gamma,
+                                          n_samples=n_samples)])[0]
+    assert _bits(row) == _bits(_single_run_row(config))
+    assert row.heat_system_final + row.heat_environment_final == 0.0
+    times = start + np.linspace(0.0, span, n_samples)
+    heat_s, heat_e = (qubit_thermo_trajectory(bloch(config.params, times)).heat
+                      for bloch in (ch.system_bloch, ch.environment_bloch))
+    assert (heat_s + heat_e == 0.0).all()

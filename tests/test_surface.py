@@ -356,7 +356,7 @@ def test_stack_is_the_single_calls(name):
 # two parameter sets, as a sequence, and times to give them
 SEQUENCE = [PARAMS, channels.GadcParams(alpha=0.3, w0=0.55, gamma_rate=0.7)]
 SEQUENCE_TIMES = [0.0, 0.5, 1.0]
-BLOCH_FIELDS = ("times", "decay", "x2", "radius", "populations")
+BLOCH_FIELDS = ("times", "keep", "step", "x2", "radius", "populations")
 
 
 @pytest.mark.parametrize("form", CLOSED_FORMS, ids=lambda f: f.__name__)
@@ -379,7 +379,7 @@ def test_sequence_of_parameter_sets_gives_one_row_each(form):
             a, b = np.asarray(a), np.asarray(b)
             assert a.shape == b.shape
             assert a.tobytes() == b.tobytes()
-    rows = (together.decay if isinstance(together, channels.BlochSeries)
+    rows = (together.keep if isinstance(together, channels.BlochSeries)
             else together)
     assert rows.shape[:2] == (2, 3)
 
