@@ -71,7 +71,8 @@ displacement of ``k`` for the exact first-law split of
 closed-form populations from which that split reads the internal
 energy change. No ``(T, 2, 2)`` matrix stack is built: the
 populations are checked to be finite and to sum to one, and the radius's
-consumer :func:`~strongcouple.infomeasures.bloch_entropies` checks it.
+consumer checks it against the eigenvalue floor, as
+:func:`~strongcouple.infomeasures.bloch_entropies` does.
 
 Closed-form joint spectra
 -------------------------
@@ -624,7 +625,7 @@ class BlochSeries(NamedTuple):
     ground and excited populations from the closed forms that give the
     diagonals of :func:`system_states` and :func:`environment_states`,
     checked to be finite and to sum to one. ``radius`` is checked by its
-    consumer, ``bloch_entropies``.
+    consumer, as ``bloch_entropies`` checks it.
     """
 
     times: np.ndarray
@@ -644,7 +645,7 @@ def _bloch(params, times, keep_is_decay: bool) -> BlochSeries:
     the populations of :func:`_qubit_populations` and the coherence of
     :func:`_qubit_matrices`, ``rho_gg - rho_ee = (w0 - w1) - 2 keep (b^2
     w0 - a^2 w1)`` and ``(2 rho_ge)^2 = 4 a^2 b^2 keep``. The radius is
-    left to the floor of ``bloch_entropies``.
+    left to its consumer's floor, the one of ``bloch_entropies``.
     """
     c = _columns(params)
     times, g, d = _grid(c, times)

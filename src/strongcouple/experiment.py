@@ -7,8 +7,10 @@ scalar diagnostics that double as regression probes. Each marginal,
 the system's then the environment's, is one call of one stage
 (:func:`_marginal`), which turns its Bloch series
 (:class:`strongcouple.channels.BlochSeries`) into its exact first-law
-split (:func:`strongcouple.firstlaw.qubit_thermo_trajectory`), its
-entropies and its coherence; the series lives only for that stage. A
+split (:func:`strongcouple.firstlaw.qubit_thermo_trajectory`) and holds
+its Bloch radius to the eigenvalue floor; the series lives only for that
+stage, and the radius and squared coherence it leaves give a run its
+entropies and its coherence. A
 run does no eigensolve per time point: the negativity series is the
 closed-form root of the partial transpose's quartic
 (:func:`strongcouple.channels.joint_negativities_closed_form`), read
@@ -49,21 +51,32 @@ at the peak too. Times are built for the block's first rows only, each
 row's own grid with its peak time ``t*`` (:func:`_peak_time`) as the
 last column; they serve the outputs and the gate messages. Each
 marginal's stage runs once for the block. Every gate holds its values to
-an upper bound through :func:`strongcouple.errors._gate`, under which a
-NaN fails. The spot-check states of all series are built unchecked from
-the peak's decay values and go to one
+an upper bound through :func:`strongcouple.errors._gate`, and every
+radius floor through :func:`~strongcouple.spectra.check_spectrum`; a NaN
+fails either. The spot-check states of all series are built unchecked
+from the peak's decay values and go to one
 :func:`~strongcouple.infomeasures.negativities` call, their one check
-and eigensolve. The block returns its two splits and its
-:class:`~strongcouple.infomeasures.InfoSeries` as ``(k, T)`` arrays and
-reduces every diagnostic, the ratio statistics included, into columns of
-Python floats, one entry for each series. :func:`run` is a block of one
-on its configuration's own grid, which needs no key, and reads entry 0;
+and eigensolve.
+
+A block computes what its gates and a summary row read and nothing else
+(:func:`_checked_block`): the two splits, the Bloch radii, the heat
+asymmetry, the negativity and the joint radii, in ``(k, T)`` or ``(k, T
++ 1)`` arrays, one row for each series, and the squared coherences the
+Bloch series carry. :func:`run` is a block of one on its configuration's
+own grid, which needs no key; from its block it computes the entropies,
+the coherences, the mutual information, its
+:class:`~strongcouple.infomeasures.InfoSeries` and every diagnostic, the
+ratio statistics included (:func:`_run_block`), and reads entry 0.
 :func:`sweep` cuts its configurations into blocks whose series hold at
 most :data:`BLOCK_POINTS` grid points and reads each summary row from
-its series' entries, the system's split and its own peak time ``t*``,
-without a per-row result. Both give the same numbers bit for bit. A
-block peaks in the negativity's Newton solve, which manages its own
-buffers (see :func:`~strongcouple.channels.joint_negativities_closed_form`).
+its block as it is (:func:`_sweep_rows`): per series, the heat
+asymmetry's maximum, both final heats, the system's coherent energy's
+maximum, the ratio statistics and the peak negativity, and the row's own
+peak time ``t*``, without a per-row result, an entropy or a diagnostic.
+Both give the same numbers bit for bit, through the same gates in the
+same order. A block peaks in the negativity's Newton solve, which
+manages its own buffers (see
+:func:`~strongcouple.channels.joint_negativities_closed_form`).
 """
 
 from __future__ import annotations
@@ -84,8 +97,8 @@ from .errors import (InputError, NumericalError, _as_count, _as_float,
 # tracer wraps it in this module
 from .firstlaw import (ThermoTrajectory,  # noqa: F401
                        qubit_thermo_trajectory, thermo_trajectory)
-from .infomeasures import (InfoSeries, _ratio_rows, bloch_entropies,
-                           heat_asymmetry, negativities)
+from .infomeasures import (InfoSeries, _radius_floor, _ratio_rows,
+                           bloch_entropies, heat_asymmetry, negativities)
 
 WORK_STATIC_TOL = 1e-12
 ENERGY_BALANCE_TOL = 1e-10
@@ -238,33 +251,68 @@ def _series_key(config: ExperimentConfig):
         config.gamma * config.t_max)
 
 
-def _marginal(bloch: ch.BlochSeries) -> tuple:
-    """A marginal's exact first-law split, its entropies and its l1
-    coherence, from its Bloch series; the series lives only for this
-    stage."""
-    # the coherence first, before the split's temporaries: taken last,
-    # its new array lands on fresh pages and a 4001-point run is about
-    # 3 % slower
-    coherence = np.sqrt(bloch.x2)
-    return (qubit_thermo_trajectory(bloch), bloch_entropies(bloch.radius),
-            coherence)
+class _Marginal(NamedTuple):
+    """A marginal past its gates: its exact first-law split, and the
+    Bloch radius and squared coherence its entropies and l1 coherence
+    are computed from."""
+
+    split: ThermoTrajectory
+    radius: np.ndarray
+    x2: np.ndarray
 
 
-def _run_block(heads: list) -> tuple:
-    """Run the block whose distinct state series have the first rows
-    ``heads``, evaluating each series once on its first row's grid.
+def _marginal(bloch: ch.BlochSeries) -> _Marginal:
+    """A marginal's exact first-law split, closure gate included, then
+    its radius floor, the check :func:`bloch_entropies` makes; the series
+    lives only for this stage."""
+    split = qubit_thermo_trajectory(bloch)
+    _radius_floor(bloch.radius)
+    return _Marginal(split, bloch.radius, bloch.x2)
+
+
+class _Checked(NamedTuple):
+    """A block past every gate, one row for each series.
+
+    ``times`` is ``(k, T + 1)``, each series' grid with its peak time
+    ``t*`` as the last column; ``work`` holds the largest work of each
+    of the system's rows, then of the environment's, and ``balance`` the
+    largest energy imbalance of each row; ``neg`` and ``asym`` are the
+    negativity and the heat asymmetry on the grid, ``neg_peak`` the
+    negativity at ``t*``, ``joint_radii`` the closed-form family's radii
+    on the whole grid, and ``unitary_radius`` and ``unitary_final`` the
+    unitary family's joint radius and its negativity at ``t_max``.
+    """
+
+    times: np.ndarray
+    system: _Marginal
+    environment: _Marginal
+    work: np.ndarray
+    balance: np.ndarray
+    asym: np.ndarray
+    neg: np.ndarray
+    neg_peak: np.ndarray
+    joint_radii: np.ndarray
+    unitary_radius: np.ndarray
+    unitary_final: np.ndarray
+
+
+def _checked_block(heads: list) -> _Checked:
+    """Evaluate the block whose distinct state series have the first rows
+    ``heads``, each series once on its first row's grid, through every
+    gate of a run.
 
     The decay factor is evaluated once, on the ``(k, T + 1)``
     dimensionless grid with the peak's column last (see the module
     docstring); the marginals' stages take its first ``T`` columns as
     views, and the joint closed forms and the spot check the whole
-    grid. Returns ``(thermo_s, thermo_e, info, columns)``: the two
-    splits and the :class:`InfoSeries` hold ``(k, T)`` arrays, one row
-    for each series, and ``columns`` the diagnostics by name, as lists
-    of one Python float for each series, its peak time that of its
-    first row. Every gate reduces over the whole block and names its
+    grid. The gates run in one order: each marginal's closure, then its
+    radius floor; the work and the energy balance; the negativity's
+    Newton convergence; the joint and the unitary radius floors; and the
+    spot check. Every gate reduces over the whole block and names its
     worst entry, so the block raises where any of its rows would, with
-    the message the first row of that entry's series raises alone.
+    the message the first row of that entry's series raises alone. No
+    entropy, coherence or diagnostic is computed here: a sweep row reads
+    the block as it is, and :func:`_run_block` computes the rest.
     """
     n = heads[0].n_samples
     cols = ch._columns([c.params for c in heads])
@@ -282,8 +330,9 @@ def _run_block(heads: list) -> tuple:
     grid = ch._Grid(times, decay, lose)
     on_grid = ch._Grid(*(a[:, :-1] for a in grid))
     k = len(heads)
-    thermo_s, ent_s, coh_s = _marginal(ch.system_bloch(cols, on_grid))
-    thermo_e, ent_e, coh_e = _marginal(ch.environment_bloch(cols, on_grid))
+    system = _marginal(ch.system_bloch(cols, on_grid))
+    environment = _marginal(ch.environment_bloch(cols, on_grid))
+    thermo_s, thermo_e = system.split, environment.split
 
     # the system's rows, then the environment's
     work = abs(np.concatenate([thermo_s.work, thermo_e.work])).max(axis=1)
@@ -299,10 +348,12 @@ def _run_block(heads: list) -> tuple:
 
     asym = heat_asymmetry(thermo_s.heat, thermo_e.heat)
     neg = ch.joint_negativities_closed_form(cols, grid)
-    neg, neg_peak = neg[:, :-1], neg[:, -1]
-    # the closed-form family's joint entropy, on the grid and at t*
-    joint_closed = bloch_entropies(ch.joint_radii_closed_form(cols, grid))
-    ent_joint = bloch_entropies(abs(cols.w0 - cols.w1))
+    # the closed-form family's joint radii, on the grid and at t*, and
+    # the unitary family's, constant in time
+    joint_radii = ch.joint_radii_closed_form(cols, grid)
+    _radius_floor(joint_radii)
+    unitary_radius = abs(cols.w0 - cols.w1)
+    _radius_floor(unitary_radius)
     # spot check of the closed form against the eigensolve route, at the
     # one point where the negativity matters most, in one call with the
     # unitary family at t_max, the grid's last column before the peak's;
@@ -312,42 +363,69 @@ def _run_block(heads: list) -> tuple:
         ch._closed_form_joint_matrices(cols, grid.decay[:, -1:],
                                        grid.lose[:, -1:]),
         ch._dilated_matrices(cols, grid.lose[:, -2:-1])]))[:, 0].reshape(2, k)
+    neg_peak = neg[:, -1]
     gap = abs(spot - neg_peak)
     _gate(gap, NEGATIVITY_SPOT_TOL, lambda i: (
         f"negativity routes disagree by {gap[i]:.3e} "
         f"at the peak t = {times[i, -1]:.6g} (closed form "
         f"{neg_peak[i]:.6e}, eigensolve {spot[i]:.6e}); bound "
         f"{NEGATIVITY_SPOT_TOL:.0e}"))
+    return _Checked(times, system, environment, work, balance, asym,
+                    neg[:, :-1], neg_peak, joint_radii, unitary_radius,
+                    unitary_final)
 
-    points, means, spreads = _ratio_rows(asym, neg)
+
+def _run_block(heads: list) -> tuple:
+    """Run the block whose distinct state series have the first rows
+    ``heads``: :func:`_checked_block`, then the outputs of :func:`run`.
+
+    Returns ``(thermo_s, thermo_e, info, columns)``: the two splits and
+    the :class:`InfoSeries` hold ``(k, T)`` arrays, one row for each
+    series, and ``columns`` the diagnostics by name, as lists of one
+    Python float for each series, its peak time that of its first row.
+    The block raises where :func:`_checked_block` does; the entropies,
+    the coherences, the mutual information and the diagnostics come
+    after every gate.
+    """
+    b = _checked_block(heads)
+    k = len(heads)
+    thermo_s, thermo_e = b.system.split, b.environment.split
+    ent_s = bloch_entropies(b.system.radius)
+    ent_e = bloch_entropies(b.environment.radius)
+    # the closed-form family's joint entropy, on the grid and at t*
+    joint_closed = bloch_entropies(b.joint_radii)
+    ent_joint = bloch_entropies(b.unitary_radius)
+    neg = b.neg
+    points, means, spreads = _ratio_rows(b.asym, neg)
     # per-series scalars, as Python floats
     columns = {
         "closure_system_max": thermo_s.closure_residual.max(axis=1).tolist(),
         "closure_environment_max": thermo_e.closure_residual.max(
             axis=1).tolist(),
-        "work_system_max_abs": work[:k].tolist(),
-        "work_environment_max_abs": work[k:].tolist(),
-        "energy_balance_max": balance.tolist(),
+        "work_system_max_abs": b.work[:k].tolist(),
+        "work_environment_max_abs": b.work[k:].tolist(),
+        "energy_balance_max": b.balance.tolist(),
         "heat_system_final": thermo_s.heat[:, -1].tolist(),
         "heat_environment_final": thermo_e.heat[:, -1].tolist(),
-        "heat_asymmetry_max": asym.max(axis=1).tolist(),
+        "heat_asymmetry_max": b.asym.max(axis=1).tolist(),
         "joint_entropy_unitary_family": np.ravel(ent_joint).tolist(),
         "entropy_drift_closed_form_family": abs(
             joint_closed - joint_closed[:, :1]).max(axis=1).tolist(),
-        "negativity_peak": neg_peak.tolist(),
-        "negativity_peak_time": times[:, -1].tolist(),
+        "negativity_peak": b.neg_peak.tolist(),
+        "negativity_peak_time": b.times[:, -1].tolist(),
         "negativity_final": neg[:, -1].tolist(),
         "negativity_peak_count": _count_peaks(
             neg, _NEGATIVITY_PEAK_FLOOR).astype(float).tolist(),
-        "negativity_unitary_family_final": unitary_final.tolist(),
+        "negativity_unitary_family_final": b.unitary_final.tolist(),
         "ratio_points": [float(count) for count in points],
         "ratio_mean": means,
         "ratio_max_relative_spread": spreads,
     }
-    info = InfoSeries(times=on_grid.times, entropy_s=ent_s, entropy_e=ent_e,
-                      coherence_s=coh_s, coherence_e=coh_e, negativity=neg,
+    info = InfoSeries(times=b.times[:, :-1], entropy_s=ent_s,
+                      entropy_e=ent_e, coherence_s=np.sqrt(b.system.x2),
+                      coherence_e=np.sqrt(b.environment.x2), negativity=neg,
                       mutual_information=ent_s + ent_e - joint_closed[:, :-1],
-                      heat_asymmetry=asym)
+                      heat_asymmetry=b.asym)
     return thermo_s, thermo_e, info, columns
 
 
@@ -367,8 +445,10 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     global energy balance, the first-law closure tolerance, the
     convergence of the closed-form negativity, or its agreement with the
     eigensolve at the peak is violated; these are integrity checks, not
-    physics outputs. A ``config`` that is no :class:`ExperimentConfig`
-    raises :class:`InputError` naming its type.
+    physics outputs. A Bloch radius, of a marginal or of either joint
+    family, whose smaller eigenvalue ``(1 - r)/2`` is below the
+    eigenvalue floor raises :class:`InputError`, and so does a
+    ``config`` that is no :class:`ExperimentConfig`, naming its type.
     """
     _check_config(config, "run")
     thermo_s, thermo_e, info, columns = _run_block([config])
@@ -440,8 +520,9 @@ def sweep(configs) -> list:
     is run again one configuration at a time, so each failing row holds
     the message its run raises alone and the other rows keep their
     values.
-    Each row is read from its series' columns and its own peak time
-    ``t*``; a sweep builds no :class:`ExperimentResult`. Anything but a
+    Each row is read from its series in the checked block and its own
+    peak time ``t*``; a sweep builds no :class:`ExperimentResult` and
+    computes no entropy, coherence or diagnostic. Anything but a
     nonempty sequence of :class:`ExperimentConfig` raises
     :class:`InputError` before any row runs, naming the type and, for a
     bad item, its position.
@@ -464,28 +545,35 @@ def sweep(configs) -> list:
 
 
 def _sweep_rows(block: _Block) -> list:
-    """The summary rows of one block, read from its series' columns.
+    """The summary rows of one block, read from :func:`_checked_block`.
 
-    A row takes the numbers of its series but for the negativity's peak
-    time, its own (see :func:`_peak_time`). A block that raises runs
-    again one configuration at a time, as blocks of one, so that a
-    failing row holds the message its run raises alone and the other
-    rows keep their values.
+    A row takes what it holds of its series and nothing more: the heat
+    asymmetry's maximum, both final heats, the system's coherent energy's
+    maximum, the ratio statistics and the peak negativity; no entropy,
+    coherence or diagnostic is computed. Its negativity's peak time is
+    its own (see :func:`_peak_time`). A block runs every gate of
+    :func:`run` in its order, and a block that raises runs again one
+    configuration at a time, as blocks of one, so that a failing row
+    holds the message its run raises alone and the other rows keep their
+    values.
     """
     configs, first, series = block
     try:
-        thermo_s, _, _, d = _run_block([configs[i] for i in first])
+        b = _checked_block([configs[i] for i in first])
     except (InputError, NumericalError) as exc:
         if len(configs) > 1:
             return [row for config in configs
                     for row in _sweep_rows(_Block([config], [0], [0]))]
         return [SweepSummary(*_inputs(configs[0]), error=str(exc))]
+    _, means, spreads = _ratio_rows(b.asym, b.neg)
     # in the order of the result fields of SweepSummary after the peak time
-    results = list(zip(d["heat_asymmetry_max"], d["heat_system_final"],
-                       d["heat_environment_final"],
-                       abs(thermo_s.coherent_energy).max(axis=1).tolist(),
-                       d["ratio_mean"], d["ratio_max_relative_spread"]))
-    peaks = d["negativity_peak"]
+    results = list(zip(b.asym.max(axis=1).tolist(),
+                       b.system.split.heat[:, -1].tolist(),
+                       b.environment.split.heat[:, -1].tolist(),
+                       abs(b.system.split.coherent_energy).max(
+                           axis=1).tolist(),
+                       means, spreads))
+    peaks = b.neg_peak.tolist()
     return [SweepSummary(*_inputs(config), peaks[s], _peak_time(config),
                          *results[s])
             for config, s in zip(configs, series)]

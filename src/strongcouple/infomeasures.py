@@ -60,6 +60,15 @@ def von_neumann_entropies(states) -> np.ndarray:
     return -np.sum(np.where(lam > 0.0, terms, 0.0), axis=-1) + 0.0
 
 
+def _radius_floor(radii: np.ndarray) -> np.ndarray:
+    """The smaller eigenvalue ``(1 - r)/2`` of each qubit of Bloch radius
+    ``r``, held to the eigenvalue floor by
+    :func:`~strongcouple.spectra.check_spectrum`."""
+    low = 0.5 * (1.0 - radii)
+    check_spectrum(low)
+    return low
+
+
 def bloch_entropies(radii) -> np.ndarray:
     """Entropies in bits of qubit states with Bloch radii ``radii``.
 
@@ -69,9 +78,7 @@ def bloch_entropies(radii) -> np.ndarray:
     state has entropy zero; this is the clip rule of
     :func:`von_neumann_entropies`.
     """
-    r = _as_array(radii, "Bloch radii")
-    low = 0.5 * (1.0 - r)
-    check_spectrum(low)
+    low = _radius_floor(_as_array(radii, "Bloch radii"))
     low = np.where(low < _ENTROPY_CLIP, 0.0, low)
     terms = np.where(low > 0.0, low * np.log2(np.where(low > 0.0, low, 1.0)),
                      0.0) + (1.0 - low) * np.log1p(-low) / math.log(2.0)
@@ -122,19 +129,23 @@ def _ratio_rows(numerator, denominator) -> tuple:
     with ``|denominator| > RATIO_DENOMINATOR_THRESHOLD``; the mean ratio
     there, NaN where no point is kept; and the largest relative
     deviation of the pointwise ratio from the mean, NaN where the mean
-    is NaN or zero. Each row's mean is taken over its own kept points,
-    so that a row's numbers equal those of the row alone, bit for bit.
+    is NaN or zero. The ratio is divided once over the whole block, row
+    after row, and each row's mean and spread are read from its own
+    slice of it, so that a row's numbers equal those of the row alone,
+    bit for bit.
     """
     kept = np.abs(denominator) > RATIO_DENOMINATOR_THRESHOLD
     counts = np.count_nonzero(kept, axis=-1).tolist()
-    means, spreads = [], []
-    for num, den, mask, count in zip(numerator, denominator, kept, counts):
+    ratios = numerator[kept] / denominator[kept]
+    means, spreads, end = [], [], 0
+    for count in counts:
         mean = spread = math.nan
         if count:
-            ratio = num[mask] / den[mask]
+            ratio = ratios[end:end + count]
             mean = float(np.mean(ratio))
             if mean != 0.0:
                 spread = float(abs(ratio - mean).max() / abs(mean))
+        end += count
         means.append(mean)
         spreads.append(spread)
     return counts, means, spreads

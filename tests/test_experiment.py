@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import _peak
+from conftest import _peak, _selected_rows
 from strongcouple import channels as ch
 from strongcouple import experiment, spectra
 from strongcouple.errors import InputError, NumericalError
@@ -732,6 +732,7 @@ STATE_BUILDERS = ("system_states", "environment_states", "joint_states",
                   "joint_states_closed_form")
 SPLIT = "qubit_thermo_trajectory"
 DECAY = "_decay"
+ENTROPIES = "bloch_entropies"
 
 
 class TestClosedFormEntries:
@@ -739,13 +740,16 @@ class TestClosedFormEntries:
     ``(k, T + 1)`` dimensionless grid whose last column is each series'
     peak, hands the joint closed forms that grid and the Bloch series
     views of its first ``T`` columns, calls no state builder, and splits
-    the first law of each marginal in one call for the whole block."""
+    the first law of each marginal in one call for the whole block. A run
+    takes its four entropies from the block; a sweep block takes none."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         # the grid shape of each call, by function; "_decay" records every
-        # evaluation of the decay factor, the block's and any of _grid
-        shapes = {name: [] for name in (DECAY,) + CLOSED_FORMS + (SPLIT,)}
+        # evaluation of the decay factor, the block's and any of _grid, and
+        # "bloch_entropies" the shape of the radii of each call
+        shapes = {name: []
+                  for name in (DECAY,) + CLOSED_FORMS + (SPLIT, ENTROPIES)}
         built = []
         evaluate = ch._decay
 
@@ -777,10 +781,17 @@ class TestClosedFormEntries:
             shapes[SPLIT].append(np.shape(series.times))
             return qubit_thermo_trajectory(series)
 
+        entropies = experiment.bloch_entropies
+
+        def entropy(radii):
+            shapes[ENTROPIES].append(np.shape(radii))
+            return entropies(radii)
+
         def forbidden(*args, **kwargs):
             raise AssertionError("a block must build no state stack")
 
         monkeypatch.setattr(ch, DECAY, decay)
+        monkeypatch.setattr(experiment, ENTROPIES, entropy)
         for name in CLOSED_FORMS:
             monkeypatch.setattr(ch, name, on_the_grid(name))
         for name in STATE_BUILDERS:
@@ -800,19 +811,22 @@ class TestClosedFormEntries:
                 **{name: with_peak for name in JOINT_FORMS}, SPLIT: twice}
 
     def test_run_calls_each_once(self, calls):
+        # and four entropies: both marginals', the closed-form family's on
+        # the grid with the peak's column, and the unitary family's
         run(ExperimentConfig())
-        assert calls == self.per_block([(1, 2001)])
+        assert calls == {**self.per_block([(1, 2001)]),
+                         ENTROPIES: [(1, 2001), (1, 2001), (1, 2002), (1, 1)]}
 
     def test_sweep_calls_each_once_per_block(self, calls):
         # one block of 27 rows holding 9 series; the rows' keys evaluate
-        # no grid, and every closed form and split runs once, on the 9
-        # series
+        # no grid, every closed form and split runs once, on the 9 series,
+        # and no entropy is taken: no summary row reads one
         configs = _sweep27()
         assert _sizes(configs) == [(27, 9)]
         for shapes in calls.values():
             shapes.clear()
         assert all(row.error == "" for row in sweep(configs))
-        assert calls == self.per_block([(9, 501)])
+        assert calls == {**self.per_block([(9, 501)]), ENTROPIES: []}
 
     def test_failing_row_inside_a_block(self, calls,
                                         break_system_bloch_when):
@@ -848,6 +862,100 @@ class TestClosedFormEntries:
                 assert math.isnan(row.peak_negativity)
             else:
                 assert _bits(row) == _bits(clean[i])
+
+
+def _swell(name, attribute=None):
+    """An installer of a closed form of :mod:`channels` whose Bloch radii,
+    or the ``attribute`` of whose series, are off by one part in 1e9 on
+    the rows that ``selected`` picks: a radius of 1 gives an eigenvalue
+    of -5e-10, below the floor."""
+
+    def install(monkeypatch, selected):
+        original = getattr(ch, name)
+
+        def swollen(params, times):
+            out = original(params, times)
+            factor = 1.0 + 1e-9 * _selected_rows(selected, params)
+            if attribute is None:
+                return out * factor
+            return out._replace(
+                **{attribute: getattr(out, attribute) * factor})
+
+        monkeypatch.setattr(ch, name, swollen)
+    return install
+
+
+def _spot_off(monkeypatch, selected):
+    """A closed-form negativity off by one part in 1e8 on the rows that
+    ``selected`` picks, which the spot check at the peak must see."""
+    closed_form = ch.joint_negativities_closed_form
+
+    def off(params, times):
+        return closed_form(params, times) * (
+            1.0 + 1e-8 * _selected_rows(selected, params))
+
+    monkeypatch.setattr(ch, "joint_negativities_closed_form", off)
+
+
+def _two_newton_steps(monkeypatch, selected):
+    """Two Newton steps, too few for every row whose negativity is not
+    zero at every point; ``selected`` is not read."""
+    monkeypatch.setattr(ch, "_NEGATIVITY_NEWTON_STEPS", 2)
+
+
+def _picked(config) -> bool:
+    """The rows the installers break: ``alpha = 0.3`` at zero
+    temperature."""
+    return config.alpha == 0.3 and config.beta == math.inf
+
+
+class TestFailingRowsInsideABlock:
+    """Every check of a block fails the sweep rows that fail it alone,
+    each with the message of its own run, and leaves the other rows'
+    bits as they are: each marginal's radius floor, the negativity's
+    Newton convergence, the joint radius floor and the spot check; the
+    closure gate is tested in :class:`TestClosedFormEntries`. The eight
+    rows hold four series; each broken gate but the Newton solve's fails
+    the two rows of ``alpha = 0.3`` at zero temperature, whose marginals
+    and closed-form joint state start pure, and two Newton steps fail
+    every row but the two on the separable line ``alpha^2 = w0``, whose
+    negativity is zero."""
+
+    @pytest.mark.parametrize("install, phrase, failing", [
+        (_swell("system_bloch", "radius"), r"eigenvalue .* below -1e-10",
+         _picked),
+        (_swell("environment_bloch", "radius"),
+         r"eigenvalue .* below -1e-10", _picked),
+        (_two_newton_steps, "negativity Newton convergence",
+         lambda config: not (config.alpha == 1.0
+                             and config.beta == math.inf)),
+        (_swell("joint_radii_closed_form"), r"eigenvalue .* below -1e-10",
+         _picked),
+        (_spot_off, "negativity routes disagree", _picked),
+    ], ids=["system_radius", "environment_radius", "newton_convergence",
+            "joint_radius", "spot_check"])
+    def test_row_holds_its_runs_message(self, monkeypatch, install, phrase,
+                                        failing):
+        configs = [ExperimentConfig(alpha=a, beta=b, gamma=g, t_max=5.0 / g,
+                                    n_samples=101)
+                   for a in (0.3, 1.0) for b in (1.0, math.inf)
+                   for g in (1.0, 2.0)]
+        assert _sizes(configs) == [(8, 4)]
+        clean = sweep(configs)
+        assert all(row.error == "" for row in clean)
+        install(monkeypatch,
+                lambda params: params.alpha == 0.3 and params.w0 == 1.0)
+        rows = sweep(configs)
+        assert 0 < sum(map(failing, configs)) < len(configs)
+        for config, row, before in zip(configs, rows, clean):
+            if failing(config):
+                with pytest.raises((InputError, NumericalError),
+                                   match=phrase) as own:
+                    run(config)
+                assert row.error == str(own.value)
+                assert math.isnan(row.peak_negativity)
+            else:
+                assert _bits(row) == _bits(before)
 
 
 class TestMarkov:
@@ -1012,7 +1120,7 @@ class TestSweep:
         assert _peak(lambda: run(ExperimentConfig(n_samples=4001))) <= 0.97e6
 
     def test_memory_of_the_sweep27_rows(self):
-        # one block of 27 rows that hold 9 series at 501 points: 1.10 MB
+        # one block of 27 rows that hold 9 series at 501 points: 1.06 MB
         configs = _sweep27()
         assert _peak(lambda: sweep(configs)) <= 2.0e6
 

@@ -236,7 +236,7 @@ class TestHeatAsymmetry:
 
 
 class TestRatioRows:
-    """``_ratio_rows`` on one ``(1, T)`` row."""
+    """``_ratio_rows`` on one ``(1, T)`` row, and on a block of rows."""
 
     def test_exact_proportionality(self):
         x = np.linspace(0.1, 1.0, 50)
@@ -268,3 +268,22 @@ class TestRatioRows:
         den = rng.uniform(0.5, 1.5, size=(1, 200))
         _, _, (spread,) = _ratio_rows(num, den)
         assert spread > 0.3
+
+    def test_block_rows_equal_rows_alone(self, rng):
+        # the block divides once over all its kept points; each row must
+        # read its own slice: one row with kept points, one with none
+        # (NaN mean and spread) and one whose mean is zero (NaN spread)
+        den = rng.uniform(-1.0, 1.0, size=(3, 300))
+        den[1] = rng.uniform(-5e-3, 5e-3, size=300)
+        num = rng.uniform(0.0, 2.0, size=(3, 300))
+        num[2] = 0.0
+        block = _ratio_rows(num, den)
+        assert block[0][1] == 0
+        assert block[0][2] > 0
+        assert math.isnan(block[1][1])
+        assert block[1][2] == 0.0
+        assert math.isnan(block[2][1]) and math.isnan(block[2][2])
+        for i in range(3):
+            alone = _ratio_rows(num[i:i + 1], den[i:i + 1])
+            assert [float(v[i]).hex() for v in block] == [
+                float(v[0]).hex() for v in alone]
