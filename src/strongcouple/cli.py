@@ -17,7 +17,9 @@ block by block as it writes it, so a command that fails leaves no file
 or directory of its own behind. ``validate`` prints one
 [PASS]/[FAIL] line per suite of :mod:`strongcouple.validation`.
 ``sweep`` expands a parameter grid into configurations and writes one
-summary row per run.
+summary row per run. Each manifest copies its command's input, a run's
+configuration or a sweep's grid, with every infinity spelled ``"inf"``
+(:func:`_spelled`), so that it is standard JSON.
 """
 
 from __future__ import annotations
@@ -195,9 +197,14 @@ def _csv_table(header, columns, record: dict):
     record.update(rows=count, sha256=digest.hexdigest())
 
 
-def _config_as_dict(config: ExperimentConfig) -> dict:
-    return {name: "inf" if math.isinf(value) else value
-            for name, value in dataclasses.asdict(config).items()}
+def _spelled(value):
+    """Parsed JSON with every infinity spelled ``"inf"``, as
+    :func:`_float_field` reads it, so that a manifest is standard JSON."""
+    if isinstance(value, dict):
+        return {name: _spelled(item) for name, item in value.items()}
+    if isinstance(value, list):
+        return [_spelled(item) for item in value]
+    return "inf" if value == math.inf else value
 
 
 def _publish(out, command, config_block, started, tables, files=None,
@@ -330,9 +337,10 @@ def _cmd_run(args) -> int:
         ("metric", "value"),
         (metrics, [result.diagnostics[m] for m in metrics]))
 
-    out_dir = _publish(args.out, "run", _config_as_dict(config), started,
-                       tables, {"plot_thermo.py": _PLOT_THERMO.encode(),
-                                "plot_info.py": _PLOT_INFO.encode()})
+    out_dir = _publish(args.out, "run", _spelled(dataclasses.asdict(config)),
+                       started, tables,
+                       {"plot_thermo.py": _PLOT_THERMO.encode(),
+                        "plot_info.py": _PLOT_INFO.encode()})
     print(f"run complete: {len(tables)} tables in {out_dir}")
     return 0
 
@@ -420,7 +428,7 @@ def _cmd_sweep(args) -> int:
     extra = None if spread is None else {
         "scaled_horizon_collapse": spread <= 1e-9,
         "scaled_horizon_spread": spread}
-    out_dir = _publish(args.out, "sweep", grid_block, started,
+    out_dir = _publish(args.out, "sweep", _spelled(grid_block), started,
                        {"summary.csv": summary}, extra=extra)
     if extra:
         state = ("collapse" if extra["scaled_horizon_collapse"]

@@ -8,10 +8,10 @@ the system's then the environment's, is one call of one stage
 (:func:`_marginal`), which turns its Bloch series
 (:class:`strongcouple.channels.BlochSeries`) into its exact first-law
 split (:func:`strongcouple.firstlaw.qubit_thermo_trajectory`) and holds
-its Bloch radius to the eigenvalue floor; the series lives only for that
-stage, and the radius and squared coherence it leaves give a run its
-entropies and its coherence. A
-run does no eigensolve per time point: the negativity series is the
+its Bloch radius ``r`` to the eigenvalue floor; the series lives only for
+that stage, and the floor's smaller eigenvalue ``(1 - r)/2`` and the
+squared coherence it leaves give a run its entropies and its coherence.
+A run does no eigensolve per time point: the negativity series is the
 closed-form root of the partial transpose's quartic
 (:func:`strongcouple.channels.joint_negativities_closed_form`), read
 also at its peak time ``t*`` (:func:`_peak_time`) and spot-checked there
@@ -59,14 +59,17 @@ from the peak's decay values and go to one
 and eigensolve.
 
 A block computes what its gates and a summary row read and nothing else
-(:func:`_checked_block`): the two splits, the Bloch radii, the heat
-asymmetry, the negativity and the joint radii, in ``(k, T)`` or ``(k, T
-+ 1)`` arrays, one row for each series, and the squared coherences the
-Bloch series carry. :func:`run` is a block of one on its configuration's
-own grid, which needs no key; from its block it computes the entropies,
-the coherences, the mutual information, its
-:class:`~strongcouple.infomeasures.InfoSeries` and every diagnostic, the
-ratio statistics included (:func:`_run_block`), and reads entry 0.
+(:func:`_checked_block`): the two splits, the heat asymmetry, the
+negativity, and the smaller eigenvalue ``(1 - r)/2`` that each radius
+floor leaves, of both marginals and both joint families, in ``(k, T)``
+or ``(k, T + 1)`` arrays, one row for each series, and the squared
+coherences the Bloch series carry. :func:`run` is a block of one on its
+configuration's own grid, which needs no key. It reads row 0 of its
+block: the four entropies come from those eigenvalues
+(:func:`~strongcouple.infomeasures._low_entropies`), so each radius
+meets the floor once, and with them the coherences, the mutual
+information, its :class:`~strongcouple.infomeasures.InfoSeries` and
+every diagnostic, the ratio statistics included, each a plain float.
 :func:`sweep` cuts its configurations into blocks whose series hold at
 most :data:`BLOCK_POINTS` grid points and reads each summary row from
 its block as it is (:func:`_sweep_rows`): per series, the heat
@@ -97,8 +100,8 @@ from .errors import (InputError, NumericalError, _as_count, _as_float,
 # tracer wraps it in this module
 from .firstlaw import (ThermoTrajectory,  # noqa: F401
                        qubit_thermo_trajectory, thermo_trajectory)
-from .infomeasures import (InfoSeries, _radius_floor, _ratio_rows,
-                           bloch_entropies, heat_asymmetry, negativities)
+from .infomeasures import (InfoSeries, _low_entropies, _radius_floor,
+                           _ratio_rows, heat_asymmetry, negativities)
 
 WORK_STATIC_TOL = 1e-12
 ENERGY_BALANCE_TOL = 1e-10
@@ -252,22 +255,20 @@ def _series_key(config: ExperimentConfig):
 
 
 class _Marginal(NamedTuple):
-    """A marginal past its gates: its exact first-law split, and the
-    Bloch radius and squared coherence its entropies and l1 coherence
-    are computed from."""
+    """A marginal past its gates: its exact first-law split, the smaller
+    eigenvalue ``(1 - r)/2`` its entropies are computed from, and the
+    squared coherence whose root is its l1 coherence."""
 
     split: ThermoTrajectory
-    radius: np.ndarray
+    low: np.ndarray
     x2: np.ndarray
 
 
 def _marginal(bloch: ch.BlochSeries) -> _Marginal:
     """A marginal's exact first-law split, closure gate included, then
-    its radius floor, the check :func:`bloch_entropies` makes; the series
-    lives only for this stage."""
+    its radius floor; the series lives only for this stage."""
     split = qubit_thermo_trajectory(bloch)
-    _radius_floor(bloch.radius)
-    return _Marginal(split, bloch.radius, bloch.x2)
+    return _Marginal(split, _radius_floor(bloch.radius), bloch.x2)
 
 
 class _Checked(NamedTuple):
@@ -278,9 +279,10 @@ class _Checked(NamedTuple):
     of the system's rows, then of the environment's, and ``balance`` the
     largest energy imbalance of each row; ``neg`` and ``asym`` are the
     negativity and the heat asymmetry on the grid, ``neg_peak`` the
-    negativity at ``t*``, ``joint_radii`` the closed-form family's radii
-    on the whole grid, and ``unitary_radius`` and ``unitary_final`` the
-    unitary family's joint radius and its negativity at ``t_max``.
+    negativity at ``t*``, ``joint_low`` the smaller eigenvalue of the
+    closed-form family's joint state on the whole grid, and
+    ``unitary_low`` and ``unitary_final`` the unitary family's smaller
+    eigenvalue and its negativity at ``t_max``.
     """
 
     times: np.ndarray
@@ -291,8 +293,8 @@ class _Checked(NamedTuple):
     asym: np.ndarray
     neg: np.ndarray
     neg_peak: np.ndarray
-    joint_radii: np.ndarray
-    unitary_radius: np.ndarray
+    joint_low: np.ndarray
+    unitary_low: np.ndarray
     unitary_final: np.ndarray
 
 
@@ -312,7 +314,7 @@ def _checked_block(heads: list) -> _Checked:
     worst entry, so the block raises where any of its rows would, with
     the message the first row of that entry's series raises alone. No
     entropy, coherence or diagnostic is computed here: a sweep row reads
-    the block as it is, and :func:`_run_block` computes the rest.
+    the block as it is, and :func:`run` computes the rest from its row.
     """
     n = heads[0].n_samples
     cols = ch._columns([c.params for c in heads])
@@ -350,10 +352,8 @@ def _checked_block(heads: list) -> _Checked:
     neg = ch.joint_negativities_closed_form(cols, grid)
     # the closed-form family's joint radii, on the grid and at t*, and
     # the unitary family's, constant in time
-    joint_radii = ch.joint_radii_closed_form(cols, grid)
-    _radius_floor(joint_radii)
-    unitary_radius = abs(cols.w0 - cols.w1)
-    _radius_floor(unitary_radius)
+    joint_low = _radius_floor(ch.joint_radii_closed_form(cols, grid))
+    unitary_low = _radius_floor(abs(cols.w0 - cols.w1))
     # spot check of the closed form against the eigensolve route, at the
     # one point where the negativity matters most, in one call with the
     # unitary family at t_max, the grid's last column before the peak's;
@@ -371,62 +371,8 @@ def _checked_block(heads: list) -> _Checked:
         f"{neg_peak[i]:.6e}, eigensolve {spot[i]:.6e}); bound "
         f"{NEGATIVITY_SPOT_TOL:.0e}"))
     return _Checked(times, system, environment, work, balance, asym,
-                    neg[:, :-1], neg_peak, joint_radii, unitary_radius,
+                    neg[:, :-1], neg_peak, joint_low, unitary_low,
                     unitary_final)
-
-
-def _run_block(heads: list) -> tuple:
-    """Run the block whose distinct state series have the first rows
-    ``heads``: :func:`_checked_block`, then the outputs of :func:`run`.
-
-    Returns ``(thermo_s, thermo_e, info, columns)``: the two splits and
-    the :class:`InfoSeries` hold ``(k, T)`` arrays, one row for each
-    series, and ``columns`` the diagnostics by name, as lists of one
-    Python float for each series, its peak time that of its first row.
-    The block raises where :func:`_checked_block` does; the entropies,
-    the coherences, the mutual information and the diagnostics come
-    after every gate.
-    """
-    b = _checked_block(heads)
-    k = len(heads)
-    thermo_s, thermo_e = b.system.split, b.environment.split
-    ent_s = bloch_entropies(b.system.radius)
-    ent_e = bloch_entropies(b.environment.radius)
-    # the closed-form family's joint entropy, on the grid and at t*
-    joint_closed = bloch_entropies(b.joint_radii)
-    ent_joint = bloch_entropies(b.unitary_radius)
-    neg = b.neg
-    points, means, spreads = _ratio_rows(b.asym, neg)
-    # per-series scalars, as Python floats
-    columns = {
-        "closure_system_max": thermo_s.closure_residual.max(axis=1).tolist(),
-        "closure_environment_max": thermo_e.closure_residual.max(
-            axis=1).tolist(),
-        "work_system_max_abs": b.work[:k].tolist(),
-        "work_environment_max_abs": b.work[k:].tolist(),
-        "energy_balance_max": b.balance.tolist(),
-        "heat_system_final": thermo_s.heat[:, -1].tolist(),
-        "heat_environment_final": thermo_e.heat[:, -1].tolist(),
-        "heat_asymmetry_max": b.asym.max(axis=1).tolist(),
-        "joint_entropy_unitary_family": np.ravel(ent_joint).tolist(),
-        "entropy_drift_closed_form_family": abs(
-            joint_closed - joint_closed[:, :1]).max(axis=1).tolist(),
-        "negativity_peak": b.neg_peak.tolist(),
-        "negativity_peak_time": b.times[:, -1].tolist(),
-        "negativity_final": neg[:, -1].tolist(),
-        "negativity_peak_count": _count_peaks(
-            neg, _NEGATIVITY_PEAK_FLOOR).astype(float).tolist(),
-        "negativity_unitary_family_final": b.unitary_final.tolist(),
-        "ratio_points": [float(count) for count in points],
-        "ratio_mean": means,
-        "ratio_max_relative_spread": spreads,
-    }
-    info = InfoSeries(times=b.times[:, :-1], entropy_s=ent_s,
-                      entropy_e=ent_e, coherence_s=np.sqrt(b.system.x2),
-                      coherence_e=np.sqrt(b.environment.x2), negativity=neg,
-                      mutual_information=ent_s + ent_e - joint_closed[:, :-1],
-                      heat_asymmetry=b.asym)
-    return thermo_s, thermo_e, info, columns
 
 
 def _check_config(config, what: str) -> None:
@@ -440,7 +386,8 @@ def _check_config(config, what: str) -> None:
 def run(config: ExperimentConfig) -> ExperimentResult:
     """Execute one configured run and verify its invariants.
 
-    A run is a block of one (see :func:`sweep`). Raises
+    A run is a block of one (see :func:`sweep`) on its configuration's
+    own grid, and its result holds row 0 of the block. Raises
     :class:`NumericalError` if the static-Hamiltonian work bound, the
     global energy balance, the first-law closure tolerance, the
     convergence of the closed-form negativity, or its agreement with the
@@ -451,12 +398,45 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     ``config`` that is no :class:`ExperimentConfig`, naming its type.
     """
     _check_config(config, "run")
-    thermo_s, thermo_e, info, columns = _run_block([config])
-    info = info[0]
+    b = _checked_block([config])
+    # the entropies come after every gate, from the block's rows
+    ent_s, ent_e, joint_closed, (ent_joint,) = (
+        _low_entropies(low)[0] for low in (
+            b.system.low, b.environment.low, b.joint_low, b.unitary_low))
+    thermo_s, thermo_e = b.system.split[0], b.environment.split[0]
+    neg, asym = b.neg[0], b.asym[0]
+    (points,), (mean,), (spread,) = _ratio_rows(b.asym, b.neg)
+    diagnostics = {
+        "closure_system_max": thermo_s.closure_residual.max(),
+        "closure_environment_max": thermo_e.closure_residual.max(),
+        "work_system_max_abs": b.work[0],
+        "work_environment_max_abs": b.work[1],
+        "energy_balance_max": b.balance[0],
+        "heat_system_final": thermo_s.heat[-1],
+        "heat_environment_final": thermo_e.heat[-1],
+        "heat_asymmetry_max": asym.max(),
+        "joint_entropy_unitary_family": ent_joint,
+        "entropy_drift_closed_form_family": abs(
+            joint_closed - joint_closed[0]).max(),
+        "negativity_peak": b.neg_peak[0],
+        "negativity_peak_time": b.times[0, -1],
+        "negativity_final": neg[-1],
+        "negativity_peak_count": _count_peaks(neg, _NEGATIVITY_PEAK_FLOOR),
+        "negativity_unitary_family_final": b.unitary_final[0],
+        "ratio_points": points,
+        "ratio_mean": mean,
+        "ratio_max_relative_spread": spread,
+    }
+    info = InfoSeries(
+        times=b.times[0, :-1], entropy_s=ent_s, entropy_e=ent_e,
+        coherence_s=np.sqrt(b.system.x2[0]),
+        coherence_e=np.sqrt(b.environment.x2[0]), negativity=neg,
+        mutual_information=ent_s + ent_e - joint_closed[:-1],
+        heat_asymmetry=asym)
     return ExperimentResult(
         config=config, params=config.params, times=info.times,
-        thermo_s=thermo_s[0], thermo_e=thermo_e[0], info=info,
-        diagnostics={k: v[0] for k, v in columns.items()})
+        thermo_s=thermo_s, thermo_e=thermo_e, info=info,
+        diagnostics={k: float(v) for k, v in diagnostics.items()})
 
 
 @dataclass(frozen=True)

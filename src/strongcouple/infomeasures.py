@@ -69,20 +69,29 @@ def _radius_floor(radii: np.ndarray) -> np.ndarray:
     return low
 
 
-def bloch_entropies(radii) -> np.ndarray:
-    """Entropies in bits of qubit states with Bloch radii ``radii``.
-
-    The eigenvalues are ``(1 -+ r)/2``. The smaller one raises
-    :class:`InputError` below ``-1e-10`` and counts as zero up to
-    ``1e-12``, and the larger one is one minus the smaller, so a clipped
-    state has entropy zero; this is the clip rule of
-    :func:`von_neumann_entropies`.
-    """
-    low = _radius_floor(_as_array(radii, "Bloch radii"))
+def _low_entropies(low: np.ndarray) -> np.ndarray:
+    """Entropies in bits of qubits whose smaller eigenvalue ``low`` has
+    met the floor of :func:`_radius_floor`; ``low`` up to ``1e-12``
+    counts as zero, the clip rule of :func:`von_neumann_entropies`."""
     low = np.where(low < _ENTROPY_CLIP, 0.0, low)
     terms = np.where(low > 0.0, low * np.log2(np.where(low > 0.0, low, 1.0)),
                      0.0) + (1.0 - low) * np.log1p(-low) / math.log(2.0)
     return -terms + 0.0
+
+
+def bloch_entropies(radii) -> np.ndarray:
+    """Entropies in bits of qubit states with Bloch radii ``radii``.
+
+    The eigenvalues are ``(1 -+ r)/2``. A negative radius raises
+    :class:`InputError`. The smaller eigenvalue raises it below
+    ``-1e-10`` and counts as zero up to ``1e-12``, and the larger one is
+    one minus the smaller, so a clipped state has entropy zero; this is
+    the clip rule of :func:`von_neumann_entropies`.
+    """
+    radii = _as_array(radii, "Bloch radii")
+    if (radii < 0.0).any():
+        raise InputError(f"Bloch radius {radii.min():.3e} is negative")
+    return _low_entropies(_radius_floor(radii))
 
 
 def negativities(joints) -> np.ndarray:
@@ -156,8 +165,7 @@ class InfoSeries:
     """Information measures sampled on a common time grid.
 
     Suffixes ``_s`` and ``_e`` label the system and environment qubits.
-    All arrays have the shape of ``times``, ``(T,)`` or ``(R, T)`` for a
-    block of grids.
+    All arrays have the shape ``(T,)`` of ``times``.
     """
 
     times: np.ndarray
@@ -168,7 +176,3 @@ class InfoSeries:
     negativity: np.ndarray
     mutual_information: np.ndarray
     heat_asymmetry: np.ndarray
-
-    def __getitem__(self, row) -> InfoSeries:
-        """Row ``row`` of a block, as views of its arrays."""
-        return InfoSeries(**{k: v[row] for k, v in vars(self).items()})

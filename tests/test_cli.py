@@ -565,6 +565,22 @@ class TestSweepCommand:
         assert lines[0].startswith("alpha,beta,gamma,")
         assert (out / "manifest.json").exists()
 
+    def test_manifest_spells_infinity(self, tmp_path):
+        # json.loads accepts the extension Infinity in a grid; the
+        # manifest copies the grid as standard JSON, with "inf" as a run's
+        # manifest spells it
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"beta": [1.0, Infinity], "n_samples": 11}')
+        out = tmp_path / "sw"
+        assert main(["sweep", "--grid", str(grid), "--out", str(out)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not standard JSON")
+
+        manifest = json.loads((out / "manifest.json").read_text(),
+                              parse_constant=refuse)
+        assert manifest["config"] == {"beta": [1.0, "inf"], "n_samples": 11}
+
     def test_gamma_t_max_scaling(self, tmp_path, capsys):
         grid = write_json(tmp_path / "grid.json",
                           {"gamma": [1.0, 2.0], "gamma_t_max": 2.0,

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import _peak, _selected_rows
 from strongcouple import channels as ch
-from strongcouple import experiment, spectra
+from strongcouple import experiment, infomeasures, spectra
 from strongcouple.errors import InputError, NumericalError
 from strongcouple.experiment import (BLOCK_POINTS, ExperimentConfig,
                                      SweepSummary, _blocks, run, sweep)
@@ -402,28 +402,38 @@ def _sizes(configs) -> list:
 
 
 def _assert_block_rows_equal_single_runs(configs) -> None:
-    """Each row of one block of ``configs`` equals a single run of the
-    row, bit for bit: the arrays of the row's series, on the grid of the
-    series' first row; the series' diagnostics, at its first row; and
-    every field of the row's sweep summary, repeated rows included."""
+    """Each row of one block of ``configs``, which holds several series,
+    equals the block of that row alone, bit for bit: every field of the
+    checked block, on the grid of the series' first row; and every field
+    of the row's sweep summary, which equals that of a single run of the
+    row, repeated rows included."""
     (block,) = _blocks(configs)
     heads = [block.configs[i] for i in block.first]
-    thermo_s, thermo_e, info, columns = experiment._run_block(heads)
-    assert all(len(v) == len(block.first) for v in columns.values())
+    assert len(heads) > 1
+    checked = experiment._checked_block(heads)
     rows = sweep(configs)
     for i, (config, s) in enumerate(zip(configs, block.series)):
-        single = run(config)
-        for series, alone in ((info[s], single.info),
-                              (thermo_s[s], single.thermo_s),
-                              (thermo_e[s], single.thermo_e)):
-            ours, theirs = _array_bits(series), _array_bits(alone)
-            if block.first[s] != i:
-                assert ours.pop("times") != theirs.pop("times")
-            assert ours == theirs
-        if block.first[s] == i:
-            assert {k: v[s].hex() for k, v in columns.items()} \
-                == {k: v.hex() for k, v in single.diagnostics.items()}
-        assert _bits(rows[i]) == _bits(_summary(single))
+        ours = _checked_row(checked, s)
+        alone = _checked_row(experiment._checked_block([config]), 0)
+        if block.first[s] != i:
+            for name in ("times", "system.times", "environment.times"):
+                assert ours.pop(name) != alone.pop(name)
+        assert ours == alone
+        assert _bits(rows[i]) == _bits(_summary(run(config)))
+
+
+def _checked_row(checked, s) -> dict:
+    """Row ``s`` of every field of a checked block, by name, as bytes;
+    its work is the pair of the system's row and the environment's."""
+    arrays = {**checked._asdict(),
+              "work": checked.work.reshape(2, -1).T}
+    for name in ("system", "environment"):
+        split, low, x2 = arrays.pop(name)
+        arrays.update({f"{name}.low": low, f"{name}.x2": x2,
+                       **{f"{name}.{field}": value
+                          for field, value in vars(split).items()}})
+    return {name: (value[s].shape, value[s].tobytes())
+            for name, value in arrays.items()}
 
 
 def _summary(result) -> SweepSummary:
@@ -440,11 +450,6 @@ def _summary(result) -> SweepSummary:
             abs(result.thermo_s.coherent_energy).max()),
         ratio_mean=d["ratio_mean"],
         ratio_max_relative_spread=d["ratio_max_relative_spread"])
-
-
-def _array_bits(series) -> dict:
-    """The arrays of a dataclass of series, by field, as bytes."""
-    return {k: (v.shape, v.tobytes()) for k, v in vars(series).items()}
 
 
 class TestNegativityPeak:
@@ -732,7 +737,8 @@ STATE_BUILDERS = ("system_states", "environment_states", "joint_states",
                   "joint_states_closed_form")
 SPLIT = "qubit_thermo_trajectory"
 DECAY = "_decay"
-ENTROPIES = "bloch_entropies"
+FLOORS = "_radius_floor"
+ENTROPIES = "_low_entropies"
 
 
 class TestClosedFormEntries:
@@ -740,16 +746,18 @@ class TestClosedFormEntries:
     ``(k, T + 1)`` dimensionless grid whose last column is each series'
     peak, hands the joint closed forms that grid and the Bloch series
     views of its first ``T`` columns, calls no state builder, and splits
-    the first law of each marginal in one call for the whole block. A run
-    takes its four entropies from the block; a sweep block takes none."""
+    the first law of each marginal in one call for the whole block, and
+    holds each of its four radii to the floor once. A run takes its four
+    entropies from the block's floors; a sweep block takes none."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         # the grid shape of each call, by function; "_decay" records every
-        # evaluation of the decay factor, the block's and any of _grid, and
-        # "bloch_entropies" the shape of the radii of each call
-        shapes = {name: []
-                  for name in (DECAY,) + CLOSED_FORMS + (SPLIT, ENTROPIES)}
+        # evaluation of the decay factor, the block's and any of _grid;
+        # "_radius_floor" the shape of the radii of each call, and
+        # "_low_entropies" that of the smaller eigenvalues
+        shapes = {name: [] for name in (DECAY,) + CLOSED_FORMS
+                  + (SPLIT, FLOORS, ENTROPIES)}
         built = []
         evaluate = ch._decay
 
@@ -781,17 +789,27 @@ class TestClosedFormEntries:
             shapes[SPLIT].append(np.shape(series.times))
             return qubit_thermo_trajectory(series)
 
-        entropies = experiment.bloch_entropies
+        radius_floor = infomeasures._radius_floor
 
-        def entropy(radii):
-            shapes[ENTROPIES].append(np.shape(radii))
-            return entropies(radii)
+        def floor(radii):
+            shapes[FLOORS].append(np.shape(radii))
+            return radius_floor(radii)
+
+        entropies = experiment._low_entropies
+
+        def entropy(low):
+            shapes[ENTROPIES].append(np.shape(low))
+            return entropies(low)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a block must build no state stack")
 
         monkeypatch.setattr(ch, DECAY, decay)
         monkeypatch.setattr(experiment, ENTROPIES, entropy)
+        # the floor wherever it is bound, so that a floor bloch_entropies
+        # makes counts too
+        for module in (experiment, infomeasures):
+            monkeypatch.setattr(module, FLOORS, floor)
         for name in CLOSED_FORMS:
             monkeypatch.setattr(ch, name, on_the_grid(name))
         for name in STATE_BUILDERS:
@@ -803,15 +821,21 @@ class TestClosedFormEntries:
     def per_block(grids) -> dict:
         """The calls of a block on each of ``grids``."""
         # one split per marginal; the decay factor and the joint forms
-        # take the peak's column too
+        # take the peak's column too; one floor for each marginal's radii,
+        # the closed-form family's with the peak's column and the unitary
+        # family's, constant in time
         twice = [grid for grid in grids for _ in range(2)]
         with_peak = [(k, n + 1) for k, n in grids]
+        floors = [shape for k, n in grids
+                  for shape in ((k, n), (k, n), (k, n + 1), (k, 1))]
         return {DECAY: with_peak,
                 **{name: grids for name in MARGINAL_FORMS},
-                **{name: with_peak for name in JOINT_FORMS}, SPLIT: twice}
+                **{name: with_peak for name in JOINT_FORMS}, SPLIT: twice,
+                FLOORS: floors}
 
     def test_run_calls_each_once(self, calls):
-        # and four entropies: both marginals', the closed-form family's on
+        # one floor for each radius and four entropies on the eigenvalues
+        # the floors return: both marginals', the closed-form family's on
         # the grid with the peak's column, and the unitary family's
         run(ExperimentConfig())
         assert calls == {**self.per_block([(1, 2001)]),
@@ -842,7 +866,8 @@ class TestClosedFormEntries:
         (block_of_8,) = _blocks(configs)
         assert block_of_8.first == [0, 3, 6]
         with pytest.raises(NumericalError, match="closure") as block:
-            experiment._run_block([configs[i] for i in block_of_8.first])
+            experiment._checked_block(
+                [configs[i] for i in block_of_8.first])
         with pytest.raises(NumericalError) as alone:
             run(configs[3])
         assert str(block.value) == str(alone.value)

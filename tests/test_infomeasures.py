@@ -75,8 +75,16 @@ class TestBlochEntropies:
         assert abs(out[2] - 1.0) < 1e-15
 
     def test_unphysical_radius_rejected(self):
-        with pytest.raises(InputError):
+        # a radius above one gives a negative eigenvalue; a negative radius
+        # is no length: -0.5 would pass the floor as the radius 0.5, and
+        # -1.5 would reach log1p below -1
+        with pytest.raises(InputError, match="eigenvalue"):
             bloch_entropies(np.array([0.5, 1.0 + 1e-9]))
+        for radii in ([-0.5], [0.5, -1.5], -5e-324):
+            with pytest.raises(InputError,
+                               match=r"Bloch radius -\S+ is negative"):
+                bloch_entropies(radii)
+        assert bloch_entropies(-0.0) == 1.0
 
     def test_nan_radius_rejected(self):
         # a NaN fails the eigenvalue floor rather than passing as an entropy
