@@ -70,8 +70,9 @@ displacement of ``k`` for the exact first-law split of
 :func:`strongcouple.firstlaw.qubit_thermo_trajectory`, and the real
 closed-form populations from which that split reads the internal
 energy change. No ``(T, 2, 2)`` matrix stack is built: the
-populations are checked to be finite and to sum to one, and the radius's
-consumer checks it against the eigenvalue floor, as
+populations are checked to sum to one, which no pair with a non-finite
+entry does, and the radius's consumer checks it against the eigenvalue
+floor, as
 :func:`~strongcouple.infomeasures.bloch_entropies` does.
 
 Closed-form joint spectra
@@ -624,8 +625,9 @@ class BlochSeries(NamedTuple):
     the grid, and ``populations`` is the real ``(T, 2)`` array of the
     ground and excited populations from the closed forms that give the
     diagonals of :func:`system_states` and :func:`environment_states`,
-    checked to be finite and to sum to one. ``radius`` is checked by its
-    consumer, as ``bloch_entropies`` checks it.
+    checked to sum to one, which no pair with a non-finite entry does.
+    ``radius`` is checked by its consumer, as ``bloch_entropies`` checks
+    it.
     """
 
     times: np.ndarray
@@ -651,9 +653,9 @@ def _bloch(params, times, keep_is_decay: bool) -> BlochSeries:
     times, g, d = _grid(c, times)
     keep, lose = (g, d) if keep_is_decay else (d, g)
     pops = _qubit_populations(c, keep, lose)
-    if not np.isfinite(pops).all():
-        raise InputError("populations have non-finite entries")
-    # the two columns added: a reduction over a length-2 axis costs more
+    # the two columns added: a reduction over a length-2 axis costs more.
+    # alpha^2, w0, w1, keep and lose lie in [0, 1], so the populations are
+    # finite; a pair that is not sums to no unit trace and fails here
     check_unit_traces(pops[..., 0] + pops[..., 1])
     a2 = c.alpha_sq
     b2 = 1.0 - a2

@@ -39,33 +39,37 @@ too (:func:`_spaced`), with ``g = exp(-s)``. A series is therefore fixed by
 the same bits hold one series, whatever their gammas
 (:func:`_series_key`), and no grid is built to key a row. The parameters
 and horizons of a block's series are ``(k, 1)`` columns, and ``s`` one
-``(k, T + 1)`` array with the horizon again as a last column, the peak's.
-The block evaluates the decay factor once on it, through the helper of
-:mod:`strongcouple.channels` that its grids use too, with ``g = 1 - g =
-1/2`` exactly in the peak's column where ``g`` reaches 1/2, and hands it
-to the public closed forms: the first ``T`` columns, as views, to the
-two Bloch series, and the whole grid to the joint negativities and the
-joint radii; the closed-form family's joint entropy, whose drift from
-``t = 0`` grows with ``u = g (1 - g)`` as the negativity does, is read
-at the peak too. Times are built for the block's first rows only, each
-row's own grid with its peak time ``t*`` (:func:`_peak_time`) as the
-last column; they serve the outputs and the gate messages. Each
-marginal's stage runs once for the block. Every gate holds its values to
-an upper bound through :func:`strongcouple.errors._gate`, and every
-radius floor through :func:`~strongcouple.spectra.check_spectrum`; a NaN
-fails either. The spot-check states of all series are built unchecked
-from the peak's decay values and go to one
+``(k, T + 1)`` array with the horizon again as a last column, the
+peak's. The block evaluates the decay factor once on it, through the
+helper of :mod:`strongcouple.channels` that its grids use too, with ``g
+= 1 - g = 1/2`` exactly in the peak's column where ``g`` reaches 1/2,
+and hands it to the public closed forms: the first ``T`` columns, as
+views, to the two Bloch series, and the whole grid to the joint
+negativities and the joint radii; the closed-form family's joint
+entropy, whose drift from ``t = 0`` grows with ``u = g (1 - g)`` as the
+negativity does, is read at the peak too. Times are built for the
+block's first rows only, each row's own grid with its peak time ``t*``
+(:func:`_peak_time`) as a last column that stays inside the block: the
+closed forms and the two gate messages that name a time read it, and the
+block hands on the ``(k, T)`` grids. Each marginal's stage runs once for
+the block. Every gate holds its values to an upper bound through
+:func:`strongcouple.errors._gate`, and every radius floor through
+:func:`~strongcouple.spectra.check_spectrum`; a NaN fails either. The
+spot-check states of all series are built unchecked from the peak's
+decay values and go to one
 :func:`~strongcouple.infomeasures.negativities` call, their one check
 and eigensolve.
 
 A block computes what its gates and a summary row read and nothing else
-(:func:`_checked_block`): the two splits, the heat asymmetry, the
+(:func:`_checked_block`): the two splits, the heat asymmetry ``|Q_S +
+Q_E|`` of their heats, which share a shape and need no second check, the
 negativity, and the smaller eigenvalue ``(1 - r)/2`` that each radius
 floor leaves, of both marginals and both joint families, in ``(k, T)``
 or ``(k, T + 1)`` arrays, one row for each series, and the squared
 coherences the Bloch series carry. :func:`run` is a block of one on its
 configuration's own grid, which needs no key. It reads row 0 of its
-block: the four entropies come from those eigenvalues
+block and takes ``t*`` from :func:`_peak_time`, as a sweep row does: the
+four entropies come from those eigenvalues
 (:func:`~strongcouple.infomeasures._low_entropies`), so each radius
 meets the floor once, and with them the coherences, the mutual
 information, its :class:`~strongcouple.infomeasures.InfoSeries` and
@@ -75,9 +79,10 @@ most :data:`BLOCK_POINTS` grid points and reads each summary row from
 its block as it is (:func:`_sweep_rows`): per series, the heat
 asymmetry's maximum, both final heats, the system's coherent energy's
 maximum, the ratio statistics and the peak negativity, and the row's own
-peak time ``t*``, without a per-row result, an entropy or a diagnostic.
-Both give the same numbers bit for bit, through the same gates in the
-same order. A block peaks in the negativity's Newton solve, which
+peak time ``t*``, without a per-row result, an entropy or a diagnostic;
+the block goes before the rows are built, which hold Python numbers
+only. Both give the same numbers bit for bit, through the same gates in
+the same order. A block peaks in the negativity's Newton solve, which
 manages its own buffers (see
 :func:`~strongcouple.channels.joint_negativities_closed_form`).
 """
@@ -87,7 +92,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -101,7 +105,7 @@ from .errors import (InputError, NumericalError, _as_count, _as_float,
 from .firstlaw import (ThermoTrajectory,  # noqa: F401
                        qubit_thermo_trajectory, thermo_trajectory)
 from .infomeasures import (InfoSeries, _low_entropies, _radius_floor,
-                           _ratio_rows, heat_asymmetry, negativities)
+                           _ratio_rows, negativities)
 
 WORK_STATIC_TOL = 1e-12
 ENERGY_BALANCE_TOL = 1e-10
@@ -131,7 +135,9 @@ class ExperimentConfig:
     :func:`_spaced`, always rises: ``t_max`` must be positive and finite
     and its step large enough that the last two points differ, which
     refuses only a subnormal step, and a refused ``t_max`` names the
-    point count.
+    point count. ``params``, the configuration's :class:`GadcParams`,
+    is built once there too and set beside the fields, outside them:
+    equality, hashing and ``asdict`` see the five fields only.
     """
 
     alpha: float = 1.0 / math.sqrt(2.0)
@@ -155,13 +161,11 @@ class ExperimentConfig:
         if not 0.0 < (n - 2) * (self.t_max / (n - 1)) < self.t_max:
             raise InputError(f"t_max must be positive and finite with a "
                              f"rising grid of {n} points, got {self.t_max}")
-        self.params  # built once, here, where it checks alpha and beta
-
-    @cached_property
-    def params(self) -> ch.GadcParams:
-        """The :class:`GadcParams` of the configuration, built once."""
-        return ch.GadcParams.from_inverse_temperature(
-            alpha=self.alpha, beta=self.beta, gamma_rate=self.gamma)
+        # built once, here, where it checks alpha and beta
+        object.__setattr__(self, "params",
+                           ch.GadcParams.from_inverse_temperature(
+                               alpha=self.alpha, beta=self.beta,
+                               gamma_rate=self.gamma))
 
     @property
     def times(self) -> np.ndarray:
@@ -274,15 +278,17 @@ def _marginal(bloch: ch.BlochSeries) -> _Marginal:
 class _Checked(NamedTuple):
     """A block past every gate, one row for each series.
 
-    ``times`` is ``(k, T + 1)``, each series' grid with its peak time
-    ``t*`` as the last column; ``work`` holds the largest work of each
-    of the system's rows, then of the environment's, and ``balance`` the
-    largest energy imbalance of each row; ``neg`` and ``asym`` are the
-    negativity and the heat asymmetry on the grid, ``neg_peak`` the
-    negativity at ``t*``, ``joint_low`` the smaller eigenvalue of the
-    closed-form family's joint state on the whole grid, and
-    ``unitary_low`` and ``unitary_final`` the unitary family's smaller
-    eigenvalue and its negativity at ``t_max``.
+    ``times`` is ``(k, T)``, each series' grid; the peak time ``t*``
+    column the block appends stays inside :func:`_checked_block`, and a
+    reader takes ``t*`` from :func:`_peak_time`. ``work`` holds the
+    largest work of each of the system's rows, then of the
+    environment's, and ``balance`` the largest energy imbalance of each
+    row; ``neg`` and ``asym`` are the negativity and the heat asymmetry
+    on the grid, ``neg_peak`` the negativity at ``t*``, ``joint_low``
+    the smaller eigenvalue of the closed-form family's joint state on
+    the grid and at ``t*``, and ``unitary_low`` and ``unitary_final``
+    the unitary family's smaller eigenvalue and its negativity at
+    ``t_max``.
     """
 
     times: np.ndarray
@@ -348,7 +354,7 @@ def _checked_block(heads: list) -> _Checked:
         f"exceeds {ENERGY_BALANCE_TOL:.0e}; total energy must be "
         "conserved"))
 
-    asym = heat_asymmetry(thermo_s.heat, thermo_e.heat)
+    asym = abs(thermo_s.heat + thermo_e.heat)
     neg = ch.joint_negativities_closed_form(cols, grid)
     # the closed-form family's joint radii, on the grid and at t*, and
     # the unitary family's, constant in time
@@ -370,7 +376,7 @@ def _checked_block(heads: list) -> _Checked:
         f"at the peak t = {times[i, -1]:.6g} (closed form "
         f"{neg_peak[i]:.6e}, eigensolve {spot[i]:.6e}); bound "
         f"{NEGATIVITY_SPOT_TOL:.0e}"))
-    return _Checked(times, system, environment, work, balance, asym,
+    return _Checked(on_grid.times, system, environment, work, balance, asym,
                     neg[:, :-1], neg_peak, joint_low, unitary_low,
                     unitary_final)
 
@@ -419,7 +425,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         "entropy_drift_closed_form_family": abs(
             joint_closed - joint_closed[0]).max(),
         "negativity_peak": b.neg_peak[0],
-        "negativity_peak_time": b.times[0, -1],
+        "negativity_peak_time": _peak_time(config),
         "negativity_final": neg[-1],
         "negativity_peak_count": _count_peaks(neg, _NEGATIVITY_PEAK_FLOOR),
         "negativity_unitary_family_final": b.unitary_final[0],
@@ -428,7 +434,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         "ratio_max_relative_spread": spread,
     }
     info = InfoSeries(
-        times=b.times[0, :-1], entropy_s=ent_s, entropy_e=ent_e,
+        times=b.times[0], entropy_s=ent_s, entropy_e=ent_e,
         coherence_s=np.sqrt(b.system.x2[0]),
         coherence_e=np.sqrt(b.environment.x2[0]), negativity=neg,
         mutual_information=ent_s + ent_e - joint_closed[:-1],
@@ -554,6 +560,9 @@ def _sweep_rows(block: _Block) -> list:
                            axis=1).tolist(),
                        means, spreads))
     peaks = b.neg_peak.tolist()
+    # the rows hold Python numbers only, so the block goes before they
+    # are built
+    del b
     return [SweepSummary(*_inputs(config), peaks[s], _peak_time(config),
                          *results[s])
             for config, s in zip(configs, series)]

@@ -470,6 +470,24 @@ class TestBlochSeries:
                                              "more than 1e-12"):
             system_bloch(default_params(), np.linspace(0.0, 5.0, 11))
 
+    @pytest.mark.parametrize("bloch", [system_bloch, environment_bloch])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_population_fails_the_unit_trace(self, monkeypatch,
+                                                        bloch, bad):
+        # no accepted input makes a population non-finite; a pair that
+        # holds one sums to no finite trace, so the unit-trace check
+        # refuses it
+        populations = channels._qubit_populations
+
+        def patched(params, keep, lose):
+            pops = populations(params, keep, lose)
+            pops[..., 3, 0] = bad
+            return pops
+
+        monkeypatch.setattr(channels, "_qubit_populations", patched)
+        with pytest.raises(InputError, match=f"trace {bad} differs from 1"):
+            bloch(default_params(), np.linspace(0.0, 5.0, 11))
+
 
 class TestJointRadii:
     def test_match_joint_spectrum(self, rng):

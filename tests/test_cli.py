@@ -361,6 +361,25 @@ class TestRunErrors:
             "error: n_samples is too large for memory: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, data, message", [
+        ("run --config", [1], "configuration must be a JSON object"),
+        ("run --config", {"n_samples": 2001.0},
+         "field 'n_samples' must be an integer, got 2001.0"),
+        ("run --config", {"n_samples": True},
+         "field 'n_samples' must be an integer, got True"),
+        ("sweep --grid", [1], "grid must be a JSON object"),
+    ], ids=["config_not_object", "float_count", "bool_count",
+            "grid_not_object"])
+    def test_malformed_input_named(self, tmp_path, capsys, command, data,
+                                   message):
+        # valid JSON of the wrong shape or type is refused before any
+        # row runs or file is written
+        path = write_json(tmp_path / "input.json", data)
+        out = tmp_path / "o"
+        assert main([*command.split(), path, "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_closure_violation(self, tmp_path, capsys, broken_system_bloch):
         cfg = write_json(tmp_path / "cfg.json", {"n_samples": 101})
         out = tmp_path / "o"

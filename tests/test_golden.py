@@ -2,7 +2,7 @@
 
 Each entry of ``golden.json`` is the sha256 of one output of the CLI
 or of a demo: the default ``run``'s four CSVs and two plot scripts, its
-manifest less ``wall_time_seconds``, the ``validate --strict`` text, the
+manifest less ``wall_time_seconds``, the ``validate`` text, the
 sweep summary on the 27-point alpha x beta x gamma grid for three seeds
 and, for the first seed, on one fixed ``t_max`` in place of
 ``gamma_t_max``, and the stdout of the heat-asymmetry demo. The digests
@@ -95,7 +95,7 @@ def _validate_text(capsys) -> str:
     # fault must not reach the digest
     validation._default_run.cache_clear()
     capsys.readouterr()
-    assert main(["validate", "--strict"]) == 0
+    assert main(["validate"]) == 0
     return capsys.readouterr().out
 
 
@@ -106,7 +106,7 @@ def golden() -> dict:
 
 def test_outputs_match_golden_digests(golden, tmp_path, capsys):
     actual = digests(tmp_path)
-    actual["validate --strict"] = _sha256(_validate_text(capsys).encode())
+    actual["validate"] = _sha256(_validate_text(capsys).encode())
     changed = sorted(name for name in golden["sha256"]
                      if actual.get(name) != golden["sha256"][name])
     assert set(actual) == set(golden["sha256"])
@@ -123,8 +123,8 @@ if __name__ == "__main__":
         table = digests(Path(tmp))
         text.truncate(0)
         text.seek(0)
-        main(["validate", "--strict"])
-    table["validate --strict"] = _sha256(text.getvalue().encode())
+        main(["validate"])
+    table["validate"] = _sha256(text.getvalue().encode())
     # the old -> new record of each changed digest; silent when none is
     before = json.loads(GOLDEN.read_text())["sha256"]
     for name in sorted(before.keys() | table.keys()):
