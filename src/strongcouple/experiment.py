@@ -66,24 +66,28 @@ Q_E|`` of their heats, which share a shape and need no second check, the
 negativity, and the smaller eigenvalue ``(1 - r)/2`` that each radius
 floor leaves, of both marginals and both joint families, in ``(k, T)``
 or ``(k, T + 1)`` arrays, one row for each series, and the squared
-coherences the Bloch series carry. :func:`run` is a block of one on its
-configuration's own grid, which needs no key. It reads row 0 of its
-block and takes ``t*`` from :func:`_peak_time`, as a sweep row does: the
-four entropies come from those eigenvalues
+coherences the Bloch series carry. The values that a run's diagnostics
+and a sweep row both publish have one reader (:func:`_published`),
+which returns, per series of a block, the peak negativity, the heat
+asymmetry's maximum, both final heats, the system's coherent energy's
+maximum and the ratio statistics, from the block's one
+:func:`~strongcouple.infomeasures._ratio_rows` call, as Python numbers.
+:func:`run` is a block of one on its configuration's own grid, which
+needs no key. It takes those values from row 0 of the reader and ``t*``
+from :func:`_peak_time`, as a sweep row does; the rest it reads from
+row 0 of its block: the four entropies come from those eigenvalues
 (:func:`~strongcouple.infomeasures._low_entropies`), so each radius
 meets the floor once, and with them the coherences, the mutual
 information, its :class:`~strongcouple.infomeasures.InfoSeries` and
-every diagnostic, the ratio statistics included, each a plain float.
-:func:`sweep` cuts its configurations into blocks whose series hold at
-most :data:`BLOCK_POINTS` grid points and reads each summary row from
-its block as it is (:func:`_sweep_rows`): per series, the heat
-asymmetry's maximum, both final heats, the system's coherent energy's
-maximum, the ratio statistics and the peak negativity, and the row's own
-peak time ``t*``, without a per-row result, an entropy or a diagnostic;
-the block goes before the rows are built, which hold Python numbers
-only. Both give the same numbers bit for bit, through the same gates in
-the same order. A block peaks in the negativity's Newton solve, which
-manages its own buffers (see
+every other diagnostic, each a plain float. :func:`sweep` cuts its
+configurations into blocks whose series hold at most
+:data:`BLOCK_POINTS` grid points and builds each summary row from the
+reader's row of its series and its own peak time ``t*``
+(:func:`_sweep_rows`), without a per-row result, an entropy or a
+diagnostic; the block goes once the reader has returned, before the
+rows are built. Both give the same numbers bit for bit, through the
+same gates in the same order. A block peaks in the negativity's Newton
+solve, which manages its own buffers (see
 :func:`~strongcouple.channels.joint_negativities_closed_form`).
 """
 
@@ -288,7 +292,8 @@ class _Checked(NamedTuple):
     the smaller eigenvalue of the closed-form family's joint state on
     the grid and at ``t*``, and ``unitary_low`` and ``unitary_final``
     the unitary family's smaller eigenvalue and its negativity at
-    ``t_max``.
+    ``t_max``. The values a run and a sweep row both publish are read
+    from it in one place, :func:`_published`.
     """
 
     times: np.ndarray
@@ -381,6 +386,22 @@ def _checked_block(heads: list) -> _Checked:
                     unitary_final)
 
 
+def _published(b: _Checked) -> list:
+    """Per series of the block ``b``, the values a run's diagnostics and
+    a sweep row both publish, as Python numbers: the peak negativity, the
+    heat asymmetry's maximum, the system's and the environment's final
+    heats, the system's coherent energy's largest magnitude, and the
+    ratio statistics of the asymmetry over the negativity, the points
+    kept, their mean and their spread (see
+    :func:`~strongcouple.infomeasures._ratio_rows`)."""
+    points, means, spreads = _ratio_rows(b.asym, b.neg)
+    return list(zip(b.neg_peak.tolist(), b.asym.max(axis=1).tolist(),
+                    b.system.split.heat[:, -1].tolist(),
+                    b.environment.split.heat[:, -1].tolist(),
+                    abs(b.system.split.coherent_energy).max(axis=1).tolist(),
+                    points, means, spreads))
+
+
 def _check_config(config, what: str) -> None:
     """Raise :class:`InputError` naming ``what`` and the type of
     ``config`` unless it is an :class:`ExperimentConfig`."""
@@ -393,7 +414,10 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     """Execute one configured run and verify its invariants.
 
     A run is a block of one (see :func:`sweep`) on its configuration's
-    own grid, and its result holds row 0 of the block. Raises
+    own grid, and its result holds row 0 of the block. The diagnostics
+    a sweep row publishes too, the peak negativity, the heat asymmetry's
+    maximum, both final heats and the ratio statistics, are row 0 of
+    :func:`_published`, so a run and a sweep row read them alike. Raises
     :class:`NumericalError` if the static-Hamiltonian work bound, the
     global energy balance, the first-law closure tolerance, the
     convergence of the closed-form negativity, or its agreement with the
@@ -411,20 +435,20 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             b.system.low, b.environment.low, b.joint_low, b.unitary_low))
     thermo_s, thermo_e = b.system.split[0], b.environment.split[0]
     neg, asym = b.neg[0], b.asym[0]
-    (points,), (mean,), (spread,) = _ratio_rows(b.asym, b.neg)
+    peak, asym_max, heat_s, heat_e, _, points, mean, spread = _published(b)[0]
     diagnostics = {
         "closure_system_max": thermo_s.closure_residual.max(),
         "closure_environment_max": thermo_e.closure_residual.max(),
         "work_system_max_abs": b.work[0],
         "work_environment_max_abs": b.work[1],
         "energy_balance_max": b.balance[0],
-        "heat_system_final": thermo_s.heat[-1],
-        "heat_environment_final": thermo_e.heat[-1],
-        "heat_asymmetry_max": asym.max(),
+        "heat_system_final": heat_s,
+        "heat_environment_final": heat_e,
+        "heat_asymmetry_max": asym_max,
         "joint_entropy_unitary_family": ent_joint,
         "entropy_drift_closed_form_family": abs(
             joint_closed - joint_closed[0]).max(),
-        "negativity_peak": b.neg_peak[0],
+        "negativity_peak": peak,
         "negativity_peak_time": _peak_time(config),
         "negativity_final": neg[-1],
         "negativity_peak_count": _count_peaks(neg, _NEGATIVITY_PEAK_FLOOR),
@@ -533,11 +557,13 @@ def sweep(configs) -> list:
 def _sweep_rows(block: _Block) -> list:
     """The summary rows of one block, read from :func:`_checked_block`.
 
-    A row takes what it holds of its series and nothing more: the heat
-    asymmetry's maximum, both final heats, the system's coherent energy's
-    maximum, the ratio statistics and the peak negativity; no entropy,
-    coherence or diagnostic is computed. Its negativity's peak time is
-    its own (see :func:`_peak_time`). A block runs every gate of
+    A row takes what it holds of its series from :func:`_published`, the
+    reader :func:`run` takes its shared diagnostics from, and nothing
+    more: the peak negativity, the heat asymmetry's maximum, both final
+    heats, the system's coherent energy's maximum and the ratio mean and
+    spread; no entropy, coherence or diagnostic is computed, and the
+    block goes once the reader has returned. Its negativity's peak time
+    is its own (see :func:`_peak_time`). A block runs every gate of
     :func:`run` in its order, and a block that raises runs again one
     configuration at a time, as blocks of one, so that a failing row
     holds the message its run raises alone and the other rows keep their
@@ -545,27 +571,19 @@ def _sweep_rows(block: _Block) -> list:
     """
     configs, first, series = block
     try:
-        b = _checked_block([configs[i] for i in first])
+        # the rows hold Python numbers only, so the block goes before they
+        # are built
+        values = _published(_checked_block([configs[i] for i in first]))
     except (InputError, NumericalError) as exc:
         if len(configs) > 1:
             return [row for config in configs
                     for row in _sweep_rows(_Block([config], [0], [0]))]
         return [SweepSummary(*_inputs(configs[0]), error=str(exc))]
-    _, means, spreads = _ratio_rows(b.asym, b.neg)
-    # in the order of the result fields of SweepSummary after the peak time
-    results = list(zip(b.asym.max(axis=1).tolist(),
-                       b.system.split.heat[:, -1].tolist(),
-                       b.environment.split.heat[:, -1].tolist(),
-                       abs(b.system.split.coherent_energy).max(
-                           axis=1).tolist(),
-                       means, spreads))
-    peaks = b.neg_peak.tolist()
-    # the rows hold Python numbers only, so the block goes before they
-    # are built
-    del b
-    return [SweepSummary(*_inputs(config), peaks[s], _peak_time(config),
-                         *results[s])
-            for config, s in zip(configs, series)]
+    return [SweepSummary(*_inputs(config), peak, _peak_time(config), asym,
+                         heat_s, heat_e, coherent, mean, spread)
+            for config, s in zip(configs, series)
+            for peak, asym, heat_s, heat_e, coherent, _, mean, spread
+            in [values[s]]]
 
 
 def _inputs(config: ExperimentConfig) -> tuple:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from conftest import _peak
 
-from strongcouple import cli
+from strongcouple import __version__, cli, validation
 from strongcouple.cli import _CSV_BLOCK, _csv_column, _csv_table, main
 from strongcouple.errors import NumericalError
 from strongcouple.experiment import ExperimentConfig, run
@@ -615,6 +615,22 @@ class TestSweepCommand:
         assert manifest["scaled_horizon_spread"] <= 1e-9
         assert "collapse across gamma" in capsys.readouterr().out
 
+    def test_gamma_t_max_with_one_gamma(self, tmp_path, capsys):
+        # no two rows of one (alpha, beta) differ in gamma, so there is no
+        # collapse to read: the manifest has no scaled_horizon keys and no
+        # collapse line is printed
+        grid = write_json(tmp_path / "grid.json",
+                          {"alpha": [0.3, 0.7], "gamma": [2.0],
+                           "gamma_t_max": 2.0, "n_samples": 101})
+        out = tmp_path / "sw"
+        assert main(["sweep", "--grid", grid, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert not [key for key in manifest
+                    if key.startswith("scaled_horizon")]
+        printed = capsys.readouterr().out
+        assert "gamma-scaled" not in printed
+        assert printed.startswith("sweep complete: 2 runs, 0 failed")
+
     def test_sweep27_peaks_collapse(self, tmp_path):
         # each row's peak time is t* = ln 2 / gamma, so gamma t* is ln 2
         # on every row, to round-off, and the peaks are equal
@@ -765,6 +781,22 @@ class TestValidateCommand:
         assert exc.value.code == 0
         assert "--strict" not in capsys.readouterr().out
 
+    def test_a_suite_that_raises_fails_its_row(self, monkeypatch, capsys):
+        # a suite that raises a StrongcoupleError is a FAIL row naming the
+        # exception, the suites after it still run, and validate exits 3
+        def raising():
+            raise NumericalError("no convergence")
+
+        suites = list(validation._SUITES)
+        suites[2] = (suites[2][0], raising)
+        monkeypatch.setattr(validation, "_SUITES", suites)
+        assert main(["validate"]) == 3
+        out = capsys.readouterr().out
+        assert ("[FAIL] route consistency: raised NumericalError: "
+                "no convergence\n") in out
+        assert out.count("[PASS]") == 12
+        assert out.endswith("12/13 suites passed\n")
+
 
 class TestParser:
     def test_version_flag(self, capsys):
@@ -772,6 +804,16 @@ class TestParser:
             main(["--version"])
         assert exc.value.code == 0
         assert "strongcouple" in capsys.readouterr().out
+
+    def test_module_entry_point(self, monkeypatch, capsys):
+        # python -m strongcouple.cli --version: the module runs as
+        # __main__, in a namespace of its own, and exits through main()
+        monkeypatch.setattr(sys, "argv", ["strongcouple", "--version"])
+        monkeypatch.delitem(sys.modules, "strongcouple.cli")
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("strongcouple.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"strongcouple {__version__}\n"
 
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit) as exc:

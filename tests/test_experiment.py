@@ -471,30 +471,6 @@ class TestNegativityPeak:
         assert abs(d["negativity_peak"] - self.eigensolved(
             config, math.log(2.0))) <= ch.NEGATIVITY_NEWTON_TOL
 
-    def test_separable_line(self):
-        # alpha^2 = w0, bit for bit on these betas: the negativity
-        # vanishes at every time, and t* still maximises it, so the peak
-        # time is t*, not the grid's 0. The converse of the paper's claim:
-        # the heats still fail to balance, by 0.081 at beta = 0.2 and
-        # 0.063 at beta = 1, so a heat imbalance needs no entanglement
-        times = np.linspace(0.0, 10.0, 41)
-        for beta in (0.2, 1.0):
-            w0 = 1.0 / (1.0 + math.exp(-beta))
-            config = ExperimentConfig(alpha=math.sqrt(w0), beta=beta)
-            assert config.alpha ** 2 == config.params.w0 == w0
-            result = run(config)
-            d = result.diagnostics
-            assert not result.info.negativity.any()
-            assert d["negativity_peak"] == 0.0
-            assert d["negativity_peak_time"] == math.log(2.0)
-            assert d["heat_asymmetry_max"] > 1e-3
-            assert self.eigensolved(config, math.log(2.0)) \
-                <= ch.NEGATIVITY_NEWTON_TOL
-            # both joint families, eigensolved: at most 3.1e-16
-            for family in (ch.joint_states, ch.joint_states_closed_form):
-                assert negativities(family(config.params, times)).max() \
-                    <= 1e-15, (beta, family.__name__)
-
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 3.0])
     def test_horizon_before_half_decay(self, gamma):
         # gamma t_max = 0.5 < ln 2: the peak is the grid's last point

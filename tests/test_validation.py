@@ -114,6 +114,16 @@ def test_first_law_suite_holds_the_run_gates(monkeypatch, key, bound):
         assert validation._suite_first_law()[0] is ok
 
 
+def test_closure_gate_control_fails_when_the_gate_does_not_fire(
+        monkeypatch):
+    # the negative control passes only because the coarse grid trips the
+    # generic route's closure gate; a route that accepts it fails the suite
+    monkeypatch.setattr(validation, "thermo_trajectory",
+                        lambda *args, **kwargs: None)
+    assert validation._suite_closure_gate() == (
+        False, "coarse grid with tight tolerance was not rejected")
+
+
 @pytest.mark.parametrize("size", [2001 % 256, 25],
                          ids=["last_block", "random_triples"])
 def test_marginals_suite_fails_on_any_negativity_gap(monkeypatch, size):
